@@ -1,5 +1,5 @@
-//! Hot-loop cost of one monitored event: the fused rulebook backend vs
-//! per-property compiled flat tables vs the tree-walking interpreter.
+//! Hot-loop cost of one monitored event: the fused rulebook backend vs the
+//! tree-walking interpreter oracle.
 //!
 //! Four workloads, all through an indexed-dispatch engine [`Session`]:
 //!
@@ -20,18 +20,16 @@
 //! current directory (the repo tracks it at the root as the perf
 //! trajectory anchor).
 //!
-//! `--check` is the CI gate: all three backends must agree on every
-//! verdict *and* every per-property ops counter, the compiled backend
-//! must be at least [`GATE_SPEEDUP`]× faster (ns/event) than the
-//! interpreter on the multi-property workloads, and the fused backend
-//! must be at least [`FUSED_GATE_SPEEDUP`]× faster than compiled on the
-//! overlapping workloads. With `--baseline <path>` the fresh speedups are
-//! additionally compared against the committed `BENCH_hot_loop.json`: a
-//! drop below [`BASELINE_TOLERANCE`] of a recorded speedup fails the run
-//! — the floor that ratchets up as future optimization PRs commit better
-//! baselines. The `single` workload is reported but not gated — with one
-//! monitor per event the session's fixed dispatch overhead dilutes the
-//! ratios and makes them noisy.
+//! `--check` is the CI gate: both backends must agree on every verdict
+//! *and* every per-property ops counter, and the fused backend must be
+//! faster (ns/event) than the interpreter by at least each gated
+//! workload's floor ([`Workload::gate`]). With `--baseline <path>` the
+//! fresh speedups are additionally compared against the committed
+//! `BENCH_hot_loop.json`: a drop below [`BASELINE_TOLERANCE`] of a
+//! recorded speedup fails the run — the floor that ratchets up as future
+//! optimization PRs commit better baselines. The `single` workload is
+//! reported but not gated — with one monitor per event the session's fixed
+//! dispatch overhead dilutes the ratio and makes it noisy.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -42,33 +40,22 @@ use lomon_core::Monitor as _;
 use lomon_engine::{Backend, DispatchMode, Engine, Session};
 use lomon_trace::{NameSet, SimTime, TimedEvent};
 
-/// The CI gate: compiled must beat interpreted by at least this factor on
-/// the gated multi-property workloads. The static floor sits below the
-/// measured ~3.0–3.5× because the check matrix's small event budget puts
-/// run-to-run noise at roughly ±0.2× on the disjoint ratio; the binding
-/// regression guard is the `--baseline` ratchet ([`BASELINE_TOLERANCE`] ×
-/// the committed speedups, ≈2.6× at today's `BENCH_hot_loop.json`).
-const GATE_SPEEDUP: f64 = 2.5;
-
-/// The fused gate: the fused rulebook backend must beat per-property
-/// compiled by at least this factor on the overlapping workloads (where
-/// structural dedup actually shares work).
-const FUSED_GATE_SPEEDUP: f64 = 2.0;
-
 /// A fresh speedup below `tolerance × committed` fails `--baseline`.
 const BASELINE_TOLERANCE: f64 = 0.8;
 
 /// Timed repetitions per (workload, backend); the minimum is reported.
-/// Interleaved between the backends (see `run_trio`) so load drift on a
+/// Interleaved between the backends (see `run_pair`) so load drift on a
 /// shared machine cannot skew the ratios.
 const REPS: usize = 9;
 
 struct Workload {
     name: &'static str,
-    /// Whether the `--check` compiled-vs-interp speedup gate applies.
-    gated: bool,
-    /// Whether the `--check` fused-vs-compiled speedup gate applies.
-    fused_gated: bool,
+    /// The `--check` floor on fused-over-interp speedup, if gated. The
+    /// floors sit well below the measured ratios (≈3× disjoint, ≈26–106×
+    /// overlapping) because the check matrix's small event budget makes
+    /// them noisy; the binding regression guard is the `--baseline`
+    /// ratchet ([`BASELINE_TOLERANCE`] × the committed speedups).
+    gate: Option<f64>,
     engine: Engine,
     events: Vec<TimedEvent>,
 }
@@ -87,57 +74,44 @@ fn replay(session: &mut Session<'_>, events: &[TimedEvent], end: SimTime) -> u12
     started.elapsed().as_nanos()
 }
 
-/// Measure all three backends over the same workload, **interleaved** rep
-/// by rep so machine-load drift hits every backend equally instead of
-/// skewing the ratios; the minimum of each is reported.
-fn run_trio(engine: &Engine, events: &[TimedEvent]) -> [Measurement; 3] {
+/// Measure both backends over the same workload, **interleaved** rep by
+/// rep so machine-load drift hits both equally instead of skewing the
+/// ratio; the minimum of each is reported.
+fn run_pair(engine: &Engine, events: &[TimedEvent]) -> [Measurement; 2] {
     let end = events.last().map(|e| e.time).unwrap_or(SimTime::ZERO);
-    let backends = [Backend::Interp, Backend::Compiled, Backend::Fused];
-    let mut sessions: Vec<Session<'_>> = backends
-        .iter()
-        .map(|&b| engine.session_with_backend(DispatchMode::Indexed, b))
-        .collect();
-    let mut best = [u128::MAX; 3];
+    let mut sessions = [Backend::Interp, Backend::Fused]
+        .map(|b| engine.session_with_backend(DispatchMode::Indexed, b));
+    let mut best = [u128::MAX; 2];
     for _ in 0..REPS {
         for (session, best) in sessions.iter_mut().zip(&mut best) {
             *best = (*best).min(replay(session, events, end));
         }
     }
-    let digest = |s: &Session<'_>| -> Vec<(lomon_core::Verdict, u64)> {
-        (0..engine.len())
+    let measure = |s: &Session<'_>, nanos: u128| Measurement {
+        nanos_per_event: nanos as f64 / events.len() as f64,
+        verdicts: (0..engine.len())
             .map(|id| (s.verdict(id), s.ops(id)))
-            .collect()
+            .collect(),
     };
-    let mut out = Vec::with_capacity(3);
-    for (session, best) in sessions.iter().zip(&best) {
-        out.push(Measurement {
-            nanos_per_event: *best as f64 / events.len() as f64,
-            verdicts: digest(session),
-        });
-    }
-    out.try_into()
-        .unwrap_or_else(|_| unreachable!("exactly three backends measured"))
+    [
+        measure(&sessions[0], best[0]),
+        measure(&sessions[1], best[1]),
+    ]
 }
 
 struct Row {
     name: &'static str,
-    gated: bool,
-    fused_gated: bool,
+    gate: Option<f64>,
     events: usize,
     interp_ns: f64,
-    compiled_ns: f64,
     fused_ns: f64,
 }
 
 impl Row {
-    /// Compiled over interpreted — the flat-table lowering's win.
+    /// Fused over interpreted — the lowering's and the sharing's win
+    /// together.
     fn speedup(&self) -> f64 {
-        self.interp_ns / self.compiled_ns.max(f64::MIN_POSITIVE)
-    }
-
-    /// Fused over compiled — the cross-property sharing's win.
-    fn fused_speedup(&self) -> f64 {
-        self.compiled_ns / self.fused_ns.max(f64::MIN_POSITIVE)
+        self.interp_ns / self.fused_ns.max(f64::MIN_POSITIVE)
     }
 
     fn fused_events_per_sec(&self) -> f64 {
@@ -150,19 +124,15 @@ fn render_json(rows: &[Row]) -> String {
     out.push_str("  \"workloads\": [\n");
     for (k, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"gated\": {}, \"fused_gated\": {}, \"events\": {}, \
-             \"interp_ns_per_event\": {:.2}, \"compiled_ns_per_event\": {:.2}, \
-             \"fused_ns_per_event\": {:.2}, \"speedup\": {:.2}, \"fused_speedup\": {:.2}, \
-             \"fused_events_per_sec\": {:.0}}}{}\n",
+            "    {{\"name\": \"{}\", \"gated\": {}, \"events\": {}, \
+             \"interp_ns_per_event\": {:.2}, \"fused_ns_per_event\": {:.2}, \
+             \"speedup\": {:.2}, \"fused_events_per_sec\": {:.0}}}{}\n",
             row.name,
-            row.gated,
-            row.fused_gated,
+            row.gate.is_some(),
             row.events,
             row.interp_ns,
-            row.compiled_ns,
             row.fused_ns,
             row.speedup(),
-            row.fused_speedup(),
             row.fused_events_per_sec(),
             if k + 1 < rows.len() { "," } else { "" },
         ));
@@ -171,11 +141,10 @@ fn render_json(rows: &[Row]) -> String {
     out
 }
 
-/// Extract `(name, speedup, fused_speedup)` triples from a committed
-/// `BENCH_hot_loop.json`. The file is written one workload object per line
-/// (see [`render_json`]), so a line scanner is all the parsing needed;
-/// `fused_speedup` is `None` for baselines predating the fused backend.
-fn parse_baseline(text: &str) -> Vec<(String, f64, Option<f64>)> {
+/// Extract `(name, speedup)` pairs from a committed `BENCH_hot_loop.json`.
+/// The file is written one workload object per line (see
+/// [`render_json`]), so a line scanner is all the parsing needed.
+fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     let field = |line: &str, key: &str| -> Option<String> {
         let at = line.find(key)? + key.len();
         let rest = line[at..].trim_start_matches([':', ' ', '"']);
@@ -186,8 +155,7 @@ fn parse_baseline(text: &str) -> Vec<(String, f64, Option<f64>)> {
         .filter_map(|line| {
             let name = field(line, "\"name\"")?;
             let speedup = field(line, "\"speedup\"")?.parse().ok()?;
-            let fused = field(line, "\"fused_speedup\"").and_then(|v| v.parse().ok());
-            Some((name, speedup, fused))
+            Some((name, speedup))
         })
         .collect()
 }
@@ -241,21 +209,18 @@ fn main() -> ExitCode {
             let (engine, events) = disjoint(1, single_rounds);
             Workload {
                 name: "single",
-                gated: false,
-                fused_gated: false,
+                gate: None,
                 engine,
                 events,
             }
         },
         {
-            // No structural overlap: fused degenerates to compiled (50
-            // singleton groups), so only the compiled-vs-interp gate
-            // applies.
+            // No structural overlap: fused degenerates to 50 singleton
+            // groups, so the floor measures the flat-table lowering alone.
             let (engine, events) = disjoint(50, multi_rounds);
             Workload {
                 name: "disjoint-50",
-                gated: true,
-                fused_gated: false,
+                gate: Some(2.0),
                 engine,
                 events,
             }
@@ -266,8 +231,7 @@ fn main() -> ExitCode {
             let (engine, events) = overlapping(50, multi_rounds * 5);
             Workload {
                 name: "overlap-50",
-                gated: true,
-                fused_gated: true,
+                gate: Some(5.0),
                 engine,
                 events,
             }
@@ -279,66 +243,48 @@ fn main() -> ExitCode {
             let (engine, events) = overlapping(200, multi_rounds * 5);
             Workload {
                 name: "overlap-200",
-                gated: true,
-                fused_gated: true,
+                gate: Some(5.0),
                 engine,
                 events,
             }
         },
     ];
 
-    println!("hot loop — fused rulebook vs compiled flat tables vs interpreter (best of {REPS})");
+    println!("hot loop — fused rulebook vs interpreter (best of {REPS})");
     println!(
-        "{:>12} {:>9} {:>12} {:>12} {:>10} {:>8} {:>8} {:>14}",
-        "workload",
-        "events",
-        "interp ns/ev",
-        "compiled ns",
-        "fused ns",
-        "cmp/itp",
-        "fsd/cmp",
-        "fused ev/s"
+        "{:>12} {:>9} {:>12} {:>10} {:>8} {:>14}",
+        "workload", "events", "interp ns/ev", "fused ns", "fsd/itp", "fused ev/s"
     );
 
     let mut rows = Vec::new();
     let mut identical = true;
     for w in &workloads {
-        let [interp, compiled, fused] = run_trio(&w.engine, &w.events);
+        let [interp, fused] = run_pair(&w.engine, &w.events);
         // Differential gate: same verdict and same ops counter for every
-        // property across all three backends, or one of them has diverged.
-        for id in 0..w.engine.len() {
-            let (i, c, f) = (
-                &interp.verdicts[id],
-                &compiled.verdicts[id],
-                &fused.verdicts[id],
-            );
-            if i != c || c != f {
+        // property on both backends, or one of them has diverged.
+        for (id, (i, f)) in interp.verdicts.iter().zip(&fused.verdicts).enumerate() {
+            if i != f {
                 eprintln!(
-                    "MISMATCH: workload {} property {id}: interp {:?} vs compiled {:?} \
-                     vs fused {:?}",
-                    w.name, i, c, f
+                    "MISMATCH: workload {} property {id}: interp {i:?} vs fused {f:?}",
+                    w.name
                 );
                 identical = false;
             }
         }
         let row = Row {
             name: w.name,
-            gated: w.gated,
-            fused_gated: w.fused_gated,
+            gate: w.gate,
             events: w.events.len(),
             interp_ns: interp.nanos_per_event,
-            compiled_ns: compiled.nanos_per_event,
             fused_ns: fused.nanos_per_event,
         };
         println!(
-            "{:>12} {:>9} {:>12.1} {:>12.1} {:>10.1} {:>7.1}x {:>7.1}x {:>14.0}",
+            "{:>12} {:>9} {:>12.1} {:>10.1} {:>7.1}x {:>14.0}",
             row.name,
             row.events,
             row.interp_ns,
-            row.compiled_ns,
             row.fused_ns,
             row.speedup(),
-            row.fused_speedup(),
             row.fused_events_per_sec(),
         );
         rows.push(row);
@@ -360,58 +306,38 @@ fn main() -> ExitCode {
                 ok = false;
             }
         }
-        for row in rows.iter().filter(|r| r.gated) {
-            if row.speedup() < GATE_SPEEDUP {
-                println!(
-                    "FAIL: {} compiled speedup {:.2}x below the {GATE_SPEEDUP}x gate",
-                    row.name,
-                    row.speedup()
-                );
-                ok = false;
-            }
-        }
-        for row in rows.iter().filter(|r| r.fused_gated) {
-            if row.fused_speedup() < FUSED_GATE_SPEEDUP {
-                println!(
-                    "FAIL: {} fused speedup {:.2}x below the {FUSED_GATE_SPEEDUP}x gate",
-                    row.name,
-                    row.fused_speedup()
-                );
-                ok = false;
+        for row in &rows {
+            if let Some(gate) = row.gate {
+                if row.speedup() < gate {
+                    println!(
+                        "FAIL: {} fused speedup {:.2}x below the {gate}x gate",
+                        row.name,
+                        row.speedup()
+                    );
+                    ok = false;
+                }
             }
         }
         if let Some(path) = &baseline_path {
             match std::fs::read_to_string(path) {
                 Ok(text) => {
                     let committed = parse_baseline(&text);
-                    for row in rows.iter().filter(|r| r.gated || r.fused_gated) {
-                        let Some((_, base, fused_base)) =
-                            committed.iter().find(|(n, _, _)| n == row.name)
+                    for row in rows.iter().filter(|r| r.gate.is_some()) {
+                        let Some(&(_, committed)) = committed.iter().find(|(n, _)| n == row.name)
                         else {
                             println!("FAIL: baseline {path} has no workload `{}`", row.name);
                             ok = false;
                             continue;
                         };
-                        let mut ratchets = vec![];
-                        if row.gated {
-                            ratchets.push(("compiled", row.speedup(), *base));
-                        }
-                        if row.fused_gated {
-                            if let Some(fused_base) = fused_base {
-                                ratchets.push(("fused", row.fused_speedup(), *fused_base));
-                            }
-                        }
-                        for (label, fresh, committed) in ratchets {
-                            let floor = committed * BASELINE_TOLERANCE;
-                            if fresh < floor {
-                                println!(
-                                    "FAIL: {} {label} speedup {fresh:.2}x regressed below \
-                                     {floor:.2}x ({BASELINE_TOLERANCE} x committed \
-                                     {committed:.2}x)",
-                                    row.name,
-                                );
-                                ok = false;
-                            }
+                        let floor = committed * BASELINE_TOLERANCE;
+                        if row.speedup() < floor {
+                            println!(
+                                "FAIL: {} fused speedup {:.2}x regressed below {floor:.2}x \
+                                 ({BASELINE_TOLERANCE} x committed {committed:.2}x)",
+                                row.name,
+                                row.speedup(),
+                            );
+                            ok = false;
                         }
                     }
                 }
@@ -423,9 +349,8 @@ fn main() -> ExitCode {
         }
         if ok {
             println!(
-                "OK: backends verdict- and ops-identical; compiled >= {GATE_SPEEDUP}x interp \
-                 on the multi-property workloads; fused >= {FUSED_GATE_SPEEDUP}x compiled on \
-                 the overlapping workloads"
+                "OK: backends verdict- and ops-identical; fused above its speedup floor over \
+                 interp on every gated workload"
             );
             ExitCode::SUCCESS
         } else {

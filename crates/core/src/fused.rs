@@ -52,9 +52,8 @@ use crate::compiled::{CompiledMonitor, CompiledProgram};
 /// `b`'s payloads come out as `payloads[start[b] .. start[b + 1]]`, in
 /// input order (stability is what makes per-bucket ordering guarantees —
 /// ascending member ids, group-major rows — provable from the iteration
-/// order of `items` alone). Shared by the fusion's two tables here and
-/// the engine's property-granular dispatch index.
-pub fn build_csr<T: Copy>(width: usize, items: &[(usize, T)]) -> (Vec<u32>, Vec<T>) {
+/// order of `items` alone).
+fn build_csr<T: Copy>(width: usize, items: &[(usize, T)]) -> (Vec<u32>, Vec<T>) {
     let mut start = vec![0u32; width + 1];
     for &(bucket, _) in items {
         start[bucket + 1] += 1;
@@ -144,6 +143,15 @@ impl FusedProgram {
             prop_group.push(group);
         }
         Self::assemble(groups, prop_group)
+    }
+
+    /// The rulebook *without* sharing: [`FusedProgram::fuse`]'s tables with
+    /// every property its own group, so group `p` is property `p`. This is
+    /// the layout the engine's per-property interpreter oracle dispatches
+    /// through — the same routing and deadline facts as the fused program,
+    /// none of its structural deduplication.
+    pub fn unshared(programs: &[Arc<CompiledProgram>]) -> FusedProgram {
+        Self::assemble(programs.to_vec(), (0..programs.len() as u32).collect())
     }
 
     /// Build the fused tables over an already-deduplicated arena:
@@ -430,6 +438,35 @@ mod tests {
         // A name the rulebook never mentions routes nowhere, even past the
         // CSR's width.
         assert_eq!(fused.subscribers(Name::from_index(1000)).0.len(), 0);
+    }
+
+    #[test]
+    fn unshared_keeps_every_property_its_own_group() {
+        let mut voc = Vocabulary::new();
+        let programs: Vec<Arc<CompiledProgram>> = [
+            "all{a, b} << start once",
+            "b << go once",
+            "all{a, b} << start once",
+        ]
+        .iter()
+        .map(|t| {
+            Arc::new(CompiledProgram::lower(
+                &parse_property(t, &mut voc).unwrap(),
+            ))
+        })
+        .collect();
+        let unshared = FusedProgram::unshared(&programs);
+        assert_eq!(unshared.group_count(), 3);
+        for p in 0..3 {
+            assert_eq!(unshared.group_of(p), p);
+            assert_eq!(unshared.members(p), &[p as u32]);
+            assert_eq!(unshared.member_count(p), 1);
+        }
+        let b = voc.lookup("b").unwrap();
+        assert_eq!(unshared.subscribers(b).0, &[0, 1, 2]);
+        let sharing = unshared.sharing();
+        assert_eq!(sharing.unique_cells, sharing.total_cells);
+        assert_eq!(FusedProgram::fuse(&programs).group_count(), 2);
     }
 
     #[test]

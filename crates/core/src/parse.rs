@@ -24,6 +24,7 @@
 //! response `Q`; the `in:`/`out:` prefixes override. A name already present
 //! in the vocabulary keeps its original direction.
 
+use lomon_trace::time::{scale_time, ScaleError};
 use lomon_trace::{Direction, Name, SimTime, Vocabulary};
 
 use crate::ast::{
@@ -379,18 +380,21 @@ impl<'v> Parser<'v> {
                 ))
             }
         };
+        let value_start = self.tokens[self.pos - 1].1 .0;
         match self.bump() {
-            Tok::Ident(unit) => match unit.as_str() {
-                "ps" => Ok(SimTime::from_ps(value)),
-                "ns" => Ok(SimTime::from_ns(value)),
-                "us" => Ok(SimTime::from_us(value)),
-                "ms" => Ok(SimTime::from_ms(value)),
-                "s" => Ok(SimTime::from_sec(value)),
-                other => Err(ParseError::new(
-                    self.tokens[self.pos - 1].1,
-                    format!("unknown time unit `{other}` (use ps/ns/us/ms/s)"),
-                )),
-            },
+            Tok::Ident(unit) => {
+                let unit_span = self.tokens[self.pos - 1].1;
+                scale_time(value, unit.as_bytes()).map_err(|e| match e {
+                    ScaleError::UnknownUnit => ParseError::new(
+                        unit_span,
+                        format!("unknown time unit `{unit}` (use ps/ns/us/ms/s)"),
+                    ),
+                    ScaleError::OutOfRange => ParseError::new(
+                        (value_start, unit_span.1),
+                        format!("time literal `{value} {unit}` is out of range"),
+                    ),
+                })
+            }
             other => Err(ParseError::new(
                 self.tokens[self.pos - 1].1,
                 format!("expected a time unit, found {}", other.describe()),
@@ -653,6 +657,27 @@ mod tests {
         let mut voc = Vocabulary::new();
         let err = parse_property("a => b within 10 lightyears", &mut voc).unwrap_err();
         assert!(err.message.contains("unknown time unit"), "{}", err.message);
+    }
+
+    #[test]
+    fn error_time_bound_out_of_range() {
+        let mut voc = Vocabulary::new();
+        let src = "go => out:done within 18446744073709552 ns";
+        let err = parse_property(src, &mut voc).unwrap_err();
+        assert_eq!(
+            err.message,
+            "time literal `18446744073709552 ns` is out of range"
+        );
+        assert_eq!(&src[err.start..err.end], "18446744073709552 ns");
+        // The largest representable bound in each unit still parses.
+        for bound in [
+            "18446744073709551 ns",
+            "18446744073709551615 ps",
+            "18446744 s",
+        ] {
+            let text = format!("go => out:done within {bound}");
+            assert!(parse_property(&text, &mut voc).is_ok(), "{text}");
+        }
     }
 
     #[test]

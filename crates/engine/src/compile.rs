@@ -1,14 +1,15 @@
 //! Compiling a property set into an [`Engine`]: parse/validate *everything*
 //! first, report every error, then lower the **whole rulebook** into one
 //! fused program — unique recognizer groups plus the single global
-//! event→action CSR table every backend dispatches through.
+//! event→action CSR table the production backend dispatches through — and
+//! its unshared twin the interpreter oracle runs over.
 
 use std::sync::Arc;
 
 use lomon_core::analysis::{self, AnalysisOptions, DiagCode, Diagnostic};
 use lomon_core::ast::Property;
 use lomon_core::compiled::CompiledProgram;
-use lomon_core::fused::{build_csr, FusedProgram, Sharing};
+use lomon_core::fused::{FusedProgram, Sharing};
 use lomon_core::monitor::{build_monitor, PropertyMonitor};
 use lomon_core::parse::{parse_property, ParseError};
 use lomon_core::wf::WfError;
@@ -80,17 +81,13 @@ impl CompileError {
 }
 
 /// One validated property of the compiled set: the interpreter prototype
-/// that [`Backend::Interp`] sessions clone, the lowered flat-table program
-/// that [`Backend::Compiled`] sessions share, plus everything dispatch
-/// needs precomputed.
+/// that [`Backend::Interp`] sessions clone, plus its reporting facts.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledProperty {
     pub(crate) prototype: PropertyMonitor,
-    pub(crate) program: Arc<CompiledProgram>,
     pub(crate) alphabet: NameSet,
     /// Shared so per-report property lines clone a pointer, not the text.
     pub(crate) display: Arc<str>,
-    pub(crate) timed: bool,
 }
 
 /// A set of properties compiled once and shared by any number of
@@ -101,27 +98,13 @@ pub struct Engine {
     /// The rulebook lowered as one program: unique recognizer groups
     /// (structurally deduplicated across properties), the group→members
     /// fan-out, and the single global name→(group, action-row) CSR table
-    /// the default fused backend dispatches through. The per-property
-    /// backends use the flat `prop_*` index below, which carries the same
-    /// routing facts at property granularity.
+    /// the default fused backend dispatches through.
     pub(crate) fused: Arc<FusedProgram>,
-    /// The dispatch index at property granularity: the subscribers of
-    /// name `n` are `prop_subs[prop_start[n] .. prop_start[n + 1]]`
-    /// (ascending) with, in parallel, each property's action-table row
-    /// offset for `n` in `prop_bases`. Built from the per-property
-    /// programs (see `build`), it carries the same routing facts as the
-    /// fused CSR expanded through the member table; the per-property
-    /// backends keep this flat form because re-walking the group→members
-    /// indirection per event costs them ~30% on the disjoint hot loop.
-    pub(crate) prop_start: Vec<u32>,
-    pub(crate) prop_subs: Vec<u32>,
-    pub(crate) prop_bases: Vec<u32>,
-    /// Ids of timed-implication properties (the only ones with deadlines)
-    /// — property-granular, for the per-property backends' deadline sweep.
-    pub(crate) timed_ids: Vec<u32>,
-    /// Dense id → is-timed flags: the per-step hot path reads this compact
-    /// array instead of striding over the full [`CompiledProperty`] structs.
-    pub(crate) timed_flags: Vec<bool>,
+    /// The same programs with every property its own group
+    /// ([`FusedProgram::unshared`]): group ids are property ids. The
+    /// interpreter oracle dispatches through these tables so that it
+    /// shares the session's one dispatch path but none of the fusion.
+    pub(crate) unshared: Arc<FusedProgram>,
 }
 
 impl Engine {
@@ -215,20 +198,17 @@ impl Engine {
         errors: &mut Vec<CompileError>,
     ) -> Engine {
         let mut properties = Vec::with_capacity(parsed.len());
+        let mut programs = Vec::with_capacity(parsed.len());
         for (index, source, property) in parsed {
-            let timed = matches!(property, Property::Timed(_));
             match build_monitor(property.clone(), voc) {
                 Ok(prototype) => {
-                    let alphabet = prototype.alphabet();
                     // `build_monitor` validated the property; lower it into
-                    // the flat-table program the compiled backend runs on.
-                    let program = Arc::new(CompiledProgram::lower(&property));
+                    // the flat-table program the fusion interns.
+                    programs.push(Arc::new(CompiledProgram::lower(&property)));
                     properties.push(CompiledProperty {
+                        alphabet: prototype.alphabet(),
                         prototype,
-                        program,
-                        alphabet,
                         display: Arc::from(source),
-                        timed,
                     });
                 }
                 Err(wf_errors) => errors.push(CompileError::IllFormed {
@@ -239,55 +219,10 @@ impl Engine {
             }
         }
 
-        let mut timed_ids = Vec::new();
-        let mut timed_flags = Vec::with_capacity(properties.len());
-        for (id, compiled) in properties.iter().enumerate() {
-            if compiled.timed {
-                timed_ids.push(id as u32);
-            }
-            timed_flags.push(compiled.timed);
-        }
-        let programs: Vec<Arc<CompiledProgram>> =
-            properties.iter().map(|p| Arc::clone(&p.program)).collect();
-        let fused = Arc::new(FusedProgram::fuse(&programs));
-
-        // Property-granular CSR for the per-property backends, built
-        // directly from each property's own program (alphabet + action
-        // rows). Equal fingerprints make a property's table identical to
-        // its fused group's, so this holds the same routing facts as
-        // expanding the fused CSR through the member table — just with
-        // ascending property ids per name (stable counting sort over
-        // properties in id order).
-        let width = properties
-            .iter()
-            .flat_map(|p| p.program.alphabet().iter())
-            .map(|n| n.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let prop_items: Vec<(usize, (u32, u32))> = properties
-            .iter()
-            .enumerate()
-            .flat_map(|(id, p)| {
-                p.program.alphabet().iter().map(move |name| {
-                    let base = p
-                        .program
-                        .action_row(name)
-                        .expect("alphabet member has an action row");
-                    (name.index(), (id as u32, base))
-                })
-            })
-            .collect();
-        let (prop_start, prop_pairs) = build_csr(width, &prop_items);
-        let (prop_subs, prop_bases) = prop_pairs.into_iter().unzip();
-
         Engine {
             properties,
-            fused,
-            prop_start,
-            prop_subs,
-            prop_bases,
-            timed_ids,
-            timed_flags,
+            fused: Arc::new(FusedProgram::fuse(&programs)),
+            unshared: Arc::new(FusedProgram::unshared(&programs)),
         }
     }
 
@@ -321,9 +256,17 @@ impl Engine {
 
     /// The fused rulebook program: unique recognizer groups, the
     /// group→members fan-out, and the global name→(group, row) CSR table
-    /// all backends dispatch through.
+    /// the production backend dispatches through.
     pub fn fused(&self) -> &Arc<FusedProgram> {
         &self.fused
+    }
+
+    /// The program whose groups are `backend`'s dispatch units.
+    pub(crate) fn program(&self, backend: Backend) -> &FusedProgram {
+        match backend {
+            Backend::Fused => &self.fused,
+            Backend::Interp => &self.unshared,
+        }
     }
 
     /// How much structure the rulebook fusion shared (unique programs and
@@ -335,44 +278,22 @@ impl Engine {
 
     /// The ids of the properties subscribed to `name` — the index row an
     /// event of that name dispatches to, in ascending property order.
-    #[inline]
+    /// Empty for names outside every alphabet (including names interned
+    /// after compilation).
     pub fn subscribers(&self, name: Name) -> impl Iterator<Item = u32> + '_ {
-        self.prop_subscribers(name).0.iter().copied()
+        self.unshared.subscribers(name).0.iter().copied()
     }
 
-    /// The property-granular CSR row of `name`: subscribed property ids
-    /// (ascending) with, in parallel, each property's precomputed
-    /// action-table row offset for the name. Empty for names outside
-    /// every alphabet (including names interned after compilation).
-    #[inline]
-    pub(crate) fn prop_subscribers(&self, name: Name) -> (&[u32], &[u32]) {
-        match self.prop_start.get(name.index()..name.index() + 2) {
-            Some(bounds) => {
-                let (s, e) = (bounds[0] as usize, bounds[1] as usize);
-                (&self.prop_subs[s..e], &self.prop_bases[s..e])
-            }
-            None => (&[], &[]),
-        }
-    }
-
-    /// Open a fresh session using indexed dispatch on the fused rulebook
-    /// backend — the defaults.
+    /// Open a fresh session on the fused rulebook backend — the default.
     pub fn session(&self) -> Session<'_> {
-        self.session_with(DispatchMode::Indexed)
+        self.session_with_backend(DispatchMode::Indexed, Backend::Fused)
     }
 
-    /// Open a fresh session with an explicit dispatch mode —
-    /// [`DispatchMode::Broadcast`] is the naive baseline the benchmarks
-    /// compare against. Runs on the default [`Backend::Fused`].
-    pub fn session_with(&self, mode: DispatchMode) -> Session<'_> {
-        self.session_with_backend(mode, Backend::Fused)
-    }
-
-    /// Open a fresh session with explicit dispatch mode *and* execution
-    /// backend — [`Backend::Compiled`] steps one monitor per property,
+    /// Open a fresh session on an explicit execution backend —
     /// [`Backend::Interp`] is the tree-walking differential oracle.
     pub fn session_with_backend(&self, mode: DispatchMode, backend: Backend) -> Session<'_> {
-        Session::new(self, mode, backend)
+        let DispatchMode::Indexed = mode;
+        Session::new(self, backend)
     }
 }
 
@@ -465,6 +386,6 @@ mod tests {
         let mut voc = Vocabulary::new();
         let engine = Engine::compile(&["a << i once", "go => out:done within 50 ns"], &mut voc)
             .expect("compiles");
-        assert_eq!(engine.timed_ids, vec![1]);
+        assert_eq!(engine.unshared.timed_groups(), &[1]);
     }
 }

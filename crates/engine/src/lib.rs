@@ -26,42 +26,42 @@
 //!
 //! The win is measured, not assumed: every [`Session`] counts events seen,
 //! monitor steps performed, and steps skipped by the index
-//! ([`DispatchStats`]), and `cargo run -p lomon-bench --bin engine_dispatch`
-//! plots indexed vs naive-broadcast dispatch as the property count grows.
+//! ([`DispatchStats`]), next to the steps a naive broadcast would have
+//! taken ([`DispatchStats::broadcast_steps`]).
 //!
 //! ## Execution backends
 //!
 //! Orthogonal to *which* monitors an event reaches (dispatch) is *how* a
-//! monitor step executes. A [`Session`] runs one of three backends:
+//! monitor step executes. A [`Session`] runs one production backend or
+//! the oracle it is checked against, through the same dispatch path:
 //!
 //! * [`Backend::Fused`] (the default) — at [`Engine::compile`] time the
 //!   **whole rulebook** is lowered into one fused program
-//!   ([`lomon_core::fused`]): per-property flat-table programs interned
-//!   with structural deduplication, so every set of observationally
-//!   identical properties shares **one** mutable cell arena, and one
-//!   global event→(group, action-row) CSR table routes each event over
-//!   the *unique* groups only. Verdicts fan back out to per-property
-//!   slots through the group→members table. On overlapping rulebooks
-//!   (many properties watching one interface — the SMC and NISTT shapes)
-//!   this does strictly less work than any per-property backend: 200
-//!   properties over a shared bus alphabet cost ~98 ns/event instead of
-//!   the per-property backend's ~3.2 µs (see `BENCH_hot_loop.json`).
-//! * [`Backend::Compiled`] — one flat-table monitor *per property*
-//!   ([`lomon_core::compiled`]): a monitor step is one table row index
-//!   and a handful of integer state updates, no allocation. The
-//!   first-line **differential oracle** for the fused backend (same
-//!   lowering, no sharing), and equivalent to it when no two properties
-//!   share structure.
+//!   ([`lomon_core::fused`]): per-property flat-table programs
+//!   ([`lomon_core::compiled`]) interned with structural deduplication,
+//!   so every set of observationally identical properties shares **one**
+//!   mutable cell arena, and one global event→(group, action-row) CSR
+//!   table routes each event over the *unique* groups only. Verdicts fan
+//!   back out to per-property slots through the group→members table. On
+//!   overlapping rulebooks (many properties watching one interface — the
+//!   SMC and NISTT shapes) this does strictly less work than stepping
+//!   each property: 200 properties over a shared bus alphabet cost
+//!   ~125 ns/event instead of the interpreter's ~13 µs (see
+//!   `BENCH_hot_loop.json`).
 //! * [`Backend::Interp`] — the tree-walking interpreter monitors
-//!   ([`lomon_core::monitor`]), which classify every event against the
-//!   recognition-context bitsets at runtime. The **root oracle**, closest
-//!   to the paper's construction: use it to cross-check a suspicious
-//!   verdict (`--backend interp` on the CLI) or when stepping through
-//!   monitor internals in a debugger.
+//!   ([`lomon_core::monitor`]), one per property, which classify every
+//!   event against the recognition-context bitsets at runtime. The
+//!   **independent oracle**, closest to the paper's construction: it
+//!   shares neither the lowering nor the fusion, only the dispatch tables
+//!   laid out one property per group ([`FusedProgram::unshared`]). Use it
+//!   to cross-check a suspicious verdict (`--backend interp` on the CLI)
+//!   or when stepping through monitor internals in a debugger.
 //!
-//! All three backends are verdict-, diagnostic- and ops-identical per
-//! property (asserted by `tests/engine_oracle.rs` and the `hot_loop
-//! --check` CI gate), so any disagreement is a bug in one of them.
+//! Both backends are verdict-, diagnostic- and ops-identical per property
+//! (asserted by `tests/engine_oracle.rs` and the `hot_loop --check` CI
+//! gate), so any disagreement is a bug in one of them.
+//!
+//! [`FusedProgram::unshared`]: lomon_core::fused::FusedProgram::unshared
 //!
 //! ## Static analysis
 //!

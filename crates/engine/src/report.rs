@@ -21,12 +21,12 @@ pub struct DispatchStats {
     /// `advance_time` sweeps; `finish` is not counted).
     pub monitor_steps: u64,
     /// Steps a live monitor was *not* given an event because the index
-    /// proved it could not react. Always zero in broadcast mode.
+    /// proved it could not react.
     pub steps_skipped: u64,
     /// Monitors retired (verdict went final) by the end of the report.
     pub retired: u64,
     /// Recognizer cells summed over every property's own lowered program —
-    /// what a purely per-property backend allocates and steps. A static
+    /// what a purely per-property execution allocates and steps. A static
     /// fact of the compiled rulebook, identical across backends.
     pub total_cells: u64,
     /// Recognizer cells actually allocated after the rulebook fusion
@@ -35,7 +35,7 @@ pub struct DispatchStats {
     pub unique_cells: u64,
     /// Properties served by a monitor step *beyond the first*: every time
     /// a shared fused group advanced, each extra member property it spoke
-    /// for counts one shared hit. Zero on the per-property backends.
+    /// for counts one shared hit. Zero on the per-property interpreter.
     pub shared_hits: u64,
 }
 

@@ -1,14 +1,15 @@
 //! Sessions: per-stream monitor state over a shared compiled [`Engine`].
 //!
-//! A session steps *dispatch units*: with the per-property backends
-//! ([`Backend::Compiled`], [`Backend::Interp`]) one unit is one property's
-//! monitor; with the fused backend ([`Backend::Fused`], the default) one
-//! unit is one **unique recognizer group** of the fused rulebook program,
-//! serving every property that structurally deduplicated into it. All
-//! bookkeeping (liveness, deadlines, statistics) is unit-granular; the
-//! per-property surface ([`Session::verdict`], [`Session::violation`],
-//! [`Session::ops`], reports, [`Session::take_newly_final`]) fans group
-//! results back out through the fused program's member table.
+//! A session steps *dispatch units*: the groups of a [`FusedProgram`].
+//! With the fused backend ([`Backend::Fused`], the default) one unit is one
+//! **unique recognizer group** of the fused rulebook program, serving every
+//! property that structurally deduplicated into it; the interpreter oracle
+//! ([`Backend::Interp`]) runs over the engine's *unshared* program, where
+//! every property is its own group. All bookkeeping (liveness, deadlines,
+//! statistics) is unit-granular; the per-property surface
+//! ([`Session::verdict`], [`Session::violation`], [`Session::ops`],
+//! reports, [`Session::take_newly_final`]) fans group results back out
+//! through the program's member table.
 //!
 //! ## Parking and recycling
 //!
@@ -24,6 +25,7 @@
 use std::sync::Arc;
 
 use lomon_core::compiled::CompiledMonitor;
+use lomon_core::fused::FusedProgram;
 use lomon_core::monitor::PropertyMonitor;
 use lomon_core::verdict::{Monitor, Verdict, Violation};
 use lomon_core::witness::Witness;
@@ -59,39 +61,32 @@ impl RoutedMonitor for CompiledMonitor {
     }
 }
 
-/// How a session routes events to monitors.
+/// How a session routes events to monitors. Inverted-index dispatch is
+/// the only mode: an event steps only subscribed, still-live units (plus
+/// a deadline sweep for timed units). The naive broadcast cost it saves is
+/// reported analytically by [`DispatchStats::broadcast_steps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Inverted-index dispatch: an event only steps subscribed, still-live
-    /// units (plus a deadline sweep for timed units). The default.
+    /// Inverted-index dispatch.
     Indexed,
-    /// Naive baseline: every live unit is stepped on every event. Kept for
-    /// the benchmarks and as a differential-testing oracle — both modes
-    /// produce identical verdicts.
-    Broadcast,
 }
 
-/// Which execution backend steps a session's monitors.
+/// Which execution backend steps a session's monitors: the production
+/// fused program, or the interpreter it is checked against.
 ///
-/// All three backends are verdict-, diagnostic- and ops-identical per
-/// property (enforced by the oracle proptests and the `hot_loop --check`
-/// CI gate); they differ only in *how much work* a monitor step shares.
+/// Both backends are verdict-, diagnostic- and ops-identical per property
+/// (enforced by the oracle proptests and the `hot_loop --check` CI gate);
+/// they differ only in *how much work* a monitor step shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The fused rulebook program ([`lomon_core::fused`]): one flat-table
     /// cell arena per **unique** recognizer group, stepped once per event
     /// and fanned out to every structurally identical property. The
-    /// default for `check`/`watch`/`smc` — on overlapping rulebooks it
-    /// does strictly less work than stepping each property.
+    /// default for `check`/`watch`/`serve`/`smc`.
     Fused,
-    /// Per-property flat-table monitors ([`lomon_core::compiled`]): one
-    /// action-table index plus integer state updates per property per
-    /// event, no allocation. The differential oracle for the fused
-    /// backend, and the sensible choice when no two properties share
-    /// structure.
-    Compiled,
-    /// Tree-walking interpreter monitors ([`lomon_core::monitor`]): enum
-    /// dispatch and per-recognizer bitset classification. The root
+    /// Tree-walking interpreter monitors ([`lomon_core::monitor`]), one
+    /// per property: enum dispatch and per-recognizer bitset
+    /// classification, no lowering and no sharing. The independent
     /// differential oracle and the paper-shaped reference; use it to
     /// cross-check a suspicious verdict or in a debugger.
     Interp,
@@ -103,48 +98,59 @@ impl Backend {
     pub fn label(self) -> &'static str {
         match self {
             Backend::Fused => "fused",
-            Backend::Compiled => "compiled",
             Backend::Interp => "interp",
         }
     }
 }
 
-/// The per-stream monitor instances, one dense arena per backend. Keeping
-/// the arena monomorphic (instead of an enum per monitor) lets the dispatch
-/// loops specialize per backend: monitor steps are direct, inlinable calls
-/// and the arena has no per-element tag. The `Fused` arena holds one
-/// monitor per unique group of the fused program — the "global cell arena"
-/// of the rulebook — while the other two hold one monitor per property.
+/// The per-stream monitor instances, one dense arena per backend: one
+/// monitor per group of the backend's program. Keeping the arena
+/// monomorphic (instead of an enum per monitor) lets the dispatch loops
+/// specialize per backend: monitor steps are direct, inlinable calls and
+/// the arena has no per-element tag.
 #[derive(Debug, Clone)]
 enum MonitorArena {
     Interp(Vec<PropertyMonitor>),
-    Compiled(Vec<CompiledMonitor>),
     Fused(Vec<CompiledMonitor>),
 }
 
 impl MonitorArena {
-    /// Number of dispatch units (monitors) in the arena.
-    fn len(&self) -> usize {
+    fn backend(&self) -> Backend {
         match self {
-            MonitorArena::Interp(ms) => ms.len(),
-            MonitorArena::Compiled(ms) => ms.len(),
-            MonitorArena::Fused(ms) => ms.len(),
+            MonitorArena::Interp(_) => Backend::Interp,
+            MonitorArena::Fused(_) => Backend::Fused,
         }
     }
 
-    /// The monitor reporting for property `id` — the property's own
-    /// monitor, or its group's shared monitor under the fused backend.
-    fn property_monitor(&self, engine: &Engine, id: usize) -> &dyn Monitor {
+    /// The monitor of dispatch unit `unit`.
+    fn unit(&self, unit: usize) -> &dyn Monitor {
         match self {
-            MonitorArena::Interp(ms) => &ms[id],
-            MonitorArena::Compiled(ms) => &ms[id],
-            MonitorArena::Fused(ms) => &ms[engine.fused.group_of(id)],
+            MonitorArena::Interp(ms) => &ms[unit],
+            MonitorArena::Fused(ms) => &ms[unit],
         }
     }
 }
 
-/// One monitored event stream: monitor instances (cloned prototypes,
-/// per-property compiled arenas, or the fused per-group arena) plus the
+/// Run `$body` with `$ms` bound to the session's typed monitor arena and
+/// `$program` to the program its units belong to — the one place a session
+/// branches on its backend.
+macro_rules! with_arena {
+    ($session:expr, |$program:ident, $ms:ident| $body:expr) => {
+        match &mut $session.arena {
+            MonitorArena::Interp($ms) => {
+                let $program = $session.engine.program(Backend::Interp);
+                $body
+            }
+            MonitorArena::Fused($ms) => {
+                let $program = $session.engine.program(Backend::Fused);
+                $body
+            }
+        }
+    };
+}
+
+/// One monitored event stream: one monitor per dispatch unit (the fused
+/// per-group arena, or the interpreter's per-property prototypes) plus the
 /// per-stream dispatch state.
 ///
 /// Verdict-wise, a session behaves exactly as if each property's monitor
@@ -167,17 +173,14 @@ pub struct Session<'e> {
 /// split out so the dispatch methods can borrow the arena and the
 /// bookkeeping state independently, stay generic over the backend's
 /// monitor type, and so a parked [`SessionState`] owns no engine
-/// reference. All arrays are *unit*-granular (property or fused group,
-/// per the backend).
+/// reference. All arrays are indexed by the units of the backend's
+/// program.
 #[derive(Debug, Clone)]
 struct Core {
-    mode: DispatchMode,
-    backend: Backend,
     active: Vec<bool>,
     /// Live units (monitors still stepped).
     active_units: usize,
-    /// Live properties (what the public surface reports); equals
-    /// `active_units` for the per-property backends.
+    /// Live properties (what the public surface reports).
     active_props: usize,
     /// Per-unit open hard deadline (timed units only).
     deadlines: Vec<Option<SimTime>>,
@@ -193,7 +196,7 @@ struct Core {
     metrics: Option<MetricsSink>,
 }
 
-/// A parked session: the monitor arenas and dispatch bookkeeping of a
+/// A parked session: the monitor arena and dispatch bookkeeping of a
 /// [`Session`], detached from the engine borrow so they can rest in a
 /// pool, cross a thread, or outlive the stack frame that served a stream.
 /// Obtained from [`Session::into_state`]; revived with [`Engine::resume`],
@@ -214,22 +217,16 @@ pub struct SessionState {
 impl SessionState {
     /// The execution backend the parked monitors were built for.
     pub fn backend(&self) -> Backend {
-        self.core.backend
-    }
-
-    /// The dispatch mode the parked session ran with.
-    pub fn mode(&self) -> DispatchMode {
-        self.core.mode
+        self.arena.backend()
     }
 }
 
 impl<'e> Session<'e> {
-    pub(crate) fn new(engine: &'e Engine, mode: DispatchMode, backend: Backend) -> Self {
+    pub(crate) fn new(engine: &'e Engine, backend: Backend) -> Self {
         let arena = match backend {
-            // Interp monitors deep-clone the prototype tree; compiled
-            // monitors allocate only their state arenas and share the
-            // program tables; the fused arena allocates one state per
-            // *unique* group.
+            // Interp monitors deep-clone the prototype tree; the fused
+            // arena allocates one state per *unique* group and shares the
+            // program tables.
             Backend::Interp => MonitorArena::Interp(
                 engine
                     .properties
@@ -237,22 +234,13 @@ impl<'e> Session<'e> {
                     .map(|p| p.prototype.clone())
                     .collect(),
             ),
-            Backend::Compiled => MonitorArena::Compiled(
-                engine
-                    .properties
-                    .iter()
-                    .map(|p| CompiledMonitor::new(Arc::clone(&p.program)))
-                    .collect(),
-            ),
             Backend::Fused => MonitorArena::Fused(engine.fused.instantiate()),
         };
-        let units = arena.len();
+        let units = engine.program(backend).group_count();
         Session {
             engine,
             arena,
             core: Core {
-                mode,
-                backend,
                 active: vec![true; units],
                 active_units: units,
                 active_props: engine.len(),
@@ -268,7 +256,7 @@ impl<'e> Session<'e> {
     }
 
     /// Detach this session from its engine borrow, keeping every
-    /// allocation (monitor arenas, queues, statistics, attached metrics
+    /// allocation (monitor arena, queues, statistics, attached metrics
     /// sink) and the exact mid-stream state. The counterpart of
     /// [`Engine::resume`]; together they let a daemon pool recycled
     /// sessions across stream lifetimes.
@@ -299,18 +287,11 @@ impl<'e> Session<'e> {
     /// default costs nothing: reports and NDJSON output are byte-identical
     /// to a session that never heard of explain mode.
     pub fn enable_explain(&mut self, capacity: usize) {
-        match &mut self.arena {
-            MonitorArena::Interp(ms) => {
-                for m in ms.iter_mut() {
-                    m.set_explain(capacity);
-                }
+        with_arena!(self, |_program, ms| {
+            for m in ms.iter_mut() {
+                m.set_explain(capacity);
             }
-            MonitorArena::Compiled(ms) | MonitorArena::Fused(ms) => {
-                for m in ms.iter_mut() {
-                    m.set_explain(capacity);
-                }
-            }
-        }
+        });
     }
 
     /// The witness chain recorded for property `id`, if the session is in
@@ -323,7 +304,7 @@ impl<'e> Session<'e> {
     ///
     /// Panics if `id` is out of range.
     pub fn witness(&self, id: usize) -> Option<Witness> {
-        self.arena.property_monitor(self.engine, id).witness()
+        self.property_monitor(id).witness()
     }
 
     /// The engine this session was opened from.
@@ -331,62 +312,43 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    /// The dispatch mode this session runs with.
-    pub fn mode(&self) -> DispatchMode {
-        self.core.mode
-    }
-
     /// The execution backend this session's monitors run on.
     pub fn backend(&self) -> Backend {
-        self.core.backend
+        self.arena.backend()
+    }
+
+    /// The monitor reporting for property `id`: its group's monitor (the
+    /// property's own under the interpreter's unshared program).
+    fn property_monitor(&self, id: usize) -> &dyn Monitor {
+        let program = self.engine.program(self.arena.backend());
+        self.arena.unit(program.group_of(id))
     }
 
     /// Feed one event to every unit that can react to it.
     #[inline]
     pub fn ingest(&mut self, event: TimedEvent) {
-        match &mut self.arena {
-            MonitorArena::Interp(ms) => self.core.ingest_in(self.engine, ms, event),
-            MonitorArena::Compiled(ms) => self.core.ingest_in(self.engine, ms, event),
-            MonitorArena::Fused(ms) => self.core.ingest_in(self.engine, ms, event),
-        }
-        self.core.flush_metrics(self.engine);
+        with_arena!(self, |program, ms| {
+            self.core.ingest_in(program, ms, event);
+        });
+        self.core.flush_metrics(self.engine.len());
     }
 
     /// Feed a batch of events (the bulk path: one call per recorded trace
     /// chunk instead of one per event).
     pub fn ingest_batch(&mut self, events: &[TimedEvent]) {
-        match (&mut self.arena, self.core.mode) {
-            (MonitorArena::Interp(ms), DispatchMode::Indexed) => {
-                self.core.ingest_batch_indexed(self.engine, ms, events);
-            }
-            (MonitorArena::Compiled(ms), DispatchMode::Indexed) => {
-                self.core.ingest_batch_indexed(self.engine, ms, events);
-            }
-            (MonitorArena::Fused(ms), DispatchMode::Indexed) => {
-                self.core.ingest_batch_indexed(self.engine, ms, events);
-            }
-            (MonitorArena::Interp(ms), DispatchMode::Broadcast) => {
-                self.core.ingest_batch_in(self.engine, ms, events);
-            }
-            (MonitorArena::Compiled(ms), DispatchMode::Broadcast) => {
-                self.core.ingest_batch_in(self.engine, ms, events);
-            }
-            (MonitorArena::Fused(ms), DispatchMode::Broadcast) => {
-                self.core.ingest_batch_in(self.engine, ms, events);
-            }
-        }
-        self.core.flush_metrics(self.engine);
+        with_arena!(self, |program, ms| {
+            self.core.ingest_batch_indexed(program, ms, events);
+        });
+        self.core.flush_metrics(self.engine.len());
     }
 
     /// Notify the session that simulated time has advanced to `now` with no
     /// new event — lets timed monitors detect expired deadlines online.
     pub fn advance_time(&mut self, now: SimTime) {
-        match &mut self.arena {
-            MonitorArena::Interp(ms) => self.core.advance_time_in(self.engine, ms, now),
-            MonitorArena::Compiled(ms) => self.core.advance_time_in(self.engine, ms, now),
-            MonitorArena::Fused(ms) => self.core.advance_time_in(self.engine, ms, now),
-        }
-        self.core.flush_metrics(self.engine);
+        with_arena!(self, |program, ms| {
+            self.core.sweep_deadlines(program, ms, now, &[]);
+        });
+        self.core.flush_metrics(self.engine.len());
     }
 
     /// Declare end of observation and return the report. All still-live
@@ -403,18 +365,16 @@ impl<'e> Session<'e> {
     /// Idempotent, like `finish`.
     pub fn close(&mut self, end_time: SimTime) {
         let was_finished = self.core.finished;
-        match &mut self.arena {
-            MonitorArena::Interp(ms) => self.core.close_in(self.engine, ms, end_time),
-            MonitorArena::Compiled(ms) => self.core.close_in(self.engine, ms, end_time),
-            MonitorArena::Fused(ms) => self.core.close_in(self.engine, ms, end_time),
-        }
-        self.core.flush_metrics(self.engine);
+        with_arena!(self, |program, ms| {
+            self.core.close_in(program, ms, end_time);
+        });
+        self.core.flush_metrics(self.engine.len());
         // Verdicts are counted exactly once per stream, at the
         // not-finished → finished transition (`close` is idempotent).
         if !was_finished && self.core.finished {
             if let Some(sink) = &self.core.metrics {
                 for id in 0..self.engine.len() {
-                    let verdict = self.arena.property_monitor(self.engine, id).verdict();
+                    let verdict = self.property_monitor(id).verdict();
                     sink.metrics.verdict_counter(verdict).inc();
                 }
                 sink.metrics.streams.inc();
@@ -427,7 +387,7 @@ impl<'e> Session<'e> {
     pub fn report(&self) -> EngineReport {
         let properties = (0..self.engine.len())
             .map(|id| {
-                let m = self.arena.property_monitor(self.engine, id);
+                let m = self.property_monitor(id);
                 let verdict = m.verdict();
                 PropertyReport {
                     index: id,
@@ -454,7 +414,7 @@ impl<'e> Session<'e> {
         EngineReport {
             properties,
             stats,
-            backend: self.core.backend.label(),
+            backend: self.backend().label(),
         }
     }
 
@@ -463,26 +423,16 @@ impl<'e> Session<'e> {
     pub fn reset(&mut self) {
         // Credit whatever the last batch left unflushed before the
         // statistics restart from zero; the watermarks restart with them.
-        self.core.flush_metrics(self.engine);
-        match &mut self.arena {
-            MonitorArena::Interp(ms) => {
-                for m in ms.iter_mut() {
-                    m.reset();
-                }
+        self.core.flush_metrics(self.engine.len());
+        with_arena!(self, |_program, ms| {
+            for m in ms.iter_mut() {
+                m.reset();
             }
-            MonitorArena::Compiled(ms) | MonitorArena::Fused(ms) => {
-                for m in ms.iter_mut() {
-                    m.reset();
-                }
-            }
-        }
+        });
         let core = &mut self.core;
-        let units = self.arena.len();
-        for id in 0..units {
-            core.active[id] = true;
-            core.deadlines[id] = None;
-        }
-        core.active_units = units;
+        core.active.fill(true);
+        core.deadlines.fill(None);
+        core.active_units = core.active.len();
         core.active_props = self.engine.len();
         core.next_deadline = None;
         core.deadline_dirty = false;
@@ -519,7 +469,7 @@ impl<'e> Session<'e> {
     ///
     /// Panics if `id` is out of range.
     pub fn verdict(&self, id: usize) -> Verdict {
-        self.arena.property_monitor(self.engine, id).verdict()
+        self.property_monitor(id).verdict()
     }
 
     /// Violation report of property `id`, if it is violated.
@@ -528,15 +478,11 @@ impl<'e> Session<'e> {
     ///
     /// Panics if `id` is out of range.
     pub fn violation(&self, id: usize) -> Option<&Violation> {
-        match &self.arena {
-            MonitorArena::Interp(ms) => ms[id].violation(),
-            MonitorArena::Compiled(ms) => ms[id].violation(),
-            MonitorArena::Fused(ms) => ms[self.engine.fused.group_of(id)].violation(),
-        }
+        self.property_monitor(id).violation()
     }
 
     /// Abstract operations executed for property `id` so far (the
-    /// [`lomon_core::verdict::Monitor::ops`] instrumentation) — all three
+    /// [`lomon_core::verdict::Monitor::ops`] instrumentation) — both
     /// backends report identical per-property counts, which the oracle
     /// tests assert. Under the fused backend this is the shared group's
     /// counter: structurally identical properties perform identical
@@ -546,7 +492,7 @@ impl<'e> Session<'e> {
     ///
     /// Panics if `id` is out of range.
     pub fn ops(&self, id: usize) -> u64 {
-        self.arena.property_monitor(self.engine, id).ops()
+        self.property_monitor(id).ops()
     }
 
     /// Number of properties still live (not retired).
@@ -567,8 +513,8 @@ impl<'e> Session<'e> {
 }
 
 /// A fresh statistics block carrying the rulebook's static sharing facts
-/// (identical for every backend, so differential stats comparisons between
-/// backends stay meaningful).
+/// (identical for both backends, so differential stats comparisons between
+/// them stay meaningful).
 fn base_stats(engine: &Engine) -> DispatchStats {
     let sharing = engine.fused.sharing();
     DispatchStats {
@@ -618,12 +564,12 @@ impl Core {
     /// Flush the statistics accumulated since the last flush into the
     /// attached metrics sink, if any. Called at batch boundaries only —
     /// the common detached case is one branch on a `None`.
-    fn flush_metrics(&mut self, engine: &Engine) {
+    fn flush_metrics(&mut self, properties: usize) {
         let Some(sink) = &mut self.metrics else {
             return;
         };
         let stats = &self.stats;
-        let retired = (engine.len() - self.active_props) as u64;
+        let retired = (properties - self.active_props) as u64;
         let m = &sink.metrics;
         let f = &mut sink.flushed;
         m.events.add(stats.events - f.events);
@@ -640,133 +586,47 @@ impl Core {
         m.properties_live.set(self.active_props as f64);
     }
 
-    /// How many properties one step of `unit` serves: the group's member
-    /// count under the fused backend, 1 otherwise.
-    #[inline]
-    fn served_by(&self, engine: &Engine, unit: usize) -> u64 {
-        match self.backend {
-            Backend::Fused => u64::from(engine.fused.member_count(unit)),
-            _ => 1,
-        }
-    }
-
-    /// The CSR row of `name` at this backend's unit granularity: the
-    /// subscribed unit ids (fused groups, or property ids) with each
-    /// unit's precomputed action-table row offset for the name, in
-    /// parallel.
-    #[inline]
-    fn routes<'e>(&self, engine: &'e Engine, name: lomon_trace::Name) -> (&'e [u32], &'e [u32]) {
-        match self.backend {
-            Backend::Fused => engine.fused.subscribers(name),
-            _ => engine.prop_subscribers(name),
-        }
-    }
-
-    /// The timed unit ids at this backend's granularity.
-    #[inline]
-    fn timed_units<'e>(&self, engine: &'e Engine) -> &'e [u32] {
-        match self.backend {
-            Backend::Fused => engine.fused.timed_groups(),
-            _ => &engine.timed_ids,
-        }
-    }
-
-    /// The dense unit → is-timed flags at this backend's granularity.
-    #[inline]
-    fn timed_flags<'e>(&self, engine: &'e Engine) -> &'e [bool] {
-        match self.backend {
-            Backend::Fused => engine.fused.timed_flags(),
-            _ => &engine.timed_flags,
-        }
-    }
-
     #[inline]
     fn ingest_in<M: RoutedMonitor>(
         &mut self,
-        engine: &Engine,
+        program: &FusedProgram,
         monitors: &mut [M],
         event: TimedEvent,
     ) {
         self.stats.events += 1;
-        match self.mode {
-            DispatchMode::Broadcast => {
-                for id in 0..monitors.len() {
-                    if self.active[id] {
-                        self.step_observe_plain(engine, monitors, id, event);
-                    }
-                }
-            }
-            DispatchMode::Indexed => {
-                // One equal-length check up front lets the indexed loads
-                // below share a single bound.
-                assert!(
-                    self.active.len() == monitors.len()
-                        && self.timed_flags(engine).len() == monitors.len()
-                        && self.deadlines.len() == monitors.len()
-                );
-                let (units, bases) = self.routes(engine, event.name);
-                let live_before = self.active_props as u64;
-                let mut served = 0u64;
-                // Timed units can flip to Violated on *any* event whose
-                // timestamp passes their hard deadline; sweep those first
-                // (skipping subscribers, whose own `observe` re-checks the
-                // deadline anyway). The guard keeps the common no-deadline
-                // case to two flag loads.
-                if self.deadline_dirty || self.next_deadline.is_some() {
-                    served += self.sweep_deadlines(engine, monitors, event.time, units);
-                }
-                for (&u, &base) in units.iter().zip(bases) {
-                    let u = u as usize;
-                    if self.active[u] {
-                        self.step_observe(engine, monitors, u, event, base);
-                        served += self.served_by(engine, u);
-                    }
-                }
-                self.stats.steps_skipped += live_before.saturating_sub(served);
+        // One equal-length check up front lets the indexed loads below
+        // share a single bound.
+        assert!(
+            self.active.len() == monitors.len()
+                && program.timed_flags().len() == monitors.len()
+                && self.deadlines.len() == monitors.len()
+        );
+        let (units, bases) = program.subscribers(event.name);
+        let live_before = self.active_props as u64;
+        let mut served = 0u64;
+        // Timed units can flip to Violated on *any* event whose timestamp
+        // passes their hard deadline; sweep those first (skipping
+        // subscribers, whose own `observe` re-checks the deadline anyway).
+        // The guard keeps the common no-deadline case to two flag loads.
+        if self.deadline_dirty || self.next_deadline.is_some() {
+            served += self.sweep_deadlines(program, monitors, event.time, units);
+        }
+        for (&u, &base) in units.iter().zip(bases) {
+            let u = u as usize;
+            if self.active[u] {
+                self.step_observe(program, monitors, u, event, base);
+                served += u64::from(program.member_count(u));
             }
         }
+        self.stats.steps_skipped += live_before.saturating_sub(served);
     }
 
-    fn ingest_batch_in<M: RoutedMonitor>(
-        &mut self,
-        engine: &Engine,
-        monitors: &mut [M],
-        events: &[TimedEvent],
-    ) {
-        for (k, &event) in events.iter().enumerate() {
-            // Every monitor is quiescent once all verdicts are final; the
-            // remaining events can only bump the event counter.
-            if self.active_units == 0 {
-                self.stats.events += (events.len() - k) as u64;
-                return;
-            }
-            self.ingest_in(engine, monitors, event);
-        }
-    }
-
-    /// The whole-trace fast path: like per-event [`Core::ingest_in`] under
-    /// indexed dispatch, but with the statistics counters accumulated in
-    /// locals across the batch instead of read-modify-written per event.
-    /// Monomorphized per backend family so the per-property loop
-    /// const-folds its fan-out to 1 (no member-count load, no shared-hit
-    /// arithmetic) — worth ~10% on the disjoint hot loop.
+    /// The whole-trace fast path: like per-event [`Core::ingest_in`], but
+    /// with the statistics counters accumulated in locals across the batch
+    /// instead of read-modify-written per event.
     fn ingest_batch_indexed<M: RoutedMonitor>(
         &mut self,
-        engine: &Engine,
-        monitors: &mut [M],
-        events: &[TimedEvent],
-    ) {
-        match self.backend {
-            Backend::Fused => self.ingest_batch_indexed_in::<M, true>(engine, monitors, events),
-            Backend::Compiled | Backend::Interp => {
-                self.ingest_batch_indexed_in::<M, false>(engine, monitors, events);
-            }
-        }
-    }
-
-    fn ingest_batch_indexed_in<M: RoutedMonitor, const FUSED: bool>(
-        &mut self,
-        engine: &Engine,
+        program: &FusedProgram,
         monitors: &mut [M],
         events: &[TimedEvent],
     ) {
@@ -776,32 +636,32 @@ impl Core {
         // flag and no pending deadline provably never sweeps — the
         // `TIMED = false` loop drops the per-event guard and the per-unit
         // flag load entirely.
-        let untimed = self.timed_units(engine).is_empty()
+        let untimed = program.timed_groups().is_empty()
             && !self.deadline_dirty
             && self.next_deadline.is_none();
         if untimed {
-            self.batch_loop::<M, FUSED, false>(engine, monitors, events);
+            self.batch_loop::<M, false>(program, monitors, events);
         } else {
-            self.batch_loop::<M, FUSED, true>(engine, monitors, events);
+            self.batch_loop::<M, true>(program, monitors, events);
         }
     }
 
-    /// Kept out of line so each `(FUSED, TIMED)` instantiation owns an
-    /// aligned symbol: inlining all four into the dispatcher lays the hot
-    /// loops across each other's fall-through paths.
+    /// Kept out of line so each `TIMED` instantiation owns an aligned
+    /// symbol: inlining both into the dispatcher lays the hot loops across
+    /// each other's fall-through paths.
     #[inline(never)]
-    fn batch_loop<M: RoutedMonitor, const FUSED: bool, const TIMED: bool>(
+    fn batch_loop<M: RoutedMonitor, const TIMED: bool>(
         &mut self,
-        engine: &Engine,
+        program: &FusedProgram,
         monitors: &mut [M],
         events: &[TimedEvent],
     ) {
         assert!(
             self.active.len() == monitors.len()
-                && self.timed_flags(engine).len() == monitors.len()
+                && program.timed_flags().len() == monitors.len()
                 && self.deadlines.len() == monitors.len()
         );
-        let timed_flags = self.timed_flags(engine);
+        let timed_flags = program.timed_flags();
         let mut seen = 0u64;
         let mut steps = 0u64;
         let mut shared = 0u64;
@@ -819,20 +679,13 @@ impl Core {
             }
             seen += 1;
             sum_live += self.active_props as u64;
-            // Const-dispatched route lookup: `FUSED` already pins the
-            // backend family, so the per-event CSR fetch needs no load of
-            // `self.backend`.
-            let (units, bases) = if FUSED {
-                engine.fused.subscribers(event.name)
-            } else {
-                engine.prop_subscribers(event.name)
-            };
+            let (units, bases) = program.subscribers(event.name);
             if TIMED && (self.deadline_dirty || self.next_deadline.is_some()) {
                 // The sweep updates `self.stats` through the slow path;
                 // fold its counters into the locals afterwards.
                 let before_steps = self.stats.monitor_steps;
                 let before_shared = self.stats.shared_hits;
-                sum_served += self.sweep_deadlines(engine, monitors, event.time, units);
+                sum_served += self.sweep_deadlines(program, monitors, event.time, units);
                 steps += self.stats.monitor_steps - before_steps;
                 shared += self.stats.shared_hits - before_shared;
                 self.stats.monitor_steps = before_steps;
@@ -842,16 +695,12 @@ impl Core {
                 let u = u as usize;
                 if self.active[u] {
                     let verdict = monitors[u].observe_routed(event, base);
-                    let fan_out = if FUSED {
-                        u64::from(engine.fused.member_count(u))
-                    } else {
-                        1
-                    };
+                    let fan_out = u64::from(program.member_count(u));
                     steps += 1;
                     sum_served += fan_out;
                     shared += fan_out - 1;
                     if verdict.is_final() {
-                        self.retire(engine, u);
+                        self.retire(program, u);
                     } else if TIMED && timed_flags[u] {
                         self.deadlines[u] = monitors[u].deadline();
                         self.deadline_dirty = true;
@@ -865,30 +714,15 @@ impl Core {
         self.stats.shared_hits += shared;
     }
 
-    fn advance_time_in<M: Monitor>(&mut self, engine: &Engine, monitors: &mut [M], now: SimTime) {
-        match self.mode {
-            DispatchMode::Broadcast => {
-                for id in 0..monitors.len() {
-                    if self.active[id] {
-                        self.step_advance(engine, monitors, id, now);
-                    }
-                }
-            }
-            DispatchMode::Indexed => {
-                self.sweep_deadlines(engine, monitors, now, &[]);
-            }
-        }
-    }
-
-    fn close_in<M: Monitor>(&mut self, engine: &Engine, monitors: &mut [M], end_time: SimTime) {
+    fn close_in<M: Monitor>(&mut self, program: &FusedProgram, monitors: &mut [M], end: SimTime) {
         if !self.finished {
             for (id, monitor) in monitors.iter_mut().enumerate() {
                 if !self.active[id] {
                     continue;
                 }
-                monitor.finish(end_time);
+                monitor.finish(end);
                 if monitor.verdict().is_final() {
-                    self.retire(engine, id);
+                    self.retire(program, id);
                 }
             }
             self.finished = true;
@@ -900,128 +734,103 @@ impl Core {
     #[inline]
     fn step_observe<M: RoutedMonitor>(
         &mut self,
-        engine: &Engine,
+        program: &FusedProgram,
         monitors: &mut [M],
         id: usize,
         event: TimedEvent,
         base: u32,
     ) {
         let verdict = monitors[id].observe_routed(event, base);
-        self.stats.monitor_steps += 1;
-        self.stats.shared_hits += self.served_by(engine, id) - 1;
-        if verdict.is_final() {
-            self.retire(engine, id);
-        } else if self.timed_flags(engine)[id] {
-            self.deadlines[id] = monitors[id].deadline();
-            self.deadline_dirty = true;
-        }
-    }
-
-    /// Step unit `id` with `event` without a routing hint (broadcast mode
-    /// steps unsubscribed units too, so no row is available).
-    fn step_observe_plain<M: Monitor>(
-        &mut self,
-        engine: &Engine,
-        monitors: &mut [M],
-        id: usize,
-        event: TimedEvent,
-    ) {
-        let verdict = monitors[id].observe(event);
-        self.stats.monitor_steps += 1;
-        self.stats.shared_hits += self.served_by(engine, id) - 1;
-        if verdict.is_final() {
-            self.retire(engine, id);
-        } else if self.timed_flags(engine)[id] {
-            self.deadlines[id] = monitors[id].deadline();
-            self.deadline_dirty = true;
-        }
+        self.record_step(program, monitors, id, verdict);
     }
 
     /// Step unit `id` with a time notification.
     fn step_advance<M: Monitor>(
         &mut self,
-        engine: &Engine,
+        program: &FusedProgram,
         monitors: &mut [M],
         id: usize,
         now: SimTime,
     ) {
         let verdict = monitors[id].advance_time(now);
+        self.record_step(program, monitors, id, verdict);
+    }
+
+    /// Account one step of unit `id` that produced `verdict`: retire the
+    /// unit if the verdict is final, else re-read its open deadline.
+    #[inline]
+    fn record_step<M: Monitor>(
+        &mut self,
+        program: &FusedProgram,
+        monitors: &[M],
+        id: usize,
+        verdict: Verdict,
+    ) {
         self.stats.monitor_steps += 1;
-        self.stats.shared_hits += self.served_by(engine, id) - 1;
+        self.stats.shared_hits += u64::from(program.member_count(id)) - 1;
         if verdict.is_final() {
-            self.retire(engine, id);
-        } else if self.timed_flags(engine)[id] {
+            self.retire(program, id);
+        } else if program.timed_flags()[id] {
             self.deadlines[id] = monitors[id].deadline();
             self.deadline_dirty = true;
         }
     }
 
     /// Retire unit `id`, fanning its member properties out to the
-    /// newly-final queue (a per-property unit fans out to itself).
-    fn retire(&mut self, engine: &Engine, id: usize) {
+    /// newly-final queue.
+    fn retire(&mut self, program: &FusedProgram, id: usize) {
         if self.active[id] {
             self.active[id] = false;
             self.active_units -= 1;
             self.deadlines[id] = None;
-            if self.timed_flags(engine)[id] {
+            if program.timed_flags()[id] {
                 self.deadline_dirty = true;
             }
-            match self.backend {
-                Backend::Fused => {
-                    let members = engine.fused.members(id);
-                    self.active_props -= members.len();
-                    self.newly_final.extend_from_slice(members);
-                }
-                _ => {
-                    self.active_props -= 1;
-                    self.newly_final.push(id as u32);
-                }
-            }
+            let members = program.members(id);
+            self.active_props -= members.len();
+            self.newly_final.extend_from_slice(members);
         }
     }
 
     /// Advance-time every live timed unit whose hard deadline `now` has
     /// passed, except subscribers of the current event (their unit ids are
-    /// listed in `exclude_units`, at this backend's granularity; observing
-    /// performs its own deadline check). Returns the number of
-    /// *properties* served.
+    /// listed in `exclude_units`; observing performs its own deadline
+    /// check). Returns the number of *properties* served.
     fn sweep_deadlines<M: Monitor>(
         &mut self,
-        engine: &Engine,
+        program: &FusedProgram,
         monitors: &mut [M],
         now: SimTime,
         exclude_units: &[u32],
     ) -> u64 {
-        self.refresh_next_deadline(engine);
+        self.refresh_next_deadline(program);
         let Some(min) = self.next_deadline else {
             return 0;
         };
         if now <= min {
             return 0;
         }
-        let timed = self.timed_units(engine);
         let mut served = 0;
-        for &unit in timed {
+        for &unit in program.timed_groups() {
             let id = unit as usize;
             if !self.active[id] || exclude_units.contains(&unit) {
                 continue;
             }
             if self.deadlines[id].is_some_and(|d| now > d) {
-                let fan_out = self.served_by(engine, id);
-                self.step_advance(engine, monitors, id, now);
-                served += fan_out;
+                self.step_advance(program, monitors, id, now);
+                served += u64::from(program.member_count(id));
             }
         }
-        self.refresh_next_deadline(engine);
+        self.refresh_next_deadline(program);
         served
     }
 
-    fn refresh_next_deadline(&mut self, engine: &Engine) {
+    fn refresh_next_deadline(&mut self, program: &FusedProgram) {
         if !self.deadline_dirty {
             return;
         }
-        self.next_deadline = self
-            .timed_units(engine)
+        self.next_deadline = program
+            .timed_groups()
             .iter()
             .filter(|&&id| self.active[id as usize])
             .filter_map(|&id| self.deadlines[id as usize])
@@ -1062,16 +871,14 @@ mod tests {
         assert_eq!(session.stats().monitor_steps, 1);
         assert_eq!(session.stats().steps_skipped, 3);
         assert_eq!(session.stats().events, 2);
-    }
-
-    #[test]
-    fn broadcast_steps_every_live_monitor() {
-        let mut voc = Vocabulary::new();
-        let engine = two_property_engine(&mut voc);
-        let mut session = engine.session_with(DispatchMode::Broadcast);
-        session.ingest(event(&voc, "a", 10));
-        assert_eq!(session.stats().monitor_steps, 2);
-        assert_eq!(session.stats().steps_skipped, 0);
+        // A naive broadcast would have stepped both live monitors on both
+        // events; the index did the one step that could react.
+        let report = session.report();
+        assert_eq!(report.stats.broadcast_steps(), 4);
+        assert_eq!(
+            report.stats.monitor_steps + report.stats.steps_skipped,
+            report.stats.broadcast_steps()
+        );
     }
 
     #[test]
@@ -1181,32 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn modes_agree_on_verdicts() {
-        let mut voc = Vocabulary::new();
-        let engine = two_property_engine(&mut voc);
-        let events: Vec<TimedEvent> = [("go", 10), ("a", 100), ("b", 120), ("start", 130)]
-            .into_iter()
-            .map(|(n, t)| event(&voc, n, t))
-            .collect();
-        let mut indexed = engine.session();
-        let mut broadcast = engine.session_with(DispatchMode::Broadcast);
-        indexed.ingest_batch(&events);
-        broadcast.ingest_batch(&events);
-        let (i, b) = (
-            indexed.finish(SimTime::from_ns(200)),
-            broadcast.finish(SimTime::from_ns(200)),
-        );
-        for (x, y) in i.properties.iter().zip(&b.properties) {
-            assert_eq!(x.verdict, y.verdict, "property {}", x.property);
-            assert_eq!(
-                x.violation.as_ref().map(|v| v.kind),
-                y.violation.as_ref().map(|v| v.kind)
-            );
-        }
-        assert!(i.stats.monitor_steps < b.stats.monitor_steps);
-    }
-
-    #[test]
     fn fused_shares_identical_properties() {
         let mut voc = Vocabulary::new();
         let engine = Engine::compile(
@@ -1220,23 +1001,27 @@ mod tests {
         )
         .expect("compiles");
         let mut fused = engine.session(); // Backend::Fused is the default
-        let mut compiled = engine.session_with_backend(DispatchMode::Indexed, Backend::Compiled);
+        let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
         assert_eq!(fused.backend(), Backend::Fused);
+        assert_eq!(interp.backend(), Backend::Interp);
         for (name, ns) in [("a", 10), ("b", 20), ("start", 30)] {
             let e = event(&voc, name, ns);
             fused.ingest(e);
-            compiled.ingest(e);
+            interp.ingest(e);
         }
         // One shared step served properties 0–2; `b` also stepped property
         // 3's singleton group.
         assert_eq!(fused.stats().monitor_steps, 3 + 1);
-        assert_eq!(compiled.stats().monitor_steps, 3 * 3 + 1);
+        assert_eq!(interp.stats().monitor_steps, 3 * 3 + 1);
         assert_eq!(fused.stats().shared_hits, 3 * 2);
+        assert_eq!(interp.stats().shared_hits, 0);
         assert_eq!(fused.stats().unique_cells, 2 + 1);
         assert_eq!(fused.stats().total_cells, 3 * 2 + 1);
+        // The sharing facts are the rulebook's, whichever backend runs it.
+        assert_eq!(interp.stats().unique_cells, 2 + 1);
         for id in 0..engine.len() {
-            assert_eq!(fused.verdict(id), compiled.verdict(id), "property {id}");
-            assert_eq!(fused.ops(id), compiled.ops(id), "property {id}");
+            assert_eq!(fused.verdict(id), interp.verdict(id), "property {id}");
+            assert_eq!(fused.ops(id), interp.ops(id), "property {id}");
         }
     }
 
@@ -1316,7 +1101,6 @@ mod tests {
         session.ingest(event(&voc, "go", 20)); // open 50ns deadline
         let state = session.into_state();
         assert_eq!(state.backend(), Backend::Fused);
-        assert_eq!(state.mode(), DispatchMode::Indexed);
         // Resuming under the same engine continues the exact stream:
         // the open deadline still fires, the antecedent still remembers `a`.
         let mut resumed = engine.resume(state).expect("same engine");

@@ -1,9 +1,10 @@
 //! Oracle equivalence for the streaming engine: for random small property
 //! sets and random traces, the engine's per-property verdicts (and
 //! violation kinds) must equal what each property's own monitor computes
-//! with [`run_to_end`] over the materialized trace — for indexed *and*
-//! broadcast dispatch — and indexed dispatch must never perform more
-//! monitor steps than broadcast.
+//! with [`run_to_end`] over the materialized trace, and indexed dispatch
+//! must never account for more work than a naive broadcast. The fused
+//! production backend is then pitted against the per-property interpreter
+//! oracle, on random and on deliberately overlapping rulebooks.
 //!
 //! This is the subsystem-level counterpart of
 //! `crates/core/tests/oracle_equivalence.rs`: there the monitors are pitted
@@ -175,11 +176,84 @@ fn build_trace(steps: &[(usize, u64)], universe: &[Name]) -> Trace {
     trace
 }
 
+/// Replay `trace` event by event through a fused and an interpreted
+/// session and require them to be observationally identical: per property
+/// the verdict, the full violation diagnostics (kind, triggering event,
+/// detection time, detail text, expected set) and the abstract-operation
+/// counter. The dispatch accounting must serve exactly the properties the
+/// per-property interpreter steps or skips, with sharing visible only on
+/// the fused side, and must not depend on batching.
+fn assert_fused_matches_interp(engine: &Engine, trace: &Trace) -> Result<(), TestCaseError> {
+    let mut fused = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
+    let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
+    for &event in trace.iter() {
+        fused.ingest(event);
+        interp.ingest(event);
+    }
+    let (rf, ri) = (
+        fused.finish(trace.end_time()),
+        interp.finish(trace.end_time()),
+    );
+    for id in 0..engine.len() {
+        prop_assert_eq!(
+            fused.verdict(id),
+            interp.verdict(id),
+            "verdict of {}",
+            engine.property_display(id)
+        );
+        prop_assert_eq!(
+            fused.ops(id),
+            interp.ops(id),
+            "ops of {}",
+            engine.property_display(id)
+        );
+        match (fused.violation(id), interp.violation(id)) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                prop_assert_eq!(a.kind, b.kind);
+                prop_assert_eq!(a.event, b.event);
+                prop_assert_eq!(a.time, b.time);
+                prop_assert_eq!(&a.detail, &b.detail);
+                prop_assert_eq!(
+                    a.expected.iter().collect::<Vec<_>>(),
+                    b.expected.iter().collect::<Vec<_>>()
+                );
+            }
+            (a, b) => prop_assert!(
+                false,
+                "one backend violated {}: fused {:?} vs interp {:?}",
+                engine.property_display(id),
+                a,
+                b
+            ),
+        }
+    }
+    // Shared groups step once for all their members, and the sharing
+    // counters account exactly for the fan-out.
+    let (sf, si) = (rf.stats, ri.stats);
+    prop_assert_eq!(sf.events, si.events);
+    prop_assert_eq!(sf.retired, si.retired);
+    prop_assert!(sf.monitor_steps <= si.monitor_steps);
+    prop_assert_eq!(
+        sf.monitor_steps + sf.shared_hits + sf.steps_skipped,
+        si.monitor_steps + si.steps_skipped
+    );
+    prop_assert_eq!(si.shared_hits, 0);
+    // The batch fast path accounts exactly like event-by-event ingestion,
+    // fan-out included.
+    for (backend, stats) in [(Backend::Fused, sf), (Backend::Interp, si)] {
+        let mut batched = engine.session_with_backend(DispatchMode::Indexed, backend);
+        batched.ingest_batch(trace.events());
+        prop_assert_eq!(batched.finish(trace.end_time()).stats, stats);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// ≥ 200 random (property-set, trace) cases: engine == per-property
-    /// `run_to_end`, in both dispatch modes.
+    /// `run_to_end`.
     #[test]
     fn engine_matches_per_property_run_to_end(
         specs in prop::collection::vec(property_strategy(), 1..=4),
@@ -208,27 +282,26 @@ proptest! {
             expected.push((verdict, kind));
         }
 
-        // Engine, both modes, fed incrementally.
+        // Engine, fed incrementally.
         let engine = Engine::from_properties(properties, &voc)
             .expect("well-formed by construction");
-        let mut reports = Vec::new();
-        for mode in [DispatchMode::Indexed, DispatchMode::Broadcast] {
-            let mut session = engine.session_with(mode);
-            for &event in trace.iter() {
-                session.ingest(event);
-            }
-            reports.push(session.finish(trace.end_time()));
+        let mut session = engine.session();
+        for &event in trace.iter() {
+            session.ingest(event);
         }
+        let report = session.finish(trace.end_time());
 
-        for report in &reports {
-            for (p, (verdict, kind)) in report.properties.iter().zip(&expected) {
-                prop_assert_eq!(p.verdict, *verdict);
-                prop_assert_eq!(p.violation.as_ref().map(|v| v.kind), *kind);
-            }
+        for (p, (verdict, kind)) in report.properties.iter().zip(&expected) {
+            prop_assert_eq!(p.verdict, *verdict);
+            prop_assert_eq!(p.violation.as_ref().map(|v| v.kind), *kind);
         }
-        // Indexed dispatch never works harder than broadcast.
-        prop_assert!(reports[0].stats.monitor_steps <= reports[1].stats.monitor_steps);
-        prop_assert_eq!(reports[1].stats.steps_skipped, 0);
+        // Indexed dispatch never works harder than broadcast: every
+        // property served or skipped is one a broadcast would have stepped.
+        let stats = report.stats;
+        prop_assert!(
+            stats.monitor_steps + stats.shared_hits + stats.steps_skipped
+                <= stats.broadcast_steps()
+        );
     }
 
     /// Batched ingestion is equivalent to event-by-event ingestion.
@@ -263,17 +336,14 @@ proptest! {
         for (x, y) in a.properties.iter().zip(&b.properties) {
             prop_assert_eq!(x.verdict, y.verdict);
         }
-        prop_assert_eq!(a.stats.events, b.stats.events);
+        prop_assert_eq!(a.stats, b.stats);
     }
 
-    /// Compiled vs interpreted execution backends, in both dispatch modes:
-    /// per-property verdicts, the full violation diagnostics (kind,
-    /// triggering event, detection time, detail text, expected set) and the
-    /// abstract-operation counters must all agree — the compiled lowering
-    /// is required to be *observationally identical* to the tree-walking
-    /// interpreter, not merely verdict-equivalent.
+    /// Fused vs interpreted execution backends on random rulebooks: the
+    /// fused lowering is required to be *observationally identical* to the
+    /// tree-walking interpreter, not merely verdict-equivalent.
     #[test]
-    fn compiled_backend_matches_interpreter(
+    fn fused_backend_matches_interpreter(
         specs in prop::collection::vec(property_strategy(), 1..=4),
         steps in prop::collection::vec((0usize..16, 0u64..=120), 0..=30),
     ) {
@@ -291,53 +361,13 @@ proptest! {
         let trace = build_trace(&steps, &universe);
         let engine = Engine::from_properties(properties, &voc)
             .expect("well-formed by construction");
-
-        for mode in [DispatchMode::Indexed, DispatchMode::Broadcast] {
-            let mut interp = engine.session_with_backend(mode, Backend::Interp);
-            let mut compiled = engine.session_with_backend(mode, Backend::Compiled);
-            for &event in trace.iter() {
-                interp.ingest(event);
-                compiled.ingest(event);
-            }
-            let (ri, rc) = (interp.finish(trace.end_time()), compiled.finish(trace.end_time()));
-            for id in 0..engine.len() {
-                prop_assert_eq!(
-                    interp.verdict(id),
-                    compiled.verdict(id),
-                    "{:?}: verdict of {}", mode, engine.property_display(id)
-                );
-                prop_assert_eq!(
-                    interp.ops(id),
-                    compiled.ops(id),
-                    "{:?}: ops of {}", mode, engine.property_display(id)
-                );
-                match (interp.violation(id), compiled.violation(id)) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.kind, b.kind);
-                        prop_assert_eq!(a.event, b.event);
-                        prop_assert_eq!(a.time, b.time);
-                        prop_assert_eq!(&a.detail, &b.detail);
-                        prop_assert_eq!(
-                            a.expected.iter().collect::<Vec<_>>(),
-                            b.expected.iter().collect::<Vec<_>>()
-                        );
-                    }
-                    (a, b) => prop_assert!(
-                        false,
-                        "{:?}: one backend violated {}: interp {:?} vs compiled {:?}",
-                        mode, engine.property_display(id), a, b
-                    ),
-                }
-            }
-            // The dispatch layer's accounting is backend-independent.
-            prop_assert_eq!(ri.stats, rc.stats);
-        }
+        assert_fused_matches_interp(&engine, &trace)?;
     }
 
-    /// A reset *compiled* session behaves like a fresh one in lockstep with
-    /// the interpreter — the `rearm`/arena-reuse fast paths must not leak
-    /// any episode state between streams.
+    /// A reset session of the compiled (fused) backend behaves like a
+    /// fresh one in lockstep with the interpreter, on distinct random
+    /// rulebooks — the `rearm`/arena-reuse fast paths must not leak any
+    /// episode state between streams.
     #[test]
     fn compiled_reset_matches_interpreter_reset(
         specs in prop::collection::vec(property_strategy(), 1..=3),
@@ -360,8 +390,8 @@ proptest! {
             .expect("well-formed by construction");
 
         let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
-        let mut compiled = engine.session_with_backend(DispatchMode::Indexed, Backend::Compiled);
-        for session in [&mut interp, &mut compiled] {
+        let mut fused = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
+        for session in [&mut interp, &mut fused] {
             session.ingest_batch(t1.events());
             session.finish(t1.end_time());
             session.reset();
@@ -369,11 +399,11 @@ proptest! {
             session.finish(t2.end_time());
         }
         for id in 0..engine.len() {
-            prop_assert_eq!(interp.verdict(id), compiled.verdict(id));
-            prop_assert_eq!(interp.ops(id), compiled.ops(id));
+            prop_assert_eq!(interp.verdict(id), fused.verdict(id));
+            prop_assert_eq!(interp.ops(id), fused.ops(id));
             prop_assert_eq!(
                 interp.violation(id).map(|v| v.kind),
-                compiled.violation(id).map(|v| v.kind)
+                fused.violation(id).map(|v| v.kind)
             );
         }
     }
@@ -420,15 +450,12 @@ proptest! {
         prop_assert_eq!(reused_report.stats, fresh_report.stats);
     }
 
-    /// The fused rulebook backend against both per-property oracles, on
+    /// The fused rulebook backend against the per-property interpreter, on
     /// rulebooks built to *overlap*: a handful of base properties over the
     /// shared name pools, sampled **with repetition**, so structurally
     /// identical properties (guaranteed shared groups) and distinct
-    /// properties over a shared alphabet both occur. For both dispatch
-    /// modes, every property's verdict, full violation diagnostics (kind,
-    /// event, time, detail, expected set) and ops counter must agree across
-    /// Fused, Compiled and Interp — cross-property cell sharing is required
-    /// to be observationally invisible.
+    /// properties over a shared alphabet both occur. Cross-property cell
+    /// sharing is required to be observationally invisible.
     #[test]
     fn fused_backend_matches_oracles_on_overlapping_rulebooks(
         base in prop::collection::vec(property_strategy(), 1..=3),
@@ -453,68 +480,14 @@ proptest! {
         let sharing = engine.sharing();
         prop_assert!(sharing.unique_programs <= sharing.properties);
         prop_assert!(sharing.unique_cells <= sharing.total_cells);
-
-        for mode in [DispatchMode::Indexed, DispatchMode::Broadcast] {
-            let mut fused = engine.session_with_backend(mode, Backend::Fused);
-            let mut compiled = engine.session_with_backend(mode, Backend::Compiled);
-            let mut interp = engine.session_with_backend(mode, Backend::Interp);
-            for &event in trace.iter() {
-                fused.ingest(event);
-                compiled.ingest(event);
-                interp.ingest(event);
-            }
-            let rf = fused.finish(trace.end_time());
-            let rc = compiled.finish(trace.end_time());
-            interp.finish(trace.end_time());
-            for id in 0..engine.len() {
-                prop_assert_eq!(
-                    fused.verdict(id),
-                    compiled.verdict(id),
-                    "{:?}: verdict of {}", mode, engine.property_display(id)
-                );
-                prop_assert_eq!(fused.verdict(id), interp.verdict(id));
-                prop_assert_eq!(
-                    fused.ops(id),
-                    compiled.ops(id),
-                    "{:?}: ops of {}", mode, engine.property_display(id)
-                );
-                prop_assert_eq!(fused.ops(id), interp.ops(id));
-                match (fused.violation(id), compiled.violation(id)) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.kind, b.kind);
-                        prop_assert_eq!(a.event, b.event);
-                        prop_assert_eq!(a.time, b.time);
-                        prop_assert_eq!(&a.detail, &b.detail);
-                        prop_assert_eq!(
-                            a.expected.iter().collect::<Vec<_>>(),
-                            b.expected.iter().collect::<Vec<_>>()
-                        );
-                    }
-                    (a, b) => prop_assert!(
-                        false,
-                        "{:?}: one backend violated {}: fused {:?} vs compiled {:?}",
-                        mode, engine.property_display(id), a, b
-                    ),
-                }
-            }
-            // The fused backend serves the same properties with at most as
-            // many monitor steps (shared groups step once), and its
-            // sharing counters account exactly for the fan-out.
-            prop_assert!(rf.stats.monitor_steps <= rc.stats.monitor_steps);
-            prop_assert_eq!(rf.stats.events, rc.stats.events);
-            prop_assert_eq!(
-                rf.stats.monitor_steps + rf.stats.shared_hits + rf.stats.steps_skipped,
-                rc.stats.monitor_steps + rc.stats.steps_skipped
-            );
-            prop_assert_eq!(rc.stats.shared_hits, 0);
-        }
+        assert_fused_matches_interp(&engine, &trace)?;
     }
 
-    /// A reset *fused* session behaves like a fresh one in lockstep with
-    /// the compiled oracle — rewinding the shared group arena must not
-    /// leak episode state (deadlines, fragment progress, retirement)
-    /// between streams, including across the group→members fan-out.
+    /// A reset *fused* session behaves like a fresh one in lockstep with a
+    /// reset interpreter oracle — rewinding the shared group arena (and the
+    /// `rearm`/arena-reuse fast paths under it) must not leak episode state
+    /// (deadlines, fragment progress, retirement) between streams,
+    /// including across the group→members fan-out.
     #[test]
     fn fused_reset_matches_fresh_and_oracle(
         base in prop::collection::vec(property_strategy(), 1..=2),
@@ -537,10 +510,10 @@ proptest! {
         let engine = Engine::from_properties(properties, &voc)
             .expect("well-formed by construction");
 
-        // Reused fused session and a lockstep compiled oracle.
+        // Reused fused session and a lockstep interpreter oracle.
         let mut fused = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
-        let mut compiled = engine.session_with_backend(DispatchMode::Indexed, Backend::Compiled);
-        for session in [&mut fused, &mut compiled] {
+        let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
+        for session in [&mut fused, &mut interp] {
             session.ingest_batch(t1.events());
             session.finish(t1.end_time());
             session.reset();
@@ -553,15 +526,15 @@ proptest! {
         let fresh_report = fresh.finish(t2.end_time());
 
         for id in 0..engine.len() {
-            prop_assert_eq!(fused.verdict(id), compiled.verdict(id));
+            prop_assert_eq!(fused.verdict(id), interp.verdict(id));
             prop_assert_eq!(fused.verdict(id), fresh.verdict(id));
             // Ops accumulate across `reset()` (lifetime instrumentation),
             // so the reused sessions are compared with each other, not
             // with the fresh one.
-            prop_assert_eq!(fused.ops(id), compiled.ops(id));
+            prop_assert_eq!(fused.ops(id), interp.ops(id));
             prop_assert_eq!(
                 fused.violation(id).map(|v| v.kind),
-                compiled.violation(id).map(|v| v.kind)
+                interp.violation(id).map(|v| v.kind)
             );
         }
         prop_assert_eq!(fused.report().stats, fresh_report.stats);

@@ -74,8 +74,8 @@ pub struct CampaignConfig {
     pub mode: CampaignMode,
     /// Monitor execution backend. The fused rulebook backend (the
     /// default) shares one cell arena across structurally identical
-    /// properties and re-pays nothing per episode; `Compiled` and
-    /// `Interp` are the verdict-identical differential oracles. Switching
+    /// properties and re-pays nothing per episode; `Interp` is the
+    /// verdict-identical differential oracle. Switching
     /// backends never changes the statistical content of a report
     /// (verdicts, estimates, SPRT decisions, `events`); only
     /// [`CampaignReport::monitor_steps`] differs, because the fused

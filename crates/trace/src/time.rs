@@ -153,6 +153,39 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Why [`scale_time`] refused a `(value, unit)` pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScaleError {
+    /// The unit is not one of `ps`, `ns`, `us`, `ms`, `s`.
+    UnknownUnit,
+    /// `value` units lie past [`SimTime::MAX`].
+    OutOfRange,
+}
+
+/// `value` units of `unit` as a [`SimTime`]: the one unit table every
+/// time-literal reader shares (trace text, NDJSON, the property
+/// language). The scaling is checked, so a literal past [`SimTime::MAX`]
+/// is refused instead of wrapping to a small time.
+///
+/// # Errors
+///
+/// [`ScaleError::UnknownUnit`] for a unit outside `ps`/`ns`/`us`/`ms`/`s`,
+/// [`ScaleError::OutOfRange`] when the product overflows.
+pub fn scale_time(value: u64, unit: &[u8]) -> Result<SimTime, ScaleError> {
+    let ps_per_unit: u64 = match unit {
+        b"ps" => 1,
+        b"ns" => 1_000,
+        b"us" => 1_000_000,
+        b"ms" => 1_000_000_000,
+        b"s" => 1_000_000_000_000,
+        _ => return Err(ScaleError::UnknownUnit),
+    };
+    value
+        .checked_mul(ps_per_unit)
+        .map(SimTime::from_ps)
+        .ok_or(ScaleError::OutOfRange)
+}
+
 /// Parse a time literal like `100ns`, `25 us`, `3ms`, `1s`, `500ps`.
 ///
 /// Used by the property language (`within 60000 ns`) and the trace file
@@ -161,7 +194,8 @@ impl fmt::Display for SimTime {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the number or the unit is malformed.
+/// Returns a human-readable message when the number or the unit is
+/// malformed, or when the literal lies past [`SimTime::MAX`].
 pub fn parse_sim_time(text: &str) -> Result<SimTime, String> {
     let text = text.trim();
     let split = text
@@ -174,14 +208,11 @@ pub fn parse_sim_time(text: &str) -> Result<SimTime, String> {
     let value: u64 = digits
         .parse()
         .map_err(|_| format!("invalid number in time literal `{text}`"))?;
-    match unit.trim() {
-        "ps" => Ok(SimTime::from_ps(value)),
-        "ns" => Ok(SimTime::from_ns(value)),
-        "us" => Ok(SimTime::from_us(value)),
-        "ms" => Ok(SimTime::from_ms(value)),
-        "s" => Ok(SimTime::from_sec(value)),
-        other => Err(format!("unknown time unit `{other}` in `{text}`")),
-    }
+    let unit = unit.trim();
+    scale_time(value, unit.as_bytes()).map_err(|e| match e {
+        ScaleError::UnknownUnit => format!("unknown time unit `{unit}` in `{text}`"),
+        ScaleError::OutOfRange => format!("time literal `{text}` is out of range"),
+    })
 }
 
 #[cfg(test)]
@@ -251,6 +282,52 @@ mod tests {
         assert!(parse_sim_time("ns").is_err());
         assert!(parse_sim_time("12parsecs").is_err());
         assert!(parse_sim_time("").is_err());
+    }
+
+    #[test]
+    fn scale_time_is_exact_up_to_each_units_boundary() {
+        for (unit, ps_per_unit) in [
+            (&b"ps"[..], 1u64),
+            (b"ns", 1_000),
+            (b"us", 1_000_000),
+            (b"ms", 1_000_000_000),
+            (b"s", 1_000_000_000_000),
+        ] {
+            let max = u64::MAX / ps_per_unit;
+            assert_eq!(
+                scale_time(max, unit),
+                Ok(SimTime::from_ps(max * ps_per_unit))
+            );
+            assert_eq!(scale_time(1, unit), Ok(SimTime::from_ps(ps_per_unit)));
+            assert_eq!(scale_time(0, unit), Ok(SimTime::ZERO));
+            if ps_per_unit > 1 {
+                assert_eq!(scale_time(max + 1, unit), Err(ScaleError::OutOfRange));
+            }
+            assert_eq!(
+                scale_time(u64::MAX, unit).is_ok(),
+                ps_per_unit == 1,
+                "only picoseconds span the whole u64 range"
+            );
+        }
+        assert_eq!(scale_time(1, b"xs"), Err(ScaleError::UnknownUnit));
+        assert_eq!(scale_time(1, b""), Err(ScaleError::UnknownUnit));
+        assert_eq!(scale_time(1, b"NS"), Err(ScaleError::UnknownUnit));
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_literals() {
+        // 18446744073709552 ns is 384 ps past u64::MAX picoseconds: an
+        // unchecked multiply wraps it to 384ps.
+        assert_eq!(
+            parse_sim_time("18446744073709552ns"),
+            Err("time literal `18446744073709552ns` is out of range".to_owned())
+        );
+        assert_eq!(
+            parse_sim_time("18446744073709551ns"),
+            Ok(SimTime::from_ps(18_446_744_073_709_551_000))
+        );
+        assert!(parse_sim_time("18446744073709551615ps").is_ok());
+        assert!(parse_sim_time("18446744073709552 ns").is_err());
     }
 
     #[test]

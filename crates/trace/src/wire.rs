@@ -31,6 +31,7 @@ use std::time::Instant;
 
 use crate::io::{parse_trace_line, IoMetrics, TraceLine, TraceParseError};
 use crate::name::Direction;
+use crate::time::{scale_time, ScaleError};
 use crate::{SimTime, TimedEvent, Trace, Vocabulary};
 
 /// Iterate over the lines of a byte buffer with `str::lines` semantics:
@@ -154,18 +155,17 @@ fn parse_sim_time_bytes(field: &[u8]) -> Result<SimTime, String> {
             ascii_str(field)
         ));
     }
-    match &field[i..] {
-        b"ps" => Ok(SimTime::from_ps(value)),
-        b"ns" => Ok(SimTime::from_ns(value)),
-        b"us" => Ok(SimTime::from_us(value)),
-        b"ms" => Ok(SimTime::from_ms(value)),
-        b"s" => Ok(SimTime::from_sec(value)),
-        unit => Err(format!(
+    let unit = &field[i..];
+    scale_time(value, unit).map_err(|e| match e {
+        ScaleError::UnknownUnit => format!(
             "unknown time unit `{}` in `{}`",
             ascii_str(unit),
             ascii_str(field)
-        )),
-    }
+        ),
+        ScaleError::OutOfRange => {
+            format!("time literal `{}` is out of range", ascii_str(field))
+        }
+    })
 }
 
 /// Parse one line of the trace text format straight from bytes, borrowing
@@ -425,13 +425,10 @@ pub fn decode_events_into(
                 // (non-unit) field under `char`-wise splitting.
                 break 'fast None;
             }
-            let time = match &bytes[unit_start..i] {
-                b"ps" => SimTime::from_ps(value),
-                b"ns" => SimTime::from_ns(value),
-                b"us" => SimTime::from_us(value),
-                b"ms" => SimTime::from_ms(value),
-                b"s" => SimTime::from_sec(value),
-                _ => break 'fast None,
+            // An unknown unit or an out-of-range literal is an error line:
+            // the per-line parser words it.
+            let Ok(time) = scale_time(value, &bytes[unit_start..i]) else {
+                break 'fast None;
             };
             while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
                 i += 1;

@@ -27,7 +27,20 @@ use lomon_trace::{
 // ---------------------------------------------------------------------
 
 const TIMES: &[&str] = &[
-    "10ns", "0ps", "5us", "3ms", "2s", "999ns", "banana", "12", "", "7 ns", "10xs",
+    "10ns",
+    "0ps",
+    "5us",
+    "3ms",
+    "2s",
+    "999ns",
+    "banana",
+    "12",
+    "",
+    "7 ns",
+    "10xs",
+    // One past the largest nanosecond count: its unit scaling overflows.
+    "18446744073709552ns",
+    "18446744073709551615ps",
 ];
 const DIRS: &[&str] = &["in", "out", "sideways", "IN", ""];
 const NAMES: &[&str] = &[
@@ -222,6 +235,35 @@ fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLine>, String> {
 // ---------------------------------------------------------------------
 // The differential properties.
 // ---------------------------------------------------------------------
+
+/// An out-of-range time literal is one error, worded identically, on
+/// every reader: the string and byte file readers, the fused frozen
+/// decoder and the NDJSON scanner. All of them share one checked unit
+/// scaling, so the random comparisons below cannot catch a bug in the
+/// scaling itself; `time.rs` tests it at every unit's boundary.
+#[test]
+fn out_of_range_time_literal_is_rejected_alike_everywhere() {
+    let expected = "time literal `18446744073709552ns` is out of range";
+    for text in ["18446744073709552ns in x\n", "end 18446744073709552ns\n"] {
+        let mut voc = Vocabulary::new();
+        let from_str = read_trace(text, &mut voc).unwrap_err();
+        let from_bytes = read_trace_bytes(text.as_bytes(), &mut voc).unwrap_err();
+        voc.intern("x", Direction::Input);
+        let decoded =
+            lomon_trace::decode_events_into(text.as_bytes(), &voc, &mut Vec::new()).unwrap_err();
+        for error in [from_str, from_bytes, decoded] {
+            assert_eq!(error.line, 1, "{text:?}");
+            assert_eq!(error.message, expected, "{text:?}");
+        }
+    }
+    for line in [
+        r#"{"time": "18446744073709552ns", "name": "x"}"#,
+        r#"{"end": "18446744073709552ns"}"#,
+    ] {
+        assert_eq!(parse_ndjson_line(line), Err(expected.to_owned()), "{line}");
+        assert_eq!(legacy_parse_ndjson_line(line), Err(expected.to_owned()));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]

@@ -9,7 +9,7 @@
 //! This is the library-level counterpart of `lomon watch`; it also shows
 //! the dispatch statistics that make the inverted index's win measurable.
 
-use lomon::engine::{DispatchMode, Engine};
+use lomon::engine::Engine;
 use lomon::trace::{SimTime, TimedEvent, Vocabulary};
 
 fn main() {
@@ -87,18 +87,12 @@ fn main() {
     println!("  end: {}", report.stats.render());
     assert!(!report.is_ok());
 
-    // Same stream through the naive broadcast comparator: identical
-    // verdicts, strictly more monitor steps — the index's win.
-    let mut naive = engine.session_with(DispatchMode::Broadcast);
-    for (us, name) in [(5, "dma_go"), (9, "set_imgAddr")] {
-        let name = voc.intern(name, lomon::trace::Direction::Input);
-        naive.ingest(TimedEvent::new(name, SimTime::from_us(us)));
-    }
-    let naive_report = naive.finish(SimTime::from_us(10));
-    println!("\nbroadcast comparator: {}", naive_report.stats.render());
-    assert_eq!(
-        report.properties[1].verdict,
-        naive_report.properties[1].verdict
+    // A naive broadcast would have stepped every property on every event;
+    // the index (plus retirement) did strictly less — its win.
+    println!(
+        "\nmonitor steps: {} indexed vs {} naive broadcast",
+        report.stats.monitor_steps,
+        report.stats.broadcast_steps()
     );
-    assert!(report.stats.monitor_steps <= naive_report.stats.monitor_steps);
+    assert!(report.stats.monitor_steps < report.stats.broadcast_steps());
 }

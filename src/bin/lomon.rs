@@ -95,18 +95,18 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!("usage:");
-    eprintln!("  lomon check [--backend fused|compiled|interp] [--format text|json]");
+    eprintln!("  lomon check [--backend fused|interp] [--format text|json]");
     eprintln!("              [--explain] [--metrics ADDR] [--stats-every N]");
     eprintln!("              <trace-file>... <property>...");
-    eprintln!("  lomon watch [--format trace|ndjson] [--backend fused|compiled|interp]");
+    eprintln!("  lomon watch [--format trace|ndjson] [--backend fused|interp]");
     eprintln!("              [--strict] [--explain] [--metrics ADDR] [--stats-every N]");
     eprintln!("              <property>...");
     eprintln!("  lomon serve [--listen ADDR] [--admin ADDR] [--metrics ADDR]");
-    eprintln!("              [--backend fused|compiled|interp] [--deny-warnings]");
+    eprintln!("              [--backend fused|interp] [--deny-warnings]");
     eprintln!("              [--max-streams N] <rulebook-file|property>...");
     eprintln!("  lomon smc   [--episodes N] [--jobs J] [--seed S] [--confidence C]");
     eprintln!("              [--epsilon E] [--sprt P0 P1] [--fault-prob Q]");
-    eprintln!("              [--backend fused|compiled|interp] [--format text|json]");
+    eprintln!("              [--backend fused|interp] [--format text|json]");
     eprintln!("              [--metrics ADDR] [--stats-every N] [--quiet]");
     eprintln!("              [--trace <file> [--mutation-prob Q]] [property...]");
     eprintln!("  lomon lint  [--format text|json] [--trace <file>] [--fix-prune]");
@@ -119,8 +119,8 @@ fn usage() -> ExitCode {
     eprintln!();
     eprintln!("--backend selects the monitor execution backend: the fused rulebook");
     eprintln!("program (default; structurally identical properties share one cell");
-    eprintln!("arena), the per-property compiled flat tables, or the tree-walking");
-    eprintln!("interpreter (the verdict-identical differential oracles).");
+    eprintln!("arena) or the per-property tree-walking interpreter (the");
+    eprintln!("verdict-identical differential oracle).");
     eprintln!();
     eprintln!("--format json makes `check` and `smc` print one machine-readable");
     eprintln!("JSON report per trace file / campaign instead of the text report.");
@@ -273,17 +273,14 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() != before
 }
 
-/// Extract the `--backend fused|compiled|interp` flag from `args`.
+/// Extract the `--backend fused|interp` flag from `args`.
 /// Defaults to the fused rulebook backend.
 fn take_backend_flag(args: &mut Vec<String>) -> Result<Backend, ExitCode> {
     match take_value_flag(args, "--backend")?.as_deref() {
         None | Some("fused") => Ok(Backend::Fused),
-        Some("compiled") => Ok(Backend::Compiled),
         Some("interp") => Ok(Backend::Interp),
         Some(other) => {
-            eprintln!(
-                "error: unknown backend `{other}` (expected `fused`, `compiled` or `interp`)"
-            );
+            eprintln!("error: unknown backend `{other}` (expected `fused` or `interp`)");
             Err(usage())
         }
     }

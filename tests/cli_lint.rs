@@ -64,6 +64,15 @@ fn malformed_property_exits_two() {
 }
 
 #[test]
+fn out_of_range_time_bound_is_a_parse_error() {
+    let output = lomon(&["lint", "go => out:done within 18446744073709552 ns"]);
+    assert_eq!(exit_code(&output), 2);
+    let text = stdout(&output);
+    assert!(text.contains("error[L001]"), "{text}");
+    assert!(text.contains("is out of range"), "{text}");
+}
+
+#[test]
 fn ill_formed_property_exits_two() {
     // Parses, but the trigger occurs inside the antecedent: L002.
     let output = lomon(&["lint", "start << start once"]);
@@ -161,13 +170,13 @@ fn watch_summary_names_backend_and_fusion_counters() {
             "--format",
             "ndjson",
             "--backend",
-            "compiled",
+            "interp",
             PROPERTY,
         ],
         stream,
     );
     let text = stdout(&output);
-    assert!(text.contains("\"backend\": \"compiled\""), "{text}");
+    assert!(text.contains("\"backend\": \"interp\""), "{text}");
     assert!(text.contains("\"unique_cells\": "), "{text}");
     assert!(text.contains("\"shared_hits\": 0"), "{text}");
 }

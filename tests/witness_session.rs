@@ -1,14 +1,14 @@
 //! Session-level witness properties, on random rulebooks × random traces
-//! across both dispatch modes and all three backends:
+//! across both backends:
 //!
 //! * a detached session's report renders **byte-identically** whether
 //!   explain support was never enabled or enabled and then detached —
 //!   explain mode off is free and invisible;
 //! * explain mode observes, never perturbs: verdicts, violations and
 //!   dispatch ops match the detached session exactly;
-//! * the witness chains a report carries are identical across the fused,
-//!   compiled and interp backends *and* across indexed vs broadcast
-//!   dispatch — skipping monitors via the subscription index loses no
+//! * the witness chains a report carries are identical across the fused
+//!   backend and the per-property interp oracle — neither the fused group
+//!   fan-out nor skipping monitors via the subscription index loses any
 //!   provenance.
 
 use proptest::prelude::*;
@@ -117,16 +117,15 @@ fn events_from_indices(indices: &[usize], universe: &[Name]) -> Vec<TimedEvent> 
         .collect()
 }
 
-/// Run one (mode, backend) session and report; optionally armed.
+/// Run one session on `backend` and report; optionally armed.
 fn run_session(
     engine: &Engine,
-    mode: DispatchMode,
     backend: Backend,
     events: &[TimedEvent],
     end: SimTime,
     explain: Option<usize>,
 ) -> EngineReport {
-    let mut session = engine.session_with_backend(mode, backend);
+    let mut session = engine.session_with_backend(DispatchMode::Indexed, backend);
     if let Some(capacity) = explain {
         session.enable_explain(capacity);
     }
@@ -153,56 +152,50 @@ fn check_rulebook(texts: &[String], indices: &[usize], capacity: usize) {
     let events = events_from_indices(indices, &universe);
     let end = SimTime::from_ns(events.len() as u64 + 4);
 
-    let modes = [DispatchMode::Indexed, DispatchMode::Broadcast];
-    let backends = [Backend::Fused, Backend::Compiled, Backend::Interp];
     let mut all_witnesses: Vec<Vec<Option<Witness>>> = Vec::new();
-    for mode in modes {
-        for backend in backends {
-            // Never-enabled vs enabled-then-detached: byte-identical
-            // renderings, both human and NDJSON.
-            let plain = run_session(&engine, mode, backend, &events, end, None);
-            let detached = run_session(&engine, mode, backend, &events, end, Some(0));
-            assert_eq!(
-                plain.render(&voc),
-                detached.render(&voc),
-                "detached explain changed the text report ({mode:?}/{backend:?})"
-            );
-            assert_eq!(
-                plain.render_json(&voc),
-                detached.render_json(&voc),
-                "detached explain changed the JSON report ({mode:?}/{backend:?})"
-            );
-            assert!(
-                plain.properties.iter().all(|p| p.witness.is_none()),
-                "detached session reported a witness"
-            );
-
-            // Explain-on: verdicts and violations must not move.
-            let explained = run_session(&engine, mode, backend, &events, end, Some(capacity));
-            for (p, e) in plain.properties.iter().zip(&explained.properties) {
-                assert_eq!(p.verdict, e.verdict, "explain changed a verdict");
-                assert_eq!(
-                    format!("{:?}", p.violation),
-                    format!("{:?}", e.violation),
-                    "explain changed a violation"
-                );
-                assert_eq!(
-                    e.witness.is_some(),
-                    e.verdict == Verdict::Violated,
-                    "witness present iff violated"
-                );
-            }
-            all_witnesses.push(witnesses(&explained));
-        }
-    }
-    // Provenance identity across every (mode, backend) combination —
-    // including the fused group fan-out to the duplicate member.
-    for other in &all_witnesses[1..] {
+    for backend in [Backend::Fused, Backend::Interp] {
+        // Never-enabled vs enabled-then-detached: byte-identical
+        // renderings, both human and NDJSON.
+        let plain = run_session(&engine, backend, &events, end, None);
+        let detached = run_session(&engine, backend, &events, end, Some(0));
         assert_eq!(
-            &all_witnesses[0], other,
-            "witness chains differ across dispatch modes or backends"
+            plain.render(&voc),
+            detached.render(&voc),
+            "detached explain changed the text report ({backend:?})"
         );
+        assert_eq!(
+            plain.render_json(&voc),
+            detached.render_json(&voc),
+            "detached explain changed the JSON report ({backend:?})"
+        );
+        assert!(
+            plain.properties.iter().all(|p| p.witness.is_none()),
+            "detached session reported a witness"
+        );
+
+        // Explain-on: verdicts and violations must not move.
+        let explained = run_session(&engine, backend, &events, end, Some(capacity));
+        for (p, e) in plain.properties.iter().zip(&explained.properties) {
+            assert_eq!(p.verdict, e.verdict, "explain changed a verdict");
+            assert_eq!(
+                format!("{:?}", p.violation),
+                format!("{:?}", e.violation),
+                "explain changed a violation"
+            );
+            assert_eq!(
+                e.witness.is_some(),
+                e.verdict == Verdict::Violated,
+                "witness present iff violated"
+            );
+        }
+        all_witnesses.push(witnesses(&explained));
     }
+    // Provenance identity across both backends — including the fused
+    // group fan-out to the duplicate member.
+    assert_eq!(
+        all_witnesses[0], all_witnesses[1],
+        "witness chains differ across backends"
+    );
     for w in all_witnesses[0].iter().flatten() {
         assert!(
             !w.steps.is_empty() || w.dropped > 0 || events.is_empty(),
@@ -234,7 +227,6 @@ fn generator_pipeline_produces_witnesses() {
     ];
     let report = run_session(
         &engine,
-        DispatchMode::Indexed,
         Backend::Fused,
         &events,
         SimTime::from_ns(10),
