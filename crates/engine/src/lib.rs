@@ -98,6 +98,15 @@
 //! re-validating anything. Sessions are plain data (`Send`), cheap to open,
 //! and reusable via [`Session::reset`].
 //!
+//! ## Streams
+//!
+//! [`StreamDriver`] is the online monitoring protocol written once and
+//! free of I/O: byte chunks in, typed [`Record`]s out — verdicts the
+//! moment they go final, errors, heartbeats, the summary — rendered as
+//! text or NDJSON. Names resolve against the frozen vocabulary; one that
+//! no property uses only advances time. `lomon watch` and `lomon serve`
+//! are thin adapters over it.
+//!
 //! ## Example
 //!
 //! ```
@@ -139,9 +148,11 @@ pub mod metrics;
 pub mod profile;
 pub mod report;
 pub mod session;
+pub mod stream;
 
 pub use compile::{error_diagnostics, CompileError, Engine};
 pub use metrics::SessionMetrics;
 pub use profile::{profile_trace, GroupProfile, ProfileReport};
 pub use report::{DispatchStats, EngineReport, PropertyReport};
 pub use session::{Backend, DispatchMode, Session, SessionState};
+pub use stream::{Fault, Record, RecordSink, Step, StreamDriver};

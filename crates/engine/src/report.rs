@@ -23,7 +23,7 @@ pub struct DispatchStats {
     /// Steps a live monitor was *not* given an event because the index
     /// proved it could not react.
     pub steps_skipped: u64,
-    /// Monitors retired (verdict went final) by the end of the report.
+    /// Properties retired (verdict went final) so far.
     pub retired: u64,
     /// Recognizer cells summed over every property's own lowered program —
     /// what a purely per-property execution allocates and steps. A static
@@ -115,6 +115,84 @@ pub struct PropertyReport {
     pub witness: Option<Witness>,
 }
 
+impl PropertyReport {
+    /// Human text, for reports and streamed verdicts alike: `{indent}[verdict]
+    /// property`, then four columns deeper the diagnostic and the witness.
+    pub(crate) fn write_text(&self, out: &mut String, indent: &str, voc: &Vocabulary) {
+        let _ = writeln!(out, "{indent}[{}] {}", self.verdict, self.property);
+        if let Some(violation) = &self.violation {
+            let _ = writeln!(out, "{indent}    {}", violation.display(voc));
+        }
+        let Some(witness) = self
+            .witness
+            .as_ref()
+            .filter(|w| !w.steps.is_empty() || w.dropped > 0)
+        else {
+            return;
+        };
+        let _ = writeln!(
+            out,
+            "{indent}    because ({} contributing steps):",
+            witness.steps.len()
+        );
+        if witness.dropped > 0 {
+            let _ = writeln!(
+                out,
+                "{indent}      ... {} earlier steps dropped by the flight recorder",
+                witness.dropped
+            );
+        }
+        for s in &witness.steps {
+            let (from, to) = s.transition();
+            let _ = writeln!(
+                out,
+                "{indent}      `{}` at {} -- cell {}: {} -> {}",
+                voc.resolve(s.event),
+                s.time,
+                s.cell,
+                from,
+                to,
+            );
+        }
+    }
+
+    /// The `, "diagnostic": …` and `, "witness": […]` fields of this
+    /// property's JSON object, shared by every JSON surface.
+    pub(crate) fn write_json_fields(&self, out: &mut String, voc: &Vocabulary) {
+        if let Some(violation) = &self.violation {
+            let _ = write!(
+                out,
+                ", \"diagnostic\": \"{}\"",
+                json_escape(&violation.display(voc))
+            );
+        }
+        let Some(witness) = &self.witness else {
+            return;
+        };
+        out.push_str(", \"witness\": [");
+        for (j, s) in witness.steps.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            let (from, to) = s.transition();
+            let _ = write!(
+                out,
+                "{{\"time_ps\": {}, \"event\": \"{}\", \"cell\": {}, \
+                 \"from\": \"{}\", \"to\": \"{}\"}}",
+                s.time.as_ps(),
+                json_escape(voc.resolve(s.event)),
+                s.cell,
+                from,
+                to,
+            );
+        }
+        out.push(']');
+        if witness.dropped > 0 {
+            let _ = write!(out, ", \"witness_dropped\": {}", witness.dropped);
+        }
+    }
+}
+
 /// Everything a session knows at (or before) end of observation.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
@@ -145,38 +223,7 @@ impl EngineReport {
     pub fn render(&self, voc: &Vocabulary) -> String {
         let mut out = String::new();
         for p in &self.properties {
-            let _ = writeln!(out, "  [{}] {}", p.verdict, p.property);
-            if let Some(violation) = &p.violation {
-                let _ = writeln!(out, "      {}", violation.display(voc));
-            }
-            if let Some(witness) = &p.witness {
-                if !witness.steps.is_empty() || witness.dropped > 0 {
-                    let _ = writeln!(
-                        out,
-                        "      because ({} contributing steps):",
-                        witness.steps.len()
-                    );
-                    if witness.dropped > 0 {
-                        let _ = writeln!(
-                            out,
-                            "        ... {} earlier steps dropped by the flight recorder",
-                            witness.dropped
-                        );
-                    }
-                    for s in &witness.steps {
-                        let (from, to) = s.transition();
-                        let _ = writeln!(
-                            out,
-                            "        `{}` at {} -- cell {}: {} -> {}",
-                            voc.resolve(s.event),
-                            s.time,
-                            s.cell,
-                            from,
-                            to,
-                        );
-                    }
-                }
-            }
+            p.write_text(&mut out, "  ", voc);
         }
         let _ = writeln!(out, "  dispatch: {}", self.stats.render());
         out
@@ -198,36 +245,7 @@ impl EngineReport {
                 json_escape(&p.property),
                 p.verdict,
             );
-            if let Some(violation) = &p.violation {
-                let _ = write!(
-                    out,
-                    ", \"diagnostic\": \"{}\"",
-                    json_escape(&violation.display(voc))
-                );
-            }
-            if let Some(witness) = &p.witness {
-                out.push_str(", \"witness\": [");
-                for (j, s) in witness.steps.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let (from, to) = s.transition();
-                    let _ = write!(
-                        out,
-                        "{{\"time_ps\": {}, \"event\": \"{}\", \"cell\": {}, \
-                         \"from\": \"{}\", \"to\": \"{}\"}}",
-                        s.time.as_ps(),
-                        json_escape(voc.resolve(s.event)),
-                        s.cell,
-                        from,
-                        to,
-                    );
-                }
-                out.push(']');
-                if witness.dropped > 0 {
-                    let _ = write!(out, ", \"witness_dropped\": {}", witness.dropped);
-                }
-            }
+            p.write_json_fields(&mut out, voc);
             out.push('}');
         }
         let violations = self.violations().count() as u64;

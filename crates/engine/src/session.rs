@@ -330,7 +330,7 @@ impl<'e> Session<'e> {
         with_arena!(self, |program, ms| {
             self.core.ingest_in(program, ms, event);
         });
-        self.core.flush_metrics(self.engine.len());
+        self.core.flush_metrics();
     }
 
     /// Feed a batch of events (the bulk path: one call per recorded trace
@@ -339,7 +339,7 @@ impl<'e> Session<'e> {
         with_arena!(self, |program, ms| {
             self.core.ingest_batch_indexed(program, ms, events);
         });
-        self.core.flush_metrics(self.engine.len());
+        self.core.flush_metrics();
     }
 
     /// Notify the session that simulated time has advanced to `now` with no
@@ -348,7 +348,7 @@ impl<'e> Session<'e> {
         with_arena!(self, |program, ms| {
             self.core.sweep_deadlines(program, ms, now, &[]);
         });
-        self.core.flush_metrics(self.engine.len());
+        self.core.flush_metrics();
     }
 
     /// Declare end of observation and return the report. All still-live
@@ -368,7 +368,7 @@ impl<'e> Session<'e> {
         with_arena!(self, |program, ms| {
             self.core.close_in(program, ms, end_time);
         });
-        self.core.flush_metrics(self.engine.len());
+        self.core.flush_metrics();
         // Verdicts are counted exactly once per stream, at the
         // not-finished → finished transition (`close` is idempotent).
         if !was_finished && self.core.finished {
@@ -385,36 +385,34 @@ impl<'e> Session<'e> {
     /// Snapshot the current per-property verdicts and dispatch statistics
     /// without ending the stream.
     pub fn report(&self) -> EngineReport {
-        let properties = (0..self.engine.len())
-            .map(|id| {
-                let m = self.property_monitor(id);
-                let verdict = m.verdict();
-                PropertyReport {
-                    index: id,
-                    // An `Arc` bump, not a copy of the property text —
-                    // reports in a tight reuse loop must not allocate per
-                    // property.
-                    property: Arc::clone(&self.engine.properties[id].display),
-                    verdict,
-                    violation: m.violation().cloned(),
-                    // `witness()` is `None` unless explain mode is on, so
-                    // detached sessions still build reports allocation-free
-                    // (modulo the vectors they always built).
-                    witness: if verdict == Verdict::Violated {
-                        m.witness()
-                    } else {
-                        None
-                    },
-                }
-            })
-            .collect();
-        let mut stats = self.core.stats;
-        stats.properties = self.engine.len() as u64;
-        stats.retired = (self.engine.len() - self.core.active_props) as u64;
         EngineReport {
-            properties,
-            stats,
+            properties: (0..self.engine.len())
+                .map(|id| self.property_report(id))
+                .collect(),
+            stats: self.core.stats,
             backend: self.backend().label(),
+        }
+    }
+
+    /// The current outcome of property `id`.
+    pub(crate) fn property_report(&self, id: usize) -> PropertyReport {
+        let m = self.property_monitor(id);
+        let verdict = m.verdict();
+        PropertyReport {
+            index: id,
+            // An `Arc` bump, not a copy of the property text — reports in a
+            // tight reuse loop must not allocate per property.
+            property: Arc::clone(&self.engine.properties[id].display),
+            verdict,
+            violation: m.violation().cloned(),
+            // `witness()` is `None` unless explain mode is on, so detached
+            // sessions still build reports allocation-free (modulo the
+            // vectors they always built).
+            witness: if verdict == Verdict::Violated {
+                m.witness()
+            } else {
+                None
+            },
         }
     }
 
@@ -423,7 +421,7 @@ impl<'e> Session<'e> {
     pub fn reset(&mut self) {
         // Credit whatever the last batch left unflushed before the
         // statistics restart from zero; the watermarks restart with them.
-        self.core.flush_metrics(self.engine.len());
+        self.core.flush_metrics();
         with_arena!(self, |_program, ms| {
             for m in ms.iter_mut() {
                 m.reset();
@@ -506,7 +504,8 @@ impl<'e> Session<'e> {
         self.core.active_props == 0
     }
 
-    /// Dispatch statistics so far.
+    /// Dispatch statistics so far, the rulebook size and the properties
+    /// retired included.
     pub fn stats(&self) -> &DispatchStats {
         &self.core.stats
     }
@@ -518,6 +517,7 @@ impl<'e> Session<'e> {
 fn base_stats(engine: &Engine) -> DispatchStats {
     let sharing = engine.fused.sharing();
     DispatchStats {
+        properties: engine.len() as u64,
         total_cells: sharing.total_cells,
         unique_cells: sharing.unique_cells,
         ..DispatchStats::default()
@@ -564,12 +564,12 @@ impl Core {
     /// Flush the statistics accumulated since the last flush into the
     /// attached metrics sink, if any. Called at batch boundaries only —
     /// the common detached case is one branch on a `None`.
-    fn flush_metrics(&mut self, properties: usize) {
+    fn flush_metrics(&mut self) {
         let Some(sink) = &mut self.metrics else {
             return;
         };
         let stats = &self.stats;
-        let retired = (properties - self.active_props) as u64;
+        let retired = stats.retired;
         let m = &sink.metrics;
         let f = &mut sink.flushed;
         m.events.add(stats.events - f.events);
@@ -788,6 +788,7 @@ impl Core {
             }
             let members = program.members(id);
             self.active_props -= members.len();
+            self.stats.retired += members.len() as u64;
             self.newly_final.extend_from_slice(members);
         }
     }

@@ -1,0 +1,475 @@
+//! The stream driver: the online monitoring protocol, written once and
+//! free of I/O. `lomon watch` (stdin) and `lomon serve` (sockets) are thin
+//! adapters over it.
+//!
+//! A [`StreamDriver`] takes byte chunks of any size and applies one line
+//! per [`StreamDriver::step`]: framed under the [`MAX_FRAME_BYTES`] cap,
+//! parsed as trace text or NDJSON, checked for monotonic time, resolved
+//! against the engine's frozen [`Vocabulary`] (a name no property uses
+//! only advances time and is never interned) and stepped, with every
+//! verdict that goes final emitted at once as a typed [`Record`]. What an
+//! `end` line or a rejected line means is the caller's policy: `step`
+//! reports it as a [`Step`].
+//!
+//! Records render in the stream's format ([`Record::render`]): human text
+//! for trace streams, one NDJSON object per line for NDJSON streams,
+//! tagged with `"type"` and `"stream"` when the driver indexes its
+//! streams ([`StreamDriver::labelled`]).
+
+use std::fmt::Write as _;
+use std::io;
+use std::sync::Arc;
+use std::time::Instant;
+
+use lomon_core::verdict::Verdict;
+use lomon_trace::{
+    json_escape, parse_stream_line_bytes, Frame, FrameDecoder, IoMetrics, Name, SimTime,
+    StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
+};
+
+use crate::report::PropertyReport;
+use crate::session::Session;
+
+/// Why a line was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// The line failed the stream grammar.
+    Parse,
+    /// The line parsed but broke the protocol: time ran backwards, or the
+    /// frame exceeded [`MAX_FRAME_BYTES`].
+    Protocol,
+    /// The line is not UTF-8.
+    Encoding,
+}
+
+/// What one line did to the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// An event, a time advance, a blank line or a comment was applied.
+    Applied,
+    /// An `end` line passed the time check. Whether it only advances time
+    /// ([`StreamDriver::advance`]) or closes the stream
+    /// ([`StreamDriver::close`]) is the caller's policy.
+    End,
+    /// The line was rejected and its error record emitted.
+    Fault(Fault),
+}
+
+/// One output record of a stream.
+#[derive(Debug)]
+pub enum Record<'a> {
+    /// A property's verdict went final — or, with a verdict that is not
+    /// final, the property was still open when its stream closed.
+    Verdict(PropertyReport),
+    /// A line was rejected, or the stream was cut.
+    Error {
+        /// The 1-based line of the stream the error concerns.
+        line: u64,
+        /// The class of the fault.
+        fault: Fault,
+        /// Human-readable description.
+        reason: &'a str,
+    },
+    /// A heartbeat: the statistics of the monitored session so far.
+    Stats(&'a Session<'a>),
+    /// The stream closed.
+    Summary {
+        /// The closed session.
+        session: &'a Session<'a>,
+        /// Lines rejected.
+        faults: u64,
+    },
+}
+
+impl Record<'_> {
+    /// Append this record in `format`: human text for
+    /// [`StreamFormat::Trace`], one NDJSON object per line for
+    /// [`StreamFormat::Ndjson`], labelled with `stream` when given.
+    /// Heartbeats are JSON in both formats; open verdicts have no text form
+    /// because the text summary lists every property.
+    pub fn render(
+        &self,
+        out: &mut String,
+        format: StreamFormat,
+        voc: &Vocabulary,
+        stream: Option<u64>,
+    ) {
+        let json = format == StreamFormat::Ndjson;
+        match self {
+            Record::Verdict(p) if !json => {
+                if p.verdict.is_final() {
+                    p.write_text(out, "", voc);
+                }
+            }
+            Record::Verdict(p) => {
+                let property = json_escape(&p.property);
+                let (index, verdict) = (p.index, p.verdict);
+                let _ = match stream {
+                    Some(stream) => write!(
+                        out,
+                        "{{\"type\": \"verdict\", \"stream\": {stream}, \"property\": \"{property}\", \
+                         \"index\": {index}, \"verdict\": \"{verdict}\""
+                    ),
+                    None => write!(
+                        out,
+                        "{{\"property\": \"{property}\", \"index\": {index}, \"verdict\": \"{verdict}\""
+                    ),
+                };
+                p.write_json_fields(out, voc);
+                out.push_str(if verdict.is_final() {
+                    "}\n"
+                } else {
+                    ", \"final\": false}\n"
+                });
+            }
+            Record::Error { line, reason, .. } if !json => {
+                let _ = writeln!(out, "warning: stream line {line}: {reason} (line skipped)");
+            }
+            Record::Error { line, reason, .. } => {
+                out.push_str("{\"type\": \"error\", ");
+                if let Some(stream) = stream {
+                    let _ = write!(out, "\"stream\": {stream}, ");
+                }
+                let _ = writeln!(
+                    out,
+                    "\"line\": {line}, \"reason\": \"{}\"}}",
+                    json_escape(reason)
+                );
+            }
+            Record::Stats(session) => {
+                let object = session
+                    .stats()
+                    .render_json_object(session.backend().label(), violations(session));
+                let _ = writeln!(out, "{{\"type\": \"stats\", {}", &object[1..]);
+            }
+            Record::Summary { session, faults } if !json => {
+                if *faults > 0 {
+                    let _ = writeln!(out, "{faults} malformed line(s) skipped");
+                }
+                out.push_str(&session.report().render(voc));
+            }
+            Record::Summary { session, faults } => {
+                let stats = session.stats();
+                let violations = violations(session);
+                let object = stats.render_json_object(session.backend().label(), violations);
+                let _ = match stream {
+                    Some(stream) => writeln!(
+                        out,
+                        "{{\"type\": \"summary\", \"stream\": {stream}, \"ok\": {}, \
+                         \"events\": {}, \"violations\": {violations}, \"stats\": {object}}}",
+                        violations == 0,
+                        stats.events,
+                    ),
+                    // The top-level fields predate the unified schema and
+                    // stay as aliases of the `stats` object.
+                    None => writeln!(
+                        out,
+                        "{{\"summary\": true, \"backend\": \"{}\", \"events\": {}, \
+                         \"monitor_steps\": {}, \"steps_skipped\": {}, \
+                         \"unique_cells\": {}, \"shared_hits\": {}, \"violations\": {violations}, \
+                         \"parse_errors\": {faults}, \"stats\": {object}}}",
+                        session.backend().label(),
+                        stats.events,
+                        stats.monitor_steps,
+                        stats.steps_skipped,
+                        stats.unique_cells,
+                        stats.shared_hits,
+                    ),
+                };
+            }
+        }
+    }
+}
+
+/// Where a driver's records go: each arrives typed and rendered in the
+/// stream's format. Closures of the same shape are sinks.
+pub trait RecordSink {
+    /// Take one record; an error stops the driver, which passes it on.
+    fn record(&mut self, record: &Record<'_>, rendered: &str) -> io::Result<()>;
+}
+
+impl<F: FnMut(&Record<'_>, &str) -> io::Result<()>> RecordSink for F {
+    fn record(&mut self, record: &Record<'_>, rendered: &str) -> io::Result<()> {
+        self(record, rendered)
+    }
+}
+
+/// One parsed stream line.
+enum Input {
+    /// An event; `None` when no property uses its name.
+    Event(SimTime, Option<Name>),
+    End(SimTime),
+}
+
+/// How a driver renders: the stream's format, vocabulary and index, and
+/// one reused buffer.
+#[derive(Debug)]
+struct Renderer<'e> {
+    format: StreamFormat,
+    voc: &'e Vocabulary,
+    stream: Option<u64>,
+    text: String,
+}
+
+impl Renderer<'_> {
+    fn send(&mut self, record: &Record<'_>, sink: &mut impl RecordSink) -> io::Result<()> {
+        self.text.clear();
+        record.render(&mut self.text, self.format, self.voc, self.stream);
+        sink.record(record, &self.text)
+    }
+}
+
+/// The per-stream protocol over one [`Session`]: framing, parsing,
+/// monotonic time, name resolution, stepping and verdict records. See the
+/// module docs.
+#[derive(Debug)]
+pub struct StreamDriver<'e> {
+    session: Session<'e>,
+    out: Renderer<'e>,
+    decoder: FrameDecoder,
+    io: Option<Arc<IoMetrics>>,
+    stats_every: Option<u64>,
+    line: u64,
+    last_time: SimTime,
+    open: bool,
+    faults: u64,
+    finalized: Vec<u32>,
+}
+
+impl<'e> StreamDriver<'e> {
+    /// Drive `session` with a `format` stream whose names resolve against
+    /// `voc`, the vocabulary the session's engine was compiled with.
+    pub fn new(session: Session<'e>, voc: &'e Vocabulary, format: StreamFormat) -> Self {
+        StreamDriver {
+            session,
+            out: Renderer {
+                format,
+                voc,
+                stream: None,
+                text: String::new(),
+            },
+            decoder: FrameDecoder::new(MAX_FRAME_BYTES),
+            io: None,
+            stats_every: None,
+            line: 0,
+            last_time: SimTime::ZERO,
+            open: false,
+            faults: 0,
+            finalized: Vec::new(),
+        }
+    }
+
+    /// Index the streams, from 0, and label every NDJSON record with its
+    /// stream — the shape of a connection that carries many streams.
+    #[must_use]
+    pub fn labelled(mut self) -> Self {
+        self.out.stream = Some(0);
+        self
+    }
+
+    /// Emit a heartbeat record each time the event count reaches a
+    /// multiple of `every`, if given.
+    #[must_use]
+    pub fn heartbeat_every(mut self, every: Option<u64>) -> Self {
+        self.stats_every = every;
+        self
+    }
+
+    /// Count every line, byte and rejected line into `metrics`, if given,
+    /// and time each line's parse.
+    #[must_use]
+    pub fn observe_io(mut self, metrics: Option<Arc<IoMetrics>>) -> Self {
+        self.io = metrics;
+        self
+    }
+
+    /// The driven session.
+    pub fn session(&self) -> &Session<'e> {
+        &self.session
+    }
+
+    /// Give the session back.
+    pub fn into_session(self) -> Session<'e> {
+        self.session
+    }
+
+    /// Whether the current stream has applied an event since it began.
+    pub fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Bytes of an unterminated line held back for more input.
+    pub fn partial_len(&self) -> usize {
+        self.decoder.partial_len()
+    }
+
+    /// Buffer one chunk of input.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.decoder.push(bytes);
+    }
+
+    /// Apply the next complete line, emitting its records into `sink`.
+    /// Returns `None` once every buffered line is applied.
+    /// Fails with the first error `sink` returns.
+    pub fn step(&mut self, sink: &mut impl RecordSink) -> io::Result<Option<Step>> {
+        let parsed = match self.decoder.next_frame() {
+            None => return Ok(None),
+            Some(Frame::Oversized { seen }) => Err((
+                Fault::Protocol,
+                format!("frame exceeds {MAX_FRAME_BYTES} bytes ({seen}+ seen); dropped"),
+            )),
+            Some(Frame::Line(line)) => {
+                decode(line, self.out.format, self.out.voc, self.io.as_deref())
+            }
+        };
+        self.line += 1;
+        let input = match parsed {
+            Ok(Some(input)) => input,
+            Ok(None) => return Ok(Some(Step::Applied)),
+            Err((fault, reason)) => return self.fail(fault, &reason, sink).map(Some),
+        };
+        let (Input::Event(time, _) | Input::End(time)) = input;
+        let last = self.last_time;
+        if time < last {
+            let reason = match input {
+                Input::Event(..) => format!("timestamp {time} precedes previous event at {last}"),
+                Input::End(_) => format!("end time {time} precedes last event at {last}"),
+            };
+            return self.fail(Fault::Protocol, &reason, sink).map(Some);
+        }
+        self.last_time = time;
+        let Input::Event(_, name) = input else {
+            return Ok(Some(Step::End));
+        };
+        self.open = true;
+        match name {
+            Some(name) => self.session.ingest(TimedEvent::new(name, time)),
+            None => self.session.advance_time(time),
+        }
+        self.drain(sink)?;
+        // Each ingested event counts once, so the count lands on every
+        // multiple of the period.
+        let events = self.session.stats().events;
+        let due = self
+            .stats_every
+            .is_some_and(|every| events.is_multiple_of(every));
+        if name.is_some() && due {
+            self.out.send(&Record::Stats(&self.session), sink)?;
+        }
+        Ok(Some(Step::Applied))
+    }
+
+    /// Advance the session to the last time seen, emitting the verdicts
+    /// that expire.
+    /// Fails with the first error `sink` returns.
+    pub fn advance(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
+        self.session.advance_time(self.last_time);
+        self.drain(sink)
+    }
+
+    /// Close the stream at the last time seen: the verdicts that finalize
+    /// on close, one open-verdict record per property still open, then the
+    /// summary.
+    /// Fails with the first error `sink` returns.
+    pub fn close(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
+        self.session.close(self.last_time);
+        self.drain(sink)?;
+        for id in 0..self.session.engine().len() {
+            if !self.session.verdict(id).is_final() {
+                let record = Record::Verdict(self.session.property_report(id));
+                self.out.send(&record, sink)?;
+            }
+        }
+        let summary = Record::Summary {
+            session: &self.session,
+            faults: self.faults,
+        };
+        self.out.send(&summary, sink)
+    }
+
+    /// Begin the next stream on the same session and buffers. Input still
+    /// buffered stays: it belongs to the next stream.
+    pub fn reset(&mut self) {
+        self.session.reset();
+        self.out.stream = self.out.stream.map(|s| s + 1);
+        self.line = 0;
+        self.last_time = SimTime::ZERO;
+        self.open = false;
+        self.faults = 0;
+    }
+
+    /// Reject the current line with an error record — or cut the stream
+    /// for a reason outside its bytes, such as a torn final frame. Fails
+    /// with the error `sink` returns.
+    pub fn fail(
+        &mut self,
+        fault: Fault,
+        reason: &str,
+        sink: &mut impl RecordSink,
+    ) -> io::Result<Step> {
+        self.faults += 1;
+        if let Some(io) = &self.io {
+            io.parse_errors.inc();
+        }
+        let record = Record::Error {
+            line: self.line,
+            fault,
+            reason,
+        };
+        self.out.send(&record, sink)?;
+        Ok(Step::Fault(fault))
+    }
+
+    /// Emit the verdicts that went final since the last drain.
+    fn drain(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
+        self.session.drain_newly_final_into(&mut self.finalized);
+        for &id in &self.finalized {
+            let mut report = self.session.property_report(id as usize);
+            report.witness = report
+                .witness
+                .filter(|w| !w.steps.is_empty() || w.dropped > 0);
+            self.out.send(&Record::Verdict(report), sink)?;
+        }
+        Ok(())
+    }
+}
+
+/// Properties violated so far: every one of them has had its verdict
+/// record, since a violation is final.
+fn violations(session: &Session<'_>) -> u64 {
+    (0..session.engine().len())
+        .filter(|&id| session.verdict(id) == Verdict::Violated)
+        .count() as u64
+}
+
+/// Parse one framed line and resolve its name against `voc`.
+fn decode(
+    line: &[u8],
+    format: StreamFormat,
+    voc: &Vocabulary,
+    io: Option<&IoMetrics>,
+) -> Result<Option<Input>, (Fault, String)> {
+    if let Some(io) = io {
+        io.lines.inc();
+        io.bytes.add(line.len() as u64 + 1); // + the newline
+    }
+    let started = io.map(|_| Instant::now());
+    let parsed = parse_stream_line_bytes(format, line);
+    if let (Some(started), Some(io)) = (started, io) {
+        io.decode_ns
+            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
+    match parsed {
+        Ok(None) => Ok(None),
+        Ok(Some(StreamLineRef::Event { time, name, .. })) => {
+            Ok(Some(Input::Event(time, voc.lookup_bytes(name.as_bytes()))))
+        }
+        Ok(Some(StreamLineRef::End(time))) => Ok(Some(Input::End(time))),
+        // Both grammars reject a line that is not UTF-8, so the check
+        // costs nothing on lines that parse.
+        Err(_) if std::str::from_utf8(line).is_err() => {
+            Err((Fault::Encoding, "frame is not valid UTF-8".to_owned()))
+        }
+        Err(reason) => Err((Fault::Parse, reason)),
+    }
+}

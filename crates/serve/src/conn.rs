@@ -15,11 +15,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use lomon_core::verdict::Verdict;
-use lomon_engine::Session;
-use lomon_trace::ndjson::{parse_ndjson_line_ref, StreamLineRef};
-use lomon_trace::{json_escape, Frame, FrameDecoder, SimTime, TimedEvent, Vocabulary};
+use lomon_engine::{Fault, Record, RecordSink, Step, StreamDriver};
+use lomon_trace::StreamFormat;
 
+use crate::metrics::ServeMetrics;
 use crate::program::Program;
 use crate::server::Shared;
 
@@ -28,16 +27,6 @@ use crate::server::Shared;
 /// backpressure mechanism: a fire-hose client is throttled by TCP flow
 /// control, not buffered into our heap.
 const READ_CHUNK: usize = 8 * 1024;
-
-/// Why a stream was cut short. Each variant is one isolation class with
-/// its own counter; the reason string goes verbatim into the error frame.
-enum Fault {
-    /// The frame failed the stream grammar.
-    Parse(String),
-    /// The frame parsed but violated the protocol (time travel, size cap,
-    /// invalid UTF-8).
-    Protocol(String),
-}
 
 /// Serve one accepted connection to completion, then recycle its session
 /// into the pool. Never panics: a panicking drive loop is contained,
@@ -48,17 +37,29 @@ pub(crate) fn handle_connection(shared: &Shared, stream: &TcpStream) {
     // Recycle a parked session of this generation when one is available;
     // `resume` re-checks engine identity, so a mis-keyed state degrades to
     // a fresh session instead of a wrong-rulebook stream.
-    let mut session = shared
+    let session = shared
         .pool
         .acquire(generation)
         .and_then(|state| program.engine.resume(state).ok())
         .unwrap_or_else(|| program.session(shared.config.backend));
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        run(shared, &program, &mut session, stream);
+        let mut driver = StreamDriver::new(session, &program.voc, StreamFormat::Ndjson).labelled();
+        if let Err(error) = drive(shared, &program, &mut driver, stream) {
+            // Write-side failures only reach here (read-side ones are
+            // handled in the loop): the client stopped reading our
+            // verdicts in time, or vanished under a write.
+            match error.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                    shared.metrics.slow_closes.inc();
+                }
+                _ => shared.metrics.disconnects.inc(),
+            }
+        }
+        driver.into_session()
     }));
     let _ = stream.shutdown(Shutdown::Both);
     match outcome {
-        Ok(()) => {
+        Ok(mut session) => {
             // The session is rewound *before* parking so the acquire path
             // stays allocation-free and can never observe a dirty stream.
             session.reset();
@@ -70,31 +71,34 @@ pub(crate) fn handle_connection(shared: &Shared, stream: &TcpStream) {
     }
 }
 
-/// The drive loop plus write-side error accounting.
-fn run<'e>(shared: &Shared, program: &'e Program, session: &mut Session<'e>, stream: &TcpStream) {
-    if let Err(error) = drive(shared, program, session, stream) {
-        // Write-side failures only reach here (read-side ones are handled
-        // in the loop): the client stopped reading our verdicts in time,
-        // or vanished under a write.
-        match error.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-                shared.metrics.slow_closes.inc();
-            }
-            _ => {
-                shared.metrics.disconnects.inc();
-            }
+/// The connection's frame writer: every record goes out as it is
+/// rendered, and each closed stream is counted.
+struct Frames<'a> {
+    writer: BufWriter<TcpStream>,
+    metrics: &'a ServeMetrics,
+}
+
+impl RecordSink for Frames<'_> {
+    fn record(&mut self, record: &Record<'_>, rendered: &str) -> io::Result<()> {
+        if let Record::Summary { session, .. } = record {
+            self.metrics.streams.inc();
+            self.metrics.events.add(session.stats().events);
         }
+        self.writer.write_all(rendered.as_bytes())
     }
 }
 
-/// The per-connection protocol loop. Returns `Err` only for write-side
-/// I/O failures; every read-side condition (EOF, reset, timeout) and
-/// every client fault is handled — and counted — in here.
-#[allow(clippy::too_many_lines)]
-fn drive<'e>(
+/// The per-connection policy over the stream driver: the first fault
+/// sends its error frame and closes the connection, `end` closes the
+/// stream and starts the next one on the reset session, a clean EOF
+/// closes the open stream, and a torn final frame counts as a disconnect.
+/// Returns `Err` only for write-side I/O failures; every read-side
+/// condition (EOF, reset, timeout) and every client fault is handled — and
+/// counted — in here.
+fn drive(
     shared: &Shared,
-    program: &'e Program,
-    session: &mut Session<'e>,
+    program: &Program,
+    driver: &mut StreamDriver<'_>,
     stream: &TcpStream,
 ) -> io::Result<()> {
     let config = &shared.config;
@@ -105,76 +109,43 @@ fn drive<'e>(
     stream.set_write_timeout(Some(config.write_timeout))?;
     let _ = stream.set_nodelay(true);
     let mut reader = stream.try_clone()?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut out = Frames {
+        writer: BufWriter::new(stream.try_clone()?),
+        metrics,
+    };
     writeln!(
-        writer,
+        out.writer,
         "{{\"type\": \"ready\", \"generation\": {}, \"properties\": {}, \"backend\": \"{}\"}}",
         program.generation,
         program.engine.len(),
         config.backend.label(),
     )?;
-    writer.flush()?;
+    out.writer.flush()?;
 
-    let mut decoder = FrameDecoder::new(config.max_frame_bytes);
     let mut buf = vec![0u8; READ_CHUNK];
     let mut last_activity = Instant::now();
-    // Per-stream state: a connection carries a sequence of streams, each
-    // finalized by an `{"end": …}` frame (or the final one by clean EOF).
-    let mut stream_idx: u64 = 0;
-    let mut line_no: u64 = 0;
-    let mut last_time = SimTime::ZERO;
-    let mut dirty = false;
-    let mut violations: u64 = 0;
-    let mut scratch: Vec<u32> = Vec::new();
-
     loop {
         if shared.stop.load(Ordering::Acquire) || shared.draining.load(Ordering::Acquire) {
             // Drain: flush this stream's final report, announce, leave.
-            writeln!(writer, "{{\"type\": \"draining\"}}")?;
-            if dirty {
-                finalize_stream(
-                    session,
-                    program,
-                    &mut writer,
-                    stream_idx,
-                    last_time,
-                    violations,
-                    &mut scratch,
-                )?;
+            writeln!(out.writer, "{{\"type\": \"draining\"}}")?;
+            if driver.is_open() {
+                driver.close(&mut out)?;
                 metrics.drained.inc();
-                metrics.streams.inc();
-                metrics.events.add(session.stats().events);
             }
-            writer.flush()?;
-            return Ok(());
+            return out.writer.flush();
         }
         let n = match reader.read(&mut buf) {
             Ok(0) => {
                 // Clean FIN. A pending partial frame means the peer died
                 // mid-frame: a torn final frame, counted as a disconnect
                 // (the error frame is best-effort — the peer may be gone).
-                if decoder.partial_len() > 0 {
+                if driver.partial_len() > 0 {
                     metrics.disconnects.inc();
-                    let _ = write_error(
-                        &mut writer,
-                        stream_idx,
-                        line_no,
-                        "connection closed mid-frame",
-                    );
-                    let _ = writer.flush();
-                } else if dirty {
-                    finalize_stream(
-                        session,
-                        program,
-                        &mut writer,
-                        stream_idx,
-                        last_time,
-                        violations,
-                        &mut scratch,
-                    )?;
-                    metrics.streams.inc();
-                    metrics.events.add(session.stats().events);
-                    writer.flush()?;
+                    let _ = driver.fail(Fault::Protocol, "connection closed mid-frame", &mut out);
+                    let _ = out.writer.flush();
+                } else if driver.is_open() {
+                    driver.close(&mut out)?;
+                    out.writer.flush()?;
                 }
                 return Ok(());
             }
@@ -188,8 +159,8 @@ fn drive<'e>(
                 if last_activity.elapsed() >= config.idle_timeout {
                     // Idle reap: the stream stopped talking; free its slot.
                     metrics.idle_reaps.inc();
-                    let _ = write_error(&mut writer, stream_idx, line_no, "idle timeout");
-                    let _ = writer.flush();
+                    let _ = driver.fail(Fault::Protocol, "idle timeout", &mut out);
+                    let _ = out.writer.flush();
                     return Ok(());
                 }
                 continue;
@@ -201,228 +172,29 @@ fn drive<'e>(
             }
         };
         last_activity = Instant::now();
-        decoder.push(&buf[..n]);
-        while let Some(frame) = decoder.next_frame() {
-            line_no += 1;
-            let step = match frame {
-                Frame::Oversized { seen } => Err(Fault::Protocol(format!(
-                    "frame exceeds {} bytes ({seen}+ seen); dropped",
-                    config.max_frame_bytes
-                ))),
-                Frame::Line(line) => process_line(
-                    line,
-                    program,
-                    session,
-                    &mut writer,
-                    stream_idx,
-                    &mut last_time,
-                    &mut violations,
-                    &mut scratch,
-                ),
-            };
+        driver.push(&buf[..n]);
+        while let Some(step) = driver.step(&mut out)? {
             match step {
-                Ok(Step::Quiet) => {}
-                Ok(Step::Ingested) => dirty = true,
-                Ok(Step::EndOfStream) => {
-                    // `{"end": …}` finalized the stream (inside
-                    // `process_line`); rewind for the next one on this
-                    // connection — the recycling hot path.
-                    metrics.streams.inc();
-                    metrics.events.add(session.stats().events);
-                    session.reset();
-                    stream_idx += 1;
-                    line_no = 0;
-                    last_time = SimTime::ZERO;
-                    dirty = false;
-                    violations = 0;
+                Step::Applied => {}
+                Step::End => {
+                    // Rewind for the next stream on this connection — the
+                    // recycling hot path.
+                    driver.close(&mut out)?;
+                    driver.reset();
                 }
-                Err(fault) => {
-                    // Per-stream fault isolation: push the error verdict,
-                    // bump the right counter, close this connection. The
-                    // session stays healthy and is recycled by the caller.
-                    let reason = match &fault {
-                        Fault::Parse(r) => {
-                            metrics.parse_errors.inc();
-                            r
-                        }
-                        Fault::Protocol(r) => {
-                            metrics.protocol_errors.inc();
-                            r
-                        }
-                    };
-                    write_error(&mut writer, stream_idx, line_no, reason)?;
-                    writer.flush()?;
-                    return Ok(());
+                Step::Fault(fault) => {
+                    // Per-stream fault isolation: the error frame is out;
+                    // bump the right counter and close this connection.
+                    // The session stays healthy and is recycled by the
+                    // caller.
+                    match fault {
+                        Fault::Parse => metrics.parse_errors.inc(),
+                        Fault::Protocol | Fault::Encoding => metrics.protocol_errors.inc(),
+                    }
+                    return out.writer.flush();
                 }
             }
         }
-        writer.flush()?;
+        out.writer.flush()?;
     }
-}
-
-/// What one well-formed frame did to the stream.
-enum Step {
-    /// Blank line — nothing happened.
-    Quiet,
-    /// An event or time advance was ingested.
-    Ingested,
-    /// The stream was finalized by an `end` frame.
-    EndOfStream,
-}
-
-/// Decode and apply one frame.
-#[allow(clippy::too_many_arguments)]
-fn process_line<'e>(
-    line: &[u8],
-    program: &'e Program,
-    session: &mut Session<'e>,
-    writer: &mut impl Write,
-    stream_idx: u64,
-    last_time: &mut SimTime,
-    violations: &mut u64,
-    scratch: &mut Vec<u32>,
-) -> Result<Step, Fault> {
-    let text = std::str::from_utf8(line)
-        .map_err(|_| Fault::Protocol("frame is not valid UTF-8".to_owned()))?;
-    // The zero-copy parser: the event name borrows from the frame (owned
-    // only when a JSON escape forced a copy), and the vocabulary probe is
-    // the read-side byte-keyed table — no `String` per frame on the
-    // steady-state path.
-    match parse_ndjson_line_ref(text) {
-        Ok(None) => Ok(Step::Quiet),
-        Ok(Some(StreamLineRef::Event {
-            time,
-            direction: _,
-            name,
-        })) => {
-            if time < *last_time {
-                return Err(Fault::Protocol(format!(
-                    "timestamp {time} precedes previous event at {}",
-                    *last_time
-                )));
-            }
-            *last_time = time;
-            // Unknown names are *not* interned — the vocabulary is shared
-            // and immutable, so a client inventing names cannot grow
-            // server memory. The timestamp still advances the deadline
-            // sweep, exactly as a subscribed-to-nothing event would.
-            match program.voc.lookup_bytes(name.as_bytes()) {
-                Some(known) => session.ingest(TimedEvent::new(known, time)),
-                None => session.advance_time(time),
-            }
-            *violations += emit_new_verdicts(session, &program.voc, writer, stream_idx, scratch)
-                .map_err(|e| io_fault(&e))?;
-            Ok(Step::Ingested)
-        }
-        Ok(Some(StreamLineRef::End(time))) => {
-            if time < *last_time {
-                return Err(Fault::Protocol(format!(
-                    "end time {time} precedes last event at {}",
-                    *last_time
-                )));
-            }
-            finalize_stream(
-                session,
-                program,
-                writer,
-                stream_idx,
-                time,
-                *violations,
-                scratch,
-            )
-            .map_err(|e| io_fault(&e))?;
-            Ok(Step::EndOfStream)
-        }
-        Err(message) => Err(Fault::Parse(message)),
-    }
-}
-
-/// Write-side errors inside frame processing surface as a protocol-level
-/// fault so the drive loop unwinds through one path; the caller's flush
-/// will hit the same condition and classify it properly.
-fn io_fault(error: &io::Error) -> Fault {
-    Fault::Protocol(format!("write failed: {error}"))
-}
-
-/// Close the stream at `end_time` and emit its final report: the verdicts
-/// that finalized on close, one `"final": false` line per still-open
-/// property, and the summary frame with the canonical stats object.
-fn finalize_stream<'e>(
-    session: &mut Session<'e>,
-    program: &'e Program,
-    writer: &mut impl Write,
-    stream_idx: u64,
-    end_time: SimTime,
-    violations: u64,
-    scratch: &mut Vec<u32>,
-) -> io::Result<()> {
-    session.close(end_time);
-    let violations =
-        violations + emit_new_verdicts(session, &program.voc, writer, stream_idx, scratch)?;
-    for id in 0..program.engine.len() {
-        let verdict = session.verdict(id);
-        if !verdict.is_final() {
-            writeln!(
-                writer,
-                "{{\"type\": \"verdict\", \"stream\": {stream_idx}, \"property\": \"{}\", \
-                 \"index\": {id}, \"verdict\": \"{verdict}\", \"final\": false}}",
-                json_escape(program.engine.property_display(id)),
-            )?;
-        }
-    }
-    let mut stats = *session.stats();
-    stats.properties = program.engine.len() as u64;
-    stats.retired = (program.engine.len() - session.active_len()) as u64;
-    writeln!(
-        writer,
-        "{{\"type\": \"summary\", \"stream\": {stream_idx}, \"ok\": {}, \"events\": {}, \
-         \"violations\": {violations}, \"stats\": {}}}",
-        violations == 0,
-        stats.events,
-        stats.render_json_object(session.backend().label(), violations),
-    )
-}
-
-/// Stream the verdicts that went final since the last call, watch-style,
-/// returning how many were violations.
-fn emit_new_verdicts(
-    session: &mut Session<'_>,
-    voc: &Vocabulary,
-    writer: &mut impl Write,
-    stream_idx: u64,
-    scratch: &mut Vec<u32>,
-) -> io::Result<u64> {
-    session.drain_newly_final_into(scratch);
-    let mut violated = 0u64;
-    for &id in scratch.iter() {
-        let id = id as usize;
-        let verdict = session.verdict(id);
-        violated += u64::from(verdict == Verdict::Violated);
-        let diagnostic = session
-            .violation(id)
-            .map(|v| format!(", \"diagnostic\": \"{}\"", json_escape(&v.display(voc))))
-            .unwrap_or_default();
-        writeln!(
-            writer,
-            "{{\"type\": \"verdict\", \"stream\": {stream_idx}, \"property\": \"{}\", \
-             \"index\": {id}, \"verdict\": \"{verdict}\"{diagnostic}}}",
-            json_escape(session.engine().property_display(id)),
-        )?;
-    }
-    Ok(violated)
-}
-
-/// The error frame a faulted stream finalizes with.
-fn write_error(
-    writer: &mut impl Write,
-    stream_idx: u64,
-    line_no: u64,
-    reason: &str,
-) -> io::Result<()> {
-    writeln!(
-        writer,
-        "{{\"type\": \"error\", \"stream\": {stream_idx}, \"line\": {line_no}, \
-         \"reason\": \"{}\"}}",
-        json_escape(reason),
-    )
 }

@@ -4,9 +4,12 @@
 //! holding one compiled rulebook [`Engine`](lomon_engine::Engine),
 //! multiplexing many concurrent NDJSON trace streams over TCP, each
 //! stream monitored by a recycled zero-alloc
-//! [`Session`](lomon_engine::Session). Robustness is the design center —
-//! four cooperating mechanisms keep any one client's misbehavior strictly
-//! its own problem:
+//! [`Session`](lomon_engine::Session). The stream protocol itself —
+//! framing, parsing, the time check, verdict and summary frames — is
+//! [`lomon_engine::StreamDriver`], shared with `lomon watch`; this crate
+//! adds the sockets, the session pool and the daemon's policies.
+//! Robustness is the design center — four cooperating mechanisms keep any
+//! one client's misbehavior strictly its own problem:
 //!
 //! 1. **Per-stream fault isolation.** A parse error, protocol violation
 //!    (time travel, oversized frame, invalid UTF-8) or mid-frame
@@ -17,7 +20,7 @@
 //!    records the bug.
 //! 2. **Backpressure and overload shedding.** The server never reads
 //!    ahead of what it can process (TCP flow control is the per-stream
-//!    ingest bound), frames are capped ([`ServeConfig::max_frame_bytes`])
+//!    ingest bound), frames are capped ([`lomon_trace::MAX_FRAME_BYTES`])
 //!    and dropped unbuffered past the cap, a global in-flight budget
 //!    ([`ServeConfig::max_streams`]) sheds excess connections with an
 //!    explicit `{"type": "overload"}` frame, slow verdict readers are cut

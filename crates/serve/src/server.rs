@@ -34,8 +34,6 @@ pub struct ServeConfig {
     /// Global in-flight budget: connections over it are shed with an
     /// `{"type": "overload"}` frame and a clean close.
     pub max_streams: usize,
-    /// Hard cap on one NDJSON frame; longer frames are dropped unbuffered.
-    pub max_frame_bytes: usize,
     /// Liveness tick: how often an idle handler wakes to check for
     /// drain/stop/idle-reap conditions.
     pub read_tick: Duration,
@@ -55,7 +53,6 @@ impl Default for ServeConfig {
             backend: Backend::Fused,
             deny_warnings: false,
             max_streams: 256,
-            max_frame_bytes: 64 * 1024,
             read_tick: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(2),

@@ -735,7 +735,7 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
             monitor_steps: stats.monitor_steps,
             steps_skipped: stats.steps_skipped,
             shared_hits: stats.shared_hits,
-            retired: (self.engine.len() - session.active_len()) as u64,
+            retired: stats.retired,
         }
     }
 }

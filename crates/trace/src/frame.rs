@@ -7,12 +7,17 @@
 //! feed it whatever [`push`](FrameDecoder::push) chunks arrive and drain
 //! complete frames with [`next_frame`](FrameDecoder::next_frame).
 //!
-//! The decoder is deliberately defensive — it backs the `lomon serve`
-//! ingest path, where a single client must not be able to grow server
-//! memory without bound. Frames longer than the configured cap are not
-//! buffered: the pending bytes are discarded the moment they exceed the
-//! cap, an [`Frame::Oversized`] notice is surfaced exactly once, and the
-//! decoder silently resynchronizes at the next newline.
+//! The decoder is deliberately defensive — it backs every streaming
+//! surface (`lomon watch` on stdin, `lomon serve` on sockets), where one
+//! producer must not be able to grow memory without bound. Frames longer
+//! than the cap ([`MAX_FRAME_BYTES`] on both surfaces) are not buffered:
+//! the pending bytes are discarded the moment they exceed the cap, an
+//! [`Frame::Oversized`] notice is surfaced exactly once, and the decoder
+//! silently resynchronizes at the next newline.
+
+/// The frame cap of the streaming surfaces: the longest line `lomon
+/// watch` and `lomon serve` accept (64 KiB).
+pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 
 /// One decoded frame.
 #[derive(Debug, PartialEq, Eq)]
@@ -88,7 +93,7 @@ impl FrameDecoder {
     /// and ask again.
     pub fn next_frame(&mut self) -> Option<Frame<'_>> {
         loop {
-            match self.buf[self.scan..].iter().position(|&b| b == b'\n') {
+            match find_newline(&self.buf[self.scan..]) {
                 Some(pos) => {
                     let nl = self.scan + pos;
                     let line_start = self.start;
@@ -111,7 +116,12 @@ impl FrameDecoder {
                 None => {
                     self.scan = self.buf.len();
                     let pending = self.buf.len() - self.start;
-                    if !self.skipping && pending > self.max_frame {
+                    if self.skipping {
+                        // The runaway frame is still arriving: drop its
+                        // bytes as they come instead of holding them
+                        // until its newline.
+                        self.start = self.buf.len();
+                    } else if pending > self.max_frame {
                         // Stop buffering the runaway frame *now* — the
                         // cap, not the client, bounds memory.
                         self.start = self.buf.len();
@@ -130,6 +140,13 @@ impl FrameDecoder {
     pub fn partial_len(&self) -> usize {
         self.buf.len() - self.start
     }
+}
+
+/// Offset of the first `\n` in `hay`, found by the standard library's
+/// `memchr`-backed byte search rather than a byte-at-a-time scan.
+fn find_newline(hay: &[u8]) -> Option<usize> {
+    let read = std::io::BufRead::skip_until(&mut &hay[..], b'\n').ok()?;
+    (read > 0 && hay[read - 1] == b'\n').then(|| read - 1)
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub mod vcd;
 pub mod wire;
 
 pub use event::TimedEvent;
-pub use frame::{Frame, FrameDecoder};
+pub use frame::{Frame, FrameDecoder, MAX_FRAME_BYTES};
 pub use io::{
     parse_trace_line, read_trace, read_trace_observed, write_trace, IoMetrics, TraceLine,
     TraceParseError,

@@ -165,30 +165,6 @@ pub fn parse_stream_line_bytes(
     }
 }
 
-/// Parse one line of the trace text format, delegating the grammar to
-/// [`parse_trace_line`](crate::parse_trace_line) (one source of truth
-/// with [`read_trace`](crate::read_trace)).
-///
-/// # Errors
-///
-/// See [`parse_stream_line`].
-pub fn parse_stream_trace_line(line: &str) -> Result<Option<StreamLine>, String> {
-    Ok(
-        crate::io::parse_trace_line(line)?.map(|parsed| match parsed {
-            crate::io::TraceLine::Event {
-                time,
-                direction,
-                name,
-            } => StreamLine::Event {
-                time,
-                direction,
-                name: name.to_owned(),
-            },
-            crate::io::TraceLine::End(time) => StreamLine::End(time),
-        }),
-    )
-}
-
 /// Parse one NDJSON stream line: a flat JSON object with string values,
 /// either `{"time": …, "dir": …, "name": …}` (`dir` optional, default
 /// `in`) or `{"end": …}`.

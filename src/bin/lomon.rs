@@ -42,16 +42,16 @@
 //! analysis runs implicitly on `check`/`watch`/`smc` rulebooks, which
 //! print the warnings and accept `--deny-warnings` to refuse them.
 
-use std::io::BufRead as _;
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use lomon::core::analysis::{prune_dead, AnalysisOptions, Diagnostic, Severity};
 use lomon::core::parse::parse_property;
-use lomon::core::verdict::{Monitor as _, Verdict};
-use lomon::core::witness::Witness;
+use lomon::core::verdict::Monitor as _;
 use lomon::engine::{
-    error_diagnostics, profile_trace, Backend, DispatchMode, Engine, Session, SessionMetrics,
+    error_diagnostics, profile_trace, Backend, DispatchMode, Engine, Fault, Record, SessionMetrics,
+    Step, StreamDriver,
 };
 use lomon::gen::{generate, GeneratorConfig};
 use lomon::obs::{MetricsServer, Registry, Stopwatch, Tracer};
@@ -62,9 +62,8 @@ use lomon::smc::{
 };
 use lomon::tlm::scenario::{run_scenario, ScenarioConfig};
 use lomon::trace::{
-    decode_events_into, json_escape, parse_stream_line_bytes, read_trace_bytes_into,
-    read_trace_bytes_observed, write_trace, write_vcd, IoMetrics, MappedFile, Name, NameSet,
-    SimTime, StreamFormat, StreamLineRef, TimedEvent, Vocabulary,
+    decode_events_into, json_escape, read_trace_bytes_into, read_trace_bytes_observed, write_trace,
+    write_vcd, IoMetrics, MappedFile, Name, NameSet, StreamFormat, TimedEvent, Vocabulary,
 };
 
 fn main() -> ExitCode {
@@ -417,7 +416,6 @@ fn check(args: &[String]) -> ExitCode {
         session.attach_metrics(Arc::clone(session_metrics));
     }
     let mut reports = Vec::with_capacity(paths.len());
-    let mut finalized = Vec::new();
     let mut events: Vec<TimedEvent> = Vec::new();
     for (file, _, end_time) in &files {
         // The intern pass above fed the whole alphabet into `voc`, so the
@@ -436,15 +434,12 @@ fn check(args: &[String]) -> ExitCode {
                 // Heartbeats need batch boundaries: ingest in
                 // `--stats-every`-sized chunks and emit one stats line
                 // (stderr, like the text-mode watch heartbeat) per chunk.
-                let mut violations = 0u64;
+                let mut line = String::new();
                 for chunk in events.chunks(every as usize) {
                     session.ingest_batch(chunk);
-                    session.drain_newly_final_into(&mut finalized);
-                    violations += finalized
-                        .iter()
-                        .filter(|&&id| session.verdict(id as usize) == Verdict::Violated)
-                        .count() as u64;
-                    emit_check_heartbeat(&session, backend, violations);
+                    line.clear();
+                    Record::Stats(&session).render(&mut line, StreamFormat::Ndjson, &voc, None);
+                    eprint!("{line}");
                 }
             }
         }
@@ -503,37 +498,23 @@ fn watch(args: &[String]) -> ExitCode {
         Ok(every) => every,
         Err(code) => return code,
     };
-    let mut format = StreamFormat::Trace;
-    let mut properties: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let value = if arg == "--format" {
-            match iter.next() {
-                Some(v) => Some(v.as_str()),
-                None => {
-                    eprintln!("error: `--format` requires a value");
-                    return usage();
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix("--format=") {
-            Some(v)
-        } else if arg.starts_with("--") {
-            eprintln!("error: unknown flag `{arg}`");
+    let format = match take_value_flag(&mut args, "--format") {
+        Ok(format) => format,
+        Err(code) => return code,
+    };
+    let format = match format.as_deref() {
+        None | Some("trace") => StreamFormat::Trace,
+        Some("ndjson") => StreamFormat::Ndjson,
+        Some(other) => {
+            eprintln!("error: unknown format `{other}` (expected `trace` or `ndjson`)");
             return usage();
-        } else {
-            properties.push(arg.clone());
-            None
-        };
-        match value {
-            None => {}
-            Some("trace") => format = StreamFormat::Trace,
-            Some("ndjson") => format = StreamFormat::Ndjson,
-            Some(other) => {
-                eprintln!("error: unknown format `{other}` (expected `trace` or `ndjson`)");
-                return usage();
-            }
         }
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown flag `{flag}`");
+        return usage();
     }
+    let properties = args;
     if properties.is_empty() {
         eprintln!("error: `lomon watch` needs at least one property");
         return usage();
@@ -575,332 +556,89 @@ fn watch(args: &[String]) -> ExitCode {
     if let Some((session_metrics, _, _)) = &telemetry {
         session.attach_metrics(Arc::clone(session_metrics));
     }
+    let mut driver = StreamDriver::new(session, &voc, format)
+        .observe_io(telemetry.as_ref().map(|(_, io, _)| Arc::clone(io)))
+        .heartbeat_every(stats_every);
+    watch_stdin(&mut driver, format, strict, server.as_ref()).unwrap_or_else(|e| {
+        eprintln!("error: cannot write output: {e}");
+        ExitCode::FAILURE
+    })
+}
 
-    let stdin = std::io::stdin();
-    let mut input = stdin.lock();
-    let mut last_time = SimTime::ZERO;
-    let mut finalized = Vec::new();
-    let mut violations = 0u64;
-    let mut parse_errors = 0u64;
-    let mut next_heartbeat = stats_every.unwrap_or(u64::MAX);
-    // The wire-speed stdin loop: one reused byte buffer instead of a fresh
-    // `String` per line, the zero-copy byte-slice parser instead of the
-    // owned one (the event name borrows from the buffer until `intern`),
-    // and — armed only under `--metrics` — one decode-nanoseconds sample
-    // per line.
-    let mut raw: Vec<u8> = Vec::new();
-    let mut line_no = 0usize;
-    loop {
-        raw.clear();
-        match input.read_until(b'\n', &mut raw) {
-            Ok(0) => break,
-            Ok(_) => {}
+/// The policy of `watch` over the stream driver. A bad line costs only
+/// itself: it is counted, reported and skipped, while `--strict` makes it
+/// fatal (exit 2) for pipelines that prefer to die over monitoring a
+/// desynced stream. Invalid UTF-8 is fatal, `end` only advances time, a
+/// last line without a newline still counts, and reading stops once every
+/// verdict is final. In trace format stdout carries only the verdicts;
+/// errors, heartbeats and the final report go to stderr.
+fn watch_stdin(
+    driver: &mut StreamDriver<'_>,
+    format: StreamFormat,
+    strict: bool,
+    server: Option<&MetricsServer>,
+) -> std::io::Result<ExitCode> {
+    let mut emit = |record: &Record<'_>, text: &str| {
+        match record {
+            Record::Error {
+                fault: Fault::Encoding,
+                ..
+            } => {
+                eprintln!("error: cannot read stdin: stream did not contain valid UTF-8");
+                return Ok(());
+            }
+            Record::Error { line, reason, .. } if strict => {
+                eprintln!("error: stream line {line}: {reason}");
+                return Ok(());
+            }
+            // Stop serving scrapes before the final report: a scrape racing
+            // the shutdown gets a clean 503, never a half-written snapshot.
+            Record::Summary { .. } => server.map_or((), MetricsServer::drain),
+            _ => {}
+        }
+        if format == StreamFormat::Ndjson || matches!(record, Record::Verdict(_)) {
+            std::io::stdout().write_all(text.as_bytes())
+        } else {
+            std::io::stderr().write_all(text.as_bytes())
+        }
+    };
+    let mut stdin = std::io::stdin().lock();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut done = false;
+    while !done {
+        match stdin.read(&mut chunk) {
+            Ok(0) => {
+                done = true;
+                if driver.partial_len() > 0 {
+                    driver.push(b"\n");
+                }
+            }
+            Ok(n) => driver.push(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 eprintln!("error: cannot read stdin: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
-        line_no += 1;
-        // Shed the terminator exactly as `BufRead::lines` does: the `\n`,
-        // and a `\r` only as part of a CRLF pair.
-        if raw.last() == Some(&b'\n') {
-            raw.pop();
-            if raw.last() == Some(&b'\r') {
-                raw.pop();
+        while let Some(step) = driver.step(&mut emit)? {
+            match step {
+                Step::End => driver.advance(&mut emit)?,
+                Step::Fault(Fault::Encoding) => return Ok(ExitCode::FAILURE),
+                Step::Fault(_) if strict => return Ok(ExitCode::from(2)),
+                Step::Applied | Step::Fault(_) => {}
             }
-        }
-        if let Some((_, io_metrics, _)) = &telemetry {
-            io_metrics.lines.inc();
-            io_metrics.bytes.add(raw.len() as u64 + 1); // + the newline
-        }
-        // `BufRead::lines` made a non-UTF-8 line fatal (its per-line
-        // validation failed the read itself); the byte loop preserves that
-        // contract with the identical message.
-        if !raw.is_ascii() && std::str::from_utf8(&raw).is_err() {
-            eprintln!("error: cannot read stdin: stream did not contain valid UTF-8");
-            return ExitCode::FAILURE;
-        }
-        // A bad line costs only itself: it is counted, reported as an
-        // error record, and skipped — the stream keeps flowing, exactly
-        // like a faulted `lomon serve` stream costs only its own
-        // connection. `--strict` restores the fail-fast contract for
-        // pipelines that prefer to die over monitoring a desynced stream.
-        let decode_span = telemetry.as_ref().map(|_| std::time::Instant::now());
-        let parsed = parse_stream_line_bytes(format, &raw);
-        if let (Some(t0), Some((_, io_metrics, _))) = (decode_span, &telemetry) {
-            io_metrics
-                .decode_ns
-                .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        let reason = match parsed {
-            Ok(None) => continue, // blank line or comment
-            Ok(Some(StreamLineRef::Event {
-                time,
-                direction,
-                name,
-            })) if time >= last_time => {
-                last_time = time;
-                let name = voc.intern(&name, direction);
-                session.ingest(TimedEvent::new(name, time));
-                violations += report_finalized(&mut session, &voc, format, &mut finalized);
-                None
+            if driver.session().is_settled() {
+                done = true; // every verdict is final; the rest is moot
+                break;
             }
-            Ok(Some(StreamLineRef::End(time))) if time >= last_time => {
-                // Like `read_trace`: `end` advances the observation clock
-                // but the stream may continue (later events move the end
-                // further, exactly as `Trace::push` after `set_end_time`).
-                last_time = time;
-                session.advance_time(time);
-                violations += report_finalized(&mut session, &voc, format, &mut finalized);
-                None
-            }
-            Ok(Some(StreamLineRef::Event { time, .. })) => Some(format!(
-                "timestamp {time} precedes previous event at {last_time}"
-            )),
-            Ok(Some(StreamLineRef::End(time))) => Some(format!(
-                "end time {time} precedes last event at {last_time}"
-            )),
-            Err(message) => Some(message),
-        };
-        if let Some(reason) = reason {
-            if let Some((_, io_metrics, _)) = &telemetry {
-                io_metrics.parse_errors.inc();
-            }
-            if strict {
-                eprintln!("error: stream line {line_no}: {reason}");
-                return ExitCode::from(2);
-            }
-            parse_errors += 1;
-            match format {
-                StreamFormat::Trace => {
-                    eprintln!("warning: stream line {line_no}: {reason} (line skipped)");
-                }
-                StreamFormat::Ndjson => println!(
-                    "{{\"type\": \"error\", \"line\": {line_no}, \"reason\": \"{}\"}}",
-                    json_escape(&reason),
-                ),
-            }
-            continue;
-        }
-        if let Some(every) = stats_every {
-            let events = session.stats().events;
-            if events >= next_heartbeat {
-                emit_watch_heartbeat(&session, backend, violations, format);
-                next_heartbeat = (events / every + 1) * every;
-            }
-        }
-        if session.is_settled() {
-            break; // every verdict is final; the rest of the stream is moot
         }
     }
-
-    let report = session.finish(last_time);
-    report_finalized(&mut session, &voc, format, &mut finalized);
-    // Stop serving scrapes before the final report: a scrape racing the
-    // shutdown gets a clean 503, never a half-written snapshot.
-    if let Some(server) = &server {
-        server.drain();
-    }
-    let violations = report.violations().count() as u64;
-    match format {
-        StreamFormat::Trace => {
-            if parse_errors > 0 {
-                eprintln!("{parse_errors} malformed line(s) skipped");
-            }
-            eprint!("{}", report.render(&voc));
-        }
-        StreamFormat::Ndjson => {
-            // Verdicts that never finalized were not streamed above; a
-            // machine consumer still needs one line per property.
-            for p in report.properties.iter().filter(|p| !p.verdict.is_final()) {
-                println!(
-                    "{{\"property\": \"{}\", \"index\": {}, \"verdict\": \"{}\", \
-                     \"final\": false}}",
-                    json_escape(&p.property),
-                    p.index,
-                    p.verdict,
-                );
-            }
-            // The top-level fields predate the unified schema and stay as
-            // aliases; `stats` is the canonical object every CLI surface
-            // shares (see `DispatchStats::render_json_object`).
-            println!(
-                "{{\"summary\": true, \"backend\": \"{}\", \"events\": {}, \
-                 \"monitor_steps\": {}, \"steps_skipped\": {}, \
-                 \"unique_cells\": {}, \"shared_hits\": {}, \"violations\": {}, \
-                 \"parse_errors\": {parse_errors}, \"stats\": {}}}",
-                backend.label(),
-                report.stats.events,
-                report.stats.monitor_steps,
-                report.stats.steps_skipped,
-                report.stats.unique_cells,
-                report.stats.shared_hits,
-                violations,
-                report.stats.render_json_object(backend.label(), violations),
-            );
-        }
-    }
-    if report.is_ok() {
+    driver.close(&mut emit)?;
+    Ok(if driver.session().report().is_ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// Print the verdicts that finalized since the last call, as they happen,
-/// returning how many of them were violations (the running count feeds
-/// the `--stats-every` heartbeats). `finalized` is a caller-owned scratch
-/// buffer: this runs once per stream event, so the ids are drained into
-/// reused capacity instead of a fresh allocation per call
-/// ([`Session::drain_newly_final_into`]).
-fn report_finalized(
-    session: &mut Session<'_>,
-    voc: &Vocabulary,
-    format: StreamFormat,
-    finalized: &mut Vec<u32>,
-) -> u64 {
-    session.drain_newly_final_into(finalized);
-    let mut violated = 0u64;
-    for &id in finalized.iter() {
-        let id = id as usize;
-        let verdict = session.verdict(id);
-        violated += u64::from(verdict == Verdict::Violated);
-        let text = session.engine().property_display(id);
-        // Present only in explain mode and only on violations: streamed
-        // witnesses match the final report's.
-        let witness = if verdict == Verdict::Violated {
-            session
-                .witness(id)
-                .filter(|w| !w.steps.is_empty() || w.dropped > 0)
-        } else {
-            None
-        };
-        match format {
-            StreamFormat::Trace => {
-                println!("[{verdict}] {text}");
-                if let Some(violation) = session.violation(id) {
-                    println!("    {}", violation.display(voc));
-                }
-                if let Some(witness) = &witness {
-                    print!("{}", witness_text(witness, voc, "    "));
-                }
-            }
-            StreamFormat::Ndjson => {
-                let diagnostic = session
-                    .violation(id)
-                    .map(|v| format!(", \"diagnostic\": \"{}\"", json_escape(&v.display(voc))))
-                    .unwrap_or_default();
-                let witness = witness
-                    .as_ref()
-                    .map(|w| witness_json_fields(w, voc))
-                    .unwrap_or_default();
-                println!(
-                    "{{\"property\": \"{}\", \"index\": {id}, \"verdict\": \"{}\"\
-                     {diagnostic}{witness}}}",
-                    json_escape(text),
-                    verdict,
-                );
-            }
-        }
-    }
-    violated
-}
-
-/// Emit one `{"type": "stats", …}` heartbeat over the canonical stats
-/// schema. In NDJSON mode it interleaves with the verdict stream on
-/// stdout; trace mode keeps stdout human-readable and uses stderr. The
-/// payload is a pure function of the events ingested so far, so two runs
-/// over the same stream heartbeat identically.
-fn emit_watch_heartbeat(
-    session: &Session<'_>,
-    backend: Backend,
-    violations: u64,
-    format: StreamFormat,
-) {
-    // Mirror `Session::finish`: the mid-stream snapshot carries the
-    // rulebook size and how many properties already retired.
-    let mut stats = *session.stats();
-    stats.properties = session.engine().len() as u64;
-    stats.retired = (session.engine().len() - session.active_len()) as u64;
-    let line = format!(
-        "{{\"type\": \"stats\", {}",
-        &stats.render_json_object(backend.label(), violations)[1..]
-    );
-    match format {
-        StreamFormat::Trace => eprintln!("{line}"),
-        StreamFormat::Ndjson => println!("{line}"),
-    }
-}
-
-/// One `{"type": "stats", …}` heartbeat for `check --stats-every`, always
-/// on stderr so stdout stays the per-file report stream.
-fn emit_check_heartbeat(session: &Session<'_>, backend: Backend, violations: u64) {
-    let mut stats = *session.stats();
-    stats.properties = session.engine().len() as u64;
-    stats.retired = (session.engine().len() - session.active_len()) as u64;
-    eprintln!(
-        "{{\"type\": \"stats\", {}",
-        &stats.render_json_object(backend.label(), violations)[1..]
-    );
-}
-
-/// Human rendering of a witness chain, one step per line under `indent`.
-fn witness_text(witness: &Witness, voc: &Vocabulary, indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{indent}because ({} contributing steps):",
-        witness.steps.len()
-    );
-    if witness.dropped > 0 {
-        let _ = writeln!(
-            out,
-            "{indent}  ... {} earlier steps dropped by the flight recorder",
-            witness.dropped
-        );
-    }
-    for s in &witness.steps {
-        let (from, to) = s.transition();
-        let _ = writeln!(
-            out,
-            "{indent}  `{}` at {} -- cell {}: {} -> {}",
-            voc.resolve(s.event),
-            s.time,
-            s.cell,
-            from,
-            to,
-        );
-    }
-    out
-}
-
-/// The witness fields of a streamed NDJSON verdict object (leading comma
-/// included), matching the `check --format json` report schema.
-fn witness_json_fields(witness: &Witness, voc: &Vocabulary) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(", \"witness\": [");
-    for (j, s) in witness.steps.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        let (from, to) = s.transition();
-        let _ = write!(
-            out,
-            "{{\"time_ps\": {}, \"event\": \"{}\", \"cell\": {}, \
-             \"from\": \"{}\", \"to\": \"{}\"}}",
-            s.time.as_ps(),
-            json_escape(voc.resolve(s.event)),
-            s.cell,
-            from,
-            to,
-        );
-    }
-    out.push(']');
-    if witness.dropped > 0 {
-        let _ = write!(out, ", \"witness_dropped\": {}", witness.dropped);
-    }
-    out
+    })
 }
 
 /// Parse `text` as a `T`, or print an error naming `flag` and exit-code 2.

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`trace`] | `lomon-trace` | §2 interfaces, names, simulated time; wire-speed ingest: `mmap`-backed files (`trace::MappedFile`), zero-copy byte lexing of the text/NDJSON grammars (`trace::wire`, `trace::ndjson`), frozen-vocabulary decode to pre-resolved ids (`trace::Vocabulary::lookup_bytes`, `trace::decode_events_into`) |
 //! | [`core`] | `lomon-core` | §3–§5 patterns, Fig. 5 recognizers, Drct monitors, compiled flat-table lowering, fused rulebook programs, static analysis (`core::analysis`: L003–L009 lints, dead-table pruning), witness capture + flight recorder (`core::witness`) |
-//! | [`engine`] | `lomon-engine` | streaming multi-property engine, event-indexed dispatch, fused backend + interpreter oracle, compile-time analysis integration |
+//! | [`engine`] | `lomon-engine` | streaming multi-property engine, event-indexed dispatch, fused backend + interpreter oracle, compile-time analysis integration, the sans-I/O stream driver behind `watch` and `serve` (`engine::StreamDriver`) |
 //! | [`psl`] | `lomon-psl` | §5 translation to PSL, ViaPSL baseline |
 //! | [`sync`] | `lomon-sync` | §6 Lustre-style synchronous validation |
 //! | [`gen`] | `lomon-gen` | §8 stimuli generation (future work) |

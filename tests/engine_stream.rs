@@ -274,3 +274,60 @@ fn check_reports_dispatch_stats() {
     assert!(text.contains("dispatch:"), "stdout: {text}");
     assert!(text.contains("12 events"), "stdout: {text}");
 }
+
+#[test]
+fn deadline_fires_on_unknown_name_time_advance() {
+    // A name no property uses is not an event, but its timestamp still
+    // runs the deadline sweep — as on a `lomon serve` stream.
+    let output = lomon_with_stdin(
+        &["watch", "go => out:done within 50 ns"],
+        "10ns in go\n200ns in never_subscribed\n",
+    );
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr(&output));
+    let verdicts = stdout(&output);
+    assert!(verdicts.contains("[violated]"), "stdout: {verdicts}");
+    assert!(verdicts.contains("deadline"), "stdout: {verdicts}");
+    assert!(stderr(&output).contains("dispatch: 1 events"));
+}
+
+/// Run `lomon watch <args>` on `input` without insisting that the child
+/// reads all of it: a fatal line may end the run first.
+fn watch_unread(args: &[&str], input: Vec<u8>) -> std::process::Output {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lomon"))
+        .arg("watch")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lomon");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let writer = std::thread::spawn(move || {
+        let _ = stdin.write_all(&input);
+    });
+    let output = child.wait_with_output().expect("lomon exits");
+    writer.join().expect("stdin writer");
+    output
+}
+
+#[test]
+fn runaway_line_is_one_error_record() {
+    // 1 MiB with no newline at all: dropped under the 64 KiB frame cap as
+    // it arrives, reported once, and the stream still closes cleanly.
+    let runaway = vec![b'x'; 1 << 20];
+    let output = watch_unread(&[PROPERTY], runaway.clone());
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr(&output));
+    let report = stderr(&output);
+    assert_eq!(
+        report.matches("frame exceeds 65536 bytes").count(),
+        1,
+        "{report}"
+    );
+    assert!(report.contains("1 malformed line(s) skipped"), "{report}");
+
+    let output = watch_unread(&["--strict", PROPERTY], runaway);
+    assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr(&output));
+    assert!(stderr(&output).contains("error: stream line 1: frame exceeds 65536 bytes"));
+}
