@@ -14,11 +14,16 @@
 //! * `string-file` — the old `lomon check` shape: copy the whole buffer
 //!   into a `String` (`fs::read_to_string`), parse `str` lines into a
 //!   fresh [`Trace`] through the SipHash probe, then batch-ingest.
-//! * `wire` — the byte path this crate ships: [`decode_events_into`]
-//!   lexes the bytes in place, resolves names against the frozen
-//!   byte-keyed vocabulary table, fills one reused `Vec<TimedEvent>`, and
+//! * `wire` — the whole-buffer byte path: [`decode_events_into`] lexes
+//!   the bytes in place, resolves names against the frozen byte-keyed
+//!   vocabulary table, fills one reused `Vec<TimedEvent>`, and
 //!   batch-ingests. `wire-observed` is the same pipeline with
 //!   [`IoMetrics`] attached (one histogram sample per buffer).
+//!
+//! No `lomon` surface runs the `wire` pipeline any more: `check`,
+//! `watch` and `serve` all go through the engine's stream driver, one
+//! line at a time. The gate still prices the byte lexer and the frozen
+//! vocabulary that the driver shares with it.
 //!
 //! Run `cargo run -p lomon-bench --bin wire_speed --release` to print the
 //! table and (re)write `BENCH_wire_speed.json` (tracked at the repo root).

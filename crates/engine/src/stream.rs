@@ -1,6 +1,6 @@
 //! The stream driver: the online monitoring protocol, written once and
-//! free of I/O. `lomon watch` (stdin) and `lomon serve` (sockets) are thin
-//! adapters over it.
+//! free of I/O. `lomon check` (trace files, one stream each), `lomon
+//! watch` (stdin) and `lomon serve` (sockets) are thin adapters over it.
 //!
 //! A [`StreamDriver`] takes byte chunks of any size and applies one line
 //! per [`StreamDriver::step`]: framed under the [`MAX_FRAME_BYTES`] cap,
@@ -9,7 +9,10 @@
 //! only advances time and is never interned) and stepped, with every
 //! verdict that goes final emitted at once as a typed [`Record`]. What an
 //! `end` line or a rejected line means is the caller's policy: `step`
-//! reports it as a [`Step`].
+//! reports it as a [`Step`]. A stream ends either online, with
+//! [`StreamDriver::close`] emitting the open verdicts and a summary
+//! record, or in batch, with [`StreamDriver::finish`] returning the whole
+//! report.
 //!
 //! Records render in the stream's format ([`Record::render`]): human text
 //! for trace streams, one NDJSON object per line for NDJSON streams,
@@ -27,7 +30,7 @@ use lomon_trace::{
     StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
 };
 
-use crate::report::PropertyReport;
+use crate::report::{EngineReport, PropertyReport};
 use crate::session::Session;
 
 /// Why a line was rejected.
@@ -372,8 +375,7 @@ impl<'e> StreamDriver<'e> {
     /// summary.
     /// Fails with the first error `sink` returns.
     pub fn close(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
-        self.session.close(self.last_time);
-        self.drain(sink)?;
+        self.close_session(sink)?;
         for id in 0..self.session.engine().len() {
             if !self.session.verdict(id).is_final() {
                 let record = Record::Verdict(self.session.property_report(id));
@@ -385,6 +387,15 @@ impl<'e> StreamDriver<'e> {
             faults: self.faults,
         };
         self.out.send(&summary, sink)
+    }
+
+    /// Close the stream at the last time seen, emitting the verdicts that
+    /// finalize on close, and return its report and end time: the batch
+    /// ending, with no open-verdict or summary records.
+    /// Fails with the first error `sink` returns.
+    pub fn finish(&mut self, sink: &mut impl RecordSink) -> io::Result<(EngineReport, SimTime)> {
+        self.close_session(sink)?;
+        Ok((self.session.report(), self.last_time))
     }
 
     /// Begin the next stream on the same session and buffers. Input still
@@ -418,6 +429,13 @@ impl<'e> StreamDriver<'e> {
         };
         self.out.send(&record, sink)?;
         Ok(Step::Fault(fault))
+    }
+
+    /// Close the session at the last time seen and emit the verdicts that
+    /// finalize on close.
+    fn close_session(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
+        self.session.close(self.last_time);
+        self.drain(sink)
     }
 
     /// Emit the verdicts that went final since the last drain.

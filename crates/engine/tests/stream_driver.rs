@@ -1,12 +1,13 @@
 //! The stream driver's contracts: chunking never changes what a stream
 //! means, unknown names only advance time and never grow the vocabulary,
-//! and a runaway line is dropped under the frame cap instead of buffered.
+//! a runaway line is dropped under the frame cap instead of buffered, and
+//! the batch ending reports what the online ending summarizes.
 
 use std::io;
 
 use lomon_core::verdict::Verdict;
 use lomon_engine::{DispatchStats, Engine, Fault, Record, Step, StreamDriver};
-use lomon_trace::{StreamFormat, Vocabulary, MAX_FRAME_BYTES};
+use lomon_trace::{SimTime, StreamFormat, Vocabulary, MAX_FRAME_BYTES};
 use proptest::prelude::*;
 
 const RULEBOOK: [&str; 3] = [
@@ -223,4 +224,37 @@ fn runaway_line_is_one_error_and_skipped() {
         errors[0].2
     );
     assert_eq!(driver.session().stats().events, 1, "the next line applies");
+}
+
+/// `finish` ends a stream as `close` does, at the last time seen (here an
+/// unknown name's), but returns the report instead of emitting the
+/// open-verdict and summary records.
+#[test]
+fn finish_returns_the_report_close_summarizes() {
+    let (engine, voc) = compile(&RULEBOOK);
+    let stream: &[u8] = b"10ns in a\n20ns in go\nend 30ns\n90ns in noise\n";
+    let mut summary = None;
+    let mut sink = |record: &Record<'_>, _: &str| {
+        if let Record::Summary { session, .. } = record {
+            summary = Some(session.report().render(&voc));
+        }
+        Ok(())
+    };
+    let mut closed = StreamDriver::new(engine.session(), &voc, StreamFormat::Trace);
+    closed.push(stream);
+    apply(&mut closed, &mut sink);
+    closed.close(&mut sink).expect("sink never fails");
+
+    let mut finals = Vec::new();
+    let mut sink = |record: &Record<'_>, _: &str| {
+        finals.push(matches!(record, Record::Verdict(p) if p.verdict.is_final()));
+        Ok(())
+    };
+    let mut finished = StreamDriver::new(engine.session(), &voc, StreamFormat::Trace);
+    finished.push(stream);
+    apply(&mut finished, &mut sink);
+    let (report, end) = finished.finish(&mut sink).expect("sink never fails");
+    assert_eq!(end, SimTime::from_ns(90));
+    assert_eq!(Some(report.render(&voc)), summary);
+    assert_eq!(finals, [true, true], "only the two final verdicts");
 }

@@ -8,15 +8,16 @@
 //! complete frames with [`next_frame`](FrameDecoder::next_frame).
 //!
 //! The decoder is deliberately defensive — it backs every streaming
-//! surface (`lomon watch` on stdin, `lomon serve` on sockets), where one
-//! producer must not be able to grow memory without bound. Frames longer
-//! than the cap ([`MAX_FRAME_BYTES`] on both surfaces) are not buffered:
+//! surface (`lomon check` on trace files, `lomon watch` on stdin, `lomon
+//! serve` on sockets), where one input must not be able to grow memory
+//! without bound. Frames longer than the cap ([`MAX_FRAME_BYTES`] on every
+//! surface) are not buffered:
 //! the pending bytes are discarded the moment they exceed the cap, an
 //! [`Frame::Oversized`] notice is surfaced exactly once, and the decoder
 //! silently resynchronizes at the next newline.
 
 /// The frame cap of the streaming surfaces: the longest line `lomon
-/// watch` and `lomon serve` accept (64 KiB).
+/// check`, `lomon watch` and `lomon serve` accept (64 KiB).
 pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 
 /// One decoded frame.

@@ -1,11 +1,14 @@
 //! Read-only memory-mapped trace files.
 //!
-//! `lomon check` replays multi-megabyte trace files; reading them with
-//! `fs::read_to_string` copies every byte through a growing heap buffer
-//! before the first line is even lexed. A private read-only `mmap` hands
-//! the byte lexer the kernel's page cache directly — no copy, no
-//! allocation proportional to file size — which is exactly what the
-//! wire-speed ingest path wants for `check`/`profile`/`lint --trace`.
+//! Reading a multi-megabyte trace file with `fs::read_to_string` copies
+//! every byte through a growing heap buffer before the first line is even
+//! lexed. A private read-only `mmap` hands the byte lexer the kernel's
+//! page cache directly — no copy, no allocation proportional to file size.
+//!
+//! No `lomon` command maps files any more: a mapped file that is
+//! truncated while it is read raises `SIGBUS`, so `check` streams its
+//! files through the engine's stream driver and the other commands read
+//! them whole. This type stays for the benchmark's layer timings.
 //!
 //! The mapping is advisory, not load-bearing: on targets without the
 //! expected `mmap(2)` ABI (anything but 64-bit Unix) or when the syscall

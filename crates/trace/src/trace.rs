@@ -102,8 +102,8 @@ impl Trace {
     }
 
     /// Remove all events and any recorded end time, keeping the event
-    /// buffer's capacity. Lets batch readers (e.g. `lomon check` over many
-    /// trace files) reuse one allocation across files.
+    /// buffer's capacity. Lets batch readers over many trace files reuse
+    /// one allocation across files.
     pub fn clear(&mut self) {
         self.events.clear();
         self.end_time = None;

@@ -12,16 +12,22 @@
 //!   containing non-ASCII bytes — the only place where byte-wise and
 //!   `char`-wise whitespace handling could diverge — fall back to the
 //!   string parser, so semantics and error text are identical by
-//!   construction (a differential proptest suite pins this).
-//! * [`read_trace_bytes`] / [`read_trace_bytes_into`] are the whole-buffer
-//!   equivalents of [`crate::read_trace`], feeding `lomon check`'s
-//!   mmap-backed file ingest and reusing one [`Trace`] allocation across
-//!   files.
-//! * [`decode_events_into`] is the frozen-vocabulary hot path: names are
-//!   resolved against [`Vocabulary::lookup_bytes`]'s precomputed byte-keyed
-//!   table and emitted as pre-resolved `u32` ids into a caller-owned,
-//!   reusable `Vec<TimedEvent>` — the decode half of the `wire_speed`
-//!   benchmark's bytes-in/verdicts-out loop.
+//!   construction (a differential proptest suite pins this). It is the
+//!   trace-text lexer of every `lomon` surface: `check`, `watch` and
+//!   `serve` run it line by line through the engine's stream driver.
+//! * [`read_trace_bytes`] is the whole-buffer equivalent of
+//!   [`crate::read_trace`], for the commands that load a trace as a value
+//!   (`vcd`, `profile`, `lint --trace`, `smc --trace`).
+//!   [`read_trace_bytes_into`] reuses one [`Trace`] allocation across
+//!   buffers.
+//! * [`decode_events_into`] is the frozen-vocabulary whole-buffer decoder:
+//!   names are resolved against [`Vocabulary::lookup_bytes`]'s precomputed
+//!   byte-keyed table and emitted as pre-resolved `u32` ids into a
+//!   caller-owned, reusable `Vec<TimedEvent>`.
+//!
+//! No `lomon` command runs [`read_trace_bytes_into`] or
+//! [`decode_events_into`] any more: they stay for the benchmark's layer
+//! timings and the `wire_speed` gate's bytes-in/verdicts-out loop.
 //!
 //! Instrumented variants record into [`IoMetrics`] once per buffer, never
 //! per byte, which keeps decode telemetry within the workspace-wide
@@ -259,8 +265,7 @@ pub fn read_trace_bytes_observed(
 }
 
 /// Decode a whole trace buffer into a caller-owned [`Trace`], clearing it
-/// first but keeping its capacity — `lomon check` reuses one trace buffer
-/// across every file it replays.
+/// first but keeping its capacity, so one trace buffer serves many files.
 ///
 /// # Errors
 ///
@@ -371,8 +376,7 @@ pub struct DecodeSummary {
 /// Grammar and monotonicity errors are identical to
 /// [`crate::read_trace`]. Additionally, a name absent from `voc` is
 /// `unknown event name `…`` — the frozen path never interns; callers
-/// whose alphabet can grow (e.g. `lomon check` merging trace files)
-/// use [`read_trace_bytes_into`] instead.
+/// whose alphabet can grow use [`read_trace_bytes_into`] instead.
 pub fn decode_events_into(
     bytes: &[u8],
     voc: &Vocabulary,

@@ -21,14 +21,17 @@
 //! lomon demo                                  record + check a platform run
 //! ```
 //!
-//! Both `check` and `watch` run on the `lomon-engine` subsystem: the
-//! property set is compiled once (every parse/well-formedness error is
-//! reported, not just the first), events are dispatched through the
-//! inverted name→monitor index, and the report includes the dispatch
+//! `check` and `watch` run on the `lomon-engine` subsystem: the property
+//! set is compiled once (every parse/well-formedness error is reported,
+//! not just the first), and each input is fed in 64 KiB reads through one
+//! read → push → step loop over the engine's stream driver
+//! ([`lomon::engine::StreamDriver`]), which dispatches events through the
+//! inverted name→monitor index; the report includes the dispatch
 //! statistics. `check` accepts any number of trace files (the leading
-//! arguments that name readable files) and replays them all through one
-//! compiled engine, resetting a single session between files; the exit
-//! code is non-zero if *any* file violates *any* property.
+//! arguments that name readable files) and streams them one at a time,
+//! resetting one driver between files, so its memory does not grow with
+//! the traces; the exit code is non-zero if *any* file violates *any*
+//! property.
 //!
 //! `smc` runs a `lomon-smc` campaign: many seed-randomized episodes —
 //! platform simulations (default) or `lomon-gen` stimuli over a trace
@@ -42,7 +45,7 @@
 //! analysis runs implicitly on `check`/`watch`/`smc` rulebooks, which
 //! print the warnings and accept `--deny-warnings` to refuse them.
 
-use std::io::{Read as _, Write as _};
+use std::io::{self, Read, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -50,8 +53,8 @@ use lomon::core::analysis::{prune_dead, AnalysisOptions, Diagnostic, Severity};
 use lomon::core::parse::parse_property;
 use lomon::core::verdict::Monitor as _;
 use lomon::engine::{
-    error_diagnostics, profile_trace, Backend, DispatchMode, Engine, Fault, Record, SessionMetrics,
-    Step, StreamDriver,
+    error_diagnostics, profile_trace, Backend, DispatchMode, Engine, EngineReport, Fault, Record,
+    RecordSink, SessionMetrics, Step, StreamDriver,
 };
 use lomon::gen::{generate, GeneratorConfig};
 use lomon::obs::{MetricsServer, Registry, Stopwatch, Tracer};
@@ -62,8 +65,8 @@ use lomon::smc::{
 };
 use lomon::tlm::scenario::{run_scenario, ScenarioConfig};
 use lomon::trace::{
-    decode_events_into, json_escape, read_trace_bytes_into, read_trace_bytes_observed, write_trace,
-    write_vcd, IoMetrics, MappedFile, Name, NameSet, StreamFormat, TimedEvent, Vocabulary,
+    json_escape, read_trace_bytes, write_trace, write_vcd, IoMetrics, Name, NameSet, SimTime,
+    StreamFormat, Trace, Vocabulary,
 };
 
 fn main() -> ExitCode {
@@ -137,7 +140,7 @@ fn usage() -> ExitCode {
     eprintln!("run: GET /metrics is Prometheus text, GET /metrics.json is NDJSON (use");
     eprintln!("port 0 for an ephemeral port; the bound address is announced on");
     eprintln!("stderr). --stats-every N prints a {{\"type\": \"stats\", ...}} heartbeat");
-    eprintln!("every N events (watch) or episodes (smc). smc prints a progress");
+    eprintln!("every N events (check, watch) or episodes (smc). smc prints a progress");
     eprintln!("line per scheduling batch to stderr; --quiet suppresses it.");
     eprintln!();
     eprintln!("property example:");
@@ -173,28 +176,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Read one trace file through the wire-speed ingest path: the file is
-/// memory-mapped ([`MappedFile`] — the byte lexer reads the page cache
-/// directly, no heap copy proportional to file size) and decoded by
-/// [`read_trace_bytes_observed`]. Grammar, monotonicity rules and error
-/// text are identical to the old `read_to_string` + `read_trace` pair; a
-/// file that is not UTF-8 still fails with the exact `io::Error` message
-/// `read_to_string` produced.
-fn load(path: &str, voc: &mut Vocabulary) -> Result<lomon::trace::Trace, String> {
-    let file = map_trace_file(path)?;
-    read_trace_bytes_observed(file.bytes(), voc, None).map_err(|e| e.to_string())
-}
-
-/// Map `path` and validate it as UTF-8 once up front, so binary files keep
-/// the `cannot read …` diagnostic class instead of a per-line parse error.
-fn map_trace_file(path: &str) -> Result<MappedFile, String> {
-    let file = MappedFile::open(path.as_ref()).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if std::str::from_utf8(file.bytes()).is_err() {
-        return Err(format!(
-            "cannot read {path}: stream did not contain valid UTF-8"
-        ));
-    }
-    Ok(file)
+/// Read one whole trace file into memory, for the commands that need the
+/// trace as a value (`vcd`, `profile`, `lint --trace`, `smc --trace`):
+/// one heap read, decoded by the byte lexer ([`read_trace_bytes`]). A file
+/// that is not UTF-8 fails with the `cannot read …` diagnostic class
+/// instead of a per-line parse error. `check` streams its files instead.
+fn load(path: &str, voc: &mut Vocabulary) -> Result<Trace, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    read_trace_bytes(text.as_bytes(), voc).map_err(|e| e.to_string())
 }
 
 /// Compile the whole property set, reporting *every* error before giving
@@ -211,20 +200,7 @@ fn compile_all(
     let opts = AnalysisOptions::default();
     match Engine::compile_with_analysis(properties, voc, &opts) {
         Ok((engine, diagnostics)) => {
-            let warnings = diagnostics
-                .iter()
-                .filter(|d| d.severity == Severity::Warning)
-                .count();
-            for diagnostic in diagnostics
-                .iter()
-                .filter(|d| d.severity == Severity::Warning)
-            {
-                eprintln!("{}", diagnostic.render_text());
-            }
-            if deny_warnings && warnings > 0 {
-                eprintln!("error: rulebook has {warnings} warning(s) (--deny-warnings)");
-                return Err(ExitCode::FAILURE);
-            }
+            print_warnings(&diagnostics, deny_warnings)?;
             Ok(engine)
         }
         Err(errors) => {
@@ -234,6 +210,52 @@ fn compile_all(
             Err(ExitCode::FAILURE)
         }
     }
+}
+
+/// Print the rulebook analysis' warnings to stderr; with `deny_warnings`
+/// any warning refuses the rulebook.
+fn print_warnings(diagnostics: &[Diagnostic], deny_warnings: bool) -> Result<(), ExitCode> {
+    let mut warnings = 0;
+    for diagnostic in diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Warning)
+    {
+        eprintln!("{}", diagnostic.render_text());
+        warnings += 1;
+    }
+    if deny_warnings && warnings > 0 {
+        eprintln!("error: rulebook has {warnings} warning(s) (--deny-warnings)");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(())
+}
+
+/// The rulebook of `lint` and `profile`: file arguments contribute one
+/// property per non-comment line, the rest are inline property texts. An
+/// unreadable file or an empty rulebook fails with exit code `code`.
+fn read_rulebook(args: &[String], code: u8) -> Result<Vec<String>, ExitCode> {
+    let mut properties: Vec<String> = Vec::new();
+    for arg in args {
+        if std::path::Path::new(arg).is_file() {
+            let text = std::fs::read_to_string(arg).map_err(|e| {
+                eprintln!("error: cannot read {arg}: {e}");
+                ExitCode::from(code)
+            })?;
+            properties.extend(
+                text.lines()
+                    .map(str::trim)
+                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                    .map(str::to_owned),
+            );
+        } else {
+            properties.push(arg.clone());
+        }
+    }
+    if properties.is_empty() {
+        eprintln!("error: the rulebook is empty");
+        return Err(ExitCode::from(code));
+    }
+    Ok(properties)
 }
 
 /// Extract every occurrence of the valued `flag` (both the two-argument
@@ -311,24 +333,87 @@ fn take_report_format_flag(args: &mut Vec<String>) -> Result<ReportFormat, ExitC
 /// monitor) that an armed rulebook stays cache-resident.
 const EXPLAIN_CAPACITY: usize = 64;
 
+/// The flags `check` and `watch` share, and the pipeline both set up from
+/// them: live telemetry, the compiled rulebook and one stream driver.
+struct StreamSetup {
+    deny_warnings: bool,
+    explain: bool,
+    backend: Backend,
+    metrics_addr: Option<String>,
+    stats_every: Option<u64>,
+}
+
+impl StreamSetup {
+    /// Extract the shared flags from `args`.
+    fn take(args: &mut Vec<String>) -> Result<Self, ExitCode> {
+        Ok(StreamSetup {
+            deny_warnings: take_bool_flag(args, "--deny-warnings"),
+            explain: take_bool_flag(args, "--explain"),
+            backend: take_backend_flag(args)?,
+            metrics_addr: take_value_flag(args, "--metrics")?,
+            stats_every: take_stats_every(args)?,
+        })
+    }
+
+    /// Compile `properties` and hand `drive` a driver of `format` streams
+    /// over them, the metrics listener, if any, and the frozen vocabulary.
+    fn run(
+        &self,
+        properties: &[String],
+        format: StreamFormat,
+        drive: impl FnOnce(&mut StreamDriver<'_>, Option<&MetricsServer>, &Vocabulary) -> ExitCode,
+    ) -> ExitCode {
+        // Live telemetry: every family is registered (and the listener
+        // bound) before anything runs, so a scrape racing startup sees the
+        // complete family set at zero rather than a partial registry.
+        let mut telemetry = None;
+        let mut server = None;
+        if let Some(addr) = &self.metrics_addr {
+            let registry = Arc::new(Registry::new());
+            let session_metrics = SessionMetrics::register(&registry);
+            let io_metrics = IoMetrics::register(&registry);
+            let compile_ns = registry.histogram(
+                "lomon_compile_ns",
+                "Wall-clock nanoseconds spent compiling the rulebook",
+            );
+            match bind_metrics(addr, &registry) {
+                Ok(bound) => server = Some(bound),
+                Err(code) => return code,
+            }
+            telemetry = Some((session_metrics, io_metrics, compile_ns));
+        }
+
+        let mut voc = Vocabulary::new();
+        let compile_span = telemetry
+            .as_ref()
+            .map(|(_, _, compile_ns)| Stopwatch::start(Arc::clone(compile_ns)));
+        let engine = match compile_all(properties, &mut voc, self.deny_warnings) {
+            Ok(engine) => engine,
+            Err(code) => return code,
+        };
+        drop(compile_span);
+        let mut session = engine.session_with_backend(DispatchMode::Indexed, self.backend);
+        if self.explain {
+            session.enable_explain(EXPLAIN_CAPACITY);
+        }
+        if let Some((session_metrics, _, _)) = &telemetry {
+            session.attach_metrics(Arc::clone(session_metrics));
+        }
+        let mut driver = StreamDriver::new(session, &voc, format)
+            .observe_io(telemetry.as_ref().map(|(_, io, _)| Arc::clone(io)))
+            .heartbeat_every(self.stats_every);
+        drive(&mut driver, server.as_ref(), &voc)
+    }
+}
+
 fn check(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
-    let explain = take_bool_flag(&mut args, "--explain");
-    let backend = match take_backend_flag(&mut args) {
-        Ok(backend) => backend,
+    let setup = match StreamSetup::take(&mut args) {
+        Ok(setup) => setup,
         Err(code) => return code,
     };
     let format = match take_report_format_flag(&mut args) {
         Ok(format) => format,
-        Err(code) => return code,
-    };
-    let metrics_addr = match take_value_flag(&mut args, "--metrics") {
-        Ok(addr) => addr,
-        Err(code) => return code,
-    };
-    let stats_every = match take_stats_every(&mut args) {
-        Ok(every) => every,
         Err(code) => return code,
     };
     let args = &args[..];
@@ -353,151 +438,105 @@ fn check(args: &[String]) -> ExitCode {
         return usage();
     }
 
-    // Live telemetry, exactly as `watch`: the complete family set is
-    // registered and the listener bound before anything runs — including
-    // the trace decode, whose nanoseconds land in `lomon_ingest_decode_ns`.
-    let mut telemetry = None;
-    let mut server = None;
-    if let Some(addr) = &metrics_addr {
-        let registry = Arc::new(Registry::new());
-        let session_metrics = SessionMetrics::register(&registry);
-        let io_metrics = IoMetrics::register(&registry);
-        let compile_ns = registry.histogram(
-            "lomon_compile_ns",
-            "Wall-clock nanoseconds spent compiling the rulebook",
-        );
-        match bind_metrics(addr, &registry) {
-            Ok(bound) => server = Some(bound),
+    // One pass: the rulebook is compiled first, so its vocabulary is frozen
+    // and a trace name no property uses only advances time. Then each file
+    // is one stream through one driver.
+    setup.run(properties, StreamFormat::Trace, |driver, server, voc| {
+        let reports = match check_files(driver, paths) {
+            Ok(reports) => reports,
             Err(code) => return code,
+        };
+        // Stop serving scrapes before the reports, as watch/smc do: a
+        // scrape racing the shutdown gets a clean 503, never a torn
+        // snapshot.
+        if let Some(server) = server {
+            server.drain();
         }
-        telemetry = Some((session_metrics, io_metrics, compile_ns));
-    }
-    let io_metrics = telemetry.as_ref().map(|(_, io, _)| io.as_ref());
-
-    // Wire-speed ingest, in two passes over memory-mapped files. First
-    // every file is lexed once straight from the page cache to merge the
-    // alphabets into one vocabulary (and surface every parse error before
-    // anything runs); then the property set is compiled once — one engine
-    // and one session serve all files. The replay pass below re-decodes
-    // each mapping against the now-frozen vocabulary into one reused
-    // pre-resolved event buffer, so peak memory is one file's events, not
-    // the sum of all files'.
-    let mut voc = Vocabulary::new();
-    let mut files = Vec::with_capacity(paths.len());
-    let mut scratch = lomon::trace::Trace::new();
-    for path in paths {
-        let outcome = map_trace_file(path).and_then(|file| {
-            read_trace_bytes_into(file.bytes(), &mut voc, &mut scratch, io_metrics)
-                .map_err(|e| e.to_string())?;
-            Ok((file, scratch.len(), scratch.end_time()))
-        });
-        match outcome {
-            Ok(entry) => files.push(entry),
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    drop(scratch);
-    let compile_span = telemetry
-        .as_ref()
-        .map(|(_, _, compile_ns)| Stopwatch::start(Arc::clone(compile_ns)));
-    let engine = match compile_all(properties, &mut voc, deny_warnings) {
-        Ok(engine) => engine,
-        Err(code) => return code,
-    };
-    drop(compile_span);
-    let mut session = engine.session_with_backend(DispatchMode::Indexed, backend);
-    if explain {
-        session.enable_explain(EXPLAIN_CAPACITY);
-    }
-    if let Some((session_metrics, _, _)) = &telemetry {
-        session.attach_metrics(Arc::clone(session_metrics));
-    }
-    let mut reports = Vec::with_capacity(paths.len());
-    let mut events: Vec<TimedEvent> = Vec::new();
-    for (file, _, end_time) in &files {
-        // The intern pass above fed the whole alphabet into `voc`, so the
-        // frozen-vocabulary decode cannot fail here; a failure would mean
-        // the mapped file changed under us between the passes. This pass
-        // is deliberately unobserved — the intern pass already counted
-        // every line and byte once, as the single-read path did.
-        if let Err(e) = decode_events_into(file.bytes(), &voc, &mut events) {
-            eprintln!("error: trace changed while being read: {e}");
-            return ExitCode::FAILURE;
-        }
-        session.reset();
-        match stats_every {
-            None => session.ingest_batch(&events),
-            Some(every) => {
-                // Heartbeats need batch boundaries: ingest in
-                // `--stats-every`-sized chunks and emit one stats line
-                // (stderr, like the text-mode watch heartbeat) per chunk.
-                let mut line = String::new();
-                for chunk in events.chunks(every as usize) {
-                    session.ingest_batch(chunk);
-                    line.clear();
-                    Record::Stats(&session).render(&mut line, StreamFormat::Ndjson, &voc, None);
-                    eprint!("{line}");
+        let mut all_ok = true;
+        for (path, (report, end_time)) in paths.iter().zip(&reports) {
+            match format {
+                ReportFormat::Text => {
+                    println!("{path}: {} events, end at {end_time}", report.stats.events);
+                    print!("{}", report.render(voc));
                 }
+                // One JSON object per trace file, NDJSON-style, so a
+                // script over many files maps lines to files.
+                ReportFormat::Json => println!(
+                    "{{\"file\": \"{}\", {}",
+                    json_escape(path),
+                    &report.render_json(voc)[1..],
+                ),
             }
+            all_ok &= report.is_ok();
         }
-        reports.push(session.finish(*end_time));
-    }
-    // Stop serving scrapes before the reports, as watch/smc do: a scrape
-    // racing the shutdown gets a clean 503, never a torn snapshot.
-    if let Some(server) = &server {
-        server.drain();
-    }
-    let mut all_ok = true;
-    for ((path, (_, len, end_time)), report) in paths.iter().zip(&files).zip(&reports) {
-        match format {
-            ReportFormat::Text => {
-                println!("{path}: {len} events, end at {end_time}");
-                print!("{}", report.render(&voc));
+        if format == ReportFormat::Text && paths.len() > 1 {
+            println!(
+                "{} files checked: {}",
+                paths.len(),
+                if all_ok { "all ok" } else { "violations found" }
+            );
+        }
+        if all_ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    })
+}
+
+/// The policy of `check` over the stream driver: each file is one stream,
+/// opened only once the one before it is done. Any rejected line is fatal
+/// and names its file, `end` only records the time, and heartbeats go to
+/// stderr. Returns each file's report and end time.
+fn check_files(
+    driver: &mut StreamDriver<'_>,
+    paths: &[String],
+) -> Result<Vec<(EngineReport, SimTime)>, ExitCode> {
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut reports = Vec::with_capacity(paths.len());
+    for path in paths {
+        let file = std::fs::File::open(path).map_err(|e| {
+            eprintln!("error: cannot read {path}: {e}");
+            ExitCode::FAILURE
+        })?;
+        let mut emit = |record: &Record<'_>, text: &str| {
+            match record {
+                Record::Error {
+                    fault: Fault::Encoding,
+                    ..
+                } => eprintln!("error: cannot read {path}: stream did not contain valid UTF-8"),
+                Record::Error { line, reason, .. } => {
+                    eprintln!("error: {path}: trace line {line}: {reason}");
+                }
+                Record::Stats(_) => return io::stderr().write_all(text.as_bytes()),
+                Record::Verdict(_) | Record::Summary { .. } => {}
             }
-            // One JSON object per trace file, NDJSON-style, so a script
-            // over many files maps lines to files.
-            ReportFormat::Json => println!(
-                "{{\"file\": \"{}\", {}",
-                json_escape(path),
-                &report.render_json(&voc)[1..],
-            ),
-        }
-        all_ok &= report.is_ok();
+            Ok(())
+        };
+        driver.reset();
+        let fatal = |_: &mut StreamDriver<'_>, step, _: &mut _| {
+            Ok(match step {
+                Step::Fault(_) => Flow::Exit(ExitCode::FAILURE),
+                Step::Applied | Step::End => Flow::Go,
+            })
+        };
+        let finished = match pump(driver, file, path, &mut chunk, &mut emit, fatal) {
+            Ok(Flow::Exit(code)) => return Err(code),
+            Ok(_) => driver.finish(&mut emit),
+            Err(e) => Err(e),
+        };
+        reports.push(finished.map_err(|e| write_failed(&e))?);
     }
-    if format == ReportFormat::Text && paths.len() > 1 {
-        println!(
-            "{} files checked: {}",
-            paths.len(),
-            if all_ok { "all ok" } else { "violations found" }
-        );
-    }
-    if all_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(reports)
 }
 
 fn watch(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
+    let setup = match StreamSetup::take(&mut args) {
+        Ok(setup) => setup,
+        Err(code) => return code,
+    };
     let strict = take_bool_flag(&mut args, "--strict");
-    let explain = take_bool_flag(&mut args, "--explain");
-    let backend = match take_backend_flag(&mut args) {
-        Ok(backend) => backend,
-        Err(code) => return code,
-    };
-    let metrics_addr = match take_value_flag(&mut args, "--metrics") {
-        Ok(addr) => addr,
-        Err(code) => return code,
-    };
-    let stats_every = match take_stats_every(&mut args) {
-        Ok(every) => every,
-        Err(code) => return code,
-    };
     let format = match take_value_flag(&mut args, "--format") {
         Ok(format) => format,
         Err(code) => return code,
@@ -520,49 +559,15 @@ fn watch(args: &[String]) -> ExitCode {
         return usage();
     }
 
-    // Live telemetry: every family is registered (and the listener bound)
-    // before anything runs, so a scrape racing startup sees the complete
-    // family set at zero rather than a partial registry.
-    let mut telemetry = None;
-    let mut server = None;
-    if let Some(addr) = &metrics_addr {
-        let registry = Arc::new(Registry::new());
-        let session_metrics = SessionMetrics::register(&registry);
-        let io_metrics = IoMetrics::register(&registry);
-        let compile_ns = registry.histogram(
-            "lomon_compile_ns",
-            "Wall-clock nanoseconds spent compiling the rulebook",
-        );
-        match bind_metrics(addr, &registry) {
-            Ok(bound) => server = Some(bound),
-            Err(code) => return code,
-        }
-        telemetry = Some((session_metrics, io_metrics, compile_ns));
-    }
-
-    let mut voc = Vocabulary::new();
-    let compile_span = telemetry
-        .as_ref()
-        .map(|(_, _, compile_ns)| Stopwatch::start(Arc::clone(compile_ns)));
-    let engine = match compile_all(&properties, &mut voc, deny_warnings) {
-        Ok(engine) => engine,
-        Err(code) => return code,
-    };
-    drop(compile_span);
-    let mut session = engine.session_with_backend(DispatchMode::Indexed, backend);
-    if explain {
-        session.enable_explain(EXPLAIN_CAPACITY);
-    }
-    if let Some((session_metrics, _, _)) = &telemetry {
-        session.attach_metrics(Arc::clone(session_metrics));
-    }
-    let mut driver = StreamDriver::new(session, &voc, format)
-        .observe_io(telemetry.as_ref().map(|(_, io, _)| Arc::clone(io)))
-        .heartbeat_every(stats_every);
-    watch_stdin(&mut driver, format, strict, server.as_ref()).unwrap_or_else(|e| {
-        eprintln!("error: cannot write output: {e}");
-        ExitCode::FAILURE
+    setup.run(&properties, format, |driver, server, _| {
+        watch_stdin(driver, format, strict, server).unwrap_or_else(|e| write_failed(&e))
     })
+}
+
+/// Report a failed write of the output; exit code 1.
+fn write_failed(e: &io::Error) -> ExitCode {
+    eprintln!("error: cannot write output: {e}");
+    ExitCode::FAILURE
 }
 
 /// The policy of `watch` over the stream driver. A bad line costs only
@@ -577,7 +582,7 @@ fn watch_stdin(
     format: StreamFormat,
     strict: bool,
     server: Option<&MetricsServer>,
-) -> std::io::Result<ExitCode> {
+) -> io::Result<ExitCode> {
     let mut emit = |record: &Record<'_>, text: &str| {
         match record {
             Record::Error {
@@ -597,41 +602,29 @@ fn watch_stdin(
             _ => {}
         }
         if format == StreamFormat::Ndjson || matches!(record, Record::Verdict(_)) {
-            std::io::stdout().write_all(text.as_bytes())
+            io::stdout().write_all(text.as_bytes())
         } else {
-            std::io::stderr().write_all(text.as_bytes())
+            io::stderr().write_all(text.as_bytes())
         }
     };
-    let mut stdin = std::io::stdin().lock();
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut done = false;
-    while !done {
-        match stdin.read(&mut chunk) {
-            Ok(0) => {
-                done = true;
-                if driver.partial_len() > 0 {
-                    driver.push(b"\n");
-                }
-            }
-            Ok(n) => driver.push(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("error: cannot read stdin: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let policy = |driver: &mut StreamDriver<'_>, step, emit: &mut _| {
+        match step {
+            Step::End => driver.advance(emit)?,
+            Step::Fault(Fault::Encoding) => return Ok(Flow::Exit(ExitCode::FAILURE)),
+            Step::Fault(_) if strict => return Ok(Flow::Exit(ExitCode::from(2))),
+            Step::Applied | Step::Fault(_) => {}
         }
-        while let Some(step) = driver.step(&mut emit)? {
-            match step {
-                Step::End => driver.advance(&mut emit)?,
-                Step::Fault(Fault::Encoding) => return Ok(ExitCode::FAILURE),
-                Step::Fault(_) if strict => return Ok(ExitCode::from(2)),
-                Step::Applied | Step::Fault(_) => {}
-            }
-            if driver.session().is_settled() {
-                done = true; // every verdict is final; the rest is moot
-                break;
-            }
-        }
+        // Once every verdict is final, the rest of the stream is moot.
+        Ok(if driver.session().is_settled() {
+            Flow::Stop
+        } else {
+            Flow::Go
+        })
+    };
+    let stdin = io::stdin().lock();
+    if let Flow::Exit(code) = pump(driver, stdin, "stdin", &mut chunk, &mut emit, policy)? {
+        return Ok(code);
     }
     driver.close(&mut emit)?;
     Ok(if driver.session().report().is_ok() {
@@ -639,6 +632,63 @@ fn watch_stdin(
     } else {
         ExitCode::FAILURE
     })
+}
+
+/// Bytes asked of each read of a `check` file or of `watch`'s stdin.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// What a command's policy makes of one [`Step`] of its stream.
+enum Flow {
+    /// Apply the next line.
+    Go,
+    /// Stop reading; the stream ends normally.
+    Stop,
+    /// Stop with this exit code; the stream does not end.
+    Exit(ExitCode),
+}
+
+/// The one read → push → step loop of the binary: feed `input` through
+/// `driver` in `chunk`-sized reads, apply each complete line (a last line
+/// without a newline still counts) and hand its [`Step`] to `policy`.
+/// Returns [`Flow::Stop`] at the end of the input or when `policy` stops,
+/// and [`Flow::Exit`] when `policy` exits or the input cannot be read (the
+/// error names `source`). Fails with the first error `sink` returns.
+fn pump<'e, S: RecordSink>(
+    driver: &mut StreamDriver<'e>,
+    mut input: impl Read,
+    source: &str,
+    chunk: &mut [u8],
+    sink: &mut S,
+    mut policy: impl FnMut(&mut StreamDriver<'e>, Step, &mut S) -> io::Result<Flow>,
+) -> io::Result<Flow> {
+    loop {
+        let ended = match input.read(chunk) {
+            Ok(0) => {
+                if driver.partial_len() > 0 {
+                    driver.push(b"\n");
+                }
+                true
+            }
+            Ok(n) => {
+                driver.push(&chunk[..n]);
+                false
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
+            Err(e) => {
+                eprintln!("error: cannot read {source}: {e}");
+                return Ok(Flow::Exit(ExitCode::FAILURE));
+            }
+        };
+        while let Some(step) = driver.step(sink)? {
+            match policy(driver, step, sink)? {
+                Flow::Go => {}
+                flow => return Ok(flow),
+            }
+        }
+        if ended {
+            return Ok(Flow::Stop);
+        }
+    }
 }
 
 /// Parse `text` as a `T`, or print an error naming `flag` and exit-code 2.
@@ -649,8 +699,8 @@ fn parse_flag_value<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, E
     })
 }
 
-/// Extract `--stats-every <N>` — the heartbeat period in events (`watch`)
-/// or episodes (`smc`) — rejecting zero.
+/// Extract `--stats-every <N>` — the heartbeat period in events (`check`,
+/// `watch`) or episodes (`smc`) — rejecting zero.
 fn take_stats_every(args: &mut Vec<String>) -> Result<Option<u64>, ExitCode> {
     match take_value_flag(args, "--stats-every")? {
         None => Ok(None),
@@ -690,23 +740,10 @@ fn report_rulebook_warnings(properties: &[String], deny_warnings: bool) -> Resul
     }
     let mut voc = Vocabulary::new();
     let opts = AnalysisOptions::default();
-    if let Ok((_, diagnostics)) = Engine::compile_with_analysis(properties, &mut voc, &opts) {
-        let warnings = diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count();
-        for diagnostic in diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-        {
-            eprintln!("{}", diagnostic.render_text());
-        }
-        if deny_warnings && warnings > 0 {
-            eprintln!("error: rulebook has {warnings} warning(s) (--deny-warnings)");
-            return Err(ExitCode::FAILURE);
-        }
+    match Engine::compile_with_analysis(properties, &mut voc, &opts) {
+        Ok((_, diagnostics)) => print_warnings(&diagnostics, deny_warnings),
+        Err(_) => Ok(()),
     }
-    Ok(())
 }
 
 /// `lomon serve`: run the hardened monitoring daemon until a drain
@@ -1170,32 +1207,10 @@ fn lint(args: &[String]) -> ExitCode {
         return usage();
     }
 
-    // Collect the rulebook: file arguments contribute one property per
-    // non-comment line, the rest are inline property texts.
-    let mut properties: Vec<String> = Vec::new();
-    for arg in &args {
-        if std::path::Path::new(arg).is_file() {
-            let text = match std::fs::read_to_string(arg) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("error: cannot read {arg}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            properties.extend(
-                text.lines()
-                    .map(str::trim)
-                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                    .map(str::to_owned),
-            );
-        } else {
-            properties.push(arg.clone());
-        }
-    }
-    if properties.is_empty() {
-        eprintln!("error: the rulebook is empty");
-        return ExitCode::from(2);
-    }
+    let properties = match read_rulebook(&args, 2) {
+        Ok(properties) => properties,
+        Err(code) => return code,
+    };
 
     // An optional trace corpus: per-name event counts for the coverage
     // and dead-table analyses, and the self-check replay for --fix-prune.
@@ -1375,30 +1390,10 @@ fn profile(args: &[String]) -> ExitCode {
         eprintln!("error: `lomon profile` needs at least one property before the trace file");
         return usage();
     }
-    let mut properties: Vec<String> = Vec::new();
-    for arg in rulebook {
-        if std::path::Path::new(arg).is_file() {
-            let text = match std::fs::read_to_string(arg) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("error: cannot read {arg}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            properties.extend(
-                text.lines()
-                    .map(str::trim)
-                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                    .map(str::to_owned),
-            );
-        } else {
-            properties.push(arg.clone());
-        }
-    }
-    if properties.is_empty() {
-        eprintln!("error: the rulebook is empty");
-        return ExitCode::FAILURE;
-    }
+    let properties = match read_rulebook(rulebook, 1) {
+        Ok(properties) => properties,
+        Err(code) => return code,
+    };
 
     // Every phase below runs under a tracer span; with `--trace-out` the
     // resulting timeline is written as Chrome trace-event JSON.

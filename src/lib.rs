@@ -9,9 +9,9 @@
 //!
 //! | Module | Crate | Paper |
 //! |---|---|---|
-//! | [`trace`] | `lomon-trace` | §2 interfaces, names, simulated time; wire-speed ingest: `mmap`-backed files (`trace::MappedFile`), zero-copy byte lexing of the text/NDJSON grammars (`trace::wire`, `trace::ndjson`), frozen-vocabulary decode to pre-resolved ids (`trace::Vocabulary::lookup_bytes`, `trace::decode_events_into`) |
+//! | [`trace`] | `lomon-trace` | §2 interfaces, names, simulated time; wire-speed ingest: the capped line framer (`trace::FrameDecoder`), zero-copy byte lexing of the text/NDJSON grammars (`trace::wire`, `trace::ndjson`), frozen-vocabulary resolution to pre-resolved ids (`trace::Vocabulary::lookup_bytes`); whole-buffer decoders kept for the benchmarks (`trace::MappedFile`, `trace::decode_events_into`) |
 //! | [`core`] | `lomon-core` | §3–§5 patterns, Fig. 5 recognizers, Drct monitors, compiled flat-table lowering, fused rulebook programs, static analysis (`core::analysis`: L003–L009 lints, dead-table pruning), witness capture + flight recorder (`core::witness`) |
-//! | [`engine`] | `lomon-engine` | streaming multi-property engine, event-indexed dispatch, fused backend + interpreter oracle, compile-time analysis integration, the sans-I/O stream driver behind `watch` and `serve` (`engine::StreamDriver`) |
+//! | [`engine`] | `lomon-engine` | streaming multi-property engine, event-indexed dispatch, fused backend + interpreter oracle, compile-time analysis integration, the sans-I/O stream driver behind `check`, `watch` and `serve` (`engine::StreamDriver`) |
 //! | [`psl`] | `lomon-psl` | §5 translation to PSL, ViaPSL baseline |
 //! | [`sync`] | `lomon-sync` | §6 Lustre-style synchronous validation |
 //! | [`gen`] | `lomon-gen` | §8 stimuli generation (future work) |

@@ -173,6 +173,42 @@ fn multi_file_check_exit_code_combines_all_files() {
 }
 
 #[test]
+fn check_survives_truncation_while_reading() {
+    // A trace cut short while `check` reads it ends the read early: the
+    // run exits with a code (0, or 1 for a torn last line), never a
+    // signal. Reading through a memory map died of SIGBUS here.
+    use std::process::{Command, Stdio};
+    let dir = std::env::temp_dir().join(format!("lomon-truncate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("big.trace");
+    let names = ["set_imgAddr", "set_glAddr", "set_glSize", "start"];
+    let text: String = (0..400_000u64)
+        .map(|i| format!("{}ns in {}\n", 10 * i, names[i as usize % 4]))
+        .collect();
+    for delay_ms in [20, 50, 100] {
+        std::fs::write(&trace, &text).expect("write trace");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lomon"))
+            .args(["check", trace.to_str().unwrap(), PROPERTY])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn lomon");
+        std::thread::sleep(std::time::Duration::from_millis(delay_ms));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&trace)
+            .and_then(|file| file.set_len(0))
+            .expect("truncate trace");
+        let status = child.wait().expect("lomon exits");
+        assert!(
+            matches!(status.code(), Some(0 | 1)),
+            "truncated {delay_ms} ms after spawn: {status:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn out_of_range_time_literals_are_rejected_not_wrapped() {
     let dir = std::env::temp_dir().join(format!("lomon-time-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

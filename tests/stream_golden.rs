@@ -1,8 +1,9 @@
 //! Golden transcripts of the streaming surfaces: the exact stdout, stderr
-//! and exit code of `lomon watch` in both input formats, and the exact
-//! frames of one `lomon serve` connection. The other watch/serve suites
-//! assert fragments; these pin whole outputs, so any byte that a change to
-//! the stream pipeline moves shows up as a fixture diff.
+//! and exit code of `lomon check` over trace files and of `lomon watch` in
+//! both input formats, and the exact frames of one `lomon serve`
+//! connection. The other check/watch/serve suites assert fragments; these
+//! pin whole outputs, so any byte that a change to the stream pipeline
+//! moves shows up as a fixture diff.
 //!
 //! After an *intended* output change, regenerate the fixtures with
 //! `LOMON_BLESS=1 cargo test --test stream_golden` and review the diff.
@@ -190,6 +191,185 @@ fn check_heartbeat_transcript() {
     assert_eq!(output.status.code(), Some(1), "{}", common::stderr(&output));
     assert_golden("check_stats_every.stdout", &common::stdout(&output));
     assert_golden("check_stats_every.stderr", &common::stderr(&output));
+}
+
+/// One `check` scenario: its trace files are written to a temporary
+/// directory, which the transcripts name `<dir>`, and passed before `args`.
+struct CheckCase {
+    name: &'static str,
+    args: &'static [&'static str],
+    files: &'static [(&'static str, &'static [u8])],
+    code: i32,
+}
+
+const CLEAN: &[u8] = b"10ns in set_imgAddr\n12ns in set_glAddr\n15ns in set_glSize\n\
+                       20ns in start\n30ns in go\n40ns out done\nend 100ns\n";
+const VIOLATING: &[u8] = b"5ns in start\n20ns in set_imgAddr\n30ns in go\nend 200ns\n";
+
+const CHECK_CASES: &[CheckCase] = &[
+    CheckCase {
+        name: "text",
+        args: &[ONCE, TIMED],
+        files: &[("clean.trace", CLEAN)],
+        code: 0,
+    },
+    CheckCase {
+        name: "json",
+        args: &["--format", "json", ONCE, TIMED],
+        files: &[("clean.trace", CLEAN), ("violating.trace", VIOLATING)],
+        code: 1,
+    },
+    CheckCase {
+        name: "explain",
+        args: &["--explain", ONCE, TIMED],
+        files: &[("violating.trace", VIOLATING)],
+        code: 1,
+    },
+    CheckCase {
+        name: "multi_file",
+        args: &[ONCE, TIMED],
+        files: &[
+            ("a.trace", CLEAN),
+            ("b.trace", VIOLATING),
+            ("c.trace", CLEAN),
+        ],
+        code: 1,
+    },
+    CheckCase {
+        name: "crlf",
+        args: &[ONCE],
+        files: &[(
+            "crlf.trace",
+            b"10ns in set_imgAddr\r\n12ns in set_glAddr\r\n15ns in set_glSize\r\n\
+              20ns in start\r\n",
+        )],
+        code: 0,
+    },
+    CheckCase {
+        name: "no_final_newline",
+        args: &[common::PROPERTY],
+        files: &[(
+            "t.trace",
+            b"10ns in set_imgAddr\n20ns in set_glAddr\n30ns in set_glSize\n40ns in start",
+        )],
+        code: 0,
+    },
+    CheckCase {
+        name: "mid_file_end",
+        args: &[TIMED],
+        files: &[(
+            "t.trace",
+            b"10ns in go\nend 20ns\n30ns out done\n40ns in go\nend 200ns\n",
+        )],
+        code: 1,
+    },
+    CheckCase {
+        name: "malformed",
+        args: &[ONCE],
+        files: &[
+            ("clean.trace", CLEAN),
+            (
+                "bad.trace",
+                b"5ns in set_imgAddr\nthis is not an event\n20ns in start\n",
+            ),
+        ],
+        code: 1,
+    },
+    CheckCase {
+        name: "time_travel",
+        args: &[common::PROPERTY],
+        files: &[(
+            "t.trace",
+            b"10ns in set_imgAddr\n5ns in set_glAddr\n20ns in set_glAddr\n",
+        )],
+        code: 1,
+    },
+    CheckCase {
+        name: "invalid_utf8",
+        args: &[ONCE],
+        files: &[("t.trace", b"10ns in set_imgAddr\n20ns in caf\xc3\n")],
+        code: 1,
+    },
+    // A name no property uses only advances time: it is not counted as an
+    // event, but its timestamp still expires the deadline.
+    CheckCase {
+        name: "unknown_name",
+        args: &[TIMED],
+        files: &[(
+            "t.trace",
+            b"10ns in go\n20ns in noise\n200ns in noise\n300ns in go\n",
+        )],
+        code: 1,
+    },
+    // Name directions come from the rulebook, not from the trace's
+    // `in|out` token.
+    CheckCase {
+        name: "direction",
+        args: &["a << start once"],
+        files: &[("t.trace", b"10ns in a\n20ns out start\n")],
+        code: 0,
+    },
+    // Heartbeats come at multiples of N only.
+    CheckCase {
+        name: "stats_every_partial",
+        args: &["--stats-every", "3", common::PROPERTY],
+        files: &[(
+            "t.trace",
+            b"10ns in set_imgAddr\n20ns in set_glAddr\n30ns in set_glSize\n\
+              40ns in start\n50ns in set_imgAddr\n60ns in set_glAddr\n70ns in set_glSize\n",
+        )],
+        code: 0,
+    },
+];
+
+/// Write `files` to a fresh temporary directory, run `lomon check` on them
+/// with `args`, and compare the transcripts with the directory as `<dir>`.
+fn run_check(name: &str, args: &[&str], files: &[(&str, &[u8])], code: i32) {
+    let dir = std::env::temp_dir().join(format!("lomon-golden-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut argv = vec!["check".to_owned()];
+    for (file, bytes) in files {
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).expect("write trace");
+        argv.push(path.to_str().expect("UTF-8 temp path").to_owned());
+    }
+    argv.extend(args.iter().map(|&a| a.to_owned()));
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    let output = common::lomon(&argv);
+    std::fs::remove_dir_all(&dir).ok();
+    let dir = dir.to_str().expect("UTF-8 temp path");
+    let name = format!("check_{name}");
+    assert_eq!(
+        output.status.code(),
+        Some(code),
+        "{name}: stderr {}",
+        common::stderr(&output)
+    );
+    assert_golden(
+        &format!("{name}.stdout"),
+        &common::stdout(&output).replace(dir, "<dir>"),
+    );
+    assert_golden(
+        &format!("{name}.stderr"),
+        &common::stderr(&output).replace(dir, "<dir>"),
+    );
+}
+
+#[test]
+fn check_transcripts() {
+    for case in CHECK_CASES {
+        run_check(case.name, case.args, case.files, case.code);
+    }
+}
+
+/// A line over the 64 KiB frame cap is a fatal error of its file, as on
+/// the other stream surfaces.
+#[test]
+fn check_oversized_line_transcript() {
+    let mut trace = b"10ns in set_imgAddr\n20ns in set_glAddr\n30ns in set_glSize\n# ".to_vec();
+    trace.resize(trace.len() + 70_000, b'x');
+    trace.extend_from_slice(b"\n40ns in start\n");
+    run_check("oversized_line", &[ONCE], &[("t.trace", &trace)], 1);
 }
 
 /// One connection carrying two complete streams, then a third stream cut
