@@ -16,15 +16,28 @@
 //!   `lomon_events_total` equals `REPS × events` and
 //!   `lomon_streams_total` equals `REPS` — the deltas neither drop nor
 //!   double-count across session resets.
+//!
+//! `Session::ingest_batch` is not what the surfaces run, so a second leg
+//! times the path that ships: the same workloads rendered as trace text
+//! and as NDJSON, pushed through a [`StreamDriver`] in 64 KiB chunks into
+//! a counting sink, detached against [`IoMetrics`] + [`SessionMetrics`]
+//! attached (what `--metrics` wires up), interleaved, best of [`REPS`].
+//! `--check` holds that ratio at [`OVERHEAD_GATE`] too, and requires
+//! identical records on both sides and exact `lomon_io_lines_total`,
+//! `lomon_io_bytes_total` and `lomon_events_total`.
 
+use std::fmt::Write as _;
+use std::io;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lomon_bench::workloads::{disjoint, overlapping};
-use lomon_engine::{Backend, DispatchMode, Engine, Session, SessionMetrics};
+use lomon_bench::workloads::{disjoint_with_vocabulary, overlapping_with_vocabulary};
+use lomon_engine::{
+    Backend, DispatchMode, Engine, Record, Session, SessionMetrics, Step, StreamDriver,
+};
 use lomon_obs::Registry;
-use lomon_trace::{SimTime, TimedEvent};
+use lomon_trace::{write_trace, IoMetrics, SimTime, StreamFormat, TimedEvent, Trace, Vocabulary};
 
 /// The `--check` gate: instrumented ns/event at most this multiple of the
 /// detached session's. The measured overhead is a few percent at worst —
@@ -49,9 +62,14 @@ const EXPLAIN_CAPACITY: usize = 64;
 /// machine cannot skew the ratio.
 const REPS: usize = 15;
 
+/// The read size of `check` and `watch`, in which the driver leg feeds
+/// its input.
+const CHUNK: usize = 64 * 1024;
+
 struct Workload {
     name: &'static str,
     engine: Engine,
+    voc: Vocabulary,
     events: Vec<TimedEvent>,
 }
 
@@ -76,39 +94,23 @@ fn main() -> ExitCode {
     } else {
         (100_000, 10_000)
     };
+    let workload = |name, (engine, voc, events)| Workload {
+        name,
+        engine,
+        voc,
+        events,
+    };
     let workloads: Vec<Workload> = vec![
-        {
-            let (engine, events) = disjoint(1, single_rounds);
-            Workload {
-                name: "single",
-                engine,
-                events,
-            }
-        },
-        {
-            let (engine, events) = disjoint(50, multi_rounds);
-            Workload {
-                name: "disjoint-50",
-                engine,
-                events,
-            }
-        },
-        {
-            let (engine, events) = overlapping(50, multi_rounds * 5);
-            Workload {
-                name: "overlap-50",
-                engine,
-                events,
-            }
-        },
-        {
-            let (engine, events) = overlapping(200, multi_rounds * 5);
-            Workload {
-                name: "overlap-200",
-                engine,
-                events,
-            }
-        },
+        workload("single", disjoint_with_vocabulary(1, single_rounds)),
+        workload("disjoint-50", disjoint_with_vocabulary(50, multi_rounds)),
+        workload(
+            "overlap-50",
+            overlapping_with_vocabulary(50, multi_rounds * 5),
+        ),
+        workload(
+            "overlap-200",
+            overlapping_with_vocabulary(200, multi_rounds * 5),
+        ),
     ];
 
     println!(
@@ -220,17 +222,154 @@ fn main() -> ExitCode {
     }
     println!();
 
+    println!(
+        "telemetry overhead — stream driver, {} KiB chunks, detached vs IoMetrics + \
+         SessionMetrics (best of {REPS})",
+        CHUNK / 1024
+    );
+    println!(
+        "{:>12} {:>7} {:>9} {:>12} {:>14} {:>8}",
+        "workload", "format", "events", "plain ns/ev", "metrics ns/ev", "ratio"
+    );
+    for w in &workloads {
+        for format in [StreamFormat::Trace, StreamFormat::Ndjson] {
+            ok &= driver_leg(w, format, check_mode);
+        }
+    }
+    println!();
+
     if !check_mode {
         return ExitCode::SUCCESS;
     }
     if ok {
         println!(
-            "OK: live registry within {OVERHEAD_GATE}x and explain mode within \
-             {EXPLAIN_GATE}x of detached on all workloads; verdicts, ops and \
-             counters exact"
+            "OK: live registry within {OVERHEAD_GATE}x of detached on ingest_batch and \
+             on the stream driver, explain mode within {EXPLAIN_GATE}x, on all workloads; \
+             verdicts, ops, records and counters exact"
         );
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// `events` as stream text in `format`, one newline-terminated line each.
+fn render(events: &[TimedEvent], voc: &Vocabulary, format: StreamFormat) -> Vec<u8> {
+    match format {
+        StreamFormat::Trace => write_trace(
+            &Trace::from_pairs(events.iter().map(|e| (e.time, e.name))),
+            voc,
+        ),
+        StreamFormat::Ndjson => events.iter().fold(String::new(), |mut text, e| {
+            let _ = writeln!(
+                text,
+                "{{\"time\": \"{}\", \"dir\": \"{}\", \"name\": \"{}\"}}",
+                e.time,
+                voc.direction(e.name),
+                voc.resolve(e.name)
+            );
+            text
+        }),
+    }
+    .into_bytes()
+}
+
+/// One timed stream through `driver` (reset first, outside the timer):
+/// `input` in [`CHUNK`]-sized pushes, every line stepped, then closed.
+/// `records` receives every rendered record; returns the nanoseconds taken
+/// and the number of rejected lines.
+fn drive(driver: &mut StreamDriver<'_>, input: &[u8], records: &mut String) -> (u128, u64) {
+    driver.reset();
+    records.clear();
+    let mut faults = 0;
+    let mut sink = |_: &Record<'_>, rendered: &str| -> io::Result<()> {
+        records.push_str(rendered);
+        Ok(())
+    };
+    let started = Instant::now();
+    for chunk in input.chunks(CHUNK) {
+        driver.push(chunk);
+        while let Some(step) = driver.step(&mut sink).expect("the sink never fails") {
+            faults += u64::from(matches!(step, Step::Fault(_)));
+        }
+    }
+    driver.close(&mut sink).expect("the sink never fails");
+    (started.elapsed().as_nanos(), faults)
+}
+
+/// The driver leg on one workload and format; prints its row and returns
+/// whether every `--check` condition held.
+fn driver_leg(w: &Workload, format: StreamFormat, check_mode: bool) -> bool {
+    let input = render(&w.events, &w.voc, format);
+    let lines = input.iter().filter(|&&b| b == b'\n').count() as u64;
+    let registry = Registry::new();
+    let session_metrics = SessionMetrics::register(&registry);
+    let io_metrics = IoMetrics::register(&registry);
+    let mut plain = StreamDriver::new(w.engine.session(), &w.voc, format);
+    let mut session = w.engine.session();
+    session.attach_metrics(Arc::clone(&session_metrics));
+    let mut observed =
+        StreamDriver::new(session, &w.voc, format).observe_io(Some(Arc::clone(&io_metrics)));
+
+    let (mut plain_records, mut observed_records) = (String::new(), String::new());
+    let mut best = [u128::MAX; 2];
+    let mut faults = 0;
+    for _ in 0..REPS {
+        let (ns, f) = drive(&mut plain, &input, &mut plain_records);
+        best[0] = best[0].min(ns);
+        faults += f;
+        let (ns, f) = drive(&mut observed, &input, &mut observed_records);
+        best[1] = best[1].min(ns);
+        faults += f;
+    }
+
+    let label = match format {
+        StreamFormat::Trace => "trace",
+        StreamFormat::Ndjson => "ndjson",
+    };
+    let mut ok = true;
+    let mut fail = |what: String| {
+        println!("FAIL: {} {label}: {what}", w.name);
+        ok = false;
+    };
+    if faults > 0 {
+        fail(format!("{faults} lines rejected"));
+    }
+    if plain_records != observed_records || plain_records.is_empty() {
+        fail("records differ under instrumentation".to_owned());
+    }
+    let reps = REPS as u64;
+    for (family, got, expected) in [
+        ("lomon_io_lines_total", io_metrics.lines.get(), reps * lines),
+        (
+            "lomon_io_bytes_total",
+            io_metrics.bytes.get(),
+            reps * input.len() as u64,
+        ),
+        (
+            "lomon_events_total",
+            session_metrics.events.get(),
+            reps * w.events.len() as u64,
+        ),
+    ] {
+        if got != expected {
+            fail(format!("{family} {got} != {expected}"));
+        }
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    let per_event = |ns: u128| ns as f64 / w.events.len() as f64;
+    let (plain_ns, instr_ns) = (per_event(best[0]), per_event(best[1]));
+    let ratio = instr_ns / plain_ns.max(f64::MIN_POSITIVE);
+    println!(
+        "{:>12} {label:>7} {:>9} {plain_ns:>12.1} {instr_ns:>14.1} {ratio:>7.3}x",
+        w.name,
+        w.events.len(),
+    );
+    if check_mode && ratio > OVERHEAD_GATE {
+        fail(format!(
+            "instrumented {ratio:.3}x over the {OVERHEAD_GATE}x gate"
+        ));
+    }
+    ok
 }

@@ -1,6 +1,7 @@
 //! The hot-loop workload constructors, shared by the `hot_loop` bench
 //! (backend ratios) and the `obs_overhead` bench (telemetry cost): a
-//! rulebook [`Engine`] plus the event stream that drives it.
+//! rulebook [`Engine`] plus the event stream that drives it, and on
+//! request the vocabulary to render that stream as text.
 
 use lomon_engine::Engine;
 use lomon_trace::{SimTime, TimedEvent, Vocabulary};
@@ -67,6 +68,20 @@ pub fn disjoint_with_vocabulary(
 ///
 /// Panics if the generated rulebook fails to compile (a harness bug).
 pub fn overlapping(count: usize, rounds: usize) -> (Engine, Vec<TimedEvent>) {
+    let (engine, _, events) = overlapping_with_vocabulary(count, rounds);
+    (engine, events)
+}
+
+/// [`overlapping`], additionally returning the vocabulary the rulebook was
+/// compiled against, to render the event stream as text.
+///
+/// # Panics
+///
+/// Panics if the generated rulebook fails to compile (a harness bug).
+pub fn overlapping_with_vocabulary(
+    count: usize,
+    rounds: usize,
+) -> (Engine, Vocabulary, Vec<TimedEvent>) {
     let mut voc = Vocabulary::new();
     let names = ["s_a", "s_b", "s_c"];
     let rulebook: Vec<String> = (0..count)
@@ -86,5 +101,5 @@ pub fn overlapping(count: usize, rounds: usize) -> (Engine, Vec<TimedEvent>) {
             events.push(TimedEvent::new(name, SimTime::from_ns(ns)));
         }
     }
-    (engine, events)
+    (engine, voc, events)
 }

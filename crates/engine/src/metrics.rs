@@ -4,11 +4,15 @@
 //!
 //! Instrumentation follows the non-intrusive-observation principle: the
 //! dispatch hot loops are untouched. A session with a sink attached
-//! flushes *deltas at batch boundaries* (end of `ingest`/`ingest_batch`/
-//! `advance_time`/`close`, and just before `reset`), so the per-event cost
-//! of a live registry is a few relaxed atomic adds amortized over the
-//! whole batch — gated at ≤ 1.10× the uninstrumented fused hot path by
-//! `obs_overhead --check` in `lomon-bench`.
+//! flushes *deltas at batch boundaries* — the end of `ingest_batch`,
+//! `advance_time` and `close`, just before `reset`, and wherever its
+//! caller calls `Session::flush_metrics` — so the per-event cost of a live
+//! registry is a few relaxed atomic adds amortized over the whole batch.
+//! `ingest` steps one event and does not flush: the stream driver, which
+//! steps every surface's events one at a time, flushes once per buffered
+//! chunk of input instead, and before it emits an error record, a close or
+//! a finish. `obs_overhead --check` in `lomon-bench` gates both the batch
+//! path and the driver at ≤ 1.10× their uninstrumented runs.
 
 use std::sync::Arc;
 

@@ -324,12 +324,20 @@ impl<'e> Session<'e> {
         self.arena.unit(program.group_of(id))
     }
 
-    /// Feed one event to every unit that can react to it.
+    /// Feed one event to every unit that can react to it. An attached
+    /// metrics sink sees the event at the next flush point: callers that
+    /// step one event at a time call [`Session::flush_metrics`] at their
+    /// own batch boundary.
     #[inline]
     pub fn ingest(&mut self, event: TimedEvent) {
         with_arena!(self, |program, ms| {
             self.core.ingest_in(program, ms, event);
         });
+    }
+
+    /// Credit the statistics accumulated since the last flush to the
+    /// attached metrics sink, if any; detached, this is one branch.
+    pub fn flush_metrics(&mut self) {
         self.core.flush_metrics();
     }
 

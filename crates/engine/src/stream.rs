@@ -197,6 +197,11 @@ impl<F: FnMut(&Record<'_>, &str) -> io::Result<()>> RecordSink for F {
     }
 }
 
+/// An observed driver times the parse of one line in this many, picked
+/// by line number: two clock reads per line would cost more than the fast
+/// paths they time, so `lomon_ingest_decode_ns` is a sample.
+const DECODE_SAMPLE_EVERY: u64 = 64;
+
 /// One parsed stream line.
 enum Input {
     /// An event; `None` when no property uses its name.
@@ -231,6 +236,9 @@ pub struct StreamDriver<'e> {
     out: Renderer<'e>,
     decoder: FrameDecoder,
     io: Option<Arc<IoMetrics>>,
+    /// Lines and bytes decoded since the last flush into `io`.
+    unflushed_lines: u64,
+    unflushed_bytes: u64,
     stats_every: Option<u64>,
     line: u64,
     last_time: SimTime,
@@ -253,6 +261,8 @@ impl<'e> StreamDriver<'e> {
             },
             decoder: FrameDecoder::new(MAX_FRAME_BYTES),
             io: None,
+            unflushed_lines: 0,
+            unflushed_bytes: 0,
             stats_every: None,
             line: 0,
             last_time: SimTime::ZERO,
@@ -279,7 +289,11 @@ impl<'e> StreamDriver<'e> {
     }
 
     /// Count every line, byte and rejected line into `metrics`, if given,
-    /// and time each line's parse.
+    /// and time the parse of one line in 64, picked by line number. Lines and
+    /// bytes are added at each flush point: when [`StreamDriver::step`]
+    /// finds no complete line buffered, and before [`StreamDriver::fail`],
+    /// [`StreamDriver::close`] and [`StreamDriver::finish`] emit. The
+    /// session's own metrics, if attached, are flushed at the same points.
     #[must_use]
     pub fn observe_io(mut self, metrics: Option<Arc<IoMetrics>>) -> Self {
         self.io = metrics;
@@ -316,13 +330,30 @@ impl<'e> StreamDriver<'e> {
     /// Fails with the first error `sink` returns.
     pub fn step(&mut self, sink: &mut impl RecordSink) -> io::Result<Option<Step>> {
         let parsed = match self.decoder.next_frame() {
-            None => return Ok(None),
+            None => {
+                self.flush_metrics();
+                return Ok(None);
+            }
             Some(Frame::Oversized { seen }) => Err((
                 Fault::Protocol,
                 format!("frame exceeds {MAX_FRAME_BYTES} bytes ({seen}+ seen); dropped"),
             )),
             Some(Frame::Line(line)) => {
-                decode(line, self.out.format, self.out.voc, self.io.as_deref())
+                self.unflushed_lines += 1;
+                self.unflushed_bytes += line.len() as u64 + 1; // + the newline
+
+                // Sampled by this line's number, `self.line + 1`.
+                let timer = self
+                    .io
+                    .as_ref()
+                    .filter(|_| (self.line + 1).is_multiple_of(DECODE_SAMPLE_EVERY))
+                    .map(|io| (io, Instant::now()));
+                let parsed = decode(line, self.out.format, self.out.voc);
+                if let Some((io, started)) = timer {
+                    io.decode_ns
+                        .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                }
+                parsed
             }
         };
         self.line += 1;
@@ -422,6 +453,7 @@ impl<'e> StreamDriver<'e> {
         if let Some(io) = &self.io {
             io.parse_errors.inc();
         }
+        self.flush_metrics();
         let record = Record::Error {
             line: self.line,
             fault,
@@ -435,7 +467,20 @@ impl<'e> StreamDriver<'e> {
     /// finalize on close.
     fn close_session(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
         self.session.close(self.last_time);
+        self.flush_metrics();
         self.drain(sink)
+    }
+
+    /// Add the lines and bytes decoded since the last flush to the I/O
+    /// metrics, if observed, and flush the session's metrics, if attached.
+    fn flush_metrics(&mut self) {
+        if let Some(io) = &self.io {
+            io.lines.add(self.unflushed_lines);
+            io.bytes.add(self.unflushed_bytes);
+        }
+        self.unflushed_lines = 0;
+        self.unflushed_bytes = 0;
+        self.session.flush_metrics();
     }
 
     /// Emit the verdicts that went final since the last drain.
@@ -465,19 +510,8 @@ fn decode(
     line: &[u8],
     format: StreamFormat,
     voc: &Vocabulary,
-    io: Option<&IoMetrics>,
 ) -> Result<Option<Input>, (Fault, String)> {
-    if let Some(io) = io {
-        io.lines.inc();
-        io.bytes.add(line.len() as u64 + 1); // + the newline
-    }
-    let started = io.map(|_| Instant::now());
-    let parsed = parse_stream_line_bytes(format, line);
-    if let (Some(started), Some(io)) = (started, io) {
-        io.decode_ns
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-    match parsed {
+    match parse_stream_line_bytes(format, line) {
         Ok(None) => Ok(None),
         Ok(Some(StreamLineRef::Event { time, name, .. })) => {
             Ok(Some(Input::Event(time, voc.lookup_bytes(name.as_bytes()))))

@@ -1,13 +1,16 @@
 //! The stream driver's contracts: chunking never changes what a stream
 //! means, unknown names only advance time and never grow the vocabulary,
-//! a runaway line is dropped under the frame cap instead of buffered, and
-//! the batch ending reports what the online ending summarizes.
+//! a runaway line is dropped under the frame cap instead of buffered, the
+//! batch ending reports what the online ending summarizes, and telemetry
+//! is credited at flush points rather than per line.
 
 use std::io;
+use std::sync::Arc;
 
 use lomon_core::verdict::Verdict;
-use lomon_engine::{DispatchStats, Engine, Fault, Record, Step, StreamDriver};
-use lomon_trace::{SimTime, StreamFormat, Vocabulary, MAX_FRAME_BYTES};
+use lomon_engine::{DispatchStats, Engine, Fault, Record, SessionMetrics, Step, StreamDriver};
+use lomon_obs::Registry;
+use lomon_trace::{IoMetrics, SimTime, StreamFormat, Vocabulary, MAX_FRAME_BYTES};
 use proptest::prelude::*;
 
 const RULEBOOK: [&str; 3] = [
@@ -257,4 +260,47 @@ fn finish_returns_the_report_close_summarizes() {
     assert_eq!(end, SimTime::from_ns(90));
     assert_eq!(Some(report.render(&voc)), summary);
     assert_eq!(finals, [true, true], "only the two final verdicts");
+}
+
+#[test]
+fn observed_driver_credits_telemetry_at_flush_points() {
+    let (engine, voc) = compile(&RULEBOOK);
+    let registry = Registry::new();
+    let io_metrics = IoMetrics::register(&registry);
+    let session_metrics = SessionMetrics::register(&registry);
+    let mut session = engine.session();
+    session.attach_metrics(Arc::clone(&session_metrics));
+    let mut driver = StreamDriver::new(session, &voc, StreamFormat::Ndjson)
+        .observe_io(Some(Arc::clone(&io_metrics)));
+    let text: String = (1..=130)
+        .map(|t| format!("{{\"time\": \"{t}ns\", \"name\": \"a\"}}\n"))
+        .collect();
+    let mut ignore = |_: &Record<'_>, _: &str| Ok(());
+
+    driver.push(text.as_bytes());
+    driver.step(&mut ignore).expect("sink never fails");
+    assert_eq!(io_metrics.lines.get(), 0, "nothing is credited mid-chunk");
+    assert_eq!(session_metrics.events.get(), 0);
+    apply(&mut driver, &mut ignore);
+    assert_eq!(io_metrics.lines.get(), 130);
+    assert_eq!(io_metrics.bytes.get(), text.len() as u64);
+    assert_eq!(session_metrics.events.get(), 130);
+    assert_eq!(
+        io_metrics.decode_ns.count(),
+        2,
+        "lines 64 and 128 are timed"
+    );
+
+    // A rejected line is credited before its error record goes out.
+    let mut seen = None;
+    let mut record_errors = |record: &Record<'_>, _: &str| {
+        if matches!(record, Record::Error { .. }) {
+            seen = Some((io_metrics.lines.get(), io_metrics.parse_errors.get()));
+        }
+        Ok(())
+    };
+    driver.push(b"{\"time\": \"1ns\", \"name\": \"a\"}\n");
+    let step = driver.step(&mut record_errors).expect("sink never fails");
+    assert_eq!(step, Some(Step::Fault(Fault::Protocol)));
+    assert_eq!(seen, Some((131, 1)));
 }

@@ -38,9 +38,11 @@ pub struct IoMetrics {
     /// `lomon_io_parse_errors_total`: lines rejected by the parser.
     pub parse_errors: Arc<Counter>,
     /// `lomon_ingest_decode_ns`: nanoseconds spent decoding trace bytes
-    /// into events, recorded once per decoded buffer (or stream line in
-    /// `lomon watch`) so the instrumentation itself stays off the per-byte
-    /// hot path.
+    /// into events, recorded once per decoded buffer by the whole-buffer
+    /// readers. The engine's stream driver (`check`, `watch`) records a
+    /// sample instead: the parse of one line in 64, picked by line number,
+    /// so the count is about a 64th of `lomon_io_lines_total`. Either way
+    /// the instrumentation stays off the per-byte and per-line hot path.
     pub decode_ns: Arc<Histogram>,
 }
 

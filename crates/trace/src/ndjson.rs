@@ -1,7 +1,7 @@
-//! The streaming event-line grammar shared by `lomon watch` and
-//! `lomon serve`.
+//! The streaming event-line grammar shared by `lomon check`, `lomon
+//! watch` and `lomon serve`.
 //!
-//! Both stream surfaces accept the same two line formats —
+//! Every stream surface accepts the same two line formats —
 //!
 //! * the trace text format, `<time> <in|out> <name>` with an optional
 //!   `end <time>` marker (one source of truth with
@@ -10,14 +10,28 @@
 //! * NDJSON: one flat JSON object per line,
 //!   `{"time": "10ns", "dir": "in", "name": "x"}` or `{"end": "500ns"}`
 //!
-//! — and parse them into the same [`StreamLine`]. Keeping the grammar
+//! — and parse them into the same [`StreamLineRef`]. Keeping the grammar
 //! here (rather than in the CLI binary) is what guarantees a frame that
 //! `watch` accepts is byte-for-byte a frame `serve` accepts.
+//!
+//! NDJSON has two decoders with one grammar. A byte-level fast path takes
+//! only the regular event object — a flat object of ASCII bytes whose keys
+//! are `time`, `dir` and `name`, each at most once, with no escape, a
+//! `time` of digits plus a unit, a `dir` of `in` or `out` if present, a
+//! non-empty `name`, and only ASCII whitespace — and borrows the name
+//! straight from the frame, with no UTF-8 pass over the line. Every other
+//! line (an `end` marker, an escape, an unknown or repeated key, non-ASCII
+//! bytes, any malformed field) gets nothing from it and goes to the
+//! `char`-wise scanner, which alone decides errors. So accepted inputs,
+//! values and error text are those of the scanner by construction; the
+//! differential suite in `tests/differential.rs` pins both against the
+//! retired char-iterator parser.
 
 use std::borrow::Cow;
 
 use crate::name::Direction;
 use crate::time::{parse_sim_time, SimTime};
+use crate::wire::{ascii_str, is_ascii_space, parse_sim_time_bytes};
 
 /// Input format of an event stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -130,8 +144,10 @@ pub fn parse_stream_line_ref(
 
 /// Byte-slice variant of [`parse_stream_line_ref`] for decoders that hold
 /// raw frames: the trace text grammar is lexed directly from bytes (via
-/// [`parse_trace_line_bytes`](crate::parse_trace_line_bytes)); NDJSON is
-/// validated as UTF-8 once and then parsed borrowing from the frame.
+/// [`parse_trace_line_bytes`](crate::parse_trace_line_bytes)); an NDJSON
+/// event the byte-level fast path takes needs no UTF-8 pass, and any other
+/// NDJSON line is validated as UTF-8 once and then scanned borrowing from
+/// the frame.
 ///
 /// # Errors
 ///
@@ -158,40 +174,130 @@ pub fn parse_stream_line_bytes(
                 }),
             )
         }
-        StreamFormat::Ndjson => match std::str::from_utf8(raw) {
-            Ok(line) => parse_ndjson_line_ref(line),
-            Err(_) => Err("line is not valid UTF-8".into()),
+        StreamFormat::Ndjson => match parse_plain_event(raw) {
+            Some(event) => Ok(Some(event)),
+            None => match std::str::from_utf8(raw) {
+                Ok(line) => scan_ndjson_line(line),
+                Err(_) => Err("line is not valid UTF-8".into()),
+            },
         },
     }
 }
 
 /// Parse one NDJSON stream line: a flat JSON object with string values,
 /// either `{"time": …, "dir": …, "name": …}` (`dir` optional, default
-/// `in`) or `{"end": …}`.
-///
-/// # Errors
-///
-/// See [`parse_stream_line`].
-pub fn parse_ndjson_line(line: &str) -> Result<Option<StreamLine>, String> {
-    Ok(parse_ndjson_line_ref(line)?.map(StreamLineRef::into_owned))
-}
-
-/// Zero-copy variant of [`parse_ndjson_line`]: the object is scanned in
-/// place and only the fields the event grammar cares about are kept, each
-/// borrowed from `line` unless a JSON escape forced an owned copy. No
-/// per-field `String`s, no intermediate pair list.
+/// `in`) or `{"end": …}`. The event name borrows from `line` unless a JSON
+/// escape forced an owned copy.
 ///
 /// # Errors
 ///
 /// See [`parse_stream_line`].
 pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
+    match parse_plain_event(line.as_bytes()) {
+        Some(event) => Ok(Some(event)),
+        None => scan_ndjson_line(line),
+    }
+}
+
+/// The NDJSON fast path: the regular event object, decoded in one pass
+/// over its bytes, or `None` for every other line (see the module docs).
+/// It only ever accepts: a line it takes parses to the same event under
+/// [`scan_ndjson_line`], and it never produces an error.
+fn parse_plain_event(raw: &[u8]) -> Option<StreamLineRef<'_>> {
+    let mut cur = PlainCursor { raw, pos: 0 };
+    cur.eat(b'{')?;
+    let (mut time, mut dir, mut name) = (None, None, None);
+    loop {
+        let key = cur.string()?;
+        cur.eat(b':')?;
+        let value = cur.string()?;
+        let slot = match key {
+            b"time" => &mut time,
+            b"dir" => &mut dir,
+            b"name" => &mut name,
+            _ => return None,
+        };
+        if slot.replace(value).is_some() {
+            return None;
+        }
+        match cur.token()? {
+            b',' => {}
+            b'}' => break,
+            _ => return None,
+        }
+    }
+    cur.skip_ws();
+    if cur.pos != raw.len() {
+        return None;
+    }
+    // The value is ASCII with no whitespace when it is digits plus a unit,
+    // so the trace lexer's time parser accepts exactly what
+    // `parse_sim_time` would, with the same value.
+    let time = parse_sim_time_bytes(time?).ok()?;
+    let direction = match dir {
+        None | Some(b"in") => Direction::Input,
+        Some(b"out") => Direction::Output,
+        Some(_) => return None,
+    };
+    let name = name.filter(|name| !name.is_empty())?;
+    Some(StreamLineRef::Event {
+        time,
+        direction,
+        name: Cow::Borrowed(ascii_str(name)),
+    })
+}
+
+/// Byte cursor of [`parse_plain_event`]. Each method skips the ASCII
+/// whitespace before its token — where the scanner skips `char`
+/// whitespace, which on ASCII bytes is the same set — and gives `None`
+/// wherever the line stops looking like the regular event object.
+struct PlainCursor<'a> {
+    raw: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> PlainCursor<'a> {
+    fn skip_ws(&mut self) {
+        while self.raw.get(self.pos).copied().is_some_and(is_ascii_space) {
+            self.pos += 1;
+        }
+    }
+
+    fn token(&mut self) -> Option<u8> {
+        self.skip_ws();
+        let byte = *self.raw.get(self.pos)?;
+        self.pos += 1;
+        Some(byte)
+    }
+
+    fn eat(&mut self, expected: u8) -> Option<()> {
+        (self.token()? == expected).then_some(())
+    }
+
+    /// A string literal of ASCII bytes with no escape, without its quotes.
+    fn string(&mut self) -> Option<&'a [u8]> {
+        self.eat(b'"')?;
+        let rest = &self.raw[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || !b.is_ascii())?;
+        if rest[len] != b'"' {
+            return None;
+        }
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+}
+
+/// The NDJSON grammar on `char`s: the whole object is scanned first (so
+/// syntax faults anywhere on the line win over missing-field complaints),
+/// keeping the first occurrence of each known key. Every field borrows
+/// from `line` unless a JSON escape forced an owned copy.
+fn scan_ndjson_line(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Ok(None);
     }
-    // Scan the whole object first (so syntax faults anywhere on the line
-    // win over missing-field complaints, exactly like the pair-list
-    // parser did), keeping the first occurrence of each known key.
     let mut end: Option<Cow<'_, str>> = None;
     let mut time_field: Option<Cow<'_, str>> = None;
     let mut dir: Option<Cow<'_, str>> = None;
@@ -233,26 +339,11 @@ pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, St
     }))
 }
 
-/// Minimal flat-JSON-object parser: `{"key": "value", …}` with string
-/// values only (`\"`, `\\`, `\n`, `\t` escapes). Enough for an event
-/// stream; a full JSON parser would be an external dependency.
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax fault.
-pub fn parse_flat_json(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut pairs = Vec::new();
-    scan_flat_json(text, |key, value| {
-        pairs.push((key.to_owned(), value.into_owned()));
-    })?;
-    Ok(pairs)
-}
-
-/// Offset-tracking scanner behind [`parse_flat_json`] and
-/// [`parse_ndjson_line_ref`]: walks the object once, invoking `visit` for
-/// every key/value pair with the value **borrowed** from `text` whenever
-/// it contains no escape. Keys of the event grammar are plain
-/// identifiers, so in the steady state nothing is copied.
+/// Minimal flat-JSON-object scanner: `{"key": "value", …}` with string
+/// values only (`\"`, `\\`, `\n`, `\t` escapes), enough for an event
+/// stream; a full JSON parser would be an external dependency. It walks
+/// the object once, invoking `visit` for every key/value pair with the
+/// value **borrowed** from `text` whenever it contains no escape.
 fn scan_flat_json<'a>(
     text: &'a str,
     mut visit: impl FnMut(&str, Cow<'a, str>),
@@ -368,10 +459,15 @@ impl<'a> Scanner<'a> {
 mod tests {
     use super::*;
 
+    /// The owned parse of one NDJSON line.
+    fn owned(line: &str) -> Result<Option<StreamLine>, String> {
+        parse_ndjson_line_ref(line).map(|parsed| parsed.map(StreamLineRef::into_owned))
+    }
+
     #[test]
     fn ndjson_event_with_default_direction() {
         let line = r#"{"time": "10ns", "name": "set_imgAddr"}"#;
-        let parsed = parse_ndjson_line(line).expect("parses").expect("a line");
+        let parsed = owned(line).expect("parses").expect("a line");
         assert_eq!(
             parsed,
             StreamLine::Event {
@@ -384,7 +480,7 @@ mod tests {
 
     #[test]
     fn ndjson_end_marker() {
-        let parsed = parse_ndjson_line(r#"{"end": "500ns"}"#).expect("parses");
+        let parsed = owned(r#"{"end": "500ns"}"#).expect("parses");
         assert_eq!(parsed, Some(StreamLine::End(SimTime::from_ns(500))));
     }
 
@@ -401,16 +497,12 @@ mod tests {
 
     #[test]
     fn faults_name_the_problem() {
-        assert!(parse_ndjson_line(r#"{"time": "10ns"}"#)
+        assert!(owned(r#"{"time": "10ns"}"#).unwrap_err().contains("name"));
+        assert!(owned(r#"{"time": "10ns", "dir": "sideways", "name": "x"}"#)
             .unwrap_err()
-            .contains("name"));
-        assert!(
-            parse_ndjson_line(r#"{"time": "10ns", "dir": "sideways", "name": "x"}"#)
-                .unwrap_err()
-                .contains("sideways")
-        );
-        assert!(parse_ndjson_line("not json").is_err());
-        assert!(parse_ndjson_line(r#"{"time": "10ns", "name": ""}"#).is_err());
+            .contains("sideways"));
+        assert!(owned("not json").is_err());
+        assert!(owned(r#"{"time": "10ns", "name": ""}"#).is_err());
         assert!(parse_stream_line(StreamFormat::Trace, "10ns sideways x").is_err());
     }
 
@@ -425,10 +517,6 @@ mod tests {
             }
             StreamLineRef::End(_) => panic!("expected event"),
         }
-        assert_eq!(
-            parsed.into_owned(),
-            parse_ndjson_line(line).unwrap().unwrap()
-        );
 
         let escaped = r#"{"time": "10ns", "name": "a\"b"}"#;
         let parsed = parse_ndjson_line_ref(escaped)
@@ -445,37 +533,65 @@ mod tests {
 
     #[test]
     fn flat_json_handles_escapes_and_duplicates_like_before() {
-        let pairs = parse_flat_json(r#"{"k": "a\\b\n\t\"", "k": "second"}"#).expect("parses");
-        assert_eq!(
-            pairs,
-            vec![
-                ("k".to_owned(), "a\\b\n\t\"".to_owned()),
-                ("k".to_owned(), "second".to_owned()),
-            ]
-        );
-        // First occurrence wins for the event grammar.
-        let parsed = parse_ndjson_line(r#"{"time": "1ns", "name": "x", "name": "y"}"#).unwrap();
-        assert_eq!(
-            parsed,
-            Some(StreamLine::Event {
+        let event = |name: &str| {
+            Ok(Some(StreamLine::Event {
                 time: SimTime::from_ns(1),
                 direction: Direction::Input,
-                name: "x".into(),
-            })
+                name: name.into(),
+            }))
+        };
+        assert_eq!(
+            owned(r#"{"time": "1ns", "name": "a\\b\n\t\""}"#),
+            event("a\\b\n\t\"")
         );
-        assert!(parse_flat_json(r#"{"k": "\q"}"#)
-            .unwrap_err()
-            .contains("unsupported escape"));
-        assert!(parse_flat_json(r#"{"k": "open"#)
-            .unwrap_err()
-            .contains("unterminated"));
-        assert!(parse_flat_json(r#"{"k" "v"}"#)
-            .unwrap_err()
-            .contains("expected `:` after key `k`"));
-        assert!(parse_flat_json(r#"{} trailing"#)
-            .unwrap_err()
-            .contains("trailing characters"));
-        assert_eq!(parse_flat_json("{}").expect("empty object"), vec![]);
+        // First occurrence wins.
+        assert_eq!(
+            owned(r#"{"time": "1ns", "name": "x", "name": "y"}"#),
+            event("x")
+        );
+        let error = |line: &str| owned(line).unwrap_err();
+        assert!(error(r#"{"time": "1ns", "name": "\q"}"#).contains("unsupported escape"));
+        assert!(error(r#"{"time": "1ns", "name": "open"#).contains("unterminated"));
+        assert!(error(r#"{"time" "1ns"}"#).contains("expected `:` after key `time`"));
+        assert!(error(r#"{} trailing"#).contains("trailing characters"));
+        assert_eq!(error("{}"), "missing `time` field");
+    }
+
+    #[test]
+    fn fast_path_takes_every_shape_the_repo_emits() {
+        for line in [
+            // The benchmark's and the serve load generator's events.
+            r#"{"time": "10ns", "name": "set_imgAddr"}"#,
+            r#"{"time": "10ns", "dir": "out", "name": "done"}"#,
+            // The serve chaos suite's and the README's.
+            r#"{"time": "10ns", "dir": "in", "name": "go"}"#,
+            r#"{"time": "20ns", "name": "start"}"#,
+            // Compact, reordered and padded objects.
+            r#"{"time":"1ns","name":"x"}"#,
+            r#"{"dir": "out", "name": "irq", "time": "5us"}"#,
+            " \t{ \"time\" : \"007ps\" , \"name\" : \"a b\" }\r\x0b\x0c",
+        ] {
+            let fast = parse_plain_event(line.as_bytes());
+            assert!(fast.is_some(), "fast path refused {line:?}");
+            assert_eq!(fast, scan_ndjson_line(line).expect("scans"), "{line:?}");
+        }
+        // Everything else is the scanner's, whatever its verdict.
+        for line in [
+            r#"{"end": "1us"}"#,
+            r#"{"time": "1ns", "name": "a\"b"}"#,
+            r#"{"time": "1ns", "name": "x", "name": "x"}"#,
+            r#"{"time": "1ns", "name": "x", "seq": "7"}"#,
+            r#"{"time": "25 us", "name": "x"}"#,
+            r#"{"time": "1ns", "dir": "IN", "name": "x"}"#,
+            r#"{"time": "1ns", "name": ""}"#,
+            "{\"time\": \"1ns\", \"name\": \"caf\u{e9}\"}",
+            "\u{a0}{\"time\": \"1ns\", \"name\": \"x\"}",
+            "\x1c{\"time\": \"1ns\", \"name\": \"x\"}",
+            "{}",
+            "",
+        ] {
+            assert_eq!(parse_plain_event(line.as_bytes()), None, "{line:?}");
+        }
     }
 
     #[test]

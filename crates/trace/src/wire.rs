@@ -85,7 +85,7 @@ impl<'a> Iterator for ByteLines<'a> {
 /// ASCII whitespace, byte-for-byte what `char::is_whitespace` accepts in
 /// the ASCII range: space, tab, LF, vertical tab, form feed, CR.
 #[inline]
-fn is_ascii_space(b: u8) -> bool {
+pub(crate) fn is_ascii_space(b: u8) -> bool {
     b == b' ' || (0x09..=0x0d).contains(&b)
 }
 
@@ -121,7 +121,7 @@ impl<'a> Iterator for Fields<'a> {
 
 /// View a field of a line already checked to be pure ASCII as `&str`.
 #[inline]
-fn ascii_str(bytes: &[u8]) -> &str {
+pub(crate) fn ascii_str(bytes: &[u8]) -> &str {
     std::str::from_utf8(bytes).expect("caller checked the line is pure ASCII")
 }
 
@@ -130,9 +130,11 @@ fn ascii_str(bytes: &[u8]) -> &str {
 /// accumulating the digits, then a unit-suffix match. Same accepted
 /// inputs, same error text — the string parser's `trim`s are no-ops on a
 /// whitespace-free field, and its checked `u64` parse rejects exactly the
-/// overflows the accumulator flags.
+/// overflows the accumulator flags. On any ASCII field, `Ok` means digits
+/// plus a unit with no whitespace, which `parse_sim_time` reads to the
+/// same time: the NDJSON fast path relies on that.
 #[inline]
-fn parse_sim_time_bytes(field: &[u8]) -> Result<SimTime, String> {
+pub(crate) fn parse_sim_time_bytes(field: &[u8]) -> Result<SimTime, String> {
     let mut i = 0;
     let mut value = 0u64;
     let mut overflow = false;

@@ -5,18 +5,18 @@
 //!
 //! The text grammar is compared against the live string parser
 //! ([`read_trace`]/[`parse_trace_line`], still the source of truth for
-//! Unicode corner cases). The NDJSON grammar's borrowed scanner replaced
-//! the old char-iterator parser outright, so that parser is preserved
-//! here verbatim as the reference oracle.
+//! Unicode corner cases). The NDJSON grammar's borrowed scanner and its
+//! byte-level fast path for regular event objects replaced the old
+//! char-iterator parser outright, so that parser is preserved here
+//! verbatim as the reference oracle.
 
 use proptest::prelude::*;
 
 use lomon_trace::io::IoMetrics;
-use lomon_trace::ndjson::{parse_ndjson_line, StreamLine};
 use lomon_trace::{
-    byte_lines, parse_stream_line, parse_stream_line_bytes, parse_trace_line,
-    parse_trace_line_bytes, read_trace, read_trace_bytes, Direction, SimTime, StreamFormat,
-    Vocabulary,
+    byte_lines, parse_ndjson_line_ref, parse_stream_line, parse_stream_line_bytes,
+    parse_trace_line, parse_trace_line_bytes, read_trace, read_trace_bytes, Direction, SimTime,
+    StreamFormat, StreamLine, StreamLineRef, Vocabulary,
 };
 
 // ---------------------------------------------------------------------
@@ -41,6 +41,13 @@ const TIMES: &[&str] = &[
     // One past the largest nanosecond count: its unit scaling overflows.
     "18446744073709552ns",
     "18446744073709551615ps",
+    "007ns",
+    "+5ns",
+    "1 0ns",
+    // Twenty-one digits: one with leading zeros that still fits a `u64`,
+    // one that does not.
+    "000000000000000000042ns",
+    "123456789012345678901ns",
 ];
 const DIRS: &[&str] = &["in", "out", "sideways", "IN", ""];
 const NAMES: &[&str] = &[
@@ -107,6 +114,19 @@ const JSON_NAMES: &[&str] = &[
     r"bad\qescape",
     "caf\u{e9}",
     "",
+    // Raw control bytes and whitespace inside a name are name bytes.
+    "nul\u{0}ctl\u{1f}",
+    "raw\ttab",
+    "a b",
+    "del\u{7f}",
+];
+
+/// Whitespace and near-whitespace around NDJSON tokens: the ASCII bytes
+/// `char::is_whitespace` accepts, the ASCII separators it does not
+/// (`\x1c`–`\x1f`), and Unicode whitespace.
+const JSON_SPACES: &[&str] = &[
+    "", " ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\u{85}", "\u{a0}",
+    "\u{2003}",
 ];
 
 fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
@@ -114,7 +134,13 @@ fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
     let time = pick(TIMES, t);
     let dir = pick(DIRS, d);
     let name = pick(JSON_NAMES, n);
-    match kind % 12 {
+    // Two independent picks, so the two ends of a line and the two sides
+    // of a token can differ.
+    let (a, b) = (
+        pick(JSON_SPACES, s),
+        pick(JSON_SPACES, t.wrapping_add(s / 13)),
+    );
+    match kind % 24 {
         0 | 1 => format!(r#"{{"time": "{time}", "dir": "{dir}", "name": "{name}"}}"#),
         2 => format!(r#"{{"time":{sp}"{time}",{sp}"name":{sp}"{name}"}}"#),
         3 => format!(r#"{{"end": "{time}"}}"#),
@@ -125,7 +151,24 @@ fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
         8 => format!(r#"{{"time": "{time}"}}"#),                  // missing name
         9 => format!(r#"{{}}{sp}"#),
         10 => String::new(),
-        _ => format!(r#"{{"time": "{time}", "name": "{name}"}} junk"#),
+        11 => format!(r#"{{"time": "{time}", "name": "{name}"}} junk"#),
+        12 => format!(r#"{{"dir": "{dir}", "time": "{time}", "name": "{name}"}}"#),
+        13 => format!(r#"{{"time":"{time}","name":"{name}"}}"#),
+        14 => format!(r#"{{"time": "{time}", "seq": "7", "name": "{name}"}}"#),
+        15 => format!(r#"{{"time": "{time}", "dir": "{dir}", "dir": "out", "name": "{name}"}}"#),
+        16 => format!(r#"{{"time": "{time}", "name": "{name}", "name": "y"}}"#),
+        17 => format!(r#"{{"time": "{time}", "end": "{time}", "name": "{name}"}}"#),
+        // Escapes in keys: none of the event keys needs one, so an
+        // escaped key is always an unknown key.
+        18 => format!(r#"{{"ti\tme": "{time}", "n\\ame": "{name}", "\"": "x"}}"#),
+        // An escape in the time value.
+        19 => format!(r#"{{"time": "{time}\n", "name": "{name}"}}"#),
+        20 => format!(
+            r#"{a}{{{b}"time"{a}:{b}"{time}"{a},{b}"dir"{a}:{b}"{dir}"{a},{b}"name"{a}:{b}"{name}"{a}}}{b}"#
+        ),
+        21 => format!(r#"{a}{{"time": "{time}", "name": "{name}"}}{b}"#),
+        22 => format!("{{\"time\": \"{time}\", \"name\": \"{name}\"}}{a}\r"),
+        _ => format!(r#"{{"time":"{time}","dir":"{dir}","name":"{name}"}}{a}"#),
     }
 }
 
@@ -232,6 +275,21 @@ fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLine>, String> {
     }))
 }
 
+/// The owned form of a borrowed stream-line parse, to compare with the
+/// legacy parser's.
+fn owned(parsed: Result<Option<StreamLineRef<'_>>, String>) -> Result<Option<StreamLine>, String> {
+    parsed.map(|line| line.map(StreamLineRef::into_owned))
+}
+
+/// Valid event lines the byte mutations start from: the shapes the
+/// workspace's own producers emit, compact and reordered.
+const EVENT_LINES: &[&str] = &[
+    r#"{"time": "10ns", "name": "set_imgAddr"}"#,
+    r#"{"time": "30ns", "dir": "out", "name": "done"}"#,
+    r#"{"time":"1ns","name":"x"}"#,
+    r#"{"dir": "in", "name": "go", "time": "5us"}"#,
+];
+
 // ---------------------------------------------------------------------
 // The differential properties.
 // ---------------------------------------------------------------------
@@ -260,7 +318,11 @@ fn out_of_range_time_literal_is_rejected_alike_everywhere() {
         r#"{"time": "18446744073709552ns", "name": "x"}"#,
         r#"{"end": "18446744073709552ns"}"#,
     ] {
-        assert_eq!(parse_ndjson_line(line), Err(expected.to_owned()), "{line}");
+        assert_eq!(
+            parse_ndjson_line_ref(line),
+            Err(expected.to_owned()),
+            "{line}"
+        );
         assert_eq!(legacy_parse_ndjson_line(line), Err(expected.to_owned()));
     }
 }
@@ -336,8 +398,10 @@ proptest! {
             m_str.parse_errors.get(), m_bytes.parse_errors.get(), "text {:?}", text);
     }
 
-    /// The borrowed NDJSON scanner matches the retired char-iterator
-    /// parser on every line, valid or broken.
+    /// The NDJSON decoders — the byte-level fast path, the borrowed
+    /// scanner behind it, and the byte-slice entry point the stream driver
+    /// calls — match the retired char-iterator parser on every line, valid
+    /// or broken.
     #[test]
     fn ndjson_scanner_matches_legacy_parser(
         kind in any::<u8>(), t in any::<u8>(), d in any::<u8>(), n in any::<u8>(),
@@ -345,11 +409,37 @@ proptest! {
     ) {
         let line = render_json_line(kind, t, d, n, s);
         let legacy = legacy_parse_ndjson_line(&line);
-        let current = parse_ndjson_line(&line);
-        prop_assert_eq!(legacy, current, "line {:?}", line);
-        let flat_legacy = legacy_parse_flat_json(&line);
-        let flat_current = lomon_trace::ndjson::parse_flat_json(&line);
-        prop_assert_eq!(flat_legacy, flat_current, "line {:?}", line);
+        prop_assert_eq!(&legacy, &owned(parse_ndjson_line_ref(&line)), "line {:?}", line);
+        let bytes = owned(parse_stream_line_bytes(StreamFormat::Ndjson, line.as_bytes()));
+        prop_assert_eq!(&legacy, &bytes, "line {:?}", line);
+    }
+
+    /// Byte mutations of valid event lines, any byte value included: the
+    /// byte-slice entry point either refuses the line as not UTF-8 or
+    /// agrees with the legacy parser on it.
+    #[test]
+    fn mutated_ndjson_bytes_match_legacy_parser(
+        shape in any::<u8>(),
+        edits in prop::collection::vec((0u8..3, any::<u16>(), any::<u8>()), 1..5),
+    ) {
+        let mut line = EVENT_LINES[shape as usize % EVENT_LINES.len()].as_bytes().to_vec();
+        for &(op, at, byte) in &edits {
+            let at = usize::from(at) % (line.len() + 1);
+            match op {
+                0 => line.insert(at, byte),
+                1 if at < line.len() => line[at] = byte,
+                _ if at < line.len() => {
+                    line.remove(at);
+                }
+                _ => line.push(byte),
+            }
+        }
+        let expected = match std::str::from_utf8(&line) {
+            Ok(text) => legacy_parse_ndjson_line(text),
+            Err(_) => Err("line is not valid UTF-8".to_owned()),
+        };
+        let parsed = owned(parse_stream_line_bytes(StreamFormat::Ndjson, &line));
+        prop_assert_eq!(parsed, expected, "line {:?}", String::from_utf8_lossy(&line));
     }
 
     /// The fused single-pass scanner inside `decode_events_into` agrees

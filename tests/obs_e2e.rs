@@ -84,8 +84,9 @@ fn watch_metrics_scrape_over_tcp() {
         .expect("write stream");
     stdin.flush().expect("flush stream");
 
-    // The per-event delta flush makes both events visible to a live
-    // scrape while stdin is still open.
+    // The driver flushes its deltas each time it runs out of buffered
+    // lines, so both events are visible to a live scrape while stdin is
+    // still open.
     let body = scrape_until(&addr, "/metrics", |b| b.contains("lomon_events_total 2"));
     for family in [
         "# TYPE lomon_events_total counter",
