@@ -25,26 +25,23 @@
 //! faster (ns/event) than the interpreter by at least each gated
 //! workload's floor ([`Workload::gate`]). With `--baseline <path>` the
 //! fresh speedups are additionally compared against the committed
-//! `BENCH_hot_loop.json`: a drop below [`BASELINE_TOLERANCE`] of a
+//! `BENCH_hot_loop.json`: a drop below [`gate::TOLERANCE`] of a
 //! recorded speedup fails the run — the floor that ratchets up as future
 //! optimization PRs commit better baselines. The `single` workload is
 //! reported but not gated — with one monitor per event the session's fixed
 //! dispatch overhead dilutes the ratio and makes it noisy.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use lomon_bench::gate::{self, Args, Better, Gate};
 use lomon_bench::workloads::{disjoint, overlapping};
 use lomon_core::analysis::prune_dead;
 use lomon_core::Monitor as _;
-use lomon_engine::{Backend, DispatchMode, Engine, Session};
+use lomon_engine::{Backend, DispatchMode, Engine};
 use lomon_trace::{NameSet, SimTime, TimedEvent};
 
-/// A fresh speedup below `tolerance × committed` fails `--baseline`.
-const BASELINE_TOLERANCE: f64 = 0.8;
-
 /// Timed repetitions per (workload, backend); the minimum is reported.
-/// Interleaved between the backends (see `run_pair`) so load drift on a
+/// Interleaved between the backends ([`gate::best_of`]) so load drift on a
 /// shared machine cannot skew the ratios.
 const REPS: usize = 9;
 
@@ -54,49 +51,10 @@ struct Workload {
     /// floors sit well below the measured ratios (≈3× disjoint, ≈26–106×
     /// overlapping) because the check matrix's small event budget makes
     /// them noisy; the binding regression guard is the `--baseline`
-    /// ratchet ([`BASELINE_TOLERANCE`] × the committed speedups).
+    /// ratchet ([`gate::TOLERANCE`] × the committed speedups).
     gate: Option<f64>,
     engine: Engine,
     events: Vec<TimedEvent>,
-}
-
-struct Measurement {
-    nanos_per_event: f64,
-    verdicts: Vec<(lomon_core::Verdict, u64)>,
-}
-
-/// One timed replay of `events` through `session` (reset first).
-fn replay(session: &mut Session<'_>, events: &[TimedEvent], end: SimTime) -> u128 {
-    session.reset();
-    let started = Instant::now();
-    session.ingest_batch(events);
-    session.close(end);
-    started.elapsed().as_nanos()
-}
-
-/// Measure both backends over the same workload, **interleaved** rep by
-/// rep so machine-load drift hits both equally instead of skewing the
-/// ratio; the minimum of each is reported.
-fn run_pair(engine: &Engine, events: &[TimedEvent]) -> [Measurement; 2] {
-    let end = events.last().map(|e| e.time).unwrap_or(SimTime::ZERO);
-    let mut sessions = [Backend::Interp, Backend::Fused]
-        .map(|b| engine.session_with_backend(DispatchMode::Indexed, b));
-    let mut best = [u128::MAX; 2];
-    for _ in 0..REPS {
-        for (session, best) in sessions.iter_mut().zip(&mut best) {
-            *best = (*best).min(replay(session, events, end));
-        }
-    }
-    let measure = |s: &Session<'_>, nanos: u128| Measurement {
-        nanos_per_event: nanos as f64 / events.len() as f64,
-        verdicts: (0..engine.len())
-            .map(|id| (s.verdict(id), s.ops(id)))
-            .collect(),
-    };
-    [
-        measure(&sessions[0], best[0]),
-        measure(&sessions[1], best[1]),
-    ]
 }
 
 struct Row {
@@ -117,47 +75,21 @@ impl Row {
     fn fused_events_per_sec(&self) -> f64 {
         1e9 / self.fused_ns.max(f64::MIN_POSITIVE)
     }
-}
 
-fn render_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"hot_loop\",\n  \"unit\": \"ns/event\",\n");
-    out.push_str("  \"workloads\": [\n");
-    for (k, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"gated\": {}, \"events\": {}, \
-             \"interp_ns_per_event\": {:.2}, \"fused_ns_per_event\": {:.2}, \
-             \"speedup\": {:.2}, \"fused_events_per_sec\": {:.0}}}{}\n",
-            row.name,
-            row.gate.is_some(),
-            row.events,
-            row.interp_ns,
-            row.fused_ns,
-            row.speedup(),
-            row.fused_events_per_sec(),
-            if k + 1 < rows.len() { "," } else { "" },
-        ));
+    fn json(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("name", format!("\"{}\"", self.name)),
+            ("gated", self.gate.is_some().to_string()),
+            ("events", self.events.to_string()),
+            ("interp_ns_per_event", format!("{:.2}", self.interp_ns)),
+            ("fused_ns_per_event", format!("{:.2}", self.fused_ns)),
+            ("speedup", format!("{:.2}", self.speedup())),
+            (
+                "fused_events_per_sec",
+                format!("{:.0}", self.fused_events_per_sec()),
+            ),
+        ]
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Extract `(name, speedup)` pairs from a committed `BENCH_hot_loop.json`.
-/// The file is written one workload object per line (see
-/// [`render_json`]), so a line scanner is all the parsing needed.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(key)? + key.len();
-        let rest = line[at..].trim_start_matches([':', ' ', '"']);
-        let end = rest.find(['"', ',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].to_owned())
-    };
-    text.lines()
-        .filter_map(|line| {
-            let name = field(line, "\"name\"")?;
-            let speedup = field(line, "\"speedup\"")?.parse().ok()?;
-            Some((name, speedup))
-        })
-        .collect()
 }
 
 /// `--check` extension for the lint `--fix-prune` contract: restrict the
@@ -185,20 +117,11 @@ fn prune_identical(engine: &Engine, events: &[TimedEvent]) -> bool {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_mode = args.iter().any(|a| a == "--check");
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|at| args.get(at + 1).cloned());
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|at| args.get(at + 1).cloned());
+    let args = Args::from_env("hot_loop", &["--baseline PATH", "--out PATH"]);
 
     // The check matrix is smaller so the CI gate stays fast; the ratios it
     // gates are per-event and stable across the sizes.
-    let (single_rounds, multi_rounds) = if check_mode {
+    let (single_rounds, multi_rounds) = if args.check {
         (20_000, 2_000)
     } else {
         (100_000, 10_000)
@@ -259,10 +182,15 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     let mut identical = true;
     for w in &workloads {
-        let [interp, fused] = run_pair(&w.engine, &w.events);
+        let end = w.events.last().map_or(SimTime::ZERO, |e| e.time);
+        let mut sessions = [Backend::Interp, Backend::Fused]
+            .map(|b| w.engine.session_with_backend(DispatchMode::Indexed, b));
+        let [interp_ns, fused_ns] =
+            gate::best_of(REPS, |k| gate::replay(&mut sessions[k], &w.events, end));
         // Differential gate: same verdict and same ops counter for every
         // property on both backends, or one of them has diverged.
-        for (id, (i, f)) in interp.verdicts.iter().zip(&fused.verdicts).enumerate() {
+        let [interp, fused] = sessions.each_ref().map(gate::digest);
+        for (id, (i, f)) in interp.iter().zip(&fused).enumerate() {
             if i != f {
                 eprintln!(
                     "MISMATCH: workload {} property {id}: interp {i:?} vs fused {f:?}",
@@ -271,12 +199,14 @@ fn main() -> ExitCode {
                 identical = false;
             }
         }
+        #[allow(clippy::cast_precision_loss)]
+        let per_event = |ns: u128| ns as f64 / w.events.len() as f64;
         let row = Row {
             name: w.name,
             gate: w.gate,
             events: w.events.len(),
-            interp_ns: interp.nanos_per_event,
-            fused_ns: fused.nanos_per_event,
+            interp_ns: per_event(interp_ns),
+            fused_ns: per_event(fused_ns),
         };
         println!(
             "{:>12} {:>9} {:>12.1} {:>10.1} {:>7.1}x {:>14.0}",
@@ -291,84 +221,42 @@ fn main() -> ExitCode {
     }
     println!();
 
-    let mut ok = identical;
+    let mut gate = Gate::default();
     if !identical {
-        println!("FAIL: backends disagree on verdicts or ops counters");
+        gate.fail("backends disagree on verdicts or ops counters");
     }
-
-    if check_mode {
-        for w in &workloads {
-            if !prune_identical(&w.engine, &w.events) {
-                println!(
-                    "FAIL: {}: pruning the corpus-dead action-table rows changed a verdict",
-                    w.name
-                );
-                ok = false;
-            }
-        }
-        for row in &rows {
-            if let Some(gate) = row.gate {
-                if row.speedup() < gate {
-                    println!(
-                        "FAIL: {} fused speedup {:.2}x below the {gate}x gate",
-                        row.name,
-                        row.speedup()
-                    );
-                    ok = false;
-                }
-            }
-        }
-        if let Some(path) = &baseline_path {
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    let committed = parse_baseline(&text);
-                    for row in rows.iter().filter(|r| r.gate.is_some()) {
-                        let Some(&(_, committed)) = committed.iter().find(|(n, _)| n == row.name)
-                        else {
-                            println!("FAIL: baseline {path} has no workload `{}`", row.name);
-                            ok = false;
-                            continue;
-                        };
-                        let floor = committed * BASELINE_TOLERANCE;
-                        if row.speedup() < floor {
-                            println!(
-                                "FAIL: {} fused speedup {:.2}x regressed below {floor:.2}x \
-                                 ({BASELINE_TOLERANCE} x committed {committed:.2}x)",
-                                row.name,
-                                row.speedup(),
-                            );
-                            ok = false;
-                        }
-                    }
-                }
-                Err(e) => {
-                    println!("FAIL: cannot read baseline {path}: {e}");
-                    ok = false;
-                }
-            }
-        }
-        if ok {
-            println!(
-                "OK: backends verdict- and ops-identical; fused above its speedup floor over \
-                 interp on every gated workload"
-            );
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
-    } else {
-        let path = out_path.unwrap_or_else(|| "BENCH_hot_loop.json".to_owned());
-        match std::fs::write(&path, render_json(&rows)) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
+    if !args.check {
+        let rows: Vec<_> = rows.iter().map(Row::json).collect();
+        let json = gate::render_json("hot_loop", "ns/event", "workloads", &rows);
+        return gate.write(args.value("--out").unwrap_or("BENCH_hot_loop.json"), &json);
+    }
+    for w in &workloads {
+        if !prune_identical(&w.engine, &w.events) {
+            gate.fail(format!(
+                "{}: pruning the corpus-dead action-table rows changed a verdict",
+                w.name
+            ));
         }
     }
+    let gated: Vec<_> = rows.iter().filter(|row| row.gate.is_some()).collect();
+    for row in &gated {
+        let floor = row.gate.expect("gated rows only");
+        if row.speedup() < floor {
+            gate.fail(format!(
+                "{} fused speedup {:.2}x below the {floor}x gate",
+                row.name,
+                row.speedup()
+            ));
+        }
+    }
+    if let Some(path) = args.value("--baseline") {
+        let fresh: Vec<_> = gated.iter().map(|r| (r.name, r.speedup())).collect();
+        for failure in gate::ratchet(path, "speedup", Better::Higher, &fresh) {
+            gate.fail(failure);
+        }
+    }
+    gate.finish(
+        "backends verdict- and ops-identical; fused above its speedup floor over \
+         interp on every gated workload",
+    )
 }

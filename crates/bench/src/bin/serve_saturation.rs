@@ -11,18 +11,19 @@
 //! Run `cargo run -p lomon-bench --bin serve_saturation --release` to
 //! print the table and (re)write `BENCH_serve.json` in the current
 //! directory (the repo tracks it at the root). `--check` is the CI gate:
-//! at least [`CHECK_CLIENTS`] concurrent streams must all finish with
-//! correct summaries, zero handler panics, and an aggregate rate of at
-//! least [`GATE_EVENTS_PER_SEC`] events/second.
+//! [`CHECK_CLIENTS`] concurrent streams (or `--clients N`) must all finish
+//! with correct summaries, zero handler panics, and an aggregate rate of
+//! at least [`GATE_EVENTS_PER_SEC`] events/second.
 //!
-//! `--clients N`, `--streams N` and `--events N` override the matrix;
-//! `--out PATH` redirects the JSON.
+//! `--clients N` (check mode only), `--streams N` and `--events N`
+//! override the matrix; `--out PATH` redirects the JSON.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use lomon_bench::gate::{self, Args, Gate};
 use lomon_serve::{ServeConfig, Server};
 
 /// The `--check` gate: this many clients stream concurrently.
@@ -128,6 +129,17 @@ impl Row {
     fn events_per_sec(&self) -> f64 {
         self.total_events as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
     }
+
+    fn json(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("clients", self.clients.to_string()),
+            ("streams_per_client", self.streams_per_client.to_string()),
+            ("events_per_stream", self.events_per_stream.to_string()),
+            ("total_events", self.total_events.to_string()),
+            ("elapsed_ms", self.elapsed.as_millis().to_string()),
+            ("events_per_sec", format!("{:.0}", self.events_per_sec())),
+        ]
+    }
 }
 
 /// Start a fresh server, saturate it with `clients` concurrent
@@ -189,53 +201,24 @@ fn run_matrix_point(
     })
 }
 
-fn render_json(rows: &[Row]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"serve_saturation\",\n  \"unit\": \"events/sec aggregate\",\n",
-    );
-    out.push_str("  \"points\": [\n");
-    for (k, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"clients\": {}, \"streams_per_client\": {}, \"events_per_stream\": {}, \
-             \"total_events\": {}, \"elapsed_ms\": {}, \"events_per_sec\": {:.0}}}{}\n",
-            row.clients,
-            row.streams_per_client,
-            row.events_per_stream,
-            row.total_events,
-            row.elapsed.as_millis(),
-            row.events_per_sec(),
-            if k + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|at| args.get(at + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_mode = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|at| args.get(at + 1).cloned());
+    let args = Args::from_env(
+        "serve_saturation",
+        &["--out PATH", "--clients N", "--streams N", "--events N"],
+    );
 
     // The check point keeps CI fast; the full matrix sweeps the client
     // count so the JSON shows where contention sets in.
-    let matrix: Vec<(usize, u64, u64)> = if check_mode {
-        let clients = flag_value(&args, "--clients").map_or(CHECK_CLIENTS, |v| v as usize);
-        let streams = flag_value(&args, "--streams").unwrap_or(2);
-        let events = flag_value(&args, "--events").unwrap_or(200);
+    let matrix: Vec<(usize, u64, u64)> = if args.check {
+        let clients = args.number("--clients").map_or(CHECK_CLIENTS, |v| {
+            usize::try_from(v).expect("--clients fits in memory")
+        });
+        let streams = args.number("--streams").unwrap_or(2);
+        let events = args.number("--events").unwrap_or(200);
         vec![(clients, streams, events)]
     } else {
-        let streams = flag_value(&args, "--streams").unwrap_or(4);
-        let events = flag_value(&args, "--events").unwrap_or(400);
+        let streams = args.number("--streams").unwrap_or(4);
+        let events = args.number("--events").unwrap_or(400);
         [8usize, 32, 128]
             .iter()
             .map(|&clients| (clients, streams, events))
@@ -249,7 +232,7 @@ fn main() -> ExitCode {
     );
 
     let mut rows = Vec::new();
-    let mut ok = true;
+    let mut gate = Gate::default();
     for (clients, streams, events) in matrix {
         match run_matrix_point(clients, streams, events) {
             Ok(row) => {
@@ -263,52 +246,32 @@ fn main() -> ExitCode {
                     row.events_per_sec(),
                 );
                 for failure in &row.failures {
-                    println!("FAIL: {clients} clients: {failure}");
-                    ok = false;
+                    gate.fail(format!("{clients} clients: {failure}"));
                 }
                 rows.push(row);
             }
-            Err(e) => {
-                println!("FAIL: {clients} clients: {e}");
-                ok = false;
-            }
+            Err(e) => gate.fail(format!("{clients} clients: {e}")),
         }
     }
     println!();
 
-    if check_mode {
-        for row in &rows {
-            if row.events_per_sec() < GATE_EVENTS_PER_SEC {
-                println!(
-                    "FAIL: {} clients: {:.0} events/sec below the {GATE_EVENTS_PER_SEC:.0} gate",
-                    row.clients,
-                    row.events_per_sec()
-                );
-                ok = false;
-            }
-        }
-        if ok {
-            println!(
-                "OK: {CHECK_CLIENTS}+ concurrent streams finalized correctly at >= \
-                 {GATE_EVENTS_PER_SEC:.0} events/sec aggregate, zero handler panics"
-            );
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
-    } else {
-        let path = out_path.unwrap_or_else(|| "BENCH_serve.json".to_owned());
-        match std::fs::write(&path, render_json(&rows)) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
+    if !args.check {
+        let rows: Vec<_> = rows.iter().map(Row::json).collect();
+        let json = gate::render_json("serve_saturation", "events/sec aggregate", "points", &rows);
+        return gate.write(args.value("--out").unwrap_or("BENCH_serve.json"), &json);
+    }
+    for row in &rows {
+        if row.events_per_sec() < GATE_EVENTS_PER_SEC {
+            gate.fail(format!(
+                "{} clients: {:.0} events/sec below the {GATE_EVENTS_PER_SEC:.0} gate",
+                row.clients,
+                row.events_per_sec()
+            ));
         }
     }
+    let clients: usize = rows.iter().map(|row| row.clients).sum();
+    gate.finish(&format!(
+        "{clients} concurrent streams finalized correctly at >= \
+         {GATE_EVENTS_PER_SEC:.0} events/sec aggregate, zero handler panics"
+    ))
 }

@@ -17,6 +17,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use lomon_bench::gate::{self, Args, Gate};
 use lomon_smc::{Campaign, CampaignConfig, CampaignReport, ScenarioModel};
 use lomon_tlm::scenario::ScenarioConfig;
 
@@ -35,35 +36,35 @@ struct Measurement {
     millis: f64,
 }
 
-fn run(model: &ScenarioModel, episodes: u64, jobs: usize, reps: u32) -> Measurement {
+fn run(model: &ScenarioModel, episodes: u64, jobs: usize, reps: usize) -> Measurement {
     let campaign = Campaign::new(
         model,
         CampaignConfig::estimate(42, episodes).with_jobs(jobs),
     )
     .expect("bench properties compile");
-    let mut best = f64::INFINITY;
     let mut report = None;
     // Best-of-`reps` wall clock: robust against scheduler noise on shared
     // CI runners.
-    for _ in 0..reps {
+    let [best] = gate::best_of(reps, |_| {
         let started = Instant::now();
         let this = campaign.run();
-        best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        let nanos = started.elapsed().as_nanos();
         if let Some(previous) = &report {
             assert_eq!(&this, previous, "a re-run changed the report");
         }
         report = Some(this);
-    }
+        nanos
+    });
     Measurement {
         report: report.expect("at least one rep"),
-        millis: best,
+        millis: best as f64 / 1e6,
     }
 }
 
 fn main() -> ExitCode {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = Args::from_env("smc_scaling", &[]).check;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (episodes, reps, job_counts): (u64, u32, Vec<usize>) = if check_mode {
+    let (episodes, reps, job_counts): (u64, usize, Vec<usize>) = if check_mode {
         (1024, 3, vec![1, 2, 4])
     } else {
         let mut jobs = vec![1, 2, 4, 8, 16];
@@ -121,12 +122,11 @@ fn main() -> ExitCode {
     }
 
     println!();
-    let mut ok = true;
+    let mut gate = Gate::default();
     if deterministic {
         println!("OK: reports identical across all worker counts");
     } else {
-        println!("FAIL: a worker count changed the campaign report");
-        ok = false;
+        gate.fail("a worker count changed the campaign report");
     }
     match speedup_at_4 {
         Some(mut speedup) if cores >= 4 => {
@@ -149,8 +149,9 @@ fn main() -> ExitCode {
             if speedup >= 3.0 {
                 println!("OK: 4 workers are {speedup:.2}x faster than 1 (>= 3x required)");
             } else {
-                println!("FAIL: 4 workers are only {speedup:.2}x faster than 1 (>= 3x required)");
-                ok = false;
+                gate.fail(format!(
+                    "4 workers are only {speedup:.2}x faster than 1 (>= 3x required)"
+                ));
             }
         }
         Some(speedup) => {
@@ -159,14 +160,7 @@ fn main() -> ExitCode {
                  (measured {speedup:.2}x)"
             );
         }
-        None => {
-            println!("FAIL: the 4-worker row did not run");
-            ok = false;
-        }
+        None => gate.fail("the 4-worker row did not run"),
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    gate.exit()
 }

@@ -10,8 +10,11 @@
 //! * criterion wall-clock benches (`cargo bench -p lomon-bench`).
 //!
 //! This library holds the shared harness: the six Fig. 6 configurations,
-//! per-strategy measurement, and table formatting.
+//! per-strategy measurement, and table formatting; the CI timing gates'
+//! flags, timing, baselines and ratchet ([`gate`]); and their workloads
+//! ([`workloads`]).
 
+pub mod gate;
 pub mod workloads;
 
 use lomon_core::ast::Property;

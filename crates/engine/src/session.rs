@@ -8,7 +8,7 @@
 //! every property is its own group. All bookkeeping (liveness, deadlines,
 //! statistics) is unit-granular; the per-property surface
 //! ([`Session::verdict`], [`Session::violation`], [`Session::ops`],
-//! reports, [`Session::take_newly_final`]) fans group results back out
+//! reports, [`Session::drain_newly_final_into`]) fans group results back out
 //! through the program's member table.
 //!
 //! ## Parking and recycling
@@ -160,8 +160,8 @@ macro_rules! with_arena {
 ///
 /// Units whose verdict goes final are *retired*: they stop receiving
 /// events, and their member property ids are queued for
-/// [`Session::take_newly_final`] so a streaming caller can report verdicts
-/// as they happen.
+/// [`Session::drain_newly_final_into`] so a streaming caller can report
+/// verdicts as they happen.
 #[derive(Debug, Clone)]
 pub struct Session<'e> {
     engine: &'e Engine,
@@ -450,20 +450,10 @@ impl<'e> Session<'e> {
         }
     }
 
-    /// The ids of properties whose verdict went final since the last call,
-    /// in finalization order. Streaming callers poll this after each
+    /// Move the ids of properties whose verdict went final since the last
+    /// call into `out` (cleared first), in finalization order, reusing both
+    /// buffers' capacity. Streaming callers poll this after each
     /// [`Session::ingest`] to report verdicts as they happen.
-    ///
-    /// Allocates the returned vector; a per-event polling loop should
-    /// prefer [`Session::drain_newly_final_into`] with a reused buffer.
-    pub fn take_newly_final(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.core.newly_final)
-    }
-
-    /// Move the newly-final property ids into `out` (cleared first),
-    /// reusing both buffers' capacity — the allocation-free variant of
-    /// [`Session::take_newly_final`] for per-event polling loops (`watch`
-    /// streams, SMC episode loops).
     pub fn drain_newly_final_into(&mut self, out: &mut Vec<u32>) {
         out.clear();
         out.append(&mut self.core.newly_final);
@@ -899,7 +889,9 @@ mod tests {
             session.ingest(event(&voc, name, ns));
         }
         // Property 0 is one-shot: Satisfied and retired.
-        assert_eq!(session.take_newly_final(), vec![0]);
+        let mut finalized = Vec::new();
+        session.drain_newly_final_into(&mut finalized);
+        assert_eq!(finalized, [0]);
         assert_eq!(session.verdict(0), Verdict::Satisfied);
         assert_eq!(session.active_len(), 1);
         let steps = session.stats().monitor_steps;
@@ -919,7 +911,9 @@ mod tests {
                                                // reveals the miss — exactly as a naive broadcast would.
         session.ingest(event(&voc, "a", 200));
         assert_eq!(session.verdict(1), Verdict::Violated);
-        assert_eq!(session.take_newly_final(), vec![1]);
+        let mut finalized = vec![7];
+        session.drain_newly_final_into(&mut finalized);
+        assert_eq!(finalized, [1], "cleared first");
         assert!(session.violation(1).is_some());
     }
 
@@ -990,7 +984,9 @@ mod tests {
         assert_eq!(session.active_len(), 2);
         assert_eq!(session.stats().events, 0);
         assert_eq!(session.verdict(0), Verdict::PresumablySatisfied);
-        assert!(session.take_newly_final().is_empty());
+        let mut finalized = Vec::new();
+        session.drain_newly_final_into(&mut finalized);
+        assert!(finalized.is_empty());
         // The reused session still works.
         session.ingest(event(&voc, "start", 10));
         assert_eq!(session.verdict(0), Verdict::Violated);

@@ -7,7 +7,7 @@
 //! | Route | Effect |
 //! |---|---|
 //! | `GET /health` | liveness + generation + stream counts |
-//! | `POST /reload` | body = rulebook text; compile aside, swap for new streams, `422` + diagnostics on failure (program untouched) |
+//! | `POST /reload` | body = rulebook text; compile aside, swap for new streams, `422` + diagnostics on failure (program untouched); `400` on a malformed `Content-Length` |
 //! | `POST /shutdown` | begin drain-then-exit |
 
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -49,7 +49,10 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut head = (&mut reader).take(MAX_HEAD);
     let mut request_line = String::new();
     head.read_line(&mut request_line)?;
-    let mut content_length = 0usize;
+    // No `Content-Length` means an empty body (RFC 9112 §6.3); one that
+    // does not parse is `None`, and the request is refused before its body
+    // is used.
+    let mut content_length = Some(0usize);
     loop {
         let mut line = String::new();
         match head.read_line(&mut line) {
@@ -58,7 +61,7 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             Ok(_) => {
                 let lower = line.to_ascii_lowercase();
                 if let Some(value) = lower.strip_prefix("content-length:") {
-                    content_length = value.trim().parse().unwrap_or(0);
+                    content_length = value.trim().parse().ok();
                 }
             }
             Err(_) => break,
@@ -95,6 +98,14 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             respond(&mut stream, 200, "OK", &body)
         }
         ("POST", "/reload") => {
+            let Some(content_length) = content_length else {
+                return respond(
+                    &mut stream,
+                    400,
+                    "Bad Request",
+                    "{\"ok\": false, \"error\": \"malformed Content-Length\"}\n",
+                );
+            };
             if content_length > MAX_BODY {
                 return respond(
                     &mut stream,

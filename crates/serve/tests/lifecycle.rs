@@ -4,6 +4,8 @@
 
 mod common;
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use common::{admin, start, test_config, wait_until, Client, RULEBOOK};
@@ -185,6 +187,38 @@ fn failed_reload_leaves_serving_program_untouched() {
         verdict.contains("\"verdict\": \"violated\""),
         "got: {verdict}"
     );
+}
+
+/// A reload whose `Content-Length` does not parse is refused with 400
+/// before the rulebook is compiled: no failure counted, no generation
+/// spent, the serving program untouched. (`admin` always writes a correct
+/// length, so the request is written raw.)
+#[test]
+fn malformed_content_length_reload_is_refused_untouched() {
+    let server = start(RULEBOOK);
+    let rulebook = "a << b once\n";
+    let mut stream = TcpStream::connect(server.admin_addr()).expect("connect admin");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let request =
+        format!("POST /reload HTTP/1.1\r\nHost: lomon\r\nContent-Length: abc\r\n\r\n{rulebook}");
+    stream.write_all(request.as_bytes()).expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 400 "), "got: {response}");
+    assert!(
+        response.contains("malformed Content-Length"),
+        "got: {response}"
+    );
+    assert_eq!(server.generation(), 1);
+    assert_eq!(server.metrics().reload_failures.get(), 0);
+    assert_eq!(server.metrics().reloads.get(), 0);
+
+    // The next good reload takes the next generation.
+    let (status, body) = admin(server.admin_addr(), "POST", "/reload", rulebook);
+    assert_eq!(status, 200, "body: {body}");
+    assert!(body.contains("\"generation\": 2"), "body: {body}");
 }
 
 /// Drain shutdown flushes every in-flight stream's final report before

@@ -129,12 +129,6 @@ impl CampaignConfig {
         self.jobs = jobs;
         self
     }
-
-    /// Override the monitor execution backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// Why a campaign could not run.

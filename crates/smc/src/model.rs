@@ -219,12 +219,6 @@ impl GenModel {
         self.mutation_probability = p;
         self
     }
-
-    /// Episode-count/gap parameters of the per-episode generator.
-    pub fn with_generator(mut self, generator: GeneratorConfig) -> Self {
-        self.generator = generator;
-        self
-    }
 }
 
 impl EpisodeModel for GenModel {

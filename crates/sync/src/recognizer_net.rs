@@ -13,7 +13,7 @@
 //! same input sequences and require identical states and outputs at every
 //! tick.
 
-use crate::network::{Network, NetworkBuilder, Signal, Value};
+use crate::network::{Network, NetworkBuilder, Signal};
 
 /// The event classification fed to the network at each tick (at most one
 /// per tick, mirroring the asynchronous interleaving of TLM models).
@@ -245,11 +245,6 @@ impl RangeRecognizerNet {
     pub fn state_bits(&self) -> u64 {
         self.net.state_bits()
     }
-}
-
-/// One-hot consistency check helper used in tests.
-pub fn value_is_true(v: Value) -> bool {
-    v == Value::Bool(true)
 }
 
 #[cfg(test)]

@@ -15,6 +15,12 @@
 //! Each event line is `<time> <direction> <name>`; `direction` is `in` or
 //! `out`. An optional final `end <time>` line records when observation
 //! stopped (needed to detect deadlines that expired after the last event).
+//!
+//! This module holds the grammar of one line ([`parse_trace_line`], the
+//! `char`-wise source of truth), its error type, the telemetry families
+//! and the writer. The readers are byte-level and live in [`crate::wire`]:
+//! [`read_trace_bytes`](crate::read_trace_bytes) loads a whole trace, and
+//! the engine's stream driver lexes one line at a time.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -25,9 +31,9 @@ use crate::name::Direction;
 use crate::time::parse_sim_time;
 use crate::{Trace, Vocabulary};
 
-/// Telemetry counters for trace I/O, shared by whole-file parsing
-/// ([`read_trace_observed`]) and the CLI's streaming line loop (`lomon
-/// watch` counts through the same families).
+/// Telemetry counters for trace I/O, shared by the engine's stream driver
+/// (`check`, `watch` and `serve` with `--metrics`) and
+/// [`read_trace_bytes_into`](crate::read_trace_bytes_into).
 #[derive(Debug)]
 pub struct IoMetrics {
     /// `lomon_io_lines_total`: text lines consumed (including comments and
@@ -38,11 +44,12 @@ pub struct IoMetrics {
     /// `lomon_io_parse_errors_total`: lines rejected by the parser.
     pub parse_errors: Arc<Counter>,
     /// `lomon_ingest_decode_ns`: nanoseconds spent decoding trace bytes
-    /// into events, recorded once per decoded buffer by the whole-buffer
-    /// readers. The engine's stream driver (`check`, `watch`) records a
-    /// sample instead: the parse of one line in 64, picked by line number,
-    /// so the count is about a 64th of `lomon_io_lines_total`. Either way
-    /// the instrumentation stays off the per-byte and per-line hot path.
+    /// into events. The engine's stream driver records a sample: the parse
+    /// of one line in 64, picked by line number, so the count is about a
+    /// 64th of `lomon_io_lines_total`.
+    /// [`read_trace_bytes_into`](crate::read_trace_bytes_into) records once
+    /// per decoded buffer. Either way the instrumentation stays off the
+    /// per-byte and per-line hot path.
     pub decode_ns: Arc<Histogram>,
 }
 
@@ -64,7 +71,7 @@ impl IoMetrics {
     }
 }
 
-/// Error produced by [`read_trace`], with the 1-based line number.
+/// Error produced by the whole-trace readers, with the 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceParseError {
     /// 1-based line where the problem was found.
@@ -82,8 +89,9 @@ impl std::fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 /// One parsed line of the trace text format. The single source of truth
-/// for the per-line grammar, shared by [`read_trace`] and streaming
-/// consumers (such as `lomon watch`) that parse one line at a time.
+/// for the per-line grammar: the byte lexer
+/// ([`parse_trace_line_bytes`](crate::parse_trace_line_bytes)) returns the
+/// same value for every line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceLine<'a> {
     /// An event line `<time> <in|out> <name>`.
@@ -102,8 +110,9 @@ pub enum TraceLine<'a> {
 /// Parse one line of the trace text format. Blank lines and `#` comments
 /// parse to `Ok(None)`.
 ///
-/// Monotonicity across lines is the caller's concern ([`read_trace`]
-/// enforces it for whole files).
+/// Monotonicity across lines is the caller's concern
+/// ([`read_trace_bytes`](crate::read_trace_bytes) enforces it for whole
+/// files).
 ///
 /// # Errors
 ///
@@ -145,101 +154,8 @@ pub fn parse_trace_line(raw: &str) -> Result<Option<TraceLine<'_>>, String> {
     }))
 }
 
-/// Parse a trace from its text representation, interning names into `voc`.
-///
-/// # Errors
-///
-/// Returns a [`TraceParseError`] with the offending line on malformed input,
-/// unknown directions, bad time literals, or non-monotone timestamps.
-pub fn read_trace(text: &str, voc: &mut Vocabulary) -> Result<Trace, TraceParseError> {
-    read_trace_observed(text, voc, None)
-}
-
-/// [`read_trace`] with optional telemetry: every consumed line and byte is
-/// counted, and a parse failure bumps the error counter before the
-/// [`TraceParseError`] is returned.
-///
-/// # Errors
-///
-/// Identical to [`read_trace`].
-pub fn read_trace_observed(
-    text: &str,
-    voc: &mut Vocabulary,
-    metrics: Option<&IoMetrics>,
-) -> Result<Trace, TraceParseError> {
-    let started = metrics.map(|_| std::time::Instant::now());
-    let mut trace = Trace::new();
-    let mut last_time = None;
-    let mut lines = 0u64;
-    let mut result = Ok(());
-    for (idx, raw) in text.lines().enumerate() {
-        lines += 1;
-        let err = |message: String| TraceParseError {
-            line: idx + 1,
-            message,
-        };
-        if let Err(e) = read_one(raw, voc, &mut trace, &mut last_time, err) {
-            result = Err(e);
-            break;
-        }
-    }
-    if let Some(m) = metrics {
-        m.lines.add(lines);
-        m.bytes.add(text.len() as u64);
-        if result.is_err() {
-            m.parse_errors.inc();
-        }
-        if let Some(t0) = started {
-            m.decode_ns
-                .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-    result.map(|()| trace)
-}
-
-fn read_one(
-    raw: &str,
-    voc: &mut Vocabulary,
-    trace: &mut Trace,
-    last_time: &mut Option<crate::SimTime>,
-    err: impl Fn(String) -> TraceParseError,
-) -> Result<(), TraceParseError> {
-    match parse_trace_line(raw).map_err(&err)? {
-        None => {}
-        Some(TraceLine::End(time)) => {
-            if let Some(last) = *last_time {
-                if time < last {
-                    return Err(err(format!(
-                        "end time {time} precedes last event at {last}"
-                    )));
-                }
-            }
-            trace.set_end_time(time);
-            // The end time advances the clock: a later event line may
-            // not jump back before it (`Trace::push` would panic).
-            *last_time = Some(time);
-        }
-        Some(TraceLine::Event {
-            time,
-            direction,
-            name,
-        }) => {
-            if let Some(last) = *last_time {
-                if time < last {
-                    return Err(err(format!(
-                        "timestamp {time} precedes previous event at {last}"
-                    )));
-                }
-            }
-            *last_time = Some(time);
-            let name = voc.intern(name, direction);
-            trace.push(name, time);
-        }
-    }
-    Ok(())
-}
-
-/// Render a trace in the text format accepted by [`read_trace`].
+/// Render a trace in the text format accepted by
+/// [`read_trace_bytes`](crate::read_trace_bytes).
 pub fn write_trace(trace: &Trace, voc: &Vocabulary) -> String {
     let mut out = String::new();
     for e in trace.iter() {
@@ -262,13 +178,13 @@ pub fn write_trace(trace: &Trace, voc: &Vocabulary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimTime;
+    use crate::{read_trace_bytes, read_trace_bytes_into, SimTime};
 
     #[test]
     fn read_basic_trace() {
         let mut voc = Vocabulary::new();
         let text = "# configuration phase\n10ns in set_imgAddr\n12ns in start\n\n20ns out set_irq\nend 100ns\n";
-        let trace = read_trace(text, &mut voc).expect("parses");
+        let trace = read_trace_bytes(text.as_bytes(), &mut voc).expect("parses");
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.end_time(), SimTime::from_ns(100));
         let set_irq = voc.lookup("set_irq").expect("interned");
@@ -284,7 +200,7 @@ mod tests {
         t.set_end_time(SimTime::from_ms(1));
         let text = write_trace(&t, &voc);
         let mut voc2 = Vocabulary::new();
-        let t2 = read_trace(&text, &mut voc2).expect("parses");
+        let t2 = read_trace_bytes(text.as_bytes(), &mut voc2).expect("parses");
         assert_eq!(t2.len(), 2);
         assert_eq!(t2.end_time(), SimTime::from_ms(1));
         assert_eq!(voc2.resolve(t2.events()[0].name), "a");
@@ -300,7 +216,7 @@ mod tests {
         let text = write_trace(&t, &voc);
         assert!(!text.contains("end"), "no redundant end line: {text}");
         let mut voc2 = Vocabulary::new();
-        let t2 = read_trace(&text, &mut voc2).expect("parses");
+        let t2 = read_trace_bytes(text.as_bytes(), &mut voc2).expect("parses");
         assert_eq!(t2.end_time(), SimTime::from_ns(1));
     }
 
@@ -310,38 +226,38 @@ mod tests {
         let t = Trace::new();
         let text = write_trace(&t, &voc);
         let mut voc2 = Vocabulary::new();
-        let t2 = read_trace(&text, &mut voc2).expect("parses");
+        let t2 = read_trace_bytes(text.as_bytes(), &mut voc2).expect("parses");
         assert!(t2.is_empty());
     }
 
     #[test]
     fn errors_carry_line_numbers() {
         let mut voc = Vocabulary::new();
-        let err = read_trace("10ns in a\n5ns in b\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"10ns in a\n5ns in b\n", &mut voc).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("precedes"));
 
-        let err = read_trace("10ns sideways a\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"10ns sideways a\n", &mut voc).unwrap_err();
         assert!(err.message.contains("unknown direction"));
 
-        let err = read_trace("10ns in\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"10ns in\n", &mut voc).unwrap_err();
         assert!(err.message.contains("missing event name"));
 
-        let err = read_trace("banana in a\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"banana in a\n", &mut voc).unwrap_err();
         assert_eq!(err.line, 1);
 
-        let err = read_trace("10ns in a extra\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"10ns in a extra\n", &mut voc).unwrap_err();
         assert!(err.message.contains("trailing"));
 
-        let err = read_trace("end\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"end\n", &mut voc).unwrap_err();
         assert!(err.message.contains("requires a time"));
 
-        let err = read_trace("10ns in a\nend 5ns\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"10ns in a\nend 5ns\n", &mut voc).unwrap_err();
         assert!(err.message.contains("precedes last event"));
 
         // An event jumping back before a recorded end time must be a parse
         // error, not a `Trace::push` panic.
-        let err = read_trace("end 100ns\n10ns in a\n", &mut voc).unwrap_err();
+        let err = read_trace_bytes(b"end 100ns\n10ns in a\n", &mut voc).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("precedes"));
     }
@@ -373,20 +289,22 @@ mod tests {
         let registry = lomon_obs::Registry::new();
         let metrics = IoMetrics::register(&registry);
         let mut voc = Vocabulary::new();
+        let mut trace = Trace::new();
         let text = "# comment\n10ns in a\nend 20ns\n";
-        read_trace_observed(text, &mut voc, Some(&metrics)).expect("parses");
+        read_trace_bytes_into(text.as_bytes(), &mut voc, &mut trace, Some(&metrics))
+            .expect("parses");
         assert_eq!(metrics.lines.get(), 3);
         assert_eq!(metrics.bytes.get(), text.len() as u64);
         assert_eq!(metrics.parse_errors.get(), 0);
+        assert_eq!(metrics.decode_ns.count(), 1);
 
         let bad = "10ns sideways a\n";
-        read_trace_observed(bad, &mut voc, Some(&metrics)).unwrap_err();
+        let err = read_trace_bytes_into(bad.as_bytes(), &mut voc, &mut trace, Some(&metrics))
+            .unwrap_err();
+        assert!(err.message.contains("unknown direction"));
         assert_eq!(metrics.lines.get(), 4);
         assert_eq!(metrics.parse_errors.get(), 1);
-
-        // The unobserved entry point is byte-for-byte the same parser.
-        let err = read_trace(bad, &mut voc).unwrap_err();
-        assert!(err.message.contains("unknown direction"));
+        assert_eq!(metrics.decode_ns.count(), 2);
     }
 
     #[test]

@@ -50,22 +50,16 @@ pub mod wire;
 
 pub use event::TimedEvent;
 pub use frame::{Frame, FrameDecoder, MAX_FRAME_BYTES};
-pub use io::{
-    parse_trace_line, read_trace, read_trace_observed, write_trace, IoMetrics, TraceLine,
-    TraceParseError,
-};
+pub use io::{parse_trace_line, write_trace, IoMetrics, TraceLine, TraceParseError};
 pub use json::json_escape;
 pub use lexer::{LexedEvent, LexedToken, RunLengthLexer};
 pub use mmap::MappedFile;
 pub use name::{Direction, Name, NameSet, Vocabulary};
-pub use ndjson::{
-    parse_ndjson_line_ref, parse_stream_line, parse_stream_line_bytes, parse_stream_line_ref,
-    StreamFormat, StreamLine, StreamLineRef,
-};
+pub use ndjson::{parse_ndjson_line_ref, parse_stream_line_bytes, StreamFormat, StreamLineRef};
 pub use time::SimTime;
 pub use trace::Trace;
 pub use vcd::write_vcd;
 pub use wire::{
-    byte_lines, decode_events_into, decode_events_into_observed, parse_trace_line_bytes,
-    read_trace_bytes, read_trace_bytes_into, read_trace_bytes_observed, DecodeSummary,
+    byte_lines, decode_events_into, parse_trace_line_bytes, read_trace_bytes,
+    read_trace_bytes_into, DecodeSummary,
 };

@@ -5,14 +5,16 @@
 //!
 //! * the trace text format, `<time> <in|out> <name>` with an optional
 //!   `end <time>` marker (one source of truth with
-//!   [`read_trace`](crate::read_trace), via
-//!   [`parse_trace_line`](crate::parse_trace_line)); and
+//!   [`read_trace_bytes`](crate::read_trace_bytes), via
+//!   [`parse_trace_line_bytes`](crate::parse_trace_line_bytes)); and
 //! * NDJSON: one flat JSON object per line,
 //!   `{"time": "10ns", "dir": "in", "name": "x"}` or `{"end": "500ns"}`
 //!
-//! — and parse them into the same [`StreamLineRef`]. Keeping the grammar
-//! here (rather than in the CLI binary) is what guarantees a frame that
-//! `watch` accepts is byte-for-byte a frame `serve` accepts.
+//! — and parse them into the same [`StreamLineRef`] with
+//! [`parse_stream_line_bytes`], the entry point of the engine's stream
+//! driver. Keeping the grammar here (rather than in the CLI binary) is
+//! what guarantees a frame that `watch` accepts is byte-for-byte a frame
+//! `serve` accepts.
 //!
 //! NDJSON has two decoders with one grammar. A byte-level fast path takes
 //! only the regular event object — a flat object of ASCII bytes whose keys
@@ -43,29 +45,10 @@ pub enum StreamFormat {
     Ndjson,
 }
 
-/// One parsed stream line.
-#[derive(Debug, PartialEq, Eq)]
-pub enum StreamLine {
-    /// An interface event.
-    Event {
-        /// Timestamp of the occurrence.
-        time: SimTime,
-        /// Interface direction the name will be interned with.
-        direction: Direction,
-        /// The interface name, still raw text (interning needs a mutable
-        /// vocabulary the parser does not have).
-        name: String,
-    },
-    /// An `end`/`{"end": …}` marker: observation time advanced with no
-    /// event.
-    End(SimTime),
-}
-
 /// One parsed stream line with the name **borrowed** from the input
 /// buffer whenever possible (it goes owned only when a JSON escape forced
-/// a copy). This is the zero-copy twin of [`StreamLine`], used by the
-/// wire-speed paths in `lomon watch` and `lomon serve` where the next
-/// step is a byte-keyed vocabulary probe, not an allocation.
+/// a copy): the next step is a byte-keyed vocabulary probe, not an
+/// allocation.
 #[derive(Debug, PartialEq, Eq)]
 pub enum StreamLineRef<'a> {
     /// An interface event.
@@ -83,67 +66,9 @@ pub enum StreamLineRef<'a> {
     End(SimTime),
 }
 
-impl StreamLineRef<'_> {
-    /// Convert to the owned [`StreamLine`], copying the name.
-    pub fn into_owned(self) -> StreamLine {
-        match self {
-            StreamLineRef::Event {
-                time,
-                direction,
-                name,
-            } => StreamLine::Event {
-                time,
-                direction,
-                name: name.into_owned(),
-            },
-            StreamLineRef::End(time) => StreamLine::End(time),
-        }
-    }
-}
-
-/// Parse one stream line in the given format. `Ok(None)` is a blank line
-/// or comment — skippable, not an error.
-///
-/// # Errors
-///
-/// A human-readable description of the first grammar fault on the line.
-pub fn parse_stream_line(format: StreamFormat, line: &str) -> Result<Option<StreamLine>, String> {
-    Ok(parse_stream_line_ref(format, line)?.map(StreamLineRef::into_owned))
-}
-
-/// Zero-copy variant of [`parse_stream_line`]: the event name borrows
-/// from `line` (owned only when a JSON escape forced a copy). Grammar and
-/// error text are identical — [`parse_stream_line`] is this plus
-/// [`StreamLineRef::into_owned`].
-///
-/// # Errors
-///
-/// See [`parse_stream_line`].
-pub fn parse_stream_line_ref(
-    format: StreamFormat,
-    line: &str,
-) -> Result<Option<StreamLineRef<'_>>, String> {
-    match format {
-        StreamFormat::Trace => Ok(
-            crate::io::parse_trace_line(line)?.map(|parsed| match parsed {
-                crate::io::TraceLine::Event {
-                    time,
-                    direction,
-                    name,
-                } => StreamLineRef::Event {
-                    time,
-                    direction,
-                    name: Cow::Borrowed(name),
-                },
-                crate::io::TraceLine::End(time) => StreamLineRef::End(time),
-            }),
-        ),
-        StreamFormat::Ndjson => parse_ndjson_line_ref(line),
-    }
-}
-
-/// Byte-slice variant of [`parse_stream_line_ref`] for decoders that hold
-/// raw frames: the trace text grammar is lexed directly from bytes (via
+/// Parse one stream line in the given format from a raw frame. `Ok(None)`
+/// is a blank line or comment — skippable, not an error. The trace text
+/// grammar is lexed directly from bytes (via
 /// [`parse_trace_line_bytes`](crate::parse_trace_line_bytes)); an NDJSON
 /// event the byte-level fast path takes needs no UTF-8 pass, and any other
 /// NDJSON line is validated as UTF-8 once and then scanned borrowing from
@@ -151,8 +76,8 @@ pub fn parse_stream_line_ref(
 ///
 /// # Errors
 ///
-/// See [`parse_stream_line`]; additionally `line is not valid UTF-8` on
-/// non-UTF-8 input.
+/// A human-readable description of the first grammar fault on the line,
+/// or `line is not valid UTF-8` on non-UTF-8 input.
 pub fn parse_stream_line_bytes(
     format: StreamFormat,
     raw: &[u8],
@@ -191,7 +116,7 @@ pub fn parse_stream_line_bytes(
 ///
 /// # Errors
 ///
-/// See [`parse_stream_line`].
+/// A human-readable description of the first grammar fault on the line.
 pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
     match parse_plain_event(line.as_bytes()) {
         Some(event) => Ok(Some(event)),
@@ -459,18 +384,15 @@ impl<'a> Scanner<'a> {
 mod tests {
     use super::*;
 
-    /// The owned parse of one NDJSON line.
-    fn owned(line: &str) -> Result<Option<StreamLine>, String> {
-        parse_ndjson_line_ref(line).map(|parsed| parsed.map(StreamLineRef::into_owned))
-    }
-
     #[test]
     fn ndjson_event_with_default_direction() {
         let line = r#"{"time": "10ns", "name": "set_imgAddr"}"#;
-        let parsed = owned(line).expect("parses").expect("a line");
+        let parsed = parse_ndjson_line_ref(line)
+            .expect("parses")
+            .expect("a line");
         assert_eq!(
             parsed,
-            StreamLine::Event {
+            StreamLineRef::Event {
                 time: SimTime::from_ns(10),
                 direction: Direction::Input,
                 name: "set_imgAddr".into(),
@@ -480,30 +402,34 @@ mod tests {
 
     #[test]
     fn ndjson_end_marker() {
-        let parsed = owned(r#"{"end": "500ns"}"#).expect("parses");
-        assert_eq!(parsed, Some(StreamLine::End(SimTime::from_ns(500))));
+        let parsed = parse_ndjson_line_ref(r#"{"end": "500ns"}"#).expect("parses");
+        assert_eq!(parsed, Some(StreamLineRef::End(SimTime::from_ns(500))));
     }
 
     #[test]
     fn blank_lines_are_skipped_in_both_formats() {
         for format in [StreamFormat::Trace, StreamFormat::Ndjson] {
-            assert_eq!(parse_stream_line(format, "   "), Ok(None));
+            assert_eq!(parse_stream_line_bytes(format, b"   "), Ok(None));
         }
         assert_eq!(
-            parse_stream_line(StreamFormat::Trace, "# comment"),
+            parse_stream_line_bytes(StreamFormat::Trace, b"# comment"),
             Ok(None)
         );
     }
 
     #[test]
     fn faults_name_the_problem() {
-        assert!(owned(r#"{"time": "10ns"}"#).unwrap_err().contains("name"));
-        assert!(owned(r#"{"time": "10ns", "dir": "sideways", "name": "x"}"#)
+        assert!(parse_ndjson_line_ref(r#"{"time": "10ns"}"#)
             .unwrap_err()
-            .contains("sideways"));
-        assert!(owned("not json").is_err());
-        assert!(owned(r#"{"time": "10ns", "name": ""}"#).is_err());
-        assert!(parse_stream_line(StreamFormat::Trace, "10ns sideways x").is_err());
+            .contains("name"));
+        assert!(
+            parse_ndjson_line_ref(r#"{"time": "10ns", "dir": "sideways", "name": "x"}"#)
+                .unwrap_err()
+                .contains("sideways")
+        );
+        assert!(parse_ndjson_line_ref("not json").is_err());
+        assert!(parse_ndjson_line_ref(r#"{"time": "10ns", "name": ""}"#).is_err());
+        assert!(parse_stream_line_bytes(StreamFormat::Trace, b"10ns sideways x").is_err());
     }
 
     #[test]
@@ -534,22 +460,22 @@ mod tests {
     #[test]
     fn flat_json_handles_escapes_and_duplicates_like_before() {
         let event = |name: &str| {
-            Ok(Some(StreamLine::Event {
+            Ok(Some(StreamLineRef::Event {
                 time: SimTime::from_ns(1),
                 direction: Direction::Input,
-                name: name.into(),
+                name: Cow::Owned(name.to_owned()),
             }))
         };
         assert_eq!(
-            owned(r#"{"time": "1ns", "name": "a\\b\n\t\""}"#),
+            parse_ndjson_line_ref(r#"{"time": "1ns", "name": "a\\b\n\t\""}"#),
             event("a\\b\n\t\"")
         );
         // First occurrence wins.
         assert_eq!(
-            owned(r#"{"time": "1ns", "name": "x", "name": "y"}"#),
+            parse_ndjson_line_ref(r#"{"time": "1ns", "name": "x", "name": "y"}"#),
             event("x")
         );
-        let error = |line: &str| owned(line).unwrap_err();
+        let error = |line: &str| parse_ndjson_line_ref(line).unwrap_err();
         assert!(error(r#"{"time": "1ns", "name": "\q"}"#).contains("unsupported escape"));
         assert!(error(r#"{"time": "1ns", "name": "open"#).contains("unterminated"));
         assert!(error(r#"{"time" "1ns"}"#).contains("expected `:` after key `time`"));
@@ -596,17 +522,19 @@ mod tests {
 
     #[test]
     fn byte_stream_line_matches_str_variant() {
-        let cases: [(&str, StreamFormat); 4] = [
-            ("10ns out done", StreamFormat::Trace),
-            ("end 5us", StreamFormat::Trace),
-            (r#"{"time": "10ns", "name": "done"}"#, StreamFormat::Ndjson),
-            (r#"{"end": "5us"}"#, StreamFormat::Ndjson),
-        ];
-        for (line, format) in cases {
-            let from_str = parse_stream_line_ref(format, line);
-            let from_bytes = parse_stream_line_bytes(format, line.as_bytes());
+        for line in [
+            r#"{"time": "10ns", "name": "done"}"#,
+            r#"{"end": "5us"}"#,
+            "not json",
+        ] {
+            let from_str = parse_ndjson_line_ref(line);
+            let from_bytes = parse_stream_line_bytes(StreamFormat::Ndjson, line.as_bytes());
             assert_eq!(from_str, from_bytes, "mismatch on {line:?}");
         }
+        assert_eq!(
+            parse_stream_line_bytes(StreamFormat::Trace, b"end 5us"),
+            Ok(Some(StreamLineRef::End(SimTime::from_us(5))))
+        );
         assert!(
             parse_stream_line_bytes(StreamFormat::Ndjson, b"{\"name\": \"a\xff\"}")
                 .unwrap_err()
@@ -616,10 +544,10 @@ mod tests {
 
     #[test]
     fn trace_and_ndjson_agree_on_the_same_event() {
-        let a = parse_stream_line(StreamFormat::Trace, "10ns out done").unwrap();
-        let b = parse_stream_line(
+        let a = parse_stream_line_bytes(StreamFormat::Trace, b"10ns out done").unwrap();
+        let b = parse_stream_line_bytes(
             StreamFormat::Ndjson,
-            r#"{"time": "10ns", "dir": "out", "name": "done"}"#,
+            br#"{"time": "10ns", "dir": "out", "name": "done"}"#,
         )
         .unwrap();
         assert_eq!(a, b);

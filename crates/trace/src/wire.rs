@@ -1,11 +1,7 @@
 //! Wire-speed byte-slice decode of the trace text grammar.
 //!
-//! The string-based readers in [`crate::io`] pay three per-line costs that
-//! dominate end-to-end monitoring throughput once the fused backend steps
-//! events in a handful of nanoseconds: a `String` per line (streaming
-//! readers), a `String` per name (`StreamLine::Event`), and a `SipHash`
-//! vocabulary probe per event. This module makes **bytes → pre-resolved
-//! events** the optimized unit instead:
+//! Decode is bytes → pre-resolved events, with no `String` per line or per
+//! name and no `SipHash` vocabulary probe per event:
 //!
 //! * [`parse_trace_line_bytes`] lexes one line straight from a `&[u8]`
 //!   buffer, borrowing the name out of the input (no allocation). Lines
@@ -15,23 +11,21 @@
 //!   construction (a differential proptest suite pins this). It is the
 //!   trace-text lexer of every `lomon` surface: `check`, `watch` and
 //!   `serve` run it line by line through the engine's stream driver.
-//! * [`read_trace_bytes`] is the whole-buffer equivalent of
-//!   [`crate::read_trace`], for the commands that load a trace as a value
-//!   (`vcd`, `profile`, `lint --trace`, `smc --trace`).
+//! * [`read_trace_bytes`] loads a whole buffer as a [`Trace`], interning
+//!   names, for the commands that take a trace as a value (`vcd`,
+//!   `profile`, `lint --trace`, `smc --trace`).
 //!   [`read_trace_bytes_into`] reuses one [`Trace`] allocation across
-//!   buffers.
+//!   buffers and optionally records into [`IoMetrics`], once per buffer.
 //! * [`decode_events_into`] is the frozen-vocabulary whole-buffer decoder:
-//!   names are resolved against [`Vocabulary::lookup_bytes`]'s precomputed
-//!   byte-keyed table and emitted as pre-resolved `u32` ids into a
-//!   caller-owned, reusable `Vec<TimedEvent>`.
+//!   one pass over the bytes, names resolved against
+//!   [`Vocabulary::lookup_bytes`]'s precomputed byte-keyed table and
+//!   emitted as pre-resolved `u32` ids into a caller-owned, reusable
+//!   `Vec<TimedEvent>`.
 //!
 //! No `lomon` command runs [`read_trace_bytes_into`] or
-//! [`decode_events_into`] any more: they stay for the benchmark's layer
-//! timings and the `wire_speed` gate's bytes-in/verdicts-out loop.
-//!
-//! Instrumented variants record into [`IoMetrics`] once per buffer, never
-//! per byte, which keeps decode telemetry within the workspace-wide
-//! ≤1.10× observability overhead budget (gated by `wire_speed --check`).
+//! [`decode_events_into`]: they stay for the benchmark's layer timings,
+//! and [`decode_events_into`] is the `wire` leg the `wire_speed` gate holds
+//! the stream driver against.
 
 use std::time::Instant;
 
@@ -240,40 +234,30 @@ pub fn parse_trace_line_bytes(raw: &[u8]) -> Result<Option<TraceLine<'_>>, Strin
 }
 
 /// Parse a whole trace buffer with the byte lexer, interning names into
-/// `voc`. Byte-level twin of [`crate::read_trace`] — same grammar, same
-/// monotonicity rules, same error text and 1-based line numbers.
+/// `voc`. Lines are split with `str::lines` semantics ([`byte_lines`]),
+/// timestamps must not decrease, and an `end <time>` line advances the
+/// clock.
 ///
 /// # Errors
 ///
-/// Identical to [`crate::read_trace`].
+/// A [`TraceParseError`] with the offending 1-based line on a malformed
+/// line (the message is [`parse_trace_line`]'s), a non-UTF-8 non-ASCII
+/// line, or a timestamp before the previous event or `end` time.
 pub fn read_trace_bytes(bytes: &[u8], voc: &mut Vocabulary) -> Result<Trace, TraceParseError> {
-    read_trace_bytes_observed(bytes, voc, None)
-}
-
-/// [`read_trace_bytes`] with optional telemetry (lines, bytes, parse
-/// errors and whole-buffer decode nanoseconds).
-///
-/// # Errors
-///
-/// Identical to [`crate::read_trace`].
-pub fn read_trace_bytes_observed(
-    bytes: &[u8],
-    voc: &mut Vocabulary,
-    metrics: Option<&IoMetrics>,
-) -> Result<Trace, TraceParseError> {
     let mut trace = Trace::new();
-    read_trace_bytes_into(bytes, voc, &mut trace, metrics)?;
+    read_trace_bytes_into(bytes, voc, &mut trace, None)?;
     Ok(trace)
 }
 
 /// Decode a whole trace buffer into a caller-owned [`Trace`], clearing it
 /// first but keeping its capacity, so one trace buffer serves many files.
+/// With `metrics`, the buffer's lines, bytes, parse error if any, and
+/// decode nanoseconds (one sample per buffer) are recorded.
 ///
 /// # Errors
 ///
-/// Identical to [`crate::read_trace`]; on error the partially decoded
-/// prefix stays in `trace` (callers treat the whole file as failed, as
-/// the string reader does).
+/// Identical to [`read_trace_bytes`]; on error the partially decoded
+/// prefix stays in `trace` (callers treat the whole file as failed).
 pub fn read_trace_bytes_into(
     bytes: &[u8],
     voc: &mut Vocabulary,
@@ -376,7 +360,7 @@ pub struct DecodeSummary {
 /// # Errors
 ///
 /// Grammar and monotonicity errors are identical to
-/// [`crate::read_trace`]. Additionally, a name absent from `voc` is
+/// [`read_trace_bytes`]. Additionally, a name absent from `voc` is
 /// `unknown event name `…`` — the frozen path never interns; callers
 /// whose alphabet can grow use [`read_trace_bytes_into`] instead.
 pub fn decode_events_into(
@@ -540,42 +524,9 @@ pub fn decode_events_into(
     Ok(summary)
 }
 
-/// [`decode_events_into`] with optional telemetry: lines, bytes, decode
-/// nanoseconds (one histogram sample for the whole buffer) and parse
-/// errors. The instrumentation wraps the undecorated decoder, so the
-/// per-byte hot path is byte-for-byte the uninstrumented one.
-///
-/// # Errors
-///
-/// Identical to [`decode_events_into`].
-pub fn decode_events_into_observed(
-    bytes: &[u8],
-    voc: &Vocabulary,
-    out: &mut Vec<TimedEvent>,
-    metrics: Option<&IoMetrics>,
-) -> Result<DecodeSummary, TraceParseError> {
-    let Some(m) = metrics else {
-        return decode_events_into(bytes, voc, out);
-    };
-    let t0 = Instant::now();
-    let result = decode_events_into(bytes, voc, out);
-    m.decode_ns
-        .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    m.bytes.add(bytes.len() as u64);
-    match &result {
-        Ok(summary) => m.lines.add(summary.lines),
-        Err(e) => {
-            m.lines.add(e.line as u64);
-            m.parse_errors.inc();
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{read_trace, read_trace_observed};
 
     #[test]
     fn byte_lines_match_str_lines() {
@@ -632,39 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn read_trace_bytes_equals_read_trace() {
-        let text = "# header\n10ns in a\n12ns out b\n\n20ns in a\nend 100ns\n";
-        let mut voc_str = Vocabulary::new();
-        let from_str = read_trace(text, &mut voc_str).expect("parses");
-        let mut voc_bytes = Vocabulary::new();
-        let from_bytes = read_trace_bytes(text.as_bytes(), &mut voc_bytes).expect("parses");
-        assert_eq!(from_str, from_bytes);
-        assert_eq!(voc_str.len(), voc_bytes.len());
-        for name in voc_str.iter() {
-            assert_eq!(voc_str.resolve(name), voc_bytes.resolve(name));
-            assert_eq!(voc_str.direction(name), voc_bytes.direction(name));
-        }
-    }
-
-    #[test]
-    fn read_trace_bytes_reports_identical_errors() {
-        for text in [
-            "10ns in a\n5ns in b\n",
-            "10ns sideways a\n",
-            "banana in a\n",
-            "end\n",
-            "10ns in a\nend 5ns\n",
-            "end 100ns\n10ns in a\n",
-        ] {
-            let mut voc_str = Vocabulary::new();
-            let from_str = read_trace(text, &mut voc_str).unwrap_err();
-            let mut voc_bytes = Vocabulary::new();
-            let from_bytes = read_trace_bytes(text.as_bytes(), &mut voc_bytes).unwrap_err();
-            assert_eq!(from_str, from_bytes, "mismatch on {text:?}");
-        }
-    }
-
-    #[test]
     fn read_trace_bytes_into_reuses_the_buffer() {
         let mut voc = Vocabulary::new();
         let mut trace = Trace::new();
@@ -716,37 +634,5 @@ mod tests {
 
         let err = decode_events_into(b"10ns in a\nend 5ns\n", &voc, &mut buf).unwrap_err();
         assert!(err.message.contains("precedes last event"));
-    }
-
-    #[test]
-    fn observed_variants_count_like_the_string_reader() {
-        let registry = lomon_obs::Registry::new();
-        let metrics = IoMetrics::register(&registry);
-        let text = "# comment\n10ns in a\nend 20ns\n";
-        let mut voc = Vocabulary::new();
-        read_trace_bytes_observed(text.as_bytes(), &mut voc, Some(&metrics)).expect("parses");
-        assert_eq!(metrics.lines.get(), 3);
-        assert_eq!(metrics.bytes.get(), text.len() as u64);
-        assert_eq!(metrics.parse_errors.get(), 0);
-        assert_eq!(metrics.decode_ns.count(), 1);
-
-        // The string reader counts the same families the same way.
-        let registry2 = lomon_obs::Registry::new();
-        let metrics2 = IoMetrics::register(&registry2);
-        let mut voc2 = Vocabulary::new();
-        read_trace_observed(text, &mut voc2, Some(&metrics2)).expect("parses");
-        assert_eq!(metrics2.lines.get(), metrics.lines.get());
-        assert_eq!(metrics2.bytes.get(), metrics.bytes.get());
-        assert_eq!(metrics2.decode_ns.count(), 1);
-
-        read_trace_bytes_observed(b"10ns sideways a\n", &mut voc, Some(&metrics)).unwrap_err();
-        assert_eq!(metrics.parse_errors.get(), 1);
-
-        let mut buf = Vec::new();
-        decode_events_into_observed(text.as_bytes(), &voc, &mut buf, Some(&metrics))
-            .expect("decodes");
-        assert_eq!(metrics.decode_ns.count(), 3);
-        decode_events_into_observed(b"zzz\n", &voc, &mut buf, Some(&metrics)).unwrap_err();
-        assert_eq!(metrics.parse_errors.get(), 2);
     }
 }

@@ -4,19 +4,20 @@
 //! random well-formed *and* malformed traces.
 //!
 //! The text grammar is compared against the live string parser
-//! ([`read_trace`]/[`parse_trace_line`], still the source of truth for
-//! Unicode corner cases). The NDJSON grammar's borrowed scanner and its
-//! byte-level fast path for regular event objects replaced the old
-//! char-iterator parser outright, so that parser is preserved here
-//! verbatim as the reference oracle.
+//! ([`parse_trace_line`], still the source of truth for Unicode corner
+//! cases). The byte readers replaced the `&str` whole-file reader and the
+//! old char-iterator NDJSON parser outright, so both are preserved here
+//! verbatim as reference oracles.
+
+use std::borrow::Cow;
 
 use proptest::prelude::*;
 
 use lomon_trace::io::IoMetrics;
 use lomon_trace::{
-    byte_lines, parse_ndjson_line_ref, parse_stream_line, parse_stream_line_bytes,
-    parse_trace_line, parse_trace_line_bytes, read_trace, read_trace_bytes, Direction, SimTime,
-    StreamFormat, StreamLine, StreamLineRef, Vocabulary,
+    byte_lines, parse_ndjson_line_ref, parse_stream_line_bytes, parse_trace_line,
+    parse_trace_line_bytes, read_trace_bytes, read_trace_bytes_into, Direction, SimTime,
+    StreamFormat, StreamLineRef, Trace, TraceLine, TraceParseError, Vocabulary,
 };
 
 // ---------------------------------------------------------------------
@@ -173,7 +174,69 @@ fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
 }
 
 // ---------------------------------------------------------------------
-// The legacy NDJSON parser, preserved verbatim as the reference oracle.
+// The retired `&str` whole-file reader, preserved verbatim (less its
+// telemetry) as the reference oracle of `read_trace_bytes`.
+// ---------------------------------------------------------------------
+
+fn read_trace(text: &str, voc: &mut Vocabulary) -> Result<Trace, TraceParseError> {
+    let mut trace = Trace::new();
+    let mut last_time = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let err = |message: String| TraceParseError {
+            line: idx + 1,
+            message,
+        };
+        read_one(raw, voc, &mut trace, &mut last_time, err)?;
+    }
+    Ok(trace)
+}
+
+fn read_one(
+    raw: &str,
+    voc: &mut Vocabulary,
+    trace: &mut Trace,
+    last_time: &mut Option<SimTime>,
+    err: impl Fn(String) -> TraceParseError,
+) -> Result<(), TraceParseError> {
+    match parse_trace_line(raw).map_err(&err)? {
+        None => {}
+        Some(TraceLine::End(time)) => {
+            if let Some(last) = *last_time {
+                if time < last {
+                    return Err(err(format!(
+                        "end time {time} precedes last event at {last}"
+                    )));
+                }
+            }
+            trace.set_end_time(time);
+            // The end time advances the clock: a later event line may
+            // not jump back before it (`Trace::push` would panic).
+            *last_time = Some(time);
+        }
+        Some(TraceLine::Event {
+            time,
+            direction,
+            name,
+        }) => {
+            if let Some(last) = *last_time {
+                if time < last {
+                    return Err(err(format!(
+                        "timestamp {time} precedes previous event at {last}"
+                    )));
+                }
+            }
+            *last_time = Some(time);
+            let name = voc.intern(name, direction);
+            trace.push(name, time);
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// The legacy NDJSON parser, preserved verbatim as the reference oracle
+// (it built the owned stream line; here that is a `StreamLineRef` with an
+// owned name).
 // ---------------------------------------------------------------------
 
 fn legacy_parse_flat_json(text: &str) -> Result<Vec<(String, String)>, String> {
@@ -236,7 +299,7 @@ fn legacy_parse_flat_json(text: &str) -> Result<Vec<(String, String)>, String> {
     Ok(pairs)
 }
 
-fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLine>, String> {
+fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLineRef<'static>>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Ok(None);
@@ -249,7 +312,7 @@ fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLine>, String> {
             .map(|(_, v)| v.as_str())
     };
     if let Some(end) = field("end") {
-        return Ok(Some(StreamLine::End(lomon_trace::time::parse_sim_time(
+        return Ok(Some(StreamLineRef::End(lomon_trace::time::parse_sim_time(
             end,
         )?)));
     }
@@ -268,17 +331,11 @@ fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLine>, String> {
     if name.is_empty() {
         return Err("empty event name".into());
     }
-    Ok(Some(StreamLine::Event {
+    Ok(Some(StreamLineRef::Event {
         time,
         direction,
-        name,
+        name: Cow::Owned(name),
     }))
-}
-
-/// The owned form of a borrowed stream-line parse, to compare with the
-/// legacy parser's.
-fn owned(parsed: Result<Option<StreamLineRef<'_>>, String>) -> Result<Option<StreamLine>, String> {
-    parsed.map(|line| line.map(StreamLineRef::into_owned))
 }
 
 /// Valid event lines the byte mutations start from: the shapes the
@@ -295,7 +352,7 @@ const EVENT_LINES: &[&str] = &[
 // ---------------------------------------------------------------------
 
 /// An out-of-range time literal is one error, worded identically, on
-/// every reader: the string and byte file readers, the fused frozen
+/// every reader: the string oracle and the byte file reader, the fused frozen
 /// decoder and the NDJSON scanner. All of them share one checked unit
 /// scaling, so the random comparisons below cannot catch a bug in the
 /// scaling itself; `time.rs` tests it at every unit's boundary.
@@ -341,10 +398,18 @@ proptest! {
         let from_str = parse_trace_line(&line);
         let from_bytes = parse_trace_line_bytes(line.as_bytes());
         prop_assert_eq!(from_str, from_bytes, "line {:?}", line);
-        // The stream-line wrappers agree too (watch's two entry points).
-        let stream_str = parse_stream_line(StreamFormat::Trace, &line);
-        let stream_bytes = parse_stream_line_bytes(StreamFormat::Trace, line.as_bytes())
-            .map(|ok| ok.map(lomon_trace::StreamLineRef::into_owned));
+        // The stream driver's entry point agrees too.
+        let stream_str = parse_trace_line(&line).map(|parsed| {
+            parsed.map(|parsed| match parsed {
+                TraceLine::Event { time, direction, name } => StreamLineRef::Event {
+                    time,
+                    direction,
+                    name: name.into(),
+                },
+                TraceLine::End(time) => StreamLineRef::End(time),
+            })
+        });
+        let stream_bytes = parse_stream_line_bytes(StreamFormat::Trace, line.as_bytes());
         prop_assert_eq!(stream_str, stream_bytes, "line {:?}", line);
     }
 
@@ -370,8 +435,10 @@ proptest! {
         }
     }
 
-    /// Telemetry parity: both readers count the same lines, bytes and
-    /// parse errors — the numbers `watch`/`serve` summaries are built on.
+    /// Telemetry parity: the byte reader counts the lines, bytes and parse
+    /// errors the string reader's telemetry counted — every line up to and
+    /// including the first bad one, the whole buffer, one error — the
+    /// numbers `watch`/`serve` summaries are built on.
     #[test]
     fn observed_readers_account_identically(
         lines in prop::collection::vec(
@@ -380,22 +447,21 @@ proptest! {
         trailing_newline in any::<bool>(),
     ) {
         let text = render_text(&lines, &crlf, trailing_newline);
+        let oracle = read_trace(&text, &mut Vocabulary::new());
+        let expected_lines = match &oracle {
+            Ok(_) => text.lines().count(),
+            Err(e) => e.line,
+        } as u64;
 
-        let reg_str = lomon_obs::Registry::new();
-        let m_str = IoMetrics::register(&reg_str);
-        let mut voc_str = Vocabulary::new();
-        let _ = lomon_trace::read_trace_observed(&text, &mut voc_str, Some(&m_str));
+        let registry = lomon_obs::Registry::new();
+        let metrics = IoMetrics::register(&registry);
+        let _ = read_trace_bytes_into(
+            text.as_bytes(), &mut Vocabulary::new(), &mut Trace::new(), Some(&metrics));
 
-        let reg_bytes = lomon_obs::Registry::new();
-        let m_bytes = IoMetrics::register(&reg_bytes);
-        let mut voc_bytes = Vocabulary::new();
-        let _ = lomon_trace::read_trace_bytes_observed(
-            text.as_bytes(), &mut voc_bytes, Some(&m_bytes));
-
-        prop_assert_eq!(m_str.lines.get(), m_bytes.lines.get(), "text {:?}", text);
-        prop_assert_eq!(m_str.bytes.get(), m_bytes.bytes.get(), "text {:?}", text);
+        prop_assert_eq!(metrics.lines.get(), expected_lines, "text {:?}", text);
+        prop_assert_eq!(metrics.bytes.get(), text.len() as u64, "text {:?}", text);
         prop_assert_eq!(
-            m_str.parse_errors.get(), m_bytes.parse_errors.get(), "text {:?}", text);
+            metrics.parse_errors.get(), u64::from(oracle.is_err()), "text {:?}", text);
     }
 
     /// The NDJSON decoders — the byte-level fast path, the borrowed
@@ -409,8 +475,8 @@ proptest! {
     ) {
         let line = render_json_line(kind, t, d, n, s);
         let legacy = legacy_parse_ndjson_line(&line);
-        prop_assert_eq!(&legacy, &owned(parse_ndjson_line_ref(&line)), "line {:?}", line);
-        let bytes = owned(parse_stream_line_bytes(StreamFormat::Ndjson, line.as_bytes()));
+        prop_assert_eq!(&legacy, &parse_ndjson_line_ref(&line), "line {:?}", line);
+        let bytes = parse_stream_line_bytes(StreamFormat::Ndjson, line.as_bytes());
         prop_assert_eq!(&legacy, &bytes, "line {:?}", line);
     }
 
@@ -438,7 +504,7 @@ proptest! {
             Ok(text) => legacy_parse_ndjson_line(text),
             Err(_) => Err("line is not valid UTF-8".to_owned()),
         };
-        let parsed = owned(parse_stream_line_bytes(StreamFormat::Ndjson, &line));
+        let parsed = parse_stream_line_bytes(StreamFormat::Ndjson, &line);
         prop_assert_eq!(parsed, expected, "line {:?}", String::from_utf8_lossy(&line));
     }
 

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use lomon_trace::{
-    read_trace, write_trace, Direction, Name, NameSet, RunLengthLexer, SimTime, Trace, Vocabulary,
+    read_trace_bytes, write_trace, Direction, Name, NameSet, RunLengthLexer, SimTime, Trace,
+    Vocabulary,
 };
 
 fn build_trace(steps: &[(u8, u16)], voc: &mut Vocabulary) -> Trace {
@@ -37,7 +38,7 @@ proptest! {
 
         let text = write_trace(&trace, &voc);
         let mut voc2 = Vocabulary::new();
-        let back = read_trace(&text, &mut voc2).expect("roundtrip parses");
+        let back = read_trace_bytes(text.as_bytes(), &mut voc2).expect("roundtrip parses");
 
         prop_assert_eq!(back.len(), trace.len());
         prop_assert_eq!(back.end_time(), trace.end_time());

@@ -11,7 +11,7 @@ use lomon::core::monitor::build_monitor;
 use lomon::core::parse::parse_property;
 use lomon::core::verdict::run_to_end;
 use lomon::tlm::scenario::{run_scenario, ScenarioConfig};
-use lomon::trace::{read_trace, write_trace, Vocabulary};
+use lomon::trace::{read_trace_bytes, write_trace, Vocabulary};
 
 fn main() {
     // 1. Record: run the platform once and serialize the observed trace.
@@ -33,9 +33,9 @@ fn main() {
 
     // 2. Replay: read the file back into a fresh vocabulary and run the
     //    monitors offline.
-    let loaded = std::fs::read_to_string(&path).expect("trace file read");
+    let loaded = std::fs::read(&path).expect("trace file read");
     let mut voc = Vocabulary::new();
-    let trace = read_trace(&loaded, &mut voc).expect("trace parses");
+    let trace = read_trace_bytes(&loaded, &mut voc).expect("trace parses");
     println!();
     println!("replaying {} events offline:", trace.len());
 

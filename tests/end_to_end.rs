@@ -9,7 +9,7 @@ use lomon::gen::{generate, GeneratorConfig};
 use lomon::psl::monitor::PslMonitor;
 use lomon::tlm::platform::FaultPlan;
 use lomon::tlm::scenario::{run_scenario, ScenarioConfig};
-use lomon::trace::{read_trace, write_trace, Vocabulary};
+use lomon::trace::{read_trace_bytes, write_trace, Vocabulary};
 
 #[test]
 fn platform_run_replays_identically_through_files() {
@@ -19,7 +19,7 @@ fn platform_run_replays_identically_through_files() {
     // Serialize the trace, read it back into a fresh vocabulary.
     let text = write_trace(&report.trace, &report.vocabulary);
     let mut voc = Vocabulary::new();
-    let trace = read_trace(&text, &mut voc).expect("file parses");
+    let trace = read_trace_bytes(text.as_bytes(), &mut voc).expect("file parses");
     assert_eq!(trace.len(), report.trace.len());
     assert_eq!(trace.end_time(), report.trace.end_time());
 
