@@ -86,9 +86,9 @@
 //! [`lomon_core::witness::Witness`] chain that replays to the identical
 //! violation. Detached (the default) it costs nothing, like
 //! [`Session::attach_metrics`]. For *where the time goes*,
-//! [`profile_trace`] replays a recorded trace through the fused program
-//! with per-group wall-clock attribution, optionally exporting through a
-//! [`lomon_obs::Registry`] — the CLI's `lomon profile` is a shell over it.
+//! [`profile_trace`] runs a recorded trace through a session's own
+//! dispatch step with per-group step and wall-clock attribution, optionally
+//! exporting through a [`lomon_obs::Registry`] — `lomon profile` wraps it.
 //!
 //! ## Sessions
 //!

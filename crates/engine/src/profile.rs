@@ -4,11 +4,11 @@
 //!
 //! The fused backend already collapses structurally identical properties
 //! into shared groups; this module answers the follow-up question *"which
-//! group is my rulebook spending its time in?"*. [`profile_trace`] drives
-//! a purpose-built replay loop that mirrors a [`Session`](crate::Session)
-//! step for step (same indexed dispatch, same deadline sweep, same
-//! retirement — so the per-group step counts equal the session's dispatch
-//! statistics) while timing every monitor call with a monotonic clock.
+//! group is my rulebook spending its time in?"*. [`profile_trace`] runs
+//! the trace through a [`Session`](crate::Session)'s own dispatch step and
+//! close, over the fused monitors wrapped to count and time their calls
+//! with a monotonic clock — so the per-group step counts are the session's
+//! dispatch statistics, by construction.
 //!
 //! Attribution can additionally flow through the observability stack: pass
 //! a [`Registry`] and each group's totals land in the
@@ -16,15 +16,16 @@
 //! `lomon_group_step_ns{group=…}` histogram families, ready for the
 //! Prometheus/NDJSON renderings every other lomon metric uses.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
-use lomon_core::verdict::{Monitor, Verdict};
+use lomon_core::compiled::CompiledMonitor;
+use lomon_core::verdict::{Monitor, Verdict, Violation};
 use lomon_obs::Registry;
-use lomon_trace::{json_escape, SimTime, TimedEvent};
-
-use std::fmt::Write as _;
+use lomon_trace::{json_escape, NameSet, SimTime, TimedEvent};
 
 use crate::compile::Engine;
+use crate::session::{Core, RoutedMonitor};
 
 /// The profile of one unique recognizer group over a replayed trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,11 +62,8 @@ pub struct ProfileReport {
 /// timing every monitor call, then finish at `end_time`. When `registry`
 /// is given, per-group totals are also exported through the
 /// `lomon_group_steps_total` / `lomon_group_step_ns` metric families.
-///
-/// The replay mirrors an indexed-dispatch fused session exactly (deadline
-/// sweep first, then the event's subscribed groups, retirement on final
-/// verdicts), so the step counts are the session's dispatch statistics
-/// broken down by group; only the timing instrumentation is extra.
+/// The step counts are the session's dispatch statistics broken down by
+/// group; only the timing is extra.
 pub fn profile_trace(
     engine: &Engine,
     events: &[TimedEvent],
@@ -73,75 +71,26 @@ pub fn profile_trace(
     registry: Option<&Registry>,
 ) -> ProfileReport {
     let fused = engine.fused();
-    let mut monitors = fused.instantiate();
-    let n = monitors.len();
-    let mut active = vec![true; n];
-    let mut deadlines: Vec<Option<SimTime>> = vec![None; n];
-    let mut steps = vec![0u64; n];
-    let mut ns = vec![0u64; n];
-    let timed_flags = fused.timed_flags();
-    let mut seen = 0u64;
-
-    for &event in events {
-        if active.iter().all(|a| !a) {
-            seen += 1;
-            continue;
-        }
-        seen += 1;
-        let (units, bases) = fused.subscribers(event.name);
-        // Deadline sweep, excluding the event's own subscribers (their
-        // observe re-checks the deadline) — same order as the session's.
-        for &g in fused.timed_groups() {
-            let g = g as usize;
-            if !active[g] || units.contains(&(g as u32)) {
-                continue;
-            }
-            if deadlines[g].is_some_and(|d| event.time > d) {
-                let started = Instant::now();
-                let verdict = monitors[g].advance_time(event.time);
-                ns[g] += elapsed_ns(started);
-                steps[g] += 1;
-                if verdict.is_final() {
-                    active[g] = false;
-                    deadlines[g] = None;
-                } else {
-                    deadlines[g] = monitors[g].deadline();
-                }
-            }
-        }
-        for (&g, &base) in units.iter().zip(bases) {
-            let g = g as usize;
-            if !active[g] {
-                continue;
-            }
-            let started = Instant::now();
-            let verdict = monitors[g].observe_routed(event, base);
-            ns[g] += elapsed_ns(started);
-            steps[g] += 1;
-            if verdict.is_final() {
-                active[g] = false;
-                deadlines[g] = None;
-            } else if timed_flags[g] {
-                deadlines[g] = monitors[g].deadline();
-            }
-        }
-    }
-    // Close every live group at end of observation; `finish` is not a
-    // dispatch step (sessions do not count it either), but its time is.
-    for (g, monitor) in monitors.iter_mut().enumerate() {
-        if active[g] {
-            let started = Instant::now();
-            monitor.finish(end_time);
-            ns[g] += elapsed_ns(started);
-        }
-    }
+    let mut monitors: Vec<Profiled> = fused
+        .instantiate()
+        .into_iter()
+        .map(|monitor| Profiled {
+            monitor,
+            steps: 0,
+            ns: 0,
+        })
+        .collect();
+    let mut core = Core::new(engine, monitors.len());
+    core.ingest_batch(fused, &mut monitors, events);
+    core.close_in(fused, &mut monitors, end_time);
 
     let violations = (0..engine.len())
         .filter(|&id| monitors[fused.group_of(id)].verdict() == Verdict::Violated)
         .count() as u64;
 
-    if let Some(registry) = registry {
-        for g in 0..n {
+    let mut groups = Vec::with_capacity(monitors.len());
+    for (g, m) in monitors.iter().enumerate() {
+        if let Some(registry) = registry {
             let label = vec![("group", format!("g{g}"))];
             registry
                 .counter_with(
@@ -149,36 +98,103 @@ pub fn profile_trace(
                     "Monitor steps per fused recognizer group",
                     label.clone(),
                 )
-                .add(steps[g]);
+                .add(m.steps);
             registry
                 .histogram_with(
                     "lomon_group_step_ns",
                     "Wall-clock nanoseconds per fused group over a profiled trace",
                     label,
                 )
-                .record(ns[g]);
+                .record(m.ns);
         }
-    }
-
-    let mut groups: Vec<GroupProfile> = (0..n)
-        .map(|g| GroupProfile {
+        groups.push(GroupProfile {
             group: g,
-            steps: steps[g],
-            ns: ns[g],
+            steps: m.steps,
+            ns: m.ns,
             members: fused.members(g).to_vec(),
-        })
-        .collect();
+        });
+    }
     groups.sort_by(|a, b| b.steps.cmp(&a.steps).then(a.group.cmp(&b.group)));
     ProfileReport {
         groups,
-        events: seen,
+        events: events.len() as u64,
         violations,
-        total_ns: ns.iter().sum(),
+        total_ns: monitors.iter().map(|m| m.ns).sum(),
     }
 }
 
-fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// A fused group's monitor that counts the dispatch steps taken on it
+/// (observes and deadline sweeps) and times every call into it. `finish`
+/// is not a dispatch step (sessions do not count it either), but its time
+/// is.
+struct Profiled {
+    monitor: CompiledMonitor,
+    steps: u64,
+    ns: u64,
+}
+
+impl Profiled {
+    fn timed<T>(&mut self, call: impl FnOnce(&mut CompiledMonitor) -> T) -> T {
+        let started = Instant::now();
+        let out = call(&mut self.monitor);
+        self.ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        out
+    }
+}
+
+impl RoutedMonitor for Profiled {
+    fn observe_routed(&mut self, event: TimedEvent, base: u32) -> Verdict {
+        self.steps += 1;
+        self.timed(|m| m.observe_routed(event, base))
+    }
+}
+
+impl Monitor for Profiled {
+    fn observe(&mut self, event: TimedEvent) -> Verdict {
+        self.steps += 1;
+        self.timed(|m| m.observe(event))
+    }
+
+    fn advance_time(&mut self, now: SimTime) -> Verdict {
+        self.steps += 1;
+        self.timed(|m| m.advance_time(now))
+    }
+
+    fn finish(&mut self, end_time: SimTime) -> Verdict {
+        self.timed(|m| m.finish(end_time))
+    }
+
+    fn verdict(&self) -> Verdict {
+        self.monitor.verdict()
+    }
+
+    fn alphabet(&self) -> &NameSet {
+        self.monitor.alphabet()
+    }
+
+    fn expected(&self) -> NameSet {
+        self.monitor.expected()
+    }
+
+    fn violation(&self) -> Option<&Violation> {
+        self.monitor.violation()
+    }
+
+    fn deadline(&self) -> Option<SimTime> {
+        self.monitor.deadline()
+    }
+
+    fn reset(&mut self) {
+        self.monitor.reset();
+    }
+
+    fn ops(&self) -> u64 {
+        self.monitor.ops()
+    }
+
+    fn state_bits(&self) -> u64 {
+        self.monitor.state_bits()
+    }
 }
 
 impl ProfileReport {

@@ -11,6 +11,10 @@
 //! reports, [`Session::drain_newly_final_into`]) fans group results back out
 //! through the program's member table.
 //!
+//! Every ingest path — [`Session::ingest`], [`Session::ingest_batch`] and
+//! [`crate::profile_trace`] — runs one inlined dispatch step per event, so
+//! the CI gates that time the batch path time what every surface runs.
+//!
 //! ## Parking and recycling
 //!
 //! A `Session<'e>` borrows its engine, which pins it to one stack frame.
@@ -40,7 +44,7 @@ use crate::report::{DispatchStats, EngineReport, PropertyReport};
 /// The flat-table monitors consume it and skip their own projection
 /// lookup; the interpreter has no cheaper entry point and re-projects
 /// internally.
-trait RoutedMonitor: Monitor {
+pub(crate) trait RoutedMonitor: Monitor {
     fn observe_routed(&mut self, event: TimedEvent, base: u32) -> Verdict;
 }
 
@@ -176,7 +180,7 @@ pub struct Session<'e> {
 /// reference. All arrays are indexed by the units of the backend's
 /// program.
 #[derive(Debug, Clone)]
-struct Core {
+pub(crate) struct Core {
     active: Vec<bool>,
     /// Live units (monitors still stepped).
     active_units: usize,
@@ -236,22 +240,10 @@ impl<'e> Session<'e> {
             ),
             Backend::Fused => MonitorArena::Fused(engine.fused.instantiate()),
         };
-        let units = engine.program(backend).group_count();
         Session {
             engine,
             arena,
-            core: Core {
-                active: vec![true; units],
-                active_units: units,
-                active_props: engine.len(),
-                deadlines: vec![None; units],
-                next_deadline: None,
-                deadline_dirty: false,
-                newly_final: Vec::new(),
-                stats: base_stats(engine),
-                finished: false,
-                metrics: None,
-            },
+            core: Core::new(engine, engine.program(backend).group_count()),
         }
     }
 
@@ -331,7 +323,10 @@ impl<'e> Session<'e> {
     #[inline]
     pub fn ingest(&mut self, event: TimedEvent) {
         with_arena!(self, |program, ms| {
-            self.core.ingest_in(program, ms, event);
+            self.core.assert_units(program, ms.len());
+            let mut tally = Tally::default();
+            self.core.step::<_, true>(program, ms, event, &mut tally);
+            self.core.credit(1, tally);
         });
     }
 
@@ -345,18 +340,20 @@ impl<'e> Session<'e> {
     /// chunk instead of one per event).
     pub fn ingest_batch(&mut self, events: &[TimedEvent]) {
         with_arena!(self, |program, ms| {
-            self.core.ingest_batch_indexed(program, ms, events);
+            self.core.ingest_batch(program, ms, events);
         });
         self.core.flush_metrics();
     }
 
     /// Notify the session that simulated time has advanced to `now` with no
     /// new event — lets timed monitors detect expired deadlines online.
+    /// Like [`Session::ingest`], it does not flush an attached metrics
+    /// sink: callers flush at their own boundaries.
     pub fn advance_time(&mut self, now: SimTime) {
         with_arena!(self, |program, ms| {
-            self.core.sweep_deadlines(program, ms, now, &[]);
+            let swept = self.core.sweep_deadlines(program, ms, now, &[]);
+            self.core.credit(0, swept);
         });
-        self.core.flush_metrics();
     }
 
     /// Declare end of observation and return the report. All still-live
@@ -558,7 +555,37 @@ impl Engine {
     }
 }
 
+/// The work of the dispatch step, counted in locals and credited to the
+/// [`DispatchStats`] once per call ([`Core::credit`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// The properties live before each event, summed over the events.
+    live: u64,
+    /// Monitor steps taken.
+    steps: u64,
+    /// Properties those steps served: every member of each stepped unit,
+    /// so `served - steps` are the shared hits.
+    served: u64,
+}
+
 impl Core {
+    /// The dispatch state of a fresh stream over `units` dispatch units of
+    /// `engine`'s rulebook.
+    pub(crate) fn new(engine: &Engine, units: usize) -> Core {
+        Core {
+            active: vec![true; units],
+            active_units: units,
+            active_props: engine.len(),
+            deadlines: vec![None; units],
+            next_deadline: None,
+            deadline_dirty: false,
+            newly_final: Vec::new(),
+            stats: base_stats(engine),
+            finished: false,
+            metrics: None,
+        }
+    }
+
     /// Flush the statistics accumulated since the last flush into the
     /// attached metrics sink, if any. Called at batch boundaries only —
     /// the common detached case is one branch on a `None`.
@@ -584,45 +611,29 @@ impl Core {
         m.properties_live.set(self.active_props as f64);
     }
 
-    #[inline]
-    fn ingest_in<M: RoutedMonitor>(
-        &mut self,
-        program: &FusedProgram,
-        monitors: &mut [M],
-        event: TimedEvent,
-    ) {
-        self.stats.events += 1;
-        // One equal-length check up front lets the indexed loads below
-        // share a single bound.
-        assert!(
-            self.active.len() == monitors.len()
-                && program.timed_flags().len() == monitors.len()
-                && self.deadlines.len() == monitors.len()
-        );
-        let (units, bases) = program.subscribers(event.name);
-        let live_before = self.active_props as u64;
-        let mut served = 0u64;
-        // Timed units can flip to Violated on *any* event whose timestamp
-        // passes their hard deadline; sweep those first (skipping
-        // subscribers, whose own `observe` re-checks the deadline anyway).
-        // The guard keeps the common no-deadline case to two flag loads.
-        if self.deadline_dirty || self.next_deadline.is_some() {
-            served += self.sweep_deadlines(program, monitors, event.time, units);
-        }
-        for (&u, &base) in units.iter().zip(bases) {
-            let u = u as usize;
-            if self.active[u] {
-                self.step_observe(program, monitors, u, event, base);
-                served += u64::from(program.member_count(u));
-            }
-        }
-        self.stats.steps_skipped += live_before.saturating_sub(served);
+    /// Credit the work of the dispatch step over `events` events. No event
+    /// serves more than its live count, so `Σ(live - served) = Σlive -
+    /// Σserved`; a time advance (no live count) skips nothing.
+    fn credit(&mut self, events: u64, tally: Tally) {
+        self.stats.events += events;
+        self.stats.monitor_steps += tally.steps;
+        self.stats.shared_hits += tally.served - tally.steps;
+        self.stats.steps_skipped += tally.live.saturating_sub(tally.served);
     }
 
-    /// The whole-trace fast path: like per-event [`Core::ingest_in`], but
-    /// with the statistics counters accumulated in locals across the batch
-    /// instead of read-modify-written per event.
-    fn ingest_batch_indexed<M: RoutedMonitor>(
+    /// One equal-length check up front lets the indexed loads of the
+    /// dispatch step share a single bound.
+    #[inline(always)]
+    fn assert_units(&self, program: &FusedProgram, units: usize) {
+        assert!(
+            self.active.len() == units
+                && program.timed_flags().len() == units
+                && self.deadlines.len() == units
+        );
+    }
+
+    /// Dispatch a batch of events, crediting their work once.
+    pub(crate) fn ingest_batch<M: RoutedMonitor>(
         &mut self,
         program: &FusedProgram,
         monitors: &mut [M],
@@ -654,65 +665,61 @@ impl Core {
         monitors: &mut [M],
         events: &[TimedEvent],
     ) {
-        assert!(
-            self.active.len() == monitors.len()
-                && program.timed_flags().len() == monitors.len()
-                && self.deadlines.len() == monitors.len()
-        );
-        let timed_flags = program.timed_flags();
-        let mut seen = 0u64;
-        let mut steps = 0u64;
-        let mut shared = 0u64;
-        // Skipped steps are accounted at batch grain: a unit's step always
-        // serves live properties only, so per-event `served` never exceeds
-        // the live count and `Σ(live - served) = Σlive - Σserved` exactly —
-        // two running sums instead of a reset + saturating subtract per
-        // event.
-        let mut sum_live = 0u64;
-        let mut sum_served = 0u64;
-        for (k, &event) in events.iter().enumerate() {
+        self.assert_units(program, monitors.len());
+        let mut tally = Tally::default();
+        for &event in events {
+            // A settled session only counts the rest of the batch.
             if self.active_units == 0 {
-                seen += (events.len() - k) as u64;
                 break;
             }
-            seen += 1;
-            sum_live += self.active_props as u64;
-            let (units, bases) = program.subscribers(event.name);
-            if TIMED && (self.deadline_dirty || self.next_deadline.is_some()) {
-                // The sweep updates `self.stats` through the slow path;
-                // fold its counters into the locals afterwards.
-                let before_steps = self.stats.monitor_steps;
-                let before_shared = self.stats.shared_hits;
-                sum_served += self.sweep_deadlines(program, monitors, event.time, units);
-                steps += self.stats.monitor_steps - before_steps;
-                shared += self.stats.shared_hits - before_shared;
-                self.stats.monitor_steps = before_steps;
-                self.stats.shared_hits = before_shared;
-            }
-            for (&u, &base) in units.iter().zip(bases) {
-                let u = u as usize;
-                if self.active[u] {
-                    let verdict = monitors[u].observe_routed(event, base);
-                    let fan_out = u64::from(program.member_count(u));
-                    steps += 1;
-                    sum_served += fan_out;
-                    shared += fan_out - 1;
-                    if verdict.is_final() {
-                        self.retire(program, u);
-                    } else if TIMED && timed_flags[u] {
-                        self.deadlines[u] = monitors[u].deadline();
-                        self.deadline_dirty = true;
-                    }
+            self.step::<M, TIMED>(program, monitors, event, &mut tally);
+        }
+        self.credit(events.len() as u64, tally);
+    }
+
+    /// The dispatch step of one event, the body of every ingest path.
+    /// Timed units can flip to Violated on *any* event whose timestamp
+    /// passes their hard deadline, so those are swept first (except
+    /// subscribers: `observe` re-checks the deadline); then each live
+    /// subscriber steps and is retired if final, else re-armed.
+    #[inline(always)]
+    fn step<M: RoutedMonitor, const TIMED: bool>(
+        &mut self,
+        program: &FusedProgram,
+        monitors: &mut [M],
+        event: TimedEvent,
+        tally: &mut Tally,
+    ) {
+        tally.live += self.active_props as u64;
+        let (units, bases) = program.subscribers(event.name);
+        // The guard keeps the common no-deadline case to two flag loads.
+        if TIMED && (self.deadline_dirty || self.next_deadline.is_some()) {
+            let swept = self.sweep_deadlines(program, monitors, event.time, units);
+            tally.steps += swept.steps;
+            tally.served += swept.served;
+        }
+        for (&u, &base) in units.iter().zip(bases) {
+            let u = u as usize;
+            if self.active[u] {
+                tally.steps += 1;
+                tally.served += u64::from(program.member_count(u));
+                let verdict = monitors[u].observe_routed(event, base);
+                if verdict.is_final() {
+                    self.retire(program, u);
+                } else if TIMED && program.timed_flags()[u] {
+                    self.deadlines[u] = monitors[u].deadline();
+                    self.deadline_dirty = true;
                 }
             }
         }
-        self.stats.events += seen;
-        self.stats.monitor_steps += steps;
-        self.stats.steps_skipped += sum_live - sum_served;
-        self.stats.shared_hits += shared;
     }
 
-    fn close_in<M: Monitor>(&mut self, program: &FusedProgram, monitors: &mut [M], end: SimTime) {
+    pub(crate) fn close_in<M: Monitor>(
+        &mut self,
+        program: &FusedProgram,
+        monitors: &mut [M],
+        end: SimTime,
+    ) {
         if !self.finished {
             for (id, monitor) in monitors.iter_mut().enumerate() {
                 if !self.active[id] {
@@ -727,48 +734,23 @@ impl Core {
         }
     }
 
-    /// Step unit `id` with `event`, recording the step and retiring the
-    /// unit if its verdict went final.
-    #[inline]
-    fn step_observe<M: RoutedMonitor>(
-        &mut self,
-        program: &FusedProgram,
-        monitors: &mut [M],
-        id: usize,
-        event: TimedEvent,
-        base: u32,
-    ) {
-        let verdict = monitors[id].observe_routed(event, base);
-        self.record_step(program, monitors, id, verdict);
-    }
-
-    /// Step unit `id` with a time notification.
+    /// Step timed unit `id` with a time notification, counting the step
+    /// into `tally`: retire the unit if its verdict went final, else
+    /// re-read its open deadline.
     fn step_advance<M: Monitor>(
         &mut self,
         program: &FusedProgram,
         monitors: &mut [M],
         id: usize,
         now: SimTime,
+        tally: &mut Tally,
     ) {
+        tally.steps += 1;
+        tally.served += u64::from(program.member_count(id));
         let verdict = monitors[id].advance_time(now);
-        self.record_step(program, monitors, id, verdict);
-    }
-
-    /// Account one step of unit `id` that produced `verdict`: retire the
-    /// unit if the verdict is final, else re-read its open deadline.
-    #[inline]
-    fn record_step<M: Monitor>(
-        &mut self,
-        program: &FusedProgram,
-        monitors: &[M],
-        id: usize,
-        verdict: Verdict,
-    ) {
-        self.stats.monitor_steps += 1;
-        self.stats.shared_hits += u64::from(program.member_count(id)) - 1;
         if verdict.is_final() {
             self.retire(program, id);
-        } else if program.timed_flags()[id] {
+        } else {
             self.deadlines[id] = monitors[id].deadline();
             self.deadline_dirty = true;
         }
@@ -794,34 +776,31 @@ impl Core {
     /// Advance-time every live timed unit whose hard deadline `now` has
     /// passed, except subscribers of the current event (their unit ids are
     /// listed in `exclude_units`; observing performs its own deadline
-    /// check). Returns the number of *properties* served.
+    /// check). Returns the steps taken, returned by value so the dispatch
+    /// step's own counters stay in registers.
     fn sweep_deadlines<M: Monitor>(
         &mut self,
         program: &FusedProgram,
         monitors: &mut [M],
         now: SimTime,
         exclude_units: &[u32],
-    ) -> u64 {
+    ) -> Tally {
+        let mut tally = Tally::default();
         self.refresh_next_deadline(program);
-        let Some(min) = self.next_deadline else {
-            return 0;
-        };
-        if now <= min {
-            return 0;
+        if self.next_deadline.is_none_or(|min| now <= min) {
+            return tally;
         }
-        let mut served = 0;
         for &unit in program.timed_groups() {
             let id = unit as usize;
             if !self.active[id] || exclude_units.contains(&unit) {
                 continue;
             }
             if self.deadlines[id].is_some_and(|d| now > d) {
-                self.step_advance(program, monitors, id, now);
-                served += u64::from(program.member_count(id));
+                self.step_advance(program, monitors, id, now, &mut tally);
             }
         }
         self.refresh_next_deadline(program);
-        served
+        tally
     }
 
     fn refresh_next_deadline(&mut self, program: &FusedProgram) {

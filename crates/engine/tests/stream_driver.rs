@@ -303,4 +303,23 @@ fn observed_driver_credits_telemetry_at_flush_points() {
     let step = driver.step(&mut record_errors).expect("sink never fails");
     assert_eq!(step, Some(Step::Fault(Fault::Protocol)));
     assert_eq!(seen, Some((131, 1)));
+
+    // A name no property uses only advances time, and flushes nothing
+    // mid-chunk either.
+    driver.push(
+        b"{\"time\": \"140ns\", \"name\": \"a\"}\n{\"time\": \"150ns\", \"name\": \"noise\"}\n",
+    );
+    for _ in 0..2 {
+        let step = driver.step(&mut ignore).expect("sink never fails");
+        assert_eq!(step, Some(Step::Applied));
+    }
+    assert_eq!(
+        session_metrics.events.get(),
+        130,
+        "nothing is credited mid-chunk"
+    );
+    assert_eq!(io_metrics.lines.get(), 131);
+    apply(&mut driver, &mut ignore);
+    assert_eq!(session_metrics.events.get(), 131);
+    assert_eq!(io_metrics.lines.get(), 133);
 }

@@ -60,16 +60,15 @@ pub struct GeneratedTrace {
 ///
 /// Timed implications emit each episode's `Q` within the budget; repeated
 /// antecedents emit `episodes` rounds of `P·i`; one-shot antecedents emit
-/// one round plus an arbitrary tail over the alphabet.
+/// one round plus an arbitrary tail over the alphabet. Every episode is
+/// emitted whole: generation stops before an episode whose clock would
+/// pass [`SimTime::MAX`], so huge gaps or bounds give fewer episodes.
 pub fn generate(property: &Property, config: &GeneratorConfig) -> GeneratedTrace {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut names: Vec<(Name, SimTime)> = Vec::new();
     let mut choices = Vec::new();
     let mut clock = SimTime::ZERO;
-    let gap = |rng: &mut StdRng, clock: &mut SimTime, lo: SimTime, hi: SimTime| {
-        *clock += SimTime::from_ps(rng.gen_range(lo.as_ps()..=hi.as_ps()));
-        *clock
-    };
+    let (gap_lo, gap_hi) = (config.gap_lo, config.gap_hi);
 
     match property {
         Property::Antecedent(a) => {
@@ -79,40 +78,46 @@ pub fn generate(property: &Property, config: &GeneratorConfig) -> GeneratedTrace
                 1
             };
             for _ in 0..rounds {
+                let mut run = Run::at(clock);
                 let mut episode = Vec::new();
                 emit_ordering(
                     &a.antecedent,
                     &mut rng,
-                    &mut |name, rng_inner| {
-                        let t = gap(rng_inner, &mut clock, config.gap_lo, config.gap_hi);
-                        names.push((name, t));
-                    },
+                    &mut |name, rng_inner| run.tick(rng_inner, name, gap_lo, gap_hi),
                     &mut episode,
                 );
-                let t = gap(&mut rng, &mut clock, config.gap_lo, config.gap_hi);
-                names.push((a.trigger, t));
+                run.tick(&mut rng, a.trigger, gap_lo, gap_hi);
+                if !run.commit(&mut clock, &mut names) {
+                    break;
+                }
                 choices.push(episode);
             }
-            if !a.repeated {
+            // The tail follows the one-shot episode, if it fit.
+            if !a.repeated && !choices.is_empty() {
                 // Anything over α is acceptable after the first trigger.
                 let alphabet: Vec<Name> = a.alpha().iter().collect();
                 for _ in 0..config.tail {
                     let name = alphabet[rng.gen_range(0..alphabet.len())];
-                    let t = gap(&mut rng, &mut clock, config.gap_lo, config.gap_hi);
-                    names.push((name, t));
+                    let mut run = Run::at(clock);
+                    run.tick(&mut rng, name, gap_lo, gap_hi);
+                    if !run.commit(&mut clock, &mut names) {
+                        break;
+                    }
                 }
             }
         }
         Property::Timed(t) => {
+            // Keep a 20% margin under the budget, computed so that it
+            // cannot overflow: `bound * 4` would, past 2^62 ps.
+            let bound = t.bound.as_ps();
+            let budget = SimTime::from_ps(bound / 5 * 4 + bound % 5 * 4 / 5);
             for _ in 0..config.episodes.max(1) {
+                let mut run = Run::at(clock);
                 let mut episode = Vec::new();
                 emit_ordering(
                     &t.premise,
                     &mut rng,
-                    &mut |name, rng_inner| {
-                        let ts = gap(rng_inner, &mut clock, config.gap_lo, config.gap_hi);
-                        names.push((name, ts));
-                    },
+                    &mut |name, rng_inner| run.tick(rng_inner, name, gap_lo, gap_hi),
                     &mut episode,
                 );
                 // Q must finish within `bound` of the premise's end: count
@@ -127,14 +132,14 @@ pub fn generate(property: &Property, config: &GeneratorConfig) -> GeneratedTrace
                 );
                 let count = response_names.len() as u64;
                 if count > 0 {
-                    // Keep a 20% margin under the budget.
-                    let budget = t.bound * 4 / 5;
                     let max_gap = (budget / count).max(SimTime::from_ps(1));
-                    let lo = config.gap_lo.min(max_gap);
+                    let lo = gap_lo.min(max_gap);
                     for name in response_names {
-                        let ts = gap(&mut rng, &mut clock, lo, max_gap);
-                        names.push((name, ts));
+                        run.tick(&mut rng, name, lo, max_gap);
                     }
+                }
+                if !run.commit(&mut clock, &mut names) {
+                    break;
                 }
                 choices.push(episode);
             }
@@ -144,6 +149,42 @@ pub fn generate(property: &Property, config: &GeneratorConfig) -> GeneratedTrace
     GeneratedTrace {
         trace: Trace::from_pairs(names.into_iter().map(|(n, t)| (t, n))),
         choices,
+    }
+}
+
+/// The events of one episode, timestamped from a starting clock; `clock`
+/// is `None` once a gap would have passed [`SimTime::MAX`].
+struct Run {
+    clock: Option<SimTime>,
+    events: Vec<(Name, SimTime)>,
+}
+
+impl Run {
+    fn at(clock: SimTime) -> Self {
+        Run {
+            clock: Some(clock),
+            events: Vec::new(),
+        }
+    }
+
+    /// Emit `name` after a random gap in `[lo, hi]`.
+    fn tick(&mut self, rng: &mut StdRng, name: Name, lo: SimTime, hi: SimTime) {
+        let gap = SimTime::from_ps(rng.gen_range(lo.as_ps()..=hi.as_ps()));
+        self.clock = self.clock.and_then(|clock| clock.checked_add(gap));
+        if let Some(time) = self.clock {
+            self.events.push((name, time));
+        }
+    }
+
+    /// Append the run to `names` and advance `clock` to its end. If a gap
+    /// overflowed, commit nothing and return `false`.
+    fn commit(self, clock: &mut SimTime, names: &mut Vec<(Name, SimTime)>) -> bool {
+        let Some(end) = self.clock else {
+            return false;
+        };
+        *clock = end;
+        names.extend(self.events);
+        true
     }
 }
 
@@ -287,6 +328,38 @@ mod tests {
             } else if e.name == irq {
                 let started = last_start.expect("irq after start");
                 assert!(e.time - started <= SimTime::from_us(100));
+            }
+        }
+    }
+
+    /// Bounds up to `SimTime::MAX` neither wrap the clock nor overflow the
+    /// budget: the trace stops before the episode that would pass the
+    /// end of time, and what it emits is still a satisfying trace.
+    #[test]
+    fn huge_bounds_stop_before_the_clock_overflows() {
+        for bound in ["4000000 s", "5000000 s", "18446744 s"] {
+            let text = format!("go => out:done within {bound}");
+            let mut voc = Vocabulary::new();
+            let property = parse_property(&text, &mut voc).expect(&text);
+            for seed in 0..8 {
+                let config = GeneratorConfig {
+                    episodes: 12,
+                    ..GeneratorConfig::new(seed)
+                };
+                let generated = generate(&property, &config);
+                let times: Vec<SimTime> = generated.trace.iter().map(|e| e.time).collect();
+                assert!(times.windows(2).all(|w| w[0] <= w[1]), "{text} seed {seed}");
+                assert!(!generated.choices.is_empty(), "{text} seed {seed}");
+                assert_eq!(times.len(), 2 * generated.choices.len(), "whole episodes");
+                assert!(PatternOracle::new(&property)
+                    .check(&generated.trace)
+                    .is_ok());
+                let mut monitor = build_monitor(property.clone(), &voc).expect("well-formed");
+                let verdict = run_to_end(&mut monitor, &generated.trace);
+                assert!(
+                    verdict.is_ok(),
+                    "{text} seed {seed}: monitor verdict {verdict}"
+                );
             }
         }
     }

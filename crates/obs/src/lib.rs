@@ -4,10 +4,11 @@
 //! named atomic [`Counter`]s, [`Gauge`]s, and log-bucketed
 //! [`Histogram`]s, rendered as Prometheus text ([`Registry::render_prometheus`])
 //! or NDJSON snapshots ([`Registry::render_ndjson`]), served over a
-//! minimal background-thread HTTP listener ([`MetricsServer`]), timed
-//! with a [`Stopwatch`] span API, and — for offline timeline analysis —
-//! traced with a [`Tracer`] that renders its spans as Chrome trace-event
-//! JSON (`chrome://tracing` / Perfetto).
+//! minimal background-thread HTTP listener ([`MetricsServer`], whose
+//! whole-request reader [`Request`] the `lomon serve` admin endpoint
+//! shares), timed with a [`Stopwatch`] span API, and — for offline
+//! timeline analysis — traced with a [`Tracer`] that renders its spans as
+//! Chrome trace-event JSON (`chrome://tracing` / Perfetto).
 //!
 //! The design constraint, following NISTT's non-intrusive-observation
 //! principle, is that instrumentation must not perturb the system under
@@ -19,12 +20,14 @@
 
 #![warn(missing_docs)]
 
+mod http;
 mod metric;
 mod registry;
 mod server;
 mod stopwatch;
 mod tracer;
 
+pub use http::Request;
 pub use metric::{bucket_index, bucket_upper, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{Label, Registry};
 pub use server::MetricsServer;

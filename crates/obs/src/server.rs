@@ -5,23 +5,26 @@
 //! connections serially — a scrape endpoint sees one poller every few
 //! seconds, not a traffic front — and every response carries
 //! `Connection: close` plus a `Content-Length`, so no keep-alive state is
-//! tracked. The handler never panics: malformed requests get `400`, a
+//! tracked. Each request is read under one deadline for the whole request
+//! ([`Request`]), so a client that trickles its bytes cannot hold the
+//! listener. The handler never panics: malformed requests get `400`, a
 //! draining server answers `503`, and registry reads go through relaxed
 //! atomics that cannot tear.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::http::Request;
 use crate::registry::Registry;
 
-/// Cap on the request head we are willing to buffer.
-const MAX_HEAD: u64 = 8 * 1024;
-/// Default per-connection read/write deadline, so one stalled or
-/// half-open client cannot wedge the (single-threaded) listener.
+/// Default per-connection deadline: the whole request must arrive within
+/// it, and each response write must finish within it, so one stalled,
+/// half-open or trickling client cannot wedge the (single-threaded)
+/// listener.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running metrics endpoint. Dropping it shuts the listener down
@@ -43,9 +46,10 @@ impl MetricsServer {
         Self::bind_with_timeout(addr, registry, IO_TIMEOUT)
     }
 
-    /// [`MetricsServer::bind`] with an explicit per-connection I/O
-    /// deadline. The listener handles connections serially, so the
-    /// deadline bounds how long a half-open or stalled client can starve
+    /// [`MetricsServer::bind`] with an explicit per-connection deadline:
+    /// the whole request must arrive within it, however its bytes trickle
+    /// in. The listener handles connections serially, so the deadline
+    /// bounds how long a half-open, stalled or trickling client can starve
     /// every other scraper; tests shrink it to keep suites fast.
     pub fn bind_with_timeout(
         addr: &str,
@@ -69,7 +73,7 @@ impl MetricsServer {
                         let Ok(stream) = conn else { continue };
                         // Errors on one connection (reset, timeout) must not
                         // take the endpoint down.
-                        let _ = serve_one(stream, &registry, &draining, io_timeout);
+                        let _ = serve_one(&stream, &registry, &draining, io_timeout);
                     }
                 })?
         };
@@ -111,48 +115,23 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Read the request head (method + target are all we need), route, respond.
+/// Read the request (method + target are all we need), route, respond.
 fn serve_one(
-    stream: TcpStream,
+    stream: &TcpStream,
     registry: &Registry,
     draining: &AtomicBool,
     io_timeout: Duration,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_HEAD);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the header block so the client sees us consume its request
-    // before the response lands (best-effort; a missing blank line just
-    // means we respond early).
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    let mut stream = stream;
+    let request = Request::read(stream, io_timeout)?;
+    let (method, target) = (request.method.as_str(), request.target.as_str());
 
     if method.is_empty() || target.is_empty() {
-        return respond(
-            &mut stream,
-            400,
-            "Bad Request",
-            "text/plain",
-            "bad request\n",
-        );
+        return respond(stream, 400, "Bad Request", "text/plain", "bad request\n");
     }
     if method != "GET" {
         return respond(
-            &mut stream,
+            stream,
             405,
             "Method Not Allowed",
             "text/plain",
@@ -161,7 +140,7 @@ fn serve_one(
     }
     if draining.load(Ordering::Acquire) {
         return respond(
-            &mut stream,
+            stream,
             503,
             "Service Unavailable",
             "text/plain",
@@ -172,7 +151,7 @@ fn serve_one(
         "/metrics" => {
             let body = registry.render_prometheus();
             respond(
-                &mut stream,
+                stream,
                 200,
                 "OK",
                 "text/plain; version=0.0.4; charset=utf-8",
@@ -182,19 +161,19 @@ fn serve_one(
         "/metrics.json" => {
             let body = registry.render_ndjson();
             respond(
-                &mut stream,
+                stream,
                 200,
                 "OK",
                 "application/x-ndjson; charset=utf-8",
                 &body,
             )
         }
-        _ => respond(&mut stream, 404, "Not Found", "text/plain", "not found\n"),
+        _ => respond(stream, 404, "Not Found", "text/plain", "not found\n"),
     }
 }
 
 fn respond(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     status: u16,
     reason: &str,
     content_type: &str,

@@ -4,7 +4,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lomon_obs::{MetricsServer, Registry};
 
@@ -183,6 +183,48 @@ fn half_open_connection_cannot_starve_other_scrapers() {
         start.elapsed()
     );
     drop(half_open);
+}
+
+#[test]
+fn trickling_client_cannot_starve_other_scrapers() {
+    // Regression: a client that sends its request one byte at a time,
+    // faster than any per-read timeout, must still be cut off once the
+    // whole request is overdue — not hold the serial listener for as long
+    // as it keeps trickling.
+    let registry = Arc::new(Registry::new());
+    registry
+        .counter("lomon_events_total", "Events ingested")
+        .add(7);
+    let server = MetricsServer::bind_with_timeout(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        Duration::from_millis(300),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+
+    let mut trickler = TcpStream::connect(addr).expect("connect trickler");
+    let trickle = std::thread::spawn(move || {
+        // One byte every 50 ms for up to 4 s, until the server hangs up.
+        let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ".iter();
+        for &byte in head.chain(std::iter::repeat(&b'a')).take(80) {
+            if trickler.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    // The listener accepts in connection order: the trickler first.
+    let started = Instant::now();
+    let (status, _, body) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    assert!(body.contains("lomon_events_total 7\n"), "body: {body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "scrape behind a trickling client took {:?}",
+        started.elapsed()
+    );
+    trickle.join().expect("trickler");
 }
 
 #[test]

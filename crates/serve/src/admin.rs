@@ -2,7 +2,9 @@
 //!
 //! A deliberately tiny HTTP/1.1 surface in the style of the
 //! `lomon-obs` metrics listener: one background thread, serial
-//! connections, hard I/O timeouts, `Connection: close` on every response.
+//! connections, each request read whole under one 2 s deadline by the
+//! listener's own reader ([`lomon_obs::Request`]), `Connection: close` on
+//! every response.
 //!
 //! | Route | Effect |
 //! |---|---|
@@ -10,19 +12,20 @@
 //! | `POST /reload` | body = rulebook text; compile aside, swap for new streams, `422` + diagnostics on failure (program untouched); `400` on a malformed `Content-Length` |
 //! | `POST /shutdown` | begin drain-then-exit |
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use lomon_obs::Request;
+
 use crate::server::Shared;
 
-/// Cap on the request head.
-const MAX_HEAD: u64 = 8 * 1024;
 /// Cap on a reload body: a rulebook is text, not a dataset.
 const MAX_BODY: usize = 1024 * 1024;
-/// Per-connection read/write deadline — a stalled admin client cannot
-/// wedge the (single-threaded) endpoint.
+/// Per-connection deadline: the whole request, body included, must arrive
+/// within it, and each response write must finish within it — a stalled
+/// or trickling admin client cannot wedge the (single-threaded) endpoint.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Serve admin requests until the server stops.
@@ -33,7 +36,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) {
         }
         let Ok(stream) = conn else { continue };
         // One bad connection must not take the endpoint down.
-        let _ = serve_one(stream, shared);
+        let _ = serve_one(&stream, shared);
         // /shutdown flips `stop` *after* its response is written; check
         // again so the endpoint dies with the server, not one request late.
         if shared.stop.load(Ordering::Acquire) {
@@ -42,44 +45,13 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+fn serve_one(stream: &TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut head = (&mut reader).take(MAX_HEAD);
-    let mut request_line = String::new();
-    head.read_line(&mut request_line)?;
-    // No `Content-Length` means an empty body (RFC 9112 §6.3); one that
-    // does not parse is `None`, and the request is refused before its body
-    // is used.
-    let mut content_length = Some(0usize);
-    loop {
-        let mut line = String::new();
-        match head.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {
-                let lower = line.to_ascii_lowercase();
-                if let Some(value) = lower.strip_prefix("content-length:") {
-                    content_length = value.trim().parse().ok();
-                }
-            }
-            Err(_) => break,
-        }
-    }
-
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    let mut stream = stream;
+    let mut request = Request::read(stream, IO_TIMEOUT)?;
+    let (method, target) = (request.method.as_str(), request.target.as_str());
 
     if method.is_empty() || target.is_empty() {
-        return respond(
-            &mut stream,
-            400,
-            "Bad Request",
-            "{\"error\": \"bad request\"}\n",
-        );
+        return respond(stream, 400, "Bad Request", "{\"error\": \"bad request\"}\n");
     }
     match (method, target) {
         ("GET", "/health") => {
@@ -95,12 +67,12 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 shared.in_flight.load(Ordering::Acquire),
                 shared.pool.len(),
             );
-            respond(&mut stream, 200, "OK", &body)
+            respond(stream, 200, "OK", &body)
         }
         ("POST", "/reload") => {
-            let Some(content_length) = content_length else {
+            let Some(content_length) = request.content_length else {
                 return respond(
-                    &mut stream,
+                    stream,
                     400,
                     "Bad Request",
                     "{\"ok\": false, \"error\": \"malformed Content-Length\"}\n",
@@ -108,17 +80,15 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             };
             if content_length > MAX_BODY {
                 return respond(
-                    &mut stream,
+                    stream,
                     413,
                     "Payload Too Large",
                     "{\"ok\": false, \"error\": \"rulebook too large\"}\n",
                 );
             }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body)?;
-            let Ok(text) = String::from_utf8(body) else {
+            let Ok(text) = String::from_utf8(request.body(content_length)?) else {
                 return respond(
-                    &mut stream,
+                    stream,
                     400,
                     "Bad Request",
                     "{\"ok\": false, \"error\": \"rulebook is not valid UTF-8\"}\n",
@@ -131,7 +101,7 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                         program.generation,
                         program.engine.len(),
                     );
-                    respond(&mut stream, 200, "OK", &body)
+                    respond(stream, 200, "OK", &body)
                 }
                 Err(diagnostics) => {
                     // Structured rollback report: the old program is still
@@ -143,30 +113,20 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                         shared.generation(),
                         rendered.join(", "),
                     );
-                    respond(&mut stream, 422, "Unprocessable Entity", &body)
+                    respond(stream, 422, "Unprocessable Entity", &body)
                 }
             }
         }
         ("POST", "/shutdown") => {
-            respond(
-                &mut stream,
-                200,
-                "OK",
-                "{\"ok\": true, \"draining\": true}\n",
-            )?;
+            respond(stream, 200, "OK", "{\"ok\": true, \"draining\": true}\n")?;
             shared.request_shutdown();
             Ok(())
         }
-        _ => respond(
-            &mut stream,
-            404,
-            "Not Found",
-            "{\"error\": \"not found\"}\n",
-        ),
+        _ => respond(stream, 404, "Not Found", "{\"error\": \"not found\"}\n"),
     }
 }
 
-fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) -> io::Result<()> {
+fn respond(mut stream: &TcpStream, status: u16, reason: &str, body: &str) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",

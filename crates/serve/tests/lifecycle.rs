@@ -6,7 +6,8 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use common::{admin, start, test_config, wait_until, Client, RULEBOOK};
 use lomon_serve::Server;
@@ -281,6 +282,38 @@ fn overload_sheds_excess_connections() {
     assert!(ready.contains("\"type\": \"ready\""), "got: {ready}");
     drop(c4);
     drop(c2);
+}
+
+/// The admin endpoint reads each request whole under one 2 s deadline: a
+/// client that trickles its request a byte at a time, never tripping a
+/// per-read timeout, holds it for that long at most, and a shutdown
+/// queued behind it is answered in time.
+#[test]
+fn trickling_client_cannot_wedge_the_admin_endpoint() {
+    let mut server = start(RULEBOOK);
+    let addr = server.admin_addr();
+    let mut trickler = TcpStream::connect(addr).expect("connect trickler");
+    let trickle = thread::spawn(move || {
+        // One byte every 250 ms for up to 10 s, until the server hangs up.
+        let head = b"GET /health HTTP/1.1\r\nX-Slow: ".iter();
+        for &byte in head.chain(std::iter::repeat(&b'a')).take(40) {
+            if trickler.write_all(&[byte]).is_err() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(250));
+        }
+    });
+    // The endpoint accepts in connection order: the trickler first.
+    let started = Instant::now();
+    let (status, body) = admin(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200, "body: {body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "shutdown behind a trickling client took {:?}",
+        started.elapsed()
+    );
+    server.wait();
+    trickle.join().expect("trickler");
 }
 
 /// The health endpoint reports status, generation, and stream counts;

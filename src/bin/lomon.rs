@@ -416,6 +416,10 @@ fn check(args: &[String]) -> ExitCode {
         Ok(format) => format,
         Err(code) => return code,
     };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown flag `{flag}`");
+        return usage();
+    }
     let args = &args[..];
     // The leading arguments that name readable files are the traces; the
     // rest are properties. A leading argument that is *not* a file but

@@ -422,6 +422,31 @@ fn unknown_backend_is_rejected() {
 }
 
 #[test]
+fn check_rejects_unknown_flags() {
+    // A leftover flag is neither a trace path nor a property, wherever it
+    // stands: exit 2 with the usage text, as every other command does.
+    for args in [
+        ["--strict", FIXTURE, PROPERTY],
+        [FIXTURE, "--bogus=1", PROPERTY],
+        [FIXTURE, PROPERTY, "--strict"],
+    ] {
+        let output = lomon(&[&["check"], &args[..]].concat());
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(
+            stderr(&output).contains("unknown flag"),
+            "{}",
+            stderr(&output)
+        );
+        assert!(stderr(&output).contains("usage:"), "{}", stderr(&output));
+    }
+}
+
+#[test]
 fn smc_format_json_is_jobs_independent() {
     let run = |jobs: &str| {
         let output = lomon(&[
