@@ -1,7 +1,8 @@
 //! Hot-loop cost of one monitored event: the fused rulebook backend vs the
 //! tree-walking interpreter oracle.
 //!
-//! Four workloads, all through an indexed-dispatch engine [`Session`]:
+//! Four workloads, all through an indexed-dispatch engine
+//! [`Session`](lomon_engine::Session):
 //!
 //! * `single` — one antecedent property, every event steps one monitor;
 //! * `disjoint-50` — 50 properties over pairwise-disjoint alphabets, the

@@ -4,10 +4,12 @@
 //!
 //! The well-formedness checks of [`crate::wf`] are per-property and
 //! syntactic. This module asks *semantic* questions about the rulebook as
-//! a whole, on the already-lowered [`CompiledProgram`]/[`FusedProgram`]
+//! a whole, on the already-lowered
+//! [`CompiledProgram`](crate::compiled::CompiledProgram)/[`FusedProgram`]
 //! form — which is finite-state with bounded counters, so the questions
-//! are decidable by bounded reachability (see [`reach`]). Results come
-//! back as [`Diagnostic`]s with stable machine-readable codes:
+//! are decidable by bounded reachability (the private `reach` module).
+//! Results come back as [`Diagnostic`]s with stable machine-readable
+//! codes:
 //!
 //! | Code | Severity | Meaning |
 //! |---|---|---|
@@ -24,9 +26,10 @@
 //! `L001`/`L002` are emitted by the engine's compile pipeline (they
 //! pre-date lowering); everything else comes out of [`analyze`]. The
 //! semantic verdicts are *bounded-model* verdicts: exact for traces of at
-//! most each walk's horizon ([`CompiledProgram::bounded_horizon`]), and
-//! validated against exhaustive trace enumeration through the interpreter
-//! backend in `crates/core/tests/analysis_gate.rs`.
+//! most each walk's horizon
+//! ([`bounded_horizon`](crate::compiled::CompiledProgram::bounded_horizon)),
+//! and validated against exhaustive trace enumeration through the
+//! interpreter backend in `crates/core/tests/analysis_gate.rs`.
 
 mod reach;
 

@@ -488,7 +488,7 @@ impl CompiledProgram {
     }
 }
 
-/// What [`CompiledProgram::pruned`] removed, for lint reports and the
+/// What `CompiledProgram::pruned` removed, for lint reports and the
 /// `--fix-prune` summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {

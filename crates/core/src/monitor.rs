@@ -72,10 +72,9 @@ impl PropertyMonitor {
     /// `lomon-engine`'s inverted dispatch index) subscribe the monitor to
     /// exactly these names and skip it for everything else.
     ///
-    /// This is the owned counterpart of the borrowed
-    /// [`Monitor::alphabet`](crate::verdict::Monitor::alphabet) accessor —
-    /// usable without importing the trait, and guaranteed to be the very
-    /// set the monitor projects events with.
+    /// This is the owned counterpart of the borrowed [`Monitor::alphabet`]
+    /// accessor — usable without importing the trait, and guaranteed to be
+    /// the very set the monitor projects events with.
     ///
     /// # Example
     ///

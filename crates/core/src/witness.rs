@@ -15,7 +15,7 @@
 //! single bounded ring store on the hot path — and the cell/transition
 //! attribution is reconstructed on the cold `witness()` read by replaying
 //! the raw chain through a fresh *attributing* clone of the monitor (see
-//! [`reattribute`]). The hooks never touch the `ops` accounting, so
+//! `reattribute`). The hooks never touch the `ops` accounting, so
 //! explain-off monitors are bit-identical to pre-explain behaviour and
 //! explain-on monitors differ only in the recorder side channel.
 
@@ -167,7 +167,7 @@ impl FlightRecorder {
     /// Append a step known only by its `(time, event)` pair — the live
     /// explain mode's raw chain. Attribution (cell and transition) is
     /// reconstructed on demand when the witness is read (see
-    /// [`reattribute`]).
+    /// `reattribute`).
     #[inline]
     pub fn record_event(&mut self, event: TimedEvent) {
         self.record(WitnessStep {

@@ -40,8 +40,8 @@ pub struct SessionMetrics {
     /// recently flushed session.
     pub properties_live: Arc<Gauge>,
     /// `lomon_verdicts_total{verdict=…}`: per-property final-report
-    /// verdicts by kind, counted once per closed stream. Indexed by
-    /// [`verdict_slot`].
+    /// verdicts by kind, counted once per closed stream, in the order
+    /// satisfied, presumably satisfied, pending, violated.
     pub verdicts: [Arc<Counter>; 4],
 }
 

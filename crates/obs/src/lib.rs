@@ -4,11 +4,12 @@
 //! named atomic [`Counter`]s, [`Gauge`]s, and log-bucketed
 //! [`Histogram`]s, rendered as Prometheus text ([`Registry::render_prometheus`])
 //! or NDJSON snapshots ([`Registry::render_ndjson`]), served over a
-//! minimal background-thread HTTP listener ([`MetricsServer`], whose
-//! whole-request reader [`Request`] the `lomon serve` admin endpoint
-//! shares), timed with a [`Stopwatch`] span API, and — for offline
-//! timeline analysis — traced with a [`Tracer`] that renders its spans as
-//! Chrome trace-event JSON (`chrome://tracing` / Perfetto).
+//! minimal background-thread HTTP listener ([`MetricsServer`]: the metrics
+//! routes on an [`Endpoint`], the one HTTP endpoint that the `lomon
+//! serve` admin routes run on too), timed with a [`Stopwatch`] span API,
+//! and — for offline timeline analysis — traced with a [`Tracer`] that
+//! renders its spans as Chrome trace-event JSON (`chrome://tracing` /
+//! Perfetto).
 //!
 //! The design constraint, following NISTT's non-intrusive-observation
 //! principle, is that instrumentation must not perturb the system under
@@ -27,7 +28,7 @@ mod server;
 mod stopwatch;
 mod tracer;
 
-pub use http::Request;
+pub use http::{Endpoint, Request, Response};
 pub use metric::{bucket_index, bucket_upper, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{Label, Registry};
 pub use server::MetricsServer;

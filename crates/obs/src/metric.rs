@@ -119,7 +119,7 @@ pub fn bucket_upper(index: usize) -> u64 {
 /// Values are unit-free `u64`s (this workspace records nanoseconds);
 /// [`Histogram::record`] touches exactly three relaxed atomics and never
 /// allocates — the bucket array is fixed at construction. Buckets are
-/// power-of-two octaves with [`SUB`] linear sub-buckets each, bounding the
+/// power-of-two octaves with four linear sub-buckets each, bounding the
 /// boundary quantization error at 25%.
 #[derive(Debug)]
 pub struct Histogram {

@@ -1,40 +1,31 @@
-//! A minimal hand-rolled HTTP/1.1 listener serving metric snapshots.
+//! The metrics listener: the metrics routes on an [`Endpoint`].
 //!
 //! `GET /metrics` returns the Prometheus text exposition, `GET
-//! /metrics.json` the NDJSON snapshot. One background thread accepts
-//! connections serially — a scrape endpoint sees one poller every few
-//! seconds, not a traffic front — and every response carries
-//! `Connection: close` plus a `Content-Length`, so no keep-alive state is
-//! tracked. Each request is read under one deadline for the whole request
-//! ([`Request`]), so a client that trickles its bytes cannot hold the
-//! listener. The handler never panics: malformed requests get `400`, a
-//! draining server answers `503`, and registry reads go through relaxed
+//! /metrics.json` the NDJSON snapshot. The endpoint serves one connection
+//! at a time — a scrape endpoint sees one poller every few seconds, not a
+//! traffic front. The handler never panics: malformed requests get `400`,
+//! a draining server answers `503`, and registry reads go through relaxed
 //! atomics that cannot tear.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::http::Request;
+use crate::http::{Endpoint, Request, Response};
 use crate::registry::Registry;
 
 /// Default per-connection deadline: the whole request must arrive within
-/// it, and each response write must finish within it, so one stalled,
-/// half-open or trickling client cannot wedge the (single-threaded)
-/// listener.
+/// it, and each response write must finish within it.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running metrics endpoint. Dropping it shuts the listener down
 /// cleanly: the accept loop is woken, the thread joined, the port
 /// released.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    endpoint: Endpoint,
     draining: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl MetricsServer {
@@ -56,38 +47,19 @@ impl MetricsServer {
         registry: Arc<Registry>,
         io_timeout: Duration,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
+        let endpoint = {
             let draining = Arc::clone(&draining);
-            std::thread::Builder::new()
-                .name("lomon-metrics".to_owned())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        // Errors on one connection (reset, timeout) must not
-                        // take the endpoint down.
-                        let _ = serve_one(&stream, &registry, &draining, io_timeout);
-                    }
-                })?
+            Endpoint::bind(addr, io_timeout, move |request| {
+                Ok(route(request, &registry, &draining))
+            })?
         };
-        Ok(MetricsServer {
-            addr,
-            stop,
-            draining,
-            thread: Some(thread),
-        })
+        Ok(MetricsServer { endpoint, draining })
     }
 
     /// The address actually bound — resolves port `0` to the real port.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.endpoint.local_addr()
     }
 
     /// Switch the endpoint into draining mode: subsequent scrapes get
@@ -97,94 +69,29 @@ impl MetricsServer {
     pub fn drain(&self) {
         self.draining.store(true, Ordering::Release);
     }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // The accept loop is blocked in `incoming()`; poke it awake with a
-        // throwaway connection to our own port.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Read the request (method + target are all we need), route, respond.
-fn serve_one(
-    stream: &TcpStream,
-    registry: &Registry,
-    draining: &AtomicBool,
-    io_timeout: Duration,
-) -> io::Result<()> {
-    stream.set_write_timeout(Some(io_timeout))?;
-    let request = Request::read(stream, io_timeout)?;
-    let (method, target) = (request.method.as_str(), request.target.as_str());
-
-    if method.is_empty() || target.is_empty() {
-        return respond(stream, 400, "Bad Request", "text/plain", "bad request\n");
-    }
-    if method != "GET" {
-        return respond(
-            stream,
-            405,
-            "Method Not Allowed",
-            "text/plain",
-            "only GET is supported\n",
-        );
-    }
-    if draining.load(Ordering::Acquire) {
-        return respond(
-            stream,
-            503,
-            "Service Unavailable",
-            "text/plain",
-            "metrics endpoint is draining\n",
-        );
-    }
-    match target {
-        "/metrics" => {
-            let body = registry.render_prometheus();
-            respond(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
+/// Answer one request from `registry`.
+fn route(request: &Request<'_>, registry: &Registry, draining: &AtomicBool) -> Response {
+    let text = |status, reason, body| Response::new(status, reason, "text/plain", body);
+    match (request.method.as_str(), request.target.as_str()) {
+        ("", _) | (_, "") => text(400, "Bad Request", "bad request\n"),
+        ("GET", _) if draining.load(Ordering::Acquire) => {
+            text(503, "Service Unavailable", "metrics endpoint is draining\n")
         }
-        "/metrics.json" => {
-            let body = registry.render_ndjson();
-            respond(
-                stream,
-                200,
-                "OK",
-                "application/x-ndjson; charset=utf-8",
-                &body,
-            )
-        }
-        _ => respond(stream, 404, "Not Found", "text/plain", "not found\n"),
+        ("GET", "/metrics") => Response::new(
+            200,
+            "OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            registry.render_prometheus(),
+        ),
+        ("GET", "/metrics.json") => Response::new(
+            200,
+            "OK",
+            "application/x-ndjson; charset=utf-8",
+            registry.render_ndjson(),
+        ),
+        ("GET", _) => text(404, "Not Found", "not found\n"),
+        _ => text(405, "Method Not Allowed", "only GET is supported\n"),
     }
-}
-
-fn respond(
-    mut stream: &TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
 }

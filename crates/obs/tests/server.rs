@@ -8,12 +8,15 @@ use std::time::{Duration, Instant};
 
 use lomon_obs::{MetricsServer, Registry};
 
-fn http_get(addr: std::net::SocketAddr, request: &str) -> (u16, String, String) {
+fn http_get(
+    addr: std::net::SocketAddr,
+    request: &(impl AsRef<[u8]> + ?Sized),
+) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
+    stream.write_all(request.as_ref()).expect("write request");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read response");
     let (head, body) = response
@@ -232,9 +235,12 @@ fn malformed_request_gets_400_not_a_panic() {
     let registry = Arc::new(Registry::new());
     let server = MetricsServer::bind("127.0.0.1:0", registry).expect("bind");
     let addr = server.local_addr();
-    let (status, _, _) = http_get(addr, "\r\n\r\n");
-    assert_eq!(status, 400);
-    // The listener survives the bad request.
+    // An empty request, and a request line that is not UTF-8.
+    for request in [&b"\r\n\r\n"[..], b"\xff\xfe /metrics HTTP/1.1\r\n\r\n"] {
+        let (status, _, _) = http_get(addr, request);
+        assert_eq!(status, 400, "request: {request:?}");
+    }
+    // The listener survives the bad requests.
     let (status, _, _) = get(addr, "/metrics");
     assert_eq!(status, 200);
 }

@@ -1,13 +1,14 @@
 //! Per-connection stream handling: the fault-isolation boundary.
 //!
-//! One OS thread owns one connection end to end. Everything that can go
-//! wrong on the wire — torn frames, garbage bytes, time travel, oversized
-//! lines, half-open sockets, clients that stop reading — is handled here,
-//! on this thread, against this connection's own session; sibling streams
-//! never observe any of it. The handler's last line of defense is a
-//! `catch_unwind` around the whole drive loop: a panic (which would be a
-//! bug) is counted, the poisoned session is discarded instead of parked,
-//! and the process keeps serving.
+//! One OS thread owns one connection end to end, and the connection owns
+//! one session on the program it pinned, reset between its streams.
+//! Everything that can go wrong on the wire — torn frames, garbage bytes,
+//! time travel, oversized lines, half-open sockets, clients that stop
+//! reading — is handled here, on this thread, against this connection's
+//! own session; sibling streams never observe any of it. The handler's
+//! last line of defense is a `catch_unwind` around the whole drive loop: a
+//! panic (which would be a bug) is counted, its session dies with the
+//! connection, and the process keeps serving.
 
 use std::io::{self, BufWriter, Read as _, Write};
 use std::net::{Shutdown, TcpStream};
@@ -28,22 +29,15 @@ use crate::server::Shared;
 /// control, not buffered into our heap.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Serve one accepted connection to completion, then recycle its session
-/// into the pool. Never panics: a panicking drive loop is contained,
-/// counted, and only costs its own (discarded) session.
+/// Serve one accepted connection to completion on one session of the
+/// current program. Never panics: a panicking drive loop is contained and
+/// counted, and only costs its own connection.
 pub(crate) fn handle_connection(shared: &Shared, stream: &TcpStream) {
     let program = shared.current_program();
-    let generation = program.generation;
-    // Recycle a parked session of this generation when one is available;
-    // `resume` re-checks engine identity, so a mis-keyed state degrades to
-    // a fresh session instead of a wrong-rulebook stream.
-    let session = shared
-        .pool
-        .acquire(generation)
-        .and_then(|state| program.engine.resume(state).ok())
-        .unwrap_or_else(|| program.session(shared.config.backend));
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut driver = StreamDriver::new(session, &program.voc, StreamFormat::Ndjson).labelled();
+        let mut driver =
+            StreamDriver::new(program.engine.session(), &program.voc, StreamFormat::Ndjson)
+                .labelled();
         if let Err(error) = drive(shared, &program, &mut driver, stream) {
             // Write-side failures only reach here (read-side ones are
             // handled in the loop): the client stopped reading our
@@ -55,19 +49,10 @@ pub(crate) fn handle_connection(shared: &Shared, stream: &TcpStream) {
                 _ => shared.metrics.disconnects.inc(),
             }
         }
-        driver.into_session()
     }));
     let _ = stream.shutdown(Shutdown::Both);
-    match outcome {
-        Ok(mut session) => {
-            // The session is rewound *before* parking so the acquire path
-            // stays allocation-free and can never observe a dirty stream.
-            session.reset();
-            shared.pool.release(generation, session.into_state());
-        }
-        Err(_) => {
-            shared.metrics.panics.inc();
-        }
+    if outcome.is_err() {
+        shared.metrics.panics.inc();
     }
 }
 
@@ -115,10 +100,9 @@ fn drive(
     };
     writeln!(
         out.writer,
-        "{{\"type\": \"ready\", \"generation\": {}, \"properties\": {}, \"backend\": \"{}\"}}",
+        "{{\"type\": \"ready\", \"generation\": {}, \"properties\": {}, \"backend\": \"fused\"}}",
         program.generation,
         program.engine.len(),
-        config.backend.label(),
     )?;
     out.writer.flush()?;
 
@@ -177,16 +161,13 @@ fn drive(
             match step {
                 Step::Applied => {}
                 Step::End => {
-                    // Rewind for the next stream on this connection — the
-                    // recycling hot path.
+                    // Rewind for the next stream on this connection.
                     driver.close(&mut out)?;
                     driver.reset();
                 }
                 Step::Fault(fault) => {
                     // Per-stream fault isolation: the error frame is out;
                     // bump the right counter and close this connection.
-                    // The session stays healthy and is recycled by the
-                    // caller.
                     match fault {
                         Fault::Parse => metrics.parse_errors.inc(),
                         Fault::Protocol | Fault::Encoding => metrics.protocol_errors.inc(),

@@ -1,21 +1,22 @@
 //! `lomon-serve` — a hardened monitoring daemon.
 //!
-//! The ROADMAP's "million users" deployment shape: one resident process
-//! holding one compiled rulebook [`Engine`](lomon_engine::Engine),
-//! multiplexing many concurrent NDJSON trace streams over TCP, each
-//! stream monitored by a recycled zero-alloc
-//! [`Session`](lomon_engine::Session). The stream protocol itself —
-//! framing, parsing, the time check, verdict and summary frames — is
-//! [`lomon_engine::StreamDriver`], shared with `lomon watch`; this crate
-//! adds the sockets, the session pool and the daemon's policies.
+//! One resident process holding one compiled rulebook
+//! [`Engine`](lomon_engine::Engine), serving many concurrent NDJSON trace
+//! streams over TCP. Each connection runs on one thread with one
+//! [`Session`](lomon_engine::Session), reset between the connection's
+//! streams. The stream protocol itself — framing, parsing, the time
+//! check, verdict and summary frames — is [`lomon_engine::StreamDriver`],
+//! shared with `lomon watch`; this crate adds the sockets and the daemon's
+//! policies. Health, reload and shutdown are routes on one minimal HTTP
+//! endpoint ([`lomon_obs::Endpoint`]), the same one `--metrics` runs on.
 //! Robustness is the design center — four cooperating mechanisms keep any
 //! one client's misbehavior strictly its own problem:
 //!
 //! 1. **Per-stream fault isolation.** A parse error, protocol violation
 //!    (time travel, oversized frame, invalid UTF-8) or mid-frame
 //!    disconnect finalizes only the offending stream: it gets an
-//!    `{"type": "error", …}` frame, its counter is bumped, its session is
-//!    recycled. Handlers never panic; if one ever did, the `catch_unwind`
+//!    `{"type": "error", …}` frame, its counter is bumped, its connection
+//!    is closed. Handlers never panic; if one ever did, the `catch_unwind`
 //!    fence contains it to that stream and `lomon_serve_panics_total`
 //!    records the bug.
 //! 2. **Backpressure and overload shedding.** The server never reads
@@ -72,7 +73,7 @@
 //! ```
 //!
 //! After `end` the connection stays open and the next stream (index + 1)
-//! begins on the same recycled session. A clean EOF mid-stream finalizes
+//! begins on the same session, reset. A clean EOF mid-stream finalizes
 //! like an `end` at the last seen timestamp; EOF mid-frame is a torn
 //! frame (counted, error frame best-effort). Unknown event names are
 //! deliberately **not** interned (a client cannot grow server memory by
@@ -92,7 +93,6 @@
 mod admin;
 mod conn;
 mod metrics;
-mod pool;
 mod program;
 mod server;
 

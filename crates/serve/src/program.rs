@@ -12,7 +12,7 @@
 //! ever happened.
 
 use lomon_core::analysis::{AnalysisOptions, Diagnostic, Severity};
-use lomon_engine::{error_diagnostics, Backend, DispatchMode, Engine, Session};
+use lomon_engine::{error_diagnostics, Engine};
 use lomon_trace::Vocabulary;
 
 /// One immutable compiled rulebook generation.
@@ -21,13 +21,17 @@ pub(crate) struct Program {
     pub(crate) engine: Engine,
     pub(crate) voc: Vocabulary,
     pub(crate) generation: u64,
+    /// The rulebook's analysis warnings (refused instead under
+    /// `deny_warnings`).
+    pub(crate) warnings: Vec<Diagnostic>,
 }
 
 impl Program {
     /// Compile `text` (one property per line, `#` comments and blank lines
     /// skipped) into generation `generation`. On any parse or
     /// well-formedness error — or, with `deny_warnings`, any analysis
-    /// warning — returns *all* diagnostics and no program.
+    /// warning — returns *all* diagnostics and no program; otherwise the
+    /// program keeps its warnings.
     pub(crate) fn compile(
         text: &str,
         generation: u64,
@@ -56,17 +60,11 @@ impl Program {
                     engine,
                     voc,
                     generation,
+                    warnings,
                 })
             }
             Err(errors) => Err(error_diagnostics(&errors, &voc)),
         }
-    }
-
-    /// A fresh session on this program's engine (indexed dispatch, the
-    /// server's configured backend).
-    pub(crate) fn session(&self, backend: Backend) -> Session<'_> {
-        self.engine
-            .session_with_backend(DispatchMode::Indexed, backend)
     }
 }
 

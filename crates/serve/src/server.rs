@@ -8,13 +8,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lomon_core::analysis::Diagnostic;
-use lomon_engine::Backend;
-use lomon_obs::{MetricsServer, Registry};
+use lomon_obs::{Endpoint, MetricsServer, Registry};
 
 use crate::admin;
 use crate::conn::handle_connection;
 use crate::metrics::ServeMetrics;
-use crate::pool::SessionPool;
 use crate::program::Program;
 
 /// Tunables of one [`Server`]. The defaults are production-shaped; tests
@@ -27,8 +25,6 @@ pub struct ServeConfig {
     pub admin: String,
     /// Optional `/metrics` listener address (Prometheus + NDJSON).
     pub metrics: Option<String>,
-    /// Execution backend every stream session runs on.
-    pub backend: Backend,
     /// Refuse rulebooks (initial and reloaded) with analysis warnings.
     pub deny_warnings: bool,
     /// Global in-flight budget: connections over it are shed with an
@@ -50,7 +46,6 @@ impl Default for ServeConfig {
             listen: "127.0.0.1:0".to_owned(),
             admin: "127.0.0.1:0".to_owned(),
             metrics: None,
-            backend: Backend::Fused,
             deny_warnings: false,
             max_streams: 256,
             read_tick: Duration::from_millis(25),
@@ -96,12 +91,11 @@ pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     program: RwLock<Arc<Program>>,
     next_generation: AtomicU64,
-    pub(crate) pool: SessionPool,
     pub(crate) metrics: Arc<ServeMetrics>,
     pub(crate) in_flight: AtomicUsize,
     pub(crate) draining: AtomicBool,
     pub(crate) stop: AtomicBool,
-    /// The stream listener's bound address, so the admin endpoint can wake
+    /// The stream listener's bound address, so the admin routes can wake
     /// the acceptor out of `accept()` on shutdown.
     listen_addr: SocketAddr,
 }
@@ -129,9 +123,6 @@ impl Shared {
                 let program = Arc::new(program);
                 *self.program.write().unwrap_or_else(PoisonError::into_inner) =
                     Arc::clone(&program);
-                // Parked sessions belong to the old engine; drop them
-                // eagerly rather than letting acquire() discard one by one.
-                self.pool.purge();
                 self.metrics.reloads.inc();
                 Ok(program)
             }
@@ -159,8 +150,9 @@ pub struct Server {
     metrics_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    admin: Option<JoinHandle<()>>,
+    admin: Option<Endpoint>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    warnings: Vec<Diagnostic>,
     // Held for its Drop: the /metrics listener lives exactly as long as
     // the server.
     _metrics_server: Option<MetricsServer>,
@@ -177,7 +169,8 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Compile `rulebook` (one property per line, `#` comments) and start
-    /// serving it under `config`.
+    /// serving it under `config`. Its analysis warnings, unless
+    /// `deny_warnings` refused them, are kept in [`Server::warnings`].
     ///
     /// # Errors
     ///
@@ -186,6 +179,7 @@ impl Server {
     pub fn start(config: ServeConfig, rulebook: &str) -> Result<Server, StartError> {
         let program =
             Program::compile(rulebook, 1, config.deny_warnings).map_err(StartError::Compile)?;
+        let warnings = program.warnings.clone();
         let registry = Arc::new(Registry::new());
         let metrics = ServeMetrics::register(&registry);
         let metrics_server = match &config.metrics {
@@ -195,11 +189,8 @@ impl Server {
         let metrics_addr = metrics_server.as_ref().map(MetricsServer::local_addr);
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        let admin_listener = TcpListener::bind(&config.admin)?;
-        let admin_addr = admin_listener.local_addr()?;
 
         let shared = Arc::new(Shared {
-            pool: SessionPool::new(config.max_streams),
             config,
             program: RwLock::new(Arc::new(program)),
             next_generation: AtomicU64::new(2),
@@ -209,8 +200,13 @@ impl Server {
             stop: AtomicBool::new(false),
             listen_addr: addr,
         });
+        let admin = {
+            let routed = Arc::clone(&shared);
+            Endpoint::bind(&shared.config.admin, admin::IO_TIMEOUT, move |request| {
+                admin::route(&routed, request)
+            })?
+        };
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
         let acceptor = {
             let shared = Arc::clone(&shared);
             let handlers = Arc::clone(&handlers);
@@ -218,21 +214,16 @@ impl Server {
                 .name("lomon-serve-accept".to_owned())
                 .spawn(move || accept_loop(&listener, &shared, &handlers))?
         };
-        let admin_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("lomon-serve-admin".to_owned())
-                .spawn(move || admin::run(&admin_listener, &shared))?
-        };
 
         Ok(Server {
             addr,
-            admin_addr,
+            admin_addr: admin.local_addr(),
             metrics_addr,
             shared,
             acceptor: Some(acceptor),
-            admin: Some(admin_thread),
+            admin: Some(admin),
             handlers,
+            warnings,
             _metrics_server: metrics_server,
         })
     }
@@ -262,14 +253,21 @@ impl Server {
         self.shared.current_program().engine.len()
     }
 
+    /// The analysis warnings of the rulebook the server started with (a
+    /// reload reports its own diagnostics only when it is refused).
+    pub fn warnings(&self) -> &[Diagnostic] {
+        &self.warnings
+    }
+
     /// The daemon's own metric families — live counters, readable at any
     /// time (the chaos suite asserts on them directly).
     pub fn metrics(&self) -> &ServeMetrics {
         &self.shared.metrics
     }
 
-    /// Hot-reload the rulebook (see [`Shared::reload`] semantics: swap for
-    /// new streams only; on error the serving program is untouched).
+    /// Hot-reload the rulebook: compile it aside and swap it in for new
+    /// streams only; in-flight streams keep the program they pinned, and on
+    /// error the serving program is untouched.
     ///
     /// # Errors
     ///
@@ -304,11 +302,8 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // The admin loop is blocked in accept(); wake it.
-        let _ = TcpStream::connect(self.admin_addr);
-        if let Some(admin) = self.admin.take() {
-            let _ = admin.join();
-        }
+        // Dropping the admin endpoint wakes and joins its thread.
+        drop(self.admin.take());
         let handles: Vec<_> = self
             .handlers
             .lock()

@@ -69,10 +69,10 @@ fn roundtrip_verdicts_and_recycled_streams() {
 
     assert_eq!(server.metrics().streams.get(), 2);
     assert_eq!(server.metrics().panics.get(), 0);
-    // The clean disconnect parks the session for the next connection.
-    wait_until("session parked", Duration::from_secs(5), || {
+    // The clean disconnect frees the connection's slot.
+    wait_until("connection closed", Duration::from_secs(5), || {
         let (status, body) = admin(server.admin_addr(), "GET", "/health", "");
-        status == 200 && body.contains("\"pooled_sessions\": 1")
+        status == 200 && body.contains("\"active_streams\": 0")
     });
 }
 
@@ -220,6 +220,29 @@ fn malformed_content_length_reload_is_refused_untouched() {
     let (status, body) = admin(server.admin_addr(), "POST", "/reload", rulebook);
     assert_eq!(status, 200, "body: {body}");
     assert!(body.contains("\"generation\": 2"), "body: {body}");
+}
+
+/// The admin endpoint reads the request head as bytes: a header value
+/// holding an obs-text byte (RFC 9110) before `Content-Length` neither
+/// hides the length nor fails the reload.
+#[test]
+fn obs_text_header_does_not_hide_content_length() {
+    let server = start(RULEBOOK);
+    let rulebook = b"b << c once";
+    let mut stream = TcpStream::connect(server.admin_addr()).expect("connect admin");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut request = b"POST /reload HTTP/1.1\r\nHost: lomon\r\nX-Note: caf\xe9\r\n".to_vec();
+    request.extend_from_slice(format!("Content-Length: {}\r\n\r\n", rulebook.len()).as_bytes());
+    request.extend_from_slice(rulebook);
+    stream.write_all(&request).expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 200 "), "got: {response}");
+    assert!(response.contains("\"generation\": 2"), "got: {response}");
+    assert_eq!(server.generation(), 2);
+    assert_eq!(server.metrics().reload_failures.get(), 0);
 }
 
 /// Drain shutdown flushes every in-flight stream's final report before

@@ -32,7 +32,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngCore as _, SeedableRng};
 
-use lomon_engine::{Backend, CompileError, DispatchMode, DispatchStats, Engine, Session};
+use lomon_engine::{Backend, CompileError, DispatchStats, Engine, Session};
 use lomon_trace::{json_escape, TimedEvent, Vocabulary};
 
 use crate::estimate::{half_width, required_episodes};
@@ -47,8 +47,7 @@ pub enum CampaignMode {
     /// property's estimated satisfaction probability with its
     /// Chernoff–Hoeffding interval.
     Estimate {
-        /// Episodes to run (e.g. from
-        /// [`required_episodes`](crate::estimate::required_episodes)).
+        /// Episodes to run (e.g. from [`required_episodes`]).
         episodes: u64,
     },
     /// Qualitative: run Wald's SPRT per property, stopping as soon as
@@ -72,15 +71,6 @@ pub struct CampaignConfig {
     pub confidence: f64,
     /// The question mode.
     pub mode: CampaignMode,
-    /// Monitor execution backend. The fused rulebook backend (the
-    /// default) shares one cell arena across structurally identical
-    /// properties and re-pays nothing per episode; `Interp` is the
-    /// verdict-identical differential oracle. Switching
-    /// backends never changes the statistical content of a report
-    /// (verdicts, estimates, SPRT decisions, `events`); only
-    /// [`CampaignReport::monitor_steps`] differs, because the fused
-    /// backend steps each shared group once for all its members.
-    pub backend: Backend,
 }
 
 impl CampaignConfig {
@@ -91,7 +81,6 @@ impl CampaignConfig {
             jobs: 0,
             confidence: 0.95,
             mode: CampaignMode::Estimate { episodes },
-            backend: Backend::Fused,
         }
     }
 
@@ -106,7 +95,6 @@ impl CampaignConfig {
             mode: CampaignMode::Estimate {
                 episodes: required_episodes(epsilon, 1.0 - confidence),
             },
-            backend: Backend::Fused,
         }
     }
 
@@ -120,7 +108,6 @@ impl CampaignConfig {
                 config,
                 max_episodes: 100_000,
             },
-            backend: Backend::Fused,
         }
     }
 
@@ -237,7 +224,8 @@ pub struct CampaignReport {
     /// same canonical schema `check` and `watch` report. Partition
     /// invariant, so still identical across `--jobs`.
     pub stats: DispatchStats,
-    /// Stable label of the monitor backend the campaign ran on.
+    /// Label of the monitor backend the campaign ran on: always the fused
+    /// rulebook program's, `"fused"`.
     pub backend: &'static str,
 }
 
@@ -507,9 +495,9 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
 
     /// [`Campaign::run`] with a progress observer: after each scheduling
     /// batch is aggregated the observer receives a [`CampaignProgress`]
-    /// snapshot. Batches are the jobs-independent quanta ([`SPRT_BATCH`] /
-    /// [`ESTIMATE_BATCH`]), so the snapshot sequence — like the report —
-    /// is a pure function of `(model, seed, mode)`.
+    /// snapshot. Batches are the jobs-independent quanta (64 episodes
+    /// under SPRT, 4096 under estimation), so the snapshot sequence — like
+    /// the report — is a pure function of `(model, seed, mode)`.
     pub fn run_observed(&self, observer: &mut dyn FnMut(CampaignProgress<'_>)) -> CampaignReport {
         let jobs = effective_jobs(self.config.jobs);
         let master = StdRng::seed_from_u64(self.config.seed);
@@ -554,9 +542,7 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
         // per batch.
         let mut workers: Vec<Worker<'_>> = (0..jobs)
             .map(|_| {
-                let mut session = self
-                    .engine
-                    .session_with_backend(DispatchMode::Indexed, self.config.backend);
+                let mut session = self.engine.session();
                 if let Some(m) = &self.metrics {
                     session.attach_metrics(Arc::clone(&m.session));
                 }
@@ -659,7 +645,7 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
             events: stats.events,
             monitor_steps: stats.monitor_steps,
             stats,
-            backend: self.config.backend.label(),
+            backend: Backend::Fused.label(),
         }
     }
 

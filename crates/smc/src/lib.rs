@@ -56,7 +56,6 @@ pub use campaign::{
     effective_jobs, Campaign, CampaignConfig, CampaignError, CampaignMode, CampaignProgress,
     CampaignReport, PropertyEstimate, SprtReport,
 };
-pub use lomon_engine::Backend;
 pub use metrics::CampaignMetrics;
 pub use model::{EpisodeModel, GenModel, ScenarioModel};
 pub use sprt::{Sprt, SprtConfig, SprtDecision};

@@ -5,9 +5,8 @@
 //! All families are registered up front (at [`CampaignMetrics::register`]
 //! time), so a scrape that races the campaign start still sees every
 //! family; the values simply read zero until the first batch lands.
-//! Workers publish through the shared engine
-//! [`SessionMetrics`](lomon_engine::SessionMetrics) sink, and the
-//! aggregator updates the campaign-level gauges at the jobs-independent
+//! Workers publish through the shared engine [`SessionMetrics`] sink, and
+//! the aggregator updates the campaign-level gauges at the jobs-independent
 //! batch boundaries only — telemetry never participates in the
 //! determinism-sensitive statistics.
 

@@ -9,7 +9,7 @@
 //! combinational `ok`/`nok`/`err` pulses.
 //!
 //! Property tests (see `tests/lustre_equivalence.rs`) drive this network
-//! and the imperative [`lomon_core::recognizer::RangeRecognizer`] with the
+//! and the imperative `lomon_core::recognizer::RangeRecognizer` with the
 //! same input sequences and require identical states and outputs at every
 //! tick.
 
@@ -42,7 +42,7 @@ pub struct NetOutput {
     pub err: bool,
 }
 
-/// Mirror of [`lomon_core::recognizer::RangeState`] read back from the
+/// Mirror of `lomon_core::recognizer::RangeState` read back from the
 /// one-hot registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetState {

@@ -8,13 +8,17 @@
 
 use std::fmt::Write as _;
 
-use crate::{Name, Trace, Vocabulary};
+use crate::{Name, NameSet, Trace, Vocabulary};
 
 /// Render `trace` as a VCD document.
 ///
 /// Every name of `voc` that occurs in the trace becomes a wire; each event
 /// is a `1` at its timestamp followed by a `0` one picosecond later (the
-/// timescale is 1 ps, matching [`crate::SimTime`]'s resolution).
+/// timescale is 1 ps, matching [`crate::SimTime`]'s resolution). Pulses of
+/// one name that touch (events 1 ps apart) merge into one longer pulse,
+/// and an event at [`crate::SimTime::MAX`] has no fall. Timestamps strictly
+/// increase; the trace's end time closes the dump when it is later than
+/// every value change.
 pub fn write_vcd(trace: &Trace, voc: &Vocabulary) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "$date lomon trace export $end");
@@ -22,18 +26,15 @@ pub fn write_vcd(trace: &Trace, voc: &Vocabulary) -> String {
     let _ = writeln!(out, "$timescale 1 ps $end");
     let _ = writeln!(out, "$scope module interface $end");
 
-    // Only names that actually occur, in intern order; VCD id codes are
-    // printable ASCII starting at '!'.
-    let mut used: Vec<Name> = Vec::new();
+    // Only names that actually occur, in intern order.
+    let mut occurring = NameSet::new();
     for event in trace.iter() {
-        if !used.contains(&event.name) {
-            used.push(event.name);
-        }
+        occurring.insert(event.name);
     }
-    used.sort_by_key(|n| n.index());
-    let id = |idx: usize| -> char { (b'!' + idx as u8) as char };
-    for (idx, &name) in used.iter().enumerate() {
-        let _ = writeln!(out, "$var wire 1 {} {} $end", id(idx), voc.resolve(name));
+    let used: Vec<Name> = occurring.iter().collect();
+    let ids: Vec<String> = (0..used.len()).map(id_code).collect();
+    for (&name, id) in used.iter().zip(&ids) {
+        let _ = writeln!(out, "$var wire 1 {id} {} $end", voc.resolve(name));
     }
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
@@ -41,58 +42,92 @@ pub fn write_vcd(trace: &Trace, voc: &Vocabulary) -> String {
     // Initial values.
     let _ = writeln!(out, "#0");
     let _ = writeln!(out, "$dumpvars");
-    for idx in 0..used.len() {
-        let _ = writeln!(out, "0{}", id(idx));
+    for id in &ids {
+        let _ = writeln!(out, "0{id}");
     }
     let _ = writeln!(out, "$end");
 
-    // Pulses: group events by timestamp; drop each pulse 1 ps later
-    // (events at t and t+1ps merge into a longer pulse, which is fine).
-    let mut pending_drop: Vec<(u64, usize)> = Vec::new();
-    let mut k = 0;
-    let events = trace.events();
-    while k < events.len() {
-        let t = events[k].time.as_ps();
-        // Emit any scheduled falls strictly before t.
-        emit_falls(&mut out, &mut pending_drop, t, id);
-        let _ = writeln!(out, "#{t}");
-        while k < events.len() && events[k].time.as_ps() == t {
-            let idx = used
-                .iter()
-                .position(|&n| n == events[k].name)
-                .expect("name collected above");
-            let _ = writeln!(out, "1{}", id(idx));
-            pending_drop.push((t + 1, idx));
-            k += 1;
+    // One timestamp of events at a time: the wires raised at the previous
+    // timestamp `prev` fall at `prev + 1`, unless they rise again there.
+    let mut dump = Dump {
+        out,
+        ids,
+        stamped: 0,
+    };
+    let mut high: Vec<usize> = Vec::new();
+    let mut prev = 0;
+    let mut events = trace.events();
+    while let Some(first) = events.first() {
+        let t = first.time.as_ps();
+        let group = events.iter().take_while(|e| e.time == first.time).count();
+        let mut rising: Vec<usize> = Vec::new();
+        for event in &events[..group] {
+            let wire = used.binary_search(&event.name).expect("collected above");
+            if !rising.contains(&wire) {
+                rising.push(wire);
+            }
         }
+        events = &events[group..];
+        if !high.is_empty() && prev + 1 < t {
+            dump.changes(prev + 1, high.iter().map(|&w| ('0', w)));
+            high.clear();
+        }
+        let falls = high
+            .iter()
+            .filter(|w| !rising.contains(w))
+            .map(|&w| ('0', w));
+        let rises = rising
+            .iter()
+            .filter(|w| !high.contains(w))
+            .map(|&w| ('1', w));
+        dump.changes(t, falls.chain(rises));
+        high = rising;
+        prev = t;
     }
-    emit_falls(&mut out, &mut pending_drop, u64::MAX, id);
-    let end = trace.end_time().as_ps();
-    let _ = writeln!(out, "#{}", end.max(1));
-    out
+    if let Some(fall) = prev.checked_add(1) {
+        dump.changes(fall, high.iter().map(|&w| ('0', w)));
+    }
+    let end = trace.end_time().as_ps().max(1);
+    if end > dump.stamped {
+        let _ = writeln!(dump.out, "#{end}");
+    }
+    dump.out
 }
 
-fn emit_falls(
-    out: &mut String,
-    pending: &mut Vec<(u64, usize)>,
-    before: u64,
-    id: impl Fn(usize) -> char,
-) {
-    pending.sort_unstable();
-    let mut rest = Vec::new();
-    let mut current: Option<u64> = None;
-    for &(t, idx) in pending.iter() {
-        if t < before {
-            if current != Some(t) {
-                let _ = writeln!(out, "#{t}");
-                current = Some(t);
+/// The value-change section being written.
+struct Dump {
+    out: String,
+    ids: Vec<String>,
+    /// The last `#` timestamp written.
+    stamped: u64,
+}
+
+impl Dump {
+    /// Write `changes` (value, wire) at time `t`, stamping `t` first unless
+    /// it is already the current time; no changes write nothing.
+    fn changes(&mut self, t: u64, changes: impl Iterator<Item = (char, usize)>) {
+        for (value, wire) in changes {
+            if t > self.stamped {
+                let _ = writeln!(self.out, "#{t}");
+                self.stamped = t;
             }
-            let _ = writeln!(out, "0{}", id(idx));
-        } else {
-            rest.push((t, idx));
+            let _ = writeln!(self.out, "{value}{}", self.ids[wire]);
         }
     }
-    *pending = rest;
+}
+
+/// The identifier code of the `index`-th wire: base-94 digits over the
+/// printable ASCII range `!`..=`~`, least significant first, so every
+/// index has its own code of any length.
+fn id_code(mut index: usize) -> String {
+    let mut code = String::new();
+    loop {
+        code.push(char::from(b'!' + (index % 94) as u8));
+        index /= 94;
+        if index == 0 {
+            return code;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -104,12 +104,12 @@ fn usage() -> ExitCode {
     eprintln!("              [--strict] [--explain] [--metrics ADDR] [--stats-every N]");
     eprintln!("              <property>...");
     eprintln!("  lomon serve [--listen ADDR] [--admin ADDR] [--metrics ADDR]");
-    eprintln!("              [--backend fused|interp] [--deny-warnings]");
-    eprintln!("              [--max-streams N] <rulebook-file|property>...");
+    eprintln!("              [--deny-warnings] [--max-streams N]");
+    eprintln!("              <rulebook-file|property>...");
     eprintln!("  lomon smc   [--episodes N] [--jobs J] [--seed S] [--confidence C]");
     eprintln!("              [--epsilon E] [--sprt P0 P1] [--fault-prob Q]");
-    eprintln!("              [--backend fused|interp] [--format text|json]");
-    eprintln!("              [--metrics ADDR] [--stats-every N] [--quiet]");
+    eprintln!("              [--format text|json] [--metrics ADDR]");
+    eprintln!("              [--stats-every N] [--quiet]");
     eprintln!("              [--trace <file> [--mutation-prob Q]] [property...]");
     eprintln!("  lomon lint  [--format text|json] [--trace <file>] [--fix-prune]");
     eprintln!("              [--deny-warnings] <rulebook-file|property>...");
@@ -119,10 +119,10 @@ fn usage() -> ExitCode {
     eprintln!("  lomon gen   <property> [seed [episodes]]");
     eprintln!("  lomon demo");
     eprintln!();
-    eprintln!("--backend selects the monitor execution backend: the fused rulebook");
-    eprintln!("program (default; structurally identical properties share one cell");
-    eprintln!("arena) or the per-property tree-walking interpreter (the");
-    eprintln!("verdict-identical differential oracle).");
+    eprintln!("--backend (check, watch) selects the monitor execution backend: the");
+    eprintln!("fused rulebook program (default; structurally identical properties");
+    eprintln!("share one cell arena) or the per-property tree-walking interpreter");
+    eprintln!("(the verdict-identical differential oracle).");
     eprintln!();
     eprintln!("--format json makes `check` and `smc` print one machine-readable");
     eprintln!("JSON report per trace file / campaign instead of the text report.");
@@ -755,12 +755,7 @@ fn report_rulebook_warnings(properties: &[String], deny_warnings: bool) -> Resul
 fn serve(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
-    let backend = match take_backend_flag(&mut args) {
-        Ok(backend) => backend,
-        Err(code) => return code,
-    };
     let mut config = ServeConfig {
-        backend,
         deny_warnings,
         listen: "127.0.0.1:7450".to_owned(),
         admin: "127.0.0.1:7451".to_owned(),
@@ -840,6 +835,11 @@ fn serve(args: &[String]) -> ExitCode {
     if let Some(addr) = server.metrics_addr() {
         eprintln!("metrics on http://{addr}/metrics");
     }
+    // After the announcement, which a supervisor may read as the first line
+    // and then stop reading: a closed stderr must not stop the daemon.
+    for warning in server.warnings() {
+        let _ = writeln!(io::stderr(), "{}", warning.render_text());
+    }
     server.wait();
     ExitCode::SUCCESS
 }
@@ -847,10 +847,6 @@ fn serve(args: &[String]) -> ExitCode {
 fn smc(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
-    let backend = match take_backend_flag(&mut args) {
-        Ok(backend) => backend,
-        Err(code) => return code,
-    };
     let format = match take_report_format_flag(&mut args) {
         Ok(format) => format,
         Err(code) => return code,
@@ -987,7 +983,6 @@ fn smc(args: &[String]) -> ExitCode {
         jobs,
         confidence,
         mode,
-        backend,
     };
 
     // Assemble the model and run. The two arms carry different concrete

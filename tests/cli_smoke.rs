@@ -350,6 +350,7 @@ fn smc_rejects_malformed_invocations() {
         ],
         &["smc", "--epsilon", "0.1", "--episodes", "5"],
         &["smc", "--epsilon", "0.1", "--sprt", "0.9", "0.5"],
+        &["smc", "--backend", "fused"], // only check and watch take it
     ] {
         let output = lomon(args);
         assert_eq!(output.status.code(), Some(2), "args: {args:?}");

@@ -119,4 +119,55 @@ fn serve_usage_errors() {
     assert_eq!(output.status.code(), Some(2));
     let output = lomon(&["serve"]);
     assert_eq!(output.status.code(), Some(2));
+    // Only check and watch take `--backend`. No property: a binary that
+    // accepted the flag would refuse the empty rulebook (exit 1), not
+    // serve forever.
+    let output = lomon(&["serve", "--backend", "fused"]);
+    assert_eq!(output.status.code(), Some(2));
+}
+
+/// The rulebook's analysis warnings go to stderr after the `serving …`
+/// announcement, which stays the first line for supervisors that read
+/// only that.
+#[test]
+fn serve_prints_rulebook_warnings_after_the_announcement() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lomon"))
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--admin",
+            "127.0.0.1:0",
+            PROPERTY,
+            PROPERTY,
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lomon serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut announce = String::new();
+    stderr
+        .read_line(&mut announce)
+        .expect("startup announcement");
+    assert!(
+        announce.starts_with("serving 2 properties on "),
+        "got: {announce}"
+    );
+    let admin = announce
+        .split("(admin ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .expect("admin address in announcement")
+        .to_owned();
+    let response = http(&admin, "POST", "/shutdown", "");
+    assert!(response.contains("200 OK"), "got: {response}");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).expect("rest of stderr");
+    assert_eq!(child.wait().expect("serve exits").code(), Some(0));
+    assert!(
+        rest.lines().any(|l| l.starts_with("warning[L003]")),
+        "stderr after the announcement: {rest}"
+    );
 }
