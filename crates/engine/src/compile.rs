@@ -159,13 +159,17 @@ impl Engine {
         opts: &AnalysisOptions,
     ) -> Result<(Engine, Vec<Diagnostic>), Vec<CompileError>> {
         let engine = Self::compile(texts, voc)?;
-        let displays: Vec<&str> = engine
-            .properties
-            .iter()
-            .map(|p| p.display.as_ref())
-            .collect();
-        let diagnostics = analysis::analyze(&engine.fused, &displays, voc, opts);
+        let diagnostics = engine.analyze(voc, opts);
         Ok((engine, diagnostics))
+    }
+
+    /// The whole-rulebook static analysis of [`lomon_core::analysis`] over
+    /// this engine, whose names `voc` resolves: the findings
+    /// [`Engine::compile_with_analysis`] returns, for an engine compiled
+    /// elsewhere.
+    pub fn analyze(&self, voc: &Vocabulary, opts: &AnalysisOptions) -> Vec<Diagnostic> {
+        let displays: Vec<&str> = self.properties.iter().map(|p| p.display.as_ref()).collect();
+        analysis::analyze(&self.fused, &displays, voc, opts)
     }
 
     /// Build an engine from already-constructed ASTs (validated here).
@@ -311,6 +315,17 @@ pub fn error_diagnostics(errors: &[CompileError], voc: &Vocabulary) -> Vec<Diagn
             };
             Diagnostic::new(code, vec![error.index()], error.display(voc))
         })
+        .collect()
+}
+
+/// Split rulebook text into property texts: one property per non-blank,
+/// non-`#`-comment line, trimmed. `lomon-serve` applies it to a `POST
+/// /reload` body and the `lomon` binary to every rulebook file.
+pub fn rulebook_lines(text: &str) -> Vec<String> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_owned)
         .collect()
 }
 

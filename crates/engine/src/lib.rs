@@ -87,8 +87,8 @@
 //! violation. Detached (the default) it costs nothing, like
 //! [`Session::attach_metrics`]. For *where the time goes*,
 //! [`profile_trace`] runs a recorded trace through a session's own
-//! dispatch step with per-group step and wall-clock attribution, optionally
-//! exporting through a [`lomon_obs::Registry`] — `lomon profile` wraps it.
+//! dispatch step with per-group step and wall-clock attribution — `lomon
+//! profile` wraps it.
 //!
 //! ## Sessions
 //!
@@ -150,7 +150,7 @@ pub mod report;
 pub mod session;
 pub mod stream;
 
-pub use compile::{error_diagnostics, CompileError, Engine};
+pub use compile::{error_diagnostics, rulebook_lines, CompileError, Engine};
 pub use metrics::SessionMetrics;
 pub use profile::{profile_trace, GroupProfile, ProfileReport};
 pub use report::{DispatchStats, EngineReport, PropertyReport};

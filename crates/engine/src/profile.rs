@@ -9,19 +9,12 @@
 //! close, over the fused monitors wrapped to count and time their calls
 //! with a monotonic clock — so the per-group step counts are the session's
 //! dispatch statistics, by construction.
-//!
-//! Attribution can additionally flow through the observability stack: pass
-//! a [`Registry`] and each group's totals land in the
-//! `lomon_group_steps_total{group=…}` counter and
-//! `lomon_group_step_ns{group=…}` histogram families, ready for the
-//! Prometheus/NDJSON renderings every other lomon metric uses.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use lomon_core::compiled::CompiledMonitor;
 use lomon_core::verdict::{Monitor, Verdict, Violation};
-use lomon_obs::Registry;
 use lomon_trace::{json_escape, NameSet, SimTime, TimedEvent};
 
 use crate::compile::Engine;
@@ -59,17 +52,10 @@ pub struct ProfileReport {
 }
 
 /// Replay `events` through a fresh fused instantiation of `engine`,
-/// timing every monitor call, then finish at `end_time`. When `registry`
-/// is given, per-group totals are also exported through the
-/// `lomon_group_steps_total` / `lomon_group_step_ns` metric families.
-/// The step counts are the session's dispatch statistics broken down by
-/// group; only the timing is extra.
-pub fn profile_trace(
-    engine: &Engine,
-    events: &[TimedEvent],
-    end_time: SimTime,
-    registry: Option<&Registry>,
-) -> ProfileReport {
+/// timing every monitor call, then finish at `end_time`. The step counts
+/// are the session's dispatch statistics broken down by group; only the
+/// timing is extra.
+pub fn profile_trace(engine: &Engine, events: &[TimedEvent], end_time: SimTime) -> ProfileReport {
     let fused = engine.fused();
     let mut monitors: Vec<Profiled> = fused
         .instantiate()
@@ -88,32 +74,16 @@ pub fn profile_trace(
         .filter(|&id| monitors[fused.group_of(id)].verdict() == Verdict::Violated)
         .count() as u64;
 
-    let mut groups = Vec::with_capacity(monitors.len());
-    for (g, m) in monitors.iter().enumerate() {
-        if let Some(registry) = registry {
-            let label = vec![("group", format!("g{g}"))];
-            registry
-                .counter_with(
-                    "lomon_group_steps_total",
-                    "Monitor steps per fused recognizer group",
-                    label.clone(),
-                )
-                .add(m.steps);
-            registry
-                .histogram_with(
-                    "lomon_group_step_ns",
-                    "Wall-clock nanoseconds per fused group over a profiled trace",
-                    label,
-                )
-                .record(m.ns);
-        }
-        groups.push(GroupProfile {
+    let mut groups: Vec<GroupProfile> = monitors
+        .iter()
+        .enumerate()
+        .map(|(g, m)| GroupProfile {
             group: g,
             steps: m.steps,
             ns: m.ns,
             members: fused.members(g).to_vec(),
-        });
-    }
+        })
+        .collect();
     groups.sort_by(|a, b| b.steps.cmp(&a.steps).then(a.group.cmp(&b.group)));
     ProfileReport {
         groups,
@@ -287,7 +257,7 @@ mod tests {
             &voc,
             &[("a", 10), ("b", 20), ("start", 30), ("go", 40), ("a", 200)],
         );
-        let profile = profile_trace(&engine, &trace, SimTime::from_ns(300), None);
+        let profile = profile_trace(&engine, &trace, SimTime::from_ns(300));
         let mut session = engine.session();
         session.ingest_batch(&trace);
         session.close(SimTime::from_ns(300));
@@ -300,21 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_exports_group_metrics() {
-        let mut voc = Vocabulary::new();
-        let engine = Engine::compile(&["all{a, b} << start once"], &mut voc).expect("compiles");
-        let trace = events(&voc, &[("a", 10), ("b", 20), ("start", 30)]);
-        let registry = Registry::new();
-        profile_trace(&engine, &trace, SimTime::from_ns(40), Some(&registry));
-        let text = registry.render_prometheus();
-        assert!(
-            text.contains("lomon_group_steps_total{group=\"g0\"} 3"),
-            "{text}"
-        );
-        assert!(text.contains("lomon_group_step_ns"), "{text}");
-    }
-
-    #[test]
     fn render_text_lists_members_and_json_parses_shape() {
         let mut voc = Vocabulary::new();
         let engine = Engine::compile(
@@ -323,7 +278,7 @@ mod tests {
         )
         .expect("compiles");
         let trace = events(&voc, &[("a", 10)]);
-        let profile = profile_trace(&engine, &trace, SimTime::from_ns(20), None);
+        let profile = profile_trace(&engine, &trace, SimTime::from_ns(20));
         let text = profile.render_text(&engine, 5);
         assert!(text.contains("group 0: 1 steps"), "{text}");
         assert!(text.contains("- all{a, b} << start once"), "{text}");

@@ -18,13 +18,14 @@
 //! ## Parking and recycling
 //!
 //! A `Session<'e>` borrows its engine, which pins it to one stack frame.
-//! Long-running daemons (`lomon serve`) instead keep a *pool* of
-//! [`SessionState`]s: [`Session::into_state`] detaches a session's
-//! allocations from the engine borrow, and [`Engine::resume`] re-attaches
+//! [`Session::into_state`] detaches a session's allocations from the
+//! engine borrow as a [`SessionState`], and [`Engine::resume`] re-attaches
 //! them — rejecting states parked under a *different* engine, whose
 //! monitors would otherwise keep stepping the old program. Park → resume →
-//! [`Session::reset`] is the zero-alloc recycling hot path: no monitor
-//! arena, queue or statistics block is ever reallocated.
+//! [`Session::reset`] reallocates no monitor arena, queue or statistics
+//! block. No production path parks sessions (`lomon serve` opens one
+//! session per connection); the pair stays for perfbench's
+//! `engine.resume` layer, which times it.
 
 use std::sync::Arc;
 
@@ -207,8 +208,8 @@ pub(crate) struct Core {
 /// which refuses states parked under a different engine (their monitors
 /// still point at that engine's compiled programs).
 ///
-/// All allocations are retained: park → resume → [`Session::reset`] is
-/// the zero-alloc session-recycling path a daemon's stream pool runs on.
+/// All allocations are retained: park → resume → [`Session::reset`]
+/// recycles a session without allocating.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     arena: MonitorArena,
@@ -250,8 +251,8 @@ impl<'e> Session<'e> {
     /// Detach this session from its engine borrow, keeping every
     /// allocation (monitor arena, queues, statistics, attached metrics
     /// sink) and the exact mid-stream state. The counterpart of
-    /// [`Engine::resume`]; together they let a daemon pool recycled
-    /// sessions across stream lifetimes.
+    /// [`Engine::resume`]; together they recycle a session across stream
+    /// lifetimes.
     pub fn into_state(self) -> SessionState {
         SessionState {
             arena: self.arena,
@@ -522,8 +523,9 @@ fn base_stats(engine: &Engine) -> DispatchStats {
 impl Engine {
     /// Re-attach a parked [`SessionState`] to this engine, reviving it as
     /// a [`Session`] in exactly the state it was parked in (mid-stream
-    /// included). The zero-alloc counterpart of opening a fresh session —
-    /// the recycling hook daemon stream pools are built on.
+    /// included). The zero-alloc counterpart of opening a fresh session; it
+    /// has no production caller and stays for perfbench's
+    /// `engine.resume` layer.
     ///
     /// # Errors
     ///

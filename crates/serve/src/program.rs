@@ -12,7 +12,7 @@
 //! ever happened.
 
 use lomon_core::analysis::{AnalysisOptions, Diagnostic, Severity};
-use lomon_engine::{error_diagnostics, Engine};
+use lomon_engine::{error_diagnostics, rulebook_lines, Engine};
 use lomon_trace::Vocabulary;
 
 /// One immutable compiled rulebook generation.
@@ -66,17 +66,6 @@ impl Program {
             Err(errors) => Err(error_diagnostics(&errors, &voc)),
         }
     }
-}
-
-/// Split rulebook text into property lines: one property per non-blank,
-/// non-`#`-comment line — the same convention `lomon lint` and `lomon
-/// check` use for rulebook files.
-pub(crate) fn rulebook_lines(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_owned)
-        .collect()
 }
 
 #[cfg(test)]

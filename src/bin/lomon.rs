@@ -44,24 +44,35 @@
 //! action-table entries, each under a stable `L0xx` code. The same
 //! analysis runs implicitly on `check`/`watch`/`smc` rulebooks, which
 //! print the warnings and accept `--deny-warnings` to refuse them.
+//!
+//! Every command reads its arguments with one left-to-right flag grammar
+//! (`Args::parse`), writes its output to stdout through one fallible
+//! writer (a failed write exits 1), and writes stderr best effort.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
-use std::io::{self, Read, Write as _};
+use std::ffi::OsString;
+use std::fmt::Display;
+use std::io::{self, Read, Write};
+use std::ops::RangeBounds;
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::str::FromStr;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use lomon::core::analysis::{prune_dead, AnalysisOptions, Diagnostic, Severity};
 use lomon::core::parse::parse_property;
 use lomon::core::verdict::Monitor as _;
 use lomon::engine::{
-    error_diagnostics, profile_trace, Backend, DispatchMode, Engine, EngineReport, Fault, Record,
-    RecordSink, SessionMetrics, Step, StreamDriver,
+    error_diagnostics, profile_trace, rulebook_lines, Backend, DispatchMode, Engine, EngineReport,
+    Fault, Record, RecordSink, SessionMetrics, Step, StreamDriver,
 };
 use lomon::gen::{generate, GeneratorConfig};
-use lomon::obs::{MetricsServer, Registry, Stopwatch, Tracer};
+use lomon::obs::{Histogram, MetricsServer, Registry, Stopwatch, Tracer};
 use lomon::serve::{ServeConfig, Server, StartError};
 use lomon::smc::{
-    Campaign, CampaignConfig, CampaignMetrics, CampaignMode, CampaignProgress, EpisodeModel,
-    GenModel, ScenarioModel, SprtConfig,
+    Campaign, CampaignConfig, CampaignError, CampaignMetrics, CampaignMode, CampaignProgress,
+    EpisodeModel, GenModel, ScenarioModel, SprtConfig,
 };
 use lomon::tlm::scenario::{run_scenario, ScenarioConfig};
 use lomon::trace::{
@@ -69,121 +80,364 @@ use lomon::trace::{
     StreamFormat, Trace, Vocabulary,
 };
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") if args.len() >= 3 => check(&args[1..]),
-        Some("watch") if args.len() >= 2 => watch(&args[1..]),
-        Some("serve") if args.len() >= 2 => serve(&args[1..]),
-        Some("smc") => smc(&args[1..]),
-        Some("lint") if args.len() >= 2 => lint(&args[1..]),
-        Some("profile") if args.len() >= 3 => profile(&args[1..]),
-        Some("vcd") if args.len() == 2 => vcd(&args[1]),
-        Some("gen") if args.len() >= 2 && args.len() <= 4 => gen(&args[1], &args[2..]),
-        Some("demo") if args.len() == 1 => demo(),
-        Some(
-            command @ ("check" | "watch" | "serve" | "lint" | "profile" | "vcd" | "gen" | "demo"),
-        ) => {
-            eprintln!("error: wrong arguments for `lomon {command}`");
-            usage()
-        }
-        Some(unknown) => {
-            eprintln!("error: unknown command `{unknown}`");
-            usage()
-        }
-        None => usage(),
+/// Write one line to stderr, best effort: a closed or full stderr never
+/// fails a command.
+macro_rules! stderr {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
+
+/// Stdout, the one writer of every command's output. It stays
+/// line-buffered, so `watch` emits each record as it happens, and a failed
+/// write ends the command with exit 1.
+type Out = io::StdoutLock<'static>;
+
+/// How a command ends early: with an exit code whose reason is already on
+/// stderr, or with a failed write of its output.
+enum Stop {
+    Exit(ExitCode),
+    Output(io::Error),
+}
+
+impl From<ExitCode> for Stop {
+    fn from(code: ExitCode) -> Self {
+        Stop::Exit(code)
     }
 }
 
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        Stop::Output(e)
+    }
+}
+
+/// What a command returns: its exit code, or how it stopped early.
+type Outcome = Result<ExitCode, Stop>;
+
+fn main() -> ExitCode {
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(OsString::into_string)
+        .collect::<Result<_, _>>()
+    {
+        Ok(args) => args,
+        Err(arg) => {
+            let arg = arg.to_string_lossy();
+            return misuse(format_args!("argument `{arg}` is not valid UTF-8"));
+        }
+    };
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
+    };
+    let run: fn(&[String], &mut Out) -> Outcome = match command.as_str() {
+        "check" => check,
+        "watch" => watch,
+        "serve" => serve,
+        "smc" => smc,
+        "lint" => lint,
+        "profile" => profile,
+        "vcd" => vcd,
+        "gen" => gen,
+        "demo" => demo,
+        unknown => return misuse(format_args!("unknown command `{unknown}`")),
+    };
+    let mut out = io::stdout().lock();
+    let outcome = run(rest, &mut out).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match outcome {
+        Ok(code) | Err(Stop::Exit(code)) => code,
+        Err(Stop::Output(e)) => {
+            stderr!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The usage text, written whole by [`usage`].
+const USAGE: &str = "usage:
+  lomon check [--backend fused|interp] [--format text|json]
+              [--explain] [--metrics ADDR] [--stats-every N]
+              <trace-file>... <property>...
+  lomon watch [--format trace|ndjson] [--backend fused|interp]
+              [--strict] [--explain] [--metrics ADDR] [--stats-every N]
+              <property>...
+  lomon serve [--listen ADDR] [--admin ADDR] [--metrics ADDR]
+              [--deny-warnings] [--max-streams N]
+              <rulebook-file|property>...
+  lomon smc   [--episodes N] [--jobs J] [--seed S] [--confidence C]
+              [--epsilon E] [--sprt P0 P1] [--fault-prob Q]
+              [--format text|json] [--metrics ADDR]
+              [--stats-every N] [--quiet]
+              [--trace <file> [--mutation-prob Q]] [property...]
+  lomon lint  [--format text|json] [--trace <file>] [--fix-prune]
+              [--deny-warnings] <rulebook-file|property>...
+  lomon profile [--format text|json] [--top K] [--trace-out FILE]
+              <rulebook-file|property>... <trace-file>
+  lomon vcd   <trace-file>
+  lomon gen   <property> [seed [episodes]]
+  lomon demo
+
+Flags may stand anywhere among the other arguments. A flag's value is
+given as `--flag VALUE` or `--flag=VALUE` (`--sprt` takes two values), the
+last one given wins, and a value may not start with `--`. An unknown flag,
+a missing value, or a malformed or non-positive count exits 2.
+
+--backend (check, watch) selects the monitor execution backend: the
+fused rulebook program (default; structurally identical properties
+share one cell arena) or the per-property tree-walking interpreter
+(the verdict-identical differential oracle).
+
+--format json makes `check` and `smc` print one machine-readable
+JSON report per trace file / campaign instead of the text report.
+
+--explain arms a bounded flight recorder per monitor: violations are
+reported with their witness chain — the contributing events, each
+with the recognizer cell it advanced. Off by default (zero cost).
+
+profile replays a recorded trace through the fused rulebook program
+and ranks the unique recognizer groups by monitor steps and wall-
+clock time; --trace-out writes a Chrome trace-event JSON file for
+chrome://tracing or Perfetto.
+
+--metrics ADDR serves live telemetry over HTTP while check/watch/smc
+run: GET /metrics is Prometheus text, GET /metrics.json is NDJSON (use
+port 0 for an ephemeral port; the bound address is announced on
+stderr). --stats-every N prints a {\"type\": \"stats\", ...} heartbeat
+every N events (check, watch) or episodes (smc). smc prints a progress
+line per scheduling batch to stderr; --quiet suppresses it.
+
+property example:
+  'all{set_imgAddr, set_glAddr, set_glSize} << start once'
+
+watch reads events from stdin: `10ns in set_imgAddr` lines (trace
+format) or one JSON object per line (ndjson format), e.g.
+  {\"time\": \"10ns\", \"dir\": \"in\", \"name\": \"set_imgAddr\"}
+Malformed or time-travelling lines are skipped and counted (an error
+record per line: stderr in trace format, an NDJSON {\"type\": \"error\"}
+line in ndjson format); --strict makes them fatal with exit 2.
+
+serve runs the hardened monitoring daemon: many concurrent NDJSON
+streams over TCP against one compiled rulebook, with per-stream
+fault isolation, overload shedding, rulebook hot-reload and drain
+shutdown via the --admin endpoint (GET /health, POST /reload,
+POST /shutdown). See the lomon-serve crate docs for the protocol.
+
+smc runs a statistical model-checking campaign: platform episodes
+with randomized fault injection (default; properties optional), or
+--trace <file> episodes mutating a recorded trace (the first
+property anchors the mutations). --sprt tests H0: p >= P0 against
+H1: p <= P1 per property and exits 1 if any property accepts H1.
+
+lint statically analyses a rulebook (files hold one property per
+line, `#` comments allowed) and reports coded findings: duplicate,
+vacuous, subsumed or conflicting properties, unobserved vocabulary
+and — given a `--trace` corpus — unsubscribed events and dead
+action-table rows (`--fix-prune` drops them and self-checks the
+verdicts). Exit 0 clean, 1 warnings, 2 errors. check/watch/smc run
+the same analysis and print its warnings; `--deny-warnings` makes
+them (and lint) fail on any warning.
+";
+
+/// Write the usage text to stderr; exit code 2.
 fn usage() -> ExitCode {
-    eprintln!("usage:");
-    eprintln!("  lomon check [--backend fused|interp] [--format text|json]");
-    eprintln!("              [--explain] [--metrics ADDR] [--stats-every N]");
-    eprintln!("              <trace-file>... <property>...");
-    eprintln!("  lomon watch [--format trace|ndjson] [--backend fused|interp]");
-    eprintln!("              [--strict] [--explain] [--metrics ADDR] [--stats-every N]");
-    eprintln!("              <property>...");
-    eprintln!("  lomon serve [--listen ADDR] [--admin ADDR] [--metrics ADDR]");
-    eprintln!("              [--deny-warnings] [--max-streams N]");
-    eprintln!("              <rulebook-file|property>...");
-    eprintln!("  lomon smc   [--episodes N] [--jobs J] [--seed S] [--confidence C]");
-    eprintln!("              [--epsilon E] [--sprt P0 P1] [--fault-prob Q]");
-    eprintln!("              [--format text|json] [--metrics ADDR]");
-    eprintln!("              [--stats-every N] [--quiet]");
-    eprintln!("              [--trace <file> [--mutation-prob Q]] [property...]");
-    eprintln!("  lomon lint  [--format text|json] [--trace <file>] [--fix-prune]");
-    eprintln!("              [--deny-warnings] <rulebook-file|property>...");
-    eprintln!("  lomon profile [--format text|json] [--top K] [--trace-out FILE]");
-    eprintln!("              <rulebook-file|property>... <trace-file>");
-    eprintln!("  lomon vcd   <trace-file>");
-    eprintln!("  lomon gen   <property> [seed [episodes]]");
-    eprintln!("  lomon demo");
-    eprintln!();
-    eprintln!("--backend (check, watch) selects the monitor execution backend: the");
-    eprintln!("fused rulebook program (default; structurally identical properties");
-    eprintln!("share one cell arena) or the per-property tree-walking interpreter");
-    eprintln!("(the verdict-identical differential oracle).");
-    eprintln!();
-    eprintln!("--format json makes `check` and `smc` print one machine-readable");
-    eprintln!("JSON report per trace file / campaign instead of the text report.");
-    eprintln!();
-    eprintln!("--explain arms a bounded flight recorder per monitor: violations are");
-    eprintln!("reported with their witness chain — the contributing events, each");
-    eprintln!("with the recognizer cell it advanced. Off by default (zero cost).");
-    eprintln!();
-    eprintln!("profile replays a recorded trace through the fused rulebook program");
-    eprintln!("and ranks the unique recognizer groups by monitor steps and wall-");
-    eprintln!("clock time; --trace-out writes a Chrome trace-event JSON file for");
-    eprintln!("chrome://tracing or Perfetto.");
-    eprintln!();
-    eprintln!("--metrics ADDR serves live telemetry over HTTP while check/watch/smc");
-    eprintln!("run: GET /metrics is Prometheus text, GET /metrics.json is NDJSON (use");
-    eprintln!("port 0 for an ephemeral port; the bound address is announced on");
-    eprintln!("stderr). --stats-every N prints a {{\"type\": \"stats\", ...}} heartbeat");
-    eprintln!("every N events (check, watch) or episodes (smc). smc prints a progress");
-    eprintln!("line per scheduling batch to stderr; --quiet suppresses it.");
-    eprintln!();
-    eprintln!("property example:");
-    eprintln!("  'all{{set_imgAddr, set_glAddr, set_glSize}} << start once'");
-    eprintln!();
-    eprintln!("watch reads events from stdin: `10ns in set_imgAddr` lines (trace");
-    eprintln!("format) or one JSON object per line (ndjson format), e.g.");
-    eprintln!("  {{\"time\": \"10ns\", \"dir\": \"in\", \"name\": \"set_imgAddr\"}}");
-    eprintln!("Malformed or time-travelling lines are skipped and counted (an error");
-    eprintln!("record per line: stderr in trace format, an NDJSON {{\"type\": \"error\"}}");
-    eprintln!("line in ndjson format); --strict makes them fatal with exit 2.");
-    eprintln!();
-    eprintln!("serve runs the hardened monitoring daemon: many concurrent NDJSON");
-    eprintln!("streams over TCP against one compiled rulebook, with per-stream");
-    eprintln!("fault isolation, overload shedding, rulebook hot-reload and drain");
-    eprintln!("shutdown via the --admin endpoint (GET /health, POST /reload,");
-    eprintln!("POST /shutdown). See the lomon-serve crate docs for the protocol.");
-    eprintln!();
-    eprintln!("smc runs a statistical model-checking campaign: platform episodes");
-    eprintln!("with randomized fault injection (default; properties optional), or");
-    eprintln!("--trace <file> episodes mutating a recorded trace (the first");
-    eprintln!("property anchors the mutations). --sprt tests H0: p >= P0 against");
-    eprintln!("H1: p <= P1 per property and exits 1 if any property accepts H1.");
-    eprintln!();
-    eprintln!("lint statically analyses a rulebook (files hold one property per");
-    eprintln!("line, `#` comments allowed) and reports coded findings: duplicate,");
-    eprintln!("vacuous, subsumed or conflicting properties, unobserved vocabulary");
-    eprintln!("and — given a `--trace` corpus — unsubscribed events and dead");
-    eprintln!("action-table rows (`--fix-prune` drops them and self-checks the");
-    eprintln!("verdicts). Exit 0 clean, 1 warnings, 2 errors. check/watch/smc run");
-    eprintln!("the same analysis and print its warnings; `--deny-warnings` makes");
-    eprintln!("them (and lint) fail on any warning.");
+    let _ = io::stderr().write_all(USAGE.as_bytes());
     ExitCode::from(2)
+}
+
+/// Refuse a malformed command line: `error: {message}`, then the usage
+/// text; exit code 2.
+fn misuse(message: impl Display) -> ExitCode {
+    stderr!("error: {message}");
+    usage()
+}
+
+/// A command line read by the one flag grammar every command shares: the
+/// values of each flag given and the operands (every other argument), in
+/// order.
+struct Args {
+    flags: Vec<(&'static str, Vec<String>)>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// Read `raw`, the arguments after `lomon <command>`, left to right.
+    /// `flags` declares each flag of the command with the number of values
+    /// it takes (0, 1, or 2 for `--sprt P0 P1`). A flag may stand anywhere
+    /// among the operands and takes its first value as `--flag VALUE` or
+    /// `--flag=VALUE`; the last one given wins, and a value may not start
+    /// with `--`. An unknown flag, a missing value or an operand count
+    /// outside `operands` is a usage error.
+    fn parse(
+        command: &str,
+        raw: &[String],
+        flags: &[(&'static str, usize)],
+        operands: impl RangeBounds<usize>,
+    ) -> Result<Args, ExitCode> {
+        let mut args = Args {
+            flags: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut rest = raw.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                args.operands.push(arg.clone());
+                continue;
+            }
+            let inline = arg.split_once('=');
+            let name = inline.map_or(arg.as_str(), |(name, _)| name);
+            let Some(&(flag, arity)) = flags.iter().find(|(flag, _)| *flag == name) else {
+                return Err(misuse(format_args!("unknown flag `{arg}`")));
+            };
+            let mut values: Vec<String> = inline.map(|(_, v)| v.to_owned()).into_iter().collect();
+            if arity == 0 && !values.is_empty() {
+                return Err(misuse(format_args!("`{flag}` takes no value")));
+            }
+            values.extend(rest.by_ref().take(arity - values.len()).cloned());
+            if values.len() < arity || values.iter().any(|v| v.starts_with("--")) {
+                return Err(misuse(format_args!("`{flag}` requires a value")));
+            }
+            args.flags.retain(|(given, _)| *given != flag);
+            args.flags.push((flag, values));
+        }
+        if !operands.contains(&args.operands.len()) {
+            return Err(misuse(format_args!(
+                "wrong arguments for `lomon {command}`"
+            )));
+        }
+        Ok(args)
+    }
+
+    /// The values of `flag`, if it was given.
+    fn values(&self, flag: &str) -> Option<&[String]> {
+        self.flags
+            .iter()
+            .find(|(given, _)| *given == flag)
+            .map(|(_, values)| values.as_slice())
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.values(flag).is_some()
+    }
+
+    /// The (first) value of `flag`, if it was given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values(flag)?.first().map(String::as_str)
+    }
+
+    /// The values of `flag`, each parsed as a `T`, if it was given.
+    fn numbers<T: FromStr>(&self, flag: &str) -> Result<Option<Vec<T>>, ExitCode> {
+        let Some(values) = self.values(flag) else {
+            return Ok(None);
+        };
+        values
+            .iter()
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| misuse(format_args!("`{flag}` value `{raw}` is not valid")))
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    /// The value of `flag` parsed as a `T`, if it was given.
+    fn number<T: FromStr>(&self, flag: &str) -> Result<Option<T>, ExitCode> {
+        Ok(self
+            .numbers(flag)?
+            .and_then(|values| values.into_iter().next()))
+    }
+
+    /// [`Args::number`] for a count that must be positive.
+    fn positive<T: FromStr + PartialOrd + Default>(
+        &self,
+        flag: &str,
+    ) -> Result<Option<T>, ExitCode> {
+        match self.number(flag)? {
+            Some(n) if n <= T::default() => Err(misuse(format_args!("`{flag}` must be positive"))),
+            n => Ok(n),
+        }
+    }
+
+    /// The value of `flag`, one of `choices`; the first choice when the
+    /// flag is absent.
+    fn choice<T: Copy>(&self, flag: &str, choices: &[(&str, T)]) -> Result<T, ExitCode> {
+        let Some(raw) = self.value(flag) else {
+            return Ok(choices[0].1);
+        };
+        if let Some(&(_, choice)) = choices.iter().find(|(name, _)| *name == raw) {
+            return Ok(choice);
+        }
+        let expected: Vec<String> = choices
+            .iter()
+            .map(|(name, _)| format!("`{name}`"))
+            .collect();
+        let what = flag.trim_start_matches('-');
+        Err(misuse(format_args!(
+            "unknown {what} `{raw}` (expected {})",
+            expected.join(" or ")
+        )))
+    }
+}
+
+/// Output format of the `check`, `smc`, `lint` and `profile` reports.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ReportFormat {
+    Text,
+    Json,
+}
+
+/// The values of `--format` on the report commands; text is the default.
+const REPORT_FORMATS: &[(&str, ReportFormat)] =
+    &[("text", ReportFormat::Text), ("json", ReportFormat::Json)];
+
+/// Exit code 0 when `ok`, 1 otherwise.
+fn verdict_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// Read one whole trace file into memory, for the commands that need the
 /// trace as a value (`vcd`, `profile`, `lint --trace`, `smc --trace`):
 /// one heap read, decoded by the byte lexer ([`read_trace_bytes`]). A file
 /// that is not UTF-8 fails with the `cannot read …` diagnostic class
-/// instead of a per-line parse error. `check` streams its files instead.
-fn load(path: &str, voc: &mut Vocabulary) -> Result<Trace, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    read_trace_bytes(text.as_bytes(), voc).map_err(|e| e.to_string())
+/// instead of a per-line parse error; any failure exits with `code`.
+/// `check` streams its files instead.
+fn load(path: &str, voc: &mut Vocabulary, code: u8) -> Result<Trace, ExitCode> {
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| read_trace_bytes(text.as_bytes(), voc).map_err(|e| e.to_string()))
+        .map_err(|message| {
+            stderr!("error: {message}");
+            ExitCode::from(code)
+        })
+}
+
+/// The rulebook of `lint`, `profile` and `serve`: a file argument
+/// contributes the properties [`rulebook_lines`] splits its text into (the
+/// rule `serve` applies to a `POST /reload` body), any other argument is
+/// one inline property. An unreadable file exits with `code`.
+fn read_rulebook(args: &[String], code: u8) -> Result<Vec<String>, ExitCode> {
+    let mut properties = Vec::new();
+    for arg in args {
+        if !Path::new(arg).is_file() {
+            properties.push(arg.clone());
+            continue;
+        }
+        match std::fs::read_to_string(arg) {
+            Ok(text) => properties.extend(rulebook_lines(&text)),
+            Err(e) => {
+                stderr!("error: cannot read {arg}: {e}");
+                return Err(ExitCode::from(code));
+            }
+        }
+    }
+    Ok(properties)
 }
 
 /// Compile the whole property set, reporting *every* error before giving
@@ -205,7 +459,7 @@ fn compile_all(
         }
         Err(errors) => {
             for error in &errors {
-                eprintln!("error in property:\n{}", error.display(voc));
+                stderr!("error in property:\n{}", error.display(voc));
             }
             Err(ExitCode::FAILURE)
         }
@@ -220,110 +474,65 @@ fn print_warnings(diagnostics: &[Diagnostic], deny_warnings: bool) -> Result<(),
         .iter()
         .filter(|d| d.severity == Severity::Warning)
     {
-        eprintln!("{}", diagnostic.render_text());
+        stderr!("{}", diagnostic.render_text());
         warnings += 1;
     }
     if deny_warnings && warnings > 0 {
-        eprintln!("error: rulebook has {warnings} warning(s) (--deny-warnings)");
+        stderr!("error: rulebook has {warnings} warning(s) (--deny-warnings)");
         return Err(ExitCode::FAILURE);
     }
     Ok(())
 }
 
-/// The rulebook of `lint` and `profile`: file arguments contribute one
-/// property per non-comment line, the rest are inline property texts. An
-/// unreadable file or an empty rulebook fails with exit code `code`.
-fn read_rulebook(args: &[String], code: u8) -> Result<Vec<String>, ExitCode> {
-    let mut properties: Vec<String> = Vec::new();
-    for arg in args {
-        if std::path::Path::new(arg).is_file() {
-            let text = std::fs::read_to_string(arg).map_err(|e| {
-                eprintln!("error: cannot read {arg}: {e}");
-                ExitCode::from(code)
-            })?;
-            properties.extend(
-                text.lines()
-                    .map(str::trim)
-                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                    .map(str::to_owned),
-            );
-        } else {
-            properties.push(arg.clone());
-        }
-    }
-    if properties.is_empty() {
-        eprintln!("error: the rulebook is empty");
-        return Err(ExitCode::from(code));
-    }
-    Ok(properties)
+/// The `--metrics` telemetry of `check`, `watch` and `smc`.
+struct Telemetry<F> {
+    registry: Arc<Registry>,
+    /// The families the command registered before the listener bound.
+    families: F,
+    compile_ns: Arc<Histogram>,
+    server: MetricsServer,
 }
 
-/// Extract every occurrence of the valued `flag` (both the two-argument
-/// and the `=` spelling) from `args`, leaving the remaining arguments in
-/// place. Returns the last value given, or `None` when the flag is absent.
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, ExitCode> {
-    let prefixed = format!("{flag}=");
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        let (consumed, v) = if args[i] == flag {
-            match args.get(i + 1) {
-                Some(v) => (2, v.clone()),
-                None => {
-                    eprintln!("error: `{flag}` requires a value");
-                    return Err(usage());
-                }
-            }
-        } else if let Some(v) = args[i].strip_prefix(&prefixed) {
-            (1, v.to_owned())
-        } else {
-            i += 1;
-            continue;
+impl<F> Telemetry<F> {
+    /// Set up `--metrics ADDR`, if given: a registry holding the families
+    /// `register` adds and `lomon_compile_ns`, then its listener, bound and
+    /// announced on stderr (with `:0` the kernel picks the port, and the
+    /// announcement is how callers learn it). Everything is registered
+    /// before the listener binds, so a scrape racing startup sees complete
+    /// families at zero rather than a partial registry. A bind failure —
+    /// typically the port is already taken — is a usage-class error: exit
+    /// code 2, nothing has run yet.
+    fn start(args: &Args, register: impl FnOnce(&Registry) -> F) -> Result<Option<Self>, ExitCode> {
+        let Some(addr) = args.value("--metrics") else {
+            return Ok(None);
         };
-        value = Some(v);
-        args.drain(i..i + consumed);
-    }
-    Ok(value)
-}
-
-/// Extract every occurrence of the boolean `flag` from `args`, returning
-/// whether it was present.
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
-/// Extract the `--backend fused|interp` flag from `args`.
-/// Defaults to the fused rulebook backend.
-fn take_backend_flag(args: &mut Vec<String>) -> Result<Backend, ExitCode> {
-    match take_value_flag(args, "--backend")?.as_deref() {
-        None | Some("fused") => Ok(Backend::Fused),
-        Some("interp") => Ok(Backend::Interp),
-        Some(other) => {
-            eprintln!("error: unknown backend `{other}` (expected `fused` or `interp`)");
-            Err(usage())
+        let registry = Arc::new(Registry::new());
+        let families = register(&registry);
+        let compile_ns = registry.histogram(
+            "lomon_compile_ns",
+            "Wall-clock nanoseconds spent compiling the rulebook",
+        );
+        match MetricsServer::bind(addr, Arc::clone(&registry)) {
+            Ok(server) => {
+                stderr!("metrics: serving http://{}/metrics", server.local_addr());
+                Ok(Some(Telemetry {
+                    registry,
+                    families,
+                    compile_ns,
+                    server,
+                }))
+            }
+            Err(e) => {
+                stderr!("error: cannot bind metrics listener on {addr}: {e}");
+                Err(ExitCode::from(2))
+            }
         }
     }
-}
 
-/// Output format of `check` and `smc` reports.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ReportFormat {
-    Text,
-    Json,
-}
-
-/// Extract the `--format text|json` flag from `args`. Defaults to the
-/// human-readable text report.
-fn take_report_format_flag(args: &mut Vec<String>) -> Result<ReportFormat, ExitCode> {
-    match take_value_flag(args, "--format")?.as_deref() {
-        None | Some("text") => Ok(ReportFormat::Text),
-        Some("json") => Ok(ReportFormat::Json),
-        Some(other) => {
-            eprintln!("error: unknown format `{other}` (expected `text` or `json`)");
-            Err(usage())
-        }
+    /// Time the rulebook's compilation into `lomon_compile_ns` until the
+    /// returned stopwatch drops.
+    fn time_compile(&self) -> Stopwatch {
+        Stopwatch::start(Arc::clone(&self.compile_ns))
     }
 }
 
@@ -333,94 +542,57 @@ fn take_report_format_flag(args: &mut Vec<String>) -> Result<ReportFormat, ExitC
 /// monitor) that an armed rulebook stays cache-resident.
 const EXPLAIN_CAPACITY: usize = 64;
 
-/// The flags `check` and `watch` share, and the pipeline both set up from
-/// them: live telemetry, the compiled rulebook and one stream driver.
-struct StreamSetup {
-    deny_warnings: bool,
-    explain: bool,
-    backend: Backend,
-    metrics_addr: Option<String>,
-    stats_every: Option<u64>,
+/// The flags of `check` and `watch` (with `--format`), which both set up
+/// one pipeline in [`run_stream`].
+const STREAM_FLAGS: [(&str, usize); 6] = [
+    ("--backend", 1),
+    ("--deny-warnings", 0),
+    ("--explain", 0),
+    ("--format", 1),
+    ("--metrics", 1),
+    ("--stats-every", 1),
+];
+
+/// The pipeline `check` and `watch` share: compile `properties` under
+/// their common flags (`--backend`, `--deny-warnings`, `--explain`,
+/// `--metrics`, `--stats-every`) and hand `drive` a driver of `format`
+/// streams over them, the metrics listener, if any, and the frozen
+/// vocabulary.
+fn run_stream(
+    args: &Args,
+    properties: &[String],
+    format: StreamFormat,
+    drive: impl FnOnce(&mut StreamDriver<'_>, Option<&MetricsServer>, &Vocabulary) -> Outcome,
+) -> Outcome {
+    let backends = [("fused", Backend::Fused), ("interp", Backend::Interp)];
+    let backend = args.choice("--backend", &backends)?;
+    let stats_every = args.positive("--stats-every")?;
+    let telemetry = Telemetry::start(args, |registry| {
+        (
+            SessionMetrics::register(registry),
+            IoMetrics::register(registry),
+        )
+    })?;
+    let mut voc = Vocabulary::new();
+    let compile_span = telemetry.as_ref().map(Telemetry::time_compile);
+    let engine = compile_all(properties, &mut voc, args.has("--deny-warnings"))?;
+    drop(compile_span);
+    let mut session = engine.session_with_backend(DispatchMode::Indexed, backend);
+    if args.has("--explain") {
+        session.enable_explain(EXPLAIN_CAPACITY);
+    }
+    if let Some(telemetry) = &telemetry {
+        session.attach_metrics(Arc::clone(&telemetry.families.0));
+    }
+    let mut driver = StreamDriver::new(session, &voc, format)
+        .observe_io(telemetry.as_ref().map(|t| Arc::clone(&t.families.1)))
+        .heartbeat_every(stats_every);
+    drive(&mut driver, telemetry.as_ref().map(|t| &t.server), &voc)
 }
 
-impl StreamSetup {
-    /// Extract the shared flags from `args`.
-    fn take(args: &mut Vec<String>) -> Result<Self, ExitCode> {
-        Ok(StreamSetup {
-            deny_warnings: take_bool_flag(args, "--deny-warnings"),
-            explain: take_bool_flag(args, "--explain"),
-            backend: take_backend_flag(args)?,
-            metrics_addr: take_value_flag(args, "--metrics")?,
-            stats_every: take_stats_every(args)?,
-        })
-    }
-
-    /// Compile `properties` and hand `drive` a driver of `format` streams
-    /// over them, the metrics listener, if any, and the frozen vocabulary.
-    fn run(
-        &self,
-        properties: &[String],
-        format: StreamFormat,
-        drive: impl FnOnce(&mut StreamDriver<'_>, Option<&MetricsServer>, &Vocabulary) -> ExitCode,
-    ) -> ExitCode {
-        // Live telemetry: every family is registered (and the listener
-        // bound) before anything runs, so a scrape racing startup sees the
-        // complete family set at zero rather than a partial registry.
-        let mut telemetry = None;
-        let mut server = None;
-        if let Some(addr) = &self.metrics_addr {
-            let registry = Arc::new(Registry::new());
-            let session_metrics = SessionMetrics::register(&registry);
-            let io_metrics = IoMetrics::register(&registry);
-            let compile_ns = registry.histogram(
-                "lomon_compile_ns",
-                "Wall-clock nanoseconds spent compiling the rulebook",
-            );
-            match bind_metrics(addr, &registry) {
-                Ok(bound) => server = Some(bound),
-                Err(code) => return code,
-            }
-            telemetry = Some((session_metrics, io_metrics, compile_ns));
-        }
-
-        let mut voc = Vocabulary::new();
-        let compile_span = telemetry
-            .as_ref()
-            .map(|(_, _, compile_ns)| Stopwatch::start(Arc::clone(compile_ns)));
-        let engine = match compile_all(properties, &mut voc, self.deny_warnings) {
-            Ok(engine) => engine,
-            Err(code) => return code,
-        };
-        drop(compile_span);
-        let mut session = engine.session_with_backend(DispatchMode::Indexed, self.backend);
-        if self.explain {
-            session.enable_explain(EXPLAIN_CAPACITY);
-        }
-        if let Some((session_metrics, _, _)) = &telemetry {
-            session.attach_metrics(Arc::clone(session_metrics));
-        }
-        let mut driver = StreamDriver::new(session, &voc, format)
-            .observe_io(telemetry.as_ref().map(|(_, io, _)| Arc::clone(io)))
-            .heartbeat_every(self.stats_every);
-        drive(&mut driver, server.as_ref(), &voc)
-    }
-}
-
-fn check(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let setup = match StreamSetup::take(&mut args) {
-        Ok(setup) => setup,
-        Err(code) => return code,
-    };
-    let format = match take_report_format_flag(&mut args) {
-        Ok(format) => format,
-        Err(code) => return code,
-    };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("error: unknown flag `{flag}`");
-        return usage();
-    }
-    let args = &args[..];
+fn check(raw: &[String], out: &mut Out) -> Outcome {
+    let args = Args::parse("check", raw, &STREAM_FLAGS, 2..)?;
+    let format = args.choice("--format", REPORT_FORMATS)?;
     // The leading arguments that name readable files are the traces; the
     // rest are properties. A leading argument that is *not* a file but
     // does not look like a property either is still an intended trace
@@ -432,24 +604,22 @@ fn check(args: &[String]) -> ExitCode {
     let looks_like_property =
         |a: &str| a.contains(char::is_whitespace) || a.contains(['<', '{', '=']);
     let split = args
+        .operands
         .iter()
-        .position(|a| !std::path::Path::new(a).is_file() && looks_like_property(a))
-        .unwrap_or(args.len())
+        .position(|a| !Path::new(a).is_file() && looks_like_property(a))
+        .unwrap_or(args.operands.len())
         .max(1);
-    let (paths, properties) = args.split_at(split);
-    if properties.is_empty() {
-        eprintln!("error: `lomon check` needs at least one property after the trace file(s)");
-        return usage();
+    let (paths, props) = args.operands.split_at(split);
+    if props.is_empty() {
+        let message = "`lomon check` needs at least one property after the trace file(s)";
+        return Err(misuse(message).into());
     }
 
     // One pass: the rulebook is compiled first, so its vocabulary is frozen
     // and a trace name no property uses only advances time. Then each file
     // is one stream through one driver.
-    setup.run(properties, StreamFormat::Trace, |driver, server, voc| {
-        let reports = match check_files(driver, paths) {
-            Ok(reports) => reports,
-            Err(code) => return code,
-        };
+    run_stream(&args, props, StreamFormat::Trace, |driver, server, voc| {
+        let reports = check_files(driver, paths)?;
         // Stop serving scrapes before the reports, as watch/smc do: a
         // scrape racing the shutdown gets a clean 503, never a torn
         // snapshot.
@@ -460,31 +630,33 @@ fn check(args: &[String]) -> ExitCode {
         for (path, (report, end_time)) in paths.iter().zip(&reports) {
             match format {
                 ReportFormat::Text => {
-                    println!("{path}: {} events, end at {end_time}", report.stats.events);
-                    print!("{}", report.render(voc));
+                    writeln!(
+                        out,
+                        "{path}: {} events, end at {end_time}",
+                        report.stats.events
+                    )?;
+                    out.write_all(report.render(voc).as_bytes())?;
                 }
                 // One JSON object per trace file, NDJSON-style, so a
                 // script over many files maps lines to files.
-                ReportFormat::Json => println!(
+                ReportFormat::Json => writeln!(
+                    out,
                     "{{\"file\": \"{}\", {}",
                     json_escape(path),
                     &report.render_json(voc)[1..],
-                ),
+                )?,
             }
             all_ok &= report.is_ok();
         }
         if format == ReportFormat::Text && paths.len() > 1 {
-            println!(
+            writeln!(
+                out,
                 "{} files checked: {}",
                 paths.len(),
                 if all_ok { "all ok" } else { "violations found" }
-            );
+            )?;
         }
-        if all_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
+        Ok(verdict_code(all_ok))
     })
 }
 
@@ -495,24 +667,26 @@ fn check(args: &[String]) -> ExitCode {
 fn check_files(
     driver: &mut StreamDriver<'_>,
     paths: &[String],
-) -> Result<Vec<(EngineReport, SimTime)>, ExitCode> {
+) -> Result<Vec<(EngineReport, SimTime)>, Stop> {
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut reports = Vec::with_capacity(paths.len());
     for path in paths {
         let file = std::fs::File::open(path).map_err(|e| {
-            eprintln!("error: cannot read {path}: {e}");
+            stderr!("error: cannot read {path}: {e}");
             ExitCode::FAILURE
         })?;
-        let mut emit = |record: &Record<'_>, text: &str| {
+        let mut emit = |record: &Record<'_>, text: &str| -> io::Result<()> {
             match record {
                 Record::Error {
                     fault: Fault::Encoding,
                     ..
-                } => eprintln!("error: cannot read {path}: stream did not contain valid UTF-8"),
+                } => stderr!("error: cannot read {path}: stream did not contain valid UTF-8"),
                 Record::Error { line, reason, .. } => {
-                    eprintln!("error: {path}: trace line {line}: {reason}");
+                    stderr!("error: {path}: trace line {line}: {reason}");
                 }
-                Record::Stats(_) => return io::stderr().write_all(text.as_bytes()),
+                Record::Stats(_) => {
+                    let _ = io::stderr().write_all(text.as_bytes());
+                }
                 Record::Verdict(_) | Record::Summary { .. } => {}
             }
             Ok(())
@@ -524,54 +698,27 @@ fn check_files(
                 Step::Applied | Step::End => Flow::Go,
             })
         };
-        let finished = match pump(driver, file, path, &mut chunk, &mut emit, fatal) {
-            Ok(Flow::Exit(code)) => return Err(code),
-            Ok(_) => driver.finish(&mut emit),
-            Err(e) => Err(e),
-        };
-        reports.push(finished.map_err(|e| write_failed(&e))?);
+        if let Flow::Exit(code) = pump(driver, file, path, &mut chunk, &mut emit, fatal)? {
+            return Err(code.into());
+        }
+        reports.push(driver.finish(&mut emit)?);
     }
     Ok(reports)
 }
 
-fn watch(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let setup = match StreamSetup::take(&mut args) {
-        Ok(setup) => setup,
-        Err(code) => return code,
-    };
-    let strict = take_bool_flag(&mut args, "--strict");
-    let format = match take_value_flag(&mut args, "--format") {
-        Ok(format) => format,
-        Err(code) => return code,
-    };
-    let format = match format.as_deref() {
-        None | Some("trace") => StreamFormat::Trace,
-        Some("ndjson") => StreamFormat::Ndjson,
-        Some(other) => {
-            eprintln!("error: unknown format `{other}` (expected `trace` or `ndjson`)");
-            return usage();
-        }
-    };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("error: unknown flag `{flag}`");
-        return usage();
-    }
-    let properties = args;
-    if properties.is_empty() {
-        eprintln!("error: `lomon watch` needs at least one property");
-        return usage();
-    }
-
-    setup.run(&properties, format, |driver, server, _| {
-        watch_stdin(driver, format, strict, server).unwrap_or_else(|e| write_failed(&e))
+fn watch(raw: &[String], out: &mut Out) -> Outcome {
+    let mut flags = STREAM_FLAGS.to_vec();
+    flags.push(("--strict", 0));
+    let args = Args::parse("watch", raw, &flags, 1..)?;
+    let formats = [
+        ("trace", StreamFormat::Trace),
+        ("ndjson", StreamFormat::Ndjson),
+    ];
+    let format = args.choice("--format", &formats)?;
+    let strict = args.has("--strict");
+    run_stream(&args, &args.operands, format, |driver, server, _| {
+        watch_stdin(driver, format, strict, server, out)
     })
-}
-
-/// Report a failed write of the output; exit code 1.
-fn write_failed(e: &io::Error) -> ExitCode {
-    eprintln!("error: cannot write output: {e}");
-    ExitCode::FAILURE
 }
 
 /// The policy of `watch` over the stream driver. A bad line costs only
@@ -586,18 +733,19 @@ fn watch_stdin(
     format: StreamFormat,
     strict: bool,
     server: Option<&MetricsServer>,
-) -> io::Result<ExitCode> {
+    out: &mut Out,
+) -> Outcome {
     let mut emit = |record: &Record<'_>, text: &str| {
         match record {
             Record::Error {
                 fault: Fault::Encoding,
                 ..
             } => {
-                eprintln!("error: cannot read stdin: stream did not contain valid UTF-8");
+                stderr!("error: cannot read stdin: stream did not contain valid UTF-8");
                 return Ok(());
             }
             Record::Error { line, reason, .. } if strict => {
-                eprintln!("error: stream line {line}: {reason}");
+                stderr!("error: stream line {line}: {reason}");
                 return Ok(());
             }
             // Stop serving scrapes before the final report: a scrape racing
@@ -606,9 +754,10 @@ fn watch_stdin(
             _ => {}
         }
         if format == StreamFormat::Ndjson || matches!(record, Record::Verdict(_)) {
-            io::stdout().write_all(text.as_bytes())
+            out.write_all(text.as_bytes())
         } else {
-            io::stderr().write_all(text.as_bytes())
+            let _ = io::stderr().write_all(text.as_bytes());
+            Ok(())
         }
     };
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -631,11 +780,7 @@ fn watch_stdin(
         return Ok(code);
     }
     driver.close(&mut emit)?;
-    Ok(if driver.session().report().is_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(verdict_code(driver.session().report().is_ok()))
 }
 
 /// Bytes asked of each read of a `check` file or of `watch`'s stdin.
@@ -679,7 +824,7 @@ fn pump<'e, S: RecordSink>(
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
             Err(e) => {
-                eprintln!("error: cannot read {source}: {e}");
+                stderr!("error: cannot read {source}: {e}");
                 return Ok(Flow::Exit(ExitCode::FAILURE));
             }
         };
@@ -695,137 +840,54 @@ fn pump<'e, S: RecordSink>(
     }
 }
 
-/// Parse `text` as a `T`, or print an error naming `flag` and exit-code 2.
-fn parse_flag_value<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, ExitCode> {
-    text.parse().map_err(|_| {
-        eprintln!("error: `{flag}` value `{text}` is not valid");
-        usage()
-    })
-}
-
-/// Extract `--stats-every <N>` — the heartbeat period in events (`check`,
-/// `watch`) or episodes (`smc`) — rejecting zero.
-fn take_stats_every(args: &mut Vec<String>) -> Result<Option<u64>, ExitCode> {
-    match take_value_flag(args, "--stats-every")? {
-        None => Ok(None),
-        Some(raw) => match parse_flag_value::<u64>("--stats-every", &raw)? {
-            0 => {
-                eprintln!("error: `--stats-every` must be positive");
-                Err(usage())
-            }
-            every => Ok(Some(every)),
-        },
-    }
-}
-
-/// Bind the `--metrics` HTTP listener and announce the resolved address on
-/// stderr (with `:0` the kernel picks the port, and the announcement is
-/// how callers learn it). A bind failure — typically the port is already
-/// taken — is a usage-class error: exit code 2, nothing has run yet.
-fn bind_metrics(addr: &str, registry: &Arc<Registry>) -> Result<MetricsServer, ExitCode> {
-    match MetricsServer::bind(addr, Arc::clone(registry)) {
-        Ok(server) => {
-            eprintln!("metrics: serving http://{}/metrics", server.local_addr());
-            Ok(server)
-        }
-        Err(e) => {
-            eprintln!("error: cannot bind metrics listener on {addr}: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
-/// Pre-flight the rulebook analysis for `smc`, whose campaign compiles the
-/// properties itself: print the warnings, honouring `--deny-warnings`.
-/// Compile *errors* are left for the campaign to report with full context.
-fn report_rulebook_warnings(properties: &[String], deny_warnings: bool) -> Result<(), ExitCode> {
-    if properties.is_empty() {
-        return Ok(());
-    }
-    let mut voc = Vocabulary::new();
-    let opts = AnalysisOptions::default();
-    match Engine::compile_with_analysis(properties, &mut voc, &opts) {
-        Ok((_, diagnostics)) => print_warnings(&diagnostics, deny_warnings),
-        Err(_) => Ok(()),
-    }
-}
+/// How long `serve` waits, once drained, for its rulebook warnings to
+/// reach a stderr that nobody reads.
+const WARNINGS_GRACE: Duration = Duration::from_secs(1);
 
 /// `lomon serve`: run the hardened monitoring daemon until a drain
 /// shutdown is requested on the admin endpoint.
-fn serve(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
+fn serve(raw: &[String], _: &mut Out) -> Outcome {
+    let flags = [
+        ("--admin", 1),
+        ("--deny-warnings", 0),
+        ("--listen", 1),
+        ("--max-streams", 1),
+        ("--metrics", 1),
+    ];
+    let args = Args::parse("serve", raw, &flags, 1..)?;
     let mut config = ServeConfig {
-        deny_warnings,
-        listen: "127.0.0.1:7450".to_owned(),
-        admin: "127.0.0.1:7451".to_owned(),
+        deny_warnings: args.has("--deny-warnings"),
+        listen: args
+            .value("--listen")
+            .unwrap_or("127.0.0.1:7450")
+            .to_owned(),
+        admin: args.value("--admin").unwrap_or("127.0.0.1:7451").to_owned(),
+        metrics: args.value("--metrics").map(str::to_owned),
         ..ServeConfig::default()
     };
-    match take_value_flag(&mut args, "--listen") {
-        Ok(Some(addr)) => config.listen = addr,
-        Ok(None) => {}
-        Err(code) => return code,
+    if let Some(max_streams) = args.positive("--max-streams")? {
+        config.max_streams = max_streams;
     }
-    match take_value_flag(&mut args, "--admin") {
-        Ok(Some(addr)) => config.admin = addr,
-        Ok(None) => {}
-        Err(code) => return code,
-    }
-    match take_value_flag(&mut args, "--metrics") {
-        Ok(addr) => config.metrics = addr,
-        Err(code) => return code,
-    }
-    match take_value_flag(&mut args, "--max-streams") {
-        Ok(None) => {}
-        Ok(Some(raw)) => match parse_flag_value::<usize>("--max-streams", &raw) {
-            Ok(0) => {
-                eprintln!("error: `--max-streams` must be positive");
-                return usage();
-            }
-            Ok(n) => config.max_streams = n,
-            Err(code) => return code,
-        },
-        Err(code) => return code,
-    }
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("error: unknown flag `{flag}`");
-        return usage();
-    }
-
-    // The rulebook, lint-style: file arguments contribute one property per
-    // non-comment line, the rest are inline property texts.
-    let mut rulebook = String::new();
-    for arg in &args {
-        if std::path::Path::new(arg).is_file() {
-            match std::fs::read_to_string(arg) {
-                Ok(text) => rulebook.push_str(&text),
-                Err(e) => {
-                    eprintln!("error: cannot read {arg}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            rulebook.push_str(arg);
-        }
-        rulebook.push('\n');
-    }
+    // One property per line: the daemon splits the text back with the
+    // same rule.
+    let rulebook = read_rulebook(&args.operands, 2)?.join("\n");
 
     let mut server = match Server::start(config, &rulebook) {
         Ok(server) => server,
         Err(StartError::Compile(diagnostics)) => {
             for diagnostic in &diagnostics {
-                eprintln!("{}", diagnostic.render_text());
+                stderr!("{}", diagnostic.render_text());
             }
-            eprintln!("error: rulebook rejected; nothing is serving");
-            return ExitCode::FAILURE;
+            stderr!("error: rulebook rejected; nothing is serving");
+            return Ok(ExitCode::FAILURE);
         }
         Err(StartError::Io(e)) => {
-            eprintln!("error: cannot bind: {e}");
-            return ExitCode::from(2);
+            stderr!("error: cannot bind: {e}");
+            return Ok(ExitCode::from(2));
         }
     };
     let properties = server.properties();
-    eprintln!(
+    stderr!(
         "serving {} propert{} on {} (admin {})",
         properties,
         if properties == 1 { "y" } else { "ies" },
@@ -833,130 +895,90 @@ fn serve(args: &[String]) -> ExitCode {
         server.admin_addr(),
     );
     if let Some(addr) = server.metrics_addr() {
-        eprintln!("metrics on http://{addr}/metrics");
+        stderr!("metrics on http://{addr}/metrics");
     }
-    // After the announcement, which a supervisor may read as the first line
-    // and then stop reading: a closed stderr must not stop the daemon.
-    for warning in server.warnings() {
-        let _ = writeln!(io::stderr(), "{}", warning.render_text());
-    }
+    // The warnings follow the announcement, which a supervisor may read as
+    // the first line and then stop reading. A thread of their own writes
+    // them, so a full stderr pipe holds up neither the daemon nor its
+    // exit; the thread is left behind if they are not out by then.
+    let warnings: String = server
+        .warnings()
+        .iter()
+        .map(|warning| warning.render_text() + "\n")
+        .collect();
+    let (written, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = io::stderr().write_all(warnings.as_bytes());
+        let _ = written.send(());
+    });
     server.wait();
-    ExitCode::SUCCESS
+    let _ = done.recv_timeout(WARNINGS_GRACE);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn smc(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
-    let format = match take_report_format_flag(&mut args) {
-        Ok(format) => format,
-        Err(code) => return code,
-    };
-    let quiet = take_bool_flag(&mut args, "--quiet");
-    let metrics_addr = match take_value_flag(&mut args, "--metrics") {
-        Ok(addr) => addr,
-        Err(code) => return code,
-    };
-    let stats_every = match take_stats_every(&mut args) {
-        Ok(every) => every,
-        Err(code) => return code,
-    };
-    let telemetry = SmcTelemetry {
-        metrics_addr,
-        stats_every,
-        quiet,
-    };
-    let args = &args[..];
-    let mut episodes: Option<u64> = None;
-    let mut jobs = 0usize;
-    let mut seed = 1u64;
-    let mut confidence = 0.95f64;
+fn smc(raw: &[String], out: &mut Out) -> Outcome {
+    let flags = [
+        ("--confidence", 1),
+        ("--deny-warnings", 0),
+        ("--episodes", 1),
+        ("--epsilon", 1),
+        ("--fault-prob", 1),
+        ("--format", 1),
+        ("--jobs", 1),
+        ("--metrics", 1),
+        ("--mutation-prob", 1),
+        ("--quiet", 0),
+        ("--seed", 1),
+        ("--sprt", 2),
+        ("--stats-every", 1),
+        ("--trace", 1),
+    ];
+    let args = Args::parse("smc", raw, &flags, ..)?;
+    let format = args.choice("--format", REPORT_FORMATS)?;
+    let stats_every: Option<u64> = args.positive("--stats-every")?;
+    let episodes: Option<u64> = args.number("--episodes")?;
+    let jobs: usize = args.number("--jobs")?.unwrap_or(0);
+    let seed: u64 = args.number("--seed")?.unwrap_or(1);
+    let confidence: f64 = args.number("--confidence")?.unwrap_or(0.95);
     // Mode-dependent flags stay `None` unless the user passed them, so a
     // flag that the selected mode would silently ignore is an error, not a
     // silently different campaign.
-    let mut epsilon: Option<f64> = None;
-    let mut sprt: Option<(f64, f64)> = None;
-    let mut fault_prob: Option<f64> = None;
-    let mut trace_path: Option<String> = None;
-    let mut mutation_prob: Option<f64> = None;
-    let mut properties: Vec<String> = Vec::new();
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| match iter.next() {
-            Some(v) => Ok(v.as_str()),
-            None => {
-                eprintln!("error: `{flag}` requires a value");
-                Err(usage())
-            }
-        };
-        macro_rules! flag_value {
-            ($flag:expr) => {
-                match value($flag).and_then(|raw| parse_flag_value($flag, raw)) {
-                    Ok(parsed) => parsed,
-                    Err(code) => return code,
-                }
-            };
-        }
-        match arg.as_str() {
-            "--episodes" => episodes = Some(flag_value!("--episodes")),
-            "--jobs" => jobs = flag_value!("--jobs"),
-            "--seed" => seed = flag_value!("--seed"),
-            "--confidence" => confidence = flag_value!("--confidence"),
-            "--epsilon" => epsilon = Some(flag_value!("--epsilon")),
-            "--fault-prob" => fault_prob = Some(flag_value!("--fault-prob")),
-            "--mutation-prob" => mutation_prob = Some(flag_value!("--mutation-prob")),
-            "--trace" => {
-                let raw = match value("--trace") {
-                    Ok(raw) => raw,
-                    Err(code) => return code,
-                };
-                trace_path = Some(raw.to_owned());
-            }
-            "--sprt" => sprt = Some((flag_value!("--sprt"), flag_value!("--sprt"))),
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown flag `{flag}`");
-                return usage();
-            }
-            property => properties.push(property.to_owned()),
-        }
-    }
+    let epsilon: Option<f64> = args.number("--epsilon")?;
+    let sprt = args.numbers::<f64>("--sprt")?.map(|p| (p[0], p[1]));
+    let fault_prob: Option<f64> = args.number("--fault-prob")?;
+    let mutation_prob: Option<f64> = args.number("--mutation-prob")?;
+    let trace_path = args.value("--trace");
+    let properties = &args.operands;
     if !(confidence > 0.0 && confidence < 1.0) {
-        eprintln!("error: `--confidence` must lie strictly between 0 and 1");
-        return usage();
+        return Err(misuse("`--confidence` must lie strictly between 0 and 1").into());
     }
     if epsilon.is_some_and(|e| !(e > 0.0 && e < 1.0)) {
-        eprintln!("error: `--epsilon` must lie strictly between 0 and 1");
-        return usage();
+        return Err(misuse("`--epsilon` must lie strictly between 0 and 1").into());
     }
     for (flag, p) in [
         ("--fault-prob", fault_prob),
         ("--mutation-prob", mutation_prob),
     ] {
         if p.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
-            eprintln!("error: `{flag}` must lie in [0, 1]");
-            return usage();
+            return Err(misuse(format_args!("`{flag}` must lie in [0, 1]")).into());
         }
     }
     // Reject flag combinations the selected mode would ignore.
     if epsilon.is_some() && episodes.is_some() {
-        eprintln!("error: `--epsilon` sizes the campaign; it conflicts with `--episodes`");
-        return usage();
+        return Err(
+            misuse("`--epsilon` sizes the campaign; it conflicts with `--episodes`").into(),
+        );
     }
     if epsilon.is_some() && sprt.is_some() {
-        eprintln!("error: `--epsilon` only applies to estimation campaigns, not `--sprt`");
-        return usage();
+        return Err(
+            misuse("`--epsilon` only applies to estimation campaigns, not `--sprt`").into(),
+        );
     }
     if trace_path.is_some() && fault_prob.is_some() {
-        eprintln!("error: `--fault-prob` applies to platform campaigns, not `--trace`");
-        return usage();
+        return Err(misuse("`--fault-prob` applies to platform campaigns, not `--trace`").into());
     }
     if trace_path.is_none() && mutation_prob.is_some() {
-        eprintln!("error: `--mutation-prob` requires `--trace`");
-        return usage();
-    }
-
-    if let Err(code) = report_rulebook_warnings(&properties, deny_warnings) {
-        return code;
+        return Err(misuse("`--mutation-prob` requires `--trace`").into());
     }
 
     // Assemble the mode: SPRT with early stopping, or fixed-size
@@ -967,10 +989,7 @@ fn smc(args: &[String]) -> ExitCode {
                 config,
                 max_episodes: episodes.unwrap_or(100_000),
             },
-            Err(e) => {
-                eprintln!("error: invalid `--sprt`: {e}");
-                return usage();
-            }
+            Err(e) => return Err(misuse(format_args!("invalid `--sprt`: {e}")).into()),
         },
         None => CampaignMode::Estimate {
             episodes: episodes.unwrap_or_else(|| {
@@ -985,67 +1004,111 @@ fn smc(args: &[String]) -> ExitCode {
         mode,
     };
 
-    // Assemble the model and run. The two arms carry different concrete
-    // model types, so the campaign runs inside a small generic helper.
-    match trace_path {
+    // Assemble the model: platform episodes, or mutations of a recorded
+    // trace.
+    let jobs = lomon::smc::effective_jobs(jobs);
+    let (model, preamble): (Box<dyn EpisodeModel>, String) = match trace_path {
         None => {
             let fault_prob = fault_prob.unwrap_or(0.2);
             let mut model = ScenarioModel::new(ScenarioConfig::nominal(seed))
                 .with_fault_probability(fault_prob);
             if !properties.is_empty() {
-                model = model.with_properties(properties);
+                model = model.with_properties(properties.clone());
             }
-            if format == ReportFormat::Text {
-                println!(
-                    "smc: platform campaign, fault probability {fault_prob}, seed {seed}, jobs {}",
-                    lomon::smc::effective_jobs(jobs)
-                );
-            }
-            run_smc(&model, &config, format, &telemetry)
+            let preamble = format!(
+                "smc: platform campaign, fault probability {fault_prob}, seed {seed}, jobs {jobs}"
+            );
+            (Box::new(model), preamble)
         }
         Some(path) => {
             if properties.is_empty() {
-                eprintln!("error: `lomon smc --trace` needs at least one property");
-                return usage();
+                return Err(misuse("`lomon smc --trace` needs at least one property").into());
             }
             let mut voc = Vocabulary::new();
-            let base = match load(&path, &mut voc) {
-                Ok(trace) => trace,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let model = match GenModel::from_trace(properties, base, voc) {
+            let base = load(path, &mut voc, 1)?;
+            let model = match GenModel::from_trace(properties.clone(), base, voc) {
                 Ok(model) => model,
                 Err(message) => {
-                    eprintln!("error in property:\n{message}");
-                    return ExitCode::FAILURE;
+                    stderr!("error in property:\n{message}");
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let mutation_prob = mutation_prob.unwrap_or(0.5);
-            let model = model.with_mutation_probability(mutation_prob);
-            if format == ReportFormat::Text {
-                println!(
-                    "smc: trace campaign over {path}, mutation probability {mutation_prob}, \
-                     seed {seed}, jobs {}",
-                    lomon::smc::effective_jobs(jobs)
-                );
-            }
-            run_smc(&model, &config, format, &telemetry)
+            let preamble = format!(
+                "smc: trace campaign over {path}, mutation probability {mutation_prob}, \
+                 seed {seed}, jobs {jobs}"
+            );
+            (
+                Box::new(model.with_mutation_probability(mutation_prob)),
+                preamble,
+            )
         }
-    }
-}
+    };
 
-/// Observability options of `lomon smc`, parsed up front and threaded to
-/// the generic campaign runner.
-struct SmcTelemetry {
-    /// `--metrics`: serve live Prometheus/NDJSON telemetry on this address.
-    metrics_addr: Option<String>,
-    /// `--stats-every`: heartbeat period in episodes.
-    stats_every: Option<u64>,
-    /// `--quiet`: suppress the per-batch progress line.
-    quiet: bool,
+    let telemetry = Telemetry::start(&args, |_| ())?;
+    let compile_span = telemetry.as_ref().map(Telemetry::time_compile);
+    let mut campaign = match Campaign::new(model.as_ref(), config) {
+        Ok(campaign) => campaign,
+        Err(CampaignError::Compile(errors)) => {
+            let voc = model.vocabulary();
+            for error in &errors {
+                stderr!("error in property:\n{}", error.display(&voc));
+            }
+            return Ok(ExitCode::FAILURE);
+        }
+        Err(other) => {
+            stderr!("error: {other}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    drop(compile_span);
+    // The analysis runs on the campaign's own engine, and
+    // `--deny-warnings` refuses before anything is written to stdout.
+    let opts = AnalysisOptions::default();
+    let diagnostics = campaign.engine().analyze(campaign.vocabulary(), &opts);
+    print_warnings(&diagnostics, args.has("--deny-warnings"))?;
+    if let Some(telemetry) = &telemetry {
+        let metrics = CampaignMetrics::register(&telemetry.registry, campaign.engine().len());
+        campaign.attach_metrics(metrics);
+    }
+    if format == ReportFormat::Text {
+        writeln!(out, "{preamble}")?;
+    }
+
+    // Telemetry (`--metrics`, `--stats-every`, progress lines) rides the
+    // jobs-independent batch boundaries and never perturbs the report.
+    let started = Instant::now();
+    let quiet = args.has("--quiet");
+    let mut next_heartbeat = stats_every.unwrap_or(u64::MAX);
+    let report = campaign.run_observed(&mut |progress| {
+        if !quiet {
+            stderr!("{}", render_smc_progress(&progress));
+        }
+        if let Some(every) = stats_every {
+            if progress.episodes >= next_heartbeat {
+                stderr!("{}", render_smc_heartbeat(&progress));
+                next_heartbeat = (progress.episodes / every + 1) * every;
+            }
+        }
+    });
+    let elapsed = started.elapsed();
+    // Stop serving scrapes before the final report: a scrape racing
+    // campaign completion gets a clean 503, never a torn snapshot.
+    if let Some(telemetry) = &telemetry {
+        telemetry.server.drain();
+    }
+    // The JSON format prints only the report object — no preamble and no
+    // wall clock — so stdout is deterministic across `--jobs` and pipeable.
+    match format {
+        ReportFormat::Text => {
+            out.write_all(report.render().as_bytes())?;
+            writeln!(out, "  wall clock: {elapsed:.2?}")?;
+        }
+        ReportFormat::Json => writeln!(out, "{}", report.render_json())?,
+    }
+    // Exit 1 when an SPRT accepted `H1` (the satisfaction probability is
+    // below the threshold).
+    Ok(verdict_code(!report.any_rejected()))
 }
 
 /// One stderr progress line per scheduling batch: episodes done, the
@@ -1093,92 +1156,6 @@ fn render_smc_heartbeat(progress: &CampaignProgress<'_>) -> String {
     line
 }
 
-/// Compile, run and render one campaign; the exit code is 1 when an SPRT
-/// accepted `H1` (the satisfaction probability is below the threshold).
-/// The JSON format prints only the report object — no preamble and no
-/// wall clock — so stdout is deterministic across `--jobs` and pipeable.
-/// Telemetry (`--metrics`, `--stats-every`, progress lines) rides the
-/// jobs-independent batch boundaries and never perturbs the report.
-fn run_smc<M: EpisodeModel>(
-    model: &M,
-    config: &CampaignConfig,
-    format: ReportFormat,
-    telemetry: &SmcTelemetry,
-) -> ExitCode {
-    // Register the families and bind the listener before compiling, so a
-    // scrape racing campaign startup sees a complete (all-zero) registry
-    // and a dead port fails fast with exit 2.
-    let mut server = None;
-    let mut observed = None;
-    if let Some(addr) = &telemetry.metrics_addr {
-        let registry = Arc::new(Registry::new());
-        let compile_ns = registry.histogram(
-            "lomon_compile_ns",
-            "Wall-clock nanoseconds spent compiling the rulebook",
-        );
-        match bind_metrics(addr, &registry) {
-            Ok(bound) => server = Some(bound),
-            Err(code) => return code,
-        }
-        observed = Some((registry, compile_ns));
-    }
-    let compile_span = observed
-        .as_ref()
-        .map(|(_, compile_ns)| Stopwatch::start(Arc::clone(compile_ns)));
-    let mut campaign = match Campaign::new(model, *config) {
-        Ok(campaign) => campaign,
-        Err(lomon::smc::CampaignError::Compile(errors)) => {
-            let voc = model.vocabulary();
-            for error in &errors {
-                eprintln!("error in property:\n{}", error.display(&voc));
-            }
-            return ExitCode::FAILURE;
-        }
-        Err(other) => {
-            eprintln!("error: {other}");
-            return ExitCode::FAILURE;
-        }
-    };
-    drop(compile_span);
-    if let Some((registry, _)) = &observed {
-        campaign.attach_metrics(CampaignMetrics::register(registry, campaign.engine().len()));
-    }
-
-    let started = std::time::Instant::now();
-    let quiet = telemetry.quiet;
-    let stats_every = telemetry.stats_every;
-    let mut next_heartbeat = stats_every.unwrap_or(u64::MAX);
-    let report = campaign.run_observed(&mut |progress| {
-        if !quiet {
-            eprintln!("{}", render_smc_progress(&progress));
-        }
-        if let Some(every) = stats_every {
-            if progress.episodes >= next_heartbeat {
-                eprintln!("{}", render_smc_heartbeat(&progress));
-                next_heartbeat = (progress.episodes / every + 1) * every;
-            }
-        }
-    });
-    let elapsed = started.elapsed();
-    // Stop serving scrapes before the final report: a scrape racing
-    // campaign completion gets a clean 503, never a torn snapshot.
-    if let Some(server) = &server {
-        server.drain();
-    }
-    match format {
-        ReportFormat::Text => {
-            print!("{}", report.render());
-            println!("  wall clock: {:.2?}", elapsed);
-        }
-        ReportFormat::Json => println!("{}", report.render_json()),
-    }
-    if report.any_rejected() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// `lomon lint` — compile a rulebook, run the whole-rulebook static
 /// analysis, print the findings and exit 0 (clean or notes only), 1
 /// (warnings) or 2 (errors, or warnings under `--deny-warnings`).
@@ -1189,41 +1166,28 @@ fn run_smc<M: EpisodeModel>(
 /// the coverage (`L008`) and dead-table (`L009`) findings; `--fix-prune`
 /// additionally prunes the dead action-table rows and, when a corpus is
 /// given, self-checks that the pruned rulebook is verdict-identical on it.
-fn lint(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
-    let fix_prune = take_bool_flag(&mut args, "--fix-prune");
-    let format = match take_report_format_flag(&mut args) {
-        Ok(format) => format,
-        Err(code) => return code,
-    };
-    let trace_path = match take_value_flag(&mut args, "--trace") {
-        Ok(path) => path,
-        Err(code) => return code,
-    };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("error: unknown flag `{flag}`");
-        return usage();
+fn lint(raw: &[String], out: &mut Out) -> Outcome {
+    let flags = [
+        ("--deny-warnings", 0),
+        ("--fix-prune", 0),
+        ("--format", 1),
+        ("--trace", 1),
+    ];
+    let args = Args::parse("lint", raw, &flags, 1..)?;
+    let format = args.choice("--format", REPORT_FORMATS)?;
+    let properties = read_rulebook(&args.operands, 2)?;
+    if properties.is_empty() {
+        stderr!("error: the rulebook is empty");
+        return Ok(ExitCode::from(2));
     }
-
-    let properties = match read_rulebook(&args, 2) {
-        Ok(properties) => properties,
-        Err(code) => return code,
-    };
 
     // An optional trace corpus: per-name event counts for the coverage
     // and dead-table analyses, and the self-check replay for --fix-prune.
     let mut voc = Vocabulary::new();
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => match load(path, &mut voc) {
-            Ok(trace) => Some(trace),
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::from(2);
-            }
-        },
-    };
+    let trace = args
+        .value("--trace")
+        .map(|path| load(path, &mut voc, 2))
+        .transpose()?;
     let corpus: Option<Vec<(Name, u64)>> = trace.as_ref().map(|trace| {
         let mut counts: std::collections::BTreeMap<Name, u64> = std::collections::BTreeMap::new();
         for event in trace.events() {
@@ -1239,27 +1203,28 @@ fn lint(args: &[String]) -> ExitCode {
     let (engine, diagnostics) = match Engine::compile_with_analysis(&properties, &mut voc, &opts) {
         Ok(compiled) => compiled,
         Err(errors) => {
-            emit_diagnostics(&error_diagnostics(&errors, &voc), &properties, format);
-            return ExitCode::from(2);
+            emit_diagnostics(out, &error_diagnostics(&errors, &voc), &properties, format)?;
+            return Ok(ExitCode::from(2));
         }
     };
-    emit_diagnostics(&diagnostics, &properties, format);
+    emit_diagnostics(out, &diagnostics, &properties, format)?;
 
-    if fix_prune {
+    if args.has("--fix-prune") {
         let corpus_set: Option<NameSet> = opts
             .corpus
             .as_ref()
             .map(|counts| counts.iter().map(|&(name, _)| name).collect());
         let outcome = prune_dead(engine.fused(), corpus_set.as_ref(), opts.state_budget);
         let stats = outcome.stats;
-        println!(
+        writeln!(
+            out,
             "fix-prune: dropped {} of {} action-table rows ({} entries), \
              neutralized {} further entries",
             stats.dropped_rows,
             stats.rows,
             stats.dropped_entries(),
             stats.neutralized_entries,
-        );
+        )?;
         // The prune is verdict-preserving on corpus traces by construction;
         // trust nothing, replay the corpus through both rulebooks.
         if let Some(trace) = &trace {
@@ -1268,30 +1233,31 @@ fn lint(args: &[String]) -> ExitCode {
             for event in trace.events() {
                 for (o, p) in original.iter_mut().zip(pruned.iter_mut()) {
                     if o.observe(*event) != p.observe(*event) {
-                        eprintln!(
+                        stderr!(
                             "error: fix-prune self-check failed: verdicts diverge at {} \
                              `{}` — this is a bug, the unpruned rulebook stands",
                             event.time,
                             voc.resolve(event.name),
                         );
-                        return ExitCode::from(2);
+                        return Ok(ExitCode::from(2));
                     }
                 }
             }
             let end = trace.end_time();
             for (o, p) in original.iter_mut().zip(pruned.iter_mut()) {
                 if o.finish(end) != p.finish(end) {
-                    eprintln!(
+                    stderr!(
                         "error: fix-prune self-check failed: final verdicts diverge — \
                          this is a bug, the unpruned rulebook stands"
                     );
-                    return ExitCode::from(2);
+                    return Ok(ExitCode::from(2));
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "fix-prune: self-check ok — verdicts identical over {} corpus events",
                 trace.len()
-            );
+            )?;
         }
     }
 
@@ -1303,22 +1269,27 @@ fn lint(args: &[String]) -> ExitCode {
         .iter()
         .filter(|d| d.severity == Severity::Warning)
         .count();
-    if errors > 0 || (deny_warnings && warnings > 0) {
-        ExitCode::from(2)
-    } else if warnings > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(
+        if errors > 0 || (args.has("--deny-warnings") && warnings > 0) {
+            ExitCode::from(2)
+        } else {
+            verdict_code(warnings == 0)
+        },
+    )
 }
 
 /// Print lint findings: one text line or one NDJSON object per finding,
 /// plus a text-mode summary tail.
-fn emit_diagnostics(diagnostics: &[Diagnostic], properties: &[String], format: ReportFormat) {
+fn emit_diagnostics(
+    out: &mut Out,
+    diagnostics: &[Diagnostic],
+    properties: &[String],
+    format: ReportFormat,
+) -> io::Result<()> {
     match format {
         ReportFormat::Text => {
             for diagnostic in diagnostics {
-                println!("{}", diagnostic.render_text());
+                writeln!(out, "{}", diagnostic.render_text())?;
             }
             let (mut errors, mut warnings, mut notes) = (0, 0, 0);
             for diagnostic in diagnostics {
@@ -1328,16 +1299,18 @@ fn emit_diagnostics(diagnostics: &[Diagnostic], properties: &[String], format: R
                     Severity::Note => notes += 1,
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "lint: {} propert{}, {errors} error(s), {warnings} warning(s), {notes} note(s)",
                 properties.len(),
                 if properties.len() == 1 { "y" } else { "ies" },
-            );
+            )
         }
         ReportFormat::Json => {
             for diagnostic in diagnostics {
-                println!("{}", diagnostic.render_json());
+                writeln!(out, "{}", diagnostic.render_json())?;
             }
+            Ok(())
         }
     }
 }
@@ -1352,131 +1325,92 @@ fn emit_diagnostics(diagnostics: &[Diagnostic], properties: &[String], format: R
 /// Exit code: 0 when the profile ran (violations are *reported*, not
 /// failed on — this is a profiler, `lomon check` owns the verdict
 /// contract), 1 on unreadable inputs or compile errors, 2 on usage errors.
-fn profile(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let deny_warnings = take_bool_flag(&mut args, "--deny-warnings");
-    let format = match take_report_format_flag(&mut args) {
-        Ok(format) => format,
-        Err(code) => return code,
-    };
-    let top = match take_value_flag(&mut args, "--top") {
-        Ok(None) => 10usize,
-        Ok(Some(raw)) => match parse_flag_value::<usize>("--top", &raw) {
-            Ok(0) => {
-                eprintln!("error: `--top` must be positive");
-                return usage();
-            }
-            Ok(top) => top,
-            Err(code) => return code,
-        },
-        Err(code) => return code,
-    };
-    let trace_out = match take_value_flag(&mut args, "--trace-out") {
-        Ok(path) => path,
-        Err(code) => return code,
-    };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("error: unknown flag `{flag}`");
-        return usage();
-    }
-    // The last positional is the trace file; everything before it is the
+fn profile(raw: &[String], out: &mut Out) -> Outcome {
+    let flags = [
+        ("--deny-warnings", 0),
+        ("--format", 1),
+        ("--top", 1),
+        ("--trace-out", 1),
+    ];
+    let args = Args::parse("profile", raw, &flags, 2..)?;
+    let format = args.choice("--format", REPORT_FORMATS)?;
+    let top = args.positive("--top")?.unwrap_or(10usize);
+    // The last operand is the trace file; everything before it is the
     // rulebook (files with one property per line, or inline properties).
-    let Some((trace_path, rulebook)) = args.split_last() else {
-        eprintln!("error: `lomon profile` needs a rulebook and a trace file");
-        return usage();
-    };
-    if rulebook.is_empty() {
-        eprintln!("error: `lomon profile` needs at least one property before the trace file");
-        return usage();
+    let (trace_path, rulebook) = args
+        .operands
+        .split_last()
+        .expect("the grammar admits two operands or more");
+    let properties = read_rulebook(rulebook, 1)?;
+    if properties.is_empty() {
+        stderr!("error: the rulebook is empty");
+        return Ok(ExitCode::FAILURE);
     }
-    let properties = match read_rulebook(rulebook, 1) {
-        Ok(properties) => properties,
-        Err(code) => return code,
-    };
 
     // Every phase below runs under a tracer span; with `--trace-out` the
     // resulting timeline is written as Chrome trace-event JSON.
     let tracer = Tracer::new();
     let mut voc = Vocabulary::new();
     let span = tracer.span("load-trace", "phase");
-    let trace = match load(trace_path, &mut voc) {
-        Ok(trace) => trace,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let trace = load(trace_path, &mut voc, 1)?;
     span.finish();
     let span = tracer.span("compile", "phase");
-    let engine = match compile_all(&properties, &mut voc, deny_warnings) {
-        Ok(engine) => engine,
-        Err(code) => return code,
-    };
+    let engine = compile_all(&properties, &mut voc, args.has("--deny-warnings"))?;
     span.finish();
     let span = tracer.span("replay", "phase");
-    let report = profile_trace(&engine, trace.events(), trace.end_time(), None);
+    let report = profile_trace(&engine, trace.events(), trace.end_time());
     span.finish();
 
     let span = tracer.span("report", "phase");
     match format {
-        ReportFormat::Text => print!("{}", report.render_text(&engine, top)),
-        ReportFormat::Json => println!("{}", report.render_json(&engine, top)),
+        ReportFormat::Text => out.write_all(report.render_text(&engine, top).as_bytes())?,
+        ReportFormat::Json => writeln!(out, "{}", report.render_json(&engine, top))?,
     }
     span.finish();
-    if let Some(path) = &trace_out {
+    if let Some(path) = args.value("--trace-out") {
         if let Err(e) = std::fs::write(path, tracer.render_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            stderr!("error: cannot write {path}: {e}");
+            return Ok(ExitCode::FAILURE);
         }
-        eprintln!(
+        stderr!(
             "trace: wrote {} span(s) to {path} (chrome://tracing or Perfetto)",
             tracer.len()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn vcd(path: &str) -> ExitCode {
+fn vcd(raw: &[String], out: &mut Out) -> Outcome {
+    let args = Args::parse("vcd", raw, &[], 1..=1)?;
     let mut voc = Vocabulary::new();
-    match load(path, &mut voc) {
-        Ok(trace) => {
-            print!("{}", write_vcd(&trace, &voc));
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    let trace = load(&args.operands[0], &mut voc, 1)?;
+    out.write_all(write_vcd(&trace, &voc).as_bytes())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn gen(text: &str, rest: &[String]) -> ExitCode {
-    let seed = match rest.first() {
+fn gen(raw: &[String], out: &mut Out) -> Outcome {
+    let args = Args::parse("gen", raw, &[], 1..=3)?;
+    let text = &args.operands[0];
+    let seed = match args.operands.get(1) {
         None => 1u64,
-        Some(raw) => match raw.parse() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed `{raw}` is not an unsigned integer");
-                return usage();
-            }
-        },
+        Some(arg) => arg
+            .parse()
+            .map_err(|_| misuse(format_args!("seed `{arg}` is not an unsigned integer")))?,
     };
-    let episodes = match rest.get(1) {
+    let episodes = match args.operands.get(2) {
         None => 3u32,
-        Some(raw) => match raw.parse() {
-            Ok(episodes) => episodes,
-            Err(_) => {
-                eprintln!("error: episode count `{raw}` is not an unsigned integer");
-                return usage();
-            }
-        },
+        Some(arg) => arg.parse().map_err(|_| {
+            misuse(format_args!(
+                "episode count `{arg}` is not an unsigned integer"
+            ))
+        })?,
     };
     let mut voc = Vocabulary::new();
     let property = match parse_property(text, &mut voc) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("error in property:\n{}", e.display_with_source(text));
-            return ExitCode::FAILURE;
+            stderr!("error in property:\n{}", e.display_with_source(text));
+            return Ok(ExitCode::FAILURE);
         }
     };
     let config = GeneratorConfig {
@@ -1484,17 +1418,21 @@ fn gen(text: &str, rest: &[String]) -> ExitCode {
         ..GeneratorConfig::new(seed)
     };
     let generated = generate(&property, &config);
-    print!("{}", write_trace(&generated.trace, &voc));
-    ExitCode::SUCCESS
+    out.write_all(write_trace(&generated.trace, &voc).as_bytes())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn demo() -> ExitCode {
+fn demo(raw: &[String], out: &mut Out) -> Outcome {
+    Args::parse("demo", raw, &[], 0..=0)?;
     let report = run_scenario(&ScenarioConfig::nominal(1));
-    println!("# trace recorded from the face-recognition platform (seed 1)");
-    print!("{}", write_trace(&report.trace, &report.vocabulary));
-    eprintln!();
+    writeln!(
+        out,
+        "# trace recorded from the face-recognition platform (seed 1)"
+    )?;
+    out.write_all(write_trace(&report.trace, &report.vocabulary).as_bytes())?;
+    stderr!();
     for (label, verdict) in &report.verdicts {
-        eprintln!("online verdict: {label} → {verdict}");
+        stderr!("online verdict: {label} → {verdict}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -89,6 +89,19 @@ fn missing_arguments_exit_two_with_usage() {
     let output = lomon(&["lint"]);
     assert_eq!(exit_code(&output), 2);
     assert!(stderr(&output).contains("usage:"), "{}", stderr(&output));
+    // A value may not start with `--`: the rulebook is not the corpus.
+    let output = lomon(&[
+        "lint",
+        "--trace",
+        "--deny-warnings",
+        "tests/fixtures/ipu.rules",
+    ]);
+    assert_eq!(exit_code(&output), 2);
+    assert!(
+        stderr(&output).contains("`--trace` requires a value"),
+        "{}",
+        stderr(&output)
+    );
 }
 
 #[test]

@@ -5,6 +5,7 @@
 mod common;
 
 use std::path::Path;
+use std::process::{Command, Output, Stdio};
 
 use common::{lomon, stderr, stdout, FIXTURE, PROPERTY};
 
@@ -80,6 +81,24 @@ fn unknown_command_prints_usage() {
         "stderr: {text}"
     );
     assert!(text.contains("usage:"), "stderr: {text}");
+}
+
+#[cfg(unix)]
+#[test]
+fn non_utf8_argument_is_a_usage_error() {
+    use std::os::unix::ffi::OsStrExt as _;
+    let output = Command::new(env!("CARGO_BIN_EXE_lomon"))
+        .arg("check")
+        .arg(std::ffi::OsStr::from_bytes(b"\xff.trace"))
+        .arg(PROPERTY)
+        .output()
+        .expect("lomon exits");
+    assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
+    assert!(
+        stderr(&output).contains("is not valid UTF-8"),
+        "{}",
+        stderr(&output)
+    );
 }
 
 #[test]
@@ -351,6 +370,8 @@ fn smc_rejects_malformed_invocations() {
         &["smc", "--epsilon", "0.1", "--episodes", "5"],
         &["smc", "--epsilon", "0.1", "--sprt", "0.9", "0.5"],
         &["smc", "--backend", "fused"], // only check and watch take it
+        &["smc", "--seed", "--quiet"],  // a value may not start with `--`
+        &["smc", "--episodes=abc"],
     ] {
         let output = lomon(args);
         assert_eq!(output.status.code(), Some(2), "args: {args:?}");
@@ -360,6 +381,14 @@ fn smc_rejects_malformed_invocations() {
     let output = lomon(&["smc", "--trace", FIXTURE]);
     assert_eq!(output.status.code(), Some(2));
     assert!(stderr(&output).contains("at least one property"));
+    // `--flag=value` is the same flag as `--flag value`.
+    let output = lomon(&["smc", "--episodes=4", "--seed=3", "--quiet"]);
+    assert!(output.status.success(), "stderr: {}", stderr(&output));
+    assert!(
+        stdout(&output).contains("4 episodes"),
+        "{}",
+        stdout(&output)
+    );
 }
 
 #[test]
@@ -426,25 +455,72 @@ fn unknown_backend_is_rejected() {
 fn check_rejects_unknown_flags() {
     // A leftover flag is neither a trace path nor a property, wherever it
     // stands: exit 2 with the usage text, as every other command does.
-    for args in [
-        ["--strict", FIXTURE, PROPERTY],
-        [FIXTURE, "--bogus=1", PROPERTY],
-        [FIXTURE, PROPERTY, "--strict"],
+    // A value may not start with `--`, so the flag after a valued flag
+    // is not taken as its value.
+    for (args, message) in [
+        (&["--strict", FIXTURE, PROPERTY] as &[&str], "unknown flag"),
+        (&[FIXTURE, "--bogus=1", PROPERTY], "unknown flag"),
+        (&[FIXTURE, PROPERTY, "--strict"], "unknown flag"),
+        (
+            &["--stats-every", "--explain", "5", FIXTURE, PROPERTY],
+            "`--stats-every` requires a value",
+        ),
     ] {
-        let output = lomon(&[&["check"], &args[..]].concat());
+        let output = lomon(&[&["check"], args].concat());
         assert_eq!(
             output.status.code(),
             Some(2),
             "{args:?}: {}",
             stderr(&output)
         );
-        assert!(
-            stderr(&output).contains("unknown flag"),
-            "{}",
-            stderr(&output)
-        );
+        assert!(stderr(&output).contains(message), "{}", stderr(&output));
         assert!(stderr(&output).contains("usage:"), "{}", stderr(&output));
     }
+}
+
+/// Run `lomon <args>` with stdout on a pipe whose read end is already
+/// closed, and stderr too when `close_stderr`.
+fn lomon_into_closed_pipe(args: &[&str], close_stderr: bool) -> Output {
+    let closed = || {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        writer
+    };
+    let mut command = Command::new(env!("CARGO_BIN_EXE_lomon"));
+    command
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdin(Stdio::null())
+        .stdout(closed());
+    if close_stderr {
+        command.stderr(closed());
+    }
+    command.output().expect("lomon exits")
+}
+
+#[test]
+fn closed_stdout_is_a_write_error_not_a_panic() {
+    // Every command writes stdout through one writer: a reader that has
+    // gone away is `cannot write output` and exit 1, never a panic (101).
+    for args in [
+        &["check", FIXTURE, PROPERTY] as &[&str],
+        &["check", "--format", "json", FIXTURE, PROPERTY],
+        &["vcd", FIXTURE],
+        &["gen", PROPERTY],
+        &["lint", "tests/fixtures/ipu.rules"],
+        &["profile", PROPERTY, FIXTURE],
+        &["smc", "--format", "json", "--episodes", "4", "--quiet"],
+        &["demo"],
+    ] {
+        let output = lomon_into_closed_pipe(args, false);
+        let text = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {text}");
+        assert!(text.contains("cannot write output"), "{args:?}: {text}");
+        assert!(!text.contains("panicked"), "{args:?}: {text}");
+    }
+    // Stderr is written best effort: closed too, a usage error is exit 2.
+    let output = lomon_into_closed_pipe(&["frobnicate"], true);
+    assert_eq!(output.status.code(), Some(2));
 }
 
 #[test]

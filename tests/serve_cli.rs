@@ -6,8 +6,8 @@ mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::{Child, ChildStderr, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use common::{lomon, stderr, PROPERTY};
 
@@ -38,13 +38,36 @@ fn spawn_serve(extra: &[&str]) -> (Child, String, String) {
         .and_then(|rest| rest.split(' ').next())
         .expect("listen address in announcement")
         .to_owned();
-    let admin = announce
+    (child, listen, admin_addr(&announce))
+}
+
+/// The admin address in a `serving …` announcement.
+fn admin_addr(announce: &str) -> String {
+    announce
         .split("(admin ")
         .nth(1)
         .and_then(|rest| rest.split(')').next())
         .expect("admin address in announcement")
-        .to_owned();
-    (child, listen, admin)
+        .to_owned()
+}
+
+/// Spawn `lomon serve` on ephemeral ports over `rulebook` and read its
+/// first stderr line, the announcement; the rest of stderr stays unread.
+fn spawn_announced(rulebook: &[&str]) -> (Child, BufReader<ChildStderr>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lomon"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--admin", "127.0.0.1:0"])
+        .args(rulebook)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lomon serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut announce = String::new();
+    stderr
+        .read_line(&mut announce)
+        .expect("startup announcement");
+    (child, stderr, announce)
 }
 
 fn http(addr: &str, method: &str, path: &str, body: &str) -> String {
@@ -124,6 +147,12 @@ fn serve_usage_errors() {
     // serve forever.
     let output = lomon(&["serve", "--backend", "fused"]);
     assert_eq!(output.status.code(), Some(2));
+    // A value may not start with `--`: `--admin` is not the listen address.
+    let output = lomon(&["serve", "--listen", "--admin", "127.0.0.1:0", PROPERTY]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(stderr(&output).contains("`--listen` requires a value"));
+    let output = lomon(&["serve", "--max-streams=0", PROPERTY]);
+    assert_eq!(output.status.code(), Some(2));
 }
 
 /// The rulebook's analysis warnings go to stderr after the `serving …`
@@ -131,37 +160,12 @@ fn serve_usage_errors() {
 /// only that.
 #[test]
 fn serve_prints_rulebook_warnings_after_the_announcement() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lomon"))
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--admin",
-            "127.0.0.1:0",
-            PROPERTY,
-            PROPERTY,
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lomon serve");
-    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
-    let mut announce = String::new();
-    stderr
-        .read_line(&mut announce)
-        .expect("startup announcement");
+    let (mut child, mut stderr, announce) = spawn_announced(&[PROPERTY, PROPERTY]);
     assert!(
         announce.starts_with("serving 2 properties on "),
         "got: {announce}"
     );
-    let admin = announce
-        .split("(admin ")
-        .nth(1)
-        .and_then(|rest| rest.split(')').next())
-        .expect("admin address in announcement")
-        .to_owned();
-    let response = http(&admin, "POST", "/shutdown", "");
+    let response = http(&admin_addr(&announce), "POST", "/shutdown", "");
     assert!(response.contains("200 OK"), "got: {response}");
     let mut rest = String::new();
     stderr.read_to_string(&mut rest).expect("rest of stderr");
@@ -169,5 +173,39 @@ fn serve_prints_rulebook_warnings_after_the_announcement() {
     assert!(
         rest.lines().any(|l| l.starts_with("warning[L003]")),
         "stderr after the announcement: {rest}"
+    );
+}
+
+/// A supervisor that reads stderr only up to the announcement must not
+/// wedge the daemon: 6000 copies of one property write ~245 KB of `L003`
+/// warnings, far more than a pipe holds, and `POST /shutdown` still ends
+/// the process.
+#[test]
+fn serve_exits_with_its_warnings_unread() {
+    let dir = std::env::temp_dir().join(format!("lomon-serve-unread-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let rules = dir.join("copies.rules");
+    std::fs::write(&rules, format!("{PROPERTY}\n").repeat(6000)).expect("write rulebook");
+    let (mut child, stderr, announce) = spawn_announced(&[rules.to_str().expect("UTF-8 path")]);
+    let response = http(&admin_addr(&announce), "POST", "/shutdown", "");
+    assert!(response.contains("200 OK"), "got: {response}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        match child.try_wait().expect("poll serve") {
+            Some(status) => break Some(status),
+            None if Instant::now() >= deadline => break None,
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    if status.is_none() {
+        child.kill().ok();
+        child.wait().ok();
+    }
+    drop(stderr);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(0),
+        "serve still running 5 s after `POST /shutdown` with stderr unread"
     );
 }
