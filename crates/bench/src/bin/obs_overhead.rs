@@ -3,8 +3,9 @@
 //! Replays the four `hot_loop` workloads through the fused backend three
 //! times — detached, with a live [`Registry`] and an attached
 //! [`SessionMetrics`] sink, and in explain mode (a bounded flight
-//! recorder armed per monitor) — interleaved rep by rep, and compares the
-//! best-of-[`REPS`] ns/event. The instrumentation flushes watermark deltas
+//! recorder armed per monitor) — interleaved rep by rep, and compares them
+//! by the median over [`REPS`] of each rep's ratio to the detached run
+//! ([`gate::median_ratio`]). The instrumentation flushes watermark deltas
 //! at batch boundaries only, so the hot loop itself is untouched; the
 //! `--check` CI gate holds the instrumented/plain ratio at
 //! [`OVERHEAD_GATE`], the explain/plain ratio at [`EXPLAIN_GATE`], and
@@ -21,8 +22,8 @@
 //! times the path that ships: the same workloads rendered as trace text
 //! and as NDJSON, pushed through a [`StreamDriver`] in 64 KiB chunks into
 //! a record sink ([`gate::drive`]), detached against [`IoMetrics`] + [`SessionMetrics`]
-//! attached (what `--metrics` wires up), interleaved, best of [`REPS`].
-//! `--check` holds that ratio at [`OVERHEAD_GATE`] too, and requires
+//! attached (what `--metrics` wires up), interleaved, [`REPS`] pairs.
+//! `--check` holds that median ratio at [`OVERHEAD_GATE`] too, and requires
 //! identical records on both sides and exact `lomon_io_lines_total`,
 //! `lomon_io_bytes_total` and `lomon_events_total`.
 
@@ -53,9 +54,10 @@ const EXPLAIN_GATE: f64 = 1.15;
 /// the CLI's `--explain`.
 const EXPLAIN_CAPACITY: usize = 64;
 
-/// Timed repetitions per workload; the minimum is reported. Interleaved
-/// between the plain and instrumented sessions ([`gate::best_of`]) so load
-/// drift on a shared machine cannot skew the ratio.
+/// Timed repetitions per workload, interleaved between the plain and the
+/// instrumented sessions ([`gate::interleave`]); the table shows each
+/// leg's fastest run, and the gates read the median of the per-rep ratios,
+/// so neither load drift nor one noisy rep decides them.
 const REPS: usize = 15;
 
 struct Workload {
@@ -97,7 +99,7 @@ fn main() -> ExitCode {
 
     println!(
         "telemetry overhead — fused backend, detached vs live registry vs explain \
-         (best of {REPS})"
+         (best of {REPS} ns/event, median of {REPS} per-rep ratios)"
     );
     println!(
         "{:>12} {:>9} {:>12} {:>14} {:>8} {:>14} {:>8}",
@@ -115,8 +117,9 @@ fn main() -> ExitCode {
         });
         sessions[1].attach_metrics(Arc::clone(&metrics));
         sessions[2].enable_explain(EXPLAIN_CAPACITY);
-        let best: [u128; 3] =
-            gate::best_of(REPS, |k| gate::replay(&mut sessions[k], &w.events, end));
+        let reps: Vec<[u128; 3]> =
+            gate::interleave(REPS, |k| gate::replay(&mut sessions[k], &w.events, end));
+        let best = gate::best(&reps);
 
         // Telemetry and witness capture observe, never perturb: every
         // verdict and every per-property ops counter must be identical
@@ -153,8 +156,7 @@ fn main() -> ExitCode {
         let per_event = |ns: u128| ns as f64 / w.events.len() as f64;
         let (plain_ns, instr_ns, explain_ns) =
             (per_event(best[0]), per_event(best[1]), per_event(best[2]));
-        let ratio = instr_ns / plain_ns.max(f64::MIN_POSITIVE);
-        let explain_ratio = explain_ns / plain_ns.max(f64::MIN_POSITIVE);
+        let (ratio, explain_ratio) = (gate::median_ratio(&reps, 1), gate::median_ratio(&reps, 2));
         println!(
             "{:>12} {:>9} {:>12.1} {:>14.1} {:>7.3}x {:>14.1} {:>7.3}x",
             w.name,
@@ -182,7 +184,7 @@ fn main() -> ExitCode {
 
     println!(
         "telemetry overhead — stream driver, {} KiB chunks, detached vs IoMetrics + \
-         SessionMetrics (best of {REPS})",
+         SessionMetrics (best of {REPS} ns/event, median of {REPS} per-rep ratios)",
         gate::CHUNK / 1024
     );
     println!(
@@ -222,11 +224,12 @@ fn driver_leg(w: &Workload, format: StreamFormat, check_mode: bool, gate: &mut G
     ];
     let mut records = [String::new(), String::new()];
     let mut faults = 0;
-    let best: [u128; 2] = gate::best_of(REPS, |k| {
+    let samples: Vec<[u128; 2]> = gate::interleave(REPS, |k| {
         let (ns, f) = gate::drive(&mut drivers[k], &input, &mut records[k]);
         faults += f;
         ns
     });
+    let best = gate::best(&samples);
 
     let label = match format {
         StreamFormat::Trace => "trace",
@@ -261,7 +264,7 @@ fn driver_leg(w: &Workload, format: StreamFormat, check_mode: bool, gate: &mut G
     #[allow(clippy::cast_precision_loss)]
     let per_event = |ns: u128| ns as f64 / w.events.len() as f64;
     let (plain_ns, instr_ns) = (per_event(best[0]), per_event(best[1]));
-    let ratio = instr_ns / plain_ns.max(f64::MIN_POSITIVE);
+    let ratio = gate::median_ratio(&samples, 1);
     println!(
         "{:>12} {label:>7} {:>9} {plain_ns:>12.1} {instr_ns:>14.1} {ratio:>7.3}x",
         w.name,

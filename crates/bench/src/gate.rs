@@ -3,7 +3,8 @@
 //!
 //! * [`Args`] — the command line: `--check` plus the valued flags a gate
 //!   declares; anything else exits 2 with a usage line.
-//! * [`best_of`] — interleaved best-of-N timing.
+//! * [`interleave`], [`best_of`], [`median_ratio`] — interleaved timing:
+//!   each leg's fastest run, or the median of per-rep ratios.
 //! * [`render_json`] — the committed `BENCH_*.json` format, one object per
 //!   line, which the ratchet reads back with a line scanner.
 //! * [`ratchet`] — fresh figures against a committed baseline, within
@@ -103,15 +104,41 @@ impl Args {
 /// Run `N` legs `reps` times each, interleaved rep by rep so that load
 /// drift on a shared machine hits every leg alike instead of skewing their
 /// ratios. `leg(k)` runs leg `k` once and returns its nanoseconds; the
-/// result is each leg's fastest run.
-pub fn best_of<const N: usize>(reps: usize, mut leg: impl FnMut(usize) -> u128) -> [u128; N] {
-    let mut best = [u128::MAX; N];
-    for _ in 0..reps {
-        for (k, best) in best.iter_mut().enumerate() {
-            *best = (*best).min(leg(k));
-        }
+/// result is each rep's `N` timings.
+pub fn interleave<const N: usize>(
+    reps: usize,
+    mut leg: impl FnMut(usize) -> u128,
+) -> Vec<[u128; N]> {
+    (0..reps).map(|_| std::array::from_fn(&mut leg)).collect()
+}
+
+/// Each leg's fastest run of [`interleave`]d reps.
+pub fn best_of<const N: usize>(reps: usize, leg: impl FnMut(usize) -> u128) -> [u128; N] {
+    best(&interleave(reps, leg))
+}
+
+/// Each leg's fastest time over `reps`.
+pub fn best<const N: usize>(reps: &[[u128; N]]) -> [u128; N] {
+    std::array::from_fn(|k| reps.iter().map(|rep| rep[k]).min().unwrap_or(0))
+}
+
+/// The median over `reps` of leg `k`'s time divided by leg 0's in the same
+/// rep. Each ratio compares two runs made back to back, so a load spike
+/// between reps cannot skew it, and one noisy rep cannot decide the gate
+/// the way it can decide a ratio of two minima.
+#[allow(clippy::cast_precision_loss)]
+pub fn median_ratio<const N: usize>(reps: &[[u128; N]], k: usize) -> f64 {
+    let mut ratios: Vec<f64> = reps
+        .iter()
+        .map(|rep| rep[k] as f64 / rep[0].max(1) as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    match ratios.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => ratios[mid],
+        _ => (ratios[mid - 1] + ratios[mid]) / 2.0,
     }
-    best
 }
 
 /// A committed baseline file: a header, then one object per line in the
@@ -303,6 +330,17 @@ mod tests {
     fn parse(args: &[&str]) -> Result<Args, String> {
         let flags = ["--baseline PATH", "--out PATH", "--clients N"];
         Args::parse(&flags, args.iter().map(|&a| a.to_owned()))
+    }
+
+    #[test]
+    fn median_ratio_pairs_legs_within_each_rep() {
+        // Rep 2 ran under load on both legs; the minima would pair rep 0's
+        // plain leg with rep 2's other leg.
+        let reps = [[100, 120], [90, 99], [300, 330], [95, 190]];
+        assert_eq!(best(&reps), [90, 99]);
+        assert!((median_ratio(&reps, 1) - 1.15).abs() < 1e-9);
+        assert!((median_ratio(&reps[..3], 1) - 1.1).abs() < 1e-9);
+        assert!((median_ratio(&reps, 0) - 1.0).abs() < 1e-9);
     }
 
     #[test]

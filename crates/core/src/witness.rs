@@ -8,7 +8,7 @@
 //! only the witness's events through a fresh monitor of the same property
 //! reproduces the identical violation (see [`replay_witness`]), which is
 //! the soundness contract the differential tests enforce across the
-//! fused, compiled and interp backends.
+//! fused and interp backends.
 //!
 //! Recording is observation, not instrumentation: live explain mode
 //! records only the `(time, event)` pair of each contributing step — a
@@ -19,7 +19,7 @@
 //! explain-off monitors are bit-identical to pre-explain behaviour and
 //! explain-on monitors differ only in the recorder side channel.
 
-use crate::verdict::{Monitor, Verdict};
+use crate::verdict::{Monitor, Verdict, Violation, ViolationKind};
 use lomon_trace::{Name, SimTime, TimedEvent};
 
 /// One contributing step in a witness: an in-alphabet event that was
@@ -290,17 +290,19 @@ where
 
 /// Replay a witness through a fresh monitor of the same property.
 ///
-/// Feeds the witness's events in order, then (if the monitor has not
-/// already reached a final verdict) advances time to `at` and finishes
-/// there — the same closing sequence a session applies at end of
-/// observation. When the witness is complete (`dropped == 0`), the
-/// returned verdict and the monitor's violation are identical to the
-/// originals: out-of-alphabet events only ever matter through the
-/// passage of time, which the closing sequence reproduces.
+/// Feeds the witness's events in order; for a deadline miss, advances
+/// time to the violation's time, since such a miss can be found at an event
+/// outside the alphabet, which no witness step holds; then finishes at
+/// `end` if no verdict is final by then — the closing sequence of a
+/// session. When the witness is complete (`dropped == 0`), the returned
+/// verdict and the monitor's violation are identical to the originals:
+/// out-of-alphabet events only ever matter through the passage of time,
+/// which the violation's time and `end` reproduce.
 pub fn replay_witness<M: Monitor + ?Sized>(
     monitor: &mut M,
     witness: &Witness,
-    at: SimTime,
+    violation: &Violation,
+    end: SimTime,
 ) -> Verdict {
     for event in witness.events() {
         if monitor.verdict().is_final() {
@@ -308,13 +310,14 @@ pub fn replay_witness<M: Monitor + ?Sized>(
         }
         monitor.observe(event);
     }
-    if !monitor.verdict().is_final() {
-        monitor.advance_time(at);
+    if !monitor.verdict().is_final() && violation.kind == ViolationKind::DeadlineMiss {
+        monitor.advance_time(violation.time);
     }
-    if !monitor.verdict().is_final() {
-        return monitor.finish(at);
+    if monitor.verdict().is_final() {
+        monitor.verdict()
+    } else {
+        monitor.finish(end)
     }
-    monitor.verdict()
 }
 
 #[cfg(test)]

@@ -1,135 +1,53 @@
 //! Property-based equivalence: the direct (Drct) monitors against the
-//! independent NFA reference semantics, on randomly generated patterns and
-//! traces.
+//! independent NFA reference semantics, on seeded cases from
+//! `lomon_gen::cases`.
 //!
 //! This reproduces the paper's validation methodology ("programmed in
 //! Lustre; … check their correctness with respect to the intuitive
 //! semantics … using automatic testing tools") with proptest as the
 //! automatic testing tool and `lomon_core::semantics` as the intuitive
-//! semantics.
+//! semantics. The oracle runs where its automaton fits; every case also
+//! pits the interpreter against the fused program.
 
 use proptest::prelude::*;
 
-use lomon_core::ast::{
-    Antecedent, Fragment, FragmentOp, LooseOrdering, Property, Range, TimedImplication,
-};
+use lomon_core::ast::Property;
 use lomon_core::monitor::build_monitor;
 use lomon_core::semantics::PatternOracle;
 use lomon_core::verdict::{Monitor, Verdict};
-use lomon_core::wf;
-use lomon_trace::{Name, SimTime, Trace, Vocabulary};
+use lomon_gen::Case;
+use lomon_trace::{Name, SimTime, Trace};
 
-/// A compact, vocabulary-independent description of a random pattern.
-#[derive(Debug, Clone)]
-struct PatternSpec {
-    /// Per fragment: the connective and the ranges as (name idx, u, extra).
-    fragments: Vec<(bool, Vec<(u32, u32)>)>,
-    repeated: bool,
-}
-
-fn fragment_strategy(max_ranges: usize) -> impl Strategy<Value = (bool, Vec<(u32, u32)>)> {
-    (
-        any::<bool>(),
-        prop::collection::vec((1u32..=3, 0u32..=2), 1..=max_ranges),
-    )
-}
-
-fn pattern_strategy() -> impl Strategy<Value = PatternSpec> {
-    (
-        prop::collection::vec(fragment_strategy(3), 1..=3),
-        any::<bool>(),
-    )
-        .prop_map(|(fragments, repeated)| PatternSpec {
-            fragments,
-            repeated,
-        })
-}
-
-/// Materialize a spec: names are distributed across fragments so the
-/// disjointness side conditions hold by construction.
-fn build_ordering(
-    spec: &[(bool, Vec<(u32, u32)>)],
-    voc: &mut Vocabulary,
-    prefix: &str,
-) -> LooseOrdering {
-    let mut counter = 0;
-    let fragments = spec
-        .iter()
-        .map(|(any_op, ranges)| {
-            let op = if *any_op {
-                FragmentOp::Any
-            } else {
-                FragmentOp::All
-            };
-            let ranges = ranges
-                .iter()
-                .map(|&(u, extra)| {
-                    let name = voc.input(&format!("{prefix}{counter}"));
-                    counter += 1;
-                    Range::new(name, u, u + extra)
-                })
-                .collect();
-            Fragment::new(op, ranges)
-        })
-        .collect();
-    LooseOrdering::new(fragments)
-}
-
-fn build_antecedent(spec: &PatternSpec, voc: &mut Vocabulary) -> Property {
-    let ordering = build_ordering(&spec.fragments, voc, "n");
-    let trigger = voc.input("trigger");
-    Antecedent::new(ordering, trigger, spec.repeated).into()
-}
-
-fn build_timed(spec: &PatternSpec, other: &PatternSpec, voc: &mut Vocabulary) -> Property {
-    let premise = build_ordering(&spec.fragments, voc, "p");
-    let mut counter = 0;
-    let response = LooseOrdering::new(
-        other
-            .fragments
-            .iter()
-            .map(|(any_op, ranges)| {
-                let op = if *any_op {
-                    FragmentOp::Any
-                } else {
-                    FragmentOp::All
-                };
-                let ranges = ranges
-                    .iter()
-                    .map(|&(u, extra)| {
-                        let name = voc.output(&format!("q{counter}"));
-                        counter += 1;
-                        Range::new(name, u, u + extra)
-                    })
-                    .collect();
-                Fragment::new(op, ranges)
-            })
-            .collect(),
-    );
-    // A huge budget so that timing never interferes with the untimed
-    // equivalence (timing behaviour has its own dedicated tests).
-    TimedImplication::new(premise, response, SimTime::from_sec(1)).into()
-}
-
-/// All names of the vocabulary, for uniform random traces (they include the
-/// pattern's alphabet plus a couple of noise names).
-fn trace_from_indices(indices: &[usize], universe: &[Name]) -> Trace {
-    Trace::from_pairs(indices.iter().enumerate().map(|(k, &ix)| {
-        (
-            SimTime::from_ns(k as u64 + 1),
-            universe[ix % universe.len()],
-        )
-    }))
+/// Every property of the case against the oracle where it fits and no
+/// deadline can fall inside the trace, then the backends against each
+/// other.
+fn check(case: &Case) -> Result<(), TestCaseError> {
+    let trace = case.trace();
+    for property in &case.properties {
+        let timeless = match property {
+            Property::Antecedent(_) => true,
+            Property::Timed(t) => trace.end_time() < t.bound,
+        };
+        if timeless && case.fits_oracle(property) {
+            check_agreement(property, case, &trace);
+        }
+    }
+    case.cross_check(16).map_err(TestCaseError::fail)
 }
 
 /// Check monitor-vs-oracle agreement on every prefix of `trace`.
-fn check_agreement(property: &Property, voc: &Vocabulary, trace: &Trace) {
+fn check_agreement(property: &Property, case: &Case, trace: &Trace) {
     let oracle = PatternOracle::new(property);
-    let mut monitor = build_monitor(property.clone(), voc).expect("well-formed by construction");
+    let mut monitor = build_monitor(property.clone(), &case.voc).expect("well-formed");
     let alphabet = property.alpha();
 
     // Oracle verdict: position of first rejection in the projected word.
-    let oracle_rejection = oracle.check(trace).err();
+    // A rejected prefix stays rejected, so one run decides whether there is
+    // one, and a binary search over prefix lengths finds it.
+    let word: Vec<Name> = trace.names().filter(|n| alphabet.contains(*n)).collect();
+    let alive = |k: &usize| oracle.nfa().accepts_prefix(&word[..*k]);
+    let lengths: Vec<usize> = (0..=word.len()).collect();
+    let oracle_rejection = (!alive(&word.len())).then(|| lengths.partition_point(alive) - 1);
 
     let mut projected_pos = 0usize;
     let mut monitor_rejection: Option<usize> = None;
@@ -149,14 +67,8 @@ fn check_agreement(property: &Property, voc: &Vocabulary, trace: &Trace) {
     }
 
     assert_eq!(
-        monitor_rejection,
-        oracle_rejection,
-        "monitor and oracle disagree\n  property: {}\n  trace: {:?}",
-        property.display(voc),
-        trace
-            .names()
-            .map(|n| voc.resolve(n).to_owned())
-            .collect::<Vec<_>>(),
+        monitor_rejection, oracle_rejection,
+        "monitor and oracle disagree\n{case}"
     );
 
     // For one-shot antecedents, `Satisfied` must coincide with full
@@ -165,12 +77,7 @@ fn check_agreement(property: &Property, voc: &Vocabulary, trace: &Trace) {
         if !a.repeated && monitor_rejection.is_none() {
             let accepted = oracle.accepts_full(trace);
             let satisfied = monitor.verdict() == Verdict::Satisfied;
-            assert_eq!(
-                satisfied,
-                accepted,
-                "Satisfied ≠ full membership for {}",
-                property.display(voc)
-            );
+            assert_eq!(satisfied, accepted, "Satisfied ≠ full membership\n{case}");
         }
     }
 }
@@ -179,66 +86,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn antecedent_monitor_matches_oracle(
-        spec in pattern_strategy(),
-        indices in prop::collection::vec(0usize..16, 0..24),
-    ) {
-        let mut voc = Vocabulary::new();
-        let property = build_antecedent(&spec, &mut voc);
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        // Universe = pattern alphabet + trigger + 2 noise names.
-        voc.input("noise_a");
-        voc.input("noise_b");
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = trace_from_indices(&indices, &universe);
-        check_agreement(&property, &voc, &trace);
+    fn antecedent_monitor_matches_oracle(seed in any::<u64>()) {
+        check(&Case::antecedent(seed))?;
     }
 
+    /// A huge budget so that timing never interferes with the untimed
+    /// equivalence (timing behaviour has its own dedicated tests).
     #[test]
-    fn timed_monitor_matches_untimed_oracle(
-        premise in pattern_strategy(),
-        response in pattern_strategy(),
-        indices in prop::collection::vec(0usize..16, 0..24),
-    ) {
-        let mut voc = Vocabulary::new();
-        let property = build_timed(&premise, &response, &mut voc);
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        voc.input("noise_a");
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = trace_from_indices(&indices, &universe);
-        check_agreement(&property, &voc, &trace);
+    fn timed_monitor_matches_untimed_oracle(seed in any::<u64>()) {
+        check(&Case::timed(seed, SimTime::from_sec(1)))?;
     }
 
-    /// Oracle-guided walks: follow the monitor's own expected set with high
-    /// probability, so deep (mostly valid) sequences are exercised, not just
-    /// quickly-rejected noise.
+    /// Every property of a rulebook, on a trace that mixes in the events
+    /// of the others.
     #[test]
-    fn guided_walks_agree(
-        spec in pattern_strategy(),
-        choices in prop::collection::vec((0usize..8, 0u8..10), 1..40),
-    ) {
-        let mut voc = Vocabulary::new();
-        let property = build_antecedent(&spec, &mut voc);
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        let universe: Vec<Name> = voc.iter().collect();
-
-        // Build the trace by consulting a scout monitor's expected set.
-        let mut scout = build_monitor(property.clone(), &voc).expect("well-formed");
-        let mut names = Vec::new();
-        for &(pick, misbehave) in &choices {
-            let expected: Vec<Name> = scout.expected().iter().collect();
-            let name = if misbehave == 0 || expected.is_empty() {
-                universe[pick % universe.len()]
-            } else {
-                expected[pick % expected.len()]
-            };
-            names.push(name);
-            scout.observe(lomon_trace::TimedEvent::new(
-                name,
-                SimTime::from_ns(names.len() as u64),
-            ));
-        }
-        let trace = Trace::from_names(names);
-        check_agreement(&property, &voc, &trace);
+    fn rulebook_monitors_match_oracle(seed in any::<u64>()) {
+        check(&Case::rulebook(seed, false))?;
     }
 }

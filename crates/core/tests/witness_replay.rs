@@ -1,272 +1,58 @@
-//! Witness soundness, differentially: on random properties × random
-//! traces, explain mode must (a) record the *same* witness chain in all
-//! three execution backends — interp, compiled, and the fused group
-//! monitor — (b) never perturb observation (verdict, ops and violation of
-//! an explain-on monitor are identical to an explain-off one), and
-//! (c) satisfy the replay contract: when the flight recorder did not
-//! overflow, replaying only the witness's events through a fresh monitor
-//! of the same property reproduces the identical violation
-//! (kind, time, expected set) in every backend.
+//! Witness soundness, differentially: on seeded cases from
+//! `lomon_gen::cases`, explain mode must record the *same* witness chain in
+//! the interpreter and in the fused group monitor, with identical
+//! verdicts, ops and violations, and must satisfy the replay contract:
+//! when the flight recorder did not overflow, replaying only the witness's
+//! events through a fresh monitor of the same property reproduces the
+//! identical violation (kind, time, expected set) in both backends
+//! ([`Case::cross_check`]).
 
 use proptest::prelude::*;
 
-use lomon_core::ast::{
-    Antecedent, Fragment, FragmentOp, LooseOrdering, Property, Range, TimedImplication,
-};
 use lomon_core::compiled::{compile_monitor, CompiledMonitor};
-use lomon_core::fused::FusedProgram;
-use lomon_core::monitor::build_monitor;
-use lomon_core::verdict::{Monitor, Verdict, Violation};
-use lomon_core::wf;
-use lomon_core::witness::{replay_witness, Witness};
-use lomon_trace::{Name, SimTime, Trace, Vocabulary};
+use lomon_core::parse::parse_property;
+use lomon_core::verdict::{run_to_end, Monitor, Verdict, ViolationKind};
+use lomon_core::witness::replay_witness;
+use lomon_gen::{Case, Run};
+use lomon_trace::{SimTime, Vocabulary};
 
-/// A compact, vocabulary-independent description of a random pattern
-/// (same shape as the oracle-equivalence suite's).
-#[derive(Debug, Clone)]
-struct PatternSpec {
-    fragments: Vec<(bool, Vec<(u32, u32)>)>,
-    repeated: bool,
-}
-
-fn fragment_strategy(max_ranges: usize) -> impl Strategy<Value = (bool, Vec<(u32, u32)>)> {
-    (
-        any::<bool>(),
-        prop::collection::vec((1u32..=3, 0u32..=2), 1..=max_ranges),
-    )
-}
-
-fn pattern_strategy() -> impl Strategy<Value = PatternSpec> {
-    (
-        prop::collection::vec(fragment_strategy(3), 1..=3),
-        any::<bool>(),
-    )
-        .prop_map(|(fragments, repeated)| PatternSpec {
-            fragments,
-            repeated,
-        })
-}
-
-fn build_ordering(
-    spec: &[(bool, Vec<(u32, u32)>)],
-    voc: &mut Vocabulary,
-    prefix: &str,
-) -> LooseOrdering {
-    let mut counter = 0;
-    let fragments = spec
+/// A case of `text` over single-event runs of `names`, 1 ns apart, ending
+/// `idle_ns` after the last.
+fn pinned(text: &str, names: &[&str], idle_ns: u64) -> Case {
+    let mut voc = Vocabulary::new();
+    let property = parse_property(text, &mut voc).expect("parses");
+    let runs = names
         .iter()
-        .map(|(any_op, ranges)| {
-            let op = if *any_op {
-                FragmentOp::Any
-            } else {
-                FragmentOp::All
-            };
-            let ranges = ranges
-                .iter()
-                .map(|&(u, extra)| {
-                    let name = voc.input(&format!("{prefix}{counter}"));
-                    counter += 1;
-                    Range::new(name, u, u + extra)
-                })
-                .collect();
-            Fragment::new(op, ranges)
+        .map(|n| Run {
+            name: voc.input(n),
+            count: 1,
+            gap: SimTime::from_ns(1),
         })
         .collect();
-    LooseOrdering::new(fragments)
-}
-
-fn build_antecedent(spec: &PatternSpec, voc: &mut Vocabulary) -> Property {
-    let ordering = build_ordering(&spec.fragments, voc, "n");
-    let trigger = voc.input("trigger");
-    Antecedent::new(ordering, trigger, spec.repeated).into()
-}
-
-fn build_timed(spec: &PatternSpec, other: &PatternSpec, voc: &mut Vocabulary) -> Property {
-    let premise = build_ordering(&spec.fragments, voc, "p");
-    let mut counter = 0;
-    let response = LooseOrdering::new(
-        other
-            .fragments
-            .iter()
-            .map(|(any_op, ranges)| {
-                let op = if *any_op {
-                    FragmentOp::Any
-                } else {
-                    FragmentOp::All
-                };
-                let ranges = ranges
-                    .iter()
-                    .map(|&(u, extra)| {
-                        let name = voc.output(&format!("q{counter}"));
-                        counter += 1;
-                        Range::new(name, u, u + extra)
-                    })
-                    .collect();
-                Fragment::new(op, ranges)
-            })
-            .collect(),
-    );
-    // A tight budget so deadline-class violations (misses, end-of-trace
-    // expiries, stalls) are actually exercised, not just ordering errors.
-    TimedImplication::new(premise, response, SimTime::from_ns(8)).into()
-}
-
-fn trace_from_indices(indices: &[usize], universe: &[Name]) -> Trace {
-    Trace::from_pairs(indices.iter().enumerate().map(|(k, &ix)| {
-        (
-            SimTime::from_ns(k as u64 + 1),
-            universe[ix % universe.len()],
-        )
-    }))
-}
-
-/// Feed the whole trace, then finish at `end` — the same closing sequence
-/// a session applies. Returns the final verdict.
-fn run(monitor: &mut dyn Monitor, trace: &Trace, end: SimTime) -> Verdict {
-    for &event in trace.iter() {
-        if monitor.verdict().is_final() {
-            break;
-        }
-        monitor.observe(event);
-    }
-    if monitor.verdict().is_final() {
-        monitor.verdict()
-    } else {
-        monitor.finish(end)
+    Case {
+        voc,
+        properties: vec![property],
+        runs,
+        idle: SimTime::from_ns(idle_ns),
     }
 }
 
-/// The fused group monitor for a single-property rulebook (with a
-/// duplicate member, so the lowering actually deduplicates).
-fn fused_monitor(property: &Property) -> CompiledMonitor {
-    let fused = FusedProgram::lower(&[property.clone(), property.clone()]);
-    assert_eq!(fused.group_count(), 1, "identical members share one group");
-    fused.instantiate().remove(0)
-}
-
-/// The violation triple the replay contract promises to reproduce.
-fn violation_key(v: &Violation) -> (String, SimTime, Vec<Name>) {
-    (format!("{:?}", v.kind), v.time, v.expected.iter().collect())
-}
-
-/// Replay `witness` through a fresh monitor and check it reproduces the
-/// original violation exactly.
-fn check_replay(
-    mut fresh: Box<dyn Monitor>,
-    witness: &Witness,
-    end: SimTime,
-    original: &Violation,
-    context: &str,
-) {
-    let verdict = replay_witness(fresh.as_mut(), witness, end);
-    assert_eq!(verdict, Verdict::Violated, "replay verdict ({context})");
-    let replayed = fresh
-        .violation()
-        .expect("replayed violation present")
-        .clone();
-    assert_eq!(
-        violation_key(&replayed),
-        violation_key(original),
-        "replayed violation differs ({context})",
-    );
-}
-
-/// The full differential check for one (property, trace, capacity) case.
-fn check_case(property: &Property, voc: &Vocabulary, trace: &Trace, capacity: usize) {
-    let end = SimTime::from_ns(trace.len() as u64 + 4);
-
-    // Explain-off compiled monitor: the observation baseline.
-    let mut baseline = compile_monitor(property.clone(), voc).expect("well-formed");
-    let baseline_verdict = run(&mut baseline, trace, end);
-
-    // Explain-on, all three backends.
-    let mut interp = build_monitor(property.clone(), voc).expect("well-formed");
-    let mut compiled = compile_monitor(property.clone(), voc).expect("well-formed");
-    let mut fused = fused_monitor(property);
-    interp.set_explain(capacity);
+/// The explain-on compiled monitor on the case, and its verdict.
+fn explained(case: &Case, capacity: usize) -> (CompiledMonitor, Verdict) {
+    let mut compiled = compile_monitor(case.properties[0].clone(), &case.voc).expect("well-formed");
     compiled.set_explain(capacity);
-    fused.set_explain(capacity);
-
-    let iv = run(&mut interp, trace, end);
-    let cv = run(&mut compiled, trace, end);
-    let fv = run(&mut fused, trace, end);
-
-    // (b) capture observes, never perturbs.
-    assert_eq!(cv, baseline_verdict, "explain mode changed the verdict");
-    assert_eq!(
-        compiled.ops(),
-        baseline.ops(),
-        "explain mode changed the ops accounting"
-    );
-    assert_eq!(
-        format!("{:?}", compiled.violation()),
-        format!("{:?}", baseline.violation()),
-        "explain mode changed the violation"
-    );
-
-    // (a) backend witness identity (raw chains and reconstructed
-    // attribution both, since `witness()` returns the attributed form).
-    assert_eq!(iv, cv, "interp vs compiled verdict");
-    assert_eq!(cv, fv, "compiled vs fused verdict");
-    let wi = interp.witness().expect("interp explain armed");
-    let wc = compiled.witness().expect("compiled explain armed");
-    let wf_ = fused.witness().expect("fused explain armed");
-    assert_eq!(wi, wc, "interp vs compiled witness");
-    assert_eq!(wc, wf_, "compiled vs fused witness");
-
-    // (c) replay soundness, on complete chains.
-    if cv == Verdict::Violated && wc.dropped == 0 {
-        let original = compiled.violation().expect("violated").clone();
-        check_replay(
-            Box::new(build_monitor(property.clone(), voc).expect("well-formed")),
-            &wc,
-            end,
-            &original,
-            "interp",
-        );
-        check_replay(
-            Box::new(compile_monitor(property.clone(), voc).expect("well-formed")),
-            &wc,
-            end,
-            &original,
-            "compiled",
-        );
-        check_replay(
-            Box::new(fused_monitor(property)),
-            &wc,
-            end,
-            &original,
-            "fused",
-        );
-    }
+    let verdict = run_to_end(&mut compiled, &case.trace());
+    (compiled, verdict)
 }
 
 /// Deterministic pin: a known ordering violation replays exactly, in
 /// every backend, with a complete chain.
 #[test]
 fn known_violation_replays_exactly() {
-    let mut voc = Vocabulary::new();
-    let property = {
-        let a = voc.input("a");
-        let b = voc.input("b");
-        let start = voc.input("start");
-        let ordering = LooseOrdering::new(vec![Fragment::new(
-            FragmentOp::All,
-            vec![Range::new(a, 1, 1), Range::new(b, 1, 1)],
-        )]);
-        Property::from(Antecedent::new(ordering, start, false))
-    };
-    let names: Vec<Name> = ["a", "start"]
-        .iter()
-        .map(|n| voc.lookup(n).expect("interned"))
-        .collect();
-    let trace = Trace::from_names(names);
-    check_case(&property, &voc, &trace, 16);
-
-    let mut compiled = compile_monitor(property, &voc).expect("well-formed");
-    compiled.set_explain(16);
-    let end = SimTime::from_ns(trace.len() as u64 + 4);
-    assert_eq!(run(&mut compiled, &trace, end), Verdict::Violated);
+    let case = pinned("all{a, b} << start once", &["a", "start"], 4);
+    case.cross_check(16).unwrap();
+    let (compiled, verdict) = explained(&case, 16);
+    assert_eq!(verdict, Verdict::Violated);
     let witness = compiled.witness().expect("armed");
     assert_eq!(witness.dropped, 0);
     assert_eq!(witness.steps.len(), 2, "both contributing events recorded");
@@ -276,96 +62,65 @@ fn known_violation_replays_exactly() {
 /// the evictions, and the truncated chains still agree across backends.
 #[test]
 fn overflowed_chains_agree_across_backends() {
-    let mut voc = Vocabulary::new();
-    let property = {
-        let a = voc.input("a");
-        let start = voc.input("start");
-        let ordering = LooseOrdering::new(vec![Fragment::new(
-            FragmentOp::All,
-            vec![Range::new(a, 1, 3)],
-        )]);
-        Property::from(Antecedent::new(ordering, start, true))
-    };
-    let a = voc.lookup("a").expect("interned");
-    let start = voc.lookup("start").expect("interned");
     // Six `a, start` episodes: 12 contributing events through a 4-slot
     // ring, so 8 evictions and no final verdict.
-    let trace = Trace::from_names([a, start].repeat(6));
-    check_case(&property, &voc, &trace, 4);
-
-    let mut compiled = compile_monitor(property, &voc).expect("well-formed");
-    compiled.set_explain(4);
-    run(&mut compiled, &trace, SimTime::from_ns(20));
-    let witness = compiled.witness().expect("armed");
+    let case = pinned("a[1,3] << start repeated", &["a", "start"].repeat(6), 8);
+    case.cross_check(4).unwrap();
+    let witness = explained(&case, 4).0.witness().expect("armed");
     assert_eq!(witness.dropped, 8);
     assert_eq!(witness.steps.len(), 4);
+}
+
+/// Deterministic pins of the replay contract for deadlines: a miss found
+/// at an event outside the alphabet (which no witness step holds) replays
+/// at that event's time, and a deadline that expires at the end of the
+/// trace replays as expired at the end, not as a miss.
+#[test]
+fn deadline_violations_replay_with_their_kind_and_time() {
+    for (names, idle_ns, kind, at_ns) in [
+        (&["go", "noise"][..], 4, ViolationKind::DeadlineMiss, 2),
+        (&["go"][..], 20, ViolationKind::DeadlineExpiredAtEnd, 21),
+    ] {
+        let case = pinned("go => out:done within 0ns", names, idle_ns);
+        case.cross_check(8).unwrap();
+        let (monitor, verdict) = explained(&case, 8);
+        assert_eq!(verdict, Verdict::Violated);
+        let violation = monitor.violation().expect("violated");
+        assert_eq!(
+            (violation.kind, violation.time),
+            (kind, SimTime::from_ns(at_ns))
+        );
+        let mut fresh = compile_monitor(case.properties[0].clone(), &case.voc).expect("wf");
+        let witness = monitor.witness().expect("armed");
+        replay_witness(&mut fresh, &witness, violation, case.trace().end_time());
+        let replayed = fresh.violation().expect("replayed");
+        assert_eq!(
+            (replayed.kind, replayed.time),
+            (kind, SimTime::from_ns(at_ns))
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn antecedent_witnesses_agree_and_replay(
-        spec in pattern_strategy(),
-        indices in prop::collection::vec(0usize..16, 0..24),
-        capacity in 1usize..=40,
-    ) {
-        let mut voc = Vocabulary::new();
-        let property = build_antecedent(&spec, &mut voc);
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        voc.input("noise_a");
-        voc.input("noise_b");
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = trace_from_indices(&indices, &universe);
-        check_case(&property, &voc, &trace, capacity);
+    fn antecedent_witnesses_agree_and_replay(seed in any::<u64>(), capacity in 1usize..=40) {
+        Case::antecedent(seed).cross_check(capacity).map_err(TestCaseError::fail)?;
     }
 
+    /// A tight budget so deadline-class violations (misses, end-of-trace
+    /// expiries, stalls) are actually exercised, not just ordering errors.
     #[test]
-    fn timed_witnesses_agree_and_replay(
-        premise in pattern_strategy(),
-        response in pattern_strategy(),
-        indices in prop::collection::vec(0usize..16, 0..24),
-        capacity in 1usize..=40,
-    ) {
-        let mut voc = Vocabulary::new();
-        let property = build_timed(&premise, &response, &mut voc);
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        voc.input("noise_a");
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = trace_from_indices(&indices, &universe);
-        check_case(&property, &voc, &trace, capacity);
+    fn timed_witnesses_agree_and_replay(seed in any::<u64>(), capacity in 1usize..=40) {
+        let case = Case::timed(seed, SimTime::from_ns(8));
+        case.cross_check(capacity).map_err(TestCaseError::fail)?;
     }
 
-    /// Guided walks reach deep, mostly-valid prefixes before violating, so
-    /// long witness chains (and ring overflow with small capacities) are
-    /// exercised, not just quickly-rejected noise.
+    /// Overlapping rulebooks, with small capacities so that
+    /// ring overflow is exercised too.
     #[test]
-    fn guided_walk_witnesses_agree(
-        spec in pattern_strategy(),
-        choices in prop::collection::vec((0usize..8, 0u8..10), 1..40),
-        capacity in 1usize..=12,
-    ) {
-        let mut voc = Vocabulary::new();
-        let property = build_antecedent(&spec, &mut voc);
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        let universe: Vec<Name> = voc.iter().collect();
-
-        let mut scout = build_monitor(property.clone(), &voc).expect("well-formed");
-        let mut names = Vec::new();
-        for &(pick, misbehave) in &choices {
-            let expected: Vec<Name> = scout.expected().iter().collect();
-            let name = if misbehave == 0 || expected.is_empty() {
-                universe[pick % universe.len()]
-            } else {
-                expected[pick % expected.len()]
-            };
-            names.push(name);
-            scout.observe(lomon_trace::TimedEvent::new(
-                name,
-                SimTime::from_ns(names.len() as u64),
-            ));
-        }
-        let trace = Trace::from_names(names);
-        check_case(&property, &voc, &trace, capacity);
+    fn rulebook_witnesses_agree_and_replay(seed in any::<u64>(), capacity in 1usize..=12) {
+        Case::rulebook(seed, true).cross_check(capacity).map_err(TestCaseError::fail)?;
     }
 }

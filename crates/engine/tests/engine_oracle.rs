@@ -1,5 +1,5 @@
-//! Oracle equivalence for the streaming engine: for random small property
-//! sets and random traces, the engine's per-property verdicts (and
+//! Oracle equivalence for the streaming engine: for seeded rulebooks and
+//! traces from `lomon_gen::cases`, the engine's per-property verdicts (and
 //! violation kinds) must equal what each property's own monitor computes
 //! with [`run_to_end`] over the materialized trace, and indexed dispatch
 //! must never account for more work than a naive broadcast. The fused
@@ -13,167 +13,119 @@
 
 use proptest::prelude::*;
 
-use lomon_core::ast::{
-    Antecedent, Fragment, FragmentOp, LooseOrdering, Property, Range, TimedImplication,
-};
 use lomon_core::monitor::build_monitor;
 use lomon_core::verdict::{run_to_end, Monitor};
-use lomon_core::wf;
 use lomon_engine::{Backend, DispatchMode, Engine};
-use lomon_trace::{Name, SimTime, Trace, Vocabulary};
+use lomon_gen::Case;
+use lomon_trace::Trace;
 
-const INPUT_POOL: usize = 10;
-const OUTPUT_POOL: usize = 6;
-
-/// One random fragment: connective + ranges as `(min, extra)` pairs; names
-/// are assigned later from a shared pool.
-type FragmentSpec = (bool, Vec<(u32, u32)>);
-
-/// One random property over the shared name pools.
-#[derive(Debug, Clone)]
-enum PropertySpec {
-    Antecedent {
-        offset: usize,
-        fragments: Vec<FragmentSpec>,
-        repeated: bool,
-    },
-    Timed {
-        offset: usize,
-        premise: Vec<FragmentSpec>,
-        response_offset: usize,
-        response: Vec<FragmentSpec>,
-        bound_ns: u64,
-    },
+fn engine(case: &Case) -> Engine {
+    Engine::from_properties(case.properties.clone(), &case.voc)
+        .expect("well-formed by construction")
 }
 
-fn fragment_strategy() -> impl Strategy<Value = FragmentSpec> {
-    (
-        any::<bool>(),
-        prop::collection::vec((1u32..=2, 0u32..=1), 1..=2),
-    )
-}
-
-fn property_strategy() -> impl Strategy<Value = PropertySpec> {
-    (
-        (
-            any::<bool>(),
-            0usize..INPUT_POOL,
-            prop::collection::vec(fragment_strategy(), 1..=2),
-        ),
-        (
-            any::<bool>(),
-            0usize..OUTPUT_POOL,
-            prop::collection::vec(fragment_strategy(), 1..=2),
-            0usize..3,
-        ),
-    )
-        .prop_map(
-            |((timed, offset, fragments), (repeated, response_offset, response, bound_pick))| {
-                if timed {
-                    PropertySpec::Timed {
-                        offset,
-                        premise: fragments,
-                        response_offset,
-                        response,
-                        // Small, medium and large budgets: misses, races and
-                        // comfortable episodes are all exercised.
-                        bound_ns: [30, 150, 1_000][bound_pick],
-                    }
-                } else {
-                    PropertySpec::Antecedent {
-                        offset,
-                        fragments,
-                        repeated,
-                    }
-                }
-            },
-        )
-}
-
-/// Materialize fragments with consecutive (hence distinct) pool names.
-fn build_fragments(
-    specs: &[FragmentSpec],
-    pool: &[Name],
-    offset: usize,
-    counter: &mut usize,
-) -> Vec<Fragment> {
-    specs
-        .iter()
-        .map(|(any_op, ranges)| {
-            let op = if *any_op {
-                FragmentOp::Any
-            } else {
-                FragmentOp::All
-            };
-            let ranges = ranges
-                .iter()
-                .map(|&(min, extra)| {
-                    let name = pool[(offset + *counter) % pool.len()];
-                    *counter += 1;
-                    Range::new(name, min, min + extra)
-                })
-                .collect();
-            Fragment::new(op, ranges)
-        })
-        .collect()
-}
-
-fn build_property(spec: &PropertySpec, inputs: &[Name], outputs: &[Name]) -> Property {
-    match spec {
-        PropertySpec::Antecedent {
-            offset,
-            fragments,
-            repeated,
-        } => {
-            let mut counter = 0;
-            let ordering =
-                LooseOrdering::new(build_fragments(fragments, inputs, *offset, &mut counter));
-            let trigger = inputs[(offset + counter) % inputs.len()];
-            Antecedent::new(ordering, trigger, *repeated).into()
+/// Show the cases under a failure's message.
+fn shown(cases: &[&Case], result: Result<(), TestCaseError>) -> Result<(), TestCaseError> {
+    result.map_err(|error| match error {
+        TestCaseError::Fail(why) => {
+            let cases: Vec<String> = cases.iter().map(ToString::to_string).collect();
+            TestCaseError::fail(format!("{why}\n{}", cases.join("\n")))
         }
-        PropertySpec::Timed {
-            offset,
-            premise,
-            response_offset,
-            response,
-            bound_ns,
-        } => {
-            let mut counter = 0;
-            let premise =
-                LooseOrdering::new(build_fragments(premise, inputs, *offset, &mut counter));
-            let mut counter = 0;
-            let response = LooseOrdering::new(build_fragments(
-                response,
-                outputs,
-                *response_offset,
-                &mut counter,
-            ));
-            TimedImplication::new(premise, response, SimTime::from_ns(*bound_ns)).into()
-        }
-    }
+        reject => reject,
+    })
 }
 
-fn pools(voc: &mut Vocabulary) -> (Vec<Name>, Vec<Name>) {
-    let inputs: Vec<Name> = (0..INPUT_POOL)
-        .map(|k| voc.input(&format!("n{k}")))
-        .collect();
-    let outputs: Vec<Name> = (0..OUTPUT_POOL)
-        .map(|k| voc.output(&format!("o{k}")))
-        .collect();
-    (inputs, outputs)
+/// Engine == per-property `run_to_end`, and indexed dispatch never works
+/// harder than broadcast.
+fn engine_matches_run_to_end(case: &Case) -> Result<(), TestCaseError> {
+    let trace = case.trace();
+    // Oracle: each property's own monitor over the whole trace.
+    let mut expected = Vec::new();
+    for property in &case.properties {
+        let mut monitor = build_monitor(property.clone(), &case.voc).expect("well-formed");
+        let verdict = run_to_end(&mut monitor, &trace);
+        expected.push((verdict, monitor.violation().map(|v| v.kind)));
+    }
+
+    // Engine, fed incrementally.
+    let engine = engine(case);
+    let mut session = engine.session();
+    for &event in trace.iter() {
+        session.ingest(event);
+    }
+    let report = session.finish(trace.end_time());
+
+    for (p, (verdict, kind)) in report.properties.iter().zip(&expected) {
+        prop_assert_eq!(p.verdict, *verdict);
+        prop_assert_eq!(p.violation.as_ref().map(|v| v.kind), *kind);
+    }
+    // Every property served or skipped is one a broadcast would have
+    // stepped.
+    let stats = report.stats;
+    prop_assert!(
+        stats.monitor_steps + stats.shared_hits + stats.steps_skipped <= stats.broadcast_steps()
+    );
+    Ok(())
 }
 
-/// Build the trace: picks index into the full universe, gaps accumulate.
-fn build_trace(steps: &[(usize, u64)], universe: &[Name]) -> Trace {
-    let mut trace = Trace::new();
-    let mut now = SimTime::ZERO;
-    for &(pick, gap_ns) in steps {
-        now = now
-            .checked_add(SimTime::from_ns(gap_ns))
-            .expect("small times");
-        trace.push(universe[pick % universe.len()], now);
+/// Batched ingestion is equivalent to event-by-event ingestion.
+fn batched_equals_single(case: &Case) -> Result<(), TestCaseError> {
+    let (engine, trace) = (engine(case), case.trace());
+    let mut one = engine.session();
+    for &event in trace.iter() {
+        one.ingest(event);
     }
-    trace
+    let mut batched = engine.session();
+    batched.ingest_batch(trace.events());
+
+    let (a, b) = (
+        one.finish(trace.end_time()),
+        batched.finish(trace.end_time()),
+    );
+    for (x, y) in a.properties.iter().zip(&b.properties) {
+        prop_assert_eq!(x.verdict, y.verdict);
+    }
+    prop_assert_eq!(a.stats, b.stats);
+    Ok(())
+}
+
+/// A reset session of each backend behaves like a fresh one: the fused
+/// and interpreted sessions run `first`, reset and run `second` in
+/// lockstep, and a fresh fused session runs `second` alone. Rewinding the
+/// shared group arena (and the `rearm`/arena-reuse fast paths under it)
+/// must not leak episode state (deadlines, fragment progress,
+/// retirement) between streams, including across the group→members
+/// fan-out.
+fn reset_matches_fresh_and_interp(first: &Case, second: &Case) -> Result<(), TestCaseError> {
+    let engine = engine(first);
+    let (t1, t2) = (first.trace(), second.trace());
+    let mut fused = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
+    let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
+    for session in [&mut fused, &mut interp] {
+        session.ingest_batch(t1.events());
+        session.finish(t1.end_time());
+        session.reset();
+        session.ingest_batch(t2.events());
+        session.finish(t2.end_time());
+    }
+    let mut fresh = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
+    fresh.ingest_batch(t2.events());
+    let fresh_report = fresh.finish(t2.end_time());
+
+    for id in 0..engine.len() {
+        prop_assert_eq!(fused.verdict(id), interp.verdict(id));
+        prop_assert_eq!(fused.verdict(id), fresh.verdict(id));
+        // Ops accumulate across `reset()` (lifetime instrumentation), so
+        // the reused sessions are compared with each other, not with the
+        // fresh one.
+        prop_assert_eq!(fused.ops(id), interp.ops(id));
+        prop_assert_eq!(
+            fused.violation(id).map(|v| v.kind),
+            interp.violation(id).map(|v| v.kind)
+        );
+    }
+    prop_assert_eq!(fused.report().stats, fresh_report.stats);
+    Ok(())
 }
 
 /// Replay `trace` event by event through a fused and an interpreted
@@ -252,291 +204,79 @@ fn assert_fused_matches_interp(engine: &Engine, trace: &Trace) -> Result<(), Tes
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// ≥ 200 random (property-set, trace) cases: engine == per-property
-    /// `run_to_end`.
     #[test]
-    fn engine_matches_per_property_run_to_end(
-        specs in prop::collection::vec(property_strategy(), 1..=4),
-        steps in prop::collection::vec((0usize..16, 0u64..=120), 0..=30),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = specs
-            .iter()
-            .map(|s| build_property(s, &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = build_trace(&steps, &universe);
-
-        // Oracle: each property's own monitor over the whole trace.
-        let mut expected = Vec::new();
-        for property in &properties {
-            let mut monitor =
-                build_monitor(property.clone(), &voc).expect("well-formed by construction");
-            let verdict = run_to_end(&mut monitor, &trace);
-            let kind = monitor.violation().map(|v| v.kind);
-            expected.push((verdict, kind));
-        }
-
-        // Engine, fed incrementally.
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-        let mut session = engine.session();
-        for &event in trace.iter() {
-            session.ingest(event);
-        }
-        let report = session.finish(trace.end_time());
-
-        for (p, (verdict, kind)) in report.properties.iter().zip(&expected) {
-            prop_assert_eq!(p.verdict, *verdict);
-            prop_assert_eq!(p.violation.as_ref().map(|v| v.kind), *kind);
-        }
-        // Indexed dispatch never works harder than broadcast: every
-        // property served or skipped is one a broadcast would have stepped.
-        let stats = report.stats;
-        prop_assert!(
-            stats.monitor_steps + stats.shared_hits + stats.steps_skipped
-                <= stats.broadcast_steps()
-        );
+    fn engine_matches_per_property_run_to_end(seed in any::<u64>()) {
+        let case = Case::rulebook(seed, false);
+        shown(&[&case], engine_matches_run_to_end(&case))?;
     }
 
-    /// Batched ingestion is equivalent to event-by-event ingestion.
     #[test]
-    fn batch_matches_event_by_event(
-        specs in prop::collection::vec(property_strategy(), 1..=3),
-        steps in prop::collection::vec((0usize..16, 0u64..=120), 0..=24),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = specs
-            .iter()
-            .map(|s| build_property(s, &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = build_trace(&steps, &universe);
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-
-        let mut one = engine.session();
-        for &event in trace.iter() {
-            one.ingest(event);
-        }
-        let mut batched = engine.session();
-        batched.ingest_batch(trace.events());
-
-        let (a, b) = (one.finish(trace.end_time()), batched.finish(trace.end_time()));
-        for (x, y) in a.properties.iter().zip(&b.properties) {
-            prop_assert_eq!(x.verdict, y.verdict);
-        }
-        prop_assert_eq!(a.stats, b.stats);
+    fn batch_matches_event_by_event(seed in any::<u64>()) {
+        let case = Case::rulebook(seed, false);
+        shown(&[&case], batched_equals_single(&case))?;
     }
 
     /// Fused vs interpreted execution backends on random rulebooks: the
     /// fused lowering is required to be *observationally identical* to the
     /// tree-walking interpreter, not merely verdict-equivalent.
     #[test]
-    fn fused_backend_matches_interpreter(
-        specs in prop::collection::vec(property_strategy(), 1..=4),
-        steps in prop::collection::vec((0usize..16, 0u64..=120), 0..=30),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = specs
-            .iter()
-            .map(|s| build_property(s, &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = build_trace(&steps, &universe);
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-        assert_fused_matches_interp(&engine, &trace)?;
+    fn fused_backend_matches_interpreter(seed in any::<u64>()) {
+        let case = Case::rulebook(seed, false);
+        shown(&[&case], assert_fused_matches_interp(&engine(&case), &case.trace()))?;
     }
 
-    /// A reset session of the compiled (fused) backend behaves like a
-    /// fresh one in lockstep with the interpreter, on distinct random
-    /// rulebooks — the `rearm`/arena-reuse fast paths must not leak any
-    /// episode state between streams.
+    /// On distinct random rulebooks.
     #[test]
-    fn compiled_reset_matches_interpreter_reset(
-        specs in prop::collection::vec(property_strategy(), 1..=3),
-        first in prop::collection::vec((0usize..16, 0u64..=120), 0..=16),
-        second in prop::collection::vec((0usize..16, 0u64..=120), 0..=16),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = specs
-            .iter()
-            .map(|s| build_property(s, &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let (t1, t2) = (build_trace(&first, &universe), build_trace(&second, &universe));
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-
-        let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
-        let mut fused = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
-        for session in [&mut interp, &mut fused] {
-            session.ingest_batch(t1.events());
-            session.finish(t1.end_time());
-            session.reset();
-            session.ingest_batch(t2.events());
-            session.finish(t2.end_time());
-        }
-        for id in 0..engine.len() {
-            prop_assert_eq!(interp.verdict(id), fused.verdict(id));
-            prop_assert_eq!(interp.ops(id), fused.ops(id));
-            prop_assert_eq!(
-                interp.violation(id).map(|v| v.kind),
-                fused.violation(id).map(|v| v.kind)
-            );
-        }
+    fn compiled_reset_matches_interpreter_reset(seed in any::<u64>(), retrace in any::<u64>()) {
+        let first = Case::rulebook(seed, false);
+        let second = first.retrace(retrace);
+        shown(&[&first, &second], reset_matches_fresh_and_interp(&first, &second))?;
     }
 
     /// A reset session behaves like a fresh one (allocation reuse across
     /// millions of short streams must not leak verdict state).
     #[test]
-    fn reset_session_equals_fresh_session(
-        specs in prop::collection::vec(property_strategy(), 1..=3),
-        first in prop::collection::vec((0usize..16, 0u64..=120), 0..=16),
-        second in prop::collection::vec((0usize..16, 0u64..=120), 0..=16),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = specs
-            .iter()
-            .map(|s| build_property(s, &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let (t1, t2) = (build_trace(&first, &universe), build_trace(&second, &universe));
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-
-        // Reused session: stream 1, reset, stream 2.
+    fn reset_session_equals_fresh_session(seed in any::<u64>(), retrace in any::<u64>()) {
+        let first = Case::rulebook(seed, false);
+        let second = first.retrace(retrace);
+        let (engine, t1, t2) = (engine(&first), first.trace(), second.trace());
         let mut reused = engine.session();
         reused.ingest_batch(t1.events());
         reused.finish(t1.end_time());
         reused.reset();
         reused.ingest_batch(t2.events());
         let reused_report = reused.finish(t2.end_time());
-
-        // Fresh session: stream 2 only.
         let mut fresh = engine.session();
         fresh.ingest_batch(t2.events());
         let fresh_report = fresh.finish(t2.end_time());
-
-        for (x, y) in reused_report.properties.iter().zip(&fresh_report.properties) {
-            prop_assert_eq!(x.verdict, y.verdict);
-        }
-        prop_assert_eq!(reused_report.stats, fresh_report.stats);
+        let verdicts = |r: &lomon_engine::EngineReport| {
+            r.properties.iter().map(|p| p.verdict).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(verdicts(&reused_report), verdicts(&fresh_report), "{}\n{}", first, second);
+        prop_assert_eq!(reused_report.stats, fresh_report.stats, "{}\n{}", first, second);
     }
 
     /// The fused rulebook backend against the per-property interpreter, on
     /// rulebooks built to *overlap*: a handful of base properties over the
-    /// shared name pools, sampled **with repetition**, so structurally
+    /// shared names, sampled **with repetition**, so structurally
     /// identical properties (guaranteed shared groups) and distinct
     /// properties over a shared alphabet both occur. Cross-property cell
     /// sharing is required to be observationally invisible.
     #[test]
-    fn fused_backend_matches_oracles_on_overlapping_rulebooks(
-        base in prop::collection::vec(property_strategy(), 1..=3),
-        picks in prop::collection::vec(0usize..3, 2..=6),
-        steps in prop::collection::vec((0usize..16, 0u64..=120), 0..=30),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = picks
-            .iter()
-            .map(|&pick| build_property(&base[pick % base.len()], &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let trace = build_trace(&steps, &universe);
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-        // Repetition in `picks` must have fused into shared groups.
+    fn fused_backend_matches_oracles_on_overlapping_rulebooks(seed in any::<u64>()) {
+        let case = Case::rulebook(seed, true);
+        let engine = engine(&case);
         let sharing = engine.sharing();
         prop_assert!(sharing.unique_programs <= sharing.properties);
         prop_assert!(sharing.unique_cells <= sharing.total_cells);
-        assert_fused_matches_interp(&engine, &trace)?;
+        shown(&[&case], assert_fused_matches_interp(&engine, &case.trace()))?;
     }
 
-    /// A reset *fused* session behaves like a fresh one in lockstep with a
-    /// reset interpreter oracle — rewinding the shared group arena (and the
-    /// `rearm`/arena-reuse fast paths under it) must not leak episode state
-    /// (deadlines, fragment progress, retirement) between streams,
-    /// including across the group→members fan-out.
+    /// On overlapping rulebooks, so the reset rewinds shared groups.
     #[test]
-    fn fused_reset_matches_fresh_and_oracle(
-        base in prop::collection::vec(property_strategy(), 1..=2),
-        picks in prop::collection::vec(0usize..2, 2..=4),
-        first in prop::collection::vec((0usize..16, 0u64..=120), 0..=16),
-        second in prop::collection::vec((0usize..16, 0u64..=120), 0..=16),
-    ) {
-        let mut voc = Vocabulary::new();
-        let (inputs, outputs) = pools(&mut voc);
-        let properties: Vec<Property> = picks
-            .iter()
-            .map(|&pick| build_property(&base[pick % base.len()], &inputs, &outputs))
-            .collect();
-        prop_assume!(properties
-            .iter()
-            .all(|p| wf::check(p, &voc).is_empty()));
-
-        let universe: Vec<Name> = voc.iter().collect();
-        let (t1, t2) = (build_trace(&first, &universe), build_trace(&second, &universe));
-        let engine = Engine::from_properties(properties, &voc)
-            .expect("well-formed by construction");
-
-        // Reused fused session and a lockstep interpreter oracle.
-        let mut fused = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
-        let mut interp = engine.session_with_backend(DispatchMode::Indexed, Backend::Interp);
-        for session in [&mut fused, &mut interp] {
-            session.ingest_batch(t1.events());
-            session.finish(t1.end_time());
-            session.reset();
-            session.ingest_batch(t2.events());
-            session.finish(t2.end_time());
-        }
-        // Fresh fused session over stream 2 only.
-        let mut fresh = engine.session_with_backend(DispatchMode::Indexed, Backend::Fused);
-        fresh.ingest_batch(t2.events());
-        let fresh_report = fresh.finish(t2.end_time());
-
-        for id in 0..engine.len() {
-            prop_assert_eq!(fused.verdict(id), interp.verdict(id));
-            prop_assert_eq!(fused.verdict(id), fresh.verdict(id));
-            // Ops accumulate across `reset()` (lifetime instrumentation),
-            // so the reused sessions are compared with each other, not
-            // with the fresh one.
-            prop_assert_eq!(fused.ops(id), interp.ops(id));
-            prop_assert_eq!(
-                fused.violation(id).map(|v| v.kind),
-                interp.violation(id).map(|v| v.kind)
-            );
-        }
-        prop_assert_eq!(fused.report().stats, fresh_report.stats);
+    fn fused_reset_matches_fresh_and_oracle(seed in any::<u64>(), retrace in any::<u64>()) {
+        let first = Case::rulebook(seed, true);
+        let second = first.retrace(retrace);
+        shown(&[&first, &second], reset_matches_fresh_and_interp(&first, &second))?;
     }
 }

@@ -12,12 +12,18 @@
 //!   ground-truth verdict (negative tests for the monitors);
 //! * [`coverage`] — specification coverage (range boundaries, `∨`-subsets,
 //!   fragment orders) and coverage-directed generation (Fig. 1's coverage
-//!   improver).
+//!   improver);
+//! * [`cases`] — seeded differential test cases: properties, rulebooks and
+//!   traces with range bounds out to `u32::MAX`, drawn from one seed, and
+//!   the interpreter-against-fused cross-check every differential suite
+//!   runs on them.
 
+pub mod cases;
 pub mod coverage;
 pub mod generate;
 pub mod mutate;
 
+pub use cases::{Case, Run};
 pub use coverage::{generate_until_covered, Coverage};
 pub use generate::{generate, GeneratedTrace, GeneratorConfig};
 pub use mutate::{mutate, Mutant, MutationKind};

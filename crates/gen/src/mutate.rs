@@ -73,22 +73,7 @@ pub fn mutate(property: &Property, base: &Trace, count: u32, seed: u64) -> Vec<M
         return out;
     }
     for _ in 0..count {
-        let kind = match rng.gen_range(0..4) {
-            0 => MutationKind::Drop {
-                index: rng.gen_range(0..names.len()),
-            },
-            1 => MutationKind::Duplicate {
-                index: rng.gen_range(0..names.len()),
-            },
-            2 if names.len() >= 2 => MutationKind::SwapAdjacent {
-                index: rng.gen_range(0..names.len() - 1),
-            },
-            _ => MutationKind::Inject {
-                index: rng.gen_range(0..=names.len()),
-                name: alphabet[rng.gen_range(0..alphabet.len())],
-            },
-        };
-        let mutated_names = apply(&names, kind);
+        let (kind, mutated_names) = edit(&names, &alphabet, &mut rng);
         let trace = Trace::from_names(mutated_names);
         let oracle_verdict = oracle.check(&trace);
         out.push(Mutant {
@@ -98,6 +83,27 @@ pub fn mutate(property: &Property, base: &Trace, count: u32, seed: u64) -> Vec<M
         });
     }
     out
+}
+
+/// One random single edit of the non-empty `names`, as [`mutate`] draws
+/// it (injecting a name of `alphabet`), without the oracle's label.
+pub fn edit(names: &[Name], alphabet: &[Name], rng: &mut StdRng) -> (MutationKind, Vec<Name>) {
+    let kind = match rng.gen_range(0..4) {
+        0 => MutationKind::Drop {
+            index: rng.gen_range(0..names.len()),
+        },
+        1 => MutationKind::Duplicate {
+            index: rng.gen_range(0..names.len()),
+        },
+        2 if names.len() >= 2 => MutationKind::SwapAdjacent {
+            index: rng.gen_range(0..names.len() - 1),
+        },
+        _ => MutationKind::Inject {
+            index: rng.gen_range(0..=names.len()),
+            name: alphabet[rng.gen_range(0..alphabet.len())],
+        },
+    };
+    (kind, apply(names, kind))
 }
 
 fn apply(names: &[Name], kind: MutationKind) -> Vec<Name> {

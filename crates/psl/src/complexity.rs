@@ -160,12 +160,17 @@ pub fn viapsl_cost(property: &Property) -> Result<ViaPslCost, TranslateError> {
     let mut maxone_nodes = 0u64;
     let mut range_count = 0u64;
     let mut range_nodes = 0u64;
+    // Widths reach 2^32 − 1, so these products saturate: a saturated
+    // count still exceeds any conjunct limit.
     for range in content.iter().flat_map(|f| f.ranges.iter()) {
         let w = range.width();
+        let pairs = w * (w - 1);
         maxone_count += w;
-        maxone_nodes += w * (3 + 1 + until_body(1, trigger_weight) + scope_w);
-        range_count += w * (w - 1);
-        range_nodes += w * (w - 1) * (2 + 1 + until_body(1, trigger_weight) + scope_w);
+        maxone_nodes = maxone_nodes
+            .saturating_add(w.saturating_mul(3 + 1 + until_body(1, trigger_weight) + scope_w));
+        range_count = range_count.saturating_add(pairs);
+        range_nodes = range_nodes
+            .saturating_add(pairs.saturating_mul(2 + 1 + until_body(1, trigger_weight) + scope_w));
     }
     push(Family::MaxOne, maxone_count, maxone_nodes);
     push(Family::Range, range_count, range_nodes);
@@ -208,8 +213,12 @@ pub fn viapsl_cost(property: &Property) -> Result<ViaPslCost, TranslateError> {
     }
     push(Family::BeforeI, beforei_count, beforei_nodes);
 
-    let conjuncts: u64 = per_family.iter().map(|(_, c, _)| c).sum();
-    let formula_nodes: u64 = per_family.iter().map(|(_, _, n)| n).sum();
+    let conjuncts = per_family
+        .iter()
+        .fold(0u64, |sum, (_, c, _)| sum.saturating_add(*c));
+    let formula_nodes = per_family
+        .iter()
+        .fold(0u64, |sum, (_, _, n)| sum.saturating_add(*n));
 
     // The paper's Θ expression, in abstract units.
     let mut theta_units = 0u64;
@@ -218,10 +227,11 @@ pub fn viapsl_cost(property: &Property) -> Result<ViaPslCost, TranslateError> {
         all_ranges.push(r);
     }
     for r in &all_ranges {
-        theta_units += r.width() * r.width();
+        theta_units = theta_units.saturating_add(r.width().saturating_mul(r.width()));
     }
     for j in 1..content.len() {
-        theta_units += (content[j].ranges.len() * content[j - 1].ranges.len()) as u64;
+        let pairs = (content[j].ranges.len() * content[j - 1].ranges.len()) as u64;
+        theta_units = theta_units.saturating_add(pairs);
     }
 
     // ∆: the run-length lexer (2 ops/event; state as in lomon-trace).
@@ -240,7 +250,7 @@ pub fn viapsl_cost(property: &Property) -> Result<ViaPslCost, TranslateError> {
         conjuncts,
         formula_nodes,
         ops_per_event: formula_nodes,
-        state_bits: BITS_PER_NODE * formula_nodes,
+        state_bits: BITS_PER_NODE.saturating_mul(formula_nodes),
         delta_ops,
         delta_bits,
         theta_units,
@@ -251,13 +261,28 @@ pub fn viapsl_cost(property: &Property) -> Result<ViaPslCost, TranslateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::translate::{translate, TranslateOptions};
+    use crate::translate::{translate, TranslateError, TranslateOptions};
     use lomon_core::parse::parse_property;
     use lomon_trace::Vocabulary;
 
     fn parse(text: &str) -> Property {
         let mut voc = Vocabulary::new();
         parse_property(text, &mut voc).expect(text)
+    }
+
+    /// A range as wide as `u32` allows saturates the closed forms, which
+    /// overflowed (a debug-build panic) before, and the translation is
+    /// refused as too large rather than materialized.
+    #[test]
+    fn widest_ranges_saturate_the_cost() {
+        let p = parse("n0[1,4294967295] << trigger repeated");
+        let cost = viapsl_cost(&p).expect("supported shape");
+        assert_eq!(cost.formula_nodes, u64::MAX);
+        assert_eq!(cost.state_bits, u64::MAX);
+        assert!(matches!(
+            translate(&p, TranslateOptions::default()),
+            Err(TranslateError::TooLarge { .. })
+        ));
     }
 
     /// The closed forms must agree exactly with the materialized

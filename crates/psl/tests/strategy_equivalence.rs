@@ -1,86 +1,53 @@
 //! Cross-strategy equivalence: Drct monitors, ViaPSL observer monitors, the
 //! independent NFA pattern semantics and the three-valued PSL evaluation
 //! must all agree on (untimed) acceptance — the validation the paper
-//! performs with SPOT and Lustre testing tools.
+//! performs with SPOT and Lustre testing tools — on seeded cases from
+//! `lomon_gen::cases`. The strategies run where the translation and the
+//! automaton fit; every case also pits the interpreter against the fused
+//! program.
 
 use proptest::prelude::*;
 
-use lomon_core::ast::{
-    Antecedent, Fragment, FragmentOp, LooseOrdering, Property, Range, TimedImplication,
-};
+use lomon_core::ast::Property;
 use lomon_core::monitor::build_monitor;
 use lomon_core::semantics::PatternOracle;
 use lomon_core::verdict::{Monitor, Verdict};
-use lomon_core::wf;
+use lomon_gen::Case;
+use lomon_psl::complexity::conjunct_count;
 use lomon_psl::eval::{eval, Truth};
 use lomon_psl::monitor::PslMonitor;
-use lomon_psl::translate::{translate, TranslateOptions};
-use lomon_trace::{Name, NameSet, RunLengthLexer, SimTime, Trace, Vocabulary};
+use lomon_psl::translate::{translate, TranslateError, TranslateOptions, Translation};
+use lomon_trace::{Name, NameSet, RunLengthLexer, SimTime, Trace};
 
-#[derive(Debug, Clone)]
-struct PatternSpec {
-    fragments: Vec<(bool, Vec<(u32, u32)>)>,
-    repeated: bool,
-}
-
-fn fragment_strategy() -> impl Strategy<Value = (bool, Vec<(u32, u32)>)> {
-    (
-        any::<bool>(),
-        prop::collection::vec((1u32..=3, 0u32..=2), 1..=3),
-    )
-}
-
-fn pattern_strategy() -> impl Strategy<Value = PatternSpec> {
-    (
-        prop::collection::vec(fragment_strategy(), 1..=3),
-        any::<bool>(),
-    )
-        .prop_map(|(fragments, repeated)| PatternSpec {
-            fragments,
-            repeated,
-        })
-}
-
-fn build_ordering(
-    spec: &[(bool, Vec<(u32, u32)>)],
-    voc: &mut Vocabulary,
-    prefix: &str,
-    output: bool,
-) -> LooseOrdering {
-    let mut counter = 0;
-    LooseOrdering::new(
-        spec.iter()
-            .map(|(any_op, ranges)| {
-                let op = if *any_op {
-                    FragmentOp::Any
-                } else {
-                    FragmentOp::All
-                };
-                let ranges = ranges
-                    .iter()
-                    .map(|&(u, extra)| {
-                        let text = format!("{prefix}{counter}");
-                        let name = if output {
-                            voc.output(&text)
-                        } else {
-                            voc.input(&text)
-                        };
-                        counter += 1;
-                        Range::new(name, u, u + extra)
-                    })
-                    .collect();
-                Fragment::new(op, ranges)
-            })
-            .collect(),
-    )
+/// Every property of the case through every strategy where the
+/// translation and the automaton fit and no deadline can fall inside the
+/// trace, then the backends against each other.
+fn check(case: &Case) -> Result<(), TestCaseError> {
+    let trace = case.trace();
+    for property in &case.properties {
+        let timeless = match property {
+            Property::Antecedent(_) => true,
+            Property::Timed(t) => trace.end_time() < t.bound,
+        };
+        if !timeless || !case.fits_oracle(property) {
+            continue;
+        }
+        if let Ok(translation) = translate(property, TranslateOptions::default()) {
+            check_all(property, &translation, case, &trace);
+        }
+    }
+    case.cross_check(16).map_err(TestCaseError::fail)
 }
 
 /// Run every implementation over `trace` and check they agree on untimed
 /// acceptance (and on `Satisfied` for one-shot antecedents).
-fn check_all(property: &Property, voc: &Vocabulary, trace: &Trace) {
-    // 1. Independent pattern semantics.
-    let oracle = PatternOracle::new(property);
-    let oracle_ok = oracle.check(trace).is_ok();
+fn check_all(property: &Property, translation: &Translation, case: &Case, trace: &Trace) {
+    let voc = &case.voc;
+    // 1. Independent pattern semantics: a prefix that dies stays dead, so
+    //    one run over the projected word decides acceptance.
+    let alphabet = property.alpha();
+    let word: Vec<Name> = trace.names().filter(|n| alphabet.contains(*n)).collect();
+    let oracle_ok = PatternOracle::new(property).nfa().accepts_prefix(&word);
 
     // 2. Direct monitor.
     let mut drct = build_monitor(property.clone(), voc).expect("well-formed");
@@ -92,7 +59,6 @@ fn check_all(property: &Property, voc: &Vocabulary, trace: &Trace) {
     let drct_ok = drct.verdict() != Verdict::Violated;
 
     // 3. ViaPSL observer monitor.
-    let translation = translate(property, TranslateOptions::default()).expect("supported, small");
     let mut viapsl = PslMonitor::from_translation(translation.clone());
     for &e in trace.iter() {
         viapsl.observe(e);
@@ -112,7 +78,7 @@ fn check_all(property: &Property, voc: &Vocabulary, trace: &Trace) {
     }
     let mut tokens = Vec::new();
     for &e in trace.iter() {
-        if property.alpha().contains(e.name) {
+        if alphabet.contains(e.name) {
             tokens.extend(lexer.push(e).into_iter().map(|l| l.token));
         }
     }
@@ -143,24 +109,13 @@ fn check_all(property: &Property, voc: &Vocabulary, trace: &Trace) {
         }
     };
 
-    let word: Vec<&str> = trace.names().map(|n| voc.resolve(n)).collect();
-    assert_eq!(
-        drct_ok,
-        oracle_ok,
-        "Drct vs oracle on {} over {word:?}",
-        property.display(voc)
-    );
-    assert_eq!(
-        viapsl_ok,
-        oracle_ok,
-        "ViaPSL vs oracle on {} over {word:?}",
-        property.display(voc)
-    );
+    let on = property.display(voc);
+    assert_eq!(drct_ok, oracle_ok, "Drct vs oracle on {on}\n{case}");
+    assert_eq!(viapsl_ok, oracle_ok, "ViaPSL vs oracle on {on}\n{case}");
     assert_eq!(
         eval_ok,
         oracle_ok,
-        "PSL eval vs oracle on {} over {word:?}\nformula: {}\ntokens: {tokens:?}",
-        property.display(voc),
+        "PSL eval vs oracle on {on}\nformula: {}\ntokens: {tokens:?}\n{case}",
         translation.formula.display(voc)
     );
 
@@ -169,88 +124,34 @@ fn check_all(property: &Property, voc: &Vocabulary, trace: &Trace) {
             assert_eq!(
                 viapsl.verdict() == Verdict::Satisfied,
                 drct.verdict() == Verdict::Satisfied,
-                "Satisfied mismatch on {} over {word:?}",
-                property.display(voc)
+                "Satisfied mismatch on {on}\n{case}"
             );
         }
     }
-}
-
-fn universe_trace(indices: &[usize], universe: &[Name]) -> Trace {
-    Trace::from_pairs(indices.iter().enumerate().map(|(k, &ix)| {
-        (
-            SimTime::from_ns(k as u64 + 1),
-            universe[ix % universe.len()],
-        )
-    }))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn antecedent_strategies_agree(
-        spec in pattern_strategy(),
-        indices in prop::collection::vec(0usize..16, 0..24),
-    ) {
-        let mut voc = Vocabulary::new();
-        let ordering = build_ordering(&spec.fragments, &mut voc, "n", false);
-        let trigger = voc.input("trigger");
-        let property: Property = Antecedent::new(ordering, trigger, spec.repeated).into();
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        voc.input("noise");
-        let universe: Vec<Name> = voc.iter().collect();
-        check_all(&property, &voc, &universe_trace(&indices, &universe));
+    fn antecedent_strategies_agree(seed in any::<u64>()) {
+        check(&Case::antecedent(seed))?;
     }
 
+    /// The translation needs a single-range reset point at the end of
+    /// `Q`; other shapes are drawn again.
     #[test]
-    fn timed_strategies_agree(
-        premise in pattern_strategy(),
-        response in pattern_strategy(),
-        indices in prop::collection::vec(0usize..16, 0..24),
-    ) {
-        let mut voc = Vocabulary::new();
-        let p = build_ordering(&premise.fragments, &mut voc, "p", false);
-        let q = build_ordering(&response.fragments, &mut voc, "q", true);
-        // The translation needs a single-range reset point.
-        prop_assume!(q.fragments.last().is_some_and(|f| f.ranges.len() == 1));
-        let property: Property =
-            TimedImplication::new(p, q, SimTime::from_sec(1)).into();
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        voc.input("noise");
-        let universe: Vec<Name> = voc.iter().collect();
-        check_all(&property, &voc, &universe_trace(&indices, &universe));
+    fn timed_strategies_agree(seed in any::<u64>()) {
+        let case = Case::timed(seed, SimTime::from_sec(1));
+        let shape = conjunct_count(&case.properties[0]);
+        prop_assume!(!matches!(shape, Err(TranslateError::Unsupported(_))));
+        check(&case)?;
     }
 
-    /// Guided walks: mostly follow the Drct monitor's expected set so the
-    /// traces regularly reach deep, valid configurations.
+    /// Every property of a rulebook, on a trace that mixes in the events
+    /// of the others.
     #[test]
-    fn guided_walks_agree_across_strategies(
-        spec in pattern_strategy(),
-        choices in prop::collection::vec((0usize..8, 0u8..10), 1..40),
-    ) {
-        let mut voc = Vocabulary::new();
-        let ordering = build_ordering(&spec.fragments, &mut voc, "n", false);
-        let trigger = voc.input("trigger");
-        let property: Property = Antecedent::new(ordering, trigger, spec.repeated).into();
-        prop_assume!(wf::check(&property, &voc).is_empty());
-        let universe: Vec<Name> = voc.iter().collect();
-
-        let mut scout = build_monitor(property.clone(), &voc).expect("well-formed");
-        let mut names = Vec::new();
-        for &(pick, misbehave) in &choices {
-            let expected: Vec<Name> = scout.expected().iter().collect();
-            let name = if misbehave == 0 || expected.is_empty() {
-                universe[pick % universe.len()]
-            } else {
-                expected[pick % expected.len()]
-            };
-            names.push(name);
-            scout.observe(lomon_trace::TimedEvent::new(
-                name,
-                SimTime::from_ns(names.len() as u64),
-            ));
-        }
-        check_all(&property, &voc, &Trace::from_names(names));
+    fn rulebook_strategies_agree(seed in any::<u64>()) {
+        check(&Case::rulebook(seed, false))?;
     }
 }

@@ -65,7 +65,8 @@ pub enum CampaignMode {
 pub struct CampaignConfig {
     /// Master seed; episode `k` uses the forked stream `seed → fork(k)`.
     pub seed: u64,
-    /// Worker threads; `0` means all available cores.
+    /// Worker threads; `0` means all available cores. `lomon smc`
+    /// refuses more than [`MAX_JOBS`].
     pub jobs: usize,
     /// Confidence level `1 − δ` of the reported intervals.
     pub confidence: f64,
@@ -719,6 +720,10 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
         }
     }
 }
+
+/// The most workers a campaign may ask for: each builds its own session,
+/// and each non-empty chunk of a batch runs on its own thread.
+pub const MAX_JOBS: usize = 1024;
 
 /// Resolve `0` to the machine's available parallelism.
 pub fn effective_jobs(jobs: usize) -> usize {

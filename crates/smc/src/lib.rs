@@ -54,7 +54,7 @@ pub mod sprt;
 
 pub use campaign::{
     effective_jobs, Campaign, CampaignConfig, CampaignError, CampaignMode, CampaignProgress,
-    CampaignReport, PropertyEstimate, SprtReport,
+    CampaignReport, PropertyEstimate, SprtReport, MAX_JOBS,
 };
 pub use metrics::CampaignMetrics;
 pub use model::{EpisodeModel, GenModel, ScenarioModel};

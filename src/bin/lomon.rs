@@ -936,8 +936,15 @@ fn smc(raw: &[String], out: &mut Out) -> Outcome {
     let args = Args::parse("smc", raw, &flags, ..)?;
     let format = args.choice("--format", REPORT_FORMATS)?;
     let stats_every: Option<u64> = args.positive("--stats-every")?;
-    let episodes: Option<u64> = args.number("--episodes")?;
+    let episodes: Option<u64> = args.positive("--episodes")?;
     let jobs: usize = args.number("--jobs")?.unwrap_or(0);
+    if jobs > lomon::smc::MAX_JOBS {
+        return Err(misuse(format_args!(
+            "`--jobs` may be at most {}",
+            lomon::smc::MAX_JOBS
+        ))
+        .into());
+    }
     let seed: u64 = args.number("--seed")?.unwrap_or(1);
     let confidence: f64 = args.number("--confidence")?.unwrap_or(0.95);
     // Mode-dependent flags stay `None` unless the user passed them, so a

@@ -372,6 +372,13 @@ fn smc_rejects_malformed_invocations() {
         &["smc", "--backend", "fused"], // only check and watch take it
         &["smc", "--seed", "--quiet"],  // a value may not start with `--`
         &["smc", "--episodes=abc"],
+        // A campaign of no episodes estimates nothing, in either mode.
+        &["smc", "--episodes", "0"],
+        &["smc", "--sprt", "0.9", "0.5", "--episodes", "0"],
+        // Each worker builds a session and may start a thread: capped at
+        // 1024. Without the cap this run would build 1025 sessions and
+        // start one thread.
+        &["smc", "--jobs", "1025", "--episodes", "1"],
     ] {
         let output = lomon(args);
         assert_eq!(output.status.code(), Some(2), "args: {args:?}");

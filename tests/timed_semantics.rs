@@ -1,21 +1,23 @@
 //! Independent validation of the timed-implication semantics: a
 //! brute-force episode checker (built on the untimed NFA oracle) against
-//! the efficient `TimedImplicationMonitor`, on randomly generated and
-//! randomly perturbed timed traces.
+//! the efficient `TimedImplicationMonitor`, on seeded cases from
+//! `lomon_gen::cases`.
 //!
-//! Restricted to the unambiguous premise shape `P = p[1,1]` so the
-//! brute-force decomposition is unique: episodes split at each `p`; the
-//! end of `P` is that `p`'s timestamp; the end of `Q` is the earliest
-//! prefix of the episode's responses accepted by `L(Q)`.
+//! Restricted to premises that end in the single event `p` (`p ⇒ Q` or
+//! `P' < p ⇒ Q`, `P'` over other names) so the brute-force decomposition is
+//! unique: episodes split at each `p`; the end of `P` is that `p`'s
+//! timestamp; the end of `Q` is the earliest prefix of the episode's
+//! responses accepted by `L(Q)`. The checker runs where the automata fit;
+//! every case also pits the interpreter against the fused program.
 
 use proptest::prelude::*;
 
-use lomon::core::ast::{Fragment, FragmentOp, LooseOrdering, Property, Range, TimedImplication};
+use lomon::core::ast::{LooseOrdering, Property};
 use lomon::core::monitor::build_monitor;
 use lomon::core::semantics::{ordering_nfa, PatternOracle};
 use lomon::core::verdict::{run_to_end, Verdict};
-use lomon::core::wf;
-use lomon::trace::{Name, SimTime, Trace, Vocabulary};
+use lomon::gen::Case;
+use lomon::trace::{Name, SimTime, Trace};
 
 /// Brute-force: is the (already untimed-valid) trace timing-violated?
 fn brute_force_timing_violation(
@@ -66,121 +68,38 @@ fn brute_force_timing_violation(
     false
 }
 
-#[derive(Debug, Clone)]
-struct ResponseSpec {
-    fragments: Vec<(bool, Vec<(u32, u32)>)>,
-}
-
-fn response_strategy() -> impl Strategy<Value = ResponseSpec> {
-    prop::collection::vec(
-        (
-            any::<bool>(),
-            prop::collection::vec((1u32..=2, 0u32..=1), 1..=2),
-        ),
-        1..=2,
-    )
-    .prop_map(|fragments| ResponseSpec { fragments })
-}
-
-fn build_response(spec: &ResponseSpec, voc: &mut Vocabulary) -> LooseOrdering {
-    let mut counter = 0;
-    LooseOrdering::new(
-        spec.fragments
-            .iter()
-            .map(|(any_op, ranges)| {
-                let op = if *any_op {
-                    FragmentOp::Any
-                } else {
-                    FragmentOp::All
-                };
-                let ranges = ranges
-                    .iter()
-                    .map(|&(u, extra)| {
-                        let name = voc.output(&format!("q{counter}"));
-                        counter += 1;
-                        Range::new(name, u, u + extra)
-                    })
-                    .collect();
-                Fragment::new(op, ranges)
-            })
-            .collect(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random episode structures with random (sometimes deadline-busting)
-    /// gaps: the monitor must agree with the brute-force checker whenever
-    /// the untimed oracle accepts, and with the untimed oracle otherwise.
+    /// Generated episodes with (sometimes deadline-busting) gaps: the
+    /// monitor must agree with the brute-force checker whenever the untimed
+    /// oracle accepts, and with the untimed oracle otherwise.
     #[test]
-    fn monitor_matches_brute_force_timing(
-        spec in response_strategy(),
-        episodes in prop::collection::vec(
-            (
-                // Gap before the premise event.
-                1u64..2000,
-                // Per-response-event gaps (consumed as needed).
-                prop::collection::vec(1u64..2000, 0..10),
-            ),
-            1..4,
-        ),
-        bound_ns in 100u64..3000,
-    ) {
-        let mut voc = Vocabulary::new();
-        let premise = voc.input("p");
-        let response = build_response(&spec, &mut voc);
-        let bound = SimTime::from_ns(bound_ns);
-        let property: Property = TimedImplication::new(
-            LooseOrdering::new(vec![Fragment::singleton(Range::once(premise))]),
-            response.clone(),
-            bound,
-        )
-        .into();
-        prop_assume!(wf::check(&property, &voc).is_empty());
-
-        // Build a trace: each episode emits p, then a response attempt
-        // using the generator-free approach — walk the response NFA's
-        // alphabet greedily using the per-episode gap list as both event
-        // selector and timing.
-        let q_names: Vec<Name> = response.alpha().iter().collect();
-        let mut clock = SimTime::ZERO;
-        let mut trace = Trace::new();
-        for (lead, gaps) in &episodes {
-            clock += SimTime::from_ns(*lead);
-            trace.push(premise, clock);
-            for (k, gap) in gaps.iter().enumerate() {
-                clock += SimTime::from_ns(*gap);
-                // Deterministic pseudo-choice of a response name.
-                let name = q_names[(k * 7 + gaps.len()) % q_names.len()];
-                trace.push(name, clock);
-            }
+    fn monitor_matches_brute_force_timing(seed in any::<u64>(), bound_ns in 100u64..3000) {
+        let case = Case::timed_at_p(seed, SimTime::from_ns(bound_ns));
+        let property = &case.properties[0];
+        let Property::Timed(timed) = property else { unreachable!("a timed case") };
+        if case.fits_oracle(property) {
+            let trace = case.trace();
+            let premise = case.voc.lookup("p").expect("the premise ends in `p`");
+            // Ground truth: untimed first, then timing on top.
+            let alphabet = property.alpha();
+            let word: Vec<Name> = trace.names().filter(|n| alphabet.contains(*n)).collect();
+            let untimed_ok = PatternOracle::new(property).nfa().accepts_prefix(&word);
+            let expected_violated = !untimed_ok
+                || brute_force_timing_violation(premise, &timed.response, timed.bound, &trace);
+            let mut monitor = build_monitor(property.clone(), &case.voc).expect("well-formed");
+            let verdict = run_to_end(&mut monitor, &trace);
+            prop_assert_eq!(
+                verdict == Verdict::Violated,
+                expected_violated,
+                "monitor {} vs brute force {} (untimed ok: {})\n{}",
+                verdict,
+                expected_violated,
+                untimed_ok,
+                case
+            );
         }
-        trace.set_end_time(clock + SimTime::from_ns(5000));
-
-        // Ground truth: untimed first, then timing on top.
-        let oracle = PatternOracle::new(&property);
-        let untimed_ok = oracle.check(&trace).is_ok();
-        let expected_violated = if !untimed_ok {
-            true
-        } else {
-            brute_force_timing_violation(premise, &response, bound, &trace)
-        };
-
-        let mut monitor = build_monitor(property.clone(), &voc).expect("well-formed");
-        let verdict = run_to_end(&mut monitor, &trace);
-        prop_assert_eq!(
-            verdict == Verdict::Violated,
-            expected_violated,
-            "monitor {} vs brute force {} on {} (untimed ok: {})\ntrace: {:?}",
-            verdict,
-            expected_violated,
-            property.display(&voc),
-            untimed_ok,
-            trace
-                .iter()
-                .map(|e| format!("{}@{}", voc.resolve(e.name), e.time))
-                .collect::<Vec<_>>()
-        );
+        case.cross_check(16).map_err(TestCaseError::fail)?;
     }
 }
