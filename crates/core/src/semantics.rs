@@ -21,8 +21,6 @@
 //! ranges per fragment; that is fine for an oracle (tests use ≤ 5 ranges)
 //! and is precisely the blow-up the paper's direct monitors avoid.
 
-use std::collections::HashSet;
-
 use lomon_trace::{Name, NameSet, Trace};
 
 use crate::ast::{Antecedent, Fragment, FragmentOp, LooseOrdering, Property, Range};
@@ -69,36 +67,38 @@ impl Nfa {
     }
 
     /// `L(self)·L(other)`.
-    pub fn concat(mut self, other: &Nfa) -> Self {
+    pub fn concat(mut self, other: Nfa) -> Self {
         let offset = self.transitions.len();
-        for row in &other.transitions {
-            self.transitions
-                .push(row.iter().map(|&(l, t)| (l, t + offset)).collect());
-        }
-        for (s, acc) in self.accepting.iter().enumerate().take(offset) {
+        for (s, acc) in self.accepting.iter_mut().enumerate() {
             if *acc {
-                for &b0 in &other.start {
-                    self.transitions[s].push((None, b0 + offset));
-                }
+                let starts = other.start.iter().map(|&b0| (None, b0 + offset));
+                self.transitions[s].extend(starts);
+                *acc = false;
             }
         }
-        for acc in self.accepting.iter_mut().take(offset) {
-            *acc = false;
-        }
-        self.accepting.extend(other.accepting.iter().copied());
+        self.append(other.transitions, other.accepting);
         self
     }
 
     /// `L(self) ∪ L(other)`.
-    pub fn union(mut self, other: &Nfa) -> Self {
+    pub fn union(mut self, other: Nfa) -> Self {
         let offset = self.transitions.len();
-        for row in &other.transitions {
-            self.transitions
-                .push(row.iter().map(|&(l, t)| (l, t + offset)).collect());
-        }
-        self.accepting.extend(other.accepting.iter().copied());
         self.start.extend(other.start.iter().map(|&s| s + offset));
+        self.append(other.transitions, other.accepting);
         self
+    }
+
+    /// Appends another automaton's states, renumbered after this one's.
+    fn append(&mut self, transitions: Vec<Vec<(Option<Name>, usize)>>, accepting: Vec<bool>) {
+        let offset = self.transitions.len();
+        self.transitions
+            .extend(transitions.into_iter().map(|mut row| {
+                for (_, t) in &mut row {
+                    *t += offset;
+                }
+                row
+            }));
+        self.accepting.extend(accepting);
     }
 
     /// `L(self)*` (Kleene star).
@@ -145,63 +145,72 @@ impl Nfa {
         self.transitions.len()
     }
 
-    fn closure(&self, set: &mut HashSet<usize>) {
-        let mut stack: Vec<usize> = set.iter().copied().collect();
-        while let Some(s) = stack.pop() {
+    /// Extends `set` with its ε-closure; `member[s]` marks the states in
+    /// it.
+    fn closure(&self, set: &mut Vec<usize>, member: &mut [bool]) {
+        let mut k = 0;
+        while let Some(&s) = set.get(k) {
+            k += 1;
             for &(label, t) in &self.transitions[s] {
-                if label.is_none() && set.insert(t) {
-                    stack.push(t);
+                if label.is_none() && !member[t] {
+                    member[t] = true;
+                    set.push(t);
                 }
             }
         }
     }
 
     /// The live state set after consuming `word` from the start set, or
-    /// `None` as soon as it becomes empty (the word is not a prefix of any
-    /// accepted word).
-    fn run<'a, I: IntoIterator<Item = &'a Name>>(&self, word: I) -> Option<HashSet<usize>> {
-        let mut set: HashSet<usize> = self.start.iter().copied().collect();
-        self.closure(&mut set);
-        for &name in word {
-            let mut next = HashSet::new();
+    /// the index of the symbol at which it becomes empty (the word up to
+    /// there is not a prefix of any accepted word).
+    fn run<'a, I: IntoIterator<Item = &'a Name>>(&self, word: I) -> Result<Vec<usize>, usize> {
+        let mut member = vec![false; self.transitions.len()];
+        let mut set = Vec::new();
+        for &s in &self.start {
+            if !member[s] {
+                member[s] = true;
+                set.push(s);
+            }
+        }
+        self.closure(&mut set, &mut member);
+        for (k, &name) in word.into_iter().enumerate() {
+            for &s in &set {
+                member[s] = false;
+            }
+            let mut next = Vec::new();
             for &s in &set {
                 for &(label, t) in &self.transitions[s] {
-                    if label == Some(name) {
-                        next.insert(t);
+                    if label == Some(name) && !member[t] {
+                        member[t] = true;
+                        next.push(t);
                     }
                 }
             }
             if next.is_empty() {
-                return None;
+                return Err(k);
             }
-            self.closure(&mut next);
+            self.closure(&mut next, &mut member);
             set = next;
         }
-        Some(set)
+        Ok(set)
     }
 
     /// Whether `word` is a member of the language.
     pub fn accepts<'a, I: IntoIterator<Item = &'a Name>>(&self, word: I) -> bool {
-        match self.run(word) {
-            Some(set) => set.iter().any(|&s| self.accepting[s]),
-            None => false,
-        }
+        self.run(word)
+            .is_ok_and(|set| set.iter().any(|&s| self.accepting[s]))
     }
 
     /// Whether `word` is a prefix of some member (all states co-accessible,
     /// so "still alive" suffices).
     pub fn accepts_prefix<'a, I: IntoIterator<Item = &'a Name>>(&self, word: I) -> bool {
-        self.run(word).is_some()
+        self.run(word).is_ok()
     }
 
-    /// Index of the first event at which the run dies, if it does.
+    /// Index of the first event at which the run dies, if it does: one
+    /// pass over `word`, since a prefix that dies stays dead.
     pub fn first_rejection(&self, word: &[Name]) -> Option<usize> {
-        for k in 1..=word.len() {
-            if !self.accepts_prefix(&word[..k]) {
-                return Some(k - 1);
-            }
-        }
-        None
+        self.run(word).err()
     }
 }
 
@@ -236,10 +245,10 @@ pub fn fragment_nfa(fragment: &Fragment) -> Nfa {
         for perm in permutations(subset.len()) {
             let mut seq = Nfa::empty_word();
             for &slot in &perm {
-                seq = seq.concat(&blocks[subset[slot]]);
+                seq = seq.concat(blocks[subset[slot]].clone());
             }
             result = Some(match result {
-                Some(acc) => acc.union(&seq),
+                Some(acc) => acc.union(seq),
                 None => seq,
             });
         }
@@ -251,7 +260,7 @@ pub fn fragment_nfa(fragment: &Fragment) -> Nfa {
 pub fn ordering_nfa(ordering: &LooseOrdering) -> Nfa {
     let mut result = Nfa::empty_word();
     for fragment in &ordering.fragments {
-        result = result.concat(&fragment_nfa(fragment));
+        result = result.concat(fragment_nfa(fragment));
     }
     result
 }
@@ -264,18 +273,18 @@ pub fn property_nfa(property: &Property) -> Nfa {
         Property::Timed(t) => {
             let p = ordering_nfa(&t.premise);
             let q = ordering_nfa(&t.response);
-            p.concat(&q).star()
+            p.concat(q).star()
         }
     }
 }
 
 fn antecedent_nfa(a: &Antecedent) -> Nfa {
     let p = ordering_nfa(&a.antecedent);
-    let episode = p.concat(&Nfa::symbol(a.trigger));
+    let episode = p.concat(Nfa::symbol(a.trigger));
     if a.repeated {
         episode.star()
     } else {
-        episode.concat(&Nfa::sigma_star(&a.alpha()))
+        episode.concat(Nfa::sigma_star(&a.alpha()))
     }
 }
 

@@ -6,8 +6,9 @@
 //! Lustre; … check their correctness with respect to the intuitive
 //! semantics … using automatic testing tools") with proptest as the
 //! automatic testing tool and `lomon_core::semantics` as the intuitive
-//! semantics. The oracle runs where its automaton fits; every case also
-//! pits the interpreter against the fused program.
+//! semantics. The oracle checks every property its automaton fits — each
+//! case of the antecedent and timed tests, and most of a rulebook's — and
+//! every case also pits the interpreter against the compiled program.
 
 use proptest::prelude::*;
 
@@ -16,21 +17,31 @@ use lomon_core::monitor::build_monitor;
 use lomon_core::semantics::PatternOracle;
 use lomon_core::verdict::{Monitor, Verdict};
 use lomon_gen::Case;
-use lomon_trace::{Name, SimTime, Trace};
+use lomon_trace::{SimTime, Trace};
 
-/// Every property of the case against the oracle where it fits and no
-/// deadline can fall inside the trace, then the backends against each
-/// other.
+/// Whether the oracle checks `property` on the case: its automaton fits,
+/// and no deadline can fall inside the trace.
+fn checked(case: &Case, trace: &Trace, property: &Property) -> bool {
+    let timeless = match property {
+        Property::Antecedent(_) => true,
+        Property::Timed(t) => trace.end_time() < t.bound,
+    };
+    timeless && case.fits_oracle(property)
+}
+
+/// Every property the oracle checks against it, then the backends against
+/// each other. A case with no such property is drawn again, so that each
+/// case counted is one the oracle checks.
 fn check(case: &Case) -> Result<(), TestCaseError> {
     let trace = case.trace();
-    for property in &case.properties {
-        let timeless = match property {
-            Property::Antecedent(_) => true,
-            Property::Timed(t) => trace.end_time() < t.bound,
-        };
-        if timeless && case.fits_oracle(property) {
-            check_agreement(property, case, &trace);
-        }
+    let properties: Vec<&Property> = case
+        .properties
+        .iter()
+        .filter(|p| checked(case, &trace, p))
+        .collect();
+    prop_assume!(!properties.is_empty());
+    for property in properties {
+        check_agreement(property, case, &trace);
     }
     case.cross_check(16).map_err(TestCaseError::fail)
 }
@@ -42,12 +53,7 @@ fn check_agreement(property: &Property, case: &Case, trace: &Trace) {
     let alphabet = property.alpha();
 
     // Oracle verdict: position of first rejection in the projected word.
-    // A rejected prefix stays rejected, so one run decides whether there is
-    // one, and a binary search over prefix lengths finds it.
-    let word: Vec<Name> = trace.names().filter(|n| alphabet.contains(*n)).collect();
-    let alive = |k: &usize| oracle.nfa().accepts_prefix(&word[..*k]);
-    let lengths: Vec<usize> = (0..=word.len()).collect();
-    let oracle_rejection = (!alive(&word.len())).then(|| lengths.partition_point(alive) - 1);
+    let oracle_rejection = oracle.check(trace).err();
 
     let mut projected_pos = 0usize;
     let mut monitor_rejection: Option<usize> = None;
@@ -85,6 +91,9 @@ fn check_agreement(property: &Property, case: &Case, trace: &Trace) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// A property with a range too wide for the oracle's automaton is
+    /// drawn again; the rulebook test below and `witness_replay`
+    /// cross-check such properties.
     #[test]
     fn antecedent_monitor_matches_oracle(seed in any::<u64>()) {
         check(&Case::antecedent(seed))?;

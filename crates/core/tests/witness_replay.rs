@@ -1,11 +1,12 @@
 //! Witness soundness, differentially: on seeded cases from
 //! `lomon_gen::cases`, explain mode must record the *same* witness chain in
-//! the interpreter and in the fused group monitor, with identical
-//! verdicts, ops and violations, and must satisfy the replay contract:
-//! when the flight recorder did not overflow, replaying only the witness's
-//! events through a fresh monitor of the same property reproduces the
-//! identical violation (kind, time, expected set) in both backends
-//! ([`Case::cross_check`]).
+//! the interpreter and in the compiled program a fused group runs, with
+//! identical verdicts, ops and violations; it must observe, never perturb
+//! (the compiled run's verdict, ops and violation are those of a run
+//! without it); and it must satisfy the replay contract: when the flight
+//! recorder did not overflow, replaying only the witness's events through
+//! a fresh monitor of the same property reproduces the identical violation
+//! (kind, time, expected set) in both backends ([`Case::cross_check`]).
 
 use proptest::prelude::*;
 
@@ -122,5 +123,22 @@ proptest! {
     #[test]
     fn rulebook_witnesses_agree_and_replay(seed in any::<u64>(), capacity in 1usize..=12) {
         Case::rulebook(seed, true).cross_check(capacity).map_err(TestCaseError::fail)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// Long cases: in each, a counter passes 2^16 before anything else can
+    /// end the episode.
+    #[test]
+    fn long_antecedent_witnesses_agree_and_replay(seed in any::<u64>(), capacity in 1usize..=40) {
+        Case::long_antecedent(seed).cross_check(capacity).map_err(TestCaseError::fail)?;
+    }
+
+    #[test]
+    fn long_timed_witnesses_agree_and_replay(seed in any::<u64>(), capacity in 1usize..=40) {
+        let case = Case::long_timed(seed, SimTime::from_ns(8));
+        case.cross_check(capacity).map_err(TestCaseError::fail)?;
     }
 }

@@ -16,14 +16,20 @@
 //!
 //! The trace is [`generate`]d from a property of the case. When every
 //! bound of that property is small, half the traces carry one [`edit`] as
-//! [`mutate`](crate::mutate()) draws it, and the NFA oracle and the ViaPSL
-//! translation fit a short trace ([`Case::fits_oracle`]). Otherwise each
+//! [`mutate`](crate::mutate()) draws it. A case with small bounds only
+//! holds at most [`SMALL_BUDGET`] events, so the NFA oracle and the ViaPSL
+//! translation check it ([`Case::fits_oracle`]). In any other case each
 //! run of a boundary range holds `u − 1`, `u`, `v` or `v + 1` events as
-//! far as the case's length budget allows: [`LENGTH_BUDGET`], a run of
-//! `2^16 + 1`, for one antecedent or timed case in ten, and
-//! [`SHORT_BUDGET`], a run of `2^8 + 1`, for the others.
-//! [`Case::cross_check`] pits the interpreter against the fused program,
-//! witness replay included, on any case.
+//! far as [`WIDE_BUDGET`], room for a run of `2^8 + 1`, allows.
+//!
+//! A *long* case ([`Case::long_antecedent`], [`Case::long_timed`]) is a
+//! case with small bounds whose first run is widened to 2^16 events or
+//! more, so that a counter read that wraps at 16 bits or fewer shows in
+//! every one of them, whatever else its seed draws.
+//!
+//! [`Case::cross_check`] pits the interpreter against the compiled
+//! program that fused rulebooks run, with explain mode on and off, and
+//! checks witness replay, on any case.
 
 use std::fmt;
 
@@ -33,8 +39,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use lomon_core::ast::{
     Antecedent, Fragment, FragmentOp, LooseOrdering, Property, Range, TimedImplication,
 };
-use lomon_core::compiled::CompiledMonitor;
-use lomon_core::fused::FusedProgram;
+use lomon_core::compiled::compile_monitor;
 use lomon_core::monitor::build_monitor;
 use lomon_core::verdict::{Monitor, Verdict, Violation};
 use lomon_core::witness::replay_witness;
@@ -43,25 +48,20 @@ use lomon_trace::{Name, SimTime, Trace, Vocabulary};
 use crate::generate::{generate, GeneratorConfig};
 use crate::mutate::edit;
 
-/// Most events a drawn trace holds: room for one run of `2^16 + 1` and
-/// the rest of its episode. One antecedent or timed case in ten gets
-/// it; the others get [`SHORT_BUDGET`], and so does every rulebook, whose
-/// whole trace each property's monitors step.
-pub const LENGTH_BUDGET: u32 = (1 << 16) + 64;
+/// Most events in a case with small bounds only, and in a trace the NFA
+/// oracle, the ViaPSL strategies and the brute-force timed checker check.
+pub const SMALL_BUDGET: u32 = 48;
 
-/// The length budget of the other cases: room for a run of `2^8 + 1`.
-pub const SHORT_BUDGET: u32 = (1 << 8) + 64;
+/// Most events in a case with a wider bound: room for a run of `2^8 + 1`.
+pub const WIDE_BUDGET: u32 = (1 << 8) + 64;
 
-/// One antecedent or timed case in this many gets the full
-/// [`LENGTH_BUDGET`].
-const LONG_ODDS: u32 = 10;
+/// Most events in a long case: a first run of up to `2^16 + 2` events in
+/// place of one of a case with small bounds.
+pub const LONG_BUDGET: u32 = (1 << 16) + 2 + SMALL_BUDGET;
 
 /// Largest bound of the small class, and of a property the NFA oracle is
 /// built for.
 const SMALL: u32 = 5;
-
-/// Longest trace the NFA oracle and the ViaPSL strategies check.
-const ORACLE_EVENTS: u64 = 24;
 
 /// One case in this many draws three ranges in four from the boundary
 /// class.
@@ -101,30 +101,35 @@ pub struct Case {
 impl Case {
     /// One antecedent `P << trigger`, `P` over the inputs `n0, n1, …`.
     pub fn antecedent(seed: u64) -> Case {
-        let mut draw = Draw::new(seed, true);
-        let mut voc = Vocabulary::new();
-        let ordering = draw.ordering(3, |k| voc.input(&format!("n{k}")));
-        let repeated = draw.rng.gen_bool(0.5);
-        let property = Antecedent::new(ordering, voc.input("trigger"), repeated).into();
-        draw.case(voc, vec![property])
+        Draw::new(seed, false).antecedent()
+    }
+
+    /// A long case of [`Case::antecedent`]: see [`Case::long_timed`].
+    pub fn long_antecedent(seed: u64) -> Case {
+        Draw::new(seed, true).antecedent()
     }
 
     /// One timed implication `P ⇒ Q within bound`, `P` over the inputs
     /// `p0, p1, …` and `Q` over the outputs `q0, q1, …`.
     pub fn timed(seed: u64, bound: SimTime) -> Case {
-        let mut draw = Draw::new(seed, true);
-        let mut voc = Vocabulary::new();
-        let premise = draw.ordering(3, |k| voc.input(&format!("p{k}")));
-        let response = draw.ordering(3, |k| voc.output(&format!("q{k}")));
-        let property = TimedImplication::new(premise, response, bound).into();
-        draw.case(voc, vec![property])
+        Draw::new(seed, false).timed(bound)
+    }
+
+    /// A long case of [`Case::timed`]: its bounds are small but for the
+    /// range of the trace's first run, which is widened to `u` at least
+    /// 2 and `v` at 2^16 or 2^16 + 1; the run holds `v` or `v + 1`
+    /// events. Nothing before the run ends the episode, so a counter read
+    /// that wraps to 0 or 1 there either lets the run overflow `v`
+    /// unnoticed or finds it below `u` when the episode moves on.
+    pub fn long_timed(seed: u64, bound: SimTime) -> Case {
+        Draw::new(seed, true).timed(bound)
     }
 
     /// One timed implication whose premise ends in the single input `p`
     /// (`p ⇒ Q` or `P' < p ⇒ Q`, `P'` over `n0, n1, …`), so that its
     /// episodes split at each `p`; `P'` and `Q` have up to two fragments of
     /// up to two ranges. Such cases are for checkers that split a trace
-    /// into episodes, and keep [`SHORT_BUDGET`].
+    /// into episodes.
     pub fn timed_at_p(seed: u64, bound: SimTime) -> Case {
         let mut draw = Draw::new(seed, false);
         let mut voc = Vocabulary::new();
@@ -162,8 +167,7 @@ impl Case {
         draw.case(voc, properties)
     }
 
-    /// The same properties over another trace, drawn from `seed` within
-    /// [`SHORT_BUDGET`].
+    /// The same properties over another trace, drawn from `seed`.
     pub fn retrace(&self, seed: u64) -> Case {
         let mut draw = Draw::new(seed, false);
         let noise = self
@@ -199,17 +203,21 @@ impl Case {
     }
 
     /// Whether the NFA oracle, and so the ViaPSL translation, fit
-    /// `property` on this trace: its bounds are small and the trace short.
+    /// `property` on this trace: its bounds are small and the trace holds
+    /// at most [`SMALL_BUDGET`] events, as every case with small bounds
+    /// only does.
     pub fn fits_oracle(&self, property: &Property) -> bool {
-        ranges(property).all(|r| r.max <= SMALL) && self.len() <= ORACLE_EVENTS
+        ranges(property).all(|r| r.max <= SMALL) && self.len() <= u64::from(SMALL_BUDGET)
     }
 
     /// Check every property on the trace in the interpreter and in the
-    /// fused group monitor, each with a flight recorder of `capacity`
+    /// compiled monitor (the program a fused rulebook runs for each group
+    /// of equal properties), each with a flight recorder of `capacity`
     /// steps: their verdicts, ops, violations and witnesses must be
-    /// identical, and a witness that dropped no step must replay to the
-    /// same violation (kind, time, expected set) in a fresh interpreter and
-    /// a fresh fused monitor.
+    /// identical, explain mode must leave the compiled monitor's verdict,
+    /// ops and violation as they are without it, and a witness that
+    /// dropped no step must replay to the same violation (kind, time,
+    /// expected set) in a fresh interpreter and a fresh compiled monitor.
     ///
     /// # Errors
     ///
@@ -232,12 +240,13 @@ impl Case {
         let end = trace.end_time();
         let fresh = (
             build_monitor(property.clone(), &self.voc).expect("well-formed"),
-            fused_monitor(property),
+            compile_monitor(property.clone(), &self.voc).expect("well-formed"),
         );
-        let (mut interp, mut fused) = fresh.clone();
+        let (mut interp, mut compiled) = fresh.clone();
+        let mut unexplained = fresh.1.clone();
         interp.set_explain(capacity);
-        fused.set_explain(capacity);
-        let monitors: [&mut dyn Monitor; 2] = [&mut interp, &mut fused];
+        compiled.set_explain(capacity);
+        let monitors: [&mut dyn Monitor; 3] = [&mut interp, &mut compiled, &mut unexplained];
         let outcomes = monitors.map(|monitor| {
             let verdict = run(monitor, trace, end);
             let violation = monitor.violation().map(|v| violation_key(v, true));
@@ -245,14 +254,23 @@ impl Case {
         });
         if outcomes[0] != outcomes[1] {
             return Err(format!(
-                "{}: interpreter and fused runs differ: {outcomes:?}",
-                property.display(&self.voc)
+                "{}: interpreter and compiled runs differ: {:?}",
+                property.display(&self.voc),
+                &outcomes[..2]
             ));
         }
-        let witness = fused.witness().expect("explain is armed");
+        if outcomes[1] != outcomes[2] {
+            return Err(format!(
+                "{}: explain mode changed the compiled run: {:?} with it, {:?} without",
+                property.display(&self.voc),
+                outcomes[1],
+                outcomes[2]
+            ));
+        }
+        let witness = compiled.witness().expect("explain is armed");
         if interp.witness().as_ref() != Some(&witness) {
             return Err(format!(
-                "{}: interpreter witness {:?} differs from the fused {witness:?}",
+                "{}: interpreter witness {:?} differs from the compiled {witness:?}",
                 property.display(&self.voc),
                 interp.witness()
             ));
@@ -260,7 +278,7 @@ impl Case {
         if outcomes[1].0 != Verdict::Violated || witness.dropped > 0 {
             return Ok(());
         }
-        let violation = fused.violation().expect("violated");
+        let violation = compiled.violation().expect("violated");
         let original = Some(violation_key(violation, false));
         let fresh: [Box<dyn Monitor>; 2] = [Box::new(fresh.0), Box::new(fresh.1)];
         for mut monitor in fresh {
@@ -296,34 +314,72 @@ struct Draw {
     rng: StdRng,
     /// Whether the case draws ranges from the boundary class.
     boundary: bool,
-    /// Most events the trace may hold.
-    budget: u32,
+    /// Whether the case is long: see [`Case::long_timed`].
+    long: bool,
 }
 
 impl Draw {
-    /// `may_be_long`: whether the case may get the full [`LENGTH_BUDGET`].
-    fn new(seed: u64, may_be_long: bool) -> Self {
+    fn new(seed: u64, long: bool) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let boundary = rng.gen_range(0..BOUNDARY_ODDS) == 0;
-        let long = rng.gen_range(0..LONG_ODDS) == 0 && may_be_long;
-        let budget = if long { LENGTH_BUDGET } else { SHORT_BUDGET };
+        let boundary = !long && rng.gen_range(0..BOUNDARY_ODDS) == 0;
         Draw {
             rng,
             boundary,
-            budget,
+            long,
         }
     }
 
+    /// See [`Case::antecedent`].
+    fn antecedent(mut self) -> Case {
+        let mut voc = Vocabulary::new();
+        let ordering = self.ordering(3, |k| voc.input(&format!("n{k}")));
+        let repeated = self.rng.gen_bool(0.5);
+        let property = Antecedent::new(ordering, voc.input("trigger"), repeated).into();
+        self.case(voc, vec![property])
+    }
+
+    /// See [`Case::timed`].
+    fn timed(mut self, bound: SimTime) -> Case {
+        let mut voc = Vocabulary::new();
+        let premise = self.ordering(3, |k| voc.input(&format!("p{k}")));
+        let response = self.ordering(3, |k| voc.output(&format!("q{k}")));
+        let property = TimedImplication::new(premise, response, bound).into();
+        self.case(voc, vec![property])
+    }
+
     /// Interns `noise` and draws the trace.
-    fn case(mut self, mut voc: Vocabulary, properties: Vec<Property>) -> Case {
+    fn case(mut self, mut voc: Vocabulary, mut properties: Vec<Property>) -> Case {
         let noise = voc.input("noise");
-        let runs = self.runs(&properties, noise);
+        let mut runs = self.runs(&properties, noise);
+        if self.long {
+            self.widen(&mut properties[0], &mut runs);
+        }
         Case {
             voc,
             properties,
             runs,
             idle: self.gap(),
         }
+    }
+
+    /// Widens the range of the trace's first run; see
+    /// [`Case::long_timed`].
+    fn widen(&mut self, property: &mut Property, runs: &mut [Run]) {
+        let first = runs
+            .iter_mut()
+            .find(|run| ranges(property).any(|r| r.name == run.name));
+        let Some(run) = first else { return };
+        let v = (1 << 16) + self.rng.gen_range(0..=1u32);
+        let u = self.lower(v).max(2);
+        run.count = v + self.rng.gen_range(0..=1u32);
+        let name = run.name;
+        *property = map_ranges(property, |r| {
+            if r.name == name {
+                Range::new(name, u, v)
+            } else {
+                r.clone()
+            }
+        });
     }
 
     /// Up to `max` fragments of up to `max` ranges; range `k` is `name(k)`.
@@ -368,12 +424,17 @@ impl Draw {
             return (u, u + self.rng.gen_range(0..=2u32));
         }
         let v = self.near_power();
-        let u = match self.rng.gen_range(0..3) {
+        (self.lower(v), v)
+    }
+
+    /// A boundary lower bound for `v`: `v` itself, small, or near a power
+    /// of two.
+    fn lower(&mut self, v: u32) -> u32 {
+        match self.rng.gen_range(0..3) {
             0 => v,
             1 => self.rng.gen_range(1..=3u32).min(v),
             _ => self.near_power().min(v),
-        };
-        (u, v)
+        }
     }
 
     /// 2^k − 1, 2^k or 2^k + 1 within `1..=u32::MAX`, `k` one of
@@ -391,10 +452,14 @@ impl Draw {
     /// A trace generated from one property, or from one or two of a
     /// rulebook's in turn, maybe with one `noise` event inserted in each.
     /// Ranges with a bound above the small class are generated once per
-    /// episode and then given a boundary count.
+    /// episode and then given a boundary count. The trace holds at most
+    /// [`SMALL_BUDGET`] events if every bound is small (as a long case's
+    /// are until [`Draw::widen`]), or else [`WIDE_BUDGET`]. A long case's
+    /// trace is never edited, so that its first run starts an episode.
     fn runs(&mut self, properties: &[Property], noise: Name) -> Vec<Run> {
         let mut runs: Vec<Run> = Vec::new();
-        let mut budget = self.budget;
+        let all_small = properties.iter().flat_map(ranges).all(|r| r.max <= SMALL);
+        let mut budget = if all_small { SMALL_BUDGET } else { WIDE_BUDGET };
         // At most two episodes: of one property, or one each of one or two
         // of a rulebook's.
         let (segments, episodes) = if properties.len() > 1 { (2, 1) } else { (1, 2) };
@@ -412,7 +477,7 @@ impl Draw {
                 generate(&narrowed(property), &config)
             };
             let mut names: Vec<Name> = generated.trace.names().collect();
-            if small && !names.is_empty() && self.rng.gen_bool(0.5) {
+            if small && !self.long && !names.is_empty() && self.rng.gen_bool(0.5) {
                 let alphabet: Vec<Name> = property.alpha().iter().collect();
                 names = edit(&names, &alphabet, &mut self.rng).1;
             }
@@ -471,39 +536,36 @@ fn ranges(property: &Property) -> impl Iterator<Item = &Range> {
 /// `property` with every range above the small class narrowed to `[1,1]`,
 /// for [`generate`] to lay out its episodes.
 fn narrowed(property: &Property) -> Property {
-    let narrow = |ordering: &LooseOrdering| {
+    map_ranges(property, |r| {
+        if r.max > SMALL {
+            Range::once(r.name)
+        } else {
+            r.clone()
+        }
+    })
+}
+
+/// `property` with each range replaced by `f` of it.
+fn map_ranges(property: &Property, f: impl Fn(&Range) -> Range) -> Property {
+    let map = |ordering: &LooseOrdering| {
         LooseOrdering::new(
             ordering
                 .fragments
                 .iter()
-                .map(|f| {
-                    let ranges = f.ranges.iter().map(|r| {
-                        if r.max > SMALL {
-                            Range::once(r.name)
-                        } else {
-                            r.clone()
-                        }
-                    });
-                    Fragment::new(f.op, ranges.collect())
+                .map(|fragment| {
+                    Fragment::new(fragment.op, fragment.ranges.iter().map(&f).collect())
                 })
                 .collect(),
         )
     };
     match property {
         Property::Antecedent(a) => {
-            Antecedent::new(narrow(&a.antecedent), a.trigger, a.repeated).into()
+            Antecedent::new(map(&a.antecedent), a.trigger, a.repeated).into()
         }
         Property::Timed(t) => {
-            TimedImplication::new(narrow(&t.premise), narrow(&t.response), t.bound).into()
+            TimedImplication::new(map(&t.premise), map(&t.response), t.bound).into()
         }
     }
-}
-
-/// The fused group monitor of `property`.
-fn fused_monitor(property: &Property) -> CompiledMonitor {
-    FusedProgram::lower(std::slice::from_ref(property))
-        .instantiate()
-        .swap_remove(0)
 }
 
 /// Feed the trace until the verdict is final, then finish at `end`.
@@ -549,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn boundary_bounds_reach_u32_max_and_runs_stay_in_budget() {
+    fn bounds_reach_u32_max_and_runs_stay_in_budget() {
         let cases: Vec<Case> = (0..2000).map(Case::antecedent).collect();
         let bounds: Vec<u32> = cases
             .iter()
@@ -558,9 +620,28 @@ mod tests {
         for v in [1 << 8, (1 << 16) + 1, u32::MAX] {
             assert!(bounds.contains(&v), "no range bound {v} in 2000 cases");
         }
-        assert!(cases
-            .iter()
-            .all(|case| case.len() <= u64::from(LENGTH_BUDGET)));
-        assert!(cases.iter().any(|case| case.len() > 1 << 16));
+        for case in &cases {
+            let property = &case.properties[0];
+            assert!(case.len() <= u64::from(WIDE_BUDGET));
+            let small = ranges(property).all(|r| r.max <= SMALL);
+            assert_eq!(small, case.fits_oracle(property), "{case}");
+        }
+    }
+
+    #[test]
+    fn long_cases_start_with_a_run_of_2_16_or_more() {
+        for seed in 0..32 {
+            for case in [
+                Case::long_antecedent(seed),
+                Case::long_timed(seed, SimTime::from_ns(8)),
+            ] {
+                let first = case
+                    .runs
+                    .iter()
+                    .find(|run| run.name != case.voc.lookup("noise").unwrap());
+                assert!(first.unwrap().count >= 1 << 16, "{case}");
+                assert!(case.len() <= u64::from(LONG_BUDGET), "{case}");
+            }
+        }
     }
 }

@@ -15,8 +15,8 @@
 //!   improver);
 //! * [`cases`] — seeded differential test cases: properties, rulebooks and
 //!   traces with range bounds out to `u32::MAX`, drawn from one seed, and
-//!   the interpreter-against-fused cross-check every differential suite
-//!   runs on them.
+//!   the cross-check of the interpreter against the compiled program that
+//!   every differential suite runs on them.
 
 pub mod cases;
 pub mod coverage;

@@ -2,9 +2,10 @@
 //! independent NFA pattern semantics and the three-valued PSL evaluation
 //! must all agree on (untimed) acceptance — the validation the paper
 //! performs with SPOT and Lustre testing tools — on seeded cases from
-//! `lomon_gen::cases`. The strategies run where the translation and the
-//! automaton fit; every case also pits the interpreter against the fused
-//! program.
+//! `lomon_gen::cases`. The strategies check every property the automaton
+//! and the translation fit — each case of the antecedent and timed tests,
+//! and most of a rulebook's — and every case also pits the interpreter
+//! against the compiled program.
 
 use proptest::prelude::*;
 
@@ -17,24 +18,39 @@ use lomon_psl::complexity::conjunct_count;
 use lomon_psl::eval::{eval, Truth};
 use lomon_psl::monitor::PslMonitor;
 use lomon_psl::translate::{translate, TranslateError, TranslateOptions, Translation};
-use lomon_trace::{Name, NameSet, RunLengthLexer, SimTime, Trace};
+use lomon_trace::{NameSet, RunLengthLexer, SimTime, Trace};
 
-/// Every property of the case through every strategy where the
-/// translation and the automaton fit and no deadline can fall inside the
-/// trace, then the backends against each other.
+/// Whether the strategies check `property` on the case: the automaton
+/// fits it, the translation's encoding covers its shape (a timed
+/// implication's response must end in a single range, a reset point), and
+/// no deadline can fall inside the trace.
+fn checked(case: &Case, trace: &Trace, property: &Property) -> bool {
+    let timeless = match property {
+        Property::Antecedent(_) => true,
+        Property::Timed(t) => trace.end_time() < t.bound,
+    };
+    let shape = conjunct_count(property);
+    timeless && case.fits_oracle(property) && !matches!(shape, Err(TranslateError::Unsupported(_)))
+}
+
+/// Every property the strategies check through all of them — it must
+/// translate — then the backends against each other. A case with no such
+/// property is drawn again, so that each case counted is one the
+/// strategies check.
 fn check(case: &Case) -> Result<(), TestCaseError> {
     let trace = case.trace();
-    for property in &case.properties {
-        let timeless = match property {
-            Property::Antecedent(_) => true,
-            Property::Timed(t) => trace.end_time() < t.bound,
-        };
-        if !timeless || !case.fits_oracle(property) {
-            continue;
-        }
-        if let Ok(translation) = translate(property, TranslateOptions::default()) {
-            check_all(property, &translation, case, &trace);
-        }
+    let properties: Vec<&Property> = case
+        .properties
+        .iter()
+        .filter(|p| checked(case, &trace, p))
+        .collect();
+    prop_assume!(!properties.is_empty());
+    for property in properties {
+        let translation = translate(property, TranslateOptions::default()).map_err(|e| {
+            let on = property.display(&case.voc);
+            TestCaseError::fail(format!("{on} does not translate: {e}\n{case}"))
+        })?;
+        check_all(property, &translation, case, &trace);
     }
     case.cross_check(16).map_err(TestCaseError::fail)
 }
@@ -43,11 +59,9 @@ fn check(case: &Case) -> Result<(), TestCaseError> {
 /// acceptance (and on `Satisfied` for one-shot antecedents).
 fn check_all(property: &Property, translation: &Translation, case: &Case, trace: &Trace) {
     let voc = &case.voc;
-    // 1. Independent pattern semantics: a prefix that dies stays dead, so
-    //    one run over the projected word decides acceptance.
+    // 1. Independent pattern semantics.
     let alphabet = property.alpha();
-    let word: Vec<Name> = trace.names().filter(|n| alphabet.contains(*n)).collect();
-    let oracle_ok = PatternOracle::new(property).nfa().accepts_prefix(&word);
+    let oracle_ok = PatternOracle::new(property).check(trace).is_ok();
 
     // 2. Direct monitor.
     let mut drct = build_monitor(property.clone(), voc).expect("well-formed");
@@ -133,19 +147,18 @@ fn check_all(property: &Property, translation: &Translation, case: &Case, trace:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
+    /// A property with a range too wide for the automaton and the
+    /// translation is drawn again; the rulebook test below cross-checks
+    /// such properties.
     #[test]
     fn antecedent_strategies_agree(seed in any::<u64>()) {
         check(&Case::antecedent(seed))?;
     }
 
-    /// The translation needs a single-range reset point at the end of
-    /// `Q`; other shapes are drawn again.
+    /// Shapes the translation does not cover are drawn again too.
     #[test]
     fn timed_strategies_agree(seed in any::<u64>()) {
-        let case = Case::timed(seed, SimTime::from_sec(1));
-        let shape = conjunct_count(&case.properties[0]);
-        prop_assume!(!matches!(shape, Err(TranslateError::Unsupported(_))));
-        check(&case)?;
+        check(&Case::timed(seed, SimTime::from_sec(1)))?;
     }
 
     /// Every property of a rulebook, on a trace that mixes in the events
