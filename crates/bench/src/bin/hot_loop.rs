@@ -41,9 +41,10 @@ use lomon_core::Monitor as _;
 use lomon_engine::{Backend, DispatchMode, Engine};
 use lomon_trace::{NameSet, SimTime, TimedEvent};
 
-/// Timed repetitions per (workload, backend); the minimum is reported.
-/// Interleaved between the backends ([`gate::best_of`]) so load drift on a
-/// shared machine cannot skew the ratios.
+/// Timed repetitions per (workload, backend), interleaved between the
+/// backends ([`gate::interleave`]) so load drift on a shared machine hits
+/// both alike; the table shows each backend's fastest run and the gate
+/// reads the median of the per-rep speedups ([`gate::median_ratio`]).
 const REPS: usize = 9;
 
 struct Workload {
@@ -64,15 +65,12 @@ struct Row {
     events: usize,
     interp_ns: f64,
     fused_ns: f64,
+    /// Fused over interpreted — the lowering's and the sharing's win
+    /// together: the median of the per-rep ratios.
+    speedup: f64,
 }
 
 impl Row {
-    /// Fused over interpreted — the lowering's and the sharing's win
-    /// together.
-    fn speedup(&self) -> f64 {
-        self.interp_ns / self.fused_ns.max(f64::MIN_POSITIVE)
-    }
-
     fn fused_events_per_sec(&self) -> f64 {
         1e9 / self.fused_ns.max(f64::MIN_POSITIVE)
     }
@@ -84,7 +82,7 @@ impl Row {
             ("events", self.events.to_string()),
             ("interp_ns_per_event", format!("{:.2}", self.interp_ns)),
             ("fused_ns_per_event", format!("{:.2}", self.fused_ns)),
-            ("speedup", format!("{:.2}", self.speedup())),
+            ("speedup", format!("{:.2}", self.speedup)),
             (
                 "fused_events_per_sec",
                 format!("{:.0}", self.fused_events_per_sec()),
@@ -174,7 +172,10 @@ fn main() -> ExitCode {
         },
     ];
 
-    println!("hot loop — fused rulebook vs interpreter (best of {REPS})");
+    println!(
+        "hot loop — fused rulebook vs interpreter \
+         (best of {REPS} ns/event, median of {REPS} per-rep speedups)"
+    );
     println!(
         "{:>12} {:>9} {:>12} {:>10} {:>8} {:>14}",
         "workload", "events", "interp ns/ev", "fused ns", "fsd/itp", "fused ev/s"
@@ -184,13 +185,14 @@ fn main() -> ExitCode {
     let mut identical = true;
     for w in &workloads {
         let end = w.events.last().map_or(SimTime::ZERO, |e| e.time);
-        let mut sessions = [Backend::Interp, Backend::Fused]
+        let mut sessions = [Backend::Fused, Backend::Interp]
             .map(|b| w.engine.session_with_backend(DispatchMode::Indexed, b));
-        let [interp_ns, fused_ns] =
-            gate::best_of(REPS, |k| gate::replay(&mut sessions[k], &w.events, end));
+        let reps: Vec<[u128; 2]> =
+            gate::interleave(REPS, |k| gate::replay(&mut sessions[k], &w.events, end));
+        let [fused_ns, interp_ns] = gate::best(&reps);
         // Differential gate: same verdict and same ops counter for every
         // property on both backends, or one of them has diverged.
-        let [interp, fused] = sessions.each_ref().map(gate::digest);
+        let [fused, interp] = sessions.each_ref().map(gate::digest);
         for (id, (i, f)) in interp.iter().zip(&fused).enumerate() {
             if i != f {
                 eprintln!(
@@ -208,6 +210,7 @@ fn main() -> ExitCode {
             events: w.events.len(),
             interp_ns: per_event(interp_ns),
             fused_ns: per_event(fused_ns),
+            speedup: gate::median_ratio(&reps, 1),
         };
         println!(
             "{:>12} {:>9} {:>12.1} {:>10.1} {:>7.1}x {:>14.0}",
@@ -215,7 +218,7 @@ fn main() -> ExitCode {
             row.events,
             row.interp_ns,
             row.fused_ns,
-            row.speedup(),
+            row.speedup,
             row.fused_events_per_sec(),
         );
         rows.push(row);
@@ -242,16 +245,15 @@ fn main() -> ExitCode {
     let gated: Vec<_> = rows.iter().filter(|row| row.gate.is_some()).collect();
     for row in &gated {
         let floor = row.gate.expect("gated rows only");
-        if row.speedup() < floor {
+        if row.speedup < floor {
             gate.fail(format!(
                 "{} fused speedup {:.2}x below the {floor}x gate",
-                row.name,
-                row.speedup()
+                row.name, row.speedup
             ));
         }
     }
     if let Some(path) = args.value("--baseline") {
-        let fresh: Vec<_> = gated.iter().map(|r| (r.name, r.speedup())).collect();
+        let fresh: Vec<_> = gated.iter().map(|r| (r.name, r.speedup)).collect();
         for failure in gate::ratchet(path, "speedup", Better::Higher, &fresh) {
             gate.fail(failure);
         }

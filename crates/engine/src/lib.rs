@@ -101,11 +101,16 @@
 //! ## Streams
 //!
 //! [`StreamDriver`] is the online monitoring protocol written once and
-//! free of I/O: byte chunks in, typed [`Record`]s out — verdicts the
-//! moment they go final, errors, heartbeats, the summary — rendered as
-//! text or NDJSON. Names resolve against the frozen vocabulary; one that
-//! no property uses only advances time. `lomon watch` and `lomon serve`
-//! are thin adapters over it.
+//! free of I/O: byte chunks in, typed [`Record`]s out — verdicts as they
+//! go final, errors, heartbeats, the summary — rendered as text or
+//! NDJSON. Names resolve against the frozen vocabulary; one that no
+//! property uses only advances time. It lexes each run of regular event
+//! lines in one pass and steps the run with one call into the session's
+//! batch loop, the loop [`Session::ingest_batch`] runs, which stops right
+//! after the event that settles the session; every other line it applies
+//! on its own. Either way its records are those of stepping one line at
+//! a time. `lomon check`, `lomon watch` and `lomon serve` are thin
+//! adapters over it.
 //!
 //! ## Example
 //!

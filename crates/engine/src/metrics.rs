@@ -7,11 +7,13 @@
 //! flushes *deltas at batch boundaries* — the end of `ingest_batch` and
 //! `close`, just before `reset`, and wherever its caller calls
 //! `Session::flush_metrics` — so the per-event cost of a live registry is
-//! a few relaxed atomic adds amortized over the whole batch. `ingest` and
-//! `advance_time` do not flush: the stream driver, which steps every
-//! surface's lines one at a time, flushes once per buffered chunk of input
-//! instead, and before it emits an error record, a close or a finish. `obs_overhead --check` in `lomon-bench` gates both the batch
-//! path and the driver at ≤ 1.10× their uninstrumented runs.
+//! a few relaxed atomic adds amortized over the whole batch. `ingest`,
+//! `advance_time` and the stream driver's runs of lines do not flush: the
+//! driver, which steps every surface's lines a run or a line per step,
+//! flushes once per buffered chunk of input instead, and before it emits
+//! an error record, a close or a finish. `obs_overhead --check` in
+//! `lomon-bench` gates both the batch path and the driver at ≤ 1.10× their
+//! uninstrumented runs.
 
 use std::sync::Arc;
 

@@ -11,9 +11,11 @@
 //! reports, [`Session::drain_newly_final_into`]) fans group results back out
 //! through the program's member table.
 //!
-//! Every ingest path — [`Session::ingest`], [`Session::ingest_batch`] and
-//! [`crate::profile_trace`] — runs one inlined dispatch step per event, so
-//! the CI gates that time the batch path time what every surface runs.
+//! Every ingest path runs one inlined dispatch step per event:
+//! [`Session::ingest`], and the one batch loop behind
+//! [`Session::ingest_batch`], the stream driver's runs of lines and
+//! [`crate::profile_trace`]. So the CI gates that time the batch path time
+//! what every surface runs.
 //!
 //! ## Parking and recycling
 //!
@@ -320,7 +322,8 @@ impl<'e> Session<'e> {
     /// Feed one event to every unit that can react to it. An attached
     /// metrics sink sees the event at the next flush point: callers that
     /// step one event at a time call [`Session::flush_metrics`] at their
-    /// own batch boundary.
+    /// own batch boundary. The stream driver steps an event line on its
+    /// own this way only when it cannot take it into a run.
     #[inline]
     pub fn ingest(&mut self, event: TimedEvent) {
         with_arena!(self, |program, ms| {
@@ -338,12 +341,24 @@ impl<'e> Session<'e> {
     }
 
     /// Feed a batch of events (the bulk path: one call per recorded trace
-    /// chunk instead of one per event).
+    /// chunk instead of one per event). Every event counts, those after
+    /// the one that settled the session included.
     pub fn ingest_batch(&mut self, events: &[TimedEvent]) {
-        with_arena!(self, |program, ms| {
-            self.core.ingest_batch(program, ms, events);
-        });
+        let stepped = self.ingest_until_settled(events);
+        // A settled session only counts the rest of the batch.
+        self.core
+            .credit((events.len() - stepped) as u64, Tally::default());
         self.core.flush_metrics();
+    }
+
+    /// Feed `events` in order up to the one that settles the session, and
+    /// return how many were fed (`Core::batch_loop`). The stream driver's
+    /// step for a run of lines; like [`Session::ingest`], it does not flush
+    /// an attached metrics sink.
+    pub(crate) fn ingest_until_settled(&mut self, events: &[TimedEvent]) -> usize {
+        with_arena!(self, |program, ms| self
+            .core
+            .ingest_batch(program, ms, events))
     }
 
     /// Notify the session that simulated time has advanced to `now` with no
@@ -634,13 +649,15 @@ impl Core {
         );
     }
 
-    /// Dispatch a batch of events, crediting their work once.
+    /// Dispatch `events` up to the one that settles the session, crediting
+    /// their work once, and return how many were dispatched
+    /// (`Core::batch_loop`).
     pub(crate) fn ingest_batch<M: RoutedMonitor>(
         &mut self,
         program: &FusedProgram,
         monitors: &mut [M],
         events: &[TimedEvent],
-    ) {
+    ) -> usize {
         // Deadline bookkeeping can only arm inside a batch via a timed
         // unit's flag (every `deadline_dirty = true` writer is guarded by
         // it), so a batch that starts with no timed units, a clean dirty
@@ -651,12 +668,17 @@ impl Core {
             && !self.deadline_dirty
             && self.next_deadline.is_none();
         if untimed {
-            self.batch_loop::<M, false>(program, monitors, events);
+            self.batch_loop::<M, false>(program, monitors, events)
         } else {
-            self.batch_loop::<M, true>(program, monitors, events);
+            self.batch_loop::<M, true>(program, monitors, events)
         }
     }
 
+    /// The one batch loop: step `events` in order, stopping right after
+    /// the event that settles the session, credit the events stepped and
+    /// return their count. A session settled before the call steps nothing
+    /// and credits every event, as [`Session::ingest`] would.
+    ///
     /// Kept out of line so each `TIMED` instantiation owns an aligned
     /// symbol: inlining both into the dispatcher lays the hot loops across
     /// each other's fall-through paths.
@@ -666,17 +688,21 @@ impl Core {
         program: &FusedProgram,
         monitors: &mut [M],
         events: &[TimedEvent],
-    ) {
+    ) -> usize {
         self.assert_units(program, monitors.len());
         let mut tally = Tally::default();
-        for &event in events {
-            // A settled session only counts the rest of the batch.
-            if self.active_units == 0 {
-                break;
+        let mut stepped = events.len();
+        if self.active_units > 0 {
+            for (k, &event) in events.iter().enumerate() {
+                self.step::<M, TIMED>(program, monitors, event, &mut tally);
+                if self.active_units == 0 {
+                    stepped = k + 1;
+                    break;
+                }
             }
-            self.step::<M, TIMED>(program, monitors, event, &mut tally);
         }
-        self.credit(events.len() as u64, tally);
+        self.credit(stepped as u64, tally);
+        stepped
     }
 
     /// The dispatch step of one event, the body of every ingest path.

@@ -2,14 +2,30 @@
 //! free of I/O. `lomon check` (trace files, one stream each), `lomon
 //! watch` (stdin) and `lomon serve` (sockets) are thin adapters over it.
 //!
-//! A [`StreamDriver`] takes byte chunks of any size and applies one line
-//! per [`StreamDriver::step`]: framed under the [`MAX_FRAME_BYTES`] cap,
-//! parsed as trace text or NDJSON, checked for monotonic time, resolved
-//! against the engine's frozen [`Vocabulary`] (a name no property uses
-//! only advances time and is never interned) and stepped, with every
-//! verdict that goes final emitted at once as a typed [`Record`]. What an
-//! `end` line or a rejected line means is the caller's policy: `step`
-//! reports it as a [`Step`]. A stream ends either online, with
+//! A [`StreamDriver`] takes byte chunks of any size. Each line is framed
+//! under the [`MAX_FRAME_BYTES`] cap, parsed as trace text or NDJSON,
+//! checked for monotonic time, resolved against the engine's frozen
+//! [`Vocabulary`] (a name no property uses only advances time and is never
+//! interned) and stepped; every verdict that goes final is emitted as a
+//! typed [`Record`].
+//!
+//! One [`StreamDriver::step`] applies a *run* of lines or a single line. A
+//! run is a stretch of regular event lines complete in the buffer: each is
+//! lexed by its format's fast path ([`lex_regular_event`]) and its name
+//! resolved once into a reused event buffer, then the whole run is stepped
+//! with one batch call and its verdicts are emitted. A run ends before any
+//! line the per-line path has to decide: a blank, comment or `end` line, an
+//! unknown name, a line the fast path does not take (malformed, non-ASCII,
+//! non-UTF-8 or irregular), a line over the frame cap or the tail of one,
+//! an earlier timestamp, or a line not yet complete. It also ends right
+//! after the event that reaches a heartbeat multiple or settles the
+//! session, after a line whose decode time an observed driver samples, and
+//! after 256 lines. The next step applies the line that ended the run on
+//! its own. So records, their order and the statistics are those of
+//! stepping one line at a time, however the input was chunked.
+//!
+//! What an `end` line or a rejected line means is the caller's policy:
+//! `step` reports it as a [`Step`]. A stream ends either online, with
 //! [`StreamDriver::close`] emitting the open verdicts and a summary
 //! record, or in batch, with [`StreamDriver::finish`] returning the whole
 //! report.
@@ -26,8 +42,8 @@ use std::time::Instant;
 
 use lomon_core::verdict::Verdict;
 use lomon_trace::{
-    json_escape, parse_stream_line_bytes, Frame, FrameDecoder, IoMetrics, Name, SimTime,
-    StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
+    json_escape, lex_regular_event, parse_stream_line_bytes, Frame, FrameDecoder, IoMetrics, Name,
+    SimTime, StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
 };
 
 use crate::report::{EngineReport, PropertyReport};
@@ -45,10 +61,11 @@ pub enum Fault {
     Encoding,
 }
 
-/// What one line did to the stream.
+/// What one [`StreamDriver::step`] did to the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// An event, a time advance, a blank line or a comment was applied.
+    /// An event, a time advance, a blank line or a comment was applied —
+    /// or a run of event lines, each as if on its own.
     Applied,
     /// An `end` line passed the time check. Whether it only advances time
     /// ([`StreamDriver::advance`]) or closes the stream
@@ -202,6 +219,10 @@ impl<F: FnMut(&Record<'_>, &str) -> io::Result<()>> RecordSink for F {
 /// paths they time, so `lomon_ingest_decode_ns` is a sample.
 const DECODE_SAMPLE_EVERY: u64 = 64;
 
+/// The most lines one run applies, which bounds the driver's event buffer
+/// whatever the size of the chunks pushed.
+const RUN_LINES: usize = 256;
+
 /// One parsed stream line.
 enum Input {
     /// An event; `None` when no property uses its name.
@@ -235,10 +256,9 @@ pub struct StreamDriver<'e> {
     session: Session<'e>,
     out: Renderer<'e>,
     decoder: FrameDecoder,
+    /// The events of the current run, reused from run to run.
+    run: Vec<TimedEvent>,
     io: Option<Arc<IoMetrics>>,
-    /// Lines and bytes decoded since the last flush into `io`.
-    unflushed_lines: u64,
-    unflushed_bytes: u64,
     stats_every: Option<u64>,
     line: u64,
     last_time: SimTime,
@@ -260,9 +280,8 @@ impl<'e> StreamDriver<'e> {
                 text: String::new(),
             },
             decoder: FrameDecoder::new(MAX_FRAME_BYTES),
+            run: Vec::new(),
             io: None,
-            unflushed_lines: 0,
-            unflushed_bytes: 0,
             stats_every: None,
             line: 0,
             last_time: SimTime::ZERO,
@@ -289,11 +308,14 @@ impl<'e> StreamDriver<'e> {
     }
 
     /// Count every line, byte and rejected line into `metrics`, if given,
-    /// and time the parse of one line in 64, picked by line number. Lines and
-    /// bytes are added at each flush point: when [`StreamDriver::step`]
-    /// finds no complete line buffered, and before [`StreamDriver::fail`],
-    /// [`StreamDriver::close`] and [`StreamDriver::finish`] emit. The
-    /// session's own metrics, if attached, are flushed at the same points.
+    /// and time the parse of one line in 64, picked by line number (a run
+    /// ends at each such line, so the line timed is always one applied).
+    /// Lines and bytes are what the frame decoder consumed or dropped, an
+    /// oversized line counting once; they are added at each flush point:
+    /// when [`StreamDriver::step`] finds no complete line buffered, and
+    /// before [`StreamDriver::fail`], [`StreamDriver::close`] and
+    /// [`StreamDriver::finish`] emit. The session's own metrics, if
+    /// attached, are flushed at the same points.
     #[must_use]
     pub fn observe_io(mut self, metrics: Option<Arc<IoMetrics>>) -> Self {
         self.io = metrics;
@@ -325,10 +347,14 @@ impl<'e> StreamDriver<'e> {
         self.decoder.push(bytes);
     }
 
-    /// Apply the next complete line, emitting its records into `sink`.
+    /// Apply the next run of regular event lines, or else the next complete
+    /// line, emitting their records into `sink` (see the module docs).
     /// Returns `None` once every buffered line is applied.
     /// Fails with the first error `sink` returns.
     pub fn step(&mut self, sink: &mut impl RecordSink) -> io::Result<Option<Step>> {
+        if self.step_run(sink)? {
+            return Ok(Some(Step::Applied));
+        }
         let parsed = match self.decoder.next_frame() {
             None => {
                 self.flush_metrics();
@@ -339,9 +365,6 @@ impl<'e> StreamDriver<'e> {
                 format!("frame exceeds {MAX_FRAME_BYTES} bytes ({seen}+ seen); dropped"),
             )),
             Some(Frame::Line(line)) => {
-                self.unflushed_lines += 1;
-                self.unflushed_bytes += line.len() as u64 + 1; // + the newline
-
                 // Sampled by this line's number, `self.line + 1`.
                 let timer = self
                     .io
@@ -350,8 +373,7 @@ impl<'e> StreamDriver<'e> {
                     .map(|io| (io, Instant::now()));
                 let parsed = decode(line, self.out.format, self.out.voc);
                 if let Some((io, started)) = timer {
-                    io.decode_ns
-                        .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    io.decode_ns.record(nanos_since(started));
                 }
                 parsed
             }
@@ -381,16 +403,91 @@ impl<'e> StreamDriver<'e> {
             None => self.session.advance_time(time),
         }
         self.drain(sink)?;
-        // Each ingested event counts once, so the count lands on every
-        // multiple of the period.
-        let events = self.session.stats().events;
-        let due = self
-            .stats_every
-            .is_some_and(|every| events.is_multiple_of(every));
-        if name.is_some() && due {
-            self.out.send(&Record::Stats(&self.session), sink)?;
+        if name.is_some() {
+            self.heartbeat(sink)?;
         }
         Ok(Some(Step::Applied))
+    }
+
+    /// Apply the run of regular event lines at the head of the buffer, if
+    /// there is one, with one batch call; returns whether it applied any.
+    /// Fails with the first error `sink` returns.
+    fn step_run(&mut self, sink: &mut impl RecordSink) -> io::Result<bool> {
+        // The run stops at the next heartbeat multiple and, observed, at
+        // the next sampled line, which is then the run's last.
+        let mut room = RUN_LINES as u64;
+        if let Some(every) = self.stats_every.filter(|&every| every > 0) {
+            room = room.min(every - self.session.stats().events % every);
+        }
+        if self.io.is_some() {
+            room = room.min(DECODE_SAMPLE_EVERY - self.line % DECODE_SAMPLE_EVERY);
+        }
+        let (format, voc) = (self.out.format, self.out.voc);
+        let bytes = self.decoder.buffered();
+        let (mut len, mut last) = (0, self.last_time);
+        let mut sample = None;
+        self.run.clear();
+        while (self.run.len() as u64) < room {
+            let line = self.line + self.run.len() as u64 + 1;
+            let started =
+                (self.io.is_some() && line.is_multiple_of(DECODE_SAMPLE_EVERY)).then(Instant::now);
+            let rest = &bytes[len..];
+            let Some(event) = lex_regular_event(format, rest) else {
+                break;
+            };
+            // A line over the frame cap or back in time is the per-line
+            // path's, as is a name no property uses.
+            if event.len > MAX_FRAME_BYTES || event.time < last {
+                break;
+            }
+            let Some(name) = voc.lookup_bytes(event.name) else {
+                break;
+            };
+            if let Some(started) = started {
+                sample = Some(nanos_since(started));
+            }
+            self.run.push(TimedEvent::new(name, event.time));
+            last = event.time;
+            len += event.len;
+        }
+        if self.run.is_empty() {
+            return Ok(false);
+        }
+        let stepped = self.session.ingest_until_settled(&self.run);
+        if stepped < self.run.len() {
+            // The session settled mid-run: the lines after it stay
+            // buffered, as if the caller had stopped at its line.
+            len = bytes
+                .split_inclusive(|&b| b == b'\n')
+                .take(stepped)
+                .map(<[u8]>::len)
+                .sum();
+            sample = None;
+        }
+        self.decoder.consume(stepped as u64, len);
+        if let (Some(io), Some(ns)) = (&self.io, sample) {
+            io.decode_ns.record(ns);
+        }
+        self.line += stepped as u64;
+        self.last_time = self.run[stepped - 1].time;
+        self.open = true;
+        self.drain(sink)?;
+        self.heartbeat(sink)?;
+        Ok(true)
+    }
+
+    /// Emit a heartbeat if the event count has reached a multiple of the
+    /// period. Each ingested event counts once, so the count lands on every
+    /// multiple.
+    fn heartbeat(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
+        let events = self.session.stats().events;
+        if self
+            .stats_every
+            .is_some_and(|every| events.is_multiple_of(every))
+        {
+            self.out.send(&Record::Stats(&self.session), sink)?;
+        }
+        Ok(())
     }
 
     /// Advance the session to the last time seen, emitting the verdicts
@@ -471,15 +568,15 @@ impl<'e> StreamDriver<'e> {
         self.drain(sink)
     }
 
-    /// Add the lines and bytes decoded since the last flush to the I/O
-    /// metrics, if observed, and flush the session's metrics, if attached.
+    /// Add the lines and bytes the decoder consumed since the last flush to
+    /// the I/O metrics, if observed, and flush the session's metrics, if
+    /// attached.
     fn flush_metrics(&mut self) {
+        let (lines, bytes) = self.decoder.take_counts();
         if let Some(io) = &self.io {
-            io.lines.add(self.unflushed_lines);
-            io.bytes.add(self.unflushed_bytes);
+            io.lines.add(lines);
+            io.bytes.add(bytes);
         }
-        self.unflushed_lines = 0;
-        self.unflushed_bytes = 0;
         self.session.flush_metrics();
     }
 
@@ -495,6 +592,11 @@ impl<'e> StreamDriver<'e> {
         }
         Ok(())
     }
+}
+
+/// Nanoseconds since `started`, saturating.
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Properties violated so far: every one of them has had its verdict

@@ -21,10 +21,11 @@ use rand::{Rng, RngCore as _, SeedableRng};
 
 use lomon_core::ast::Property;
 use lomon_core::parse::parse_property;
-use lomon_gen::{generate, mutate, GeneratorConfig};
+use lomon_gen::mutate::edit;
+use lomon_gen::{generate, GeneratorConfig};
 use lomon_tlm::scenario::{case_study_properties, run_scenario, ScenarioConfig};
 use lomon_tlm::{EventNames, FaultPlan};
-use lomon_trace::{SimTime, TimedEvent, Trace, Vocabulary};
+use lomon_trace::{Name, SimTime, TimedEvent, Trace, Vocabulary};
 
 /// A source of randomized episodes for a campaign.
 ///
@@ -155,6 +156,8 @@ impl EpisodeModel for ScenarioModel {
 pub struct GenModel {
     /// The anchor property: mutation alphabet and episode language.
     anchor: Property,
+    /// The anchor's alphabet, which a mutation injects names from.
+    alphabet: Vec<Name>,
     /// All monitored property texts (the anchor first).
     texts: Vec<String>,
     voc: Vocabulary,
@@ -196,6 +199,7 @@ impl GenModel {
             .ok_or("a GenModel needs at least one property")?;
         let anchor = parse_property(first, &mut voc).map_err(|e| e.display_with_source(first))?;
         Ok(GenModel {
+            alphabet: anchor.alpha().iter().collect(),
             anchor,
             texts,
             voc,
@@ -246,12 +250,15 @@ impl EpisodeModel for GenModel {
         };
         let mutated;
         let trace = if rng.gen_bool(self.mutation_probability) {
-            match mutate(&self.anchor, base, 1, rng.next_u64()).pop() {
-                Some(mutant) => {
-                    mutated = mutant.trace;
-                    &mutated
-                }
-                None => base, // empty base: nothing to edit
+            // `lomon_gen::mutate`'s one edit, drawn from the generator it
+            // seeds, without the oracle label the episode has no use for.
+            let mut edit_rng = StdRng::seed_from_u64(rng.next_u64());
+            let names: Vec<Name> = base.names().collect();
+            if names.is_empty() {
+                base // nothing to edit
+            } else {
+                mutated = Trace::from_names(edit(&names, &self.alphabet, &mut edit_rng).1);
+                &mutated
             }
         } else {
             base
@@ -316,6 +323,34 @@ mod tests {
         let mut again = Vec::new();
         model.episode(5, &mut again);
         assert_eq!(out, again);
+    }
+
+    /// `smc --trace` episodes are the mutants `lomon_gen::mutate` draws
+    /// from the same seeds, labelled or not.
+    #[test]
+    fn trace_episodes_are_the_mutants_mutate_draws() {
+        let text = "all{a, b} < any{c[2,3], d} << go repeated";
+        let mut voc = Vocabulary::new();
+        let anchor = parse_property(text, &mut voc).expect("anchor parses");
+        let base = generate(&anchor, &GeneratorConfig::new(3)).trace;
+        for p in [1.0, 0.5] {
+            let model = GenModel::from_trace(vec![text.into()], base.clone(), voc.clone())
+                .expect("anchor parses")
+                .with_mutation_probability(p);
+            for seed in 0..200 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let expected = if rng.gen_bool(p) {
+                    let mut mutants = lomon_gen::mutate(&anchor, &base, 1, rng.next_u64());
+                    mutants.pop().expect("a non-empty base").trace
+                } else {
+                    base.clone()
+                };
+                let mut events = Vec::new();
+                let end = model.episode(seed, &mut events);
+                assert_eq!(events, expected.events(), "p {p}, seed {seed}");
+                assert_eq!(end, expected.end_time(), "p {p}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -57,10 +57,15 @@ pub struct FrameDecoder {
     start: usize,
     /// Scan cursor: bytes before `scan` are known newline-free.
     scan: usize,
+    /// End of the complete lines: just past the last `\n` pushed.
+    complete: usize,
     max_frame: usize,
     /// Mid-discard of an oversized frame: swallow bytes up to the next
     /// newline without reporting them again.
     skipping: bool,
+    /// Lines and bytes consumed since the last [`FrameDecoder::take_counts`].
+    lines: u64,
+    bytes: u64,
 }
 
 impl FrameDecoder {
@@ -71,8 +76,11 @@ impl FrameDecoder {
             buf: Vec::new(),
             start: 0,
             scan: 0,
+            complete: 0,
             max_frame,
             skipping: false,
+            lines: 0,
+            bytes: 0,
         }
     }
 
@@ -84,7 +92,11 @@ impl FrameDecoder {
         if self.start > 0 && (self.start == self.buf.len() || self.start >= 4096) {
             self.buf.drain(..self.start);
             self.scan -= self.start;
+            self.complete = self.complete.saturating_sub(self.start);
             self.start = 0;
+        }
+        if let Some(last) = bytes.iter().rposition(|&b| b == b'\n') {
+            self.complete = self.buf.len() + last + 1;
         }
         self.buf.extend_from_slice(bytes);
     }
@@ -98,13 +110,13 @@ impl FrameDecoder {
                 Some(pos) => {
                     let nl = self.scan + pos;
                     let line_start = self.start;
-                    self.start = nl + 1;
-                    self.scan = self.start;
+                    self.advance(nl + 1);
                     if self.skipping {
                         // The tail of a frame already reported oversized.
                         self.skipping = false;
                         continue;
                     }
+                    self.lines += 1;
                     let mut line = &self.buf[line_start..nl];
                     if line.last() == Some(&b'\r') {
                         line = &line[..line.len() - 1];
@@ -115,20 +127,26 @@ impl FrameDecoder {
                     return Some(Frame::Line(line));
                 }
                 None => {
-                    self.scan = self.buf.len();
-                    let pending = self.buf.len() - self.start;
                     if self.skipping {
                         // The runaway frame is still arriving: drop its
                         // bytes as they come instead of holding them
                         // until its newline.
-                        self.start = self.buf.len();
-                    } else if pending > self.max_frame {
-                        // Stop buffering the runaway frame *now* — the
-                        // cap, not the client, bounds memory.
-                        self.start = self.buf.len();
-                        self.skipping = true;
-                        return Some(Frame::Oversized { seen: pending });
+                        self.advance(self.buf.len());
+                    } else {
+                        // A trailing `\r` may yet be a CRLF's, which the
+                        // frame would not count.
+                        let cr = self.buf[self.start..].last() == Some(&b'\r');
+                        let pending = self.buf.len() - self.start - usize::from(cr);
+                        if pending > self.max_frame {
+                            // Stop buffering the runaway frame *now* — the
+                            // cap, not the client, bounds memory.
+                            self.advance(self.buf.len());
+                            self.skipping = true;
+                            self.lines += 1;
+                            return Some(Frame::Oversized { seen: pending });
+                        }
                     }
+                    self.scan = self.buf.len();
                     return None;
                 }
             }
@@ -141,11 +159,58 @@ impl FrameDecoder {
     pub fn partial_len(&self) -> usize {
         self.buf.len() - self.start
     }
+
+    /// The complete lines buffered and not yet handed out, each with its
+    /// `\n`, without the frame still arriving. A caller may decode a prefix
+    /// of them itself and [`consume`](FrameDecoder::consume) it. Empty
+    /// while the tail of an oversized frame is being dropped: only
+    /// [`next_frame`](FrameDecoder::next_frame) gets past it.
+    pub fn buffered(&self) -> &[u8] {
+        if self.skipping || self.start >= self.complete {
+            return &[];
+        }
+        &self.buf[self.start..self.complete]
+    }
+
+    /// Mark the first `len` bytes of [`buffered`](FrameDecoder::buffered)
+    /// consumed: `lines` whole lines, the last one ending at a `\n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` bytes are not complete buffered lines.
+    pub fn consume(&mut self, lines: u64, len: usize) {
+        let end = self.start + len;
+        assert!(
+            len == 0 || (len <= self.buffered().len() && self.buf[end - 1] == b'\n'),
+            "only whole buffered lines can be consumed"
+        );
+        self.advance(end);
+        self.lines += lines;
+    }
+
+    /// The lines and bytes consumed since the last call: every frame handed
+    /// out (an oversized one counts once), every line
+    /// [`consume`](FrameDecoder::consume)d, and every byte moved past —
+    /// delivered, dropped, or a stripped `\r` and `\n`.
+    pub fn take_counts(&mut self) -> (u64, u64) {
+        let counts = (self.lines, self.bytes);
+        (self.lines, self.bytes) = (0, 0);
+        counts
+    }
+
+    /// Move the consumed prefix's end to `to`, counting the bytes passed.
+    /// Every byte before `to` is known to be newline-free or consumed, so
+    /// the scan cursor moves with it.
+    fn advance(&mut self, to: usize) {
+        self.bytes += (to - self.start) as u64;
+        self.start = to;
+        self.scan = self.scan.max(to);
+    }
 }
 
 /// Offset of the first `\n` in `hay`, found by the standard library's
 /// `memchr`-backed byte search rather than a byte-at-a-time scan.
-fn find_newline(hay: &[u8]) -> Option<usize> {
+pub(crate) fn find_newline(hay: &[u8]) -> Option<usize> {
     let read = std::io::BufRead::skip_until(&mut &hay[..], b'\n').ok()?;
     (read > 0 && hay[read - 1] == b'\n').then(|| read - 1)
 }
@@ -227,6 +292,57 @@ mod tests {
             vec![Err(5), Ok(b"ok".to_vec())],
             "a frame that arrives whole reports its exact length"
         );
+    }
+
+    #[test]
+    fn a_crlf_line_at_the_cap_passes_torn_or_whole() {
+        let input = b"1234\r\nok\n";
+        for cut in 0..input.len() {
+            let mut dec = FrameDecoder::new(4);
+            dec.push(&input[..cut]);
+            let mut lines = drain(&mut dec);
+            dec.push(&input[cut..]);
+            lines.extend(drain(&mut dec));
+            assert_eq!(
+                lines,
+                vec![Ok(b"1234".to_vec()), Ok(b"ok".to_vec())],
+                "cut at {cut}"
+            );
+        }
+        // One byte more is a runaway frame, dropped up to its `\r` and
+        // asked again before the rest arrives.
+        let mut dec = FrameDecoder::new(4);
+        dec.push(b"12345\r");
+        assert_eq!(dec.next_frame(), Some(Frame::Oversized { seen: 5 }));
+        assert_eq!(dec.next_frame(), None);
+        dec.push(b"\nok\n");
+        assert_eq!(drain(&mut dec), vec![Ok(b"ok".to_vec())]);
+    }
+
+    #[test]
+    fn decoded_prefixes_are_consumed_and_counted_with_frames() {
+        let mut dec = FrameDecoder::new(8);
+        dec.push(b"one\r\ntwo\nthr");
+        assert_eq!(dec.buffered(), b"one\r\ntwo\n", "complete lines only");
+        dec.consume(1, 5);
+        assert_eq!(dec.buffered(), b"two\n");
+        assert_eq!(drain(&mut dec), vec![Ok(b"two".to_vec())]);
+        assert_eq!(dec.buffered(), b"");
+        dec.push(b"ee\n0123456789\nok\n");
+        assert_eq!(
+            drain(&mut dec),
+            vec![Ok(b"three".to_vec()), Err(10), Ok(b"ok".to_vec())]
+        );
+        assert_eq!(dec.take_counts(), (5, 29), "every line and byte once");
+        assert_eq!(dec.take_counts(), (0, 0));
+
+        // A frame dropped while it arrives counts once, with every byte.
+        dec.push(b"0123456789");
+        assert_eq!(dec.next_frame(), Some(Frame::Oversized { seen: 10 }));
+        dec.push(b"abc\nok\n");
+        assert_eq!(dec.buffered(), b"", "the dropped tail is not a line");
+        assert_eq!(drain(&mut dec), vec![Ok(b"ok".to_vec())]);
+        assert_eq!(dec.take_counts(), (2, 17));
     }
 
     #[test]

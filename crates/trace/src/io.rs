@@ -20,7 +20,9 @@
 //! `char`-wise source of truth), its error type, the telemetry families
 //! and the writer. The readers are byte-level and live in [`crate::wire`]:
 //! [`read_trace_bytes`](crate::read_trace_bytes) loads a whole trace, and
-//! the engine's stream driver lexes one line at a time.
+//! the engine's stream driver lexes runs of regular lines with
+//! [`lex_regular_event`](crate::lex_regular_event) and every other line
+//! on its own.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -36,17 +38,22 @@ use crate::{Trace, Vocabulary};
 /// [`read_trace_bytes_into`](crate::read_trace_bytes_into).
 #[derive(Debug)]
 pub struct IoMetrics {
-    /// `lomon_io_lines_total`: text lines consumed (including comments and
-    /// blanks).
+    /// `lomon_io_lines_total`: text lines consumed (including comments,
+    /// blanks and, on the stream driver, lines dropped as oversized).
     pub lines: Arc<Counter>,
-    /// `lomon_io_bytes_total`: bytes of trace text consumed.
+    /// `lomon_io_bytes_total`: bytes of trace text consumed, line endings
+    /// and the bytes of dropped lines included.
     pub bytes: Arc<Counter>,
     /// `lomon_io_parse_errors_total`: lines rejected by the parser.
     pub parse_errors: Arc<Counter>,
     /// `lomon_ingest_decode_ns`: nanoseconds spent decoding trace bytes
-    /// into events. The engine's stream driver records a sample: the parse
-    /// of one line in 64, picked by line number, so the count is about a
-    /// 64th of `lomon_io_lines_total`.
+    /// into events. The engine's stream driver records a sample: the
+    /// decode of one line in 64, picked by line number, so the count is
+    /// about a 64th of `lomon_io_lines_total`. A line decoded on its own is
+    /// timed from its parse to its name lookup. Inside a run of regular
+    /// lines, which an observed driver ends at each sampled line, the
+    /// sampled line is timed from its lex to its name lookup, and the
+    /// sample is recorded once the run has applied it.
     /// [`read_trace_bytes_into`](crate::read_trace_bytes_into) records once
     /// per decoded buffer. Either way the instrumentation stays off the
     /// per-byte and per-line hot path.

@@ -55,7 +55,10 @@ pub use json::json_escape;
 pub use lexer::{LexedEvent, LexedToken, RunLengthLexer};
 pub use mmap::MappedFile;
 pub use name::{Direction, Name, NameSet, Vocabulary};
-pub use ndjson::{parse_ndjson_line_ref, parse_stream_line_bytes, StreamFormat, StreamLineRef};
+pub use ndjson::{
+    lex_regular_event, parse_ndjson_line_ref, parse_stream_line_bytes, RegularEvent, StreamFormat,
+    StreamLineRef,
+};
 pub use time::SimTime;
 pub use trace::Trace;
 pub use vcd::write_vcd;

@@ -11,8 +11,10 @@
 //!   `{"time": "10ns", "dir": "in", "name": "x"}` or `{"end": "500ns"}`
 //!
 //! — and parse them into the same [`StreamLineRef`] with
-//! [`parse_stream_line_bytes`], the entry point of the engine's stream
-//! driver. Keeping the grammar here (rather than in the CLI binary) is
+//! [`parse_stream_line_bytes`]. The engine's stream driver lexes each
+//! regular event line with [`lex_regular_event`], the fast path of both
+//! formats, and hands every other line to [`parse_stream_line_bytes`].
+//! Keeping the grammar here (rather than in the CLI binary) is
 //! what guarantees a frame that `watch` accepts is byte-for-byte a frame
 //! `serve` accepts.
 //!
@@ -100,12 +102,50 @@ pub fn parse_stream_line_bytes(
             )
         }
         StreamFormat::Ndjson => match parse_plain_event(raw) {
-            Some(event) => Ok(Some(event)),
+            Some(event) => Ok(Some(borrowed(event))),
             None => match std::str::from_utf8(raw) {
                 Ok(line) => scan_ndjson_line(line),
                 Err(_) => Err("line is not valid UTF-8".into()),
             },
         },
+    }
+}
+
+/// A regular event line, lexed by [`lex_regular_event`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegularEvent<'a> {
+    /// Timestamp of the occurrence.
+    pub time: SimTime,
+    /// The interface name, borrowed from the line.
+    pub name: &'a [u8],
+    /// Bytes of the line, its `\n` included if it has one; never 0.
+    pub len: usize,
+}
+
+/// The line at the head of `bytes`, if it is a regular event line of
+/// `format`: in trace text an ASCII `<time> <in|out> <name>` line, in
+/// NDJSON the object the byte-level fast path takes (see the module docs).
+/// The line ends at its first `\n` or at the end of `bytes`. Every other
+/// line gets `None` — blank, comment, `end` marker, non-ASCII, anything
+/// malformed or irregular — and is [`parse_stream_line_bytes`]'s to
+/// decide, which reads a line this lexer takes to the same time and name.
+/// This is the one lexer of regular lines, shared by
+/// [`decode_events_into`](crate::decode_events_into) (trace text) and the
+/// engine's stream driver.
+#[inline]
+pub fn lex_regular_event(format: StreamFormat, bytes: &[u8]) -> Option<RegularEvent<'_>> {
+    match format {
+        StreamFormat::Trace => crate::wire::lex_trace_event(bytes),
+        StreamFormat::Ndjson => {
+            let (line, len) = match crate::frame::find_newline(bytes) {
+                Some(nl) => (&bytes[..nl], nl + 1),
+                None => (bytes, bytes.len()),
+            };
+            // A trailing `\r` is whitespace after the object, so the fast
+            // path reads a CRLF line as the framed line without it.
+            let (time, _, name) = parse_plain_event(line)?;
+            Some(RegularEvent { time, name, len })
+        }
     }
 }
 
@@ -119,7 +159,7 @@ pub fn parse_stream_line_bytes(
 /// A human-readable description of the first grammar fault on the line.
 pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
     match parse_plain_event(line.as_bytes()) {
-        Some(event) => Ok(Some(event)),
+        Some(event) => Ok(Some(borrowed(event))),
         None => scan_ndjson_line(line),
     }
 }
@@ -128,7 +168,7 @@ pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, St
 /// over its bytes, or `None` for every other line (see the module docs).
 /// It only ever accepts: a line it takes parses to the same event under
 /// [`scan_ndjson_line`], and it never produces an error.
-fn parse_plain_event(raw: &[u8]) -> Option<StreamLineRef<'_>> {
+fn parse_plain_event(raw: &[u8]) -> Option<(SimTime, Direction, &[u8])> {
     let mut cur = PlainCursor { raw, pos: 0 };
     cur.eat(b'{')?;
     let (mut time, mut dir, mut name) = (None, None, None);
@@ -165,11 +205,16 @@ fn parse_plain_event(raw: &[u8]) -> Option<StreamLineRef<'_>> {
         Some(_) => return None,
     };
     let name = name.filter(|name| !name.is_empty())?;
-    Some(StreamLineRef::Event {
+    Some((time, direction, name))
+}
+
+/// A fast-path event as a stream line, its name borrowed from the frame.
+fn borrowed((time, direction, name): (SimTime, Direction, &[u8])) -> StreamLineRef<'_> {
+    StreamLineRef::Event {
         time,
         direction,
         name: Cow::Borrowed(ascii_str(name)),
-    })
+    }
 }
 
 /// Byte cursor of [`parse_plain_event`]. Each method skips the ASCII
@@ -497,7 +542,7 @@ mod tests {
             r#"{"dir": "out", "name": "irq", "time": "5us"}"#,
             " \t{ \"time\" : \"007ps\" , \"name\" : \"a b\" }\r\x0b\x0c",
         ] {
-            let fast = parse_plain_event(line.as_bytes());
+            let fast = parse_plain_event(line.as_bytes()).map(borrowed);
             assert!(fast.is_some(), "fast path refused {line:?}");
             assert_eq!(fast, scan_ndjson_line(line).expect("scans"), "{line:?}");
         }

@@ -8,9 +8,15 @@
 //!   containing non-ASCII bytes — the only place where byte-wise and
 //!   `char`-wise whitespace handling could diverge — fall back to the
 //!   string parser, so semantics and error text are identical by
-//!   construction (a differential proptest suite pins this). It is the
-//!   trace-text lexer of every `lomon` surface: `check`, `watch` and
-//!   `serve` run it line by line through the engine's stream driver.
+//!   construction (a differential proptest suite pins this). The engine's
+//!   stream driver runs it on every line the fast lexer below does not
+//!   take.
+//! * The fast lexer (reached through
+//!   [`lex_regular_event`](crate::lex_regular_event)) takes only a regular
+//!   event line, an ASCII `<time> <in|out> <name>`, in one pass over its
+//!   bytes. [`decode_events_into`] and the stream driver behind `check`,
+//!   `watch` and `serve` share it, and hand every other line to
+//!   [`parse_trace_line_bytes`].
 //! * [`read_trace_bytes`] loads a whole buffer as a [`Trace`], interning
 //!   names, for the commands that take a trace as a value (`vcd`,
 //!   `profile`, `lint --trace`, `smc --trace`).
@@ -25,12 +31,13 @@
 //! No `lomon` command runs [`read_trace_bytes_into`] or
 //! [`decode_events_into`]: they stay for the benchmark's layer timings,
 //! and [`decode_events_into`] is the `wire` leg the `wire_speed` gate holds
-//! the stream driver against.
+//! the stream driver against. The driver runs the same lexer.
 
 use std::time::Instant;
 
 use crate::io::{parse_trace_line, IoMetrics, TraceLine, TraceParseError};
 use crate::name::Direction;
+use crate::ndjson::RegularEvent;
 use crate::time::{scale_time, ScaleError};
 use crate::{SimTime, TimedEvent, Trace, Vocabulary};
 
@@ -338,6 +345,87 @@ fn read_one_bytes(
     Ok(())
 }
 
+/// The trace-text fast lexer: the line at the head of `bytes` if it is a
+/// regular event line, `<time> <in|out> <name>` with only ASCII bytes and
+/// ASCII whitespace around the fields. The line ends at its first `\n`,
+/// counted in `len`, or at the end of `bytes`. Every other line — blank,
+/// comment, `end`, non-ASCII, an unknown unit, an out-of-range time, any
+/// malformed field — gets `None` and is [`parse_trace_line_bytes`]'s to
+/// decide, which reads a line this lexer takes to the same time and name.
+/// [`decode_events_into`] and the engine's stream driver (through
+/// [`lex_regular_event`](crate::lex_regular_event)) share it.
+#[inline]
+pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
+    // The lexer bails the moment the line stops looking like an event,
+    // touching each byte of a regular line exactly once (the per-line
+    // reader scans each line three times: for the `\n`, for the ASCII
+    // check, and for the fields).
+    let mut i = 0;
+    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
+        i += 1;
+    }
+    if i >= bytes.len() || !bytes[i].is_ascii_digit() {
+        return None;
+    }
+    let mut value = 0u64;
+    let mut overflow = false;
+    while i < bytes.len() && bytes[i].is_ascii_digit() {
+        let (scaled, o1) = value.overflowing_mul(10);
+        let (next, o2) = scaled.overflowing_add(u64::from(bytes[i] - b'0'));
+        overflow |= o1 | o2;
+        value = next;
+        i += 1;
+    }
+    if overflow {
+        return None;
+    }
+    let unit_start = i;
+    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
+        i += 1;
+    }
+    if i < bytes.len() && !bytes[i].is_ascii() {
+        // A non-ASCII byte glued to the unit makes it one longer
+        // (non-unit) field under `char`-wise splitting.
+        return None;
+    }
+    // An unknown unit or an out-of-range literal is an error line: the
+    // per-line parser words it.
+    let time = scale_time(value, &bytes[unit_start..i]).ok()?;
+    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
+        i += 1;
+    }
+    let dir_start = i;
+    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
+        i += 1;
+    }
+    if (i < bytes.len() && !bytes[i].is_ascii()) || !matches!(&bytes[dir_start..i], b"in" | b"out")
+    {
+        return None;
+    }
+    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
+        i += 1;
+    }
+    let name_start = i;
+    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
+        i += 1;
+    }
+    if i == name_start || (i < bytes.len() && !bytes[i].is_ascii()) {
+        return None;
+    }
+    let name = &bytes[name_start..i];
+    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
+        i += 1;
+    }
+    if i < bytes.len() && bytes[i] != b'\n' {
+        return None;
+    }
+    Some(RegularEvent {
+        time,
+        name,
+        len: if i < bytes.len() { i + 1 } else { i },
+    })
+}
+
 /// Outcome of a whole-buffer [`decode_events_into`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeSummary {
@@ -371,87 +459,18 @@ pub fn decode_events_into(
     out.clear();
     let mut summary = DecodeSummary::default();
     let mut last_time: Option<SimTime> = None;
-    // Single fused pass: every byte of a well-formed event line is touched
-    // exactly once (the per-line reader scans each line three times — for
-    // the `\n`, for the ASCII check, and for the fields). Anything that is
-    // not a perfectly regular ASCII event line — blanks, comments, `end`,
-    // malformed fields, non-ASCII — drops to [`parse_trace_line_bytes`]
-    // for that one line, so accepted inputs and error text stay identical
-    // to the per-line path by construction.
+    // Single fused pass: every byte of a regular event line is touched
+    // exactly once, by [`lex_trace_event`]. Anything else — blanks,
+    // comments, `end`, malformed fields, non-ASCII — drops to
+    // [`parse_trace_line_bytes`] for that one line, so accepted inputs and
+    // error text stay identical to the per-line path by construction.
     let mut pos = 0usize;
     let mut line_no = 0usize;
-    'lines: while pos < bytes.len() {
+    while pos < bytes.len() {
         line_no += 1;
         let line_start = pos;
-        // A labelled block, broken out of to reach the slow path: the fast
-        // path bails the moment the line stops looking like
-        // `time unit in|out name` with nothing but ASCII in between.
-        let fast = 'fast: {
-            let mut i = pos;
-            while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-                i += 1;
-            }
-            if i >= bytes.len() || !bytes[i].is_ascii_digit() {
-                break 'fast None;
-            }
-            let mut value = 0u64;
-            let mut overflow = false;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                let (scaled, o1) = value.overflowing_mul(10);
-                let (next, o2) = scaled.overflowing_add(u64::from(bytes[i] - b'0'));
-                overflow |= o1 | o2;
-                value = next;
-                i += 1;
-            }
-            if overflow {
-                break 'fast None;
-            }
-            let unit_start = i;
-            while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
-                i += 1;
-            }
-            if i < bytes.len() && !bytes[i].is_ascii() {
-                // A non-ASCII byte glued to the unit makes it one longer
-                // (non-unit) field under `char`-wise splitting.
-                break 'fast None;
-            }
-            // An unknown unit or an out-of-range literal is an error line:
-            // the per-line parser words it.
-            let Ok(time) = scale_time(value, &bytes[unit_start..i]) else {
-                break 'fast None;
-            };
-            while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-                i += 1;
-            }
-            let dir_start = i;
-            while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
-                i += 1;
-            }
-            if (i < bytes.len() && !bytes[i].is_ascii())
-                || !matches!(&bytes[dir_start..i], b"in" | b"out")
-            {
-                break 'fast None;
-            }
-            while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-                i += 1;
-            }
-            let name_start = i;
-            while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
-                i += 1;
-            }
-            if i == name_start || (i < bytes.len() && !bytes[i].is_ascii()) {
-                break 'fast None;
-            }
-            let name = &bytes[name_start..i];
-            while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-                i += 1;
-            }
-            if i < bytes.len() && bytes[i] != b'\n' {
-                break 'fast None;
-            }
-            Some((time, name, if i < bytes.len() { i + 1 } else { i }))
-        };
-        if let Some((time, name, next_pos)) = fast {
+        if let Some(event) = lex_trace_event(&bytes[pos..]) {
+            let time = event.time;
             if let Some(last) = last_time {
                 if time < last {
                     return Err(TraceParseError {
@@ -461,16 +480,16 @@ pub fn decode_events_into(
                 }
             }
             last_time = Some(time);
-            let Some(name) = voc.lookup_bytes(name) else {
+            let Some(name) = voc.lookup_bytes(event.name) else {
                 return Err(TraceParseError {
                     line: line_no,
-                    message: format!("unknown event name `{}`", ascii_str(name)),
+                    message: format!("unknown event name `{}`", ascii_str(event.name)),
                 });
             };
             out.push(TimedEvent::new(name, time));
             summary.lines += 1;
-            pos = next_pos;
-            continue 'lines;
+            pos += event.len;
+            continue;
         }
         // Slow path: slice this one line with `byte_lines` semantics and
         // delegate to the per-line parser.

@@ -15,9 +15,9 @@ use proptest::prelude::*;
 
 use lomon_trace::io::IoMetrics;
 use lomon_trace::{
-    byte_lines, parse_ndjson_line_ref, parse_stream_line_bytes, parse_trace_line,
-    parse_trace_line_bytes, read_trace_bytes, read_trace_bytes_into, Direction, SimTime,
-    StreamFormat, StreamLineRef, Trace, TraceLine, TraceParseError, Vocabulary,
+    byte_lines, lex_regular_event, parse_ndjson_line_ref, parse_stream_line_bytes,
+    parse_trace_line, parse_trace_line_bytes, read_trace_bytes, read_trace_bytes_into, Direction,
+    SimTime, StreamFormat, StreamLineRef, Trace, TraceLine, TraceParseError, Vocabulary,
 };
 
 // ---------------------------------------------------------------------
@@ -233,6 +233,24 @@ fn read_one(
     Ok(())
 }
 
+/// The string parser's reading of a trace line, as a stream line.
+fn parse_trace_stream_line(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
+    parse_trace_line(line).map(|parsed| {
+        parsed.map(|parsed| match parsed {
+            TraceLine::Event {
+                time,
+                direction,
+                name,
+            } => StreamLineRef::Event {
+                time,
+                direction,
+                name: name.into(),
+            },
+            TraceLine::End(time) => StreamLineRef::End(time),
+        })
+    })
+}
+
 // ---------------------------------------------------------------------
 // The legacy NDJSON parser, preserved verbatim as the reference oracle
 // (it built the owned stream line; here that is a `StreamLineRef` with an
@@ -399,16 +417,7 @@ proptest! {
         let from_bytes = parse_trace_line_bytes(line.as_bytes());
         prop_assert_eq!(from_str, from_bytes, "line {:?}", line);
         // The stream driver's entry point agrees too.
-        let stream_str = parse_trace_line(&line).map(|parsed| {
-            parsed.map(|parsed| match parsed {
-                TraceLine::Event { time, direction, name } => StreamLineRef::Event {
-                    time,
-                    direction,
-                    name: name.into(),
-                },
-                TraceLine::End(time) => StreamLineRef::End(time),
-            })
-        });
+        let stream_str = parse_trace_stream_line(&line);
         let stream_bytes = parse_stream_line_bytes(StreamFormat::Trace, line.as_bytes());
         prop_assert_eq!(stream_str, stream_bytes, "line {:?}", line);
     }
@@ -462,6 +471,46 @@ proptest! {
         prop_assert_eq!(metrics.bytes.get(), text.len() as u64, "text {:?}", text);
         prop_assert_eq!(
             metrics.parse_errors.get(), u64::from(oracle.is_err()), "text {:?}", text);
+    }
+
+    /// The fast lexer of regular lines, which `decode_events_into` and the
+    /// stream driver share, takes every ASCII event line and nothing the
+    /// string parser does not read to the same time and name; the line it
+    /// takes ends at its `\n`, whatever follows, or at the end of the
+    /// bytes. In NDJSON it takes nothing the retired char-iterator parser
+    /// does not read to the same event.
+    #[test]
+    fn regular_line_lexer_agrees_with_string_parser(
+        kind in any::<u8>(), t in any::<u8>(), d in any::<u8>(), n in any::<u8>(),
+        s in any::<u8>(), ending in 0u8..3,
+    ) {
+        for (format, line) in [
+            (StreamFormat::Trace, render_line(kind, t, d, n, s)),
+            (StreamFormat::Ndjson, render_json_line(kind, t, d, n, s)),
+        ] {
+            let ending = ["", "\n", "\r\n"][usize::from(ending)];
+            let bytes = format!("{line}{ending}10ns in next\n");
+            let bytes = if ending.is_empty() { line.as_bytes() } else { bytes.as_bytes() };
+            let expected = match format {
+                StreamFormat::Trace => parse_trace_stream_line(&line),
+                StreamFormat::Ndjson => legacy_parse_ndjson_line(&line),
+            };
+            let lexed = lex_regular_event(format, bytes);
+            if format == StreamFormat::Trace && line.is_ascii() {
+                let event = matches!(expected, Ok(Some(StreamLineRef::Event { .. })));
+                prop_assert_eq!(lexed.is_some(), event, "line {:?}", line);
+            }
+            if let Some(lexed) = lexed {
+                prop_assert_eq!(lexed.len, line.len() + ending.len(), "line {:?}", line);
+                match expected {
+                    Ok(Some(StreamLineRef::Event { time, name, .. })) => {
+                        prop_assert_eq!(lexed.time, time, "line {:?}", line);
+                        prop_assert_eq!(lexed.name, name.as_bytes(), "line {:?}", line);
+                    }
+                    other => prop_assert!(false, "lexed {:?}, parsed {:?}", line, other),
+                }
+            }
+        }
     }
 
     /// The NDJSON decoders — the byte-level fast path, the borrowed
