@@ -11,20 +11,24 @@
 //! Results come back as [`Diagnostic`]s with stable machine-readable
 //! codes:
 //!
-//! | Code | Severity | Meaning |
-//! |---|---|---|
-//! | `L001` | error | property does not parse |
-//! | `L002` | error | property is ill-formed (Fig. 3 side conditions) |
-//! | `L003` | warning | duplicate properties (identical recognizers) |
-//! | `L004` | warning | vacuous property: no bounded trace satisfies it non-vacuously |
-//! | `L005` | warning | subsumed/equivalent property pair (same alphabet) |
-//! | `L006` | warning | conflicting property pair |
-//! | `L007` | note | vocabulary names no property observes |
-//! | `L008` | note | trace-corpus events with zero subscriber rows |
-//! | `L009` | note | unreachable action-table rows/entries |
+//! | Code | Severity | Meaning | Run by |
+//! |---|---|---|---|
+//! | `L001` | error | property does not parse | every surface |
+//! | `L002` | error | property is ill-formed (Fig. 3 side conditions) | every surface |
+//! | `L003` | warning | duplicate properties (identical recognizers) | [`warnings`] |
+//! | `L004` | warning | vacuous property: no bounded trace satisfies it non-vacuously | [`warnings`] |
+//! | `L005` | warning | subsumed/equivalent property pair (same alphabet) | [`warnings`] |
+//! | `L006` | warning | conflicting property pair | [`warnings`] |
+//! | `L007` | note | vocabulary names no property observes | [`notes`] |
+//! | `L008` | note | trace-corpus events with zero subscriber rows | [`notes`] |
+//! | `L009` | note | unreachable action-table rows/entries | [`notes`] |
 //!
 //! `L001`/`L002` are emitted by the engine's compile pipeline (they
-//! pre-date lowering); everything else comes out of [`analyze`]. The
+//! pre-date lowering). Every surface that compiles a rulebook (`lomon
+//! check`, `watch`, `smc`, `serve` at start and on each reload, `profile`)
+//! runs the warning passes of [`warnings`] and prints what they find; only
+//! `lomon lint` also runs the note passes of [`notes`] and appends their
+//! findings, so a cold start pays for no analysis it does not print. The
 //! semantic verdicts are *bounded-model* verdicts: exact for traces of at
 //! most each walk's horizon
 //! ([`bounded_horizon`](crate::compiled::CompiledProgram::bounded_horizon)),
@@ -42,8 +46,9 @@ use lomon_trace::{json_escape, Name, NameSet, Vocabulary};
 use crate::compiled::PruneStats;
 use crate::fused::FusedProgram;
 
-/// How serious a [`Diagnostic`] is — drives lint exit codes and the
-/// engine's default printing (warnings shown, notes reserved for `lint`).
+/// How serious a [`Diagnostic`] is — drives lint exit codes. Warnings come
+/// from [`warnings`], which every surface that compiles a rulebook runs and
+/// prints; notes come from [`notes`], which only `lomon lint` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// The rulebook is unusable (parse / well-formedness failure).
@@ -161,15 +166,10 @@ impl Diagnostic {
     }
 }
 
-/// Knobs for [`analyze`]. The defaults are what `Engine::compile_with_analysis`
-/// and `lomon lint` use.
+/// Knobs for [`warnings`] and [`notes`]. The defaults are what
+/// `Engine::compile_with_analysis` and `lomon lint` use.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
-    /// Run the semantic walks (vacuity `L004`, subsumption `L005`,
-    /// conflict `L006`).
-    pub semantic: bool,
-    /// Run the dead-table walk (`L009`).
-    pub dead_table: bool,
     /// Maximum distinct states per bounded-model walk; a walk that would
     /// exceed it is silently skipped (no verdict, never a false one).
     pub state_budget: usize,
@@ -186,8 +186,6 @@ pub struct AnalysisOptions {
 impl Default for AnalysisOptions {
     fn default() -> AnalysisOptions {
         AnalysisOptions {
-            semantic: true,
-            dead_table: true,
             state_budget: 20_000,
             max_pairs: 256,
             horizon_cap: 24,
@@ -222,15 +220,15 @@ fn corpus_set(opts: &AnalysisOptions) -> Option<NameSet> {
     })
 }
 
-/// Run every rulebook-level analysis over a fused program and return the
-/// findings (codes `L003`–`L009`; parse and well-formedness errors are
-/// reported by the compile pipeline before lowering, so they never reach
-/// this function). `displays[p]` is property `p`'s source text, used in
-/// messages.
-pub fn analyze(
+/// Run the warning passes over a fused program and return their findings:
+/// the `L003` duplicates, the `L004` vacuous groups, then `L005`/`L006`
+/// pair by pair (parse and well-formedness errors are reported by the
+/// compile pipeline before lowering, so they never reach this function).
+/// `displays[p]` is property `p`'s source text, used in messages. The
+/// corpus of `opts` plays no part.
+pub fn warnings(
     fused: &FusedProgram,
     displays: &[&str],
-    voc: &Vocabulary,
     opts: &AnalysisOptions,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -253,102 +251,115 @@ pub fn analyze(
         }
     }
 
-    if opts.semantic {
-        // L004 — vacuity, one walk per unique group.
-        for g in 0..fused.group_count() {
-            let program = fused.group(g);
-            let horizon = program.bounded_horizon();
+    // L004 — vacuity, one walk per unique group.
+    for g in 0..fused.group_count() {
+        let program = fused.group(g);
+        let horizon = program.bounded_horizon();
+        if horizon > opts.horizon_cap {
+            continue;
+        }
+        if reach::satisfiable(program, horizon, opts.state_budget) == Some(false) {
+            let members = fused.members(g);
+            out.push(Diagnostic::new(
+                DiagCode::L004,
+                members.iter().map(|&p| p as usize).collect(),
+                format!(
+                    "{} is vacuous: no trace of up to {horizon} steps \
+                     completes a satisfied episode — it can only ever \
+                     pass by never firing",
+                    label_list(members, displays)
+                ),
+            ));
+        }
+    }
+
+    // L005/L006 — pairwise product walks over group representatives.
+    let mut walked = 0usize;
+    'pairs: for i in 0..fused.group_count() {
+        for j in (i + 1)..fused.group_count() {
+            let (pi, pj) = (fused.group(i), fused.group(j));
+            let same_alphabet = pi.alphabet() == pj.alphabet();
+            // Disjoint alphabets can neither subsume (different
+            // alphabets) nor conflict (their traces interleave freely).
+            if !same_alphabet && !pi.alphabet().intersects(pj.alphabet()) {
+                continue;
+            }
+            let horizon = pi.bounded_horizon().max(pj.bounded_horizon());
             if horizon > opts.horizon_cap {
                 continue;
             }
-            if reach::satisfiable(program, horizon, opts.state_budget) == Some(false) {
-                let members = fused.members(g);
+            if walked >= opts.max_pairs {
+                break 'pairs;
+            }
+            walked += 1;
+            let Some(facts) = reach::pair_facts(pi, pj, horizon, opts.state_budget) else {
+                continue;
+            };
+            let ri = fused.members(i)[0] as usize;
+            let rj = fused.members(j)[0] as usize;
+            if same_alphabet {
+                let (li, lj) = (prop_label(ri, displays), prop_label(rj, displays));
+                match (facts.subsumes_j(), facts.subsumes_i()) {
+                    (true, true) => out.push(Diagnostic::new(
+                        DiagCode::L005,
+                        vec![ri, rj],
+                        format!(
+                            "{li} and {lj} are equivalent within the \
+                             bounded model (horizon {horizon}): they \
+                             admit exactly the same traces"
+                        ),
+                    )),
+                    (true, false) => out.push(Diagnostic::new(
+                        DiagCode::L005,
+                        vec![ri, rj],
+                        format!(
+                            "{lj} is subsumed by {li}: within the \
+                             bounded model (horizon {horizon}) every \
+                             violation it can raise, {li} raises too"
+                        ),
+                    )),
+                    (false, true) => out.push(Diagnostic::new(
+                        DiagCode::L005,
+                        vec![ri, rj],
+                        format!(
+                            "{li} is subsumed by {lj}: within the \
+                             bounded model (horizon {horizon}) every \
+                             violation it can raise, {lj} raises too"
+                        ),
+                    )),
+                    (false, false) => {}
+                }
+            }
+            if facts.conflicting() {
+                let (li, lj) = (prop_label(ri, displays), prop_label(rj, displays));
                 out.push(Diagnostic::new(
-                    DiagCode::L004,
-                    members.iter().map(|&p| p as usize).collect(),
+                    DiagCode::L006,
+                    vec![ri, rj],
                     format!(
-                        "{} is vacuous: no trace of up to {horizon} steps \
-                         completes a satisfied episode — it can only ever \
-                         pass by never firing",
-                        label_list(members, displays)
+                        "{li} and {lj} conflict: each is satisfiable \
+                         alone, but within the bounded model (horizon \
+                         {horizon}) no trace satisfies one without \
+                         violating the other"
                     ),
                 ));
             }
         }
-
-        // L005/L006 — pairwise product walks over group representatives.
-        let mut walked = 0usize;
-        'pairs: for i in 0..fused.group_count() {
-            for j in (i + 1)..fused.group_count() {
-                let (pi, pj) = (fused.group(i), fused.group(j));
-                let same_alphabet = pi.alphabet() == pj.alphabet();
-                // Disjoint alphabets can neither subsume (different
-                // alphabets) nor conflict (their traces interleave freely).
-                if !same_alphabet && !pi.alphabet().intersects(pj.alphabet()) {
-                    continue;
-                }
-                let horizon = pi.bounded_horizon().max(pj.bounded_horizon());
-                if horizon > opts.horizon_cap {
-                    continue;
-                }
-                if walked >= opts.max_pairs {
-                    break 'pairs;
-                }
-                walked += 1;
-                let Some(facts) = reach::pair_facts(pi, pj, horizon, opts.state_budget) else {
-                    continue;
-                };
-                let ri = fused.members(i)[0] as usize;
-                let rj = fused.members(j)[0] as usize;
-                if same_alphabet {
-                    let (li, lj) = (prop_label(ri, displays), prop_label(rj, displays));
-                    match (facts.subsumes_j(), facts.subsumes_i()) {
-                        (true, true) => out.push(Diagnostic::new(
-                            DiagCode::L005,
-                            vec![ri, rj],
-                            format!(
-                                "{li} and {lj} are equivalent within the \
-                                 bounded model (horizon {horizon}): they \
-                                 admit exactly the same traces"
-                            ),
-                        )),
-                        (true, false) => out.push(Diagnostic::new(
-                            DiagCode::L005,
-                            vec![ri, rj],
-                            format!(
-                                "{lj} is subsumed by {li}: within the \
-                                 bounded model (horizon {horizon}) every \
-                                 violation it can raise, {li} raises too"
-                            ),
-                        )),
-                        (false, true) => out.push(Diagnostic::new(
-                            DiagCode::L005,
-                            vec![ri, rj],
-                            format!(
-                                "{li} is subsumed by {lj}: within the \
-                                 bounded model (horizon {horizon}) every \
-                                 violation it can raise, {lj} raises too"
-                            ),
-                        )),
-                        (false, false) => {}
-                    }
-                }
-                if facts.conflicting() {
-                    let (li, lj) = (prop_label(ri, displays), prop_label(rj, displays));
-                    out.push(Diagnostic::new(
-                        DiagCode::L006,
-                        vec![ri, rj],
-                        format!(
-                            "{li} and {lj} conflict: each is satisfiable \
-                             alone, but within the bounded model (horizon \
-                             {horizon}) no trace satisfies one without \
-                             violating the other"
-                        ),
-                    ));
-                }
-            }
-        }
     }
+
+    out
+}
+
+/// Run the note passes over a fused program, whose names `voc` resolves,
+/// and return their findings (codes `L007`–`L009`, in that order):
+/// `lomon lint` appends them to the [`warnings`]. `displays[p]` is
+/// property `p`'s source text, used in messages.
+pub fn notes(
+    fused: &FusedProgram,
+    displays: &[&str],
+    voc: &Vocabulary,
+    opts: &AnalysisOptions,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
 
     // L007 — vocabulary names no property observes.
     if fused.property_count() > 0 {
@@ -399,38 +410,36 @@ pub fn analyze(
     }
 
     // L009 — dead action-table rows/entries.
-    if opts.dead_table {
-        let corpus = corpus_set(opts);
-        for g in 0..fused.group_count() {
-            let program = fused.group(g);
-            let Some(live) = reach::live_mask(program, corpus.as_ref(), opts.state_budget) else {
-                continue;
-            };
-            let drop = droppable_rows(program.alphabet(), corpus.as_ref());
-            let (_, stats) = program.pruned(&live, &drop);
-            if stats.dropped_rows == 0 && stats.neutralized_entries == 0 {
-                continue;
-            }
-            let members = fused.members(g);
-            let scope = if corpus.is_some() {
-                " given the trace corpus"
-            } else {
-                ""
-            };
-            out.push(Diagnostic::new(
-                DiagCode::L009,
-                members.iter().map(|&p| p as usize).collect(),
-                format!(
-                    "action table of {}: {} of {} rows and {} further \
-                     entries are unreachable{scope} (prunable with \
-                     --fix-prune)",
-                    label_list(members, displays),
-                    stats.dropped_rows,
-                    stats.rows,
-                    stats.neutralized_entries,
-                ),
-            ));
+    let corpus = corpus_set(opts);
+    for g in 0..fused.group_count() {
+        let program = fused.group(g);
+        let Some(live) = reach::live_mask(program, corpus.as_ref(), opts.state_budget) else {
+            continue;
+        };
+        let drop = droppable_rows(program.alphabet(), corpus.as_ref());
+        let (_, stats) = program.pruned(&live, &drop);
+        if stats.dropped_rows == 0 && stats.neutralized_entries == 0 {
+            continue;
         }
+        let members = fused.members(g);
+        let scope = if corpus.is_some() {
+            " given the trace corpus"
+        } else {
+            ""
+        };
+        out.push(Diagnostic::new(
+            DiagCode::L009,
+            members.iter().map(|&p| p as usize).collect(),
+            format!(
+                "action table of {}: {} of {} rows and {} further \
+                 entries are unreachable{scope} (prunable with \
+                 --fix-prune)",
+                label_list(members, displays),
+                stats.dropped_rows,
+                stats.rows,
+                stats.neutralized_entries,
+            ),
+        ));
     }
 
     out

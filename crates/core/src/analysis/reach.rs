@@ -9,10 +9,16 @@
 //! trace happens at `k` nanoseconds — plus a *gap* branch that advances
 //! time by one step without an event (needed to witness facts that require
 //! a deadline to expire before the trace continues). States are
-//! deduplicated through [`CompiledMonitor::analysis_key`], which is exact
-//! for this model: two monitors with equal keys at equal `now` are
+//! deduplicated through [`CompiledMonitor::analysis_key_into`], which is
+//! exact for this model: two monitors with equal keys at equal `now` are
 //! indistinguishable under every future unit-step input, so
 //! shallowest-first visiting loses no facts.
+//!
+//! Every rulebook start pays for the vacuity and pair walks, so they are
+//! kept cheap: walk monitors latch a violated verdict without building its
+//! report, each successor and finish probe is stepped in a reused scratch
+//! monitor, keys are built in one reused buffer and hashed a word at a
+//! time, and only a state not seen before is cloned and its key stored.
 //!
 //! The dead-table walk is different: it runs the whole exploration at a
 //! *constant* time 0, where no deadline can ever fire. Every cell
@@ -23,6 +29,7 @@
 //! are genuinely dead.
 
 use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use lomon_trace::{Name, NameSet, SimTime, TimedEvent};
@@ -30,13 +37,66 @@ use lomon_trace::{Name, NameSet, SimTime, TimedEvent};
 use crate::compiled::{CompiledMonitor, CompiledProgram};
 use crate::verdict::{Monitor, Verdict};
 
+/// A walk's root: the program's initial state, in verdict-only mode.
+fn walk_root(program: &Arc<CompiledProgram>) -> CompiledMonitor {
+    CompiledMonitor::new(Arc::clone(program)).verdict_only()
+}
+
 /// `(ok, success)` of a monitor if observation ended now: un-violated, and
-/// un-violated with at least one non-vacuously satisfied episode.
-fn finish_facts(mon: &CompiledMonitor, now: SimTime) -> (bool, bool) {
-    let mut probe = mon.clone();
-    let verdict = probe.finish(now);
-    let ok = verdict != Verdict::Violated;
-    (ok, ok && probe.satisfied_episodes() > 0)
+/// un-violated with at least one non-vacuously satisfied episode. `probe`
+/// is a scratch monitor of the same program, overwritten.
+fn finish_facts(mon: &CompiledMonitor, probe: &mut CompiledMonitor, now: SimTime) -> (bool, bool) {
+    probe.copy_from(mon);
+    let ok = probe.finish(now) != Verdict::Violated;
+    (ok, ok && mon.satisfied_episodes() > 0)
+}
+
+/// Multiplicative word-at-a-time hashing (FxHash's scheme) for the
+/// visited sets. Their keys are short runs of small words; SipHash cost a
+/// large share of every walk on them.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        for &byte in words.remainder() {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits: bring the well-mixed high
+        // bits of the last product down.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The states a walk has reached, by [`CompiledMonitor::analysis_key_into`]
+/// key. Keys are built in one reused buffer; only a new one is copied in.
+#[derive(Default)]
+struct Visited(HashSet<Box<[u64]>, BuildHasherDefault<WordHasher>>);
+
+impl Visited {
+    /// Record `key`; whether it was new.
+    fn insert(&mut self, key: &[u64]) -> bool {
+        !self.0.contains(key) && self.0.insert(key.into())
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
 }
 
 /// Whether some trace of at most `horizon` unit-step events lets the
@@ -47,14 +107,17 @@ fn finish_facts(mon: &CompiledMonitor, now: SimTime) -> (bool, bool) {
 /// `budget` distinct states.
 pub fn satisfiable(program: &Arc<CompiledProgram>, horizon: usize, budget: usize) -> Option<bool> {
     let branch: Vec<Name> = program.alphabet().iter().collect();
-    let root = CompiledMonitor::new(Arc::clone(program)).without_diagnostics();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
+    let root = walk_root(program);
+    let mut scratch = root.clone();
+    let mut key = Vec::new();
+    let mut visited = Visited::default();
+    root.analysis_key_into(SimTime::from_ns(0), &mut key);
+    visited.insert(&key);
     let mut queue = VecDeque::new();
-    visited.insert(root.analysis_key(SimTime::from_ns(0)));
     queue.push_back((root, 0usize));
     while let Some((mon, depth)) = queue.pop_front() {
         let now = SimTime::from_ns(depth as u64);
-        let (_, succ) = finish_facts(&mon, now);
+        let (_, succ) = finish_facts(&mon, &mut scratch, now);
         if succ {
             return Some(true);
         }
@@ -66,17 +129,19 @@ pub fn satisfiable(program: &Arc<CompiledProgram>, horizon: usize, budget: usize
         }
         let next = SimTime::from_ns(depth as u64 + 1);
         for choice in std::iter::once(None).chain(branch.iter().copied().map(Some)) {
-            let mut successor = mon.clone();
+            scratch.copy_from(&mon);
             match choice {
                 Some(name) => {
-                    successor.observe(TimedEvent::new(name, next));
+                    scratch.observe(TimedEvent::new(name, next));
                 }
                 None => {
-                    successor.advance_time(next);
+                    scratch.advance_time(next);
                 }
             }
-            if visited.insert(successor.analysis_key(next)) {
-                queue.push_back((successor, depth + 1));
+            key.clear();
+            scratch.analysis_key_into(next, &mut key);
+            if visited.insert(&key) {
+                queue.push_back((scratch.clone(), depth + 1));
             }
         }
     }
@@ -146,27 +211,26 @@ pub fn pair_facts(
     let mut alpha = a.alphabet().clone();
     alpha.union_with(b.alphabet());
     let branch: Vec<Name> = alpha.iter().collect();
-    let t0 = SimTime::from_ns(0);
-    let roots = (
-        CompiledMonitor::new(Arc::clone(a)).without_diagnostics(),
-        CompiledMonitor::new(Arc::clone(b)).without_diagnostics(),
-    );
-    let product_key = |ma: &CompiledMonitor, mb: &CompiledMonitor, now: SimTime| {
-        let mut key = ma.analysis_key(now);
+    let roots = (walk_root(a), walk_root(b));
+    let (mut sa, mut sb) = roots.clone();
+    let product_key = |ma: &CompiledMonitor, mb: &CompiledMonitor, now, key: &mut Vec<u64>| {
+        key.clear();
+        ma.analysis_key_into(now, key);
         let split = key.len() as u64;
         key.push(split);
-        key.extend(mb.analysis_key(now));
-        key
+        mb.analysis_key_into(now, key);
     };
     let mut facts = PairFacts::default();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
+    let mut key = Vec::new();
+    let mut visited = Visited::default();
+    product_key(&roots.0, &roots.1, SimTime::from_ns(0), &mut key);
+    visited.insert(&key);
     let mut queue = VecDeque::new();
-    visited.insert(product_key(&roots.0, &roots.1, t0));
     queue.push_back((roots, 0usize));
     while let Some(((ma, mb), depth)) = queue.pop_front() {
         let now = SimTime::from_ns(depth as u64);
-        let (ok_i, succ_i) = finish_facts(&ma, now);
-        let (ok_j, succ_j) = finish_facts(&mb, now);
+        let (ok_i, succ_i) = finish_facts(&ma, &mut sa, now);
+        let (ok_j, succ_j) = finish_facts(&mb, &mut sb, now);
         facts.ok_i_not_j |= ok_i && !ok_j;
         facts.ok_j_not_i |= ok_j && !ok_i;
         facts.succ_i_ok_j |= succ_i && ok_j;
@@ -186,19 +250,21 @@ pub fn pair_facts(
         }
         let next = SimTime::from_ns(depth as u64 + 1);
         for choice in std::iter::once(None).chain(branch.iter().copied().map(Some)) {
-            let (mut na, mut nb) = (ma.clone(), mb.clone());
+            sa.copy_from(&ma);
+            sb.copy_from(&mb);
             match choice {
                 Some(name) => {
-                    na.observe(TimedEvent::new(name, next));
-                    nb.observe(TimedEvent::new(name, next));
+                    sa.observe(TimedEvent::new(name, next));
+                    sb.observe(TimedEvent::new(name, next));
                 }
                 None => {
-                    na.advance_time(next);
-                    nb.advance_time(next);
+                    sa.advance_time(next);
+                    sb.advance_time(next);
                 }
             }
-            if visited.insert(product_key(&na, &nb, next)) {
-                queue.push_back(((na, nb), depth + 1));
+            product_key(&sa, &sb, next, &mut key);
+            if visited.insert(&key) {
+                queue.push_back(((sa.clone(), sb.clone()), depth + 1));
             }
         }
     }
@@ -225,10 +291,13 @@ pub(crate) fn live_mask(
         .collect();
     let mut live = vec![false; program.action_count()];
     let t0 = SimTime::from_ns(0);
-    let root = CompiledMonitor::new(Arc::clone(program)).without_diagnostics();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
+    let root = walk_root(program);
+    let mut scratch = root.clone();
+    let mut key = Vec::new();
+    let mut visited = Visited::default();
+    root.analysis_key_into(t0, &mut key);
+    visited.insert(&key);
     let mut queue = VecDeque::new();
-    visited.insert(root.analysis_key(t0));
     queue.push_back(root);
     while let Some(mon) = queue.pop_front() {
         mon.mark_live_actions(&branch, &mut live);
@@ -239,10 +308,12 @@ pub(crate) fn live_mask(
             return None;
         }
         for &name in &branch {
-            let mut successor = mon.clone();
-            successor.observe(TimedEvent::new(name, t0));
-            if visited.insert(successor.analysis_key(t0)) {
-                queue.push_back(successor);
+            scratch.copy_from(&mon);
+            scratch.observe(TimedEvent::new(name, t0));
+            key.clear();
+            scratch.analysis_key_into(t0, &mut key);
+            if visited.insert(&key) {
+                queue.push_back(scratch.clone());
             }
         }
     }

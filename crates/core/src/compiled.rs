@@ -589,6 +589,12 @@ struct MonState {
     /// [`CompiledMonitor::witness`] replays a chain through — live explain
     /// sessions keep it off so the hot path stays a single ring store.
     attribute: bool,
+    /// Latch a violated verdict without building its [`Violation`]: the
+    /// bounded-model walks of [`crate::analysis`] read verdicts only. Read
+    /// by the cold report builders alone, never by the step. Declared
+    /// last: between `diagnostics` and `attribute`, which the step tests
+    /// together, it split the two bytes and slowed explain-mode stepping.
+    verdict_only: bool,
 }
 
 /// The flat-table monitor: a [`CompiledProgram`] plus its per-stream state.
@@ -663,6 +669,7 @@ impl CompiledMonitor {
             response_done_at: None,
             recorder: None,
             attribute: false,
+            verdict_only: false,
         };
         st.start(&program);
         CompiledMonitor { program, st }
@@ -674,6 +681,23 @@ impl CompiledMonitor {
     pub fn without_diagnostics(mut self) -> Self {
         self.st.diagnostics = false;
         self
+    }
+
+    /// A monitor for the bounded-model walks of [`crate::analysis`]: it
+    /// latches a violated verdict without building a [`Violation`]
+    /// (`violation()` stays `None`) and keeps no expected-set snapshot.
+    pub(crate) fn verdict_only(mut self) -> Self {
+        self.st.diagnostics = false;
+        self.st.verdict_only = true;
+        self
+    }
+
+    /// Overwrite this monitor's state with `src`'s, reusing its buffers:
+    /// the walks step each successor in one scratch monitor and clone only
+    /// the states they keep. Both must run the same program.
+    pub(crate) fn copy_from(&mut self, src: &CompiledMonitor) {
+        debug_assert!(Arc::ptr_eq(&self.program, &src.program));
+        self.st.copy_from(&src.st);
     }
 
     /// The shared program this monitor steps.
@@ -704,22 +728,22 @@ impl CompiledMonitor {
     /// fragment, the verdict, the satisfied-episode flag, and — for timed
     /// programs — the episode clocks as `now`-relative offsets saturated
     /// just past the deadline budget (beyond which only "expired" matters).
-    pub(crate) fn analysis_key(&self, now: SimTime) -> Vec<u64> {
+    /// The key's words are appended to `key`, so a walk builds every key
+    /// in one reused buffer.
+    pub(crate) fn analysis_key_into(&self, now: SimTime, key: &mut Vec<u64>) {
         let st = &self.st;
         let verdict = verdict_code(st.verdict);
         let satisfied = u64::from(self.satisfied_episodes() > 0);
         if st.verdict.is_final() {
-            return vec![u64::MAX, verdict, satisfied];
+            key.extend([u64::MAX, verdict, satisfied]);
+            return;
         }
-        let mut key = Vec::with_capacity(7 + 2 * st.cell.len());
         key.push(verdict);
         key.push(st.active as u64);
         key.push(u64::from(st.started));
         key.push(satisfied);
-        for &word in &st.cell {
-            key.push(u64::from(cell_state(word)));
-            key.push(u64::from(cell_cpt(word)));
-        }
+        // A packed cell word holds exactly its `(state, counter)` pair.
+        key.extend_from_slice(&st.cell);
         if let ProgramKind::Timed { bound, .. } = self.program.kind {
             let cap = bound.as_ps().saturating_add(1);
             let offset = |t: Option<SimTime>| match t {
@@ -730,7 +754,6 @@ impl CompiledMonitor {
             key.push(offset(st.episode_start));
             key.push(u64::from(st.response_done_at.is_some()));
         }
-        key
     }
 
     /// Mark the action-table entries an event for any name in `branch`
@@ -1076,6 +1099,22 @@ fn step_cells_dyn<const DIAG: bool>(
 }
 
 impl MonState {
+    /// Overwrite this state with `src`'s, reusing the cell and snapshot
+    /// buffers (see [`CompiledMonitor::copy_from`]).
+    fn copy_from(&mut self, src: &MonState) {
+        let mut cell = std::mem::take(&mut self.cell);
+        let mut prev = std::mem::take(&mut self.prev);
+        cell.clone_from(&src.cell);
+        prev.clone_from(&src.prev);
+        *self = MonState {
+            cell,
+            prev,
+            violation: src.violation.clone(),
+            recorder: src.recorder.clone(),
+            ..*src
+        };
+    }
+
     /// Make fragment `f` the active one, refreshing the cached bounds.
     #[inline]
     fn set_active(&mut self, p: &CompiledProgram, f: usize) {
@@ -1460,6 +1499,9 @@ impl MonState {
         range: usize,
     ) {
         self.verdict = Verdict::Violated;
+        if self.verdict_only {
+            return;
+        }
         self.violation = Some(Box::new(Violation {
             kind,
             event: Some(event),
@@ -1561,6 +1603,44 @@ impl MonState {
         }
     }
 
+    /// Latch the violation for a rejected timed step — the timed mirror of
+    /// [`MonState::antecedent_violation`], cold for the same reason.
+    #[cold]
+    #[inline(never)]
+    fn timed_violation(
+        &mut self,
+        p: &CompiledProgram,
+        premise_len: usize,
+        event: TimedEvent,
+        kind: ViolationKind,
+        fragment: usize,
+        range: usize,
+    ) {
+        self.verdict = Verdict::Violated;
+        if self.verdict_only {
+            return;
+        }
+        self.violation = Some(Box::new(Violation {
+            kind,
+            event: Some(event),
+            time: event.time,
+            expected: self.expected_before(p, ExpectedFrom::Snapshot),
+            detail: format!(
+                "timed-implication episode {}: fragment {}/{} ({}), range {} rejected",
+                self.episodes + 1,
+                fragment + 1,
+                p.n_frags(),
+                if fragment < premise_len {
+                    "in P"
+                } else {
+                    "in Q"
+                },
+                range + 1,
+            ),
+            obligation: None,
+        }));
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn miss_deadline(
         &mut self,
@@ -1574,6 +1654,9 @@ impl MonState {
         from: ExpectedFrom,
     ) {
         self.verdict = Verdict::Violated;
+        if self.verdict_only {
+            return;
+        }
         self.violation = Some(Box::new(Violation {
             kind,
             event,
@@ -1670,26 +1753,7 @@ impl MonState {
                 fragment,
                 range,
             } => {
-                self.verdict = Verdict::Violated;
-                self.violation = Some(Box::new(Violation {
-                    kind,
-                    event: Some(event),
-                    time: event.time,
-                    expected: self.expected_before(p, ExpectedFrom::Snapshot),
-                    detail: format!(
-                        "timed-implication episode {}: fragment {}/{} ({}), range {} rejected",
-                        self.episodes + 1,
-                        fragment + 1,
-                        p.n_frags(),
-                        if fragment < premise_len {
-                            "in P"
-                        } else {
-                            "in Q"
-                        },
-                        range + 1,
-                    ),
-                    obligation: None,
-                }));
+                self.timed_violation(p, premise_len, event, kind, fragment, range);
                 return self.verdict;
             }
         }

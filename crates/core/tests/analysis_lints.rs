@@ -1,8 +1,11 @@
 //! Behavioural tests for the whole-rulebook static analysis: one scenario
-//! per diagnostic class (`L003`–`L009`), golden text/JSON renderings for
-//! every code, and the `prune_dead` verdict-preservation contract.
+//! per diagnostic class (`L003`–`L009`), the split between the warning and
+//! note passes, golden text/JSON renderings for every code, and the
+//! `prune_dead` verdict-preservation contract.
 
-use lomon_core::analysis::{analyze, prune_dead, AnalysisOptions, DiagCode, Diagnostic, Severity};
+use lomon_core::analysis::{
+    notes, prune_dead, warnings, AnalysisOptions, DiagCode, Diagnostic, Severity,
+};
 use lomon_core::ast::Property;
 use lomon_core::fused::FusedProgram;
 use lomon_core::parse::parse_property;
@@ -25,10 +28,14 @@ fn fuse(texts: &[&str], extra: &[&str], voc: &mut Vocabulary) -> FusedProgram {
     FusedProgram::lower(&properties)
 }
 
+/// Every finding, as `lomon lint` reports them: the warnings, then the
+/// notes.
 fn run(texts: &[&str], extra: &[&str], opts: &AnalysisOptions) -> Vec<Diagnostic> {
     let mut voc = Vocabulary::new();
     let fused = fuse(texts, extra, &mut voc);
-    analyze(&fused, texts, &voc, opts)
+    let mut diags = warnings(&fused, texts, opts);
+    diags.extend(notes(&fused, texts, &voc, opts));
+    diags
 }
 
 fn codes(diags: &[Diagnostic]) -> Vec<DiagCode> {
@@ -141,6 +148,24 @@ fn unobserved_vocabulary_names_are_noted() {
 }
 
 #[test]
+fn warning_and_note_passes_split_by_severity() {
+    let texts = [
+        "all{a, b} << start once",
+        "all{a, b} << start once",
+        "go => out:done within 0 ns",
+    ];
+    let mut voc = Vocabulary::new();
+    let fused = fuse(&texts, &["dangling"], &mut voc);
+    let opts = AnalysisOptions::default();
+    let warned = warnings(&fused, &texts, &opts);
+    assert_eq!(codes(&warned), vec![DiagCode::L003, DiagCode::L004]);
+    assert!(warned.iter().all(|d| d.severity == Severity::Warning));
+    let noted = notes(&fused, &texts, &voc, &opts);
+    assert!(codes(&noted).contains(&DiagCode::L007), "got {noted:?}");
+    assert!(noted.iter().all(|d| d.severity == Severity::Note));
+}
+
+#[test]
 fn corpus_events_without_subscribers_are_noted() {
     let mut voc = Vocabulary::new();
     let fused = fuse(&["a << i once"], &["noise"], &mut voc);
@@ -150,7 +175,7 @@ fn corpus_events_without_subscribers_are_noted() {
         corpus: Some(vec![(noise, 3), (a, 2)]),
         ..AnalysisOptions::default()
     };
-    let diags = analyze(&fused, &["a << i once"], &voc, &opts);
+    let diags = notes(&fused, &["a << i once"], &voc, &opts);
     let l008 = diags.iter().find(|d| d.code == DiagCode::L008);
     let l008 = l008.expect("noise events hit no subscriber row");
     assert!(l008.message.contains("noise (×3)"), "{}", l008.message);
@@ -168,7 +193,7 @@ fn corpus_restricted_dead_rows_are_noted_and_pruned() {
         corpus: Some(vec![(a, 5), (start, 5)]),
         ..AnalysisOptions::default()
     };
-    let diags = analyze(&fused, &["all{a, b} << start once"], &voc, &opts);
+    let diags = notes(&fused, &["all{a, b} << start once"], &voc, &opts);
     let l009 = diags.iter().find(|d| d.code == DiagCode::L009);
     let l009 = l009.expect("row b is unreachable given the corpus");
     assert!(l009.message.contains("1 of 3 rows"), "{}", l009.message);

@@ -141,12 +141,11 @@ impl Engine {
         }
     }
 
-    /// Like [`Engine::compile`], followed by the whole-rulebook static
-    /// analysis of [`lomon_core::analysis`]: returns the engine together
-    /// with every `L003`–`L009` finding (duplicates, vacuity, subsumption,
-    /// conflicts, coverage, dead tables). The CLI surfaces these as
-    /// warnings on `check`/`watch`/`smc` and as the full report on
-    /// `lomon lint`.
+    /// Like [`Engine::compile`], followed by the warning passes of
+    /// [`lomon_core::analysis`]: returns the engine together with every
+    /// `L003`–`L006` finding (duplicate, vacuous, subsumed and conflicting
+    /// properties). `check`, `watch`, `smc`, `serve` and `profile` print
+    /// these; `lomon lint` appends [`Engine::notes`] to them.
     ///
     /// # Errors
     ///
@@ -159,17 +158,28 @@ impl Engine {
         opts: &AnalysisOptions,
     ) -> Result<(Engine, Vec<Diagnostic>), Vec<CompileError>> {
         let engine = Self::compile(texts, voc)?;
-        let diagnostics = engine.analyze(voc, opts);
-        Ok((engine, diagnostics))
+        let warnings = engine.analyze(opts);
+        Ok((engine, warnings))
     }
 
-    /// The whole-rulebook static analysis of [`lomon_core::analysis`] over
-    /// this engine, whose names `voc` resolves: the findings
-    /// [`Engine::compile_with_analysis`] returns, for an engine compiled
-    /// elsewhere.
-    pub fn analyze(&self, voc: &Vocabulary, opts: &AnalysisOptions) -> Vec<Diagnostic> {
-        let displays: Vec<&str> = self.properties.iter().map(|p| p.display.as_ref()).collect();
-        analysis::analyze(&self.fused, &displays, voc, opts)
+    /// The warning passes of [`lomon_core::analysis`] over this engine:
+    /// the findings [`Engine::compile_with_analysis`] returns, for an
+    /// engine compiled elsewhere.
+    pub fn analyze(&self, opts: &AnalysisOptions) -> Vec<Diagnostic> {
+        analysis::warnings(&self.fused, &self.displays(), opts)
+    }
+
+    /// The note passes of [`lomon_core::analysis`] over this engine, whose
+    /// names `voc` resolves (`L007`–`L009`: unobserved vocabulary, corpus
+    /// events no property subscribes to, dead action-table entries). Only
+    /// `lomon lint` runs them.
+    pub fn notes(&self, voc: &Vocabulary, opts: &AnalysisOptions) -> Vec<Diagnostic> {
+        analysis::notes(&self.fused, &self.displays(), voc, opts)
+    }
+
+    /// Every property's source text, by id, for diagnostic messages.
+    fn displays(&self) -> Vec<&str> {
+        self.properties.iter().map(|p| p.display.as_ref()).collect()
     }
 
     /// Build an engine from already-constructed ASTs (validated here).
@@ -394,6 +404,25 @@ mod tests {
         // Subscriber expansion still reports every member property.
         let a = voc.lookup("a").unwrap();
         assert_eq!(engine.subscribers(a).collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn compile_with_analysis_returns_no_notes() {
+        use lomon_core::analysis::Severity;
+        let mut voc = Vocabulary::new();
+        // Unobserved vocabulary would be an `L007` note.
+        voc.input("dangling");
+        let rulebook = ["all{a, b} << start once", "all{a, b} << start once"];
+        let opts = AnalysisOptions::default();
+        let (engine, warnings) =
+            Engine::compile_with_analysis(&rulebook, &mut voc, &opts).expect("compiles");
+        let codes: Vec<DiagCode> = warnings.iter().map(|d| d.code).collect();
+        assert_eq!(codes, [DiagCode::L003]);
+        assert!(warnings.iter().all(|d| d.severity != Severity::Note));
+        assert_eq!(engine.analyze(&opts), warnings);
+        let notes = engine.notes(&voc, &opts);
+        assert!(notes.iter().any(|d| d.code == DiagCode::L007), "{notes:?}");
+        assert!(notes.iter().all(|d| d.severity == Severity::Note));
     }
 
     #[test]

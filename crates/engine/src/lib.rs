@@ -66,13 +66,16 @@
 //! ## Static analysis
 //!
 //! [`Engine::compile_with_analysis`] compiles the rulebook and then runs
-//! the whole-rulebook static analysis of [`lomon_core::analysis`] over the
-//! fused representation — duplicate, vacuous, subsumed and conflicting
-//! properties, unobserved vocabulary, dead action-table entries — returning
-//! the engine together with the coded [`lomon_core::analysis::Diagnostic`]
-//! findings. Compile failures convert to the same diagnostic form through
-//! [`compile::error_diagnostics`]. The CLI's `lomon lint` is a thin shell
-//! over these two calls.
+//! the warning passes of [`lomon_core::analysis`] over the fused
+//! representation — duplicate, vacuous, subsumed and conflicting
+//! properties — returning the engine together with the coded
+//! [`lomon_core::analysis::Diagnostic`] warnings: what `check`, `watch`,
+//! `smc`, `serve` and `profile` print, and all the analysis a cold start
+//! pays for. [`Engine::notes`] runs the note passes — unobserved
+//! vocabulary, corpus coverage, dead action-table entries — which only
+//! `lomon lint` prints, after the warnings. Compile failures convert to the
+//! same diagnostic form through [`compile::error_diagnostics`]. The CLI's
+//! `lomon lint` is a thin shell over these calls.
 //! `cargo run -p lomon-bench --bin hot_loop --release` measures the
 //! ns/event gaps and writes the machine-readable `BENCH_hot_loop.json`
 //! tracked at the repository root; [`DispatchStats`] exposes how much the

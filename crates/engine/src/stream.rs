@@ -347,6 +347,12 @@ impl<'e> StreamDriver<'e> {
         self.decoder.push(bytes);
     }
 
+    /// The input has ended: an unterminated last line still counts as a
+    /// line, and no byte is counted for its missing `\n`.
+    pub fn end_input(&mut self) {
+        self.decoder.end_input();
+    }
+
     /// Apply the next run of regular event lines, or else the next complete
     /// line, emitting their records into `sink` (see the module docs).
     /// Returns `None` once every buffered line is applied.

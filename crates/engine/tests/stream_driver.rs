@@ -79,8 +79,8 @@ fn run(
             break;
         }
     }
-    if !settled && driver.partial_len() > 0 {
-        driver.push(b"\n");
+    if !settled {
+        driver.end_input();
         apply(&mut driver, &mut sink, settle);
     }
     driver.close(&mut sink).expect("sink never fails");
@@ -259,6 +259,32 @@ fn io_counters_count_crlf_and_oversized_lines_exactly() {
                 "{chunk}-byte pushes"
             );
             assert_eq!(stats.events, events);
+        }
+    }
+}
+
+/// At the end of the input an unterminated last line still counts as a
+/// line, and no byte is counted for the `\n` it lacks: `1ns in a\n2ns in b`
+/// is 2 lines and 17 bytes.
+#[test]
+fn io_counters_count_an_unterminated_last_line_exactly() {
+    let (engine, voc) = compile(&RULEBOOK);
+    let ndjson = b"{\"time\": \"1ns\", \"name\": \"a\"}\n{\"time\": \"2ns\", \"name\": \"b\"}";
+    for (format, input) in [
+        (StreamFormat::Trace, &b"1ns in a\n2ns in b"[..]),
+        (StreamFormat::Trace, b"1ns in a\r\n2ns in b\r"),
+        (StreamFormat::Ndjson, ndjson),
+    ] {
+        for chunk in [input.len(), 5, 1] {
+            let chunks: Vec<&[u8]> = input.chunks(chunk).collect();
+            let (_, stats, counted) = run((&engine, &voc), format, &chunks, (true, false, None));
+            assert_eq!(
+                counted,
+                (2, input.len() as u64, 0),
+                "{chunk}-byte pushes of {:?}",
+                String::from_utf8_lossy(input)
+            );
+            assert_eq!(stats.events, 2);
         }
     }
 }

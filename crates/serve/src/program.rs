@@ -11,7 +11,7 @@
 //! leaves the serving program untouched — the rollback is that no swap
 //! ever happened.
 
-use lomon_core::analysis::{AnalysisOptions, Diagnostic, Severity};
+use lomon_core::analysis::{AnalysisOptions, Diagnostic};
 use lomon_engine::{error_diagnostics, rulebook_lines, Engine};
 use lomon_trace::Vocabulary;
 
@@ -22,7 +22,8 @@ pub(crate) struct Program {
     pub(crate) voc: Vocabulary,
     pub(crate) generation: u64,
     /// The rulebook's analysis warnings (refused instead under
-    /// `deny_warnings`).
+    /// `deny_warnings`): the start and every reload run the warning passes
+    /// only, never `lint`'s note passes.
     pub(crate) warnings: Vec<Diagnostic>,
 }
 
@@ -48,11 +49,7 @@ impl Program {
         let mut voc = Vocabulary::new();
         let opts = AnalysisOptions::default();
         match Engine::compile_with_analysis(&properties, &mut voc, &opts) {
-            Ok((engine, diagnostics)) => {
-                let warnings: Vec<Diagnostic> = diagnostics
-                    .into_iter()
-                    .filter(|d| d.severity == Severity::Warning)
-                    .collect();
+            Ok((engine, warnings)) => {
                 if deny_warnings && !warnings.is_empty() {
                     return Err(warnings);
                 }
@@ -71,6 +68,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lomon_core::analysis::Severity;
 
     #[test]
     fn compile_reports_all_errors_and_builds_nothing() {

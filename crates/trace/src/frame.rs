@@ -66,6 +66,9 @@ pub struct FrameDecoder {
     /// Lines and bytes consumed since the last [`FrameDecoder::take_counts`].
     lines: u64,
     bytes: u64,
+    /// Where [`FrameDecoder::end_input`] put the `\n` that ends an
+    /// unterminated last line: a byte of no input, never counted.
+    synthetic: Option<usize>,
 }
 
 impl FrameDecoder {
@@ -81,6 +84,7 @@ impl FrameDecoder {
             skipping: false,
             lines: 0,
             bytes: 0,
+            synthetic: None,
         }
     }
 
@@ -93,6 +97,7 @@ impl FrameDecoder {
             self.buf.drain(..self.start);
             self.scan -= self.start;
             self.complete = self.complete.saturating_sub(self.start);
+            self.synthetic = self.synthetic.map(|at| at - self.start);
             self.start = 0;
         }
         if let Some(last) = bytes.iter().rposition(|&b| b == b'\n') {
@@ -153,6 +158,15 @@ impl FrameDecoder {
         }
     }
 
+    /// The input has ended: a last line without a `\n` still counts, so
+    /// end it as if one followed, without counting a byte for it.
+    pub fn end_input(&mut self) {
+        if self.partial_len() > 0 && self.buf.last() != Some(&b'\n') {
+            self.push(b"\n");
+            self.synthetic = Some(self.buf.len() - 1);
+        }
+    }
+
     /// Bytes buffered for a frame that has not (yet) completed. Nonzero
     /// after end-of-stream means the peer disconnected mid-frame — a torn
     /// final frame the caller should treat as a protocol fault.
@@ -198,11 +212,12 @@ impl FrameDecoder {
         counts
     }
 
-    /// Move the consumed prefix's end to `to`, counting the bytes passed.
-    /// Every byte before `to` is known to be newline-free or consumed, so
-    /// the scan cursor moves with it.
+    /// Move the consumed prefix's end to `to`, counting the bytes passed
+    /// (but not a synthetic `\n`). Every byte before `to` is known to be
+    /// newline-free or consumed, so the scan cursor moves with it.
     fn advance(&mut self, to: usize) {
-        self.bytes += (to - self.start) as u64;
+        let synthetic = self.synthetic.take_if(|at| *at < to).is_some();
+        self.bytes += (to - self.start - usize::from(synthetic)) as u64;
         self.start = to;
         self.scan = self.scan.max(to);
     }
@@ -267,6 +282,26 @@ mod tests {
             lines,
             vec![Ok(b"one".to_vec()), Ok(b"".to_vec()), Ok(b"two".to_vec())]
         );
+    }
+
+    #[test]
+    fn end_input_frames_the_last_line_without_counting_a_byte() {
+        let mut dec = FrameDecoder::new(8);
+        dec.end_input();
+        assert_eq!(dec.partial_len(), 0, "nothing pending: a no-op");
+        dec.push(b"one\ntwo");
+        assert_eq!(drain(&mut dec), vec![Ok(b"one".to_vec())]);
+        dec.end_input();
+        dec.end_input();
+        assert_eq!(drain(&mut dec), vec![Ok(b"two".to_vec())]);
+        assert_eq!(dec.take_counts(), (2, 7));
+        // The tail of an oversized frame ends there too, counted once.
+        dec.push(b"toolongtail");
+        assert_eq!(dec.next_frame(), Some(Frame::Oversized { seen: 11 }));
+        dec.push(b"more");
+        dec.end_input();
+        assert_eq!(drain(&mut dec), vec![]);
+        assert_eq!(dec.take_counts(), (1, 15));
     }
 
     #[test]

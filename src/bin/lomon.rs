@@ -41,9 +41,10 @@
 //! `lint` compiles a rulebook without running anything and reports the
 //! whole-rulebook static analysis ([`lomon::core::analysis`]): duplicate,
 //! vacuous, subsumed and conflicting properties, coverage gaps and dead
-//! action-table entries, each under a stable `L0xx` code. The same
-//! analysis runs implicitly on `check`/`watch`/`smc` rulebooks, which
-//! print the warnings and accept `--deny-warnings` to refuse them.
+//! action-table entries, each under a stable `L0xx` code. Its warning
+//! passes run implicitly on `check`/`watch`/`smc`/`serve`/`profile`
+//! rulebooks, which print the warnings and accept `--deny-warnings` to
+//! refuse them; the note passes run on `lint` alone.
 //!
 //! Every command reads its arguments with one left-to-right flag grammar
 //! (`Args::parse`), writes its output to stdout through one fallible
@@ -442,10 +443,10 @@ fn read_rulebook(args: &[String], code: u8) -> Result<Vec<String>, ExitCode> {
 
 /// Compile the whole property set, reporting *every* error before giving
 /// up — a long rulebook is fixed in one pass, not one error at a time.
-/// Compilation also runs the whole-rulebook static analysis: warnings
-/// (duplicate / vacuous / subsumed / conflicting properties) go to stderr,
-/// and with `deny_warnings` any warning refuses the rulebook. Notes are
-/// lint-only detail and stay silent here (`lomon lint` prints everything).
+/// Compilation also runs the warning passes of the static analysis: the
+/// warnings (duplicate / vacuous / subsumed / conflicting properties) go to
+/// stderr, and with `deny_warnings` any warning refuses the rulebook. The
+/// note passes are lint-only detail and do not run here.
 fn compile_all(
     properties: &[String],
     voc: &mut Vocabulary,
@@ -453,8 +454,8 @@ fn compile_all(
 ) -> Result<Engine, ExitCode> {
     let opts = AnalysisOptions::default();
     match Engine::compile_with_analysis(properties, voc, &opts) {
-        Ok((engine, diagnostics)) => {
-            print_warnings(&diagnostics, deny_warnings)?;
+        Ok((engine, warnings)) => {
+            print_warnings(&warnings, deny_warnings)?;
             Ok(engine)
         }
         Err(errors) => {
@@ -468,17 +469,15 @@ fn compile_all(
 
 /// Print the rulebook analysis' warnings to stderr; with `deny_warnings`
 /// any warning refuses the rulebook.
-fn print_warnings(diagnostics: &[Diagnostic], deny_warnings: bool) -> Result<(), ExitCode> {
-    let mut warnings = 0;
-    for diagnostic in diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-    {
-        stderr!("{}", diagnostic.render_text());
-        warnings += 1;
+fn print_warnings(warnings: &[Diagnostic], deny_warnings: bool) -> Result<(), ExitCode> {
+    for warning in warnings {
+        stderr!("{}", warning.render_text());
     }
-    if deny_warnings && warnings > 0 {
-        stderr!("error: rulebook has {warnings} warning(s) (--deny-warnings)");
+    if deny_warnings && !warnings.is_empty() {
+        stderr!(
+            "error: rulebook has {} warning(s) (--deny-warnings)",
+            warnings.len()
+        );
         return Err(ExitCode::FAILURE);
     }
     Ok(())
@@ -606,7 +605,7 @@ fn check(raw: &[String], out: &mut Out) -> Outcome {
     let split = args
         .operands
         .iter()
-        .position(|a| !Path::new(a).is_file() && looks_like_property(a))
+        .position(|a| looks_like_property(a) && !Path::new(a).is_file())
         .unwrap_or(args.operands.len())
         .max(1);
     let (paths, props) = args.operands.split_at(split);
@@ -626,6 +625,9 @@ fn check(raw: &[String], out: &mut Out) -> Outcome {
         if let Some(server) = server {
             server.drain();
         }
+        // The reports go out as one block: buffered, not a write per
+        // line, in a buffer of bounded size.
+        let out = &mut io::BufWriter::with_capacity(READ_CHUNK, &mut *out);
         let mut all_ok = true;
         for (path, (report, end_time)) in paths.iter().zip(&reports) {
             match format {
@@ -656,6 +658,7 @@ fn check(raw: &[String], out: &mut Out) -> Outcome {
                 if all_ok { "all ok" } else { "violations found" }
             )?;
         }
+        out.flush()?;
         Ok(verdict_code(all_ok))
     })
 }
@@ -813,9 +816,7 @@ fn pump<'e, S: RecordSink>(
     loop {
         let ended = match input.read(chunk) {
             Ok(0) => {
-                if driver.partial_len() > 0 {
-                    driver.push(b"\n");
-                }
+                driver.end_input();
                 true
             }
             Ok(n) => {
@@ -1069,11 +1070,10 @@ fn smc(raw: &[String], out: &mut Out) -> Outcome {
         }
     };
     drop(compile_span);
-    // The analysis runs on the campaign's own engine, and
+    // The warning passes run on the campaign's own engine, and
     // `--deny-warnings` refuses before anything is written to stdout.
-    let opts = AnalysisOptions::default();
-    let diagnostics = campaign.engine().analyze(campaign.vocabulary(), &opts);
-    print_warnings(&diagnostics, args.has("--deny-warnings"))?;
+    let warnings = campaign.engine().analyze(&AnalysisOptions::default());
+    print_warnings(&warnings, args.has("--deny-warnings"))?;
     if let Some(telemetry) = &telemetry {
         let metrics = CampaignMetrics::register(&telemetry.registry, campaign.engine().len());
         campaign.attach_metrics(metrics);
@@ -1207,13 +1207,16 @@ fn lint(raw: &[String], out: &mut Out) -> Outcome {
         corpus,
         ..AnalysisOptions::default()
     };
-    let (engine, diagnostics) = match Engine::compile_with_analysis(&properties, &mut voc, &opts) {
-        Ok(compiled) => compiled,
-        Err(errors) => {
-            emit_diagnostics(out, &error_diagnostics(&errors, &voc), &properties, format)?;
-            return Ok(ExitCode::from(2));
-        }
-    };
+    // The warnings every surface prints, then the notes only lint runs.
+    let (engine, mut diagnostics) =
+        match Engine::compile_with_analysis(&properties, &mut voc, &opts) {
+            Ok(compiled) => compiled,
+            Err(errors) => {
+                emit_diagnostics(out, &error_diagnostics(&errors, &voc), &properties, format)?;
+                return Ok(ExitCode::from(2));
+            }
+        };
+    diagnostics.extend(engine.notes(&voc, &opts));
     emit_diagnostics(out, &diagnostics, &properties, format)?;
 
     if args.has("--fix-prune") {

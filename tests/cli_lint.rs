@@ -1,10 +1,20 @@
 //! Integration tests for `lomon lint` (exit-code contract, fixture
-//! rulebooks, JSON output, `--fix-prune`) and for the analysis wired into
-//! `check`/`watch` (`--deny-warnings`, warning printing).
+//! rulebooks, JSON output, `--fix-prune`, byte-exact goldens) and for the
+//! analysis wired into `check`, `watch`, `smc` and `serve`
+//! (`--deny-warnings`, warning printing: each prints exactly lint's
+//! warning lines).
+//!
+//! The goldens under `tests/fixtures/lint/golden/` pin `lint`'s whole
+//! stdout. After an *intended* output change, regenerate them with
+//! `LOMON_BLESS=1 cargo test --test cli_lint` and review the diff.
 
 mod common;
 
+use std::path::Path;
+
 use common::{lomon, stderr, stdout, PROPERTY};
+use lomon::engine::rulebook_lines;
+use lomon::serve::{ServeConfig, Server, StartError};
 
 fn exit_code(output: &std::process::Output) -> i32 {
     output.status.code().expect("lomon exits normally")
@@ -192,4 +202,129 @@ fn watch_summary_names_backend_and_fusion_counters() {
     assert!(text.contains("\"backend\": \"interp\""), "{text}");
     assert!(text.contains("\"unique_cells\": "), "{text}");
     assert!(text.contains("\"shared_hits\": 0"), "{text}");
+}
+
+/// `lint`'s whole stdout, byte for byte, and its exit code, in both
+/// formats: a clean rulebook, one finding of every warning class, and the
+/// corpus notes with `--fix-prune`.
+#[test]
+fn lint_output_matches_the_goldens() {
+    let cases: [(&str, &[&str], i32); 3] = [
+        ("ipu", &["tests/fixtures/ipu.rules"], 0),
+        ("defects", &["tests/fixtures/lint/defects.rules"], 1),
+        (
+            "coverage",
+            &[
+                "--trace",
+                "tests/fixtures/lint/coverage.trace",
+                "--fix-prune",
+                "tests/fixtures/lint/coverage.rules",
+            ],
+            0,
+        ),
+    ];
+    for (name, args, code) in cases {
+        for format in ["text", "json"] {
+            let mut argv = vec!["lint", "--format", format];
+            argv.extend_from_slice(args);
+            let output = lomon(&argv);
+            assert_eq!(
+                exit_code(&output),
+                code,
+                "{name} {format}: {}",
+                stderr(&output)
+            );
+            let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join(format!("tests/fixtures/lint/golden/{name}.{format}.stdout"));
+            if std::env::var_os("LOMON_BLESS").is_some() {
+                std::fs::write(&path, &output.stdout).expect("bless golden");
+                continue;
+            }
+            let expected =
+                std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            assert_eq!(
+                stdout(&output),
+                String::from_utf8_lossy(&expected),
+                "lint output diverged from {}",
+                path.display()
+            );
+        }
+    }
+}
+
+/// Every surface that compiles a rulebook prints exactly `lint`'s warning
+/// lines, in order (`check`, `watch` and `smc --trace` on stderr, `serve`
+/// in [`Server::warnings`]), and `--deny-warnings` refuses it on each.
+#[test]
+fn every_surface_prints_exactly_lints_warnings() {
+    const DEFECTS: &str = "tests/fixtures/lint/defects.rules";
+    let lint = stdout(&lomon(&["lint", DEFECTS]));
+    let warnings: String = lint
+        .lines()
+        .filter(|line| line.starts_with("warning["))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(warnings.lines().count(), 5, "{lint}");
+    let denied = format!("{warnings}error: rulebook has 5 warning(s) (--deny-warnings)\n");
+
+    let text = std::fs::read_to_string(DEFECTS).expect("read the rulebook");
+    let properties = rulebook_lines(&text);
+    let properties: Vec<&str> = properties.iter().map(String::as_str).collect();
+    let smc = [
+        "smc",
+        "--trace",
+        common::FIXTURE,
+        "--episodes",
+        "4",
+        "--quiet",
+    ];
+    for (surface, head) in [
+        ("check", &["check", common::FIXTURE][..]),
+        ("watch", &["watch"][..]),
+        ("smc", &smc[..]),
+    ] {
+        let run = |deny: bool| {
+            let mut argv = head.to_vec();
+            if deny {
+                argv.push("--deny-warnings");
+            }
+            argv.extend_from_slice(&properties);
+            lomon(&argv)
+        };
+        let output = run(false);
+        assert_eq!(exit_code(&output), 0, "{surface}: {}", stderr(&output));
+        let printed = stderr(&output);
+        // `watch` goes on to write its final report on stderr.
+        let ran = if surface == "watch" {
+            printed.get(..warnings.len()).unwrap_or(&printed)
+        } else {
+            &printed
+        };
+        assert_eq!(ran, warnings, "{surface}");
+        let output = run(true);
+        assert_eq!(exit_code(&output), 1, "{surface} --deny-warnings");
+        assert_eq!(stderr(&output), denied, "{surface} --deny-warnings");
+    }
+
+    let render = |diagnostics: &[lomon::core::analysis::Diagnostic]| -> String {
+        diagnostics.iter().map(|d| d.render_text() + "\n").collect()
+    };
+    let server = Server::start(ServeConfig::default(), &text).expect("serve starts");
+    assert_eq!(render(server.warnings()), warnings, "serve");
+    drop(server);
+    let deny = || ServeConfig {
+        deny_warnings: true,
+        ..ServeConfig::default()
+    };
+    match Server::start(deny(), &text) {
+        Err(StartError::Compile(diagnostics)) => {
+            assert_eq!(render(&diagnostics), warnings, "serve --deny-warnings");
+        }
+        Err(e) => panic!("serve --deny-warnings: {e}"),
+        Ok(_) => panic!("serve --deny-warnings started"),
+    }
+    // A hot reload runs the same passes.
+    let server = Server::start(deny(), PROPERTY).expect("a clean rulebook serves");
+    let refused = server.reload(&text).expect_err("reload refused");
+    assert_eq!(render(&refused), warnings, "serve reload --deny-warnings");
 }
