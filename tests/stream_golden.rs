@@ -99,6 +99,29 @@ const CASES: &[Case] = &[
         stream: "10ns in go\n20ns in noise\n200ns in noise\n300ns in go\n",
         code: 1,
     },
+    // One line per way the trace-text grammar words a fault, then an event
+    // with non-breaking spaces between its fields, which the grammar reads
+    // as whitespace.
+    Case {
+        name: "fault_classes",
+        args: &[common::PROPERTY],
+        stream: "10ns in set_imgAddr\n\
+                 12 in a\n\
+                 ns in a\n\
+                 123456789012345678901ns in a\n\
+                 12xs in a\n\
+                 18446744073709552ns in a\n\
+                 13ns\n\
+                 13ns sideways a\n\
+                 13ns in\n\
+                 13ns in a junk\n\
+                 end\n\
+                 end 14ns junk\n\
+                 15ns\u{a0}in\u{a0}set_glAddr\n\
+                 16ns in set_glSize\n\
+                 17ns in start\n",
+        code: 0,
+    },
 ];
 
 fn fixture(file: &str) -> PathBuf {
