@@ -37,7 +37,6 @@ use std::process::ExitCode;
 use lomon_bench::gate::{self, Args, Better, Gate};
 use lomon_bench::workloads::{disjoint, overlapping};
 use lomon_core::analysis::prune_dead;
-use lomon_core::Monitor as _;
 use lomon_engine::{Backend, DispatchMode, Engine};
 use lomon_trace::{NameSet, SimTime, TimedEvent};
 
@@ -99,20 +98,10 @@ impl Row {
 fn prune_identical(engine: &Engine, events: &[TimedEvent]) -> bool {
     let corpus: NameSet = events.iter().map(|e| e.name).collect();
     let outcome = prune_dead(engine.fused(), Some(&corpus), 1 << 20);
-    let mut original = engine.fused().instantiate();
-    let mut pruned = outcome.fused.instantiate();
     let end = events.last().map(|e| e.time).unwrap_or(SimTime::ZERO);
-    for event in events {
-        for (o, p) in original.iter_mut().zip(pruned.iter_mut()) {
-            if o.observe(*event) != p.observe(*event) {
-                return false;
-            }
-        }
-    }
-    original
-        .iter_mut()
-        .zip(pruned.iter_mut())
-        .all(|(o, p)| o.finish(end) == p.finish(end))
+    outcome
+        .first_divergence(engine.fused(), events, end)
+        .is_none()
 }
 
 fn main() -> ExitCode {

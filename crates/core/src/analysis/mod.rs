@@ -41,10 +41,11 @@ pub use reach::{pair_facts, satisfiable, PairFacts};
 
 use std::sync::Arc;
 
-use lomon_trace::{json_escape, Name, NameSet, Vocabulary};
+use lomon_trace::{json_escape, Name, NameSet, SimTime, TimedEvent, Vocabulary};
 
 use crate::compiled::PruneStats;
 use crate::fused::FusedProgram;
+use crate::verdict::Monitor;
 
 /// How serious a [`Diagnostic`] is — drives lint exit codes. Warnings come
 /// from [`warnings`], which every surface that compiles a rulebook runs and
@@ -476,6 +477,43 @@ pub struct PruneOutcome {
     pub fused: FusedProgram,
     /// Aggregate row/entry statistics over all groups.
     pub stats: PruneStats,
+}
+
+/// Where a replay through a rulebook and its pruned copy first diverged
+/// ([`PruneOutcome::first_divergence`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Divergence {
+    /// Some group's verdicts differed after this event.
+    Event(TimedEvent),
+    /// Some group's final verdicts differed.
+    Finish,
+}
+
+impl PruneOutcome {
+    /// Replay `events` and then a finish at `end` through fresh instances
+    /// of `original`, the program the prune started from, and of the pruned
+    /// program, comparing every group's verdict at every step: the first
+    /// point where they differ, or `None`. The prune preserves verdicts on
+    /// corpus traces by construction; this checks it.
+    pub fn first_divergence(
+        &self,
+        original: &FusedProgram,
+        events: &[TimedEvent],
+        end: SimTime,
+    ) -> Option<Divergence> {
+        let mut original = original.instantiate();
+        let mut pruned = self.fused.instantiate();
+        for &event in events {
+            let mut groups = original.iter_mut().zip(&mut pruned);
+            if groups.any(|(o, p)| o.observe(event) != p.observe(event)) {
+                return Some(Divergence::Event(event));
+            }
+        }
+        let mut groups = original.iter_mut().zip(&mut pruned);
+        groups
+            .any(|(o, p)| o.finish(end) != p.finish(end))
+            .then_some(Divergence::Finish)
+    }
 }
 
 /// Prune every group's action table: drop rows the corpus can never

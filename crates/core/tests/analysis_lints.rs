@@ -4,7 +4,7 @@
 //! `prune_dead` verdict-preservation contract.
 
 use lomon_core::analysis::{
-    notes, prune_dead, warnings, AnalysisOptions, DiagCode, Diagnostic, Severity,
+    notes, prune_dead, warnings, AnalysisOptions, DiagCode, Diagnostic, Divergence, Severity,
 };
 use lomon_core::ast::Property;
 use lomon_core::fused::FusedProgram;
@@ -247,6 +247,44 @@ fn prune_without_corpus_preserves_everything_observable() {
     assert_eq!(
         original[0].finish(SimTime::from_ns(30)),
         pruned[0].finish(SimTime::from_ns(30))
+    );
+}
+
+/// `first_divergence`, the replay `lint --fix-prune` and `hot_loop` run,
+/// passes a faithful prune and stops at the first step where the two
+/// programs differ — shown here by replaying against a program the prune
+/// did not start from.
+#[test]
+fn first_divergence_finds_the_first_differing_step() {
+    let mut voc = Vocabulary::new();
+    let fused = fuse(&["all{a, b} << start once"], &[], &mut voc);
+    let looser = fuse(&["all{a} << start once"], &[], &mut voc);
+    let (a, start) = (voc.lookup("a").unwrap(), voc.lookup("start").unwrap());
+    let corpus: NameSet = [a, start].into_iter().collect();
+    let outcome = prune_dead(&fused, Some(&corpus), 20_000);
+    let events = [
+        TimedEvent::new(a, SimTime::from_ns(1)),
+        TimedEvent::new(start, SimTime::from_ns(2)),
+        TimedEvent::new(a, SimTime::from_ns(3)),
+    ];
+    let end = SimTime::from_ns(10);
+    assert_eq!(outcome.first_divergence(&fused, &events, end), None);
+    // Without `b`, the looser rulebook accepts the `start` the pruned one
+    // rejects.
+    assert_eq!(
+        outcome.first_divergence(&looser, &events, end),
+        Some(Divergence::Event(events[1]))
+    );
+
+    let timed = fuse(&["go => out:done within 50 ns"], &[], &mut voc);
+    let tight = fuse(&["go => out:done within 5 ns"], &[], &mut voc);
+    let go = TimedEvent::new(voc.lookup("go").unwrap(), SimTime::ZERO);
+    let outcome = prune_dead(&timed, None, 20_000);
+    assert_eq!(outcome.first_divergence(&timed, &[go], end), None);
+    // Both stay open at `go`; only the tight deadline has passed at 10 ns.
+    assert_eq!(
+        outcome.first_divergence(&tight, &[go], end),
+        Some(Divergence::Finish)
     );
 }
 

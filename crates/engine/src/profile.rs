@@ -43,7 +43,8 @@ pub struct ProfileReport {
     /// ascending group id, so the ranking is deterministic even when the
     /// nanosecond readings are not).
     pub groups: Vec<GroupProfile>,
-    /// Events replayed.
+    /// Events replayed whose name some group watches, as a session
+    /// counts them: any other event only advances time.
     pub events: u64,
     /// Properties whose final verdict was violated.
     pub violations: u64,
@@ -87,7 +88,10 @@ pub fn profile_trace(engine: &Engine, events: &[TimedEvent], end_time: SimTime) 
     groups.sort_by(|a, b| b.steps.cmp(&a.steps).then(a.group.cmp(&b.group)));
     ProfileReport {
         groups,
-        events: events.len() as u64,
+        events: events
+            .iter()
+            .filter(|e| !fused.subscribers(e.name).0.is_empty())
+            .count() as u64,
         violations,
         total_ns: monitors.iter().map(|m| m.ns).sum(),
     }

@@ -42,8 +42,8 @@ use std::time::Instant;
 
 use lomon_core::verdict::Verdict;
 use lomon_trace::{
-    json_escape, lex_regular_event, parse_stream_line_bytes, Frame, FrameDecoder, IoMetrics, Name,
-    SimTime, StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
+    json_escape, lex_regular_event, parse_stream_line_bytes, time_order_error, Frame, FrameDecoder,
+    IoMetrics, Name, SimTime, StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
 };
 
 use crate::report::{EngineReport, PropertyReport};
@@ -393,10 +393,7 @@ impl<'e> StreamDriver<'e> {
         let (Input::Event(time, _) | Input::End(time)) = input;
         let last = self.last_time;
         if time < last {
-            let reason = match input {
-                Input::Event(..) => format!("timestamp {time} precedes previous event at {last}"),
-                Input::End(_) => format!("end time {time} precedes last event at {last}"),
-            };
+            let reason = time_order_error(matches!(input, Input::End(_)), time, last);
             return self.fail(Fault::Protocol, &reason, sink).map(Some);
         }
         self.last_time = time;

@@ -16,13 +16,15 @@
 //! `out`. An optional final `end <time>` line records when observation
 //! stopped (needed to detect deadlines that expired after the last event).
 //!
-//! This module holds the grammar of one line ([`parse_trace_line`], the
-//! `char`-wise source of truth), its error type, the telemetry families
-//! and the writer. The readers are byte-level and live in [`crate::wire`]:
-//! [`read_trace_bytes`](crate::read_trace_bytes) loads a whole trace, and
-//! the engine's stream driver lexes runs of regular lines with
-//! [`lex_regular_event`](crate::lex_regular_event) and every other line
-//! on its own.
+//! This module holds the format's full grammar ([`parse_trace_line`],
+//! which alone words a fault), the two time-order faults every reader
+//! shares ([`time_order_error`]), the error type, the telemetry families
+//! and the writer. Every reader runs the format's fast lexer
+//! ([`lex_regular_event`](crate::lex_regular_event)) first and this
+//! grammar on each line the lexer does not take: the whole-buffer loop in
+//! [`crate::wire`] behind [`read_trace_bytes`](crate::read_trace_bytes),
+//! and [`parse_stream_line_bytes`](crate::parse_stream_line_bytes) behind
+//! the engine's stream driver.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -30,8 +32,9 @@ use std::sync::Arc;
 use lomon_obs::{Counter, Histogram, Registry};
 
 use crate::name::Direction;
+use crate::ndjson::StreamLineRef;
 use crate::time::parse_sim_time;
-use crate::{Trace, Vocabulary};
+use crate::{SimTime, Trace, Vocabulary};
 
 /// Telemetry counters for trace I/O, shared by the engine's stream driver
 /// (`check`, `watch` and `serve` with `--metrics`) and
@@ -95,27 +98,23 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// One parsed line of the trace text format. The single source of truth
-/// for the per-line grammar: the byte lexer
-/// ([`parse_trace_line_bytes`](crate::parse_trace_line_bytes)) returns the
-/// same value for every line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceLine<'a> {
-    /// An event line `<time> <in|out> <name>`.
-    Event {
-        /// The event's timestamp.
-        time: crate::SimTime,
-        /// Whether the name is an input or an output.
-        direction: Direction,
-        /// The interface name, borrowed from the line.
-        name: &'a str,
-    },
-    /// An `end <time>` line recording when observation stopped.
-    End(crate::SimTime),
+/// The fault of a line whose `time` precedes `last`, the stream's time so
+/// far: an `end` line's when `end`, else an event's. Every reader words
+/// the fault here; callers test `time < last` inline, so no line that
+/// keeps time in order reaches this.
+#[cold]
+pub fn time_order_error(end: bool, time: SimTime, last: SimTime) -> String {
+    if end {
+        format!("end time {time} precedes last event at {last}")
+    } else {
+        format!("timestamp {time} precedes previous event at {last}")
+    }
 }
 
-/// Parse one line of the trace text format. Blank lines and `#` comments
-/// parse to `Ok(None)`.
+/// The full grammar of the trace text format, on one line: every line the
+/// fast lexer does not take comes here, and every fault is worded here.
+/// Blank lines and `#` comments parse to `Ok(None)`; an event's name
+/// borrows from `raw`.
 ///
 /// Monotonicity across lines is the caller's concern
 /// ([`read_trace_bytes`](crate::read_trace_bytes) enforces it for whole
@@ -125,7 +124,7 @@ pub enum TraceLine<'a> {
 ///
 /// Returns a human-readable message (without line number) on malformed
 /// fields.
-pub fn parse_trace_line(raw: &str) -> Result<Option<TraceLine<'_>>, String> {
+pub fn parse_trace_line(raw: &str) -> Result<Option<StreamLineRef<'_>>, String> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -138,7 +137,7 @@ pub fn parse_trace_line(raw: &str) -> Result<Option<TraceLine<'_>>, String> {
         if let Some(junk) = fields.next() {
             return Err(format!("unexpected trailing field `{junk}`"));
         }
-        return Ok(Some(TraceLine::End(time)));
+        return Ok(Some(StreamLineRef::End(time)));
     }
     let time = parse_sim_time(first)?;
     let direction = match fields.next().ok_or("missing direction (`in` or `out`)")? {
@@ -154,10 +153,10 @@ pub fn parse_trace_line(raw: &str) -> Result<Option<TraceLine<'_>>, String> {
     if let Some(junk) = fields.next() {
         return Err(format!("unexpected trailing field `{junk}`"));
     }
-    Ok(Some(TraceLine::Event {
+    Ok(Some(StreamLineRef::Event {
         time,
         direction,
-        name,
+        name: name.into(),
     }))
 }
 
@@ -185,7 +184,7 @@ pub fn write_trace(trace: &Trace, voc: &Vocabulary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{read_trace_bytes, read_trace_bytes_into, SimTime};
+    use crate::{read_trace_bytes, read_trace_bytes_into};
 
     #[test]
     fn read_basic_trace() {
@@ -276,15 +275,15 @@ mod tests {
         let parsed = parse_trace_line("10ns out set_irq").unwrap().unwrap();
         assert_eq!(
             parsed,
-            TraceLine::Event {
+            StreamLineRef::Event {
                 time: SimTime::from_ns(10),
                 direction: Direction::Output,
-                name: "set_irq",
+                name: "set_irq".into(),
             }
         );
         assert_eq!(
             parse_trace_line("end 5us"),
-            Ok(Some(TraceLine::End(SimTime::from_us(5))))
+            Ok(Some(StreamLineRef::End(SimTime::from_us(5))))
         );
         assert!(parse_trace_line("end 5us junk")
             .unwrap_err()

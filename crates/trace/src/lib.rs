@@ -16,6 +16,12 @@
 //! * [`TimedEvent`] — one name occurrence with its timestamp;
 //! * [`Trace`] — a time-ordered sequence of events with projection and
 //!   text-file I/O;
+//! * the stream readers — for each line format (trace text, NDJSON) one
+//!   fast lexer of the regular event line ([`lex_regular_event`]) and one
+//!   full grammar for every other line, which alone words faults
+//!   ([`parse_stream_line_bytes`] runs the pair on one line, and one
+//!   whole-buffer loop runs it behind [`read_trace_bytes`] and
+//!   [`decode_events_into`]);
 //! * [`RunLengthLexer`] — the "lexical analyzer" of the paper's Section 5
 //!   that rewrites maximal runs `n…n` into per-length tokens, used by the
 //!   translation of ranges to PSL.
@@ -50,7 +56,7 @@ pub mod wire;
 
 pub use event::TimedEvent;
 pub use frame::{Frame, FrameDecoder, MAX_FRAME_BYTES};
-pub use io::{parse_trace_line, write_trace, IoMetrics, TraceLine, TraceParseError};
+pub use io::{parse_trace_line, time_order_error, write_trace, IoMetrics, TraceParseError};
 pub use json::json_escape;
 pub use lexer::{LexedEvent, LexedToken, RunLengthLexer};
 pub use mmap::MappedFile;
@@ -62,7 +68,4 @@ pub use ndjson::{
 pub use time::SimTime;
 pub use trace::Trace;
 pub use vcd::write_vcd;
-pub use wire::{
-    byte_lines, decode_events_into, parse_trace_line_bytes, read_trace_bytes,
-    read_trace_bytes_into, DecodeSummary,
-};
+pub use wire::{decode_events_into, read_trace_bytes, read_trace_bytes_into, DecodeSummary};

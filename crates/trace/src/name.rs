@@ -387,14 +387,6 @@ impl NameSet {
     pub fn intersects(&self, other: &NameSet) -> bool {
         self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
     }
-
-    /// Whether every member of `self` is in `other`.
-    pub fn is_subset(&self, other: &NameSet) -> bool {
-        self.bits
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.bits.get(i).copied().unwrap_or(0) == 0)
-    }
 }
 
 impl fmt::Debug for NameSet {
@@ -527,8 +519,6 @@ mod tests {
         s1.union_with(&s2);
         assert!(s1.contains(b) && s1.contains(c));
         assert!(s1.intersects(&s2));
-        assert!(s2.is_subset(&s1));
-        assert!(!s1.is_subset(&s2));
     }
 
     #[test]
@@ -538,7 +528,6 @@ mod tests {
         assert_eq!(set.len(), 0);
         assert_eq!(set.iter().count(), 0);
         let other = NameSet::new();
-        assert!(set.is_subset(&other));
         assert!(!set.intersects(&other));
     }
 

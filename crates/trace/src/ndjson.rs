@@ -4,38 +4,42 @@
 //! Every stream surface accepts the same two line formats —
 //!
 //! * the trace text format, `<time> <in|out> <name>` with an optional
-//!   `end <time>` marker (one source of truth with
-//!   [`read_trace_bytes`](crate::read_trace_bytes), via
-//!   [`parse_trace_line_bytes`](crate::parse_trace_line_bytes)); and
+//!   `end <time>` marker, whose full grammar is
+//!   [`parse_trace_line`]; and
 //! * NDJSON: one flat JSON object per line,
 //!   `{"time": "10ns", "dir": "in", "name": "x"}` or `{"end": "500ns"}`
 //!
 //! — and parse them into the same [`StreamLineRef`] with
-//! [`parse_stream_line_bytes`]. The engine's stream driver lexes each
-//! regular event line with [`lex_regular_event`], the fast path of both
-//! formats, and hands every other line to [`parse_stream_line_bytes`].
-//! Keeping the grammar here (rather than in the CLI binary) is
-//! what guarantees a frame that `watch` accepts is byte-for-byte a frame
-//! `serve` accepts.
+//! [`parse_stream_line_bytes`]. Keeping the grammar here (rather than in
+//! the CLI binary) is what guarantees a frame that `watch` accepts is
+//! byte-for-byte a frame `serve` accepts.
 //!
-//! NDJSON has two decoders with one grammar. A byte-level fast path takes
-//! only the regular event object — a flat object of ASCII bytes whose keys
-//! are `time`, `dir` and `name`, each at most once, with no escape, a
-//! `time` of digits plus a unit, a `dir` of `in` or `out` if present, a
-//! non-empty `name`, and only ASCII whitespace — and borrows the name
-//! straight from the frame, with no UTF-8 pass over the line. Every other
-//! line (an `end` marker, an escape, an unknown or repeated key, non-ASCII
-//! bytes, any malformed field) gets nothing from it and goes to the
-//! `char`-wise scanner, which alone decides errors. So accepted inputs,
-//! values and error text are those of the scanner by construction; the
-//! differential suite in `tests/differential.rs` pins both against the
-//! retired char-iterator parser.
+//! Each format has one fast lexer for its regular event line,
+//! [`lex_regular_event`], and one full grammar for every other line.
+//! [`parse_stream_line_bytes`] tries the lexer first and runs the grammar
+//! on the rest; the engine's stream driver lexes whole runs of regular
+//! lines and hands it every other line. The lexers only ever accept: a
+//! line they take reads to the same event under the full grammar, which
+//! alone decides and words faults.
+//!
+//! The NDJSON lexer takes only the regular event object — a flat object
+//! of ASCII bytes whose keys are `time`, `dir` and `name`, each at most
+//! once, with no escape, a `time` of digits plus a unit, a `dir` of `in`
+//! or `out` if present, a non-empty `name`, and only ASCII whitespace —
+//! and borrows the name straight from the frame, with no UTF-8 pass over
+//! the line. Every other line (an `end` marker, an escape, an unknown or
+//! repeated key, non-ASCII bytes, any malformed field) goes to the
+//! `char`-wise scanner. The differential suite in `tests/differential.rs`
+//! pins both formats' pairs against the string parser and the retired
+//! char-iterator NDJSON parser.
 
 use std::borrow::Cow;
 
+use crate::frame::find_newline;
+use crate::io::parse_trace_line;
 use crate::name::Direction;
 use crate::time::{parse_sim_time, SimTime};
-use crate::wire::{ascii_str, is_ascii_space, parse_sim_time_bytes};
+use crate::wire::{ascii_str, is_ascii_space, lex_time, lex_trace_event};
 
 /// Input format of an event stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,13 +72,21 @@ pub enum StreamLineRef<'a> {
     End(SimTime),
 }
 
+impl<'a> From<RegularEvent<'a>> for StreamLineRef<'a> {
+    fn from(event: RegularEvent<'a>) -> Self {
+        StreamLineRef::Event {
+            time: event.time,
+            direction: event.direction,
+            name: Cow::Borrowed(ascii_str(event.name)),
+        }
+    }
+}
+
 /// Parse one stream line in the given format from a raw frame. `Ok(None)`
-/// is a blank line or comment — skippable, not an error. The trace text
-/// grammar is lexed directly from bytes (via
-/// [`parse_trace_line_bytes`](crate::parse_trace_line_bytes)); an NDJSON
-/// event the byte-level fast path takes needs no UTF-8 pass, and any other
-/// NDJSON line is validated as UTF-8 once and then scanned borrowing from
-/// the frame.
+/// is a blank line or comment — skippable, not an error. A line the
+/// format's fast lexer takes whole needs no UTF-8 pass; any other line is
+/// validated as UTF-8 once and parsed by the format's full grammar,
+/// borrowing from the frame.
 ///
 /// # Errors
 ///
@@ -84,30 +96,13 @@ pub fn parse_stream_line_bytes(
     format: StreamFormat,
     raw: &[u8],
 ) -> Result<Option<StreamLineRef<'_>>, String> {
+    if let Some(event) = lex_regular_event(format, raw).filter(|event| event.len == raw.len()) {
+        return Ok(Some(event.into()));
+    }
+    let line = std::str::from_utf8(raw).map_err(|_| "line is not valid UTF-8".to_owned())?;
     match format {
-        StreamFormat::Trace => {
-            Ok(
-                crate::wire::parse_trace_line_bytes(raw)?.map(|parsed| match parsed {
-                    crate::io::TraceLine::Event {
-                        time,
-                        direction,
-                        name,
-                    } => StreamLineRef::Event {
-                        time,
-                        direction,
-                        name: Cow::Borrowed(name),
-                    },
-                    crate::io::TraceLine::End(time) => StreamLineRef::End(time),
-                }),
-            )
-        }
-        StreamFormat::Ndjson => match parse_plain_event(raw) {
-            Some(event) => Ok(Some(borrowed(event))),
-            None => match std::str::from_utf8(raw) {
-                Ok(line) => scan_ndjson_line(line),
-                Err(_) => Err("line is not valid UTF-8".into()),
-            },
-        },
+        StreamFormat::Trace => parse_trace_line(line),
+        StreamFormat::Ndjson => scan_ndjson_line(line),
     }
 }
 
@@ -116,6 +111,8 @@ pub fn parse_stream_line_bytes(
 pub struct RegularEvent<'a> {
     /// Timestamp of the occurrence.
     pub time: SimTime,
+    /// Interface direction the name would be interned with.
+    pub direction: Direction,
     /// The interface name, borrowed from the line.
     pub name: &'a [u8],
     /// Bytes of the line, its `\n` included if it has one; never 0.
@@ -124,27 +121,25 @@ pub struct RegularEvent<'a> {
 
 /// The line at the head of `bytes`, if it is a regular event line of
 /// `format`: in trace text an ASCII `<time> <in|out> <name>` line, in
-/// NDJSON the object the byte-level fast path takes (see the module docs).
-/// The line ends at its first `\n` or at the end of `bytes`. Every other
-/// line gets `None` — blank, comment, `end` marker, non-ASCII, anything
-/// malformed or irregular — and is [`parse_stream_line_bytes`]'s to
-/// decide, which reads a line this lexer takes to the same time and name.
-/// This is the one lexer of regular lines, shared by
-/// [`decode_events_into`](crate::decode_events_into) (trace text) and the
-/// engine's stream driver.
+/// NDJSON the object described in the module docs. The line ends at its
+/// first `\n` or at the end of `bytes`. Every other line gets `None` —
+/// blank, comment, `end` marker, non-ASCII, anything malformed or
+/// irregular — and is the format's full grammar's to decide, which reads
+/// a line this lexer takes to the same event. This is the one lexer of
+/// regular lines, shared by every reader of the format.
 #[inline]
 pub fn lex_regular_event(format: StreamFormat, bytes: &[u8]) -> Option<RegularEvent<'_>> {
     match format {
-        StreamFormat::Trace => crate::wire::lex_trace_event(bytes),
+        StreamFormat::Trace => lex_trace_event(bytes),
         StreamFormat::Ndjson => {
-            let (line, len) = match crate::frame::find_newline(bytes) {
-                Some(nl) => (&bytes[..nl], nl + 1),
-                None => (bytes, bytes.len()),
-            };
+            let line = find_newline(bytes).map_or(bytes, |nl| &bytes[..nl]);
             // A trailing `\r` is whitespace after the object, so the fast
             // path reads a CRLF line as the framed line without it.
-            let (time, _, name) = parse_plain_event(line)?;
-            Some(RegularEvent { time, name, len })
+            let event = parse_plain_event(line)?;
+            Some(RegularEvent {
+                len: (line.len() + 1).min(bytes.len()),
+                ..event
+            })
         }
     }
 }
@@ -159,16 +154,17 @@ pub fn lex_regular_event(format: StreamFormat, bytes: &[u8]) -> Option<RegularEv
 /// A human-readable description of the first grammar fault on the line.
 pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
     match parse_plain_event(line.as_bytes()) {
-        Some(event) => Ok(Some(borrowed(event))),
+        Some(event) => Ok(Some(event.into())),
         None => scan_ndjson_line(line),
     }
 }
 
-/// The NDJSON fast path: the regular event object, decoded in one pass
-/// over its bytes, or `None` for every other line (see the module docs).
-/// It only ever accepts: a line it takes parses to the same event under
-/// [`scan_ndjson_line`], and it never produces an error.
-fn parse_plain_event(raw: &[u8]) -> Option<(SimTime, Direction, &[u8])> {
+/// The NDJSON fast path: the regular event object that is all of `raw`,
+/// decoded in one pass over its bytes, or `None` for every other line
+/// (see the module docs). It only ever accepts: a line it takes parses to
+/// the same event under [`scan_ndjson_line`], and it never produces an
+/// error.
+fn parse_plain_event(raw: &[u8]) -> Option<RegularEvent<'_>> {
     let mut cur = PlainCursor { raw, pos: 0 };
     cur.eat(b'{')?;
     let (mut time, mut dir, mut name) = (None, None, None);
@@ -195,26 +191,21 @@ fn parse_plain_event(raw: &[u8]) -> Option<(SimTime, Direction, &[u8])> {
     if cur.pos != raw.len() {
         return None;
     }
-    // The value is ASCII with no whitespace when it is digits plus a unit,
-    // so the trace lexer's time parser accepts exactly what
-    // `parse_sim_time` would, with the same value.
-    let time = parse_sim_time_bytes(time?).ok()?;
+    // The value must be all one time literal, which `parse_sim_time` reads
+    // to the same time.
+    let text = time?;
+    let (time, _) = lex_time(text).filter(|&(_, len)| len == text.len())?;
     let direction = match dir {
         None | Some(b"in") => Direction::Input,
         Some(b"out") => Direction::Output,
         Some(_) => return None,
     };
-    let name = name.filter(|name| !name.is_empty())?;
-    Some((time, direction, name))
-}
-
-/// A fast-path event as a stream line, its name borrowed from the frame.
-fn borrowed((time, direction, name): (SimTime, Direction, &[u8])) -> StreamLineRef<'_> {
-    StreamLineRef::Event {
+    Some(RegularEvent {
         time,
         direction,
-        name: Cow::Borrowed(ascii_str(name)),
-    }
+        name: name.filter(|name| !name.is_empty())?,
+        len: raw.len(),
+    })
 }
 
 /// Byte cursor of [`parse_plain_event`]. Each method skips the ASCII
@@ -542,7 +533,7 @@ mod tests {
             r#"{"dir": "out", "name": "irq", "time": "5us"}"#,
             " \t{ \"time\" : \"007ps\" , \"name\" : \"a b\" }\r\x0b\x0c",
         ] {
-            let fast = parse_plain_event(line.as_bytes()).map(borrowed);
+            let fast = parse_plain_event(line.as_bytes()).map(StreamLineRef::from);
             assert!(fast.is_some(), "fast path refused {line:?}");
             assert_eq!(fast, scan_ndjson_line(line).expect("scans"), "{line:?}");
         }

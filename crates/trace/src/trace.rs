@@ -28,8 +28,8 @@ use crate::{Name, NameSet, SimTime, TimedEvent};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    events: Vec<TimedEvent>,
-    end_time: Option<SimTime>,
+    pub(crate) events: Vec<TimedEvent>,
+    pub(crate) end_time: Option<SimTime>,
 }
 
 impl Trace {
@@ -161,20 +161,6 @@ impl Trace {
         out.end_time = Some(self.end_time());
         out
     }
-
-    /// Concatenate another trace after this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` starts before this trace ends.
-    pub fn extend_with(&mut self, other: &Trace) {
-        for e in &other.events {
-            self.push(e.name, e.time);
-        }
-        if let Some(end) = other.end_time {
-            self.set_end_time(end);
-        }
-    }
 }
 
 impl IntoIterator for Trace {
@@ -286,15 +272,6 @@ mod tests {
         let (_voc, a, _b, _c) = abc();
         let mut t = Trace::from_pairs([(SimTime::from_ns(7), a)]);
         t.set_end_time(SimTime::from_ns(3));
-    }
-
-    #[test]
-    fn extend_with_concatenates() {
-        let (_voc, a, b, _c) = abc();
-        let mut t1 = Trace::from_pairs([(SimTime::from_ns(1), a)]);
-        let t2 = Trace::from_pairs([(SimTime::from_ns(2), b)]);
-        t1.extend_with(&t2);
-        assert_eq!(t1.names().collect::<Vec<_>>(), vec![a, b]);
     }
 
     #[test]

@@ -1,32 +1,31 @@
-//! Wire-speed byte-slice decode of the trace text grammar.
+//! Byte-slice decode of the trace text format: its fast lexer and the one
+//! whole-buffer loop.
 //!
-//! Decode is bytes → pre-resolved events, with no `String` per line or per
-//! name and no `SipHash` vocabulary probe per event:
+//! Each stream format has one fast lexer for its regular event line and
+//! one full grammar for every other line; every reader runs that pair.
+//! For trace text:
 //!
-//! * [`parse_trace_line_bytes`] lexes one line straight from a `&[u8]`
-//!   buffer, borrowing the name out of the input (no allocation). Lines
-//!   containing non-ASCII bytes — the only place where byte-wise and
-//!   `char`-wise whitespace handling could diverge — fall back to the
-//!   string parser, so semantics and error text are identical by
-//!   construction (a differential proptest suite pins this). The engine's
-//!   stream driver runs it on every line the fast lexer below does not
-//!   take.
 //! * The fast lexer (reached through
 //!   [`lex_regular_event`](crate::lex_regular_event)) takes only a regular
 //!   event line, an ASCII `<time> <in|out> <name>`, in one pass over its
-//!   bytes. [`decode_events_into`] and the stream driver behind `check`,
-//!   `watch` and `serve` share it, and hand every other line to
-//!   [`parse_trace_line_bytes`].
+//!   bytes, borrowing the name from the input. It never words a fault.
+//! * The full grammar is [`parse_trace_line`], which decides every other
+//!   line — blank, comment, `end`, non-ASCII, malformed — and words every
+//!   fault. It reads a line the lexer takes to the same time, direction
+//!   and name (a differential proptest suite pins this).
+//!
+//! One private loop decodes a whole buffer with that pair: lex the line at
+//! the head of the buffer, else cut it at its `\n` (dropping a CRLF `\r`)
+//! and parse it. Its two entry points differ only in how a name resolves:
+//!
 //! * [`read_trace_bytes`] loads a whole buffer as a [`Trace`], interning
 //!   names, for the commands that take a trace as a value (`vcd`,
 //!   `profile`, `lint --trace`, `smc --trace`).
 //!   [`read_trace_bytes_into`] reuses one [`Trace`] allocation across
 //!   buffers and optionally records into [`IoMetrics`], once per buffer.
-//! * [`decode_events_into`] is the frozen-vocabulary whole-buffer decoder:
-//!   one pass over the bytes, names resolved against
-//!   [`Vocabulary::lookup_bytes`]'s precomputed byte-keyed table and
-//!   emitted as pre-resolved `u32` ids into a caller-owned, reusable
-//!   `Vec<TimedEvent>`.
+//! * [`decode_events_into`] resolves names against a frozen vocabulary,
+//!   [`Vocabulary::lookup_bytes`]'s byte-keyed table, into a caller-owned,
+//!   reusable `Vec<TimedEvent>`; a name outside it is an error.
 //!
 //! No `lomon` command runs [`read_trace_bytes_into`] or
 //! [`decode_events_into`]: they stay for the benchmark's layer timings,
@@ -35,53 +34,12 @@
 
 use std::time::Instant;
 
-use crate::io::{parse_trace_line, IoMetrics, TraceLine, TraceParseError};
+use crate::frame::find_newline;
+use crate::io::{parse_trace_line, time_order_error, IoMetrics, TraceParseError};
 use crate::name::Direction;
-use crate::ndjson::RegularEvent;
-use crate::time::{scale_time, ScaleError};
-use crate::{SimTime, TimedEvent, Trace, Vocabulary};
-
-/// Iterate over the lines of a byte buffer with `str::lines` semantics:
-/// lines are terminated by `\n` (a trailing `\r` is stripped, so CRLF
-/// works), the final line ending is optional, and an empty buffer yields
-/// nothing.
-pub fn byte_lines(bytes: &[u8]) -> ByteLines<'_> {
-    ByteLines { rest: bytes }
-}
-
-/// Iterator returned by [`byte_lines`].
-#[derive(Debug, Clone)]
-pub struct ByteLines<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for ByteLines<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        match self.rest.iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                let mut line = &self.rest[..nl];
-                self.rest = &self.rest[nl + 1..];
-                // Only `\n`-terminated lines shed a trailing `\r` (CRLF);
-                // a bare `\r` on the final unterminated line stays, like
-                // `str::lines`.
-                if line.last() == Some(&b'\r') {
-                    line = &line[..line.len() - 1];
-                }
-                Some(line)
-            }
-            None => {
-                let line = self.rest;
-                self.rest = &[];
-                Some(line)
-            }
-        }
-    }
-}
+use crate::ndjson::{RegularEvent, StreamLineRef};
+use crate::time::scale_time;
+use crate::{Name, SimTime, TimedEvent, Trace, Vocabulary};
 
 /// ASCII whitespace, byte-for-byte what `char::is_whitespace` accepts in
 /// the ASCII range: space, tab, LF, vertical tab, form feed, CR.
@@ -90,166 +48,98 @@ pub(crate) fn is_ascii_space(b: u8) -> bool {
     b == b' ' || (0x09..=0x0d).contains(&b)
 }
 
-/// Whitespace-separated fields of an ASCII line, the byte twin of
-/// `str::split_whitespace` (identical on ASCII input, which the caller
-/// guarantees).
-struct Fields<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for Fields<'a> {
-    type Item = &'a [u8];
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let mut i = 0;
-        while i < self.rest.len() && is_ascii_space(self.rest[i]) {
-            i += 1;
-        }
-        if i == self.rest.len() {
-            self.rest = &[];
-            return None;
-        }
-        let start = i;
-        while i < self.rest.len() && !is_ascii_space(self.rest[i]) {
-            i += 1;
-        }
-        let field = &self.rest[start..i];
-        self.rest = &self.rest[i..];
-        Some(field)
-    }
-}
-
-/// View a field of a line already checked to be pure ASCII as `&str`.
+/// View bytes a fast lexer took, which are all ASCII, as `&str`.
 #[inline]
 pub(crate) fn ascii_str(bytes: &[u8]) -> &str {
-    std::str::from_utf8(bytes).expect("caller checked the line is pure ASCII")
+    std::str::from_utf8(bytes).expect("the fast lexers take only ASCII")
 }
 
-/// Byte-level twin of `crate::time::parse_sim_time` for fields known to be
-/// pure ASCII and whitespace-free (they came out of [`Fields`]): one pass
-/// accumulating the digits, then a unit-suffix match. Same accepted
-/// inputs, same error text — the string parser's `trim`s are no-ops on a
-/// whitespace-free field, and its checked `u64` parse rejects exactly the
-/// overflows the accumulator flags. On any ASCII field, `Ok` means digits
-/// plus a unit with no whitespace, which `parse_sim_time` reads to the
-/// same time: the NDJSON fast path relies on that.
+/// The end of the field of ASCII bytes that starts at `start`: the next
+/// ASCII whitespace, or the end of `bytes`. `None` if a non-ASCII byte
+/// comes first: whether it is whitespace is the full grammar's to decide.
 #[inline]
-pub(crate) fn parse_sim_time_bytes(field: &[u8]) -> Result<SimTime, String> {
-    let mut i = 0;
-    let mut value = 0u64;
-    let mut overflow = false;
-    while i < field.len() && field[i].is_ascii_digit() {
-        let (scaled, o1) = value.overflowing_mul(10);
-        let (next, o2) = scaled.overflowing_add(u64::from(field[i] - b'0'));
-        overflow |= o1 | o2;
-        value = next;
+fn field_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let mut i = start;
+    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
         i += 1;
     }
-    if i == field.len() {
-        return Err(format!(
-            "time literal `{}` is missing a unit (ps/ns/us/ms/s)",
-            ascii_str(field)
-        ));
+    (i == bytes.len() || bytes[i].is_ascii()).then_some(i)
+}
+
+/// Skip the ASCII whitespace from `i` on, stopping at a `\n`.
+#[inline]
+fn skip_blanks(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// The time literal at the head of `bytes` — digits, then a unit running
+/// to the next ASCII whitespace — and its length. `None` for anything
+/// else: no digits, a number past `u64`, an unknown unit, a literal past
+/// [`SimTime::MAX`], a non-ASCII byte glued to the unit. It has no
+/// messages: the full grammars word every fault. Both fast lexers read
+/// their time here, and `parse_sim_time` reads a literal it takes to the
+/// same time.
+#[inline]
+pub(crate) fn lex_time(bytes: &[u8]) -> Option<(SimTime, usize)> {
+    let mut i = 0;
+    let mut value = 0u64;
+    while i < bytes.len() && bytes[i].is_ascii_digit() {
+        value = value
+            .checked_mul(10)?
+            .checked_add(u64::from(bytes[i] - b'0'))?;
+        i += 1;
     }
     if i == 0 {
-        return Err(format!(
-            "time literal `{}` is missing digits",
-            ascii_str(field)
-        ));
+        return None;
     }
-    if overflow {
-        return Err(format!(
-            "invalid number in time literal `{}`",
-            ascii_str(field)
-        ));
+    let end = field_end(bytes, i)?;
+    Some((scale_time(value, &bytes[i..end]).ok()?, end))
+}
+
+/// The trace-text fast lexer: the line at the head of `bytes` if it is a
+/// regular event line, `<time> <in|out> <name>` with only ASCII bytes and
+/// ASCII whitespace around the fields. The line ends at its first `\n`,
+/// counted in `len`, or at the end of `bytes`. Every other line gets
+/// `None` and is [`parse_trace_line`]'s to decide.
+#[inline]
+pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
+    // Each byte of a regular line is touched once; the lexer bails the
+    // moment the line stops looking like an event.
+    let start = skip_blanks(bytes, 0);
+    let (time, len) = lex_time(&bytes[start..])?;
+    let dir_start = skip_blanks(bytes, start + len);
+    let dir_end = field_end(bytes, dir_start)?;
+    let direction = match &bytes[dir_start..dir_end] {
+        b"in" => Direction::Input,
+        b"out" => Direction::Output,
+        _ => return None,
+    };
+    let name_start = skip_blanks(bytes, dir_end);
+    let name_end = field_end(bytes, name_start)?;
+    let end = skip_blanks(bytes, name_end);
+    if name_end == name_start || (end < bytes.len() && bytes[end] != b'\n') {
+        return None;
     }
-    let unit = &field[i..];
-    scale_time(value, unit).map_err(|e| match e {
-        ScaleError::UnknownUnit => format!(
-            "unknown time unit `{}` in `{}`",
-            ascii_str(unit),
-            ascii_str(field)
-        ),
-        ScaleError::OutOfRange => {
-            format!("time literal `{}` is out of range", ascii_str(field))
-        }
+    Some(RegularEvent {
+        time,
+        direction,
+        name: &bytes[name_start..name_end],
+        len: (end + 1).min(bytes.len()),
     })
 }
 
-/// Parse one line of the trace text format straight from bytes, borrowing
-/// the event name from the input buffer. Blank lines and `#` comments
-/// parse to `Ok(None)`.
-///
-/// Grammar, accepted inputs and error text are identical to
-/// [`parse_trace_line`]: lines containing non-ASCII bytes (where Unicode
-/// whitespace could make byte splitting diverge from
-/// `str::split_whitespace`) are delegated to the string parser.
-///
-/// # Errors
-///
-/// Returns a human-readable message (without line number) on malformed
-/// fields, or `line is not valid UTF-8` when a non-ASCII line is not
-/// valid UTF-8 (callers decoding whole files validate the buffer up
-/// front, so they never see that case).
-#[inline]
-pub fn parse_trace_line_bytes(raw: &[u8]) -> Result<Option<TraceLine<'_>>, String> {
-    if !raw.is_ascii() {
-        return match std::str::from_utf8(raw) {
-            Ok(line) => parse_trace_line(line),
-            Err(_) => Err("line is not valid UTF-8".into()),
-        };
-    }
-    let mut fields = Fields { rest: raw };
-    let Some(first) = fields.next() else {
-        return Ok(None);
-    };
-    if first[0] == b'#' {
-        return Ok(None);
-    }
-    if first == b"end" {
-        let time_text = fields.next().ok_or("`end` requires a time")?;
-        let time = parse_sim_time_bytes(time_text)?;
-        if let Some(junk) = fields.next() {
-            return Err(format!("unexpected trailing field `{}`", ascii_str(junk)));
-        }
-        return Ok(Some(TraceLine::End(time)));
-    }
-    let time = parse_sim_time_bytes(first)?;
-    let direction = match fields.next() {
-        None => return Err("missing direction (`in` or `out`)".into()),
-        Some(b"in") => Direction::Input,
-        Some(b"out") => Direction::Output,
-        Some(other) => {
-            return Err(format!(
-                "unknown direction `{}` (expected `in` or `out`)",
-                ascii_str(other)
-            ))
-        }
-    };
-    let Some(name) = fields.next() else {
-        return Err("missing event name".into());
-    };
-    if let Some(junk) = fields.next() {
-        return Err(format!("unexpected trailing field `{}`", ascii_str(junk)));
-    }
-    Ok(Some(TraceLine::Event {
-        time,
-        direction,
-        name: ascii_str(name),
-    }))
-}
-
-/// Parse a whole trace buffer with the byte lexer, interning names into
-/// `voc`. Lines are split with `str::lines` semantics ([`byte_lines`]),
-/// timestamps must not decrease, and an `end <time>` line advances the
-/// clock.
+/// Parse a whole trace buffer, interning names into `voc`. Lines are split
+/// with `str::lines` semantics, timestamps must not decrease, and an
+/// `end <time>` line advances the clock.
 ///
 /// # Errors
 ///
 /// A [`TraceParseError`] with the offending 1-based line on a malformed
-/// line (the message is [`parse_trace_line`]'s), a non-UTF-8 non-ASCII
-/// line, or a timestamp before the previous event or `end` time.
+/// line (the message is [`parse_trace_line`]'s), a line that is not UTF-8,
+/// or a timestamp before the previous event or `end` time.
 pub fn read_trace_bytes(bytes: &[u8], voc: &mut Vocabulary) -> Result<Trace, TraceParseError> {
     let mut trace = Trace::new();
     read_trace_bytes_into(bytes, voc, &mut trace, None)?;
@@ -263,8 +153,8 @@ pub fn read_trace_bytes(bytes: &[u8], voc: &mut Vocabulary) -> Result<Trace, Tra
 ///
 /// # Errors
 ///
-/// Identical to [`read_trace_bytes`]; on error the partially decoded
-/// prefix stays in `trace` (callers treat the whole file as failed).
+/// Identical to [`read_trace_bytes`]; on error the events decoded before
+/// the bad line stay in `trace` (callers treat the whole file as failed).
 pub fn read_trace_bytes_into(
     bytes: &[u8],
     voc: &mut Vocabulary,
@@ -273,18 +163,22 @@ pub fn read_trace_bytes_into(
 ) -> Result<(), TraceParseError> {
     let started = metrics.map(|_| Instant::now());
     trace.clear();
-    let mut last_time = None;
-    let mut lines = 0u64;
-    let mut result = Ok(());
-    for (idx, raw) in byte_lines(bytes).enumerate() {
-        lines += 1;
-        if let Err(e) = read_one_bytes(raw, voc, trace, &mut last_time, idx + 1) {
-            result = Err(e);
-            break;
-        }
+    let result = decode_into(bytes, &mut trace.events, |name, direction| {
+        Some(match voc.lookup_bytes(name) {
+            Some(name) => name,
+            None => voc.intern(&String::from_utf8_lossy(name), direction),
+        })
+    });
+    if let Ok(summary) = &result {
+        // As `Trace::push` would: an event after the last `end` line
+        // raises the end time to its own.
+        trace.end_time = summary.end_time.map(|end| end.max(trace.end_time()));
     }
     if let Some(m) = metrics {
-        m.lines.add(lines);
+        m.lines.add(match &result {
+            Ok(summary) => summary.lines,
+            Err(e) => e.line as u64,
+        });
         m.bytes.add(bytes.len() as u64);
         if result.is_err() {
             m.parse_errors.inc();
@@ -294,136 +188,7 @@ pub fn read_trace_bytes_into(
                 .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
     }
-    result
-}
-
-fn read_one_bytes(
-    raw: &[u8],
-    voc: &mut Vocabulary,
-    trace: &mut Trace,
-    last_time: &mut Option<SimTime>,
-    line_no: usize,
-) -> Result<(), TraceParseError> {
-    let err = |message: String| TraceParseError {
-        line: line_no,
-        message,
-    };
-    match parse_trace_line_bytes(raw).map_err(&err)? {
-        None => {}
-        Some(TraceLine::End(time)) => {
-            if let Some(last) = *last_time {
-                if time < last {
-                    return Err(err(format!(
-                        "end time {time} precedes last event at {last}"
-                    )));
-                }
-            }
-            trace.set_end_time(time);
-            // The end time advances the clock: a later event line may
-            // not jump back before it (`Trace::push` would panic).
-            *last_time = Some(time);
-        }
-        Some(TraceLine::Event {
-            time,
-            direction,
-            name,
-        }) => {
-            if let Some(last) = *last_time {
-                if time < last {
-                    return Err(err(format!(
-                        "timestamp {time} precedes previous event at {last}"
-                    )));
-                }
-            }
-            *last_time = Some(time);
-            // `intern` now probes the byte-keyed table first, so the
-            // known-name fast path allocates nothing.
-            let name = voc.intern(name, direction);
-            trace.push(name, time);
-        }
-    }
-    Ok(())
-}
-
-/// The trace-text fast lexer: the line at the head of `bytes` if it is a
-/// regular event line, `<time> <in|out> <name>` with only ASCII bytes and
-/// ASCII whitespace around the fields. The line ends at its first `\n`,
-/// counted in `len`, or at the end of `bytes`. Every other line — blank,
-/// comment, `end`, non-ASCII, an unknown unit, an out-of-range time, any
-/// malformed field — gets `None` and is [`parse_trace_line_bytes`]'s to
-/// decide, which reads a line this lexer takes to the same time and name.
-/// [`decode_events_into`] and the engine's stream driver (through
-/// [`lex_regular_event`](crate::lex_regular_event)) share it.
-#[inline]
-pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
-    // The lexer bails the moment the line stops looking like an event,
-    // touching each byte of a regular line exactly once (the per-line
-    // reader scans each line three times: for the `\n`, for the ASCII
-    // check, and for the fields).
-    let mut i = 0;
-    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-        i += 1;
-    }
-    if i >= bytes.len() || !bytes[i].is_ascii_digit() {
-        return None;
-    }
-    let mut value = 0u64;
-    let mut overflow = false;
-    while i < bytes.len() && bytes[i].is_ascii_digit() {
-        let (scaled, o1) = value.overflowing_mul(10);
-        let (next, o2) = scaled.overflowing_add(u64::from(bytes[i] - b'0'));
-        overflow |= o1 | o2;
-        value = next;
-        i += 1;
-    }
-    if overflow {
-        return None;
-    }
-    let unit_start = i;
-    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
-        i += 1;
-    }
-    if i < bytes.len() && !bytes[i].is_ascii() {
-        // A non-ASCII byte glued to the unit makes it one longer
-        // (non-unit) field under `char`-wise splitting.
-        return None;
-    }
-    // An unknown unit or an out-of-range literal is an error line: the
-    // per-line parser words it.
-    let time = scale_time(value, &bytes[unit_start..i]).ok()?;
-    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-        i += 1;
-    }
-    let dir_start = i;
-    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
-        i += 1;
-    }
-    if (i < bytes.len() && !bytes[i].is_ascii()) || !matches!(&bytes[dir_start..i], b"in" | b"out")
-    {
-        return None;
-    }
-    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-        i += 1;
-    }
-    let name_start = i;
-    while i < bytes.len() && !is_ascii_space(bytes[i]) && bytes[i].is_ascii() {
-        i += 1;
-    }
-    if i == name_start || (i < bytes.len() && !bytes[i].is_ascii()) {
-        return None;
-    }
-    let name = &bytes[name_start..i];
-    while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
-        i += 1;
-    }
-    if i < bytes.len() && bytes[i] != b'\n' {
-        return None;
-    }
-    Some(RegularEvent {
-        time,
-        name,
-        len: if i < bytes.len() { i + 1 } else { i },
-    })
+    result.map(|_| ())
 }
 
 /// Outcome of a whole-buffer [`decode_events_into`] pass.
@@ -431,7 +196,7 @@ pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
 pub struct DecodeSummary {
     /// Text lines consumed (including comments and blanks).
     pub lines: u64,
-    /// End time recorded by a trailing `end <time>` line, if any.
+    /// End time recorded by the last `end <time>` line, if any.
     pub end_time: Option<SimTime>,
 }
 
@@ -457,148 +222,102 @@ pub fn decode_events_into(
     out: &mut Vec<TimedEvent>,
 ) -> Result<DecodeSummary, TraceParseError> {
     out.clear();
+    decode_into(bytes, out, |name, _| voc.lookup_bytes(name))
+}
+
+/// The one whole-buffer loop: append each event of `bytes` to `out`, its
+/// name resolved by `resolve` from its bytes and direction (`None` fails
+/// the line as an unknown name). A line the fast lexer takes is applied
+/// straight away; any other is cut at its `\n`, a CRLF `\r` dropped, and
+/// parsed by [`parse_trace_line`].
+#[inline]
+fn decode_into(
+    bytes: &[u8],
+    out: &mut Vec<TimedEvent>,
+    mut resolve: impl FnMut(&[u8], Direction) -> Option<Name>,
+) -> Result<DecodeSummary, TraceParseError> {
     let mut summary = DecodeSummary::default();
-    let mut last_time: Option<SimTime> = None;
-    // Single fused pass: every byte of a regular event line is touched
-    // exactly once, by [`lex_trace_event`]. Anything else — blanks,
-    // comments, `end`, malformed fields, non-ASCII — drops to
-    // [`parse_trace_line_bytes`] for that one line, so accepted inputs and
-    // error text stay identical to the per-line path by construction.
-    let mut pos = 0usize;
-    let mut line_no = 0usize;
+    let mut last = SimTime::ZERO;
+    let mut pos = 0;
+    let mut line = 0;
     while pos < bytes.len() {
-        line_no += 1;
-        let line_start = pos;
+        line += 1;
+        let fail = |message| TraceParseError { line, message };
         if let Some(event) = lex_trace_event(&bytes[pos..]) {
-            let time = event.time;
-            if let Some(last) = last_time {
-                if time < last {
-                    return Err(TraceParseError {
-                        line: line_no,
-                        message: format!("timestamp {time} precedes previous event at {last}"),
-                    });
-                }
+            if event.time < last {
+                return Err(fail(time_order_error(false, event.time, last)));
             }
-            last_time = Some(time);
-            let Some(name) = voc.lookup_bytes(event.name) else {
-                return Err(TraceParseError {
-                    line: line_no,
-                    message: format!("unknown event name `{}`", ascii_str(event.name)),
-                });
+            let Some(name) = resolve(event.name, event.direction) else {
+                return Err(fail(unknown_name(event.name)));
             };
-            out.push(TimedEvent::new(name, time));
-            summary.lines += 1;
+            out.push(TimedEvent::new(name, event.time));
+            last = event.time;
             pos += event.len;
             continue;
         }
-        // Slow path: slice this one line with `byte_lines` semantics and
-        // delegate to the per-line parser.
-        let (mut raw, next_pos) = match bytes[line_start..].iter().position(|&b| b == b'\n') {
-            Some(nl) => (&bytes[line_start..line_start + nl], line_start + nl + 1),
-            None => (&bytes[line_start..], bytes.len()),
+        let rest = &bytes[pos..];
+        let raw = match find_newline(rest) {
+            Some(nl) => {
+                pos += nl + 1;
+                rest[..nl].strip_suffix(b"\r").unwrap_or(&rest[..nl])
+            }
+            None => {
+                pos = bytes.len();
+                rest
+            }
         };
-        if next_pos > line_start + raw.len() && raw.last() == Some(&b'\r') {
-            raw = &raw[..raw.len() - 1];
-        }
-        summary.lines += 1;
-        pos = next_pos;
-        let err = |message: String| TraceParseError {
-            line: line_no,
-            message,
-        };
-        match parse_trace_line_bytes(raw).map_err(err)? {
+        let text = std::str::from_utf8(raw).map_err(|_| fail("line is not valid UTF-8".into()))?;
+        match parse_trace_line(text).map_err(fail)? {
             None => {}
-            Some(TraceLine::End(time)) => {
-                if let Some(last) = last_time {
-                    if time < last {
-                        return Err(TraceParseError {
-                            line: line_no,
-                            message: format!("end time {time} precedes last event at {last}"),
-                        });
-                    }
+            Some(StreamLineRef::End(time)) => {
+                if time < last {
+                    return Err(fail(time_order_error(true, time, last)));
                 }
                 summary.end_time = Some(time);
-                last_time = Some(time);
+                last = time;
             }
-            Some(TraceLine::Event { time, name, .. }) => {
-                if let Some(last) = last_time {
-                    if time < last {
-                        return Err(TraceParseError {
-                            line: line_no,
-                            message: format!("timestamp {time} precedes previous event at {last}"),
-                        });
-                    }
+            Some(StreamLineRef::Event {
+                time,
+                direction,
+                name,
+            }) => {
+                if time < last {
+                    return Err(fail(time_order_error(false, time, last)));
                 }
-                last_time = Some(time);
-                let Some(name) = voc.lookup_bytes(name.as_bytes()) else {
-                    return Err(TraceParseError {
-                        line: line_no,
-                        message: format!("unknown event name `{name}`"),
-                    });
+                let Some(id) = resolve(name.as_bytes(), direction) else {
+                    return Err(fail(unknown_name(name.as_bytes())));
                 };
-                out.push(TimedEvent::new(name, time));
+                out.push(TimedEvent::new(id, time));
+                last = time;
             }
         }
     }
+    summary.lines = line as u64;
     Ok(summary)
+}
+
+/// The fault of a name a frozen vocabulary does not hold.
+#[cold]
+fn unknown_name(name: &[u8]) -> String {
+    format!("unknown event name `{}`", String::from_utf8_lossy(name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_lines_match_str_lines() {
-        for text in [
-            "",
-            "\n",
-            "a",
-            "a\n",
-            "a\nb",
-            "a\r\nb\r\n",
-            "a\r",
-            "\r\n\r\n",
-            "one\n\nthree\n",
-        ] {
-            let from_str: Vec<&str> = text.lines().collect();
-            let from_bytes: Vec<&[u8]> = byte_lines(text.as_bytes()).collect();
-            assert_eq!(
-                from_bytes,
-                from_str.iter().map(|s| s.as_bytes()).collect::<Vec<_>>(),
-                "mismatch on {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn byte_lexer_matches_string_parser_on_samples() {
-        for line in [
-            "10ns in set_imgAddr",
-            "  12us  out  irq  ",
-            "end 500ns",
-            "# comment",
-            "",
-            "   ",
-            "10ns sideways x",
-            "banana in x",
-            "10ns in",
-            "10ns in x junk",
-            "end",
-            "end 5ns junk",
-            "10ns",
-            "\u{a0}10ns in x", // non-ASCII whitespace: falls back to str parser
-            "10ns in caf\u{e9}",
-        ] {
-            let from_str = parse_trace_line(line);
-            let from_bytes = parse_trace_line_bytes(line.as_bytes());
-            assert_eq!(from_str, from_bytes, "mismatch on {line:?}");
-        }
-    }
+    use crate::parse_stream_line_bytes;
+    use crate::StreamFormat;
 
     #[test]
     fn invalid_utf8_is_rejected_not_panicked() {
-        let err = parse_trace_line_bytes(b"10ns in caf\xff").unwrap_err();
+        let err = parse_stream_line_bytes(StreamFormat::Trace, b"10ns in caf\xff").unwrap_err();
         assert!(err.contains("UTF-8"), "unexpected error: {err}");
+        let err =
+            read_trace_bytes(b"10ns in a\n10ns in caf\xff\n", &mut Vocabulary::new()).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "line is not valid UTF-8")
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Differential tests: the wire-speed byte decoders must be observably
-//! identical to the legacy string parsers — same events, same error
-//! messages, same 1-based line numbers, same telemetry accounting — over
-//! random well-formed *and* malformed traces.
+//! Differential tests: the byte readers must be observably identical to
+//! the string parsers — same events, same error messages, same 1-based
+//! line numbers, same telemetry accounting — over random well-formed *and*
+//! malformed traces.
 //!
-//! The text grammar is compared against the live string parser
-//! ([`parse_trace_line`], still the source of truth for Unicode corner
-//! cases). The byte readers replaced the `&str` whole-file reader and the
-//! old char-iterator NDJSON parser outright, so both are preserved here
-//! verbatim as reference oracles.
+//! Every reader runs one fast lexer per format and, on each line it does
+//! not take, that format's full grammar. The trace text pair is compared
+//! against the full grammar itself ([`parse_trace_line`]) and the whole
+//! buffer loop against the retired `&str` whole-file reader. The NDJSON
+//! pair replaced the old char-iterator parser outright. Both retired
+//! readers are preserved here as reference oracles.
 
 use std::borrow::Cow;
 
@@ -15,16 +16,16 @@ use proptest::prelude::*;
 
 use lomon_trace::io::IoMetrics;
 use lomon_trace::{
-    byte_lines, lex_regular_event, parse_ndjson_line_ref, parse_stream_line_bytes,
-    parse_trace_line, parse_trace_line_bytes, read_trace_bytes, read_trace_bytes_into, Direction,
-    SimTime, StreamFormat, StreamLineRef, Trace, TraceLine, TraceParseError, Vocabulary,
+    lex_regular_event, parse_ndjson_line_ref, parse_stream_line_bytes, parse_trace_line,
+    read_trace_bytes, read_trace_bytes_into, Direction, SimTime, StreamFormat, StreamLineRef,
+    Trace, TraceParseError, Vocabulary,
 };
 
 // ---------------------------------------------------------------------
 // Random trace-text generation: a mix of valid events, comments, blanks,
 // `end` markers, and every malformed shape the grammar can reject, with
-// some Unicode whitespace/name seasoning so the byte lexer's non-ASCII
-// fallback is exercised too.
+// some Unicode whitespace/name seasoning so the lines the fast lexer
+// leaves to the full grammar are exercised too.
 // ---------------------------------------------------------------------
 
 const TIMES: &[&str] = &[
@@ -174,8 +175,9 @@ fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
 }
 
 // ---------------------------------------------------------------------
-// The retired `&str` whole-file reader, preserved verbatim (less its
-// telemetry) as the reference oracle of `read_trace_bytes`.
+// The retired `&str` whole-file reader, preserved (less its telemetry,
+// and reading the grammar's `StreamLineRef`) as the reference oracle of
+// `read_trace_bytes`.
 // ---------------------------------------------------------------------
 
 fn read_trace(text: &str, voc: &mut Vocabulary) -> Result<Trace, TraceParseError> {
@@ -200,7 +202,7 @@ fn read_one(
 ) -> Result<(), TraceParseError> {
     match parse_trace_line(raw).map_err(&err)? {
         None => {}
-        Some(TraceLine::End(time)) => {
+        Some(StreamLineRef::End(time)) => {
             if let Some(last) = *last_time {
                 if time < last {
                     return Err(err(format!(
@@ -213,7 +215,7 @@ fn read_one(
             // not jump back before it (`Trace::push` would panic).
             *last_time = Some(time);
         }
-        Some(TraceLine::Event {
+        Some(StreamLineRef::Event {
             time,
             direction,
             name,
@@ -226,29 +228,11 @@ fn read_one(
                 }
             }
             *last_time = Some(time);
-            let name = voc.intern(name, direction);
+            let name = voc.intern(&name, direction);
             trace.push(name, time);
         }
     }
     Ok(())
-}
-
-/// The string parser's reading of a trace line, as a stream line.
-fn parse_trace_stream_line(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
-    parse_trace_line(line).map(|parsed| {
-        parsed.map(|parsed| match parsed {
-            TraceLine::Event {
-                time,
-                direction,
-                name,
-            } => StreamLineRef::Event {
-                time,
-                direction,
-                name: name.into(),
-            },
-            TraceLine::End(time) => StreamLineRef::End(time),
-        })
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -405,8 +389,9 @@ fn out_of_range_time_literal_is_rejected_alike_everywhere() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// One line at a time: the byte lexer and the string parser agree on
-    /// every parse, including the exact error message.
+    /// One line at a time: the stream driver's entry point (the fast lexer,
+    /// else the full grammar) and the string parser agree on every parse,
+    /// including the exact error message.
     #[test]
     fn trace_line_byte_lexer_matches_string_parser(
         kind in any::<u8>(), t in any::<u8>(), d in any::<u8>(), n in any::<u8>(),
@@ -414,12 +399,8 @@ proptest! {
     ) {
         let line = render_line(kind, t, d, n, s);
         let from_str = parse_trace_line(&line);
-        let from_bytes = parse_trace_line_bytes(line.as_bytes());
+        let from_bytes = parse_stream_line_bytes(StreamFormat::Trace, line.as_bytes());
         prop_assert_eq!(from_str, from_bytes, "line {:?}", line);
-        // The stream driver's entry point agrees too.
-        let stream_str = parse_trace_stream_line(&line);
-        let stream_bytes = parse_stream_line_bytes(StreamFormat::Trace, line.as_bytes());
-        prop_assert_eq!(stream_str, stream_bytes, "line {:?}", line);
     }
 
     /// Whole files: identical traces, identical vocabularies, identical
@@ -492,7 +473,7 @@ proptest! {
             let bytes = format!("{line}{ending}10ns in next\n");
             let bytes = if ending.is_empty() { line.as_bytes() } else { bytes.as_bytes() };
             let expected = match format {
-                StreamFormat::Trace => parse_trace_stream_line(&line),
+                StreamFormat::Trace => parse_trace_line(&line),
                 StreamFormat::Ndjson => legacy_parse_ndjson_line(&line),
             };
             let lexed = lex_regular_event(format, bytes);
@@ -557,12 +538,12 @@ proptest! {
         prop_assert_eq!(parsed, expected, "line {:?}", String::from_utf8_lossy(&line));
     }
 
-    /// The fused single-pass scanner inside `decode_events_into` agrees
-    /// with a straight per-line decode (the proven `byte_lines` +
-    /// `parse_trace_line_bytes` loop) on arbitrary text — same events,
-    /// same summary, same error message and line number. The vocabulary
-    /// is seeded with only some of the names the generator emits, so the
-    /// `unknown event name` path is exercised on both sides.
+    /// The fused single-pass loop inside `decode_events_into` agrees with a
+    /// straight per-line decode (`str::lines` and the full grammar,
+    /// `parse_trace_line`) on arbitrary text — same events, same summary,
+    /// same error message and line number. The vocabulary is seeded with
+    /// only some of the names the generator emits, so the `unknown event
+    /// name` path is exercised on both sides.
     #[test]
     fn fused_decode_matches_per_line_decode(
         lines in prop::collection::vec(
@@ -576,19 +557,18 @@ proptest! {
             voc.intern(name, Direction::Input);
         }
 
-        // Reference: the per-line loop `decode_events_into` had before the
-        // fused fast path.
+        // Reference: a per-line loop over the full grammar alone.
         let mut reference = Vec::new();
         let mut ref_summary = lomon_trace::DecodeSummary::default();
         let mut ref_result = Ok(());
         let mut last_time: Option<SimTime> = None;
-        for (idx, raw) in byte_lines(text.as_bytes()).enumerate() {
+        for (idx, raw) in text.lines().enumerate() {
             ref_summary.lines += 1;
-            let outcome = parse_trace_line_bytes(raw)
+            let outcome = parse_trace_line(raw)
                 .map_err(|message| lomon_trace::TraceParseError { line: idx + 1, message })
                 .and_then(|parsed| match parsed {
                     None => Ok(()),
-                    Some(lomon_trace::TraceLine::End(time)) => {
+                    Some(StreamLineRef::End(time)) => {
                         if last_time.is_some_and(|last| time < last) {
                             return Err(lomon_trace::TraceParseError {
                                 line: idx + 1,
@@ -601,7 +581,7 @@ proptest! {
                         last_time = Some(time);
                         Ok(())
                     }
-                    Some(lomon_trace::TraceLine::Event { time, name, .. }) => {
+                    Some(StreamLineRef::Event { time, name, .. }) => {
                         if last_time.is_some_and(|last| time < last) {
                             return Err(lomon_trace::TraceParseError {
                                 line: idx + 1,
@@ -611,7 +591,7 @@ proptest! {
                             });
                         }
                         last_time = Some(time);
-                        match voc.lookup(name) {
+                        match voc.lookup(&name) {
                             Some(id) => {
                                 reference.push(lomon_trace::TimedEvent::new(id, time));
                                 Ok(())

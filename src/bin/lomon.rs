@@ -61,9 +61,8 @@ use std::str::FromStr;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use lomon::core::analysis::{prune_dead, AnalysisOptions, Diagnostic, Severity};
+use lomon::core::analysis::{prune_dead, AnalysisOptions, Diagnostic, Divergence, Severity};
 use lomon::core::parse::parse_property;
-use lomon::core::verdict::Monitor as _;
 use lomon::engine::{
     error_diagnostics, profile_trace, rulebook_lines, Backend, DispatchMode, Engine, EngineReport,
     Fault, Record, RecordSink, SessionMetrics, Step, StreamDriver,
@@ -405,7 +404,7 @@ fn verdict_code(ok: bool) -> ExitCode {
 
 /// Read one whole trace file into memory, for the commands that need the
 /// trace as a value (`vcd`, `profile`, `lint --trace`, `smc --trace`):
-/// one heap read, decoded by the byte lexer ([`read_trace_bytes`]). A file
+/// one heap read, decoded by the whole-buffer reader ([`read_trace_bytes`]). A file
 /// that is not UTF-8 fails with the `cannot read …` diagnostic class
 /// instead of a per-line parse error; any failure exits with `code`.
 /// `check` streams its files instead.
@@ -1238,30 +1237,24 @@ fn lint(raw: &[String], out: &mut Out) -> Outcome {
         // The prune is verdict-preserving on corpus traces by construction;
         // trust nothing, replay the corpus through both rulebooks.
         if let Some(trace) = &trace {
-            let mut original = engine.fused().instantiate();
-            let mut pruned = outcome.fused.instantiate();
-            for event in trace.events() {
-                for (o, p) in original.iter_mut().zip(pruned.iter_mut()) {
-                    if o.observe(*event) != p.observe(*event) {
-                        stderr!(
-                            "error: fix-prune self-check failed: verdicts diverge at {} \
-                             `{}` — this is a bug, the unpruned rulebook stands",
-                            event.time,
-                            voc.resolve(event.name),
-                        );
-                        return Ok(ExitCode::from(2));
-                    }
+            match outcome.first_divergence(engine.fused(), trace.events(), trace.end_time()) {
+                Some(Divergence::Event(event)) => {
+                    stderr!(
+                        "error: fix-prune self-check failed: verdicts diverge at {} \
+                         `{}` — this is a bug, the unpruned rulebook stands",
+                        event.time,
+                        voc.resolve(event.name),
+                    );
+                    return Ok(ExitCode::from(2));
                 }
-            }
-            let end = trace.end_time();
-            for (o, p) in original.iter_mut().zip(pruned.iter_mut()) {
-                if o.finish(end) != p.finish(end) {
+                Some(Divergence::Finish) => {
                     stderr!(
                         "error: fix-prune self-check failed: final verdicts diverge — \
                          this is a bug, the unpruned rulebook stands"
                     );
                     return Ok(ExitCode::from(2));
                 }
+                None => {}
             }
             writeln!(
                 out,

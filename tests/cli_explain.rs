@@ -181,6 +181,66 @@ fn profile_json_golden_and_chrome_trace() {
     std::fs::remove_file(&trace_out).ok();
 }
 
+/// The number after the first `"key": ` in `json` at or after `from`.
+fn json_count(json: &str, key: &str, from: usize) -> Option<(u64, usize)> {
+    let needle = format!("\"{key}\": ");
+    let at = from + json[from..].find(&needle)? + needle.len();
+    let digits = json[at..].len()
+        - json[at..]
+            .trim_start_matches(|c: char| c.is_ascii_digit())
+            .len();
+    Some((json[at..at + digits].parse().ok()?, at + digits))
+}
+
+/// `profile` counts what `check` counts: only events whose name some
+/// property watches, while every line still advances time — here a
+/// deadline expires at an unwatched line.
+#[test]
+fn profile_counts_match_check_on_unwatched_names() {
+    let dir = std::env::temp_dir().join(format!("lomon_profile_unwatched_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("unwatched.trace");
+    std::fs::write(
+        &trace,
+        "10ns in a\n20ns in zz\n30ns in b\n40ns in start\n50ns in zz\n\
+         90ns in zz\n100ns in a\n110ns in zz\n",
+    )
+    .expect("write trace");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let (ordering, timed) = (
+        "all{a, b} << start repeated",
+        "start => out:irq within 20 ns",
+    );
+
+    let check = lomon(&["check", "--format", "json", trace, ordering, timed]);
+    assert_eq!(check.status.code(), Some(1), "stderr: {}", stderr(&check));
+    let check = stdout(&check);
+    let (events, _) = json_count(&check, "events", 0).expect("check events");
+    let (steps, _) = json_count(&check, "monitor_steps", 0).expect("check steps");
+
+    let profile = lomon(&["profile", "--format", "json", ordering, timed, trace]);
+    assert_eq!(
+        profile.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr(&profile)
+    );
+    let profile = stdout(&profile);
+    let (profiled, mut at) = json_count(&profile, "events", 0).expect("profile events");
+    let mut group_steps = 0;
+    while let Some((steps, next)) = json_count(&profile, "steps", at) {
+        group_steps += steps;
+        at = next;
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        (profiled, group_steps),
+        (events, steps),
+        "check {check}\nprofile {profile}"
+    );
+    assert_eq!(events, 4, "{check}");
+}
+
 #[test]
 fn profile_exit_code_contract() {
     // 1: unreadable input (missing trace file).
