@@ -454,9 +454,9 @@ proptest! {
             metrics.parse_errors.get(), u64::from(oracle.is_err()), "text {:?}", text);
     }
 
-    /// The fast lexer of regular lines, which `decode_events_into` and the
-    /// stream driver share, takes every ASCII event line and nothing the
-    /// string parser does not read to the same time and name; the line it
+    /// The fast lexer of regular lines, which every reader shares, takes
+    /// every ASCII event line and nothing the string parser does not read
+    /// to the same time, direction and name; the line it
     /// takes ends at its `\n`, whatever follows, or at the end of the
     /// bytes. In NDJSON it takes nothing the retired char-iterator parser
     /// does not read to the same event.
@@ -484,8 +484,9 @@ proptest! {
             if let Some(lexed) = lexed {
                 prop_assert_eq!(lexed.len, line.len() + ending.len(), "line {:?}", line);
                 match expected {
-                    Ok(Some(StreamLineRef::Event { time, name, .. })) => {
+                    Ok(Some(StreamLineRef::Event { time, direction, name })) => {
                         prop_assert_eq!(lexed.time, time, "line {:?}", line);
+                        prop_assert_eq!(lexed.direction, direction, "line {:?}", line);
                         prop_assert_eq!(lexed.name, name.as_bytes(), "line {:?}", line);
                     }
                     other => prop_assert!(false, "lexed {:?}, parsed {:?}", line, other),

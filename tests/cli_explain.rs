@@ -185,11 +185,8 @@ fn profile_json_golden_and_chrome_trace() {
 fn json_count(json: &str, key: &str, from: usize) -> Option<(u64, usize)> {
     let needle = format!("\"{key}\": ");
     let at = from + json[from..].find(&needle)? + needle.len();
-    let digits = json[at..].len()
-        - json[at..]
-            .trim_start_matches(|c: char| c.is_ascii_digit())
-            .len();
-    Some((json[at..at + digits].parse().ok()?, at + digits))
+    let end = at + json[at..].find(|c: char| !c.is_ascii_digit())?;
+    Some((json[at..end].parse().ok()?, end))
 }
 
 /// `profile` counts what `check` counts: only events whose name some
