@@ -13,7 +13,7 @@ fn bench_platform(c: &mut Criterion) {
             let config = ScenarioConfig::nominal(7);
             let report = run_scenario(&config);
             assert!(report.all_ok());
-            report.stats.dispatched
+            report.dispatched
         });
     });
     group.bench_function("scenario/bare", |b| {
@@ -21,7 +21,7 @@ fn bench_platform(c: &mut Criterion) {
             let mut config = ScenarioConfig::nominal(7);
             config.monitors = false;
             let report = run_scenario(&config);
-            report.stats.dispatched
+            report.dispatched
         });
     });
     group.finish();

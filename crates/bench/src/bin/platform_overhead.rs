@@ -1,6 +1,6 @@
 //! S3: monitoring overhead on the virtual platform — the Fig. 1/2 framework
 //! in action. Runs the face-recognition scenario with and without online
-//! monitors and compares wall-clock time and kernel statistics.
+//! monitors and compares wall-clock time and kernel dispatch counts.
 //!
 //! Run with `cargo run -p lomon-bench --bin platform_overhead --release`.
 
@@ -18,7 +18,7 @@ fn measure(monitors: bool, runs: u32) -> (f64, u64, usize) {
         config.monitors = monitors;
         let report = run_scenario(&config);
         assert!(report.all_ok(), "nominal scenario must stay clean");
-        dispatched += report.stats.dispatched;
+        dispatched += report.dispatched;
         events += report.trace.len();
     }
     (start.elapsed().as_secs_f64(), dispatched, events)

@@ -1,44 +1,38 @@
 //! # lomon-kernel — a deterministic discrete-event simulation kernel
 //!
-//! The SystemC-kernel substitute of this reproduction (see DESIGN.md): the
-//! loose-ordering monitors only consume a totally ordered stream of
-//! interface events plus the current simulated time, so any deterministic
-//! DES kernel with events, delta cycles and (seeded) loose timing exercises
-//! the same code paths as OSCI SystemC.
+//! The SystemC-kernel substitute of this reproduction: the loose-ordering
+//! monitors only consume a totally ordered stream of interface events plus
+//! the current simulated time, so a seeded callback scheduler exercises the
+//! same monitor code paths as OSCI SystemC.
 //!
-//! * [`sched`] — the scheduler: time-ordered queue with delta cycles and
-//!   insertion-order tie-breaking, one-shot callbacks, signals with
-//!   end-of-delta update semantics, a seeded RNG for the paper's
-//!   loose-timing `wait (90, 110, SC_NS)` idiom;
-//! * [`process`] — `SC_METHOD`-style processes resumed by the kernel;
-//! * [`event`] — `sc_event`-style notification objects.
+//! * [`sched`] — the [`Kernel`]: a time-ordered queue of one-shot
+//!   callbacks with insertion-order tie-breaking, and a seeded RNG for the
+//!   paper's loose-timing `wait (90, 110, SC_NS)` idiom.
 //!
 //! ```
-//! use lomon_kernel::{Process, ProcessId, Kernel, Simulator};
+//! use std::cell::Cell;
+//! use std::rc::Rc;
+//!
+//! use lomon_kernel::Kernel;
 //! use lomon_trace::SimTime;
 //!
-//! struct Blinker { blinks: u32 }
-//! impl Process for Blinker {
-//!     fn name(&self) -> &str { "blinker" }
-//!     fn resume(&mut self, pid: ProcessId, k: &mut Kernel) {
-//!         self.blinks += 1;
-//!         if self.blinks < 3 {
-//!             k.resume_in(pid, SimTime::from_ns(10));
-//!         }
+//! /// Blink now, then every 10 ns until three blinks are done.
+//! fn blink(k: &mut Kernel, blinks: Rc<Cell<u32>>) {
+//!     blinks.set(blinks.get() + 1);
+//!     if blinks.get() < 3 {
+//!         k.call_in(SimTime::from_ns(10), move |k| blink(k, blinks));
 //!     }
 //! }
 //!
-//! let mut sim = Simulator::new(42);
-//! let pid = sim.add_process(Blinker { blinks: 0 });
-//! sim.kernel().resume_in(pid, SimTime::ZERO);
-//! sim.run(100);
-//! assert_eq!(sim.now(), SimTime::from_ns(20));
+//! let blinks = Rc::new(Cell::new(0));
+//! let mut kernel = Kernel::new(42);
+//! let counter = Rc::clone(&blinks);
+//! kernel.call_in(SimTime::ZERO, move |k| blink(k, counter));
+//! kernel.run(100);
+//! assert_eq!(blinks.get(), 3);
+//! assert_eq!(kernel.now(), SimTime::from_ns(20));
 //! ```
 
-pub mod event;
-pub mod process;
 pub mod sched;
 
-pub use event::EventId;
-pub use process::{Process, ProcessId};
-pub use sched::{Kernel, KernelStats, SignalId, Simulator};
+pub use sched::Kernel;

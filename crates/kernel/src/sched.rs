@@ -1,15 +1,14 @@
 //! The discrete-event scheduler.
 //!
 //! A deterministic stand-in for the SystemC simulation kernel: simulated
-//! time never goes backwards, simultaneous activations are ordered by
-//! *delta cycles* and then by insertion order, and all nondeterminism
-//! (loose timing) is drawn from one seeded RNG so every run is exactly
-//! reproducible. The monitors of `lomon-core` only need (a) a totally
-//! ordered stream of interface events and (b) the current simulated time —
-//! which is why this kernel, rather than OSCI SystemC, preserves the
-//! paper's behaviour (see DESIGN.md, substitutions).
+//! time never goes backwards, entries due at the same instant run in the
+//! order they were scheduled, and all nondeterminism (loose timing, data)
+//! is drawn from one seeded RNG, so every run is exactly reproducible.
+//! The monitors of `lomon-core` only need (a) a totally ordered stream of
+//! interface events and (b) the current simulated time, which is why this
+//! kernel, rather than OSCI SystemC, preserves the paper's behaviour.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
@@ -17,84 +16,49 @@ use rand::{Rng, SeedableRng};
 
 use lomon_trace::SimTime;
 
-use crate::event::{EventId, EventRecord};
-use crate::process::{Process, ProcessId};
+/// A deferred one-shot action.
+type Callback = Box<dyn FnOnce(&mut Kernel)>;
 
-/// What a scheduled entry does when dispatched.
-#[derive(Debug)]
-enum Action {
-    /// Resume a process.
-    Resume(ProcessId),
-    /// Fire an event: wake every waiter registered at fire time.
-    Notify(EventId),
-    /// Run a one-shot callback.
-    Call(usize),
-    /// Apply pending signal updates (end of delta cycle).
-    UpdateSignal(usize),
-}
-
-/// Priority-queue key: `(time, delta, seq)` — earlier time first, then
-/// earlier delta round, then insertion order (determinism).
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    time: SimTime,
-    delta: u64,
-    seq: u64,
-}
-
-#[derive(Debug)]
+/// A scheduled callback, ordered by `(time, seq)`: earlier time first,
+/// then insertion order (determinism).
 struct Entry {
-    key: Key,
-    action: Action,
+    time: SimTime,
+    seq: u64,
+    callback: Callback,
+}
+
+impl Entry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        self.key() == other.key()
     }
 }
 impl Eq for Entry {}
 impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
     }
 }
 
-/// Run statistics (useful for benches and regression tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Entries dispatched.
-    pub dispatched: u64,
-    /// Process resumptions.
-    pub resumes: u64,
-    /// Event notifications fired.
-    pub notifications: u64,
-    /// Delta cycles executed.
-    pub delta_cycles: u64,
-}
-
-/// A deferred one-shot action.
-type Callback = Box<dyn FnOnce(&mut Kernel)>;
-
-/// The kernel state visible to processes while they run: clock, event
-/// queue, events, signals and the seeded RNG. (The process table itself
-/// lives in [`Simulator`], so a running process can never alias another.)
+/// The simulation kernel: the clock, the queue of one-shot callbacks and
+/// the seeded RNG. Components schedule their behaviour as callbacks that
+/// receive the kernel, read its clock and schedule further callbacks.
 pub struct Kernel {
     now: SimTime,
-    delta: u64,
     seq: u64,
     queue: BinaryHeap<Reverse<Entry>>,
-    events: Vec<EventRecord>,
-    signals: Vec<SignalCell>,
-    callbacks: Vec<Option<Callback>>,
     rng: StdRng,
-    /// Statistics, publicly readable.
-    pub stats: KernelStats,
+    dispatched: u64,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -102,36 +66,20 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("now", &self.now)
             .field("queue_len", &self.queue.len())
-            .field("events", &self.events.len())
-            .field("signals", &self.signals.len())
+            .field("dispatched", &self.dispatched)
             .finish()
     }
 }
 
-/// A kernel-managed signal: readers see the current value until the
-/// end-of-delta update applies the pending write (SystemC `sc_signal`).
-#[derive(Debug, Clone, Copy)]
-struct SignalCell {
-    current: u64,
-    pending: Option<u64>,
-}
-
-/// Handle for a kernel-managed signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SignalId(usize);
-
 impl Kernel {
-    fn new(seed: u64) -> Self {
+    /// A kernel whose loose timing and data draws derive from `seed`.
+    pub fn new(seed: u64) -> Self {
         Kernel {
             now: SimTime::ZERO,
-            delta: 0,
             seq: 0,
             queue: BinaryHeap::new(),
-            events: Vec::new(),
-            signals: Vec::new(),
-            callbacks: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            stats: KernelStats::default(),
+            dispatched: 0,
         }
     }
 
@@ -140,202 +88,34 @@ impl Kernel {
         self.now
     }
 
-    fn push(&mut self, time: SimTime, delta: u64, action: Action) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Entry {
-            key: Key { time, delta, seq },
-            action,
-        }));
-    }
-
-    /// Resume `pid` after `delay` (SystemC `wait(delay)` / `next_trigger`).
-    pub fn resume_in(&mut self, pid: ProcessId, delay: SimTime) {
-        self.push(self.now + delay, 0, Action::Resume(pid));
-    }
-
-    /// Resume `pid` in the next delta cycle at the current time.
-    pub fn resume_delta(&mut self, pid: ProcessId) {
-        self.push(self.now, self.delta + 1, Action::Resume(pid));
-    }
-
-    /// Loose timing (the paper's `wait (90, 110, SC_NS)` idiom): resume
-    /// after a uniformly drawn delay in `[lo, hi]`, from the seeded RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn resume_between(&mut self, pid: ProcessId, lo: SimTime, hi: SimTime) {
-        assert!(lo <= hi, "loose-timing interval is empty");
-        let delay = SimTime::from_ps(self.rng.gen_range(lo.as_ps()..=hi.as_ps()));
-        self.resume_in(pid, delay);
-    }
-
-    /// Draw a uniform value (components use this for data randomness so the
-    /// whole run stays reproducible from the one seed).
+    /// Draw a uniform value in `[lo, hi]` (components use this for loose
+    /// timing, the paper's `wait (90, 110, SC_NS)` idiom, and for data, so
+    /// the whole run stays reproducible from the one seed).
     pub fn draw(&mut self, lo: u64, hi: u64) -> u64 {
         self.rng.gen_range(lo..=hi)
     }
 
-    /// Create a new event.
-    pub fn event(&mut self) -> EventId {
-        self.events.push(EventRecord::default());
-        EventId::from_index(self.events.len() - 1)
-    }
-
-    /// Register `pid` to be woken by the next notification of `event`
-    /// (dynamic sensitivity; one-shot, like SystemC `wait(event)`).
-    pub fn wait_event(&mut self, pid: ProcessId, event: EventId) {
-        self.events[event.index()].waiters.push(pid);
-    }
-
-    /// Notify `event` after `delay` (zero = next delta cycle).
-    pub fn notify(&mut self, event: EventId, delay: SimTime) {
-        if delay == SimTime::ZERO {
-            self.push(self.now, self.delta + 1, Action::Notify(event));
-        } else {
-            self.push(self.now + delay, 0, Action::Notify(event));
-        }
-    }
-
-    /// Schedule a one-shot callback after `delay` — used for timeout checks
-    /// (e.g. a timed monitor's deadline) and test instrumentation.
+    /// Schedule a one-shot callback after `delay`. A zero delay runs it
+    /// after every entry already queued for the current instant.
     pub fn call_in(&mut self, delay: SimTime, callback: impl FnOnce(&mut Kernel) + 'static) {
-        self.callbacks.push(Some(Box::new(callback)));
-        let id = self.callbacks.len() - 1;
-        self.push(self.now + delay, 0, Action::Call(id));
-    }
-
-    /// Create a signal with an initial value.
-    pub fn signal(&mut self, initial: u64) -> SignalId {
-        self.signals.push(SignalCell {
-            current: initial,
-            pending: None,
-        });
-        SignalId(self.signals.len() - 1)
-    }
-
-    /// Read a signal's current value (pending writes are invisible until
-    /// the end of the delta cycle).
-    pub fn read_signal(&self, signal: SignalId) -> u64 {
-        self.signals[signal.0].current
-    }
-
-    /// Write a signal; the value becomes visible in the next delta cycle.
-    pub fn write_signal(&mut self, signal: SignalId, value: u64) {
-        let cell = self.signals[signal.0];
-        let schedule = cell.pending.is_none() && cell.current != value;
-        if schedule {
-            self.push(self.now, self.delta + 1, Action::UpdateSignal(signal.0));
-        }
-        self.signals[signal.0].pending = if cell.current != value {
-            Some(value)
-        } else {
-            None
-        };
-    }
-
-    /// Whether nothing remains to dispatch.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-/// The simulator: the kernel plus the process table.
-pub struct Simulator {
-    kernel: Kernel,
-    processes: Vec<Box<dyn Process>>,
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("kernel", &self.kernel)
-            .field("processes", &self.processes.len())
-            .finish()
-    }
-}
-
-impl Simulator {
-    /// A simulator whose loose timing and data draws derive from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Simulator {
-            kernel: Kernel::new(seed),
-            processes: Vec::new(),
-        }
-    }
-
-    /// Register a process; it is *not* scheduled automatically — call
-    /// [`Kernel::resume_in`] (typically with zero delay) from setup code.
-    pub fn add_process(&mut self, process: impl Process + 'static) -> ProcessId {
-        self.processes.push(Box::new(process));
-        ProcessId::from_index(self.processes.len() - 1)
-    }
-
-    /// Access the kernel (setup: creating events/signals, initial
-    /// scheduling).
-    pub fn kernel(&mut self) -> &mut Kernel {
-        &mut self.kernel
-    }
-
-    /// Immutable kernel access.
-    pub fn kernel_ref(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    /// Access a process by id (e.g. to read results after a run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    pub fn process(&self, pid: ProcessId) -> &dyn Process {
-        self.processes[pid.index()].as_ref()
-    }
-
-    /// Mutable access to a process between dispatches.
-    pub fn process_mut(&mut self, pid: ProcessId) -> &mut dyn Process {
-        self.processes[pid.index()].as_mut()
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse(Entry {
+            time: self.now + delay,
+            seq,
+            callback: Box::new(callback),
+        }));
     }
 
     /// Dispatch a single entry. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(Reverse(entry)) = self.kernel.queue.pop() else {
+    fn step(&mut self) -> bool {
+        let Some(Reverse(entry)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.key.time >= self.kernel.now, "time went backwards");
-        if entry.key.time > self.kernel.now {
-            self.kernel.now = entry.key.time;
-            self.kernel.delta = 0;
-        }
-        if entry.key.delta > self.kernel.delta {
-            self.kernel.delta = entry.key.delta;
-            self.kernel.stats.delta_cycles += 1;
-        }
-        self.kernel.stats.dispatched += 1;
-        match entry.action {
-            Action::Resume(pid) => {
-                self.kernel.stats.resumes += 1;
-                self.processes[pid.index()].resume(pid, &mut self.kernel);
-            }
-            Action::Notify(event) => {
-                self.kernel.stats.notifications += 1;
-                let waiters = std::mem::take(&mut self.kernel.events[event.index()].waiters);
-                for pid in waiters {
-                    self.kernel.stats.resumes += 1;
-                    self.processes[pid.index()].resume(pid, &mut self.kernel);
-                }
-            }
-            Action::Call(id) => {
-                if let Some(callback) = self.kernel.callbacks[id].take() {
-                    callback(&mut self.kernel);
-                }
-            }
-            Action::UpdateSignal(ix) => {
-                if let Some(v) = self.kernel.signals[ix].pending.take() {
-                    self.kernel.signals[ix].current = v;
-                }
-            }
-        }
+        debug_assert!(entry.time >= self.now, "time went backwards");
+        self.now = entry.time;
+        self.dispatched += 1;
+        (entry.callback)(self);
         true
     }
 
@@ -353,25 +133,21 @@ impl Simulator {
     /// are still dispatched), or the queue drains; the clock is advanced to
     /// `until` at the end (like `sc_start(t)`).
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(Reverse(entry)) = self.kernel.queue.peek() {
-            if entry.key.time > until {
-                break;
-            }
+        while self
+            .queue
+            .peek()
+            .is_some_and(|Reverse(entry)| entry.time <= until)
+        {
             self.step();
         }
-        if self.kernel.now < until {
-            self.kernel.now = until;
+        if self.now < until {
+            self.now = until;
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now
-    }
-
-    /// Run statistics.
-    pub fn stats(&self) -> KernelStats {
-        self.kernel.stats
+    /// Entries dispatched so far.
+    pub fn dispatched(&self) -> u64 {
+        self.dispatched
     }
 }
 
@@ -381,177 +157,97 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// A process that logs its resume times and re-schedules itself.
-    struct Ticker {
-        period: SimTime,
-        remaining: u32,
-        log: Rc<RefCell<Vec<SimTime>>>,
-    }
-
-    impl Process for Ticker {
-        fn name(&self) -> &str {
-            "ticker"
-        }
-        fn resume(&mut self, pid: ProcessId, k: &mut Kernel) {
-            self.log.borrow_mut().push(k.now());
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                k.resume_in(pid, self.period);
-            }
+    /// Log the current time, then re-schedule the next tick `period`
+    /// later while `remaining` ticks are left.
+    fn tick(k: &mut Kernel, period: SimTime, remaining: u32, log: Rc<RefCell<Vec<SimTime>>>) {
+        log.borrow_mut().push(k.now());
+        if remaining > 0 {
+            k.call_in(period, move |k| tick(k, period, remaining - 1, log));
         }
     }
 
     #[test]
     fn periodic_process_advances_time() {
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let pid = sim.add_process(Ticker {
-            period: SimTime::from_ns(10),
-            remaining: 3,
-            log: Rc::clone(&log),
+        let ticks = Rc::clone(&log);
+        kernel.call_in(SimTime::ZERO, move |k| {
+            tick(k, SimTime::from_ns(10), 3, ticks);
         });
-        sim.kernel().resume_in(pid, SimTime::ZERO);
-        sim.run(100);
+        kernel.run(100);
         let times: Vec<u64> = log.borrow().iter().map(|t| t.as_ns()).collect();
         assert_eq!(times, vec![0, 10, 20, 30]);
-        assert_eq!(sim.now(), SimTime::from_ns(30));
-        assert_eq!(sim.stats().resumes, 4);
+        assert_eq!(kernel.now(), SimTime::from_ns(30));
+        assert_eq!(kernel.dispatched(), 4);
     }
 
     #[test]
     fn same_time_entries_dispatch_in_insertion_order() {
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
         for tag in 0..3u64 {
             let log = Rc::clone(&log);
-            sim.kernel().call_in(SimTime::from_ns(5), move |_k| {
+            kernel.call_in(SimTime::from_ns(5), move |_k| {
                 log.borrow_mut().push(tag);
             });
         }
-        sim.run(10);
+        kernel.run(10);
         assert_eq!(*log.borrow(), vec![0, 1, 2]);
     }
 
     #[test]
-    fn events_wake_waiters() {
-        struct Waiter {
-            event: EventId,
-            woken_at: Option<SimTime>,
-            armed: bool,
-        }
-        impl Process for Waiter {
-            fn name(&self) -> &str {
-                "waiter"
-            }
-            fn resume(&mut self, pid: ProcessId, k: &mut Kernel) {
-                if !self.armed {
-                    self.armed = true;
-                    k.wait_event(pid, self.event);
-                } else {
-                    self.woken_at = Some(k.now());
-                }
-            }
-        }
-        let mut sim = Simulator::new(1);
-        let event = sim.kernel().event();
-        let pid = sim.add_process(Waiter {
-            event,
-            woken_at: None,
-            armed: false,
-        });
-        sim.kernel().resume_in(pid, SimTime::ZERO);
-        sim.kernel().notify(event, SimTime::from_ns(42));
-        sim.run(10);
-        let waiter = sim.process(pid).downcast_ref::<Waiter>().expect("downcast");
-        assert_eq!(waiter.woken_at, Some(SimTime::from_ns(42)));
-    }
-
-    #[test]
-    fn delta_notification_fires_at_same_time_later_round() {
-        let mut sim = Simulator::new(1);
+    fn zero_delay_callback_runs_after_the_entries_queued_for_its_instant() {
+        let mut kernel = Kernel::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let event = sim.kernel().event();
-        {
+        let push = |tag: &'static str| {
             let log = Rc::clone(&log);
-            sim.kernel().call_in(SimTime::ZERO, move |k| {
-                log.borrow_mut().push("first");
-                k.notify(event, SimTime::ZERO);
+            move |_: &mut Kernel| log.borrow_mut().push(tag)
+        };
+        for (tag, nested) in [("first", "nested-first"), ("second", "nested-second")] {
+            let (outer, inner) = (push(tag), push(nested));
+            kernel.call_in(SimTime::from_ns(5), move |k| {
+                outer(k);
+                k.call_in(SimTime::ZERO, inner);
             });
         }
-        {
-            let log = Rc::clone(&log);
-            sim.kernel().call_in(SimTime::ZERO, move |_k| {
-                log.borrow_mut().push("second");
-            });
-        }
-        sim.run(10);
-        // The delta-notify lands after both zero-time callbacks.
-        assert_eq!(*log.borrow(), vec!["first", "second"]);
-        assert_eq!(sim.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn signals_update_at_delta_boundary() {
-        let mut sim = Simulator::new(1);
-        let sig = sim.kernel().signal(0);
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        {
-            let seen = Rc::clone(&seen);
-            sim.kernel().call_in(SimTime::ZERO, move |k| {
-                k.write_signal(sig, 7);
-                // Same delta: still the old value.
-                seen.borrow_mut().push(k.read_signal(sig));
-            });
-        }
-        {
-            let seen = Rc::clone(&seen);
-            sim.kernel().call_in(SimTime::from_ns(1), move |k| {
-                seen.borrow_mut().push(k.read_signal(sig));
-            });
-        }
-        sim.run(10);
-        assert_eq!(*seen.borrow(), vec![0, 7]);
-    }
-
-    #[test]
-    fn write_back_to_same_value_cancels_pending() {
-        let mut sim = Simulator::new(1);
-        let sig = sim.kernel().signal(3);
-        sim.kernel().call_in(SimTime::ZERO, move |k| {
-            k.write_signal(sig, 9);
-            k.write_signal(sig, 3); // back to current: no change
-        });
-        sim.run(10);
-        assert_eq!(sim.kernel().read_signal(sig), 3);
+        kernel.call_in(SimTime::from_ns(5), push("third"));
+        kernel.call_in(SimTime::from_ns(6), push("later"));
+        kernel.run(10);
+        // The zero-delay callbacks land after everything queued for 5 ns
+        // when they were scheduled, in the order they were scheduled, and
+        // before anything due later.
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                "first",
+                "second",
+                "third",
+                "nested-first",
+                "nested-second",
+                "later"
+            ]
+        );
     }
 
     #[test]
     fn loose_timing_is_deterministic_per_seed() {
+        /// Log the current time, then re-schedule after a delay drawn
+        /// from the loose interval `[90, 110] ns`.
+        fn step(k: &mut Kernel, remaining: u32, log: Rc<RefCell<Vec<u64>>>) {
+            log.borrow_mut().push(k.now().as_ps());
+            if remaining > 0 {
+                let lo = SimTime::from_ns(90).as_ps();
+                let hi = SimTime::from_ns(110).as_ps();
+                let delay = SimTime::from_ps(k.draw(lo, hi));
+                k.call_in(delay, move |k| step(k, remaining - 1, log));
+            }
+        }
         fn run(seed: u64) -> Vec<u64> {
             let log = Rc::new(RefCell::new(Vec::new()));
-            struct Loose {
-                log: Rc<RefCell<Vec<u64>>>,
-                n: u32,
-            }
-            impl Process for Loose {
-                fn name(&self) -> &str {
-                    "loose"
-                }
-                fn resume(&mut self, pid: ProcessId, k: &mut Kernel) {
-                    self.log.borrow_mut().push(k.now().as_ps());
-                    if self.n > 0 {
-                        self.n -= 1;
-                        k.resume_between(pid, SimTime::from_ns(90), SimTime::from_ns(110));
-                    }
-                }
-            }
-            let mut sim = Simulator::new(seed);
-            let pid = sim.add_process(Loose {
-                log: Rc::clone(&log),
-                n: 5,
-            });
-            sim.kernel().resume_in(pid, SimTime::ZERO);
-            sim.run(100);
+            let mut kernel = Kernel::new(seed);
+            let steps = Rc::clone(&log);
+            kernel.call_in(SimTime::ZERO, move |k| step(k, 5, steps));
+            kernel.run(100);
             let v = log.borrow().clone();
             v
         }
@@ -567,36 +263,36 @@ mod tests {
 
     #[test]
     fn run_until_stops_and_advances_clock() {
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
         for ns in [5u64, 15, 25] {
             let log = Rc::clone(&log);
-            sim.kernel().call_in(SimTime::from_ns(ns), move |_k| {
+            kernel.call_in(SimTime::from_ns(ns), move |_k| {
                 log.borrow_mut().push(ns);
             });
         }
-        sim.run_until(SimTime::from_ns(20));
+        kernel.run_until(SimTime::from_ns(20));
         assert_eq!(*log.borrow(), vec![5, 15]);
-        assert_eq!(sim.now(), SimTime::from_ns(20));
-        sim.run_until(SimTime::from_ns(30));
+        assert_eq!(kernel.now(), SimTime::from_ns(20));
+        kernel.run_until(SimTime::from_ns(30));
         assert_eq!(*log.borrow(), vec![5, 15, 25]);
     }
 
     #[test]
     fn draw_is_seed_deterministic() {
-        let mut a = Simulator::new(11);
-        let mut b = Simulator::new(11);
-        let xs: Vec<u64> = (0..5).map(|_| a.kernel().draw(0, 100)).collect();
-        let ys: Vec<u64> = (0..5).map(|_| b.kernel().draw(0, 100)).collect();
+        let mut a = Kernel::new(11);
+        let mut b = Kernel::new(11);
+        let xs: Vec<u64> = (0..5).map(|_| a.draw(0, 100)).collect();
+        let ys: Vec<u64> = (0..5).map(|_| b.draw(0, 100)).collect();
         assert_eq!(xs, ys);
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut sim = Simulator::new(1);
-        sim.kernel().call_in(SimTime::ZERO, |_| {});
-        sim.run(10);
-        assert_eq!(sim.stats().dispatched, 1);
-        assert!(sim.kernel_ref().is_idle());
+        let mut kernel = Kernel::new(1);
+        kernel.call_in(SimTime::ZERO, |_| {});
+        assert_eq!(kernel.run(10), 1);
+        assert_eq!(kernel.dispatched(), 1);
+        assert_eq!(kernel.run(10), 0, "the queue is drained");
     }
 }

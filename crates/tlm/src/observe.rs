@@ -184,7 +184,6 @@ mod tests {
     use super::*;
     use lomon_core::monitor::build_monitor;
     use lomon_core::parse::parse_property;
-    use lomon_kernel::Simulator;
 
     fn hub_with_example3(bound_ns: u64) -> (ObservationHub, Name, Name, Name) {
         let mut voc = Vocabulary::new();
@@ -205,24 +204,24 @@ mod tests {
     #[test]
     fn publish_records_and_monitors() {
         let (hub, start, read, irq) = hub_with_example3(1000);
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let h = hub.clone();
-        sim.kernel().call_in(SimTime::from_ns(10), move |k| {
+        kernel.call_in(SimTime::from_ns(10), move |k| {
             h.publish(start, k);
         });
         for ns in [20, 30] {
             let h = hub.clone();
-            sim.kernel().call_in(SimTime::from_ns(ns), move |k| {
+            kernel.call_in(SimTime::from_ns(ns), move |k| {
                 h.publish(read, k);
             });
         }
         let h = hub.clone();
-        sim.kernel().call_in(SimTime::from_ns(40), move |k| {
+        kernel.call_in(SimTime::from_ns(40), move |k| {
             h.publish(irq, k);
         });
-        sim.run(100);
+        kernel.run(100);
         assert_eq!(hub.event_count(), 4);
-        let verdicts = hub.finish(sim.kernel());
+        let verdicts = hub.finish(&kernel);
         assert_eq!(verdicts[0].1, Verdict::PresumablySatisfied);
         assert!(hub.first_violation().is_none());
     }
@@ -230,13 +229,13 @@ mod tests {
     #[test]
     fn online_deadline_detected_by_timeout_callback() {
         let (hub, start, _read, _irq) = hub_with_example3(100);
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let h = hub.clone();
-        sim.kernel().call_in(SimTime::from_ns(10), move |k| {
+        kernel.call_in(SimTime::from_ns(10), move |k| {
             h.publish(start, k);
         });
         // No response ever arrives; run far past the deadline.
-        sim.run_until(SimTime::from_us(1));
+        kernel.run_until(SimTime::from_us(1));
         // The timeout callback must have flagged the violation online,
         // before finish().
         assert_eq!(hub.verdicts()[0].1, Verdict::Violated);
@@ -247,13 +246,13 @@ mod tests {
     #[test]
     fn finish_stamps_trace_end() {
         let (hub, start, _read, _irq) = hub_with_example3(100);
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let h = hub.clone();
-        sim.kernel().call_in(SimTime::from_ns(10), move |k| {
+        kernel.call_in(SimTime::from_ns(10), move |k| {
             h.publish(start, k);
         });
-        sim.run_until(SimTime::from_ns(50));
-        hub.finish(sim.kernel());
+        kernel.run_until(SimTime::from_ns(50));
+        hub.finish(&kernel);
         assert_eq!(hub.trace().end_time(), SimTime::from_ns(50));
     }
 
@@ -261,18 +260,18 @@ mod tests {
     fn recording_can_be_disabled() {
         let (hub, start, _read, _irq) = hub_with_example3(100);
         hub.set_recording(false);
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let h = hub.clone();
-        sim.kernel().call_in(SimTime::from_ns(10), move |k| {
+        kernel.call_in(SimTime::from_ns(10), move |k| {
             h.publish(start, k);
         });
         // Stop before the 110ns deadline: the monitor is pending.
-        sim.run_until(SimTime::from_ns(50));
+        kernel.run_until(SimTime::from_ns(50));
         assert_eq!(hub.event_count(), 0);
         // Monitoring still works even though nothing was recorded.
         assert_eq!(hub.verdicts()[0].1, Verdict::Pending);
         // Past the deadline the timeout callback still fires.
-        sim.run_until(SimTime::from_us(1));
+        kernel.run_until(SimTime::from_us(1));
         assert_eq!(hub.verdicts()[0].1, Verdict::Violated);
     }
 }

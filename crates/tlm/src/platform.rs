@@ -251,7 +251,7 @@ struct CpuState {
 }
 
 /// The assembled platform. Create with [`Platform::build`], boot with
-/// [`PlatformHandle::boot`], then drive the [`lomon_kernel::Simulator`].
+/// [`PlatformHandle::boot`], then run the [`Kernel`].
 pub struct Platform {
     hub: ObservationHub,
     names: EventNames,
@@ -830,7 +830,6 @@ impl PlatformHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lomon_kernel::Simulator;
 
     fn minimal_hub() -> (ObservationHub, EventNames) {
         let mut voc = Vocabulary::new();
@@ -849,12 +848,12 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let mut w = GenericPayload::write(0x80, 0xdead);
-        platform.transport(&mut w, sim.kernel());
+        platform.transport(&mut w, &mut kernel);
         assert!(w.is_ok());
         let mut r = GenericPayload::read(0x80);
-        platform.transport(&mut r, sim.kernel());
+        platform.transport(&mut r, &mut kernel);
         assert_eq!(r.data, 0xdead);
     }
 
@@ -869,9 +868,9 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         let mut t = GenericPayload::read(0x9999_9999);
-        platform.transport(&mut t, sim.kernel());
+        platform.transport(&mut t, &mut kernel);
         assert_eq!(t.response, TlmResponse::AddressError);
     }
 
@@ -886,14 +885,14 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(1);
+        let mut kernel = Kernel::new(1);
         for (offset, _label) in [
             (ipu_reg::IMG_ADDR, "set_imgAddr"),
             (ipu_reg::GL_ADDR, "set_glAddr"),
             (ipu_reg::GL_SIZE, "set_glSize"),
         ] {
             let mut t = GenericPayload::write(map::IPU + offset, 0x42);
-            platform.transport(&mut t, sim.kernel());
+            platform.transport(&mut t, &mut kernel);
             assert!(t.is_ok());
         }
         let voc = hub.vocabulary();
@@ -916,7 +915,7 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(3);
+        let mut kernel = Kernel::new(3);
         // Configure: gallery of 4 at GL_BUF, image at IMG_BUF.
         for (offset, value) in [
             (ipu_reg::IMG_ADDR, map::IMG_BUF),
@@ -925,9 +924,9 @@ mod tests {
             (ipu_reg::CTRL, 1),
         ] {
             let mut t = GenericPayload::write(map::IPU + offset, value);
-            platform.transport(&mut t, sim.kernel());
+            platform.transport(&mut t, &mut kernel);
         }
-        sim.run_until(SimTime::from_ms(1));
+        kernel.run_until(SimTime::from_ms(1));
         assert!(platform.ipu_status() >= ipu_status::MATCH);
         let voc = hub.vocabulary();
         let read = voc.lookup("read_img").unwrap();
@@ -937,7 +936,7 @@ mod tests {
         assert_eq!(trace.names().filter(|n| *n == irq_name).count(), 1);
         // IPU interrupt pending in the INTC.
         let mut t = GenericPayload::read(map::INTC);
-        platform.transport(&mut t, sim.kernel());
+        platform.transport(&mut t, &mut kernel);
         assert_eq!(t.data & irq::IPU, irq::IPU);
     }
 
@@ -985,10 +984,10 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(5);
-        platform.boot(sim.kernel(), 3);
-        platform.press_button_in(sim.kernel(), SimTime::from_us(10));
-        sim.run_until(SimTime::from_ms(2));
+        let mut kernel = Kernel::new(5);
+        platform.boot(&mut kernel, 3);
+        platform.press_button_in(&mut kernel, SimTime::from_us(10));
+        kernel.run_until(SimTime::from_ms(2));
         assert!(platform.cpu_halted());
         let voc = hub.vocabulary();
         let texts: Vec<String> = hub
@@ -1030,11 +1029,11 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(1);
-        platform.boot(sim.kernel(), 1);
-        sim.run_until(SimTime::from_us(10));
+        let mut kernel = Kernel::new(1);
+        platform.boot(&mut kernel, 1);
+        kernel.run_until(SimTime::from_us(10));
         assert!(platform.cpu_halted());
-        assert!(sim.now() >= SimTime::from_ns(500));
+        assert!(kernel.now() >= SimTime::from_ns(500));
     }
 
     #[test]
@@ -1065,9 +1064,9 @@ mod tests {
             TimingConfig::default(),
             FaultPlan::default(),
         );
-        let mut sim = Simulator::new(1);
-        platform.boot(sim.kernel(), 1);
-        sim.run_until(SimTime::from_us(1));
+        let mut kernel = Kernel::new(1);
+        platform.boot(&mut kernel, 1);
+        kernel.run_until(SimTime::from_us(1));
         let voc = hub.vocabulary();
         let texts: Vec<String> = hub
             .trace()

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use lomon_core::monitor::build_monitor;
 use lomon_core::parse::parse_property;
 use lomon_core::verdict::Verdict;
-use lomon_kernel::{KernelStats, Simulator};
+use lomon_kernel::Kernel;
 use lomon_trace::{SimTime, Trace, Vocabulary};
 
 use crate::firmware::{Firmware, Instr, Operand};
@@ -78,8 +78,8 @@ pub struct ScenarioReport {
     pub vocabulary: Vocabulary,
     /// Final simulated time.
     pub end_time: SimTime,
-    /// Kernel statistics.
-    pub stats: KernelStats,
+    /// Kernel entries dispatched during the run.
+    pub dispatched: u64,
 }
 
 impl ScenarioReport {
@@ -248,27 +248,27 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let firmware = case_study_firmware(config);
     let platform = Platform::build(hub.clone(), names, &firmware, config.timing, config.fault);
 
-    let mut sim = Simulator::new(config.seed);
-    platform.boot(sim.kernel(), config.gallery_size);
+    let mut kernel = Kernel::new(config.seed);
+    platform.boot(&mut kernel, config.gallery_size);
     // Button presses spaced far enough apart for an episode to finish.
     for k in 0..config.captures {
         platform.press_button_in(
-            sim.kernel(),
+            &mut kernel,
             SimTime::from_us(10) + SimTime::from_ms(u64::from(k)),
         );
     }
     // Run to quiescence, bounded far beyond the last episode.
     let horizon = SimTime::from_ms(u64::from(config.captures) + 10);
-    sim.run_until(horizon);
+    kernel.run_until(horizon);
 
-    let verdicts = hub.finish(sim.kernel());
+    let verdicts = hub.finish(&kernel);
     ScenarioReport {
         verdicts,
         violation: hub.first_violation(),
         trace: hub.trace(),
         vocabulary: hub.vocabulary(),
-        end_time: sim.now(),
-        stats: sim.stats(),
+        end_time: kernel.now(),
+        dispatched: kernel.dispatched(),
     }
 }
 
@@ -411,7 +411,7 @@ mod tests {
         let a = run_scenario(&ScenarioConfig::nominal(42));
         let b = run_scenario(&ScenarioConfig::nominal(42));
         assert_eq!(a.trace, b.trace);
-        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.dispatched, b.dispatched);
         let c = run_scenario(&ScenarioConfig::nominal(43));
         assert_ne!(a.trace, c.trace);
     }

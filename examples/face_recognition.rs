@@ -82,7 +82,7 @@ fn main() {
             "  ({} interface events, simulated {}, {} kernel dispatches)",
             report.trace.len(),
             report.end_time,
-            report.stats.dispatched
+            report.dispatched
         );
         println!();
     }

@@ -110,10 +110,9 @@ fn umbrella_reexports_are_usable() {
     assert_eq!(verdict, Verdict::Satisfied);
 
     // Kernel + sync are reachable too.
-    let mut sim = lomon::kernel::Simulator::new(1);
-    sim.kernel()
-        .call_in(lomon::trace::SimTime::from_ns(5), |_| {});
-    assert_eq!(sim.run(10), 1);
+    let mut kernel = lomon::kernel::Kernel::new(1);
+    kernel.call_in(lomon::trace::SimTime::from_ns(5), |_| {});
+    assert_eq!(kernel.run(10), 1);
     let net = lomon::sync::RangeRecognizerNet::new(1, 2, false);
     assert!(net.state_bits() > 0);
 }
