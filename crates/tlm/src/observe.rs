@@ -26,7 +26,6 @@ struct HubInner {
     vocabulary: Vocabulary,
     trace: Trace,
     monitors: Vec<AttachedMonitor>,
-    record: bool,
 }
 
 /// Shared handle to the observation hub (cheap to clone; the timeout
@@ -54,14 +53,8 @@ impl ObservationHub {
                 vocabulary,
                 trace: Trace::new(),
                 monitors: Vec::new(),
-                record: true,
             })),
         }
-    }
-
-    /// Disable trace recording (benchmarks that only need online verdicts).
-    pub fn set_recording(&self, record: bool) {
-        self.inner.borrow_mut().record = record;
     }
 
     /// Attach an online monitor under a display label.
@@ -84,9 +77,7 @@ impl ObservationHub {
         let event = TimedEvent::new(name, now);
         {
             let mut inner = self.inner.borrow_mut();
-            if inner.record {
-                inner.trace.push(name, now);
-            }
+            inner.trace.push(name, now);
             for attached in &mut inner.monitors {
                 attached.monitor.observe(event);
             }
@@ -132,9 +123,7 @@ impl ObservationHub {
     pub fn finish(&self, kernel: &Kernel) -> Vec<(String, Verdict)> {
         let mut inner = self.inner.borrow_mut();
         let end = kernel.now();
-        if inner.record {
-            inner.trace.set_end_time(end);
-        }
+        inner.trace.set_end_time(end);
         inner
             .monitors
             .iter_mut()
@@ -254,24 +243,5 @@ mod tests {
         kernel.run_until(SimTime::from_ns(50));
         hub.finish(&kernel);
         assert_eq!(hub.trace().end_time(), SimTime::from_ns(50));
-    }
-
-    #[test]
-    fn recording_can_be_disabled() {
-        let (hub, start, _read, _irq) = hub_with_example3(100);
-        hub.set_recording(false);
-        let mut kernel = Kernel::new(1);
-        let h = hub.clone();
-        kernel.call_in(SimTime::from_ns(10), move |k| {
-            h.publish(start, k);
-        });
-        // Stop before the 110ns deadline: the monitor is pending.
-        kernel.run_until(SimTime::from_ns(50));
-        assert_eq!(hub.event_count(), 0);
-        // Monitoring still works even though nothing was recorded.
-        assert_eq!(hub.verdicts()[0].1, Verdict::Pending);
-        // Past the deadline the timeout callback still fires.
-        kernel.run_until(SimTime::from_us(1));
-        assert_eq!(hub.verdicts()[0].1, Verdict::Violated);
     }
 }
