@@ -418,6 +418,19 @@ fn load(path: &str, voc: &mut Vocabulary, code: u8) -> Result<Trace, ExitCode> {
         })
 }
 
+/// A vocabulary that already holds the rulebook's names, for the commands
+/// that read a trace file into it before compiling (`profile`, `lint
+/// --trace`, `smc --trace`): each name keeps the direction the rulebook
+/// gives it, as on `check`, and a trace's `in|out` token cannot override
+/// it. A property that fails to parse is left to the compile to report.
+fn rulebook_vocabulary(properties: &[String]) -> Vocabulary {
+    let mut voc = Vocabulary::new();
+    for text in properties {
+        let _ = parse_property(text, &mut voc);
+    }
+    voc
+}
+
 /// The rulebook of `lint`, `profile` and `serve`: a file argument
 /// contributes the properties [`rulebook_lines`] splits its text into (the
 /// rule `serve` applies to a `POST /reload` body), any other argument is
@@ -1031,7 +1044,7 @@ fn smc(raw: &[String], out: &mut Out) -> Outcome {
             if properties.is_empty() {
                 return Err(misuse("`lomon smc --trace` needs at least one property").into());
             }
-            let mut voc = Vocabulary::new();
+            let mut voc = rulebook_vocabulary(properties);
             let base = load(path, &mut voc, 1)?;
             let model = match GenModel::from_trace(properties.clone(), base, voc) {
                 Ok(model) => model,
@@ -1189,7 +1202,7 @@ fn lint(raw: &[String], out: &mut Out) -> Outcome {
 
     // An optional trace corpus: per-name event counts for the coverage
     // and dead-table analyses, and the self-check replay for --fix-prune.
-    let mut voc = Vocabulary::new();
+    let mut voc = rulebook_vocabulary(&properties);
     let trace = args
         .value("--trace")
         .map(|path| load(path, &mut voc, 2))
@@ -1353,7 +1366,7 @@ fn profile(raw: &[String], out: &mut Out) -> Outcome {
     // Every phase below runs under a tracer span; with `--trace-out` the
     // resulting timeline is written as Chrome trace-event JSON.
     let tracer = Tracer::new();
-    let mut voc = Vocabulary::new();
+    let mut voc = rulebook_vocabulary(&properties);
     let span = tracer.span("load-trace", "phase");
     let trace = load(trace_path, &mut voc, 1)?;
     span.finish();

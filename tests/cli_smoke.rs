@@ -348,6 +348,43 @@ fn smc_trace_campaign_estimates_mutation_survival() {
     assert!(text.contains("32 episodes"), "stdout: {text}");
 }
 
+/// Name directions come from the rulebook on every command that reads a
+/// trace, as the `direction` case of `tests/stream_golden.rs` pins for
+/// `check`: the trace's `out start` does not make the trigger of
+/// `a << start once` an output.
+#[test]
+fn rulebook_directions_win_over_the_trace_on_every_command() {
+    let dir = std::env::temp_dir().join(format!("lomon-direction-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("t.trace");
+    std::fs::write(&path, "10ns in a\n20ns out start\n").expect("write trace");
+    let trace = path.to_str().unwrap();
+    let property = "a << start once";
+    for argv in [
+        &["check", trace, property][..],
+        &["profile", property, trace],
+        &["lint", "--trace", trace, property],
+        &[
+            "smc",
+            "--trace",
+            trace,
+            property,
+            "--episodes",
+            "4",
+            "--quiet",
+        ],
+    ] {
+        let output = lomon(argv);
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{argv:?}: {}",
+            stderr(&output)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn smc_rejects_malformed_invocations() {
     for args in [
