@@ -1,6 +1,7 @@
 //! # lomon-bench — the evaluation harness
 //!
-//! Regenerates the paper's evaluation exhibits (see DESIGN.md §4):
+//! Regenerates the paper's evaluation exhibits (README, "Examples and
+//! benches"):
 //!
 //! * **F6** — the Fig. 6 table (`cargo run -p lomon-bench --bin fig6`);
 //! * **S1** — range-width sweep (`--bin sweep_range`);

@@ -12,8 +12,8 @@
 //! The monitor implements the same [`Monitor`] trait as the direct
 //! monitors, so benchmarks and tests can drive both interchangeably.
 //! Verdicts are untimed: a timed implication's budget is checked by the
-//! Drct monitor only (the paper's ViaPSL column likewise measures the
-//! recognizer logic; see DESIGN.md).
+//! Drct monitor only, and the paper's ViaPSL column (Fig. 6) likewise
+//! measures only the recognizer logic.
 
 use lomon_core::ast::Property;
 use lomon_core::verdict::{Monitor, Verdict, Violation, ViolationKind};

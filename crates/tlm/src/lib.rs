@@ -2,7 +2,9 @@
 //!
 //! The paper's case study is "an access-control device based on face
 //! recognition" prototyped in SystemC/TLM (Fig. 2). This crate rebuilds
-//! that prototype on the `lomon-kernel` simulation kernel:
+//! that prototype on the `lomon-kernel` scheduler: every component's
+//! behaviour is a one-shot callback scheduled with `Kernel::call_in`, and
+//! loose timing and data come from the kernel's seeded `Kernel::draw`.
 //!
 //! * [`payload`] — TLM-2.0 generic payload (blocking transport);
 //! * [`bus`] — the address decoder routing transactions to components;

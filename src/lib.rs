@@ -17,7 +17,7 @@
 //! | [`gen`] | `lomon-gen` | §8 stimuli generation (future work) |
 //! | [`obs`] | `lomon-obs` | zero-overhead telemetry: metrics registry, Prometheus/NDJSON exposition, `/metrics` listener, phase stopwatches, Chrome trace-event spans (`obs::Tracer`) |
 //! | [`serve`] | `lomon-serve` | hardened monitoring daemon: concurrent NDJSON streams over TCP, per-stream fault isolation, backpressure/overload shedding, rulebook hot-reload, drain shutdown |
-//! | [`kernel`] | `lomon-kernel` | SystemC-like simulation kernel |
+//! | [`kernel`] | `lomon-kernel` | seeded discrete-event callback scheduler standing in for the SystemC kernel |
 //! | [`tlm`] | `lomon-tlm` | §2/Fig. 1 virtual face-recognition platform |
 //! | [`smc`] | `lomon-smc` | statistical model checking: parallel campaigns, Chernoff–Hoeffding estimation, SPRT |
 //!
