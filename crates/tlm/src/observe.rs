@@ -223,7 +223,10 @@ mod tests {
         kernel.call_in(SimTime::from_ns(10), move |k| {
             h.publish(start, k);
         });
-        // No response ever arrives; run far past the deadline.
+        // No response ever arrives: before the 110 ns deadline the
+        // monitor is pending; run far past it.
+        kernel.run_until(SimTime::from_ns(50));
+        assert_eq!(hub.verdicts()[0].1, Verdict::Pending);
         kernel.run_until(SimTime::from_us(1));
         // The timeout callback must have flagged the violation online,
         // before finish().
