@@ -61,16 +61,6 @@ pub struct Kernel {
     dispatched: u64,
 }
 
-impl std::fmt::Debug for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Kernel")
-            .field("now", &self.now)
-            .field("queue_len", &self.queue.len())
-            .field("dispatched", &self.dispatched)
-            .finish()
-    }
-}
-
 impl Kernel {
     /// A kernel whose loose timing and data draws derive from `seed`.
     pub fn new(seed: u64) -> Self {
