@@ -58,7 +58,6 @@ pub struct Kernel {
     seq: u64,
     queue: BinaryHeap<Reverse<Entry>>,
     rng: StdRng,
-    dispatched: u64,
 }
 
 impl Kernel {
@@ -69,7 +68,6 @@ impl Kernel {
             seq: 0,
             queue: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(seed),
-            dispatched: 0,
         }
     }
 
@@ -104,7 +102,6 @@ impl Kernel {
         };
         debug_assert!(entry.time >= self.now, "time went backwards");
         self.now = entry.time;
-        self.dispatched += 1;
         (entry.callback)(self);
         true
     }
@@ -135,9 +132,10 @@ impl Kernel {
         }
     }
 
-    /// Entries dispatched so far.
+    /// Entries dispatched so far: every entry scheduled that has left
+    /// the queue.
     pub fn dispatched(&self) -> u64 {
-        self.dispatched
+        self.seq - self.queue.len() as u64
     }
 }
 
