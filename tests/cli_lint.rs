@@ -10,9 +10,7 @@
 
 mod common;
 
-use std::path::Path;
-
-use common::{lomon, stderr, stdout, PROPERTY};
+use common::{assert_golden, lomon, stderr, stdout, PROPERTY};
 use lomon::engine::rulebook_lines;
 use lomon::serve::{ServeConfig, Server, StartError};
 
@@ -234,19 +232,9 @@ fn lint_output_matches_the_goldens() {
                 "{name} {format}: {}",
                 stderr(&output)
             );
-            let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join(format!("tests/fixtures/lint/golden/{name}.{format}.stdout"));
-            if std::env::var_os("LOMON_BLESS").is_some() {
-                std::fs::write(&path, &output.stdout).expect("bless golden");
-                continue;
-            }
-            let expected =
-                std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-            assert_eq!(
-                stdout(&output),
-                String::from_utf8_lossy(&expected),
-                "lint output diverged from {}",
-                path.display()
+            assert_golden(
+                &format!("lint/golden/{name}.{format}.stdout"),
+                &stdout(&output),
             );
         }
     }

@@ -1,6 +1,7 @@
 //! Shared harness for the CLI integration suites (`cli_smoke`,
-//! `engine_stream`): spawn the `lomon` binary from the manifest directory
-//! and capture its output, optionally piping a stream to stdin.
+//! `engine_stream`, the golden suites): spawn the `lomon` binary from the
+//! manifest directory and capture its output, optionally piping a stream
+//! to stdin, and compare outputs with committed golden files.
 #![allow(dead_code)] // each suite uses its own subset of the helpers
 
 use std::io::Write as _;
@@ -51,4 +52,20 @@ pub fn stdout(output: &Output) -> String {
 /// Lossy UTF-8 view of captured stderr.
 pub fn stderr(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// Compare `actual` with the committed fixture `tests/fixtures/<file>`, or
+/// rewrite the fixture when `LOMON_BLESS` is set.
+pub fn assert_golden(file: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(file);
+    if std::env::var_os("LOMON_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
+        std::fs::write(&path, actual).expect("bless fixture");
+        return;
+    }
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    assert_eq!(actual, expected, "transcript diverged from {file}");
 }

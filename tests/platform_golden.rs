@@ -8,32 +8,14 @@
 
 mod common;
 
-use std::path::PathBuf;
-
-use common::{lomon, stderr, stdout};
-
-/// Compare `actual` with the fixture `file`, or (re)write the fixture
-/// when `LOMON_BLESS` is set.
-fn assert_golden(file: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/platform")
-        .join(file);
-    if std::env::var_os("LOMON_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
-        std::fs::write(&path, actual).expect("bless fixture");
-        return;
-    }
-    let expected =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    assert_eq!(actual, expected, "transcript diverged from {file}");
-}
+use common::{assert_golden, lomon, stderr, stdout};
 
 #[test]
 fn demo_transcript() {
     let output = lomon(&["demo"]);
     assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));
-    assert_golden("demo.stdout", &stdout(&output));
-    assert_golden("demo.stderr", &stderr(&output));
+    assert_golden("platform/demo.stdout", &stdout(&output));
+    assert_golden("platform/demo.stderr", &stderr(&output));
 }
 
 #[test]
@@ -58,5 +40,5 @@ fn smc_platform_report_for_every_jobs() {
     };
     let serial = run("1");
     assert_eq!(run("2"), serial, "the report depends on --jobs");
-    assert_golden("smc.json.stdout", &serial);
+    assert_golden("platform/smc.json.stdout", &serial);
 }

@@ -12,7 +12,6 @@ mod common;
 
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
-use std::path::PathBuf;
 use std::time::Duration;
 
 use lomon::serve::{ServeConfig, Server};
@@ -124,24 +123,10 @@ const CASES: &[Case] = &[
     },
 ];
 
-fn fixture(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/stream")
-        .join(file)
-}
-
-/// Compare `actual` with the committed fixture, or rewrite the fixture
-/// when `LOMON_BLESS` is set.
+/// Compare `actual` with its committed fixture under
+/// `tests/fixtures/stream/`, or rewrite it when `LOMON_BLESS` is set.
 fn assert_golden(file: &str, actual: &str) {
-    let path = fixture(file);
-    if std::env::var_os("LOMON_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
-        std::fs::write(&path, actual).expect("bless fixture");
-        return;
-    }
-    let expected =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    assert_eq!(actual, expected, "transcript diverged from {file}");
+    common::assert_golden(&format!("stream/{file}"), actual);
 }
 
 /// The trace-format stream as NDJSON: events and `end` lines convert field
