@@ -244,8 +244,8 @@ mod tests {
         // Delays stay inside the loose interval.
         let times = run(7);
         for pair in times.windows(2) {
-            let delta = pair[1] - pair[0];
-            assert!((90_000..=110_000).contains(&delta), "delay {delta}ps");
+            let gap = pair[1] - pair[0];
+            assert!((90_000..=110_000).contains(&gap), "delay {gap}ps");
         }
     }
 
