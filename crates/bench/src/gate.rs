@@ -353,7 +353,9 @@ mod tests {
             );
         }
         let ratios = parse_baseline(WIRE_SPEED, "ratio");
-        assert!(ratios.iter().any(|(n, v)| n == "disjoint-50" && *v > 0.0));
+        for name in ["disjoint-50", "disjoint-50-ndjson"] {
+            assert!(ratios.iter().any(|(n, v)| n == name && *v > 0.0), "{name}");
+        }
     }
 
     #[test]

@@ -97,11 +97,13 @@ fn run(
 }
 
 /// The kinds of stream line [`line`] renders.
-const KINDS: usize = 14;
+const KINDS: usize = 16;
 
 /// One stream line without its line ending: `kind` picks the content,
 /// `time` its timestamp. Kinds 0–4 are regular event lines of known names;
-/// every other kind ends a run.
+/// every other kind ends a run. Kinds 14 and 15 are an event torn across
+/// two lines by a `\n`: between tokens, and inside a string (in trace
+/// text, inside the event's fields).
 fn line(format: StreamFormat, kind: usize, time: u64) -> Vec<u8> {
     let trace = format == StreamFormat::Trace;
     let (dir, name) = match kind {
@@ -127,6 +129,10 @@ fn line(format: StreamFormat, kind: usize, time: u64) -> Vec<u8> {
             bytes.insert(at + 1, 0xff);
             return bytes;
         }
+        14 if trace => return format!("{time}ns in\na").into_bytes(),
+        14 => return format!("{{\"time\": \"{time}ns\",\n\"name\": \"a\"}}").into_bytes(),
+        15 if trace => return format!("{time}ns\nin a").into_bytes(),
+        15 => return format!("{{\"time\": \"{time}ns\", \"name\": \"a\n\"}}").into_bytes(),
         _ => return b"banana in start".to_vec(),
     };
     match format {
@@ -147,10 +153,10 @@ proptest! {
     /// the records, statistics and I/O counts of one line per push. The
     /// streams mix regular event lines with every line that ends a run: a
     /// comment, blank or `end` line, unknown names, malformed, non-ASCII
-    /// and non-UTF-8 lines, CRLF endings, an earlier timestamp, a line over
-    /// the frame cap, heartbeat multiples if any, sampled lines when
-    /// observed and, with `watch`'s policy, the event that settles the
-    /// session.
+    /// and non-UTF-8 lines, events torn across two lines, CRLF endings, an
+    /// earlier timestamp, a line over the frame cap, heartbeat multiples if
+    /// any, sampled lines when observed and, with `watch`'s policy, the
+    /// event that settles the session.
     #[test]
     fn chunking_never_changes_the_stream(
         (ndjson, observed, settle) in (any::<bool>(), any::<bool>(), any::<bool>()),
@@ -181,8 +187,9 @@ proptest! {
                 // A regular event line behind more than a frame of blanks.
                 text.splice(0..0, std::iter::repeat_n(b' ', MAX_FRAME_BYTES + 1));
             }
-            text.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
-            lines.push(text);
+            // A torn event is two lines.
+            let ending: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+            lines.extend(text.split(|&b| b == b'\n').map(|piece| [piece, ending].concat()));
         }
         let text = lines.concat();
         // The reference: each line behind a Unicode space, which the fast
@@ -223,7 +230,15 @@ proptest! {
         prop_assert_eq!(&by_line.0, &reference.0, "runs against single lines");
         prop_assert_eq!(by_line.1, reference.1, "runs against single lines");
         if observed && !settle {
-            prop_assert_eq!(by_line.2, (lines.len() as u64, bytes.len() as u64, 0));
+            // One decode sample per 64th line, unless that line is dropped
+            // as oversized.
+            let sampled = lines
+                .iter()
+                .skip(63)
+                .step_by(64)
+                .filter(|line| line.len() <= MAX_FRAME_BYTES)
+                .count();
+            prop_assert_eq!(by_line.2, (lines.len() as u64, bytes.len() as u64, sampled as u64));
         }
         for (label, chunks) in [("one push", &[bytes][..]), ("1-byte pushes", &single_bytes), ("cuts", &chunks)] {
             let fed = feed(chunks);

@@ -156,7 +156,8 @@ impl EpisodeModel for ScenarioModel {
 pub struct GenModel {
     /// The anchor property: mutation alphabet and episode language.
     anchor: Property,
-    /// The anchor's alphabet, which a mutation injects names from.
+    /// The anchor's alphabet, sorted by name, which a mutation injects
+    /// names from.
     alphabet: Vec<Name>,
     /// All monitored property texts (the anchor first).
     texts: Vec<String>,
@@ -198,8 +199,12 @@ impl GenModel {
             .first()
             .ok_or("a GenModel needs at least one property")?;
         let anchor = parse_property(first, &mut voc).map_err(|e| e.display_with_source(first))?;
+        // By name, not by vocabulary index: a seed draws the same mutants
+        // whatever order the names were interned in.
+        let mut alphabet: Vec<Name> = anchor.alpha().iter().collect();
+        alphabet.sort_by(|&a, &b| voc.resolve(a).cmp(voc.resolve(b)));
         Ok(GenModel {
-            alphabet: anchor.alpha().iter().collect(),
+            alphabet,
             anchor,
             texts,
             voc,
@@ -326,7 +331,9 @@ mod tests {
     }
 
     /// `smc --trace` episodes are the mutants `lomon_gen::mutate` draws
-    /// from the same seeds, labelled or not.
+    /// from the same seeds, labelled or not. `mutate` injects names in
+    /// vocabulary order and the model in name order; the two agree here
+    /// because `a b c d go` are interned in name order.
     #[test]
     fn trace_episodes_are_the_mutants_mutate_draws() {
         let text = "all{a, b} < any{c[2,3], d} << go repeated";
@@ -350,6 +357,42 @@ mod tests {
                 assert_eq!(events, expected.events(), "p {p}, seed {seed}");
                 assert_eq!(end, expected.end_time(), "p {p}, seed {seed}");
             }
+        }
+    }
+
+    /// The same texts and base trace give the same episodes, name by name,
+    /// whatever order the vocabulary interned the names in.
+    #[test]
+    fn trace_episodes_do_not_depend_on_interning_order() {
+        let text = "all{a, b} < any{c[2,3], d} << go repeated";
+        let mut voc = Vocabulary::new();
+        let anchor = parse_property(text, &mut voc).expect("anchor parses");
+        let base = generate(&anchor, &GeneratorConfig::new(3)).trace;
+        let mut reversed = Vocabulary::new();
+        for name in ["go", "d", "c", "b", "a"] {
+            reversed.input(name);
+        }
+        let names = |trace: &[TimedEvent], voc: &Vocabulary| -> Vec<(SimTime, String)> {
+            trace
+                .iter()
+                .map(|e| (e.time, voc.resolve(e.name).to_owned()))
+                .collect()
+        };
+        let rebased = Trace::from_pairs(base.events().iter().map(|e| {
+            let name = reversed.lookup(voc.resolve(e.name)).expect("interned");
+            (e.time, name)
+        }));
+        let model = |base: &Trace, voc: &Vocabulary| {
+            GenModel::from_trace(vec![text.into()], base.clone(), voc.clone())
+                .expect("anchor parses")
+                .with_mutation_probability(1.0)
+        };
+        let (ours, theirs) = (model(&base, &voc), model(&rebased, &reversed));
+        for seed in 0..200 {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ours.episode(seed, &mut a);
+            theirs.episode(seed, &mut b);
+            assert_eq!(names(&a, &voc), names(&b, &reversed), "seed {seed}");
         }
     }
 

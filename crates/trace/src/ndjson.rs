@@ -26,20 +26,22 @@
 //! of ASCII bytes whose keys are `time`, `dir` and `name`, each at most
 //! once, with no escape, a `time` of digits plus a unit, a `dir` of `in`
 //! or `out` if present, a non-empty `name`, and only ASCII whitespace —
-//! and borrows the name straight from the frame, with no UTF-8 pass over
-//! the line. Every other line (an `end` marker, an escape, an unknown or
-//! repeated key, non-ASCII bytes, any malformed field) goes to the
-//! `char`-wise scanner. The differential suite in `tests/differential.rs`
-//! pins both formats' pairs against the string parser and the retired
-//! char-iterator NDJSON parser.
+//! in one pass up to the `\n` that ends it, as the trace-text lexer does:
+//! no newline pre-scan, no copied strings. It matches each key as fixed
+//! bytes, reads the time in place and borrows the name straight from the
+//! frame, with no UTF-8 pass over the line. Every other line (an `end`
+//! marker, an escape, an unknown or repeated key, non-ASCII bytes, an
+//! object torn across lines, any malformed field) goes to the `char`-wise
+//! scanner. The differential suite in `tests/differential.rs` pins both
+//! formats' pairs against the string parser, the retired char-iterator
+//! NDJSON parser and the retired NDJSON lexer.
 
 use std::borrow::Cow;
 
-use crate::frame::find_newline;
 use crate::io::parse_trace_line;
 use crate::name::Direction;
 use crate::time::{parse_sim_time, SimTime};
-use crate::wire::{ascii_str, is_ascii_space, lex_time, lex_trace_event};
+use crate::wire::{ascii_str, lex_time, lex_trace_event, skip_blanks};
 
 /// Input format of an event stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,26 +123,18 @@ pub struct RegularEvent<'a> {
 
 /// The line at the head of `bytes`, if it is a regular event line of
 /// `format`: in trace text an ASCII `<time> <in|out> <name>` line, in
-/// NDJSON the object described in the module docs. The line ends at its
-/// first `\n` or at the end of `bytes`. Every other line gets `None` —
-/// blank, comment, `end` marker, non-ASCII, anything malformed or
-/// irregular — and is the format's full grammar's to decide, which reads
-/// a line this lexer takes to the same event. This is the one lexer of
-/// regular lines, shared by every reader of the format.
+/// NDJSON the object described in the module docs. Either lexer reads the
+/// line in one pass, never past its first `\n`; the line ends there or at
+/// the end of `bytes`. Every other line gets `None` — blank, comment,
+/// `end` marker, non-ASCII, anything malformed or irregular — and is the
+/// format's full grammar's to decide, which reads a line this lexer takes
+/// to the same event. This is the one lexer of regular lines, shared by
+/// every reader of the format.
 #[inline]
 pub fn lex_regular_event(format: StreamFormat, bytes: &[u8]) -> Option<RegularEvent<'_>> {
     match format {
         StreamFormat::Trace => lex_trace_event(bytes),
-        StreamFormat::Ndjson => {
-            let line = find_newline(bytes).map_or(bytes, |nl| &bytes[..nl]);
-            // A trailing `\r` is whitespace after the object, so the fast
-            // path reads a CRLF line as the framed line without it.
-            let event = parse_plain_event(line)?;
-            Some(RegularEvent {
-                len: (line.len() + 1).min(bytes.len()),
-                ..event
-            })
-        }
+        StreamFormat::Ndjson => lex_ndjson_event(bytes),
     }
 }
 
@@ -153,101 +147,89 @@ pub fn lex_regular_event(format: StreamFormat, bytes: &[u8]) -> Option<RegularEv
 ///
 /// A human-readable description of the first grammar fault on the line.
 pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
-    match parse_plain_event(line.as_bytes()) {
+    match lex_ndjson_event(line.as_bytes()).filter(|event| event.len == line.len()) {
         Some(event) => Ok(Some(event.into())),
         None => scan_ndjson_line(line),
     }
 }
 
-/// The NDJSON fast path: the regular event object that is all of `raw`,
-/// decoded in one pass over its bytes, or `None` for every other line
-/// (see the module docs). It only ever accepts: a line it takes parses to
-/// the same event under [`scan_ndjson_line`], and it never produces an
-/// error.
-fn parse_plain_event(raw: &[u8]) -> Option<RegularEvent<'_>> {
-    let mut cur = PlainCursor { raw, pos: 0 };
-    cur.eat(b'{')?;
-    let (mut time, mut dir, mut name) = (None, None, None);
-    loop {
-        let key = cur.string()?;
-        cur.eat(b':')?;
-        let value = cur.string()?;
-        let slot = match key {
-            b"time" => &mut time,
-            b"dir" => &mut dir,
-            b"name" => &mut name,
-            _ => return None,
-        };
-        if slot.replace(value).is_some() {
-            return None;
-        }
-        match cur.token()? {
-            b',' => {}
-            b'}' => break,
-            _ => return None,
-        }
-    }
-    cur.skip_ws();
-    if cur.pos != raw.len() {
+/// The NDJSON fast lexer: the regular event object at the head of `bytes`
+/// (see the module docs) in one pass over its bytes, or `None` for every
+/// other line. Blanks stop at a `\n`, and a key, time or name that meets
+/// one does not match, so the object ends on its own line; a `\r` before
+/// the `\n` is a blank after the object. It only ever accepts: a line it
+/// takes parses to the same event under [`scan_ndjson_line`], and it
+/// never produces an error.
+#[inline]
+fn lex_ndjson_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
+    let (mut time, mut direction, mut name) = (None, None, None);
+    let mut i = skip_blanks(bytes, 0);
+    if bytes.get(i) != Some(&b'{') {
         return None;
     }
-    // The value must be all one time literal, which `parse_sim_time` reads
-    // to the same time.
-    let text = time?;
-    let (time, _) = lex_time(text).filter(|&(_, len)| len == text.len())?;
-    let direction = match dir {
-        None | Some(b"in") => Direction::Input,
-        Some(b"out") => Direction::Output,
-        Some(_) => return None,
-    };
+    loop {
+        i = skip_blanks(bytes, i + 1);
+        let key = &bytes[i..];
+        // Each key is matched with its quotes, and at most once: a repeated
+        // key, like any other, is the scanner's. `i` ends at the value's
+        // closing quote.
+        if key.starts_with(b"\"time\"") && time.is_none() {
+            i = value_start(bytes, i + 6)?;
+            let (value, len) = lex_time(&bytes[i..])?;
+            time = Some(value);
+            i += len;
+        } else if key.starts_with(b"\"name\"") && name.is_none() {
+            i = value_start(bytes, i + 6)?;
+            let len = bytes[i..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | b'\n') || !b.is_ascii())
+                .filter(|&len| len > 0)?;
+            name = Some(&bytes[i..i + len]);
+            i += len;
+        } else if key.starts_with(b"\"dir\"") && direction.is_none() {
+            i = value_start(bytes, i + 5)?;
+            let (value, len) = match &bytes[i..] {
+                [b'i', b'n', ..] => (Direction::Input, 2),
+                [b'o', b'u', b't', ..] => (Direction::Output, 3),
+                _ => return None,
+            };
+            direction = Some(value);
+            i += len;
+        } else {
+            return None;
+        }
+        if bytes.get(i) != Some(&b'"') {
+            return None;
+        }
+        i = skip_blanks(bytes, i + 1);
+        match bytes.get(i) {
+            Some(b',') => {}
+            Some(b'}') => break,
+            _ => return None,
+        }
+    }
+    let end = skip_blanks(bytes, i + 1);
+    if end < bytes.len() && bytes[end] != b'\n' {
+        return None;
+    }
     Some(RegularEvent {
-        time,
-        direction,
-        name: name.filter(|name| !name.is_empty())?,
-        len: raw.len(),
+        time: time?,
+        direction: direction.unwrap_or(Direction::Input),
+        name: name?,
+        len: (end + 1).min(bytes.len()),
     })
 }
 
-/// Byte cursor of [`parse_plain_event`]. Each method skips the ASCII
-/// whitespace before its token — where the scanner skips `char`
-/// whitespace, which on ASCII bytes is the same set — and gives `None`
-/// wherever the line stops looking like the regular event object.
-struct PlainCursor<'a> {
-    raw: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PlainCursor<'a> {
-    fn skip_ws(&mut self) {
-        while self.raw.get(self.pos).copied().is_some_and(is_ascii_space) {
-            self.pos += 1;
-        }
+/// The offset just past the `:` and the opening `"` of the value whose
+/// key ends at `i`, blanks allowed around the `:`.
+#[inline]
+fn value_start(bytes: &[u8], i: usize) -> Option<usize> {
+    let i = skip_blanks(bytes, i);
+    if bytes.get(i) != Some(&b':') {
+        return None;
     }
-
-    fn token(&mut self) -> Option<u8> {
-        self.skip_ws();
-        let byte = *self.raw.get(self.pos)?;
-        self.pos += 1;
-        Some(byte)
-    }
-
-    fn eat(&mut self, expected: u8) -> Option<()> {
-        (self.token()? == expected).then_some(())
-    }
-
-    /// A string literal of ASCII bytes with no escape, without its quotes.
-    fn string(&mut self) -> Option<&'a [u8]> {
-        self.eat(b'"')?;
-        let rest = &self.raw[self.pos..];
-        let len = rest
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || !b.is_ascii())?;
-        if rest[len] != b'"' {
-            return None;
-        }
-        self.pos += len + 1;
-        Some(&rest[..len])
-    }
+    let i = skip_blanks(bytes, i + 1);
+    (bytes.get(i) == Some(&b'"')).then_some(i + 1)
 }
 
 /// The NDJSON grammar on `char`s: the whole object is scanned first (so
@@ -410,7 +392,8 @@ impl<'a> Scanner<'a> {
             Some('\\') => out.push('\\'),
             Some('n') => out.push('\n'),
             Some('t') => out.push('\t'),
-            other => return Err(format!("unsupported escape `\\{other:?}`")),
+            Some(other) => return Err(format!("unsupported escape `\\{other}`")),
+            None => return Err("unterminated string".into()),
         }
         Ok(())
     }
@@ -512,7 +495,14 @@ mod tests {
             event("x")
         );
         let error = |line: &str| parse_ndjson_line_ref(line).unwrap_err();
-        assert!(error(r#"{"time": "1ns", "name": "\q"}"#).contains("unsupported escape"));
+        assert_eq!(
+            error(r#"{"time": "1ns", "name": "\u0041"}"#),
+            "unsupported escape `\\u`"
+        );
+        assert_eq!(
+            error(r#"{"time": "1ns", "name": "x\"#),
+            "unterminated string"
+        );
         assert!(error(r#"{"time": "1ns", "name": "open"#).contains("unterminated"));
         assert!(error(r#"{"time" "1ns"}"#).contains("expected `:` after key `time`"));
         assert!(error(r#"{} trailing"#).contains("trailing characters"));
@@ -533,9 +523,19 @@ mod tests {
             r#"{"dir": "out", "name": "irq", "time": "5us"}"#,
             " \t{ \"time\" : \"007ps\" , \"name\" : \"a b\" }\r\x0b\x0c",
         ] {
-            let fast = parse_plain_event(line.as_bytes()).map(StreamLineRef::from);
-            assert!(fast.is_some(), "fast path refused {line:?}");
-            assert_eq!(fast, scan_ndjson_line(line).expect("scans"), "{line:?}");
+            let fast = lex_ndjson_event(line.as_bytes());
+            assert_eq!(fast.map(|event| event.len), Some(line.len()), "{line:?}");
+            assert_eq!(
+                fast.map(StreamLineRef::from),
+                scan_ndjson_line(line).expect("scans"),
+                "{line:?}"
+            );
+            // The line ends at its `\n`, whatever follows.
+            for next in ["", "{}", "\n"] {
+                let bytes = format!("{line}\n{next}");
+                let event = lex_ndjson_event(bytes.as_bytes());
+                assert_eq!(event.map(|event| event.len), Some(line.len() + 1));
+            }
         }
         // Everything else is the scanner's, whatever its verdict.
         for line in [
@@ -551,8 +551,18 @@ mod tests {
             "\x1c{\"time\": \"1ns\", \"name\": \"x\"}",
             "{}",
             "",
+            // Objects torn across two lines: at a `\n` between tokens and
+            // inside each kind of string.
+            "{\"time\": \"1ns\",\n\"name\": \"x\"}",
+            "{\"time\": \"1ns\", \"name\": \"x\"\n}",
+            "{\"time\": \"1ns\", \"name\": \"x\n\"}",
+            "{\"time\": \"1ns\n\", \"name\": \"x\"}",
+            "{\"ti\nme\": \"1ns\", \"name\": \"x\"}",
+            // Trailing bytes after the object.
+            "{\"time\": \"1ns\", \"name\": \"x\"}{\"time\": \"2ns\", \"name\": \"y\"}",
+            "{\"time\": \"1ns\", \"name\": \"x\"},",
         ] {
-            assert_eq!(parse_plain_event(line.as_bytes()), None, "{line:?}");
+            assert_eq!(lex_ndjson_event(line.as_bytes()), None, "{line:?}");
         }
     }
 

@@ -68,20 +68,20 @@ fn field_end(bytes: &[u8], start: usize) -> Option<usize> {
 
 /// Skip the ASCII whitespace from `i` on, stopping at a `\n`.
 #[inline]
-fn skip_blanks(bytes: &[u8], mut i: usize) -> usize {
+pub(crate) fn skip_blanks(bytes: &[u8], mut i: usize) -> usize {
     while i < bytes.len() && bytes[i] != b'\n' && is_ascii_space(bytes[i]) {
         i += 1;
     }
     i
 }
 
-/// The time literal at the head of `bytes` — digits, then a unit running
-/// to the next ASCII whitespace — and its length. `None` for anything
-/// else: no digits, a number past `u64`, an unknown unit, a literal past
-/// [`SimTime::MAX`], a non-ASCII byte glued to the unit. It has no
-/// messages: the full grammars word every fault. Both fast lexers read
-/// their time here, and `parse_sim_time` reads a literal it takes to the
-/// same time.
+/// The time literal at the head of `bytes` — digits, then a unit of ASCII
+/// lowercase letters — and its length. `None` for anything else: no
+/// digits, a number past `u64`, an unknown unit, a literal past
+/// [`SimTime::MAX`]. The caller checks the byte that ends the literal: a
+/// blank in trace text, the closing quote in NDJSON. It has no messages:
+/// the full grammars word every fault. Both fast lexers read their time
+/// here, and `parse_sim_time` reads a literal it takes to the same time.
 #[inline]
 pub(crate) fn lex_time(bytes: &[u8]) -> Option<(SimTime, usize)> {
     let mut i = 0;
@@ -95,8 +95,11 @@ pub(crate) fn lex_time(bytes: &[u8]) -> Option<(SimTime, usize)> {
     if i == 0 {
         return None;
     }
-    let end = field_end(bytes, i)?;
-    Some((scale_time(value, &bytes[i..end]).ok()?, end))
+    let unit = i;
+    while i < bytes.len() && bytes[i].is_ascii_lowercase() {
+        i += 1;
+    }
+    Some((scale_time(value, &bytes[unit..i]).ok()?, i))
 }
 
 /// The trace-text fast lexer: the line at the head of `bytes` if it is a
@@ -110,7 +113,11 @@ pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
     // moment the line stops looking like an event.
     let start = skip_blanks(bytes, 0);
     let (time, len) = lex_time(&bytes[start..])?;
+    // The time must end at a blank: `10nsin a` is no event.
     let dir_start = skip_blanks(bytes, start + len);
+    if dir_start == start + len {
+        return None;
+    }
     let dir_end = field_end(bytes, dir_start)?;
     let direction = match &bytes[dir_start..dir_end] {
         b"in" => Direction::Input,

@@ -7,18 +7,20 @@
 //! not take, that format's full grammar. The trace text pair is compared
 //! against the full grammar itself ([`parse_trace_line`]) and the whole
 //! buffer loop against the retired `&str` whole-file reader. The NDJSON
-//! pair replaced the old char-iterator parser outright. Both retired
-//! readers are preserved here as reference oracles.
+//! pair replaced the old char-iterator parser outright, and the NDJSON
+//! lexer is held to the lexer it replaced, line for line. The retired
+//! readers and that lexer are preserved here as reference oracles.
 
 use std::borrow::Cow;
 
 use proptest::prelude::*;
 
 use lomon_trace::io::IoMetrics;
+use lomon_trace::time::scale_time;
 use lomon_trace::{
     lex_regular_event, parse_ndjson_line_ref, parse_stream_line_bytes, parse_trace_line,
-    read_trace_bytes, read_trace_bytes_into, Direction, SimTime, StreamFormat, StreamLineRef,
-    Trace, TraceParseError, Vocabulary,
+    read_trace_bytes, read_trace_bytes_into, Direction, RegularEvent, SimTime, StreamFormat,
+    StreamLineRef, Trace, TraceParseError, Vocabulary,
 };
 
 // ---------------------------------------------------------------------
@@ -142,7 +144,7 @@ fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
         pick(JSON_SPACES, s),
         pick(JSON_SPACES, t.wrapping_add(s / 13)),
     );
-    match kind % 24 {
+    match kind % 28 {
         0 | 1 => format!(r#"{{"time": "{time}", "dir": "{dir}", "name": "{name}"}}"#),
         2 => format!(r#"{{"time":{sp}"{time}",{sp}"name":{sp}"{name}"}}"#),
         3 => format!(r#"{{"end": "{time}"}}"#),
@@ -170,7 +172,13 @@ fn render_json_line(kind: u8, t: u8, d: u8, n: u8, s: u8) -> String {
         ),
         21 => format!(r#"{a}{{"time": "{time}", "name": "{name}"}}{b}"#),
         22 => format!("{{\"time\": \"{time}\", \"name\": \"{name}\"}}{a}\r"),
-        _ => format!(r#"{{"time":"{time}","dir":"{dir}","name":"{name}"}}{a}"#),
+        23 => format!(r#"{{"time":"{time}","dir":"{dir}","name":"{name}"}}{a}"#),
+        // Objects torn across two lines: a `\n` between tokens, or inside
+        // a string.
+        24 => format!("{{\"time\": \"{time}\",{a}\n{b}\"name\": \"{name}\"}}"),
+        25 => format!("{{\"time\": \"{time}\", \"name\": \"{name}\"{a}\n}}"),
+        26 => format!("{{\"time\": \"{time}\", \"name\": \"{name}\n{name}\"}}"),
+        _ => format!("{{\"time\": \"{time}\n\", \"dir\": \"{dir}\", \"name\": \"{name}\"}}"),
     }
 }
 
@@ -263,7 +271,8 @@ fn legacy_parse_flat_json(text: &str) -> Result<Vec<(String, String)>, String> {
                     Some('\\') => out.push('\\'),
                     Some('n') => out.push('\n'),
                     Some('t') => out.push('\t'),
-                    other => return Err(format!("unsupported escape `\\{other:?}`")),
+                    Some(other) => return Err(format!("unsupported escape `\\{other}`")),
+                    None => return Err("unterminated string".into()),
                 },
                 Some(c) => out.push(c),
             }
@@ -340,6 +349,122 @@ fn legacy_parse_ndjson_line(line: &str) -> Result<Option<StreamLineRef<'static>>
     }))
 }
 
+// ---------------------------------------------------------------------
+// The retired NDJSON lexer, preserved as the reference oracle of
+// `lex_regular_event`'s NDJSON arm: it cut the line at its first `\n`,
+// walked it with a cursor that copied each value out, and read the time
+// from the copy. Its time literal is read here through `scale_time`, as
+// the retired `lex_time` did, so the oracle shares no lexing with the
+// library.
+// ---------------------------------------------------------------------
+
+fn retired_lex_ndjson(bytes: &[u8]) -> Option<RegularEvent<'_>> {
+    let line = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes, |nl| &bytes[..nl]);
+    // A trailing `\r` is whitespace after the object, so the fast
+    // path reads a CRLF line as the framed line without it.
+    let event = parse_plain_event(line)?;
+    Some(RegularEvent {
+        len: (line.len() + 1).min(bytes.len()),
+        ..event
+    })
+}
+
+fn parse_plain_event(raw: &[u8]) -> Option<RegularEvent<'_>> {
+    let mut cur = PlainCursor { raw, pos: 0 };
+    cur.eat(b'{')?;
+    let (mut time, mut dir, mut name) = (None, None, None);
+    loop {
+        let key = cur.string()?;
+        cur.eat(b':')?;
+        let value = cur.string()?;
+        let slot = match key {
+            b"time" => &mut time,
+            b"dir" => &mut dir,
+            b"name" => &mut name,
+            _ => return None,
+        };
+        if slot.replace(value).is_some() {
+            return None;
+        }
+        match cur.token()? {
+            b',' => {}
+            b'}' => break,
+            _ => return None,
+        }
+    }
+    cur.skip_ws();
+    if cur.pos != raw.len() {
+        return None;
+    }
+    // The value must be all one time literal: digits, then a unit.
+    let text = time?;
+    let split = text
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(text.len());
+    let digits = std::str::from_utf8(&text[..split]).ok()?;
+    let time = scale_time(digits.parse().ok()?, &text[split..]).ok()?;
+    let direction = match dir {
+        None | Some(b"in") => Direction::Input,
+        Some(b"out") => Direction::Output,
+        Some(_) => return None,
+    };
+    Some(RegularEvent {
+        time,
+        direction,
+        name: name.filter(|name| !name.is_empty())?,
+        len: raw.len(),
+    })
+}
+
+/// Byte cursor of [`parse_plain_event`]. Each method skips the ASCII
+/// whitespace before its token and gives `None` wherever the line stops
+/// looking like the regular event object.
+struct PlainCursor<'a> {
+    raw: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> PlainCursor<'a> {
+    fn skip_ws(&mut self) {
+        while self
+            .raw
+            .get(self.pos)
+            .is_some_and(|&b| b == b' ' || (0x09..=0x0d).contains(&b))
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn token(&mut self) -> Option<u8> {
+        self.skip_ws();
+        let byte = *self.raw.get(self.pos)?;
+        self.pos += 1;
+        Some(byte)
+    }
+
+    fn eat(&mut self, expected: u8) -> Option<()> {
+        (self.token()? == expected).then_some(())
+    }
+
+    /// A string literal of ASCII bytes with no escape, without its quotes.
+    fn string(&mut self) -> Option<&'a [u8]> {
+        self.eat(b'"')?;
+        let rest = &self.raw[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || !b.is_ascii())?;
+        if rest[len] != b'"' {
+            return None;
+        }
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+}
+
 /// Valid event lines the byte mutations start from: the shapes the
 /// workspace's own producers emit, compact and reordered.
 const EVENT_LINES: &[&str] = &[
@@ -348,6 +473,26 @@ const EVENT_LINES: &[&str] = &[
     r#"{"time":"1ns","name":"x"}"#,
     r#"{"dir": "in", "name": "go", "time": "5us"}"#,
 ];
+
+/// `EVENT_LINES[shape]` under `edits`, each an insertion, replacement or
+/// removal of one byte at an offset.
+fn mutated_line(shape: u8, edits: &[(u8, u16, u8)]) -> Vec<u8> {
+    let mut line = EVENT_LINES[shape as usize % EVENT_LINES.len()]
+        .as_bytes()
+        .to_vec();
+    for &(op, at, byte) in edits {
+        let at = usize::from(at) % (line.len() + 1);
+        match op {
+            0 => line.insert(at, byte),
+            1 if at < line.len() => line[at] = byte,
+            _ if at < line.len() => {
+                line.remove(at);
+            }
+            _ => line.push(byte),
+        }
+    }
+    line
+}
 
 // ---------------------------------------------------------------------
 // The differential properties.
@@ -519,24 +664,47 @@ proptest! {
         shape in any::<u8>(),
         edits in prop::collection::vec((0u8..3, any::<u16>(), any::<u8>()), 1..5),
     ) {
-        let mut line = EVENT_LINES[shape as usize % EVENT_LINES.len()].as_bytes().to_vec();
-        for &(op, at, byte) in &edits {
-            let at = usize::from(at) % (line.len() + 1);
-            match op {
-                0 => line.insert(at, byte),
-                1 if at < line.len() => line[at] = byte,
-                _ if at < line.len() => {
-                    line.remove(at);
-                }
-                _ => line.push(byte),
-            }
-        }
+        let line = mutated_line(shape, &edits);
         let expected = match std::str::from_utf8(&line) {
             Ok(text) => legacy_parse_ndjson_line(text),
             Err(_) => Err("line is not valid UTF-8".to_owned()),
         };
         let parsed = parse_stream_line_bytes(StreamFormat::Ndjson, &line);
         prop_assert_eq!(parsed, expected, "line {:?}", String::from_utf8_lossy(&line));
+    }
+
+    /// The NDJSON fast lexer takes exactly the lines the retired lexer
+    /// took, to the same time, direction, name and length: every shape the
+    /// renderer makes and byte mutations of valid lines, each followed by
+    /// no line ending, `\n` or `\r\n`, and then by nothing, a regular line
+    /// or the tail of a torn object.
+    #[test]
+    fn ndjson_lexer_takes_what_the_retired_lexer_took(
+        kind in any::<u8>(), t in any::<u8>(), d in any::<u8>(), n in any::<u8>(),
+        s in any::<u8>(), ending in 0usize..3, next in 0usize..3,
+        shape in any::<u8>(),
+        edits in prop::collection::vec((0u8..3, any::<u16>(), any::<u8>()), 1..5),
+    ) {
+        // A quarter of the edited bytes come from the object's syntax, line
+        // breaks and upper-case unit letters.
+        const SYNTAX: &[u8] = b"\n\r\t \"\\:,{}NSU";
+        let syntax = |b: u8| if b >= 0xc0 { SYNTAX[usize::from(b) % SYNTAX.len()] } else { b };
+        let edits: Vec<_> = edits.iter().map(|&(op, at, b)| (op, at, syntax(b))).collect();
+        let ending: &[u8] = [&b""[..], b"\n", b"\r\n"][ending];
+        let tail: &[u8] = [
+            &b""[..],
+            b"{\"time\": \"10ns\", \"name\": \"next\"}\n",
+            b"\"name\": \"y\"}\n",
+        ][next];
+        let lines = [render_json_line(kind, t, d, n, s).into_bytes(), mutated_line(shape, &edits)];
+        for line in lines {
+            let bytes = [&line[..], ending, tail].concat();
+            prop_assert_eq!(
+                lex_regular_event(StreamFormat::Ndjson, &bytes),
+                retired_lex_ndjson(&bytes),
+                "bytes {:?}", String::from_utf8_lossy(&bytes)
+            );
+        }
     }
 
     /// The fused single-pass loop inside `decode_events_into` agrees with a
