@@ -119,7 +119,7 @@ fn main() -> ExitCode {
     let mut gate = Gate::default();
     let mut json_rows = Vec::new();
     let mut ratios = Vec::new();
-    for (k, (name, format, input)) in rows.iter().enumerate() {
+    for (k, (name, _, input)) in rows.iter().enumerate() {
         let driver_ns = per_event(best[k + 1]);
         let ratio = gate::median_ratio(&reps, k + 1);
         println!(
@@ -140,7 +140,6 @@ fn main() -> ExitCode {
         }
         json_rows.push(vec![
             ("name", format!("\"{name}\"")),
-            ("format", format!("\"{}\"", format_label(*format))),
             ("events", events.len().to_string()),
             ("bytes", input.len().to_string()),
             ("driver_ns_per_event", format!("{driver_ns:.2}")),
@@ -174,12 +173,4 @@ fn main() -> ExitCode {
         "driver and wire verdict- and ops-identical in both formats; \
          driver <= {GATE_RATIO:.1}x wire end-to-end"
     ))
-}
-
-/// The format's name in the table and the baseline.
-fn format_label(format: StreamFormat) -> &'static str {
-    match format {
-        StreamFormat::Trace => "trace",
-        StreamFormat::Ndjson => "ndjson",
-    }
 }

@@ -147,10 +147,7 @@ pub fn lex_regular_event(format: StreamFormat, bytes: &[u8]) -> Option<RegularEv
 ///
 /// A human-readable description of the first grammar fault on the line.
 pub fn parse_ndjson_line_ref(line: &str) -> Result<Option<StreamLineRef<'_>>, String> {
-    match lex_ndjson_event(line.as_bytes()).filter(|event| event.len == line.len()) {
-        Some(event) => Ok(Some(event.into())),
-        None => scan_ndjson_line(line),
-    }
+    parse_stream_line_bytes(StreamFormat::Ndjson, line.as_bytes())
 }
 
 /// The NDJSON fast lexer: the regular event object at the head of `bytes`
