@@ -541,6 +541,7 @@ mod tests {
             r#"{"time": "1ns", "name": "x", "name": "x"}"#,
             r#"{"time": "1ns", "name": "x", "seq": "7"}"#,
             r#"{"time": "25 us", "name": "x"}"#,
+            r#"{"time": "25US", "name": "x"}"#,
             r#"{"time": "1ns", "dir": "IN", "name": "x"}"#,
             r#"{"time": "1ns", "name": ""}"#,
             "{\"time\": \"1ns\", \"name\": \"caf\u{e9}\"}",

@@ -48,6 +48,9 @@ const TIMES: &[&str] = &[
     "007ns",
     "+5ns",
     "1 0ns",
+    // Units are lower case.
+    "10NS",
+    "3Ms",
     // Twenty-one digits: one with leading zeros that still fits a `u64`,
     // one that does not.
     "000000000000000000042ns",
