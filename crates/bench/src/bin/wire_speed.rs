@@ -41,8 +41,9 @@ use lomon_bench::workloads::disjoint_with_vocabulary;
 use lomon_engine::{Session, StreamDriver};
 use lomon_trace::{decode_events_into, SimTime, StreamFormat, TimedEvent, Vocabulary};
 
-/// The CI gate on `driver / wire`. Measured 0.9–1.4× on a 2-vCPU Xeon
-/// container; the `--baseline` ratchet is the binding regression guard.
+/// The CI gate on each `driver / wire`. Measured 0.9–1.1× on trace text
+/// and 1.4–1.6× on NDJSON on a 2-vCPU Xeon container; the `--baseline`
+/// ratchet is the binding regression guard.
 const GATE_RATIO: f64 = 3.0;
 
 /// Timed repetitions per leg, interleaved ([`gate::interleave`]) so load
