@@ -102,8 +102,8 @@ const KINDS: usize = 16;
 /// One stream line without its line ending: `kind` picks the content,
 /// `time` its timestamp. Kinds 0–4 are regular event lines of known names;
 /// every other kind ends a run. Kinds 14 and 15 are an event torn across
-/// two lines by a `\n`: between tokens, and inside a string (in trace
-/// text, inside the event's fields).
+/// two lines by a `\n`: in NDJSON between tokens and inside the name
+/// string, in trace text after the direction and after the time.
 fn line(format: StreamFormat, kind: usize, time: u64) -> Vec<u8> {
     let trace = format == StreamFormat::Trace;
     let (dir, name) = match kind {
