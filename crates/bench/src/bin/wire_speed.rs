@@ -47,7 +47,7 @@ use lomon_trace::{decode_events_into, SimTime, StreamFormat, TimedEvent, Vocabul
 const GATE_RATIO: f64 = 3.0;
 
 /// Timed repetitions per leg, interleaved ([`gate::interleave`]) so load
-/// drift on a shared machine hits both legs alike; the table shows each
+/// drift on a shared machine hits every leg alike; the table shows each
 /// leg's fastest run and the gate reads the median of the per-rep ratios.
 const REPS: usize = 9;
 
