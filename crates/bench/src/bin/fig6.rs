@@ -1,16 +1,18 @@
 //! Regenerate the paper's Fig. 6: Drct vs ViaPSL time/space for the six
 //! configurations, paper numbers next to this repository's model and
-//! measurements.
+//! measurements. Under each row's time columns, each monitor's wall-clock
+//! ns/event on the row's workload (ViaPSL where it is materialized).
 //!
 //! Run with `cargo run -p lomon-bench --bin fig6 --release`.
 
-use lomon_bench::{evaluate_row, fig6_rows, scale};
+use lomon_bench::{evaluate_row, fig6_rows, ns_per_event, scale, REPS};
 
 fn main() {
     println!("Fig. 6 — Comparison of Drct and ViaPSL strategies");
     println!(
         "(paper numbers | this repository; ViaPSL entries exclude the lexer Δ, shown separately)"
     );
+    println!("(under each time column: wall-clock ns/event, fastest of {REPS} interleaved runs)");
     println!();
     println!(
         "{:<34} {:>22} {:>22} {:>26} {:>26}",
@@ -60,6 +62,15 @@ fn main() {
             ),
             viapsl_ops,
             viapsl_bits,
+        );
+        let (drct_ns, psl_ns) =
+            ns_per_event(&result.property, &result.vocabulary, &result.workload);
+        println!(
+            "{:<34} {:>22} {:>22} {:>26}",
+            "",
+            format!("{drct_ns:.1} ns/event"),
+            "",
+            psl_ns.map_or("not materialized".into(), |ns| format!("{ns:.1} ns/event")),
         );
         if result.delta.0 > 0 {
             println!(

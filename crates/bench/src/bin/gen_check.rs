@@ -1,10 +1,13 @@
 //! S4: the §8 future-work generator in the verification loop — generate
 //! labelled stimuli from the Fig. 6 patterns, replay them through the Drct
-//! monitors, and report agreement and coverage.
+//! monitors, and report agreement and coverage; then time one `generate`
+//! and one `mutate` call on the Fig. 4 pattern.
 //!
 //! Run with `cargo run -p lomon-bench --bin gen_check --release`.
 
-use lomon_bench::fig6_rows;
+use std::time::Instant;
+
+use lomon_bench::{fig6_rows, gate, REPS};
 use lomon_core::monitor::build_monitor;
 use lomon_core::parse::parse_property;
 use lomon_core::verdict::{Monitor as _, Verdict};
@@ -91,4 +94,27 @@ fn main() {
     println!();
     println!("All generated positives accepted; all mutant labels agreed with");
     println!("the monitors (assertions would have fired otherwise).");
+
+    let mut voc = Vocabulary::new();
+    let fig4 = "all{n1, n2} < any{n3[2,8], n4} < n5 << i repeated";
+    let property = parse_property(fig4, &mut voc).expect("parses");
+    let config = GeneratorConfig::new(1);
+    let base = generate(&property, &config).trace;
+    let [generate_ns, mutate_ns] = gate::best_of(REPS, |leg| {
+        let started = Instant::now();
+        std::hint::black_box(match leg {
+            0 => generate(&property, &config).trace.len(),
+            _ => mutate(&property, &base, 10, 7).len(),
+        });
+        started.elapsed().as_nanos()
+    });
+    println!();
+    println!("Generator cost on the Fig. 4 pattern {fig4}");
+    println!("(wall clock per call, fastest of {REPS} interleaved runs):");
+    println!(
+        "  generate ({} events): {:.1} µs",
+        base.len(),
+        generate_ns as f64 / 1e3
+    );
+    println!("  mutate (10 mutants): {:.1} µs", mutate_ns as f64 / 1e3);
 }

@@ -1,10 +1,12 @@
 //! Sweep S2: monitor cost vs fragment size `k` for `all{n1..nk} << i once`
 //! — the curve behind Fig. 6 rows 3/4. Both strategies grow with `k`, but
-//! Drct stays roughly an order of magnitude below ViaPSL.
+//! Drct stays roughly an order of magnitude below ViaPSL. Under each row's
+//! ops columns, each monitor's wall-clock ns/event (ViaPSL where it is
+//! materialized).
 //!
 //! Run with `cargo run -p lomon-bench --bin sweep_names --release`.
 
-use lomon_bench::scale;
+use lomon_bench::{ns_per_event, scale, REPS};
 use lomon_core::complexity::{drct_cost, measure_drct};
 use lomon_gen::{generate, GeneratorConfig};
 use lomon_psl::complexity::viapsl_cost;
@@ -12,6 +14,7 @@ use lomon_trace::Vocabulary;
 
 fn main() {
     println!("S2 — cost vs fragment size, property all{{n1..nk}} << i once");
+    println!("(under each ops column: wall-clock ns/event, fastest of {REPS} interleaved runs)");
     println!(
         "{:>4} {:>12} {:>12} {:>14} {:>14} {:>8}",
         "k", "Drct ops", "Drct bits", "ViaPSL ops", "ViaPSL bits", "ratio"
@@ -31,6 +34,14 @@ fn main() {
             scale(psl.ops_per_event as f64),
             scale(psl.state_bits as f64),
             psl.ops_per_event as f64 / measured.ops_per_event.max(1e-9),
+        );
+        let (drct_ns, psl_ns) = ns_per_event(&property, &voc, &workload);
+        println!(
+            "{:>4} {:>12} {:>12} {:>14}",
+            "",
+            format!("{drct_ns:.1} ns"),
+            "",
+            psl_ns.map_or("not materialized".into(), |ns| format!("{ns:.1} ns")),
         );
     }
     println!();

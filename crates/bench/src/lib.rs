@@ -7,8 +7,13 @@
 //! * **S1** — range-width sweep (`--bin sweep_range`);
 //! * **S2** — fragment-size sweep (`--bin sweep_names`);
 //! * **S3** — platform monitoring overhead (`--bin platform_overhead`);
-//! * **S4** — generator agreement & throughput (`--bin gen_check`);
-//! * criterion wall-clock benches (`cargo bench -p lomon-bench`).
+//! * **S4** — generator agreement & throughput (`--bin gen_check`).
+//!
+//! Beside their operation and bit counts, `fig6`, `sweep_range` and
+//! `sweep_names` print each monitor's wall-clock ns/event
+//! ([`ns_per_event`]), `gen_check` the cost of one `generate` and one
+//! `mutate` call, and `platform_overhead` monitored against bare platform
+//! runs. Every one of those legs is timed by [`gate::best_of`].
 //!
 //! This library holds the shared harness: the six Fig. 6 configurations,
 //! per-strategy measurement, and table formatting; the CI timing gates'
@@ -18,10 +23,13 @@
 pub mod gate;
 pub mod workloads;
 
+use std::time::Instant;
+
 use lomon_core::ast::Property;
 use lomon_core::complexity::{drct_cost, measure_drct};
+use lomon_core::monitor::build_monitor;
 use lomon_core::parse::parse_property;
-use lomon_core::verdict::Monitor as _;
+use lomon_core::verdict::Monitor;
 use lomon_gen::{generate, GeneratorConfig};
 use lomon_psl::complexity::viapsl_cost;
 use lomon_psl::monitor::PslMonitor;
@@ -175,25 +183,21 @@ pub fn evaluate_row(row: &Fig6Row, seed: u64) -> RowResult {
     let drct_measured = measure_drct(&property, &workload, &vocabulary);
 
     let psl_model = viapsl_cost(&property).expect("fig6 rows are translatable");
-    let (viapsl_ops_measured, viapsl_bits_measured) = match PslMonitor::build_with(
-        &property,
-        TranslateOptions {
-            conjunct_limit: 100_000,
-        },
-    ) {
-        Ok(mut monitor) => {
-            for &event in workload.iter() {
-                monitor.observe(event);
+    let (viapsl_ops_measured, viapsl_bits_measured) =
+        match PslMonitor::build_with(&property, MATERIALIZE) {
+            Ok(mut monitor) => {
+                for &event in workload.iter() {
+                    monitor.observe(event);
+                }
+                monitor.finish(workload.end_time());
+                let events = workload.len().max(1) as f64;
+                (
+                    Some(monitor.ops() as f64 / events),
+                    Some(monitor.state_bits()),
+                )
             }
-            monitor.finish(workload.end_time());
-            let events = workload.len().max(1) as f64;
-            (
-                Some(monitor.ops() as f64 / events),
-                Some(monitor.state_bits()),
-            )
-        }
-        Err(_) => (None, None),
-    };
+            Err(_) => (None, None),
+        };
 
     RowResult {
         property,
@@ -208,6 +212,59 @@ pub fn evaluate_row(row: &Fig6Row, seed: u64) -> RowResult {
         viapsl_bits_measured,
         delta: (psl_model.delta_ops, psl_model.delta_bits),
     }
+}
+
+/// The translation limit up to which the exhibits build (and so measure
+/// and time) a ViaPSL monitor; above it only the closed-form cost is shown.
+pub const MATERIALIZE: TranslateOptions = TranslateOptions {
+    conjunct_limit: 100_000,
+};
+
+/// Interleaved runs per timed leg; each leg keeps its fastest.
+pub const REPS: usize = 15;
+
+/// Events per timed run at least: a shorter workload is replayed through
+/// as many fresh monitors as it takes under one timer, so that the
+/// timer's own cost (~90 ns a read pair on a shared 2-vCPU host) is a few
+/// percent of a run, not most of it, on the few-event workloads of the
+/// small rows. More copies would mostly add clones of the large ViaPSL
+/// monitors, which cost milliseconds each.
+const RUN_EVENTS: usize = 256;
+
+/// Wall-clock ns/event of `property`'s Drct monitor and, where
+/// [`MATERIALIZE`] builds it, of its ViaPSL monitor, each observing every
+/// event of `workload`. The two legs run interleaved ([`gate::best_of`],
+/// [`REPS`] runs); every run's monitors are cloned outside the timer.
+///
+/// # Panics
+///
+/// Panics if `property` is ill-formed against `voc` (a harness bug).
+pub fn ns_per_event(property: &Property, voc: &Vocabulary, workload: &Trace) -> (f64, Option<f64>) {
+    let copies = RUN_EVENTS.div_ceil(workload.len().max(1));
+    let drct = build_monitor(property.clone(), voc)
+        .expect("well-formed")
+        .without_diagnostics();
+    let psl = PslMonitor::build_with(property, MATERIALIZE).ok();
+    let [drct_ns, psl_ns] = gate::best_of(REPS, |leg| match (leg, &psl) {
+        (0, _) => time_copies(vec![drct.clone(); copies], workload),
+        (_, Some(psl)) => time_copies(vec![psl.clone(); copies], workload),
+        (_, None) => 0,
+    });
+    let per_event = |ns: u128| ns as f64 / (copies * workload.len()).max(1) as f64;
+    (per_event(drct_ns), psl.map(|_| per_event(psl_ns)))
+}
+
+/// One timed run: each of `monitors` observes every event of `workload`,
+/// then its verdict is read.
+fn time_copies(mut monitors: Vec<impl Monitor>, workload: &Trace) -> u128 {
+    let started = Instant::now();
+    for monitor in &mut monitors {
+        for &event in workload.iter() {
+            monitor.observe(event);
+        }
+        std::hint::black_box(monitor.verdict());
+    }
+    started.elapsed().as_nanos()
 }
 
 /// Human-scale rendering of large counts (`3.59e9`-style above 10⁶).
@@ -283,6 +340,18 @@ mod tests {
         let r6 = evaluate_row(&rows[5], 1);
         assert_eq!(r5.drct_theta, r6.drct_theta);
         assert!(r6.viapsl_ops_model / r5.viapsl_ops_model.max(1) > 1_000_000);
+    }
+
+    #[test]
+    fn viapsl_is_timed_only_where_materialized() {
+        for (width, materialized) in [(16, true), (1024, false)] {
+            let mut voc = Vocabulary::new();
+            let property = range_sweep_property(width, &mut voc);
+            let workload = generate(&property, &GeneratorConfig::new(7)).trace;
+            let (drct, psl) = ns_per_event(&property, &voc, &workload);
+            assert!(drct > 0.0, "width {width}");
+            assert_eq!(psl.is_some(), materialized, "width {width}");
+        }
     }
 
     #[test]

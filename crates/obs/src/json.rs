@@ -1,8 +1,10 @@
 //! Minimal JSON string escaping, shared by every machine-readable output
-//! in the workspace (`lomon watch --format ndjson`, `lomon check/smc
-//! --format json`, the engine and campaign report renderers).
+//! in the workspace: the registry's `/metrics.json` snapshot, the
+//! tracer's Chrome trace-event file, and, through `lomon_trace`'s
+//! re-export, `lomon watch --format ndjson`, `lomon check/smc --format
+//! json` and the engine and campaign report renderers.
 //!
-//! Only the *escaping* lives here — each report renders its own object
+//! Only the *escaping* lives here — each output renders its own object
 //! layout by hand, because the values are all numbers, booleans and
 //! already-escaped strings and a JSON serializer would be an external
 //! dependency.
@@ -35,5 +37,6 @@ mod tests {
         assert_eq!(json_escape("a \"b\" \\c"), "a \\\"b\\\" \\\\c");
         assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("cr\r"), "cr\\u000d");
     }
 }

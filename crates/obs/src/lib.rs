@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 mod http;
+mod json;
 mod metric;
 mod registry;
 mod server;
@@ -29,6 +30,7 @@ mod stopwatch;
 mod tracer;
 
 pub use http::{Endpoint, Request, Response};
+pub use json::json_escape;
 pub use metric::{bucket_index, bucket_upper, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{Label, Registry};
 pub use server::MetricsServer;

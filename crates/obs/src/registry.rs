@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::json_escape;
 use crate::metric::{bucket_upper, Counter, Gauge, Histogram, BUCKETS};
 
 /// A `(key, value)` label pair attached to one metric series.
@@ -300,27 +301,6 @@ fn prom_escape(value: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Minimal JSON string escaping (the obs crate is dependency-free by
-/// design, so it cannot borrow lomon-trace's writer). Shared with the
-/// tracer's Chrome trace-event writer.
-pub(crate) fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             other => out.push(other),
         }
     }

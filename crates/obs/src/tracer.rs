@@ -15,7 +15,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::registry::json_escape;
+use crate::json_escape;
 
 /// One finished span: a Chrome trace-event `"X"` (complete) record.
 #[derive(Debug, Clone)]

@@ -122,8 +122,10 @@ impl CampaignConfig {
 /// Why a campaign could not run.
 #[derive(Debug, Clone)]
 pub enum CampaignError {
-    /// The model's property set failed to compile (every failure listed).
-    Compile(Vec<CompileError>),
+    /// The model's property set failed to compile: every failure, and the
+    /// vocabulary the compile interned their names into, which
+    /// [`CompileError::display`] renders them against.
+    Compile(Vec<CompileError>, Vocabulary),
     /// A configuration value is unusable.
     InvalidConfig(String),
 }
@@ -131,7 +133,7 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::Compile(errors) => {
+            CampaignError::Compile(errors, _) => {
                 write!(f, "{} property(ies) failed to compile", errors.len())
             }
             CampaignError::InvalidConfig(message) => f.write_str(message),
@@ -417,8 +419,6 @@ struct EpisodeResult {
 pub struct Campaign<'m, M: EpisodeModel + ?Sized> {
     model: &'m M,
     engine: Engine,
-    #[allow(dead_code)] // resolved names are useful to callers via `vocabulary()`
-    vocabulary: Vocabulary,
     config: CampaignConfig,
     /// Live telemetry, if attached. Workers flush their sessions' dispatch
     /// deltas into it; the aggregator updates the campaign gauges at batch
@@ -460,11 +460,11 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
             ));
         }
         let mut vocabulary = model.vocabulary();
-        let engine = Engine::compile(&texts, &mut vocabulary).map_err(CampaignError::Compile)?;
+        let engine = Engine::compile(&texts, &mut vocabulary)
+            .map_err(|errors| CampaignError::Compile(errors, vocabulary))?;
         Ok(Campaign {
             model,
             engine,
-            vocabulary,
             config,
             metrics: None,
         })
@@ -482,11 +482,6 @@ impl<'m, M: EpisodeModel + ?Sized> Campaign<'m, M> {
     /// The compiled engine (e.g. to inspect alphabets).
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The vocabulary after compilation.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocabulary
     }
 
     /// Run the campaign to completion and report.

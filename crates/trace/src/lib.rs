@@ -44,7 +44,6 @@
 pub mod event;
 pub mod frame;
 pub mod io;
-pub mod json;
 pub mod lexer;
 pub mod mmap;
 pub mod name;
@@ -57,8 +56,8 @@ pub mod wire;
 pub use event::TimedEvent;
 pub use frame::{Frame, FrameDecoder, MAX_FRAME_BYTES};
 pub use io::{parse_trace_line, time_order_error, write_trace, IoMetrics, TraceParseError};
-pub use json::json_escape;
 pub use lexer::{LexedEvent, LexedToken, RunLengthLexer};
+pub use lomon_obs::json_escape;
 pub use mmap::MappedFile;
 pub use name::{Direction, Name, NameSet, Vocabulary};
 pub use ndjson::{

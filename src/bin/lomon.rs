@@ -411,7 +411,7 @@ fn verdict_code(ok: bool) -> ExitCode {
 fn load(path: &str, voc: &mut Vocabulary, code: u8) -> Result<Trace, ExitCode> {
     std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))
-        .and_then(|text| read_trace_bytes(text.as_bytes(), voc).map_err(|e| e.to_string()))
+        .and_then(|text| read_trace_bytes(text.as_bytes(), voc).map_err(|e| format!("{path}: {e}")))
         .map_err(|message| {
             stderr!("error: {message}");
             ExitCode::from(code)
@@ -1069,8 +1069,7 @@ fn smc(raw: &[String], out: &mut Out) -> Outcome {
     let compile_span = telemetry.as_ref().map(Telemetry::time_compile);
     let mut campaign = match Campaign::new(model.as_ref(), config) {
         Ok(campaign) => campaign,
-        Err(CampaignError::Compile(errors)) => {
-            let voc = model.vocabulary();
+        Err(CampaignError::Compile(errors, voc)) => {
             for error in &errors {
                 stderr!("error in property:\n{}", error.display(&voc));
             }

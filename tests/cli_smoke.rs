@@ -440,6 +440,44 @@ fn smc_reports_property_errors_before_running() {
     let output = lomon(&["smc", "--episodes", "2", "all{unclosed << start"]);
     assert_eq!(output.status.code(), Some(1));
     assert!(stderr(&output).contains("error in property"));
+    // An ill-formed property names what the compile interned: its error is
+    // rendered against the compile's vocabulary, not the model's.
+    let output = lomon(&["smc", "--episodes", "1", "zz << zz once"]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr(&output));
+    assert!(
+        stderr(&output).contains(
+            "property 1 `zz << zz once` is ill-formed: \
+             trigger `zz` also occurs inside the antecedent P"
+        ),
+        "stderr: {}",
+        stderr(&output)
+    );
+}
+
+/// Every command that reads a trace file names the file in a trace error,
+/// whether it streams the file (`check`) or loads it whole.
+#[test]
+fn trace_errors_name_the_file_on_every_command() {
+    let dir = std::env::temp_dir().join(format!("lomon-back-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("back.trace");
+    std::fs::write(&path, "10ns in a\n5ns in go\n").expect("write trace");
+    let trace = path.to_str().unwrap();
+    let property = "a << go once";
+    let expected =
+        format!("error: {trace}: trace line 2: timestamp 5ns precedes previous event at 10ns\n");
+    for argv in [
+        &["check", trace, property][..],
+        &["profile", property, trace],
+        &["lint", "--trace", trace, property],
+        &["vcd", trace],
+        &["smc", "--trace", trace, property],
+    ] {
+        let output = lomon(argv);
+        assert!(!output.status.success(), "{argv:?}");
+        assert_eq!(stderr(&output), expected, "{argv:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
