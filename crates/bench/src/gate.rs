@@ -1,5 +1,6 @@
 //! The shared harness of the CI timing gates (`hot_loop`, `wire_speed`,
-//! `obs_overhead`, `serve_saturation`, `smc_scaling`).
+//! `obs_overhead`, `serve_saturation`, `smc_scaling`), whose interleaved
+//! timing ([`best_of`]) also times every leg of the paper exhibits.
 //!
 //! * [`Args`] — the command line: `--check` plus the valued flags a gate
 //!   declares; anything else exits 2 with a usage line.
