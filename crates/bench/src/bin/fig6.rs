@@ -23,6 +23,9 @@ fn main() {
         "ViaPSL space (bits)"
     );
     println!("{}", "-".repeat(135));
+    // Each row is evaluated once: the table and the shape checks below
+    // read the same results.
+    let mut results = Vec::new();
     for row in fig6_rows() {
         let result = evaluate_row(&row, 42);
         let viapsl_ops = match result.viapsl_ops_measured {
@@ -82,38 +85,37 @@ fn main() {
                 format!("Δ = {} bits", result.delta.1),
             );
         }
+        results.push(result);
     }
     println!();
     println!("Shape checks (the paper's claims):");
-    let rows = fig6_rows();
-    let r = |k: usize| evaluate_row(&rows[k], 42);
-    let (r1, r2, r3, r4, r5, r6) = (r(0), r(1), r(2), r(3), r(4), r(5));
+    let r = |row: usize| &results[row - 1];
     println!(
         "  rows 1→2  Drct ops ratio {:.2} (paper 1.00) — range widths are free for Drct",
-        r2.drct_ops / r1.drct_ops
+        r(2).drct_ops / r(1).drct_ops
     );
     println!(
         "  rows 1→2  ViaPSL ops ratio {:.2e} (paper {:.2e}) — quadratic range blow-up",
-        r2.viapsl_ops_model as f64 / r1.viapsl_ops_model as f64,
+        r(2).viapsl_ops_model as f64 / r(1).viapsl_ops_model as f64,
         4e11 / 238.0
     );
     println!(
         "  rows 3→4  Drct ops ratio {:.2} (paper {:.2}) — linear in fragment size",
-        r4.drct_ops / r3.drct_ops,
+        r(4).drct_ops / r(3).drct_ops,
         280.0 / 230.0
     );
     println!(
         "  rows 3→4  ViaPSL ops ratio {:.2} (paper {:.2})",
-        r4.viapsl_ops_model as f64 / r3.viapsl_ops_model as f64,
+        r(4).viapsl_ops_model as f64 / r(3).viapsl_ops_model as f64,
         2142.0 / 1785.0
     );
     println!(
         "  rows 5→6  Drct ops ratio {:.2} (paper 1.00)",
-        r6.drct_ops / r5.drct_ops
+        r(6).drct_ops / r(5).drct_ops
     );
     println!(
         "  per row   Drct < ViaPSL: {}",
-        [&r1, &r2, &r3, &r4, &r5, &r6]
+        results
             .iter()
             .all(|r| (r.drct_ops as u64) < r.viapsl_ops_model)
     );

@@ -167,32 +167,24 @@ impl Diagnostic {
     }
 }
 
-/// Knobs for [`warnings`] and [`notes`]. The defaults are what
-/// `Engine::compile_with_analysis` and `lomon lint` use.
-#[derive(Debug, Clone)]
+/// Maximum distinct states per bounded-model walk; a walk that would
+/// exceed it is silently skipped (no verdict, never a false one). `lomon
+/// lint --fix-prune` prunes under the same budget.
+pub const STATE_BUDGET: usize = 20_000;
+
+/// Maximum property pairs to product-walk for `L005`/`L006`.
+const MAX_PAIRS: usize = 256;
+
+/// Semantic walks whose horizon exceeds this many unit steps are skipped
+/// (large range minima make exhaustive walks pointless).
+const HORIZON_CAP: usize = 24;
+
+/// Inputs of [`notes`] beyond the rulebook.
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisOptions {
-    /// Maximum distinct states per bounded-model walk; a walk that would
-    /// exceed it is silently skipped (no verdict, never a false one).
-    pub state_budget: usize,
-    /// Maximum property pairs to product-walk for `L005`/`L006`.
-    pub max_pairs: usize,
-    /// Skip semantic walks whose horizon exceeds this many unit steps
-    /// (large range minima make exhaustive walks pointless).
-    pub horizon_cap: usize,
     /// Per-name event counts of a trace corpus: enables `L008` and
     /// restricts the dead-table walk to names the corpus can produce.
     pub corpus: Option<Vec<(Name, u64)>>,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> AnalysisOptions {
-        AnalysisOptions {
-            state_budget: 20_000,
-            max_pairs: 256,
-            horizon_cap: 24,
-            corpus: None,
-        }
-    }
 }
 
 /// `"property 3 `a << start once`"` — how diagnostics refer to properties.
@@ -225,13 +217,8 @@ fn corpus_set(opts: &AnalysisOptions) -> Option<NameSet> {
 /// the `L003` duplicates, the `L004` vacuous groups, then `L005`/`L006`
 /// pair by pair (parse and well-formedness errors are reported by the
 /// compile pipeline before lowering, so they never reach this function).
-/// `displays[p]` is property `p`'s source text, used in messages. The
-/// corpus of `opts` plays no part.
-pub fn warnings(
-    fused: &FusedProgram,
-    displays: &[&str],
-    opts: &AnalysisOptions,
-) -> Vec<Diagnostic> {
+/// `displays[p]` is property `p`'s source text, used in messages.
+pub fn warnings(fused: &FusedProgram, displays: &[&str]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     // L003 — duplicates: fusion already interned structurally identical
@@ -256,10 +243,10 @@ pub fn warnings(
     for g in 0..fused.group_count() {
         let program = fused.group(g);
         let horizon = program.bounded_horizon();
-        if horizon > opts.horizon_cap {
+        if horizon > HORIZON_CAP {
             continue;
         }
-        if reach::satisfiable(program, horizon, opts.state_budget) == Some(false) {
+        if reach::satisfiable(program, horizon, STATE_BUDGET) == Some(false) {
             let members = fused.members(g);
             out.push(Diagnostic::new(
                 DiagCode::L004,
@@ -286,14 +273,14 @@ pub fn warnings(
                 continue;
             }
             let horizon = pi.bounded_horizon().max(pj.bounded_horizon());
-            if horizon > opts.horizon_cap {
+            if horizon > HORIZON_CAP {
                 continue;
             }
-            if walked >= opts.max_pairs {
+            if walked >= MAX_PAIRS {
                 break 'pairs;
             }
             walked += 1;
-            let Some(facts) = reach::pair_facts(pi, pj, horizon, opts.state_budget) else {
+            let Some(facts) = reach::pair_facts(pi, pj, horizon, STATE_BUDGET) else {
                 continue;
             };
             let ri = fused.members(i)[0] as usize;
@@ -414,7 +401,7 @@ pub fn notes(
     let corpus = corpus_set(opts);
     for g in 0..fused.group_count() {
         let program = fused.group(g);
-        let Some(live) = reach::live_mask(program, corpus.as_ref(), opts.state_budget) else {
+        let Some(live) = reach::live_mask(program, corpus.as_ref(), STATE_BUDGET) else {
             continue;
         };
         let drop = droppable_rows(program.alphabet(), corpus.as_ref());

@@ -33,7 +33,7 @@ fn fuse(texts: &[&str], extra: &[&str], voc: &mut Vocabulary) -> FusedProgram {
 fn run(texts: &[&str], extra: &[&str], opts: &AnalysisOptions) -> Vec<Diagnostic> {
     let mut voc = Vocabulary::new();
     let fused = fuse(texts, extra, &mut voc);
-    let mut diags = warnings(&fused, texts, opts);
+    let mut diags = warnings(&fused, texts);
     diags.extend(notes(&fused, texts, &voc, opts));
     diags
 }
@@ -157,7 +157,7 @@ fn warning_and_note_passes_split_by_severity() {
     let mut voc = Vocabulary::new();
     let fused = fuse(&texts, &["dangling"], &mut voc);
     let opts = AnalysisOptions::default();
-    let warned = warnings(&fused, &texts, &opts);
+    let warned = warnings(&fused, &texts);
     assert_eq!(codes(&warned), vec![DiagCode::L003, DiagCode::L004]);
     assert!(warned.iter().all(|d| d.severity == Severity::Warning));
     let noted = notes(&fused, &texts, &voc, &opts);
@@ -173,7 +173,6 @@ fn corpus_events_without_subscribers_are_noted() {
     let a = voc.lookup("a").unwrap();
     let opts = AnalysisOptions {
         corpus: Some(vec![(noise, 3), (a, 2)]),
-        ..AnalysisOptions::default()
     };
     let diags = notes(&fused, &["a << i once"], &voc, &opts);
     let l008 = diags.iter().find(|d| d.code == DiagCode::L008);
@@ -191,7 +190,6 @@ fn corpus_restricted_dead_rows_are_noted_and_pruned() {
     // The corpus never produces `b`: its whole action-table row is dead.
     let opts = AnalysisOptions {
         corpus: Some(vec![(a, 5), (start, 5)]),
-        ..AnalysisOptions::default()
     };
     let diags = notes(&fused, &["all{a, b} << start once"], &voc, &opts);
     let l009 = diags.iter().find(|d| d.code == DiagCode::L009);

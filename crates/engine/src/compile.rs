@@ -145,7 +145,8 @@ impl Engine {
     /// [`lomon_core::analysis`]: returns the engine together with every
     /// `L003`–`L006` finding (duplicate, vacuous, subsumed and conflicting
     /// properties). `check`, `watch`, `smc`, `serve` and `profile` print
-    /// these; `lomon lint` appends [`Engine::notes`] to them.
+    /// these; `lomon lint` appends [`Engine::notes`] to them. The warning
+    /// passes take no options, so `_opts` is not read.
     ///
     /// # Errors
     ///
@@ -155,18 +156,18 @@ impl Engine {
     pub fn compile_with_analysis<S: AsRef<str>>(
         texts: &[S],
         voc: &mut Vocabulary,
-        opts: &AnalysisOptions,
+        _opts: &AnalysisOptions,
     ) -> Result<(Engine, Vec<Diagnostic>), Vec<CompileError>> {
         let engine = Self::compile(texts, voc)?;
-        let warnings = engine.analyze(opts);
+        let warnings = engine.analyze();
         Ok((engine, warnings))
     }
 
     /// The warning passes of [`lomon_core::analysis`] over this engine:
     /// the findings [`Engine::compile_with_analysis`] returns, for an
     /// engine compiled elsewhere.
-    pub fn analyze(&self, opts: &AnalysisOptions) -> Vec<Diagnostic> {
-        analysis::warnings(&self.fused, &self.displays(), opts)
+    pub fn analyze(&self) -> Vec<Diagnostic> {
+        analysis::warnings(&self.fused, &self.displays())
     }
 
     /// The note passes of [`lomon_core::analysis`] over this engine, whose
@@ -419,7 +420,7 @@ mod tests {
         let codes: Vec<DiagCode> = warnings.iter().map(|d| d.code).collect();
         assert_eq!(codes, [DiagCode::L003]);
         assert!(warnings.iter().all(|d| d.severity != Severity::Note));
-        assert_eq!(engine.analyze(&opts), warnings);
+        assert_eq!(engine.analyze(), warnings);
         let notes = engine.notes(&voc, &opts);
         assert!(notes.iter().any(|d| d.code == DiagCode::L007), "{notes:?}");
         assert!(notes.iter().all(|d| d.severity == Severity::Note));

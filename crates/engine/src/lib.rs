@@ -106,14 +106,17 @@
 //! [`StreamDriver`] is the online monitoring protocol written once and
 //! free of I/O: byte chunks in, typed [`Record`]s out — verdicts as they
 //! go final, errors, heartbeats, the summary — rendered as text or
-//! NDJSON. Names resolve against the frozen vocabulary; one that no
-//! property uses only advances time. It lexes each run of regular event
-//! lines in one pass and steps the run with one call into the session's
-//! batch loop, the loop [`Session::ingest_batch`] runs, which stops right
-//! after the event that settles the session; every other line it applies
-//! on its own. Either way its records are those of stepping one line at
-//! a time. `lomon check`, `lomon watch` and `lomon serve` are thin
-//! adapters over it.
+//! NDJSON. What each line means is decided by the one trace reader,
+//! [`lomon_trace::LineReader`]: framing, runs of regular event lines,
+//! grammar, time order and every fault's class and wording. The driver
+//! keeps only session stepping, records, heartbeats and its [`Step`]
+//! policy. Names resolve against the frozen vocabulary; one that no
+//! property uses only advances time. The event lines the reader reads, a
+//! run's or one line's, go in one call into the session's batch loop,
+//! the loop [`Session::ingest_batch`] runs, which stops right after the
+//! event that settles the session; so its records are those of stepping
+//! one line at a time. `lomon check`, `lomon watch` and `lomon serve` are
+//! thin adapters over it.
 //!
 //! ## Example
 //!

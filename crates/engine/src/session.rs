@@ -13,7 +13,7 @@
 //!
 //! Every ingest path runs one inlined dispatch step per event:
 //! [`Session::ingest`], and the one batch loop behind
-//! [`Session::ingest_batch`], the stream driver's runs of lines and
+//! [`Session::ingest_batch`], the stream driver's event lines and
 //! [`crate::profile_trace`]. So the CI gates that time the batch path time
 //! what every surface runs.
 //!
@@ -322,8 +322,7 @@ impl<'e> Session<'e> {
     /// Feed one event to every unit that can react to it. An attached
     /// metrics sink sees the event at the next flush point: callers that
     /// step one event at a time call [`Session::flush_metrics`] at their
-    /// own batch boundary. The stream driver steps an event line on its
-    /// own this way only when it cannot take it into a run.
+    /// own batch boundary.
     #[inline]
     pub fn ingest(&mut self, event: TimedEvent) {
         with_arena!(self, |program, ms| {
@@ -353,8 +352,8 @@ impl<'e> Session<'e> {
 
     /// Feed `events` in order up to the one that settles the session, and
     /// return how many were fed (`Core::batch_loop`). The stream driver's
-    /// step for a run of lines; like [`Session::ingest`], it does not flush
-    /// an attached metrics sink.
+    /// step for the event lines it reads, a run's or one line's; like
+    /// [`Session::ingest`], it does not flush an attached metrics sink.
     pub(crate) fn ingest_until_settled(&mut self, events: &[TimedEvent]) -> usize {
         with_arena!(self, |program, ms| self
             .core

@@ -2,27 +2,25 @@
 //! free of I/O. `lomon check` (trace files, one stream each), `lomon
 //! watch` (stdin) and `lomon serve` (sockets) are thin adapters over it.
 //!
-//! A [`StreamDriver`] takes byte chunks of any size. Each line is framed
-//! under the [`MAX_FRAME_BYTES`] cap, parsed as trace text or NDJSON,
-//! checked for monotonic time, resolved against the engine's frozen
-//! [`Vocabulary`] (a name no property uses only advances time and is never
-//! interned) and stepped; every verdict that goes final is emitted as a
-//! typed [`Record`].
+//! A [`StreamDriver`] takes byte chunks of any size and reads them with
+//! the one trace reader, [`LineReader`], which decides what each line
+//! means: it frames lines under the 64 KiB cap, parses trace text or
+//! NDJSON, checks monotonic time and words every fault. Names resolve
+//! against the engine's frozen [`Vocabulary`]: a name no property uses
+//! only advances time and is never interned. The driver steps the session
+//! and emits every verdict that goes final as a typed [`Record`].
 //!
 //! One [`StreamDriver::step`] applies a *run* of lines or a single line. A
-//! run is a stretch of regular event lines complete in the buffer: each is
-//! lexed by its format's fast path ([`lex_regular_event`]) and its name
-//! resolved once into a reused event buffer, then the whole run is stepped
-//! with one batch call and its verdicts are emitted. A run ends before any
-//! line the per-line path has to decide: a blank, comment or `end` line, an
-//! unknown name, a line the fast path does not take (malformed, non-ASCII,
-//! non-UTF-8 or irregular), a line over the frame cap or the tail of one,
-//! an earlier timestamp, or a line not yet complete. It also ends right
-//! after the event that reaches a heartbeat multiple or settles the
-//! session, after a line whose decode time an observed driver samples, and
-//! after 256 lines. The next step applies the line that ended the run on
-//! its own. So records, their order and the statistics are those of
-//! stepping one line at a time, however the input was chunked.
+//! run is a stretch of regular event lines complete in the buffer, which
+//! the reader lexes into a reused event buffer; the driver steps the whole
+//! run with one batch call and emits its verdicts. The reader ends a run
+//! before any line it has to decide on its own and, observed, after a
+//! line whose decode time it samples; the driver ends it after the event
+//! that reaches a heartbeat multiple or settles the session, and after 256
+//! lines. The next step applies the line that ended the run on its own,
+//! an event line through the same batch call. So records, their order and
+//! the statistics are those of stepping one line at a time, however the
+//! input was chunked.
 //!
 //! What an `end` line or a rejected line means is the caller's policy:
 //! `step` reports it as a [`Step`]. A stream ends either online, with
@@ -38,28 +36,15 @@
 use std::fmt::Write as _;
 use std::io;
 use std::sync::Arc;
-use std::time::Instant;
 
 use lomon_core::verdict::Verdict;
+pub use lomon_trace::Fault;
 use lomon_trace::{
-    json_escape, lex_regular_event, parse_stream_line_bytes, time_order_error, Frame, FrameDecoder,
-    IoMetrics, Name, SimTime, StreamFormat, StreamLineRef, TimedEvent, Vocabulary, MAX_FRAME_BYTES,
+    json_escape, IoMetrics, Line, LineReader, SimTime, StreamFormat, TimedEvent, Vocabulary,
 };
 
 use crate::report::{EngineReport, PropertyReport};
 use crate::session::Session;
-
-/// Why a line was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// The line failed the stream grammar.
-    Parse,
-    /// The line parsed but broke the protocol: time ran backwards, or the
-    /// frame exceeded [`MAX_FRAME_BYTES`].
-    Protocol,
-    /// The line is not UTF-8.
-    Encoding,
-}
 
 /// What one [`StreamDriver::step`] did to the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,21 +199,9 @@ impl<F: FnMut(&Record<'_>, &str) -> io::Result<()>> RecordSink for F {
     }
 }
 
-/// An observed driver times the parse of one line in this many, picked
-/// by line number: two clock reads per line would cost more than the fast
-/// paths they time, so `lomon_ingest_decode_ns` is a sample.
-const DECODE_SAMPLE_EVERY: u64 = 64;
-
 /// The most lines one run applies, which bounds the driver's event buffer
 /// whatever the size of the chunks pushed.
 const RUN_LINES: usize = 256;
-
-/// One parsed stream line.
-enum Input {
-    /// An event; `None` when no property uses its name.
-    Event(SimTime, Option<Name>),
-    End(SimTime),
-}
 
 /// How a driver renders: the stream's format, vocabulary and index, and
 /// one reused buffer.
@@ -248,20 +221,17 @@ impl Renderer<'_> {
     }
 }
 
-/// The per-stream protocol over one [`Session`]: framing, parsing,
-/// monotonic time, name resolution, stepping and verdict records. See the
+/// The per-stream protocol over one [`Session`]: lines read by one
+/// [`LineReader`], stepping, heartbeats and verdict records. See the
 /// module docs.
 #[derive(Debug)]
 pub struct StreamDriver<'e> {
     session: Session<'e>,
     out: Renderer<'e>,
-    decoder: FrameDecoder,
+    reader: LineReader<'static>,
     /// The events of the current run, reused from run to run.
     run: Vec<TimedEvent>,
-    io: Option<Arc<IoMetrics>>,
     stats_every: Option<u64>,
-    line: u64,
-    last_time: SimTime,
     open: bool,
     faults: u64,
     finalized: Vec<u32>,
@@ -279,12 +249,9 @@ impl<'e> StreamDriver<'e> {
                 stream: None,
                 text: String::new(),
             },
-            decoder: FrameDecoder::new(MAX_FRAME_BYTES),
+            reader: LineReader::new(format),
             run: Vec::new(),
-            io: None,
             stats_every: None,
-            line: 0,
-            last_time: SimTime::ZERO,
             open: false,
             faults: 0,
             finalized: Vec::new(),
@@ -308,17 +275,15 @@ impl<'e> StreamDriver<'e> {
     }
 
     /// Count every line, byte and rejected line into `metrics`, if given,
-    /// and time the parse of one line in 64, picked by line number (a run
-    /// ends at each such line, so the line timed is always one applied).
-    /// Lines and bytes are what the frame decoder consumed or dropped, an
-    /// oversized line counting once; they are added at each flush point:
-    /// when [`StreamDriver::step`] finds no complete line buffered, and
-    /// before [`StreamDriver::fail`], [`StreamDriver::close`] and
-    /// [`StreamDriver::finish`] emit. The session's own metrics, if
+    /// and time the decode of one line in 64
+    /// ([`LineReader::observe_io`]). Lines and bytes are added at each
+    /// flush point: when [`StreamDriver::step`] finds no complete line
+    /// buffered, and before [`StreamDriver::fail`], [`StreamDriver::close`]
+    /// and [`StreamDriver::finish`] emit. The session's own metrics, if
     /// attached, are flushed at the same points.
     #[must_use]
     pub fn observe_io(mut self, metrics: Option<Arc<IoMetrics>>) -> Self {
-        self.io = metrics;
+        self.reader.observe_io(metrics);
         self
     }
 
@@ -339,18 +304,13 @@ impl<'e> StreamDriver<'e> {
 
     /// Bytes of an unterminated line held back for more input.
     pub fn partial_len(&self) -> usize {
-        self.decoder.partial_len()
+        self.reader.partial_len()
     }
 
-    /// Buffer one chunk of input.
+    /// Buffer one chunk of input, as read; an empty chunk ends the input
+    /// ([`LineReader::push`]).
     pub fn push(&mut self, bytes: &[u8]) {
-        self.decoder.push(bytes);
-    }
-
-    /// The input has ended: an unterminated last line still counts as a
-    /// line, and no byte is counted for its missing `\n`.
-    pub fn end_input(&mut self) {
-        self.decoder.end_input();
+        self.reader.push(bytes);
     }
 
     /// Apply the next run of regular event lines, or else the next complete
@@ -358,125 +318,36 @@ impl<'e> StreamDriver<'e> {
     /// Returns `None` once every buffered line is applied.
     /// Fails with the first error `sink` returns.
     pub fn step(&mut self, sink: &mut impl RecordSink) -> io::Result<Option<Step>> {
-        if self.step_run(sink)? {
-            return Ok(Some(Step::Applied));
+        let resolve = |name: &[u8], _| self.out.voc.lookup_bytes(name);
+        // A run stops at the next heartbeat multiple.
+        let mut room = RUN_LINES;
+        if let Some(every) = self.stats_every.filter(|&every| every > 0) {
+            room = room.min((every - self.session.stats().events % every) as usize);
         }
-        let parsed = match self.decoder.next_frame() {
+        self.run.clear();
+        // A session that settles mid-run leaves the lines after it
+        // buffered, as if the caller had stopped at its line.
+        let apply = |run: &[TimedEvent]| self.session.ingest_until_settled(run);
+        let stepped = match self.reader.next(room, &mut self.run, resolve, apply) {
             None => {
                 self.flush_metrics();
                 return Ok(None);
             }
-            Some(Frame::Oversized { seen }) => Err((
-                Fault::Protocol,
-                format!("frame exceeds {MAX_FRAME_BYTES} bytes ({seen}+ seen); dropped"),
-            )),
-            Some(Frame::Line(line)) => {
-                // Sampled by this line's number, `self.line + 1`.
-                let timer = self
-                    .io
-                    .as_ref()
-                    .filter(|_| (self.line + 1).is_multiple_of(DECODE_SAMPLE_EVERY))
-                    .map(|io| (io, Instant::now()));
-                let parsed = decode(line, self.out.format, self.out.voc);
-                if let Some((io, started)) = timer {
-                    io.decode_ns.record(nanos_since(started));
-                }
-                parsed
+            Some(Line::Blank) => return Ok(Some(Step::Applied)),
+            Some(Line::End(_)) => return Ok(Some(Step::End)),
+            Some(Line::Fault(fault, reason)) => return self.fail(fault, &reason, sink).map(Some),
+            Some(Line::Events(_)) => true,
+            Some(Line::Unknown(time, _)) => {
+                self.session.advance_time(time);
+                false
             }
         };
-        self.line += 1;
-        let input = match parsed {
-            Ok(Some(input)) => input,
-            Ok(None) => return Ok(Some(Step::Applied)),
-            Err((fault, reason)) => return self.fail(fault, &reason, sink).map(Some),
-        };
-        let (Input::Event(time, _) | Input::End(time)) = input;
-        let last = self.last_time;
-        if time < last {
-            let reason = time_order_error(matches!(input, Input::End(_)), time, last);
-            return self.fail(Fault::Protocol, &reason, sink).map(Some);
-        }
-        self.last_time = time;
-        let Input::Event(_, name) = input else {
-            return Ok(Some(Step::End));
-        };
         self.open = true;
-        match name {
-            Some(name) => self.session.ingest(TimedEvent::new(name, time)),
-            None => self.session.advance_time(time),
-        }
         self.drain(sink)?;
-        if name.is_some() {
+        if stepped {
             self.heartbeat(sink)?;
         }
         Ok(Some(Step::Applied))
-    }
-
-    /// Apply the run of regular event lines at the head of the buffer, if
-    /// there is one, with one batch call; returns whether it applied any.
-    /// Fails with the first error `sink` returns.
-    fn step_run(&mut self, sink: &mut impl RecordSink) -> io::Result<bool> {
-        // The run stops at the next heartbeat multiple and, observed, at
-        // the next sampled line, which is then the run's last.
-        let mut room = RUN_LINES as u64;
-        if let Some(every) = self.stats_every.filter(|&every| every > 0) {
-            room = room.min(every - self.session.stats().events % every);
-        }
-        if self.io.is_some() {
-            room = room.min(DECODE_SAMPLE_EVERY - self.line % DECODE_SAMPLE_EVERY);
-        }
-        let (format, voc) = (self.out.format, self.out.voc);
-        let bytes = self.decoder.buffered();
-        let (mut len, mut last) = (0, self.last_time);
-        let mut sample = None;
-        self.run.clear();
-        while (self.run.len() as u64) < room {
-            let line = self.line + self.run.len() as u64 + 1;
-            let started =
-                (self.io.is_some() && line.is_multiple_of(DECODE_SAMPLE_EVERY)).then(Instant::now);
-            let rest = &bytes[len..];
-            let Some(event) = lex_regular_event(format, rest) else {
-                break;
-            };
-            // A line over the frame cap or back in time is the per-line
-            // path's, as is a name no property uses.
-            if event.len > MAX_FRAME_BYTES || event.time < last {
-                break;
-            }
-            let Some(name) = voc.lookup_bytes(event.name) else {
-                break;
-            };
-            if let Some(started) = started {
-                sample = Some(nanos_since(started));
-            }
-            self.run.push(TimedEvent::new(name, event.time));
-            last = event.time;
-            len += event.len;
-        }
-        if self.run.is_empty() {
-            return Ok(false);
-        }
-        let stepped = self.session.ingest_until_settled(&self.run);
-        if stepped < self.run.len() {
-            // The session settled mid-run: the lines after it stay
-            // buffered, as if the caller had stopped at its line.
-            len = bytes
-                .split_inclusive(|&b| b == b'\n')
-                .take(stepped)
-                .map(<[u8]>::len)
-                .sum();
-            sample = None;
-        }
-        self.decoder.consume(stepped as u64, len);
-        if let (Some(io), Some(ns)) = (&self.io, sample) {
-            io.decode_ns.record(ns);
-        }
-        self.line += stepped as u64;
-        self.last_time = self.run[stepped - 1].time;
-        self.open = true;
-        self.drain(sink)?;
-        self.heartbeat(sink)?;
-        Ok(true)
     }
 
     /// Emit a heartbeat if the event count has reached a multiple of the
@@ -497,7 +368,7 @@ impl<'e> StreamDriver<'e> {
     /// that expire.
     /// Fails with the first error `sink` returns.
     pub fn advance(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
-        self.session.advance_time(self.last_time);
+        self.session.advance_time(self.reader.last_time());
         self.drain(sink)
     }
 
@@ -526,7 +397,7 @@ impl<'e> StreamDriver<'e> {
     /// Fails with the first error `sink` returns.
     pub fn finish(&mut self, sink: &mut impl RecordSink) -> io::Result<(EngineReport, SimTime)> {
         self.close_session(sink)?;
-        Ok((self.session.report(), self.last_time))
+        Ok((self.session.report(), self.reader.last_time()))
     }
 
     /// Begin the next stream on the same session and buffers. Input still
@@ -534,15 +405,15 @@ impl<'e> StreamDriver<'e> {
     pub fn reset(&mut self) {
         self.session.reset();
         self.out.stream = self.out.stream.map(|s| s + 1);
-        self.line = 0;
-        self.last_time = SimTime::ZERO;
+        self.reader.reset();
         self.open = false;
         self.faults = 0;
     }
 
     /// Reject the current line with an error record — or cut the stream
-    /// for a reason outside its bytes, such as a torn final frame. Fails
-    /// with the error `sink` returns.
+    /// for a reason outside its bytes, such as a torn final frame. Only a
+    /// line the reader rejects counts in `lomon_io_parse_errors_total`.
+    /// Fails with the error `sink` returns.
     pub fn fail(
         &mut self,
         fault: Fault,
@@ -550,12 +421,9 @@ impl<'e> StreamDriver<'e> {
         sink: &mut impl RecordSink,
     ) -> io::Result<Step> {
         self.faults += 1;
-        if let Some(io) = &self.io {
-            io.parse_errors.inc();
-        }
         self.flush_metrics();
         let record = Record::Error {
-            line: self.line,
+            line: self.reader.line(),
             fault,
             reason,
         };
@@ -566,20 +434,15 @@ impl<'e> StreamDriver<'e> {
     /// Close the session at the last time seen and emit the verdicts that
     /// finalize on close.
     fn close_session(&mut self, sink: &mut impl RecordSink) -> io::Result<()> {
-        self.session.close(self.last_time);
+        self.session.close(self.reader.last_time());
         self.flush_metrics();
         self.drain(sink)
     }
 
-    /// Add the lines and bytes the decoder consumed since the last flush to
-    /// the I/O metrics, if observed, and flush the session's metrics, if
-    /// attached.
+    /// Add the lines and bytes read since the last flush to the I/O
+    /// metrics, if observed, and flush the session's metrics, if attached.
     fn flush_metrics(&mut self) {
-        let (lines, bytes) = self.decoder.take_counts();
-        if let Some(io) = &self.io {
-            io.lines.add(lines);
-            io.bytes.add(bytes);
-        }
+        self.reader.flush_io();
         self.session.flush_metrics();
     }
 
@@ -597,36 +460,10 @@ impl<'e> StreamDriver<'e> {
     }
 }
 
-/// Nanoseconds since `started`, saturating.
-fn nanos_since(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// Properties violated so far: every one of them has had its verdict
 /// record, since a violation is final.
 fn violations(session: &Session<'_>) -> u64 {
     (0..session.engine().len())
         .filter(|&id| session.verdict(id) == Verdict::Violated)
         .count() as u64
-}
-
-/// Parse one framed line and resolve its name against `voc`.
-fn decode(
-    line: &[u8],
-    format: StreamFormat,
-    voc: &Vocabulary,
-) -> Result<Option<Input>, (Fault, String)> {
-    match parse_stream_line_bytes(format, line) {
-        Ok(None) => Ok(None),
-        Ok(Some(StreamLineRef::Event { time, name, .. })) => {
-            Ok(Some(Input::Event(time, voc.lookup_bytes(name.as_bytes()))))
-        }
-        Ok(Some(StreamLineRef::End(time))) => Ok(Some(Input::End(time))),
-        // Both grammars reject a line that is not UTF-8, so the check
-        // costs nothing on lines that parse.
-        Err(_) if std::str::from_utf8(line).is_err() => {
-            Err((Fault::Encoding, "frame is not valid UTF-8".to_owned()))
-        }
-        Err(reason) => Err((Fault::Parse, reason)),
-    }
 }

@@ -1,8 +1,9 @@
 //! The stream driver's contracts: chunking never changes what a stream
-//! means, unknown names only advance time and never grow the vocabulary,
-//! a runaway line is dropped under the frame cap instead of buffered, the
-//! batch ending reports what the online ending summarizes, and telemetry
-//! is credited at flush points rather than per line.
+//! means, the driver reads a trace as the whole-buffer readers do, unknown
+//! names only advance time and never grow the vocabulary, a runaway line
+//! is dropped under the frame cap instead of buffered, the batch ending
+//! reports what the online ending summarizes, and telemetry is credited
+//! at flush points rather than per line.
 
 use std::io;
 use std::sync::Arc;
@@ -10,7 +11,10 @@ use std::sync::Arc;
 use lomon_core::verdict::Verdict;
 use lomon_engine::{DispatchStats, Engine, Fault, Record, SessionMetrics, Step, StreamDriver};
 use lomon_obs::Registry;
-use lomon_trace::{IoMetrics, SimTime, StreamFormat, Vocabulary, MAX_FRAME_BYTES};
+use lomon_trace::{
+    decode_events_into, read_trace_bytes, read_trace_bytes_into, IoMetrics, SimTime, StreamFormat,
+    Trace, Vocabulary, MAX_FRAME_BYTES,
+};
 use proptest::prelude::*;
 
 const RULEBOOK: [&str; 3] = [
@@ -49,10 +53,18 @@ fn apply(
 /// `lomon_ingest_decode_ns` (zero unobserved).
 type Outcome = (Vec<String>, DispatchStats, (u64, u64, u64));
 
+/// `text` with an oversized line's count of bytes seen blanked: it names
+/// how much of the line had arrived, which depends on the chunking.
+fn blank_seen(text: &str) -> String {
+    match text.split_once(" bytes (") {
+        Some((head, tail)) => format!("{head} bytes (N{}", &tail[tail.find('+').unwrap()..]),
+        None => text.to_owned(),
+    }
+}
+
 /// Feed `chunks` through a fresh driver with a heartbeat every `heartbeat`
 /// events, observed if asked, stopping at settlement with `settle`, then
-/// close the stream. An oversized line's error names how much of it had arrived, so
-/// that count is blanked.
+/// close the stream. An oversized line's count of bytes seen is blanked.
 fn run(
     (engine, voc): (&Engine, &Vocabulary),
     format: StreamFormat,
@@ -61,10 +73,7 @@ fn run(
 ) -> Outcome {
     let mut records = Vec::new();
     let mut sink = |_: &Record<'_>, text: &str| {
-        records.push(match text.split_once(" bytes (") {
-            Some((head, tail)) => format!("{head} bytes (N{}", &tail[tail.find('+').unwrap()..]),
-            None => text.to_owned(),
-        });
+        records.push(blank_seen(text));
         Ok(())
     };
     let io_metrics = IoMetrics::register(&Registry::new());
@@ -80,7 +89,7 @@ fn run(
         }
     }
     if !settled {
-        driver.end_input();
+        driver.push(&[]);
         apply(&mut driver, &mut sink, settle);
     }
     driver.close(&mut sink).expect("sink never fails");
@@ -245,6 +254,137 @@ proptest! {
             prop_assert_eq!(&fed.0, &by_line.0, "{}", label);
             prop_assert_eq!(fed.1, by_line.1, "{}", label);
             prop_assert_eq!(fed.2, by_line.2, "{}", label);
+        }
+    }
+}
+
+/// Feed `chunks` through a fresh driver with `check`'s policy: stop at the
+/// first rejected line. Returns the driver and that line's number and text,
+/// if any, its count of bytes seen blanked.
+fn check_policy<'e>(
+    (engine, voc): (&'e Engine, &'e Vocabulary),
+    chunks: &[&[u8]],
+) -> (StreamDriver<'e>, Option<(u64, String)>) {
+    let mut fault = None;
+    let mut sink = |record: &Record<'_>, _: &str| {
+        if let Record::Error { line, reason, .. } = record {
+            fault = Some((*line, blank_seen(reason)));
+        }
+        Ok(())
+    };
+    let mut driver = StreamDriver::new(engine.session(), voc, StreamFormat::Trace);
+    // The empty chunk last ends the input.
+    for chunk in chunks.iter().chain([&[][..]].iter()) {
+        driver.push(chunk);
+        while let Some(step) = driver.step(&mut sink).expect("sink never fails") {
+            if let Step::Fault(_) = step {
+                return (driver, fault);
+            }
+        }
+    }
+    (driver, fault)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The driver, fed any chunking, and the whole-buffer readers
+    /// `read_trace_bytes` and `decode_events_into` read a trace alike: the
+    /// same events up to the first rejected line, which all of them place
+    /// on the same line with the same text. A name no property uses is an
+    /// event to `read_trace_bytes`, which interns it, only a time advance to
+    /// the driver, and a fault to `decode_events_into`, which stops there.
+    /// The traces mix regular and irregular event lines with unknown names,
+    /// `end` lines, comments and blanks, CRLF endings and an unterminated
+    /// last line, and the lines that are faults: time travel, malformed and
+    /// non-UTF-8 lines, events torn across two lines, and a line over the
+    /// frame cap.
+    #[test]
+    fn every_reader_reads_a_trace_alike(
+        specs in prop::collection::vec((0usize..64, 0u64..=30, any::<bool>()), 0..=40),
+        sizes in prop::collection::vec(1usize..=4096, 1..=16),
+        oversized in 0usize..80,
+        terminated in any::<bool>(),
+    ) {
+        let (engine, voc) = compile(&RULEBOOK);
+        let mut text = Vec::new();
+        let mut time = 0;
+        for (k, &(kind, step, crlf)) in specs.iter().enumerate() {
+            // As in `chunking_never_changes_the_stream`; kinds past the
+            // last are regular events, so most faults come late.
+            time = if kind == 9 { 0 } else { time + step };
+            let kind = match kind {
+                9 => 0,
+                kind if kind < KINDS => kind,
+                kind => kind % 5,
+            };
+            let mut line = line(StreamFormat::Trace, kind, time);
+            if k == oversized {
+                line.splice(0..0, std::iter::repeat_n(b' ', MAX_FRAME_BYTES + 1));
+            }
+            let ending: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+            for piece in line.split(|&b| b == b'\n') {
+                text.extend_from_slice(piece);
+                text.extend_from_slice(ending);
+            }
+        }
+        if !terminated {
+            text.pop();
+        }
+
+        // The whole-buffer readers. `read_trace_bytes_into` is the reader
+        // behind `read_trace_bytes` and keeps the events before a fault.
+        let fault = read_trace_bytes(&text, &mut voc.clone()).err();
+        let mut interned = voc.clone();
+        let mut trace = Trace::new();
+        let read = read_trace_bytes_into(&text, &mut interned, &mut trace, None);
+        prop_assert_eq!(&read.err(), &fault);
+        let fault = fault.map(|e| (e.line as u64, blank_seen(&e.message)));
+        let known = |name: lomon_trace::Name| name.index() < voc.len();
+
+        let mut decoded = Vec::new();
+        let frozen = decode_events_into(&text, &voc, &mut decoded);
+        prop_assert_eq!(&decoded[..], &trace.events()[..decoded.len()]);
+        match frozen {
+            Err(e) if e.message.starts_with("unknown event name") => {
+                prop_assert!(!known(trace.events()[decoded.len()].name));
+                prop_assert!(fault.as_ref().is_none_or(|(line, _)| (e.line as u64) < *line));
+            }
+            frozen => {
+                let frozen = frozen.err().map(|e| (e.line as u64, blank_seen(&e.message)));
+                prop_assert_eq!(&frozen, &fault);
+                prop_assert_eq!(decoded.len(), trace.len());
+                prop_assert!(trace.events().iter().all(|event| known(event.name)));
+            }
+        }
+
+        // The driver applies the same events, an unknown name as a time
+        // advance, however the bytes arrive.
+        let mut reference = engine.session();
+        for &event in trace.events() {
+            if known(event.name) {
+                reference.ingest(event);
+            } else {
+                reference.advance_time(event.time);
+            }
+        }
+        let mut chunks = Vec::new();
+        let mut rest = &text[..];
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            chunks.push(chunk);
+            rest = tail;
+        }
+        for chunks in [&[&text[..]][..], &chunks] {
+            let (driver, driven) = check_policy((&engine, &voc), chunks);
+            prop_assert_eq!(&driven, &fault);
+            prop_assert_eq!(driver.session().stats(), reference.stats());
+            for id in 0..engine.len() {
+                prop_assert_eq!(driver.session().verdict(id), reference.verdict(id));
+            }
         }
     }
 }

@@ -7,14 +7,19 @@
 //! feed it whatever [`push`](FrameDecoder::push) chunks arrive and drain
 //! complete frames with [`next_frame`](FrameDecoder::next_frame).
 //!
-//! The decoder is deliberately defensive — it backs every streaming
-//! surface (`lomon check` on trace files, `lomon watch` on stdin, `lomon
-//! serve` on sockets), where one input must not be able to grow memory
-//! without bound. Frames longer than the cap ([`MAX_FRAME_BYTES`] on every
-//! surface) are not buffered:
-//! the pending bytes are discarded the moment they exceed the cap, an
+//! The decoder is deliberately defensive — it frames the lines of the one
+//! trace reader ([`LineReader`](crate::LineReader)) on every surface
+//! (`lomon check` on trace files, `lomon watch` on stdin, `lomon serve` on
+//! sockets, and the commands that load a trace file), where one input must
+//! not be able to grow memory without bound. Frames longer than the cap
+//! ([`MAX_FRAME_BYTES`] on every surface) are not buffered: the pending
+//! bytes are discarded the moment they exceed the cap, an
 //! [`Frame::Oversized`] notice is surfaced exactly once, and the decoder
-//! silently resynchronizes at the next newline.
+//! silently resynchronizes at the next newline. A decoder can also frame
+//! one whole buffer in place, without copying it, as the whole-buffer
+//! readers do.
+
+use std::borrow::Cow;
 
 /// The frame cap of the streaming surfaces: the longest line `lomon
 /// check`, `lomon watch` and `lomon serve` accept (64 KiB).
@@ -35,7 +40,8 @@ pub enum Frame<'a> {
     },
 }
 
-/// An incremental line framer with a hard per-frame byte cap.
+/// An incremental line framer with a hard per-frame byte cap. It owns the
+/// bytes pushed into it, or borrows one whole buffer for `'a`.
 ///
 /// ```
 /// use lomon_trace::frame::{Frame, FrameDecoder};
@@ -51,59 +57,76 @@ pub enum Frame<'a> {
 /// assert_eq!(dec.partial_len(), 6); // the torn tail is still pending
 /// ```
 #[derive(Debug)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
+pub struct FrameDecoder<'a> {
+    buf: Cow<'a, [u8]>,
     /// Consumed prefix: bytes before `start` have been delivered.
     start: usize,
     /// Scan cursor: bytes before `scan` are known newline-free.
     scan: usize,
-    /// End of the complete lines: just past the last `\n` pushed.
+    /// End of the complete lines: just past the last `\n` pushed, or the
+    /// end of the input once it has ended.
     complete: usize,
     max_frame: usize,
     /// Mid-discard of an oversized frame: swallow bytes up to the next
     /// newline without reporting them again.
     skipping: bool,
+    /// The input has ended: a last line without a `\n` is complete.
+    ended: bool,
     /// Lines and bytes consumed since the last [`FrameDecoder::take_counts`].
     lines: u64,
     bytes: u64,
-    /// Where [`FrameDecoder::end_input`] put the `\n` that ends an
-    /// unterminated last line: a byte of no input, never counted.
-    synthetic: Option<usize>,
 }
 
-impl FrameDecoder {
+impl<'a> FrameDecoder<'a> {
     /// A decoder that refuses to buffer more than `max_frame` bytes for
     /// any single frame.
     pub fn new(max_frame: usize) -> Self {
         FrameDecoder {
-            buf: Vec::new(),
+            buf: Cow::Owned(Vec::new()),
             start: 0,
             scan: 0,
             complete: 0,
             max_frame,
             skipping: false,
+            ended: false,
             lines: 0,
             bytes: 0,
-            synthetic: None,
         }
     }
 
-    /// Append one chunk of raw bytes, as read off the wire.
+    /// A decoder over one whole buffer, framed in place: its input has
+    /// ended, and nothing is pushed into it.
+    pub(crate) fn whole(bytes: &'a [u8], max_frame: usize) -> Self {
+        let mut frames = FrameDecoder::new(max_frame);
+        frames.buf = Cow::Borrowed(bytes);
+        frames.push(&[]);
+        frames
+    }
+
+    /// Append one chunk of raw bytes, as read off the wire. An empty chunk,
+    /// the read that finds the end of the input, ends it: a last line
+    /// without a `\n` still counts, and no byte is counted for the `\n` it
+    /// lacks. Input pushed after that is new input.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.ended = bytes.is_empty();
+        if self.ended {
+            self.complete = self.buf.len();
+            return;
+        }
+        let buf = self.buf.to_mut();
         // Reclaim the consumed prefix before growing: the buffer then
         // stays bounded by the cap plus one read chunk, however long the
         // connection lives.
-        if self.start > 0 && (self.start == self.buf.len() || self.start >= 4096) {
-            self.buf.drain(..self.start);
+        if self.start > 0 && (self.start == buf.len() || self.start >= 4096) {
+            buf.drain(..self.start);
             self.scan -= self.start;
             self.complete = self.complete.saturating_sub(self.start);
-            self.synthetic = self.synthetic.map(|at| at - self.start);
             self.start = 0;
         }
         if let Some(last) = bytes.iter().rposition(|&b| b == b'\n') {
-            self.complete = self.buf.len() + last + 1;
+            self.complete = buf.len() + last + 1;
         }
-        self.buf.extend_from_slice(bytes);
+        buf.extend_from_slice(bytes);
     }
 
     /// The next complete frame, if one is buffered. Returns `None` when
@@ -111,25 +134,11 @@ impl FrameDecoder {
     /// and ask again.
     pub fn next_frame(&mut self) -> Option<Frame<'_>> {
         loop {
-            match find_newline(&self.buf[self.scan..]) {
-                Some(pos) => {
-                    let nl = self.scan + pos;
-                    let line_start = self.start;
-                    self.advance(nl + 1);
-                    if self.skipping {
-                        // The tail of a frame already reported oversized.
-                        self.skipping = false;
-                        continue;
-                    }
-                    self.lines += 1;
-                    let mut line = &self.buf[line_start..nl];
-                    if line.last() == Some(&b'\r') {
-                        line = &line[..line.len() - 1];
-                    }
-                    if line.len() > self.max_frame {
-                        return Some(Frame::Oversized { seen: line.len() });
-                    }
-                    return Some(Frame::Line(line));
+            let (end, next) = match find_newline(&self.buf[self.scan..]) {
+                Some(pos) => (self.scan + pos, self.scan + pos + 1),
+                // The input has ended: the rest is its last line.
+                None if self.ended && self.start < self.buf.len() => {
+                    (self.buf.len(), self.buf.len())
                 }
                 None => {
                     if self.skipping {
@@ -154,16 +163,23 @@ impl FrameDecoder {
                     self.scan = self.buf.len();
                     return None;
                 }
+            };
+            let line_start = self.start;
+            self.advance(next);
+            if self.skipping {
+                // The tail of a frame already reported oversized.
+                self.skipping = false;
+                continue;
             }
-        }
-    }
-
-    /// The input has ended: a last line without a `\n` still counts, so
-    /// end it as if one followed, without counting a byte for it.
-    pub fn end_input(&mut self) {
-        if self.partial_len() > 0 && self.buf.last() != Some(&b'\n') {
-            self.push(b"\n");
-            self.synthetic = Some(self.buf.len() - 1);
+            self.lines += 1;
+            let mut line = &self.buf[line_start..end];
+            if line.last() == Some(&b'\r') {
+                line = &line[..line.len() - 1];
+            }
+            if line.len() > self.max_frame {
+                return Some(Frame::Oversized { seen: line.len() });
+            }
+            return Some(Frame::Line(line));
         }
     }
 
@@ -175,11 +191,12 @@ impl FrameDecoder {
     }
 
     /// The complete lines buffered and not yet handed out, each with its
-    /// `\n`, without the frame still arriving. A caller may decode a prefix
-    /// of them itself and [`consume`](FrameDecoder::consume) it. Empty
-    /// while the tail of an oversized frame is being dropped: only
+    /// `\n` (the last line of an ended input may lack it), without the
+    /// frame still arriving. A caller may decode a prefix of them itself
+    /// and [`consume`](FrameDecoder::consume) it. Empty while the tail of
+    /// an oversized frame is being dropped: only
     /// [`next_frame`](FrameDecoder::next_frame) gets past it.
-    pub fn buffered(&self) -> &[u8] {
+    pub(crate) fn buffered(&self) -> &[u8] {
         if self.skipping || self.start >= self.complete {
             return &[];
         }
@@ -187,15 +204,16 @@ impl FrameDecoder {
     }
 
     /// Mark the first `len` bytes of [`buffered`](FrameDecoder::buffered)
-    /// consumed: `lines` whole lines, the last one ending at a `\n`.
+    /// consumed: `lines` whole lines.
     ///
     /// # Panics
     ///
     /// Panics if `len` bytes are not complete buffered lines.
-    pub fn consume(&mut self, lines: u64, len: usize) {
+    pub(crate) fn consume(&mut self, lines: u64, len: usize) {
         let end = self.start + len;
+        let whole = len == 0 || self.buf[end - 1] == b'\n' || end == self.complete;
         assert!(
-            len == 0 || (len <= self.buffered().len() && self.buf[end - 1] == b'\n'),
+            len <= self.buffered().len() && whole,
             "only whole buffered lines can be consumed"
         );
         self.advance(end);
@@ -206,18 +224,17 @@ impl FrameDecoder {
     /// out (an oversized one counts once), every line
     /// [`consume`](FrameDecoder::consume)d, and every byte moved past —
     /// delivered, dropped, or a stripped `\r` and `\n`.
-    pub fn take_counts(&mut self) -> (u64, u64) {
+    pub(crate) fn take_counts(&mut self) -> (u64, u64) {
         let counts = (self.lines, self.bytes);
         (self.lines, self.bytes) = (0, 0);
         counts
     }
 
-    /// Move the consumed prefix's end to `to`, counting the bytes passed
-    /// (but not a synthetic `\n`). Every byte before `to` is known to be
-    /// newline-free or consumed, so the scan cursor moves with it.
+    /// Move the consumed prefix's end to `to`, counting the bytes passed.
+    /// Every byte before `to` is known to be newline-free or consumed, so
+    /// the scan cursor moves with it.
     fn advance(&mut self, to: usize) {
-        let synthetic = self.synthetic.take_if(|at| *at < to).is_some();
-        self.bytes += (to - self.start - usize::from(synthetic)) as u64;
+        self.bytes += (to - self.start) as u64;
         self.start = to;
         self.scan = self.scan.max(to);
     }
@@ -287,19 +304,19 @@ mod tests {
     #[test]
     fn end_input_frames_the_last_line_without_counting_a_byte() {
         let mut dec = FrameDecoder::new(8);
-        dec.end_input();
+        dec.push(b"");
         assert_eq!(dec.partial_len(), 0, "nothing pending: a no-op");
         dec.push(b"one\ntwo");
         assert_eq!(drain(&mut dec), vec![Ok(b"one".to_vec())]);
-        dec.end_input();
-        dec.end_input();
+        dec.push(b"");
+        dec.push(b"");
         assert_eq!(drain(&mut dec), vec![Ok(b"two".to_vec())]);
         assert_eq!(dec.take_counts(), (2, 7));
         // The tail of an oversized frame ends there too, counted once.
         dec.push(b"toolongtail");
         assert_eq!(dec.next_frame(), Some(Frame::Oversized { seen: 11 }));
         dec.push(b"more");
-        dec.end_input();
+        dec.push(b"");
         assert_eq!(drain(&mut dec), vec![]);
         assert_eq!(dec.take_counts(), (1, 15));
     }
@@ -396,7 +413,10 @@ mod tests {
             assert!(dec.next_frame().is_some());
             // The consumed prefix is reclaimed: the buffer never grows
             // past a few frames even over an unbounded connection.
-            assert!(dec.buf.capacity() < 64 * 1024);
+            let Cow::Owned(buf) = &dec.buf else {
+                unreachable!("a decoder pushed into owns its bytes")
+            };
+            assert!(buf.capacity() < 64 * 1024);
         }
     }
 }

@@ -17,14 +17,11 @@
 //! stopped (needed to detect deadlines that expired after the last event).
 //!
 //! This module holds the format's full grammar ([`parse_trace_line`],
-//! which alone words a fault), the two time-order faults every reader
-//! shares ([`time_order_error`]), the error type, the telemetry families
-//! and the writer. Every reader runs the format's fast lexer
+//! which words the grammar's faults), the error type, the telemetry
+//! families and the writer. The one trace
+//! reader ([`crate::reader`]) runs the format's fast lexer
 //! ([`lex_regular_event`](crate::lex_regular_event)) first and this
-//! grammar on each line the lexer does not take: the whole-buffer loop in
-//! [`crate::wire`] behind [`read_trace_bytes`](crate::read_trace_bytes),
-//! and [`parse_stream_line_bytes`](crate::parse_stream_line_bytes) behind
-//! the engine's stream driver.
+//! grammar on each line the lexer does not take.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -34,29 +31,31 @@ use lomon_obs::{Counter, Histogram, Registry};
 use crate::name::Direction;
 use crate::ndjson::StreamLineRef;
 use crate::time::parse_sim_time;
-use crate::{SimTime, Trace, Vocabulary};
+use crate::{Trace, Vocabulary};
 
-/// Telemetry counters for trace I/O, shared by the engine's stream driver
-/// (`check`, `watch` and `serve` with `--metrics`) and
+/// Telemetry counters for trace I/O, shared by an observed
+/// [`LineReader`](crate::LineReader) (the stream driver of `check`, `watch`
+/// and `serve` with `--metrics`) and
 /// [`read_trace_bytes_into`](crate::read_trace_bytes_into).
 #[derive(Debug)]
 pub struct IoMetrics {
     /// `lomon_io_lines_total`: text lines consumed (including comments,
-    /// blanks and, on the stream driver, lines dropped as oversized).
+    /// blanks and lines dropped as oversized).
     pub lines: Arc<Counter>,
     /// `lomon_io_bytes_total`: bytes of trace text consumed, line endings
     /// and the bytes of dropped lines included.
     pub bytes: Arc<Counter>,
-    /// `lomon_io_parse_errors_total`: lines rejected by the parser.
+    /// `lomon_io_parse_errors_total`: lines rejected by the reader.
     pub parse_errors: Arc<Counter>,
     /// `lomon_ingest_decode_ns`: nanoseconds spent decoding trace bytes
-    /// into events. The engine's stream driver records a sample: the
-    /// decode of one line in 64, picked by line number, so the count is
-    /// about a 64th of `lomon_io_lines_total`. A line decoded on its own is
-    /// timed from its parse to its name lookup. Inside a run of regular
-    /// lines, which an observed driver ends at each sampled line, the
-    /// sampled line is timed from its lex to its name lookup, and the
-    /// sample is recorded once the run has applied it.
+    /// into events. An observed [`LineReader`](crate::LineReader) records
+    /// a sample: the decode of one line in 64, picked by line number, so
+    /// the count is about a 64th of `lomon_io_lines_total`. A line read on
+    /// its own is timed from its parse to its name lookup. Inside a run of
+    /// regular lines, which an observed reader ends at each sampled line,
+    /// the sampled line is timed from its lex to its name lookup, and the
+    /// sample is recorded once the run has applied it. A line dropped over
+    /// the frame cap is not timed.
     /// [`read_trace_bytes_into`](crate::read_trace_bytes_into) records once
     /// per decoded buffer. Either way the instrumentation stays off the
     /// per-byte and per-line hot path.
@@ -97,19 +96,6 @@ impl std::fmt::Display for TraceParseError {
 }
 
 impl std::error::Error for TraceParseError {}
-
-/// The fault of a line whose `time` precedes `last`, the stream's time so
-/// far: an `end` line's when `end`, else an event's. Every reader words
-/// the fault here; callers test `time < last` inline, so no line that
-/// keeps time in order reaches this.
-#[cold]
-pub fn time_order_error(end: bool, time: SimTime, last: SimTime) -> String {
-    if end {
-        format!("end time {time} precedes last event at {last}")
-    } else {
-        format!("timestamp {time} precedes previous event at {last}")
-    }
-}
 
 /// The full grammar of the trace text format, on one line: every line the
 /// fast lexer does not take comes here, and every fault is worded here.
@@ -184,7 +170,7 @@ pub fn write_trace(trace: &Trace, voc: &Vocabulary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{read_trace_bytes, read_trace_bytes_into};
+    use crate::{read_trace_bytes, read_trace_bytes_into, SimTime};
 
     #[test]
     fn read_basic_trace() {

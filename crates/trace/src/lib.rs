@@ -16,12 +16,13 @@
 //! * [`TimedEvent`] — one name occurrence with its timestamp;
 //! * [`Trace`] — a time-ordered sequence of events with projection and
 //!   text-file I/O;
-//! * the stream readers — for each line format (trace text, NDJSON) one
-//!   fast lexer of the regular event line ([`lex_regular_event`]) and one
-//!   full grammar for every other line, which alone words faults
-//!   ([`parse_stream_line_bytes`] runs the pair on one line, and one
-//!   whole-buffer loop runs it behind [`read_trace_bytes`] and
-//!   [`decode_events_into`]);
+//! * [`LineReader`] — the one reader of trace lines: it frames bytes
+//!   under the 64 KiB cap, reads each run of regular event lines with the
+//!   format's fast lexer ([`lex_regular_event`]) and every other line with
+//!   the format's full grammar ([`parse_stream_line_bytes`]), keeps time
+//!   order and words every fault. The engine's stream driver, the
+//!   commands that load a trace file and the whole-buffer readers
+//!   ([`read_trace_bytes`], [`decode_events_into`]) all run it;
 //! * [`RunLengthLexer`] — the "lexical analyzer" of the paper's Section 5
 //!   that rewrites maximal runs `n…n` into per-length tokens, used by the
 //!   translation of ranges to PSL.
@@ -48,6 +49,7 @@ pub mod lexer;
 pub mod mmap;
 pub mod name;
 pub mod ndjson;
+pub mod reader;
 pub mod time;
 pub mod trace;
 pub mod vcd;
@@ -55,7 +57,7 @@ pub mod wire;
 
 pub use event::TimedEvent;
 pub use frame::{Frame, FrameDecoder, MAX_FRAME_BYTES};
-pub use io::{parse_trace_line, time_order_error, write_trace, IoMetrics, TraceParseError};
+pub use io::{parse_trace_line, write_trace, IoMetrics, TraceParseError};
 pub use lexer::{LexedEvent, LexedToken, RunLengthLexer};
 pub use lomon_obs::json_escape;
 pub use mmap::MappedFile;
@@ -64,6 +66,7 @@ pub use ndjson::{
     lex_regular_event, parse_ndjson_line_ref, parse_stream_line_bytes, RegularEvent, StreamFormat,
     StreamLineRef,
 };
+pub use reader::{Fault, Line, LineReader};
 pub use time::SimTime;
 pub use trace::Trace;
 pub use vcd::write_vcd;

@@ -6,9 +6,10 @@
 //! page cache directly — no copy, no allocation proportional to file size.
 //!
 //! No `lomon` command maps files any more: a mapped file that is
-//! truncated while it is read raises `SIGBUS`, so `check` streams its
-//! files through the engine's stream driver and the other commands read
-//! them whole. This type stays for the benchmark's layer timings.
+//! truncated while it is read raises `SIGBUS`, so every command reads
+//! its trace files in 64 KiB reads through the trace reader
+//! ([`LineReader`](crate::LineReader)). This type stays for the
+//! benchmark's layer timings.
 //!
 //! The mapping is advisory, not load-bearing: on targets without the
 //! expected `mmap(2)` ABI (anything but 64-bit Unix) or when the syscall

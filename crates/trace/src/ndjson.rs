@@ -17,10 +17,10 @@
 //! Each format has one fast lexer for its regular event line,
 //! [`lex_regular_event`], and one full grammar for every other line.
 //! [`parse_stream_line_bytes`] tries the lexer first and runs the grammar
-//! on the rest; the engine's stream driver lexes whole runs of regular
-//! lines and hands it every other line. The lexers only ever accept: a
-//! line they take reads to the same event under the full grammar, which
-//! alone decides and words faults.
+//! on the rest; the one trace reader ([`crate::reader`]) lexes whole runs
+//! of regular lines and hands it every other line. The lexers only ever
+//! accept: a line they take reads to the same event under the full
+//! grammar, which alone decides and words grammar faults.
 //!
 //! The NDJSON lexer takes only the regular event object — a flat object
 //! of ASCII bytes whose keys are `time`, `dir` and `name`, each at most

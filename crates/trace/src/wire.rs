@@ -1,45 +1,49 @@
-//! Byte-slice decode of the trace text format: its fast lexer and the one
-//! whole-buffer loop.
+//! Byte-slice decode of the trace text format: its fast lexer, and the
+//! whole-buffer readers, which run the one trace reader over a buffer.
 //!
 //! Each stream format has one fast lexer for its regular event line and
-//! one full grammar for every other line; every reader runs that pair.
-//! For trace text:
+//! one full grammar for every other line, and one reader runs the pair
+//! ([`crate::reader`]). For trace text:
 //!
 //! * The fast lexer (reached through
 //!   [`lex_regular_event`](crate::lex_regular_event)) takes only a regular
 //!   event line, an ASCII `<time> <in|out> <name>`, in one pass over its
 //!   bytes, borrowing the name from the input. It never words a fault.
-//! * The full grammar is [`parse_trace_line`], which decides every other
-//!   line — blank, comment, `end`, non-ASCII, malformed — and words every
-//!   fault. It reads a line the lexer takes to the same time, direction
-//!   and name (a differential proptest suite pins this).
+//! * The full grammar is [`parse_trace_line`](crate::parse_trace_line),
+//!   which decides every other line — blank, comment, `end`, non-ASCII,
+//!   malformed — and words its faults. It reads a line the lexer takes to
+//!   the same time, direction and name (a differential proptest suite pins
+//!   this).
 //!
-//! One private loop decodes a whole buffer with that pair: lex the line at
-//! the head of the buffer, else cut it at its `\n` (dropping a CRLF `\r`)
-//! and parse it. Its two entry points differ only in how a name resolves:
+//! The whole-buffer readers run the reader over the caller's buffer in
+//! place, in one pass, and stop at the first fault. They differ only in
+//! how a name resolves:
 //!
 //! * [`read_trace_bytes`] loads a whole buffer as a [`Trace`], interning
-//!   names, for the commands that take a trace as a value (`vcd`,
-//!   `profile`, `lint --trace`, `smc --trace`).
-//!   [`read_trace_bytes_into`] reuses one [`Trace`] allocation across
-//!   buffers and optionally records into [`IoMetrics`], once per buffer.
+//!   names. [`read_trace_bytes_into`] reuses one [`Trace`] allocation
+//!   across buffers and optionally records into [`IoMetrics`], once per
+//!   buffer.
 //! * [`decode_events_into`] resolves names against a frozen vocabulary,
 //!   [`Vocabulary::lookup_bytes`]'s byte-keyed table, into a caller-owned,
 //!   reusable `Vec<TimedEvent>`; a name outside it is an error.
 //!
-//! No `lomon` command calls [`read_trace_bytes_into`] or
-//! [`decode_events_into`] directly: they stay for the benchmark's layer
-//! timings, and [`decode_events_into`] is the `wire` leg the `wire_speed`
-//! gate holds the stream driver against. The driver runs the same lexer.
+//! No `lomon` command calls them: a command that loads a trace file as a
+//! value reads it in chunks through
+//! [`LineReader::read_trace`](crate::LineReader::read_trace). They serve
+//! tests, examples and the benchmark's layer timings, and
+//! [`decode_events_into`] is the `wire` leg the `wire_speed` gate holds
+//! the stream driver against.
 
-use std::time::Instant;
+use std::sync::Arc;
 
-use crate::frame::find_newline;
-use crate::io::{parse_trace_line, time_order_error, IoMetrics, TraceParseError};
+use lomon_obs::Stopwatch;
+
+use crate::io::{IoMetrics, TraceParseError};
 use crate::name::Direction;
-use crate::ndjson::{RegularEvent, StreamLineRef};
+use crate::ndjson::{RegularEvent, StreamFormat};
+use crate::reader::{Fault, LineReader};
 use crate::time::scale_time;
-use crate::{Name, SimTime, TimedEvent, Trace, Vocabulary};
+use crate::{SimTime, TimedEvent, Trace, Vocabulary};
 
 /// ASCII whitespace, byte-for-byte what `char::is_whitespace` accepts in
 /// the ASCII range: space, tab, LF, vertical tab, form feed, CR.
@@ -106,7 +110,8 @@ pub(crate) fn lex_time(bytes: &[u8]) -> Option<(SimTime, usize)> {
 /// regular event line, `<time> <in|out> <name>` with only ASCII bytes and
 /// ASCII whitespace around the fields. The line ends at its first `\n`,
 /// counted in `len`, or at the end of `bytes`. Every other line gets
-/// `None` and is [`parse_trace_line`]'s to decide.
+/// `None` and is [`parse_trace_line`](crate::parse_trace_line)'s to
+/// decide.
 #[inline]
 pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
     // Each byte of a regular line is touched once; the lexer bails the
@@ -144,9 +149,10 @@ pub(crate) fn lex_trace_event(bytes: &[u8]) -> Option<RegularEvent<'_>> {
 ///
 /// # Errors
 ///
-/// A [`TraceParseError`] with the offending 1-based line on a malformed
-/// line (the message is [`parse_trace_line`]'s), a line that is not UTF-8,
-/// or a timestamp before the previous event or `end` time.
+/// A [`TraceParseError`] with the offending 1-based line and the reader's
+/// reason (see [`crate::reader`]): a malformed line, a line that is not
+/// UTF-8 or over the frame cap, or a timestamp before the previous event
+/// or `end` time.
 pub fn read_trace_bytes(bytes: &[u8], voc: &mut Vocabulary) -> Result<Trace, TraceParseError> {
     let mut trace = Trace::new();
     read_trace_bytes_into(bytes, voc, &mut trace, None)?;
@@ -168,34 +174,17 @@ pub fn read_trace_bytes_into(
     trace: &mut Trace,
     metrics: Option<&IoMetrics>,
 ) -> Result<(), TraceParseError> {
-    let started = metrics.map(|_| Instant::now());
+    // One decode sample per buffer, recorded when the read returns.
+    let _timer = metrics.map(|m| Stopwatch::start(Arc::clone(&m.decode_ns)));
     trace.clear();
-    let result = decode_into(bytes, &mut trace.events, |name, direction| {
-        Some(match voc.lookup_bytes(name) {
-            Some(name) => name,
-            None => voc.intern(&String::from_utf8_lossy(name), direction),
-        })
-    });
-    if let Ok(summary) = &result {
-        // As `Trace::push` would: an event after the last `end` line
-        // raises the end time to its own.
-        trace.end_time = summary.end_time.map(|end| end.max(trace.end_time()));
-    }
+    let mut reader = LineReader::whole(StreamFormat::Trace, bytes);
+    let result = reader.read_trace(voc, trace);
     if let Some(m) = metrics {
-        m.lines.add(match &result {
-            Ok(summary) => summary.lines,
-            Err(e) => e.line as u64,
-        });
+        m.lines.add(reader.line());
         m.bytes.add(bytes.len() as u64);
-        if result.is_err() {
-            m.parse_errors.inc();
-        }
-        if let Some(t0) = started {
-            m.decode_ns
-                .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        m.parse_errors.add(u64::from(result.is_err()));
     }
-    result.map(|_| ())
+    result.map_err(|fault| whole_error(&reader, fault))
 }
 
 /// Outcome of a whole-buffer [`decode_events_into`] pass.
@@ -229,87 +218,18 @@ pub fn decode_events_into(
     out: &mut Vec<TimedEvent>,
 ) -> Result<DecodeSummary, TraceParseError> {
     out.clear();
-    decode_into(bytes, out, |name, _| voc.lookup_bytes(name))
+    let mut reader = LineReader::whole(StreamFormat::Trace, bytes);
+    let end_time = reader
+        .read_events(out, |name, _| voc.lookup_bytes(name))
+        .map_err(|fault| whole_error(&reader, fault))?;
+    let lines = reader.line();
+    Ok(DecodeSummary { lines, end_time })
 }
 
-/// The one whole-buffer loop: append each event of `bytes` to `out`, its
-/// name resolved by `resolve` from its bytes and direction (`None` fails
-/// the line as an unknown name). A line the fast lexer takes is applied
-/// straight away; any other is cut at its `\n`, a CRLF `\r` dropped, and
-/// parsed by [`parse_trace_line`].
-#[inline]
-fn decode_into(
-    bytes: &[u8],
-    out: &mut Vec<TimedEvent>,
-    mut resolve: impl FnMut(&[u8], Direction) -> Option<Name>,
-) -> Result<DecodeSummary, TraceParseError> {
-    let mut summary = DecodeSummary::default();
-    let mut last = SimTime::ZERO;
-    let mut pos = 0;
-    let mut line = 0;
-    while pos < bytes.len() {
-        line += 1;
-        let fail = |message| TraceParseError { line, message };
-        // The lexed line is applied on its own path: sharing the tail
-        // below with the grammar's events cost the `wire_speed` wire leg
-        // about 4%.
-        if let Some(event) = lex_trace_event(&bytes[pos..]) {
-            if event.time < last {
-                return Err(fail(time_order_error(false, event.time, last)));
-            }
-            let Some(name) = resolve(event.name, event.direction) else {
-                return Err(fail(unknown_name(event.name)));
-            };
-            out.push(TimedEvent::new(name, event.time));
-            last = event.time;
-            pos += event.len;
-            continue;
-        }
-        let rest = &bytes[pos..];
-        let raw = match find_newline(rest) {
-            Some(nl) => {
-                pos += nl + 1;
-                rest[..nl].strip_suffix(b"\r").unwrap_or(&rest[..nl])
-            }
-            None => {
-                pos = bytes.len();
-                rest
-            }
-        };
-        let text = std::str::from_utf8(raw).map_err(|_| fail("line is not valid UTF-8".into()))?;
-        match parse_trace_line(text).map_err(fail)? {
-            None => {}
-            Some(StreamLineRef::End(time)) => {
-                if time < last {
-                    return Err(fail(time_order_error(true, time, last)));
-                }
-                summary.end_time = Some(time);
-                last = time;
-            }
-            Some(StreamLineRef::Event {
-                time,
-                direction,
-                name,
-            }) => {
-                if time < last {
-                    return Err(fail(time_order_error(false, time, last)));
-                }
-                let Some(id) = resolve(name.as_bytes(), direction) else {
-                    return Err(fail(unknown_name(name.as_bytes())));
-                };
-                out.push(TimedEvent::new(id, time));
-                last = time;
-            }
-        }
-    }
-    summary.lines = line as u64;
-    Ok(summary)
-}
-
-/// The fault of a name a frozen vocabulary does not hold.
-#[cold]
-fn unknown_name(name: &[u8]) -> String {
-    format!("unknown event name `{}`", String::from_utf8_lossy(name))
+/// The error of a whole-buffer reader stopped by a rejected line.
+fn whole_error(reader: &LineReader<'_>, (_, message): (Fault, String)) -> TraceParseError {
+    let line = reader.line() as usize;
+    TraceParseError { line, message }
 }
 
 #[cfg(test)]

@@ -61,7 +61,9 @@ use std::str::FromStr;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use lomon::core::analysis::{prune_dead, AnalysisOptions, Diagnostic, Divergence, Severity};
+use lomon::core::analysis::{
+    prune_dead, AnalysisOptions, Diagnostic, Divergence, Severity, STATE_BUDGET,
+};
 use lomon::core::parse::parse_property;
 use lomon::engine::{
     error_diagnostics, profile_trace, rulebook_lines, Backend, DispatchMode, Engine, EngineReport,
@@ -76,7 +78,7 @@ use lomon::smc::{
 };
 use lomon::tlm::scenario::{run_scenario, ScenarioConfig};
 use lomon::trace::{
-    json_escape, read_trace_bytes, write_trace, write_vcd, IoMetrics, Name, NameSet, SimTime,
+    json_escape, write_trace, write_vcd, IoMetrics, LineReader, Name, NameSet, SimTime,
     StreamFormat, Trace, Vocabulary,
 };
 
@@ -403,19 +405,44 @@ fn verdict_code(ok: bool) -> ExitCode {
 }
 
 /// Read one whole trace file into memory, for the commands that need the
-/// trace as a value (`vcd`, `profile`, `lint --trace`, `smc --trace`):
-/// one heap read, decoded by the whole-buffer reader ([`read_trace_bytes`]). A file
-/// that is not UTF-8 fails with the `cannot read …` diagnostic class
-/// instead of a per-line parse error; any failure exits with `code`.
-/// `check` streams its files instead.
+/// trace as a value (`vcd`, `profile`, `lint --trace`, `smc --trace`). It
+/// goes through the trace reader in the reads `check` makes, so a file
+/// fails with the diagnostic `check` prints for it ([`trace_error`]); any
+/// failure exits with `code`. Only the [`Trace`] grows with the file.
 fn load(path: &str, voc: &mut Vocabulary, code: u8) -> Result<Trace, ExitCode> {
-    std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e}"))
-        .and_then(|text| read_trace_bytes(text.as_bytes(), voc).map_err(|e| format!("{path}: {e}")))
-        .map_err(|message| {
-            stderr!("error: {message}");
-            ExitCode::from(code)
-        })
+    let fail = |message: String| {
+        stderr!("error: {message}");
+        ExitCode::from(code)
+    };
+    let mut file =
+        std::fs::File::open(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
+    let mut reader = LineReader::new(StreamFormat::Trace);
+    let mut trace = Trace::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    loop {
+        let n = match file.read(&mut chunk) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            n => n.map_err(|e| fail(format!("cannot read {path}: {e}")))?,
+        };
+        reader.push(&chunk[..n]);
+        if let Err((fault, reason)) = reader.read_trace(voc, &mut trace) {
+            return Err(fail(trace_error(path, reader.line(), fault, &reason)));
+        }
+        if n == 0 {
+            return Ok(trace);
+        }
+    }
+}
+
+/// The diagnostic of a rejected line of the trace file `path`, the same on
+/// every command: a line that is not UTF-8 makes the file unreadable, any
+/// other fault names its line.
+fn trace_error(path: &str, line: u64, fault: Fault, reason: &str) -> String {
+    if fault == Fault::Encoding {
+        format!("cannot read {path}: stream did not contain valid UTF-8")
+    } else {
+        format!("{path}: trace line {line}: {reason}")
+    }
 }
 
 /// A vocabulary that already holds the rulebook's names, for the commands
@@ -693,12 +720,10 @@ fn check_files(
         let mut emit = |record: &Record<'_>, text: &str| -> io::Result<()> {
             match record {
                 Record::Error {
-                    fault: Fault::Encoding,
-                    ..
-                } => stderr!("error: cannot read {path}: stream did not contain valid UTF-8"),
-                Record::Error { line, reason, .. } => {
-                    stderr!("error: {path}: trace line {line}: {reason}");
-                }
+                    line,
+                    fault,
+                    reason,
+                } => stderr!("error: {}", trace_error(path, *line, *fault, reason)),
                 Record::Stats(_) => {
                     let _ = io::stderr().write_all(text.as_bytes());
                 }
@@ -826,28 +851,23 @@ fn pump<'e, S: RecordSink>(
     mut policy: impl FnMut(&mut StreamDriver<'e>, Step, &mut S) -> io::Result<Flow>,
 ) -> io::Result<Flow> {
     loop {
-        let ended = match input.read(chunk) {
-            Ok(0) => {
-                driver.end_input();
-                true
-            }
-            Ok(n) => {
-                driver.push(&chunk[..n]);
-                false
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
+        let n = match input.read(chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => {
                 stderr!("error: cannot read {source}: {e}");
                 return Ok(Flow::Exit(ExitCode::FAILURE));
             }
         };
+        // The empty read at the end of the input ends it.
+        driver.push(&chunk[..n]);
         while let Some(step) = driver.step(sink)? {
             match policy(driver, step, sink)? {
                 Flow::Go => {}
                 flow => return Ok(flow),
             }
         }
-        if ended {
+        if n == 0 {
             return Ok(Flow::Stop);
         }
     }
@@ -1083,7 +1103,7 @@ fn smc(raw: &[String], out: &mut Out) -> Outcome {
     drop(compile_span);
     // The warning passes run on the campaign's own engine, and
     // `--deny-warnings` refuses before anything is written to stdout.
-    let warnings = campaign.engine().analyze(&AnalysisOptions::default());
+    let warnings = campaign.engine().analyze();
     print_warnings(&warnings, args.has("--deny-warnings"))?;
     if let Some(telemetry) = &telemetry {
         let metrics = CampaignMetrics::register(&telemetry.registry, campaign.engine().len());
@@ -1214,10 +1234,7 @@ fn lint(raw: &[String], out: &mut Out) -> Outcome {
         counts.into_iter().collect()
     });
 
-    let opts = AnalysisOptions {
-        corpus,
-        ..AnalysisOptions::default()
-    };
+    let opts = AnalysisOptions { corpus };
     // The warnings every surface prints, then the notes only lint runs.
     let (engine, mut diagnostics) =
         match Engine::compile_with_analysis(&properties, &mut voc, &opts) {
@@ -1235,7 +1252,7 @@ fn lint(raw: &[String], out: &mut Out) -> Outcome {
             .corpus
             .as_ref()
             .map(|counts| counts.iter().map(|&(name, _)| name).collect());
-        let outcome = prune_dead(engine.fused(), corpus_set.as_ref(), opts.state_budget);
+        let outcome = prune_dead(engine.fused(), corpus_set.as_ref(), STATE_BUDGET);
         let stats = outcome.stats;
         writeln!(
             out,
@@ -1420,14 +1437,11 @@ fn gen(raw: &[String], out: &mut Out) -> Outcome {
             ))
         })?,
     };
+    // The property compiles as on every other command, so a parse or
+    // well-formedness error is refused with `check`'s text.
     let mut voc = Vocabulary::new();
-    let property = match parse_property(text, &mut voc) {
-        Ok(p) => p,
-        Err(e) => {
-            stderr!("error in property:\n{}", e.display_with_source(text));
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    compile_all(std::slice::from_ref(text), &mut voc, false)?;
+    let property = parse_property(text, &mut voc).expect("the property compiled");
     let config = GeneratorConfig {
         episodes,
         ..GeneratorConfig::new(seed)

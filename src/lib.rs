@@ -9,7 +9,7 @@
 //!
 //! | Module | Crate | Paper |
 //! |---|---|---|
-//! | [`trace`] | `lomon-trace` | §2 interfaces, names, simulated time; wire-speed ingest: the capped line framer (`trace::FrameDecoder`), one zero-copy fast lexer per line format (`trace::lex_regular_event`) in front of one full grammar per format (`trace::parse_trace_line`, `trace::ndjson`), frozen-vocabulary resolution to pre-resolved ids (`trace::Vocabulary::lookup_bytes`); one whole-buffer loop behind the whole-trace reader of commands that load a trace as a value (`trace::read_trace_bytes`) and the decoders kept for the benchmarks and the `wire_speed` gate (`trace::MappedFile`, `trace::read_trace_bytes_into`, `trace::decode_events_into`) |
+//! | [`trace`] | `lomon-trace` | §2 interfaces, names, simulated time; wire-speed ingest: the capped line framer (`trace::FrameDecoder`), one zero-copy fast lexer per line format (`trace::lex_regular_event`) in front of one full grammar per format (`trace::parse_trace_line`, `trace::ndjson`), frozen-vocabulary resolution to pre-resolved ids (`trace::Vocabulary::lookup_bytes`); the one reader of trace lines (`trace::LineReader`) behind the stream driver, the commands that load a trace file as a value, and the whole-buffer readers (`trace::read_trace_bytes`, and the decoders kept for the benchmarks and the `wire_speed` gate: `trace::MappedFile`, `trace::read_trace_bytes_into`, `trace::decode_events_into`) |
 //! | [`core`] | `lomon-core` | §3–§5 patterns, Fig. 5 recognizers, Drct monitors, compiled flat-table lowering, fused rulebook programs, static analysis (`core::analysis`: L003–L009 lints, dead-table pruning), witness capture + flight recorder (`core::witness`) |
 //! | [`engine`] | `lomon-engine` | streaming multi-property engine, event-indexed dispatch, fused backend + interpreter oracle, compile-time analysis integration, the sans-I/O stream driver behind `check`, `watch` and `serve` (`engine::StreamDriver`) |
 //! | [`psl`] | `lomon-psl` | §5 translation to PSL, ViaPSL baseline |

@@ -133,6 +133,18 @@ fn malformed_property_is_rejected() {
     let output = lomon(&["check", FIXTURE, "all{unclosed << start"]);
     assert_eq!(output.status.code(), Some(1));
     assert!(stderr(&output).contains("error in property"));
+    // An ill-formed property gets `check`'s error on `gen` too.
+    let expected = "error in property:\nproperty 1 `zz << zz once` is ill-formed: \
+                    trigger `zz` also occurs inside the antecedent P\n";
+    for argv in [
+        &["check", FIXTURE, "zz << zz once"][..],
+        &["gen", "zz << zz once", "1", "1"],
+    ] {
+        let output = lomon(argv);
+        assert_eq!(output.status.code(), Some(1), "{argv:?}");
+        assert_eq!(stderr(&output), expected, "{argv:?}");
+        assert_eq!(stdout(&output), "", "{argv:?}");
+    }
 }
 
 #[test]
@@ -454,28 +466,44 @@ fn smc_reports_property_errors_before_running() {
     );
 }
 
-/// Every command that reads a trace file names the file in a trace error,
-/// whether it streams the file (`check`) or loads it whole.
+/// Every command that reads a trace file reads it alike and names the
+/// file in a trace error, whether it streams the file (`check`) or loads it
+/// whole: a time that runs backwards, and a line over the 64 KiB frame
+/// cap, which arrives in two of the 64 KiB reads every command makes.
 #[test]
 fn trace_errors_name_the_file_on_every_command() {
     let dir = std::env::temp_dir().join(format!("lomon-back-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("back.trace");
-    std::fs::write(&path, "10ns in a\n5ns in go\n").expect("write trace");
-    let trace = path.to_str().unwrap();
     let property = "a << go once";
-    let expected =
-        format!("error: {trace}: trace line 2: timestamp 5ns precedes previous event at 10ns\n");
-    for argv in [
-        &["check", trace, property][..],
-        &["profile", property, trace],
-        &["lint", "--trace", trace, property],
-        &["vcd", trace],
-        &["smc", "--trace", trace, property],
+    let long_name = "x".repeat(70_000);
+    for (file, text, error) in [
+        (
+            "back.trace",
+            "10ns in a\n5ns in go\n".to_owned(),
+            "timestamp 5ns precedes previous event at 10ns",
+        ),
+        (
+            "long.trace",
+            format!("10ns in a\n20ns in {long_name}\n30ns in go\n"),
+            "frame exceeds 65536 bytes (70008+ seen); dropped",
+        ),
     ] {
-        let output = lomon(argv);
-        assert!(!output.status.success(), "{argv:?}");
-        assert_eq!(stderr(&output), expected, "{argv:?}");
+        let path = dir.join(file);
+        std::fs::write(&path, text).expect("write trace");
+        let trace = path.to_str().unwrap();
+        let expected = format!("error: {trace}: trace line 2: {error}\n");
+        for argv in [
+            &["check", trace, property][..],
+            &["profile", property, trace],
+            &["lint", "--trace", trace, property],
+            &["vcd", trace],
+            &["smc", "--trace", trace, property],
+        ] {
+            let output = lomon(argv);
+            let code = if argv[0] == "lint" { 2 } else { 1 };
+            assert_eq!(output.status.code(), Some(code), "{argv:?}");
+            assert_eq!(stderr(&output), expected, "{argv:?}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
