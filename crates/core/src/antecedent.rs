@@ -277,10 +277,14 @@ impl Monitor for AntecedentMonitor {
         if self.attribute {
             return Some(raw);
         }
-        Some(crate::witness::reattribute(self, raw, |m, capacity| {
+        Some(self.attribute_witness(raw))
+    }
+
+    fn attribute_witness(&self, raw: Witness) -> Witness {
+        crate::witness::reattribute(self, raw, |m, capacity| {
             m.attribute = true;
             m.set_explain(capacity);
-        }))
+        })
     }
 }
 

@@ -28,6 +28,40 @@
 //! allocation from the hot path. `crates/engine/tests/engine_oracle.rs`
 //! pits the two backends against each other on random properties and
 //! traces; the unit tests below run them in lockstep on the paper examples.
+//!
+//! ## Transition memo
+//!
+//! A stream visits few distinct states of an untimed program, so the same
+//! cell loop runs for the same `(state, row)` pair over and over. Each
+//! untimed [`CompiledMonitor`] therefore keeps a per-session memo in front
+//! of its one concrete step. A state is the packed cell words and the
+//! active fragment (the started flag is always set between the steps of an
+//! untimed monitor whose verdict is not final). The first time a step from
+//! a state on an action-table row leaves the verdict non-final, the memo
+//! records the resulting state with the step's `ops` delta, whether it
+//! completed an episode and whether it moved the active fragment; the next
+//! time the same pair comes up, the monitor applies the entry instead of
+//! re-running the cell loop, which leaves the cells, active fragment,
+//! `ops` and episode count exactly as the concrete step would. A served
+//! step needs no pre-event snapshot: only a violating step reads one, and
+//! such a step is never recorded.
+//!
+//! The memo holds at most 64 states (`MEMO_STATES`), its tables sized for
+//! them on the first recorded step, so its memory is a constant of the
+//! program's shape, `64 × (8 × (rows + cells) + 4)` bytes, whatever the
+//! stream. A step into a
+//! state it cannot hold leaves the monitor stepping concretely until
+//! [`Monitor::reset`], which rewinds the memo to the initial state's entry
+//! and keeps everything it learned. Never memoized, and why:
+//!
+//! * timed programs: their state holds clocks, which no finite table
+//!   covers;
+//! * a step that violates or settles the monitor: the violation's kind,
+//!   expected set, detail and witness come from the one concrete step;
+//! * the attributing clones [`CompiledMonitor::witness`] replays a chain
+//!   through: attribution diffs each step's pre-event snapshot;
+//! * the verdict-only scratch monitors of the [`crate::analysis`] walks,
+//!   which step each state once, so a memo would only cost them set-up.
 
 use std::sync::Arc;
 
@@ -163,8 +197,8 @@ pub struct CompiledProgram {
     /// Per-fragment stopping set `Ac` (shared by the fragment's cells) —
     /// needed only for the lazily computed expected-set diagnostics.
     frag_accept: Vec<NameSet>,
-    /// `Name::index()` → prescaled action-table row offset (`row × cells`),
-    /// [`NO_ROW`] outside the alphabet.
+    /// `Name::index()` → action-table row, [`NO_ROW`] outside the
+    /// alphabet. Row `r`'s entries start at `r × cells`.
     lookup: Vec<u32>,
     /// Row-major `rows × cells` table of precomputed [`NameClass`] codes —
     /// the struct-of-arrays action table, with the cells' counter bounds
@@ -245,7 +279,7 @@ impl CompiledProgram {
         let table_width = names.iter().map(|n| n.index() + 1).max().unwrap_or(0);
         let mut lookup = vec![NO_ROW; table_width];
         for (row, &name) in names.iter().enumerate() {
-            lookup[name.index()] = (row * n_cells) as u32;
+            lookup[name.index()] = row as u32;
         }
 
         let mut act_class = vec![CLASS_NONE; table];
@@ -382,27 +416,38 @@ impl CompiledProgram {
         (self.frag_start[f] as usize, self.frag_start[f + 1] as usize)
     }
 
-    /// The prescaled action-table row offset of `name`, or `None` outside
-    /// the alphabet. An event router that already proved membership (e.g.
-    /// the engine's inverted index) can pass this to
+    /// The action-table row of `name`, or `None` outside the alphabet. An
+    /// event router that already proved membership (e.g. the engine's
+    /// inverted index) can pass this to
     /// [`CompiledMonitor::observe_routed`] and skip the monitor's own
     /// projection lookup.
     #[inline]
     pub fn action_row(&self, name: Name) -> Option<u32> {
         match self.lookup.get(name.index()) {
-            Some(&base) if base != NO_ROW => Some(base),
+            Some(&row) if row != NO_ROW => Some(row),
             _ => None,
         }
     }
 
-    /// The prescaled action-table row offset of `name`, or `None` outside
-    /// the alphabet — the hot path's single projection lookup.
+    /// The action-table row of `name`, or `None` outside the alphabet —
+    /// the hot path's single projection lookup.
     #[inline(always)]
-    fn row_base(&self, name: Name) -> Option<usize> {
+    fn row_of(&self, name: Name) -> Option<usize> {
         match self.lookup.get(name.index()) {
-            Some(&base) if base != NO_ROW => Some(base as usize),
+            Some(&row) if row != NO_ROW => Some(row as usize),
             _ => None,
         }
+    }
+
+    /// Where row `row`'s entries start in the action table.
+    #[inline(always)]
+    fn row_base(&self, row: usize) -> usize {
+        row * self.cells.len()
+    }
+
+    /// Rows of the action table.
+    fn row_count(&self) -> usize {
+        self.act_class.len() / self.cells.len()
     }
 
     /// Total number of event→action table entries (rows × cells).
@@ -448,16 +493,17 @@ impl CompiledProgram {
             neutralized_entries: 0,
         };
         for name in names {
-            let Some(base) = self.row_base(name) else {
+            let Some(row) = self.row_of(name) else {
                 continue; // already dropped by an earlier prune
             };
+            let base = self.row_base(row);
             stats.rows += 1;
             stats.entries += n_cells;
             if drop.contains(name) {
                 stats.dropped_rows += 1;
                 continue;
             }
-            lookup[name.index()] = act_class.len() as u32;
+            lookup[name.index()] = (act_class.len() / n_cells) as u32;
             for c in 0..n_cells {
                 if live[base + c] {
                     act_class.push(self.act_class[base + c]);
@@ -540,6 +586,152 @@ enum ExpectedFrom {
     Snapshot,
 }
 
+/// How a monitor steps, in the one byte every step reads: whether the
+/// transition memo may serve the step, and whether a concrete step takes
+/// the pre-event snapshot (which the expected-set diagnostic and witness
+/// attribution read).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stepping {
+    /// A live monitor with diagnostics, the default: memo and snapshot.
+    Diagnosed,
+    /// A live monitor without diagnostics: memo, no snapshot.
+    Plain,
+    /// An attributing clone that [`CompiledMonitor::witness`] replays a
+    /// chain through: every step concrete and snapshotted.
+    Attributing,
+    /// A scratch monitor of the [`crate::analysis`] walks: every step
+    /// concrete and no snapshot, and a violated verdict is latched
+    /// without building its [`Violation`].
+    VerdictOnly,
+}
+
+impl Stepping {
+    #[inline(always)]
+    fn memoizes(self) -> bool {
+        matches!(self, Stepping::Diagnosed | Stepping::Plain)
+    }
+
+    #[inline(always)]
+    fn snapshots(self) -> bool {
+        matches!(self, Stepping::Diagnosed | Stepping::Attributing)
+    }
+}
+
+/// Most states one monitor's transition memo holds (see the module docs).
+const MEMO_STATES: usize = 64;
+
+/// [`Memo::cur`] when the monitor is in a state the memo does not hold.
+const MEMO_OFF: u32 = u32::MAX;
+
+// A memo entry packs a step's outcome into one word: the target state plus
+// one in the low half (0 marks a transition not seen yet), then whether
+// the step completed an episode, whether it moved the active fragment, and
+// its `ops` delta.
+const MEMO_EPISODE: u64 = 1 << 32;
+const MEMO_HANDOVER: u64 = 1 << 33;
+const MEMO_OPS_SHIFT: u32 = 34;
+
+/// An untimed monitor's transition memo: the states it has stepped from
+/// and, per state and action-table row, what the concrete step did.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// The monitor's current state, or [`MEMO_OFF`]. State 0 is the
+    /// initial state, so a fresh or reset monitor is in it.
+    cur: u32,
+    /// Action-table rows: the entries per state. 0 until the first
+    /// recorded step sizes the tables.
+    rows: usize,
+    /// `rows` packed entries per state.
+    next: Vec<u64>,
+    /// The cell words of each state, one per cell.
+    words: Vec<u64>,
+    /// The active fragment of each state.
+    active: Vec<u32>,
+}
+
+impl Memo {
+    /// The recorded outcome of stepping the current state on `row`. An
+    /// unsized memo, or one the monitor has left ([`MEMO_OFF`] indexes
+    /// past any table), records none.
+    #[inline(always)]
+    fn entry(&self, row: usize) -> Option<u64> {
+        match self.next.get(self.cur as usize * self.rows + row) {
+            Some(&entry) if entry != 0 => Some(entry),
+            _ => None,
+        }
+    }
+
+    /// Record that stepping the current state on `row` led to the state
+    /// `cells`/`active`, costing `ops` and completing an episode or not,
+    /// and move to that state — or off the memo, if the state is new and
+    /// the memo full. The first call sizes the tables for `MEMO_STATES`
+    /// states and adds the initial one.
+    #[cold]
+    #[inline(never)]
+    fn learn(
+        &mut self,
+        p: &CompiledProgram,
+        row: usize,
+        cells: &[u64],
+        active: usize,
+        ops: u64,
+        episode: bool,
+    ) {
+        debug_assert_ne!(self.cur, MEMO_OFF, "learning from outside the memo");
+        if self.rows == 0 {
+            self.rows = p.row_count();
+            self.next.reserve_exact(MEMO_STATES * self.rows);
+            self.words.reserve_exact(MEMO_STATES * cells.len());
+            self.active.reserve_exact(MEMO_STATES);
+            let mut initial = vec![cell_word(S_IDLE, 0); cells.len()];
+            let (lo, hi) = p.frag_range(0);
+            initial[lo..hi].fill(cell_word(S_WAITING, 0));
+            self.add(&initial, 0);
+        }
+        let from = self.cur as usize;
+        let to = match self.find(cells, active) {
+            Some(to) => to,
+            None if self.active.len() < MEMO_STATES => self.add(cells, active),
+            None => {
+                self.cur = MEMO_OFF;
+                return;
+            }
+        };
+        let handover = self.active[from] != self.active[to as usize];
+        self.cur = to;
+        if ops >> (64 - MEMO_OPS_SHIFT) == 0 {
+            self.next[from * self.rows + row] = u64::from(to + 1)
+                | if episode { MEMO_EPISODE } else { 0 }
+                | if handover { MEMO_HANDOVER } else { 0 }
+                | ops << MEMO_OPS_SHIFT;
+        }
+    }
+
+    /// The cell words of state `state` (`n` cells), if the memo holds it.
+    #[inline]
+    fn words_of(&self, state: u32, n: usize) -> Option<&[u64]> {
+        let at = state as usize * n;
+        self.words.get(at..at + n)
+    }
+
+    /// The state `cells`/`active`, if the memo holds it.
+    fn find(&self, cells: &[u64], active: usize) -> Option<u32> {
+        (0..self.active.len() as u32).find(|&s| {
+            self.active[s as usize] as usize == active
+                && self.words_of(s, cells.len()) == Some(cells)
+        })
+    }
+
+    /// Hold the state `cells`/`active`, with no transition seen yet.
+    fn add(&mut self, cells: &[u64], active: usize) -> u32 {
+        let state = self.active.len() as u32;
+        self.active.push(active as u32);
+        self.words.extend_from_slice(cells);
+        self.next.resize(self.next.len() + self.rows, 0);
+        state
+    }
+}
+
 /// The mutable half of a compiled monitor, separated from the shared
 /// [`CompiledProgram`] so the borrow of the program and the mutation of the
 /// state can coexist.
@@ -566,7 +758,7 @@ struct MonState {
     /// Episodes discharged non-vacuously: in-budget `Q` completions for
     /// timed programs (antecedent programs read `episodes` instead).
     fired: u64,
-    diagnostics: bool,
+    stepping: Stepping,
     ops: u64,
     /// Pre-event snapshot: the active fragment and its cell states before
     /// the event currently being processed (fixed length `max_frag_cells`,
@@ -584,17 +776,8 @@ struct MonState {
     /// verdict. `None` (the default) keeps the hot path untouched; boxed
     /// so the detached case costs one pointer of state.
     recorder: Option<Box<FlightRecorder>>,
-    /// Attributing mode: record full cell/transition attribution instead
-    /// of the live raw `(time, event)` chain. Only set on the fresh clones
-    /// [`CompiledMonitor::witness`] replays a chain through — live explain
-    /// sessions keep it off so the hot path stays a single ring store.
-    attribute: bool,
-    /// Latch a violated verdict without building its [`Violation`]: the
-    /// bounded-model walks of [`crate::analysis`] read verdicts only. Read
-    /// by the cold report builders alone, never by the step. Declared
-    /// last: between `diagnostics` and `attribute`, which the step tests
-    /// together, it split the two bytes and slowed explain-mode stepping.
-    verdict_only: bool,
+    /// The transition memo (untimed programs only; see the module docs).
+    memo: Memo,
 }
 
 /// The flat-table monitor: a [`CompiledProgram`] plus its per-stream state.
@@ -660,7 +843,7 @@ impl CompiledMonitor {
             violation: None,
             episodes: 0,
             fired: 0,
-            diagnostics: true,
+            stepping: Stepping::Diagnosed,
             ops: 0,
             prev_active: 0,
             prev: vec![cell_word(S_IDLE, 0); program.max_frag_cells],
@@ -668,8 +851,7 @@ impl CompiledMonitor {
             episode_start: None,
             response_done_at: None,
             recorder: None,
-            attribute: false,
-            verdict_only: false,
+            memo: Memo::default(),
         };
         st.start(&program);
         CompiledMonitor { program, st }
@@ -679,16 +861,18 @@ impl CompiledMonitor {
     /// an empty expected set, exactly as the interpreter monitors'
     /// `without_diagnostics`.
     pub fn without_diagnostics(mut self) -> Self {
-        self.st.diagnostics = false;
+        if self.st.stepping == Stepping::Diagnosed {
+            self.st.set_stepping(Stepping::Plain);
+        }
         self
     }
 
     /// A monitor for the bounded-model walks of [`crate::analysis`]: it
     /// latches a violated verdict without building a [`Violation`]
-    /// (`violation()` stays `None`) and keeps no expected-set snapshot.
+    /// (`violation()` stays `None`), keeps no expected-set snapshot and
+    /// no transition memo.
     pub(crate) fn verdict_only(mut self) -> Self {
-        self.st.diagnostics = false;
-        self.st.verdict_only = true;
+        self.st.set_stepping(Stepping::VerdictOnly);
         self
     }
 
@@ -743,7 +927,7 @@ impl CompiledMonitor {
         key.push(u64::from(st.started));
         key.push(satisfied);
         // A packed cell word holds exactly its `(state, counter)` pair.
-        key.extend_from_slice(&st.cell);
+        key.extend_from_slice(st.cells());
         if let ProgramKind::Timed { bound, .. } = self.program.kind {
             let cap = bound.as_ps().saturating_add(1);
             let offset = |t: Option<SimTime>| match t {
@@ -771,13 +955,15 @@ impl CompiledMonitor {
         }
         let p = &*self.program;
         for &name in branch {
-            let Some(base) = p.row_base(name) else {
+            let Some(row) = p.row_of(name) else {
                 continue;
             };
+            let base = p.row_base(row);
+            let cells = st.cells();
             for idx in st.active_lo..st.active_hi {
                 let class = p.act_class[base + idx];
                 let effective = !matches!(
-                    (cell_state(st.cell[idx]), class),
+                    (cell_state(cells[idx]), class),
                     (_, CLASS_NONE)
                         | (S_IDLE | S_ERROR, _)
                         | (S_WAITING_OTHER | S_DONE, CLASS_CONCURRENT)
@@ -790,7 +976,7 @@ impl CompiledMonitor {
     }
 
     /// Like [`Monitor::observe`] for an event whose action-table row the
-    /// caller has already resolved: `base` must be
+    /// caller has already resolved: `row` must be
     /// `self.program().action_row(event.name)`. Routed dispatch (the
     /// engine's inverted index) uses this to skip the per-monitor
     /// projection lookup the index has already performed — verdicts,
@@ -798,18 +984,18 @@ impl CompiledMonitor {
     /// Forced inline so the untimed step lands inside the caller's batch
     /// loop (timed programs still dispatch out of line to `timed_at`).
     #[inline(always)]
-    pub fn observe_routed(&mut self, event: TimedEvent, base: u32) -> Verdict {
+    pub fn observe_routed(&mut self, event: TimedEvent, row: u32) -> Verdict {
         let Self { program, st } = self;
-        debug_assert_eq!(program.row_base(event.name), Some(base as usize));
+        debug_assert_eq!(program.row_of(event.name), Some(row as usize));
         if st.verdict.is_final() {
             return st.verdict;
         }
         match program.kind {
             ProgramKind::Antecedent { repeated } => {
-                st.antecedent_at(program, repeated, event, base as usize)
+                st.antecedent_at(program, repeated, event, row as usize)
             }
             ProgramKind::Timed { premise_len, bound } => {
-                st.timed_at(program, premise_len as usize, bound, event, base as usize)
+                st.timed_at(program, premise_len as usize, bound, event, row as usize)
             }
         }
     }
@@ -912,6 +1098,7 @@ impl Monitor for CompiledMonitor {
         st.last_consumed = None;
         st.episode_start = None;
         st.response_done_at = None;
+        st.memo.cur = 0;
         if let Some(rec) = st.recorder.as_deref_mut() {
             rec.clear();
         }
@@ -935,13 +1122,17 @@ impl Monitor for CompiledMonitor {
 
     fn witness(&self) -> Option<Witness> {
         let raw = self.st.recorder.as_deref().map(FlightRecorder::snapshot)?;
-        if self.st.attribute {
+        if self.st.stepping == Stepping::Attributing {
             return Some(raw);
         }
-        Some(crate::witness::reattribute(self, raw, |m, capacity| {
-            m.st.attribute = true;
+        Some(self.attribute_witness(raw))
+    }
+
+    fn attribute_witness(&self, raw: Witness) -> Witness {
+        crate::witness::reattribute(self, raw, |m, capacity| {
+            m.st.set_stepping(Stepping::Attributing);
             m.set_explain(capacity);
-        }))
+        })
     }
 }
 
@@ -1099,6 +1290,16 @@ fn step_cells_dyn<const DIAG: bool>(
 }
 
 impl MonState {
+    /// Step as `stepping` says from now on. A monitor that no longer
+    /// memoizes drops its memo, whose state index would otherwise go
+    /// stale while [`MonState::cells`] reads it.
+    fn set_stepping(&mut self, stepping: Stepping) {
+        self.stepping = stepping;
+        if !stepping.memoizes() {
+            self.memo = Memo::default();
+        }
+    }
+
     /// Overwrite this state with `src`'s, reusing the cell and snapshot
     /// buffers (see [`CompiledMonitor::copy_from`]).
     fn copy_from(&mut self, src: &MonState) {
@@ -1111,6 +1312,7 @@ impl MonState {
             prev,
             violation: src.violation.clone(),
             recorder: src.recorder.clone(),
+            memo: src.memo.clone(),
             ..*src
         };
     }
@@ -1204,13 +1406,13 @@ impl MonState {
         let from = self.active;
         let (lo, hi) = (self.active_lo, self.active_hi);
         // Attributing diffs against the same pre-event snapshot the
-        // diagnostics use, so attribute mode forces it on; live explain
+        // diagnostics use, so attribute mode takes it too; live explain
         // mode records `(time, event)` only and needs no snapshot.
         //
-        // Monomorphized: when neither is on, the snapshot arrays are
-        // provably never read again, so the common path carries no `prev`
+        // Monomorphized: without a snapshot, the snapshot arrays are
+        // provably never read again, so that path carries no `prev`
         // slices or stores at all — two fewer write streams per event.
-        let (completed, error) = if self.diagnostics || self.attribute {
+        let (completed, error) = if self.stepping.snapshots() {
             self.prev_active = from;
             self.step_window::<true>(p, base, ops)
         } else {
@@ -1246,7 +1448,7 @@ impl MonState {
     /// action row — the inner loop of [`MonState::step_ordering`].
     /// Returns whether any range completed, and the first rejection.
     /// `DIAG` compiles the pre-event snapshot stores in or out; the
-    /// snapshot is only ever read under diagnostics/attribute, so the
+    /// snapshot is only ever read when [`Stepping::snapshots`], so the
     /// `false` instantiation is observationally identical.
     #[inline(always)]
     fn step_window<const DIAG: bool>(
@@ -1271,7 +1473,7 @@ impl MonState {
     /// Touches no `ops` accounting.
     #[inline(never)]
     fn record_step(&mut self, event: TimedEvent, lo: usize, hi: usize) {
-        if self.attribute {
+        if self.stepping == Stepping::Attributing {
             self.record_attributed(event, lo, hi);
         } else if let Some(rec) = self.recorder.as_deref_mut() {
             rec.record_event(event);
@@ -1339,7 +1541,7 @@ impl MonState {
 
     fn can_complete(&self, p: &CompiledProgram, f: usize) -> bool {
         let (lo, hi) = p.frag_range(f);
-        self.can_complete_over(p, f, &self.cell[lo..hi])
+        self.can_complete_over(p, f, &self.cells()[lo..hi])
     }
 
     /// Whether fragment `f` could still consume another event without
@@ -1348,7 +1550,7 @@ impl MonState {
         let (lo, hi) = p.frag_range(f);
         p.cells[lo..hi]
             .iter()
-            .zip(&self.cell[lo..hi])
+            .zip(&self.cells()[lo..hi])
             .any(|(spec, &word)| match cell_state(word) {
                 S_WAITING | S_WAITING_OTHER => true,
                 S_COUNTING => cell_cpt(word) < spec.max,
@@ -1381,7 +1583,7 @@ impl MonState {
     fn ordering_expected(&self, p: &CompiledProgram) -> NameSet {
         if self.started {
             let (lo, hi) = p.frag_range(self.active);
-            self.frag_expected(p, self.active, &self.cell[lo..hi])
+            self.frag_expected(p, self.active, &self.cells()[lo..hi])
         } else {
             NameSet::new()
         }
@@ -1392,14 +1594,14 @@ impl MonState {
     /// records the bare `(time, event)` pair; attribute mode attributes it
     /// to the active fragment's first cell with an unchanged transition.
     fn record_stall(&mut self, event: TimedEvent) {
-        if !self.attribute {
+        if self.stepping != Stepping::Attributing {
             if let Some(rec) = self.recorder.as_deref_mut() {
                 rec.record_event(event);
             }
             return;
         }
         let cell = self.active_lo;
-        let state = cell_state(self.cell[cell]);
+        let state = cell_state(self.cells()[cell]);
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.record(WitnessStep {
                 time: event.time,
@@ -1414,7 +1616,9 @@ impl MonState {
     /// The expected set the interpreter would have snapshot *before* the
     /// current event, derived lazily from the pre-event snapshot.
     fn expected_before(&self, p: &CompiledProgram, from: ExpectedFrom) -> NameSet {
-        if !self.diagnostics {
+        // An attributing clone snapshots whatever its original's
+        // diagnostics, but nothing reads an attributing clone's violation.
+        if !self.stepping.snapshots() {
             return NameSet::new();
         }
         match from {
@@ -1433,17 +1637,21 @@ impl MonState {
         if self.verdict.is_final() {
             return self.verdict;
         }
-        let Some(base) = p.row_base(event.name) else {
+        let Some(row) = p.row_of(event.name) else {
             self.ops += 1; // alphabet projection test
             return self.verdict;
         };
-        self.antecedent_at(p, repeated, event, base)
+        self.antecedent_at(p, repeated, event, row)
     }
 
     /// [`MonState::observe_antecedent`] past the projection lookup; the
-    /// caller guarantees the event is in the alphabet and `base` is its
+    /// caller guarantees the event is in the alphabet and `row` is its
     /// action-table row. The projection `ops` is still charged — the
     /// interpreter performs (and counts) that test unconditionally.
+    ///
+    /// The transition memo serves the step when it can (see the module
+    /// docs); otherwise the step runs concretely, and the memo learns its
+    /// outcome if it leaves the verdict non-final.
     ///
     /// Forced inline: this is the per-event body of routed dispatch, and
     /// as an out-of-line call it costs a full spill/reload of the batch
@@ -1456,10 +1664,26 @@ impl MonState {
         p: &CompiledProgram,
         repeated: bool,
         event: TimedEvent,
-        base: usize,
+        row: usize,
     ) -> Verdict {
+        let memoizes = self.stepping.memoizes();
+        if memoizes {
+            if let Some(entry) = self.memo.entry(row) {
+                self.apply_memo(p, entry);
+                // Live explain mode records every step, a served one too.
+                if let Some(rec) = self.recorder.as_deref_mut() {
+                    rec.record_event(event);
+                }
+                return self.verdict;
+            }
+            // Served steps left the current state's words in the memo.
+            if let Some(words) = self.memo.words_of(self.memo.cur, self.cell.len()) {
+                self.cell.copy_from_slice(words);
+            }
+        }
+        let (ops_before, episodes_before) = (self.ops, self.episodes);
         let mut ops = 1u64; // alphabet projection test
-        let step = self.step_ordering(p, base, event, &mut ops);
+        let step = self.step_ordering(p, p.row_base(row), event, &mut ops);
         self.ops += ops;
         match step {
             OrderingStep::Progress | OrderingStep::Handover { .. } => {
@@ -1481,7 +1705,44 @@ impl MonState {
                 range,
             } => self.antecedent_violation(p, event, kind, fragment, range),
         }
+        if memoizes {
+            if self.verdict.is_final() {
+                self.memo.cur = MEMO_OFF;
+            } else if self.memo.cur != MEMO_OFF {
+                let episode = self.episodes != episodes_before;
+                let ops = self.ops - ops_before;
+                self.memo
+                    .learn(p, row, &self.cell, self.active, ops, episode);
+            }
+        }
         self.verdict
+    }
+
+    /// Take the memo entry `entry` of the current state: the cells (see
+    /// [`MonState::cells`]), the active fragment, `ops` and the episode
+    /// count become what the concrete step left them. The verdict stays
+    /// non-final.
+    #[inline(always)]
+    fn apply_memo(&mut self, p: &CompiledProgram, entry: u64) {
+        debug_assert_eq!(self.verdict, Verdict::PresumablySatisfied);
+        let to = entry as u32 - 1;
+        if entry & MEMO_HANDOVER != 0 {
+            self.set_active(p, self.memo.active[to as usize] as usize);
+        }
+        self.episodes += (entry & MEMO_EPISODE) >> 32;
+        self.ops += entry >> MEMO_OPS_SHIFT;
+        self.memo.cur = to;
+    }
+
+    /// The current cell words. While the memo holds the current state, a
+    /// served step only moves the memo's state index, so the words are
+    /// the memo's copy of that state; the arena catches up before the
+    /// next concrete step ([`MonState::antecedent_at`]).
+    #[inline]
+    fn cells(&self) -> &[u64] {
+        self.memo
+            .words_of(self.memo.cur, self.cell.len())
+            .unwrap_or(&self.cell)
     }
 
     /// Latch the violation for a rejected antecedent step. Kept out of
@@ -1499,7 +1760,7 @@ impl MonState {
         range: usize,
     ) {
         self.verdict = Verdict::Violated;
-        if self.verdict_only {
+        if self.stepping == Stepping::VerdictOnly {
             return;
         }
         self.violation = Some(Box::new(Violation {
@@ -1586,7 +1847,7 @@ impl MonState {
             let (lo, hi) = p.frag_range(self.active);
             if !self.can_complete(p, self.active) {
                 for i in 0..hi - lo {
-                    let word = self.cell[lo + i];
+                    let word = self.cells()[lo + i];
                     let (state, cpt) = (cell_state(word), cell_cpt(word));
                     let spec = p.cells[lo + i];
                     let satisfied = state == S_DONE || (state == S_COUNTING && cpt >= spec.min);
@@ -1617,7 +1878,7 @@ impl MonState {
         range: usize,
     ) {
         self.verdict = Verdict::Violated;
-        if self.verdict_only {
+        if self.stepping == Stepping::VerdictOnly {
             return;
         }
         self.violation = Some(Box::new(Violation {
@@ -1654,7 +1915,7 @@ impl MonState {
         from: ExpectedFrom,
     ) {
         self.verdict = Verdict::Violated;
-        if self.verdict_only {
+        if self.stepping == Stepping::VerdictOnly {
             return;
         }
         self.violation = Some(Box::new(Violation {
@@ -1684,12 +1945,12 @@ impl MonState {
         if self.verdict.is_final() {
             return self.verdict;
         }
-        let Some(base) = p.row_base(event.name) else {
+        let Some(row) = p.row_of(event.name) else {
             self.ops += 1; // alphabet projection test
                            // Even an unrelated event advances the clock.
             return self.advance_time_timed(p, premise_len, bound, event.time);
         };
-        self.timed_at(p, premise_len, bound, event, base)
+        self.timed_at(p, premise_len, bound, event, row)
     }
 
     /// [`MonState::observe_timed`] past the projection lookup (see
@@ -1703,7 +1964,7 @@ impl MonState {
         premise_len: usize,
         bound: SimTime,
         event: TimedEvent,
-        base: usize,
+        row: usize,
     ) -> Verdict {
         self.ops += 1; // alphabet projection test
         self.ops += 1; // deadline compare
@@ -1724,7 +1985,7 @@ impl MonState {
             }
         }
         let mut ops = 0u64;
-        let step = self.step_ordering(p, base, event, &mut ops);
+        let step = self.step_ordering(p, p.row_base(row), event, &mut ops);
         self.ops += ops;
         match step {
             OrderingStep::Progress => {
@@ -1851,8 +2112,13 @@ mod tests {
 
     /// Feed both backends the same events in lockstep and compare verdict,
     /// ops, deadline and expected set after every step, then at finish the
-    /// full violation diagnostics.
-    fn lockstep(text: &str, extra: &[&str], events: &[(&str, u64)], end_ns: u64) {
+    /// full violation diagnostics. Returns the compiled monitor.
+    fn lockstep(
+        text: &str,
+        extra: &[&str],
+        events: &[(&str, u64)],
+        end_ns: u64,
+    ) -> CompiledMonitor {
         let (voc, mut interp, mut compiled) = both(text, extra);
         assert_eq!(interp.state_bits(), compiled.state_bits(), "{text}");
         assert_eq!(interp.ops(), compiled.ops(), "{text}: ops at construction");
@@ -1891,6 +2157,13 @@ mod tests {
             }
             (a, b) => panic!("{text}: one backend violated: interp {a:?} vs compiled {b:?}"),
         }
+        compiled
+    }
+
+    /// Whether `monitor`'s memo serves its next step on `name`.
+    fn memo_serves(monitor: &CompiledMonitor, voc: &Vocabulary, name: &str) -> bool {
+        let row = monitor.program.row_of(voc.lookup(name).unwrap()).unwrap();
+        monitor.st.memo.entry(row).is_some()
     }
 
     #[test]
@@ -2096,6 +2369,95 @@ mod tests {
         // Every in-alphabet (name, cell) pair is classified: with the
         // linear context layout no entry is CLASS_NONE.
         assert!(program.act_class.iter().all(|&c| c != CLASS_NONE));
+    }
+
+    #[test]
+    fn memo_overflow_keeps_the_interpreters_verdicts_at_the_cap() {
+        // Short episodes first (their repeats are served by the memo), then
+        // a run of 2^16 `a`: every count up to 60000 is a new state, so the
+        // memo fills and the run steps concretely to its `TooMany` at the
+        // 60001st `a`.
+        let mut events = vec![
+            ("a", 1),
+            ("go", 2),
+            ("a", 3),
+            ("go", 4),
+            ("a", 5),
+            ("go", 6),
+        ];
+        events.extend((0..1u64 << 16).map(|k| ("a", 10 + k)));
+        let text = "a[1,60000] << go repeated";
+        let compiled = lockstep(text, &[], &events, 1 << 17);
+        assert_eq!(compiled.verdict(), Verdict::Violated);
+        assert_eq!(compiled.violation().unwrap().kind, ViolationKind::TooMany);
+        assert_eq!(compiled.st.memo.active.len(), MEMO_STATES);
+        assert_eq!(compiled.st.memo.next.capacity(), MEMO_STATES * 2);
+    }
+
+    #[test]
+    fn memo_survives_reset_and_serves_a_second_stream_from_its_first_event() {
+        let text = "all{a, b} < c << go repeated";
+        let (voc, _interp, mut reused) = both(text, &[]);
+        let mut fresh = reused.clone();
+        let mut names = ["b", "a", "c", "go", "a", "b", "c", "go"].repeat(2);
+        names.push("go"); // an episode that starts with its trigger
+        let stream: Vec<TimedEvent> = (0u64..)
+            .zip(&names)
+            .map(|(k, name)| ev(&voc, name, 10 * k + 10))
+            .collect();
+        for &event in &stream {
+            reused.observe(event);
+        }
+        let ops_before_reset = reused.ops();
+        reused.reset();
+        for (k, (&event, name)) in stream.iter().zip(&names).enumerate() {
+            // The first stream taught the memo every step but the
+            // violating last one, from the initial state on.
+            let last = k + 1 == names.len();
+            assert_eq!(memo_serves(&reused, &voc, name), !last, "step {k}");
+            assert_eq!(reused.observe(event), fresh.observe(event), "step {k}");
+        }
+        assert_eq!(reused.verdict(), Verdict::Violated);
+        assert_eq!(reused.ops() - ops_before_reset, fresh.ops());
+        assert_eq!(reused.episodes(), fresh.episodes());
+        assert_eq!(reused.violation(), fresh.violation());
+    }
+
+    #[test]
+    fn memo_served_steps_keep_the_concrete_witness() {
+        let text = "all{a, b} << start repeated";
+        let (voc, mut interp, mut compiled) = both(text, &[]);
+        interp.set_explain(64);
+        compiled.set_explain(64);
+        // Which steps the memo serves: none of the first two episodes (the
+        // first rearm leaves stale counters, so the second starts from a
+        // new state), the third's last, then every step of the fourth
+        // episode and of the fifth up to its violating `start`.
+        let steps = [
+            ("a", false),
+            ("b", false),
+            ("start", false),
+            ("b", false),
+            ("a", false),
+            ("start", false),
+            ("a", false),
+            ("b", false),
+            ("start", true),
+            ("a", true),
+            ("b", true),
+            ("start", true),
+            ("a", true),
+            ("start", false),
+        ];
+        for (k, (name, served)) in (0u64..).zip(steps) {
+            assert_eq!(memo_serves(&compiled, &voc, name), served, "step {k}");
+            let event = ev(&voc, name, 10 * k + 10);
+            assert_eq!(interp.observe(event), compiled.observe(event), "{name}");
+        }
+        assert_eq!(compiled.verdict(), Verdict::Violated);
+        assert_eq!(compiled.ops(), interp.ops());
+        assert_eq!(compiled.witness(), interp.witness());
+        assert_eq!(compiled.witness().unwrap().steps.len(), steps.len());
     }
 
     #[test]

@@ -110,13 +110,12 @@ pub struct FusedProgram {
     member_counts: Vec<u32>,
     /// Global CSR over the vocabulary: the groups subscribed to name `n`
     /// are `sub_groups[sub_start[n] .. sub_start[n + 1]]`, with the
-    /// parallel `sub_bases` carrying each group's precomputed action-table
-    /// row offset for `n` (consumed by
-    /// [`CompiledMonitor::observe_routed`]). Names interned after fusion
-    /// fall off the end (no subscribers).
+    /// parallel `sub_rows` carrying each group's action-table row for `n`
+    /// (consumed by [`CompiledMonitor::observe_routed`]). Names interned
+    /// after fusion fall off the end (no subscribers).
     sub_start: Vec<u32>,
     sub_groups: Vec<u32>,
-    sub_bases: Vec<u32>,
+    sub_rows: Vec<u32>,
     /// Groups encoding timed implications (the only ones with deadlines).
     timed_groups: Vec<u32>,
     /// Dense group → is-timed flags for the dispatch hot path.
@@ -186,13 +185,13 @@ impl FusedProgram {
                 // longer carries (see `CompiledProgram::pruned`) — those
                 // names simply get no CSR entry.
                 program.alphabet().iter().filter_map(move |name| {
-                    let base = program.action_row(name)?;
-                    Some((name.index(), (g as u32, base)))
+                    let row = program.action_row(name)?;
+                    Some((name.index(), (g as u32, row)))
                 })
             })
             .collect();
         let (sub_start, sub_pairs) = build_csr(width, &sub_items);
-        let (sub_groups, sub_bases) = sub_pairs.into_iter().unzip();
+        let (sub_groups, sub_rows) = sub_pairs.into_iter().unzip();
         let timed_flags: Vec<bool> = groups.iter().map(|g| g.is_timed()).collect();
         let timed_groups = timed_flags
             .iter()
@@ -221,7 +220,7 @@ impl FusedProgram {
             member_counts,
             sub_start,
             sub_groups,
-            sub_bases,
+            sub_rows,
             timed_groups,
             timed_flags,
             sharing,
@@ -297,15 +296,15 @@ impl FusedProgram {
     }
 
     /// The global CSR row of `name`: subscribed group ids with, in
-    /// parallel, each group's precomputed action-table row offset for the
-    /// name. Empty for names outside every alphabet (including names
-    /// interned after fusion).
+    /// parallel, each group's action-table row for the name. Empty for
+    /// names outside every alphabet (including names interned after
+    /// fusion).
     #[inline]
     pub fn subscribers(&self, name: Name) -> (&[u32], &[u32]) {
         match self.sub_start.get(name.index()..name.index() + 2) {
             Some(bounds) => {
                 let (s, e) = (bounds[0] as usize, bounds[1] as usize);
-                (&self.sub_groups[s..e], &self.sub_bases[s..e])
+                (&self.sub_groups[s..e], &self.sub_rows[s..e])
             }
             None => (&[], &[]),
         }
@@ -427,13 +426,13 @@ mod tests {
         ]);
         let a = voc.lookup("a").unwrap();
         let b = voc.lookup("b").unwrap();
-        let (groups, bases) = fused.subscribers(a);
+        let (groups, rows) = fused.subscribers(a);
         assert_eq!(groups, &[0]);
-        assert_eq!(bases[0], fused.group(0).action_row(a).unwrap());
-        let (groups, bases) = fused.subscribers(b);
+        assert_eq!(rows[0], fused.group(0).action_row(a).unwrap());
+        let (groups, rows) = fused.subscribers(b);
         assert_eq!(groups, &[0, 1]);
-        for (&g, &base) in groups.iter().zip(bases) {
-            assert_eq!(base, fused.group(g as usize).action_row(b).unwrap());
+        for (&g, &row) in groups.iter().zip(rows) {
+            assert_eq!(row, fused.group(g as usize).action_row(b).unwrap());
         }
         // A name the rulebook never mentions routes nowhere, even past the
         // CSR's width.
@@ -496,8 +495,8 @@ mod tests {
         let mut solo = CompiledMonitor::new(Arc::clone(fused.group(0)));
         for (name, ns) in [("b", 10), ("a", 20), ("start", 30), ("start", 40)] {
             let event = TimedEvent::new(voc.lookup(name).unwrap(), SimTime::from_ns(ns));
-            let base = fused.group(0).action_row(event.name).unwrap();
-            let vf = states[0].observe_routed(event, base);
+            let row = fused.group(0).action_row(event.name).unwrap();
+            let vf = states[0].observe_routed(event, row);
             let vs = solo.observe(event);
             assert_eq!(vf, vs);
             assert_eq!(states[0].ops(), solo.ops());

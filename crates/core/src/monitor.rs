@@ -205,6 +205,13 @@ impl Monitor for PropertyMonitor {
             PropertyMonitor::Timed(m) => m.witness(),
         }
     }
+
+    fn attribute_witness(&self, raw: Witness) -> Witness {
+        match self {
+            PropertyMonitor::Antecedent(m) => m.attribute_witness(raw),
+            PropertyMonitor::Timed(m) => m.attribute_witness(raw),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -224,6 +224,16 @@ pub trait Monitor {
     fn witness(&self) -> Option<Witness> {
         None
     }
+
+    /// Attribute `raw`, a chain of this monitor's contributing steps known
+    /// by their `(time, event)` pairs alone (the chain a live recorder
+    /// keeps): each step gains the cell it moved and that cell's
+    /// transition, found by replaying the chain through a fresh
+    /// attributing clone (see [`crate::witness`]). Monitors without
+    /// witness support return `raw` as it is.
+    fn attribute_witness(&self, raw: Witness) -> Witness {
+        raw
+    }
 }
 
 /// Convenience: run a monitor over a whole trace (projection included) and

@@ -15,8 +15,10 @@
 //! single bounded ring store on the hot path — and the cell/transition
 //! attribution is reconstructed on the cold `witness()` read by replaying
 //! the raw chain through a fresh *attributing* clone of the monitor (see
-//! `reattribute`). The hooks never touch the `ops` accounting, so
-//! explain-off monitors are bit-identical to pre-explain behaviour and
+//! `reattribute`, and [`Monitor::attribute_witness`] for a chain recorded
+//! elsewhere: an engine session keeps one chain per alphabet instead of
+//! one recorder per monitor). The hooks never touch the `ops` accounting,
+//! so explain-off monitors are bit-identical to pre-explain behaviour and
 //! explain-on monitors differ only in the recorder side channel.
 
 use crate::verdict::{Monitor, Verdict, Violation, ViolationKind};
@@ -99,19 +101,19 @@ impl PackedStep {
 /// A bounded ring buffer of contributing steps, kept per live monitor in
 /// explain mode.
 ///
-/// The recorder is a cold side channel: `record` is a bounds check and a
-/// 16-byte slot write, `snapshot` (cold path, on report) rotates the ring
-/// into chronological order. `clear` keeps the capacity so a session
-/// reset does not reallocate.
+/// The recorder is a cold side channel: `record` writes one 16-byte slot,
+/// at the step count masked to the ring, with no branch on the wrap;
+/// `snapshot` (cold path, on report) reads the last `capacity` steps back
+/// in chronological order. `clear` keeps the capacity so a reset does not
+/// reallocate.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
-    /// Pre-filled to `capacity` slots, so the record path is one uniform
-    /// slot store regardless of how full the ring is.
+    /// Pre-filled to `capacity` slots rounded up to a power of two, so the
+    /// record path is one uniform slot store regardless of how full the
+    /// ring is; step `k` lives in slot `k & mask`.
     buf: Vec<PackedStep>,
-    /// Next slot to write; equal to the oldest step's index once the ring
-    /// has wrapped.
-    head: usize,
+    mask: usize,
     /// Steps ever recorded; everything beyond `capacity` was evicted.
     total: u64,
     /// Scratch `(state, count)` snapshot used by the interp backend to
@@ -127,10 +129,11 @@ impl FlightRecorder {
     /// slot store with no growth or fullness branches.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
+        let slots = capacity.next_power_of_two();
         FlightRecorder {
             capacity,
-            buf: vec![PackedStep::ZERO; capacity],
-            head: 0,
+            buf: vec![PackedStep::ZERO; slots],
+            mask: slots - 1,
             total: 0,
             scratch: Vec::new(),
         }
@@ -152,15 +155,9 @@ impl FlightRecorder {
             from: step.from,
             to: step.to,
         };
-        let head = self.head;
-        if let Some(slot) = self.buf.get_mut(head) {
+        if let Some(slot) = self.buf.get_mut(self.total as usize & self.mask) {
             *slot = packed;
         }
-        self.head = if head + 1 == self.capacity {
-            0
-        } else {
-            head + 1
-        };
         self.total += 1;
     }
 
@@ -186,7 +183,6 @@ impl FlightRecorder {
 
     /// Forget all recorded steps, keeping capacity and allocation.
     pub fn clear(&mut self) {
-        self.head = 0;
         self.total = 0;
     }
 
@@ -199,16 +195,10 @@ impl FlightRecorder {
             from: p.from,
             to: p.to,
         };
-        let len = usize::try_from(self.total)
-            .unwrap_or(usize::MAX)
-            .min(self.capacity);
-        let mut steps = Vec::with_capacity(len);
-        if self.total <= self.capacity as u64 {
-            steps.extend(self.buf[..len].iter().map(unpack));
-        } else {
-            steps.extend(self.buf[self.head..].iter().map(unpack));
-            steps.extend(self.buf[..self.head].iter().map(unpack));
-        }
+        let len = self.total.min(self.capacity as u64);
+        let steps = (self.total - len..self.total)
+            .map(|k| unpack(&self.buf[k as usize & self.mask]))
+            .collect();
         Witness {
             steps,
             dropped: self.dropped(),

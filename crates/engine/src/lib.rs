@@ -83,15 +83,18 @@
 //!
 //! ## Explainability & profiling
 //!
-//! [`Session::enable_explain`] puts a session's monitors into explain
-//! mode: each unit keeps a bounded flight recorder of contributing steps
-//! ([`lomon_core::witness`]), so every violation in a report carries a
-//! [`lomon_core::witness::Witness`] chain that replays to the identical
-//! violation. Detached (the default) it costs nothing, like
-//! [`Session::attach_metrics`]. For *where the time goes*,
-//! [`profile_trace`] runs a recorded trace through a session's own
-//! dispatch step with per-group step and wall-clock attribution — `lomon
-//! profile` wraps it.
+//! [`Session::enable_explain`] puts a session into explain mode: it keeps
+//! the last contributing steps of each unit, as a bounded flight recorder
+//! on the unit's monitor would ([`lomon_core::witness`]), so every
+//! violation in a report carries a [`lomon_core::witness::Witness`] chain
+//! that replays to the identical violation. A live unit steps on every
+//! event of its alphabet, so the session keeps one chain per distinct
+//! alphabet, not one per unit: the dispatch step only counts each event,
+//! and each dispatched run fills the chains once, from its end. Detached
+//! (the default) it costs nothing, like [`Session::attach_metrics`]. For
+//! *where the time goes*, [`profile_trace`] runs a recorded trace through
+//! a session's own dispatch step with per-group step and wall-clock
+//! attribution — `lomon profile` wraps it.
 //!
 //! ## Sessions
 //!
@@ -155,6 +158,7 @@
 #![warn(missing_docs)]
 
 pub mod compile;
+mod explain;
 pub mod metrics;
 pub mod profile;
 pub mod report;

@@ -117,9 +117,9 @@ impl Profiled {
 }
 
 impl RoutedMonitor for Profiled {
-    fn observe_routed(&mut self, event: TimedEvent, base: u32) -> Verdict {
+    fn observe_routed(&mut self, event: TimedEvent, row: u32) -> Verdict {
         self.steps += 1;
-        self.timed(|m| m.observe_routed(event, base))
+        self.timed(|m| m.observe_routed(event, row))
     }
 }
 

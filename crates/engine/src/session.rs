@@ -39,6 +39,7 @@ use lomon_core::witness::Witness;
 use lomon_trace::{SimTime, TimedEvent};
 
 use crate::compile::Engine;
+use crate::explain::Explain;
 use crate::metrics::{MetricsSink, SessionMetrics};
 use crate::report::{DispatchStats, EngineReport, PropertyReport};
 
@@ -48,12 +49,12 @@ use crate::report::{DispatchStats, EngineReport, PropertyReport};
 /// lookup; the interpreter has no cheaper entry point and re-projects
 /// internally.
 pub(crate) trait RoutedMonitor: Monitor {
-    fn observe_routed(&mut self, event: TimedEvent, base: u32) -> Verdict;
+    fn observe_routed(&mut self, event: TimedEvent, row: u32) -> Verdict;
 }
 
 impl RoutedMonitor for PropertyMonitor {
     #[inline]
-    fn observe_routed(&mut self, event: TimedEvent, _base: u32) -> Verdict {
+    fn observe_routed(&mut self, event: TimedEvent, _row: u32) -> Verdict {
         self.observe(event)
     }
 }
@@ -61,10 +62,11 @@ impl RoutedMonitor for PropertyMonitor {
 impl RoutedMonitor for CompiledMonitor {
     // Forced inline: this is the per-event body of the batch hot loop, and
     // the `#[inline(always)]` chain below it (observe_routed → antecedent_at
-    // → step_window) only lands inside the loop if this wrapper dissolves.
+    // → memo entry or step_window) only lands inside the loop if this
+    // wrapper dissolves.
     #[inline(always)]
-    fn observe_routed(&mut self, event: TimedEvent, base: u32) -> Verdict {
-        CompiledMonitor::observe_routed(self, event, base)
+    fn observe_routed(&mut self, event: TimedEvent, row: u32) -> Verdict {
+        CompiledMonitor::observe_routed(self, event, row)
     }
 }
 
@@ -201,6 +203,10 @@ pub(crate) struct Core {
     /// Telemetry sink, if a registry is attached. The hot loops never see
     /// it: deltas are flushed at batch boundaries only.
     metrics: Option<MetricsSink>,
+    /// Explain mode's chains, if enabled: the dispatch step counts each
+    /// event into it, and every dispatching call settles it before
+    /// returning.
+    explain: Option<Box<Explain>>,
 }
 
 /// A parked session: the monitor arena and dispatch bookkeeping of a
@@ -273,33 +279,37 @@ impl<'e> Session<'e> {
         self.core.metrics = Some(MetricsSink::new(metrics));
     }
 
-    /// Put every monitor of this session into *explain mode*: each unit
-    /// keeps a [`FlightRecorder`](lomon_core::witness::FlightRecorder) ring
-    /// of at most `capacity` contributing steps, so violations can be
+    /// Put this session into *explain mode*: each unit's last `capacity`
+    /// contributing steps are kept, as a
+    /// [`FlightRecorder`](lomon_core::witness::FlightRecorder) of that
+    /// capacity on its monitor would keep them, so violations can be
     /// explained with a [`Witness`] chain ([`Session::witness`], and the
-    /// `witness` field of [`PropertyReport`]). `capacity == 0` detaches the
-    /// recorders again. Like [`Session::attach_metrics`], the detached
+    /// `witness` field of [`PropertyReport`]). `capacity == 0` detaches
+    /// explain mode again. The chains are kept once per alphabet, not once
+    /// per unit (see `explain.rs`): a live unit steps on every event of its
+    /// alphabet, so units with one alphabet share a chain up to the
+    /// retirement of each. Like [`Session::attach_metrics`], the detached
     /// default costs nothing: reports and NDJSON output are byte-identical
     /// to a session that never heard of explain mode.
     pub fn enable_explain(&mut self, capacity: usize) {
-        with_arena!(self, |_program, ms| {
-            for m in ms.iter_mut() {
-                m.set_explain(capacity);
-            }
-        });
+        let program = self.engine.program(self.arena.backend());
+        self.core.explain =
+            (capacity > 0).then(|| Box::new(Explain::new(program, capacity, &self.core.active)));
     }
 
     /// The witness chain recorded for property `id`, if the session is in
-    /// explain mode and the property's monitor has recorded any steps.
-    /// Under the fused backend this is the shared group's chain —
-    /// structurally identical properties advance through identical steps,
-    /// so the chain explains every member alike.
+    /// explain mode. Under the fused backend this is the shared group's
+    /// chain — structurally identical properties advance through identical
+    /// steps, so the chain explains every member alike.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn witness(&self, id: usize) -> Option<Witness> {
-        self.property_monitor(id).witness()
+        let program = self.engine.program(self.arena.backend());
+        let unit = program.group_of(id);
+        let raw = self.core.explain.as_ref()?.chain(unit);
+        Some(self.arena.unit(unit).attribute_witness(raw))
     }
 
     /// The engine this session was opened from.
@@ -331,6 +341,7 @@ impl<'e> Session<'e> {
             self.core.step::<_, true>(program, ms, event, &mut tally);
             self.core.credit(1, tally);
         });
+        self.core.settle_explain(std::slice::from_ref(&event));
     }
 
     /// Credit the statistics accumulated since the last flush to the
@@ -369,6 +380,7 @@ impl<'e> Session<'e> {
             let swept = self.core.sweep_deadlines(program, ms, now, &[]);
             self.core.credit(0, swept);
         });
+        self.core.settle_explain(&[]);
     }
 
     /// Declare end of observation and return the report. All still-live
@@ -388,6 +400,7 @@ impl<'e> Session<'e> {
         with_arena!(self, |program, ms| {
             self.core.close_in(program, ms, end_time);
         });
+        self.core.settle_explain(&[]);
         self.core.flush_metrics();
         // Verdicts are counted exactly once per stream, at the
         // not-finished → finished transition (`close` is idempotent).
@@ -429,7 +442,7 @@ impl<'e> Session<'e> {
             // sessions still build reports allocation-free (modulo the
             // vectors they always built).
             witness: if verdict == Verdict::Violated {
-                m.witness()
+                self.witness(id)
             } else {
                 None
             },
@@ -459,6 +472,9 @@ impl<'e> Session<'e> {
         core.finished = false;
         if let Some(sink) = &mut core.metrics {
             sink.flushed = Default::default();
+        }
+        if let Some(explain) = &mut core.explain {
+            explain.reset();
         }
     }
 
@@ -599,6 +615,7 @@ impl Core {
             stats: base_stats(engine),
             finished: false,
             metrics: None,
+            explain: None,
         }
     }
 
@@ -666,10 +683,20 @@ impl Core {
         let untimed = program.timed_groups().is_empty()
             && !self.deadline_dirty
             && self.next_deadline.is_none();
-        if untimed {
+        let stepped = if untimed {
             self.batch_loop::<M, false>(program, monitors, events)
         } else {
             self.batch_loop::<M, true>(program, monitors, events)
+        };
+        self.settle_explain(&events[..stepped]);
+        stepped
+    }
+
+    /// Let explain mode, if enabled, take in the events dispatched since
+    /// the last call (see [`Explain::settle`]).
+    fn settle_explain(&mut self, events: &[TimedEvent]) {
+        if let Some(explain) = &mut self.explain {
+            explain.settle(events);
         }
     }
 
@@ -718,19 +745,22 @@ impl Core {
         tally: &mut Tally,
     ) {
         tally.live += self.active_props as u64;
-        let (units, bases) = program.subscribers(event.name);
+        if let Some(explain) = &mut self.explain {
+            explain.count(event.name);
+        }
+        let (units, rows) = program.subscribers(event.name);
         // The guard keeps the common no-deadline case to two flag loads.
         if TIMED && (self.deadline_dirty || self.next_deadline.is_some()) {
             let swept = self.sweep_deadlines(program, monitors, event.time, units);
             tally.steps += swept.steps;
             tally.served += swept.served;
         }
-        for (&u, &base) in units.iter().zip(bases) {
+        for (&u, &row) in units.iter().zip(rows) {
             let u = u as usize;
             if self.active[u] {
                 tally.steps += 1;
                 tally.served += u64::from(program.member_count(u));
-                let verdict = monitors[u].observe_routed(event, base);
+                let verdict = monitors[u].observe_routed(event, row);
                 if verdict.is_final() {
                     self.retire(program, u);
                 } else if TIMED && program.timed_flags()[u] {
@@ -797,6 +827,9 @@ impl Core {
             self.active_props -= members.len();
             self.stats.retired += members.len() as u64;
             self.newly_final.extend_from_slice(members);
+            if let Some(explain) = &mut self.explain {
+                explain.retire(id);
+            }
         }
     }
 

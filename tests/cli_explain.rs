@@ -274,3 +274,39 @@ fn watch_explain_streams_witnesses() {
         "stdout: {text}"
     );
 }
+
+/// A violation found after steps the fused group's transition memo served
+/// carries the witness the concrete path records: the interpreter, which
+/// has no memo, prints the same bytes. The memo serves the third
+/// episode's `start`, the whole fourth episode and the fifth's `a` (the
+/// pattern is pinned in `lomon_core::compiled`'s unit tests).
+#[test]
+fn explain_after_memo_served_steps_matches_the_interpreter() {
+    let names = "a b start b a start a b start a b start a start";
+    let stream: String = (1..)
+        .zip(names.split(' '))
+        .map(|(k, name)| format!("{}ns in {name}\n", 10 * k))
+        .collect();
+    let property = "all{a, b} << start repeated";
+    let run = |backend| {
+        let output = common::lomon_with_stdin(
+            &["watch", "--explain", "--backend", backend, property],
+            &stream,
+        );
+        assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr(&output));
+        (stdout(&output), stderr(&output))
+    };
+    let (fused, interp) = (run("fused"), run("interp"));
+    assert_eq!(fused, interp);
+    let text = fused.0;
+    assert!(
+        text.contains("because (14 contributing steps):"),
+        "stdout: {text}"
+    );
+    assert!(
+        text.ends_with(
+            "      `a` at 130ns -- cell 0: s1 -> s3\n      `start` at 140ns -- cell 0: s3 -> s0\n"
+        ),
+        "stdout: {text}"
+    );
+}

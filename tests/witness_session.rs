@@ -9,11 +9,14 @@
 //! * the witness chains a report carries are identical across the fused
 //!   backend and the per-property interp oracle — neither the fused group
 //!   fan-out nor skipping monitors via the subscription index loses any
-//!   provenance.
+//!   provenance — and to the chain a standalone interpreter monitor's own
+//!   flight recorder keeps over the whole trace, which the session's
+//!   per-alphabet chains must reproduce.
 
 use proptest::prelude::*;
 
-use lomon::core::verdict::Verdict;
+use lomon::core::monitor::build_monitor;
+use lomon::core::verdict::{run_to_end, Monitor, Verdict};
 use lomon::core::witness::Witness;
 use lomon::engine::{Backend, DispatchMode, Engine, EngineReport};
 use lomon::gen::Case;
@@ -105,6 +108,18 @@ fn check_rulebook(case: &Case, capacity: usize) {
         all_witnesses[0], all_witnesses[1],
         "witness chains differ across backends\n{case}"
     );
+    // And with a standalone monitor that records its own steps.
+    for (property, witness) in case.properties.iter().zip(&all_witnesses[0]) {
+        let Some(witness) = witness else { continue };
+        let mut monitor = build_monitor(property.clone(), &voc).expect("well-formed");
+        monitor.set_explain(capacity);
+        run_to_end(&mut monitor, &trace);
+        assert_eq!(
+            monitor.witness().as_ref(),
+            Some(witness),
+            "session chain differs from a standalone monitor's\n{case}"
+        );
+    }
     for w in all_witnesses[0].iter().flatten() {
         assert!(
             !w.steps.is_empty() || w.dropped > 0 || events.is_empty(),
